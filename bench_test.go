@@ -359,7 +359,8 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := bi.sto.NewSession()
 			var qt core.Trace
-			if _, err := tr.KNNTrace(s, bi.queries[i%len(bi.queries)], 1, &qt); err != nil {
+			s.SetObserver(&qt)
+			if _, err := tr.KNN(s, bi.queries[i%len(bi.queries)], 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -249,8 +249,9 @@ func run() (err error) {
 	for qi, q := range qs {
 		s := sto.NewSession()
 		var trace core.Trace
+		s.SetObserver(&trace)
 		if *rng > 0 {
-			res, err := tree.RangeSearchTrace(s, q, *rng, &trace)
+			res, err := tree.RangeSearch(s, q, *rng)
 			if err != nil {
 				return err
 			}
@@ -260,10 +261,9 @@ func run() (err error) {
 			var res []core.Neighbor
 			var err error
 			if *minRec > 0 {
-				s.SetObserver(&trace)
 				res, err = tree.KNNApprox(s, q, *knn, index.Approx{MinRecall: *minRec})
 			} else {
-				res, err = tree.KNNTrace(s, q, *knn, &trace)
+				res, err = tree.KNN(s, q, *knn)
 			}
 			if err != nil {
 				return err

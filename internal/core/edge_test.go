@@ -224,38 +224,6 @@ func TestFixedBitsAblation(t *testing.T) {
 	}
 }
 
-// TestBufferLimitedRangeSearch: a capped read buffer must not change
-// results, only the fetch schedule.
-func TestBufferLimitedRangeSearch(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	pts := randPoints(r, 3000, 5)
-	opt := DefaultOptions()
-	opt.MaxBufferBlocks = 2
-	capped := buildTree(t, pts, opt)
-	free := buildTree(t, pts, DefaultOptions())
-	q := randPoints(r, 1, 5)[0]
-	eps := 0.4
-
-	sCap := capped.sto.NewSession()
-	gotCap, err := capped.RangeSearch(sCap, q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sFree := free.sto.NewSession()
-	gotFree, err := free.RangeSearch(sFree, q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotCap) != len(gotFree) {
-		t.Fatalf("capped %d results vs %d", len(gotCap), len(gotFree))
-	}
-	// The capped variant cannot read longer runs than its buffer; with
-	// many candidate pages it needs at least as many read operations.
-	if sCap.Stats.Reads < sFree.Stats.Reads {
-		t.Fatalf("capped reads %d < uncapped %d", sCap.Stats.Reads, sFree.Stats.Reads)
-	}
-}
-
 func TestDescribePages(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pts := randPoints(r, 3000, 6)

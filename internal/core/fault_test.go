@@ -100,7 +100,7 @@ func TestQuarantineFallbackKNN(t *testing.T) {
 	degradedTotal := 0
 	for i, q := range queries {
 		trace := obs.NewQueryTrace("")
-		res, err := tr.KNNTrace(sto.NewSession(), q, 5, trace)
+		res, err := tr.KNN(traced(sto, trace), q, 5)
 		if err != nil {
 			t.Fatalf("query %d after corruption: %v", i, err)
 		}
@@ -266,7 +266,7 @@ func TestRepairRewritesQuarantinedPages(t *testing.T) {
 	// Repaired pages serve without degraded reads.
 	for i, q := range queries {
 		trace := obs.NewQueryTrace("")
-		if _, err := tr.KNNTrace(sto.NewSession(), q, 4, trace); err != nil {
+		if _, err := tr.KNN(traced(sto, trace), q, 4); err != nil {
 			t.Fatalf("query %d after repair: %v", i, err)
 		}
 		if trace.DegradedReads != 0 {
@@ -309,7 +309,7 @@ func TestReoptimizeClearsQuarantine(t *testing.T) {
 	}
 	for i, q := range queries {
 		trace := obs.NewQueryTrace("")
-		if _, err := tr.KNNTrace(sto.NewSession(), q, 3, trace); err != nil {
+		if _, err := tr.KNN(traced(sto, trace), q, 3); err != nil {
 			t.Fatalf("query %d after reoptimize: %v", i, err)
 		}
 		if trace.DegradedReads != 0 {

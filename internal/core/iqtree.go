@@ -75,10 +75,6 @@ type Options struct {
 	// the "VA-file inside a tree" ablation against which the independent
 	// (per-page) quantization is compared.
 	FixedBits int
-	// MaxBufferBlocks caps the length of one contiguous read during
-	// range-query page fetching (the buffer-limited variant of Seeger et
-	// al. [19]). 0 means unlimited.
-	MaxBufferBlocks int
 	// WAL enables write-ahead logging: Insert/InsertBatch/Delete are
 	// acknowledged only once their logical record is durable in the log
 	// (group commit amortizes the fsync), and Open replays the log after

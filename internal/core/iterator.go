@@ -2,12 +2,8 @@ package core
 
 import (
 	"errors"
-	"sort"
 
-	"repro/internal/kernel"
-	"repro/internal/page"
-	"repro/internal/pagesched"
-	"repro/internal/quantize"
+	"repro/internal/index"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -21,7 +17,10 @@ var ErrStaleIterator = errors.New("core: iterator invalidated by Reoptimize")
 // distance order, on demand — the incremental ranking of Hjaltason and
 // Samet (the paper's reference [13]), running over the IQ-tree's three
 // levels. Unlike KNN it needs no a-priori k: callers pull neighbors until
-// satisfied (e.g. distance browsing, joins).
+// satisfied (e.g. distance browsing, joins). It is the k-NN cursor
+// without a result bound, run by the same executor, so it shares the
+// time-optimized page batching and the degraded reads of quarantined
+// pages with KNN.
 //
 // The iterator pins the directory snapshot current at creation, so it is
 // safe to interleave Next calls with concurrent inserts and deletes —
@@ -30,30 +29,22 @@ var ErrStaleIterator = errors.New("core: iterator invalidated by Reoptimize")
 // for concurrent use from multiple goroutines.
 type NNIterator struct {
 	t   *Tree
-	sn  *snapshot
 	gen uint64 // reoptGen at creation
 	s   *store.Session
-	q   vec.Point
-
-	minD      []float64
-	processed []bool
-	sorted    []int32
-	heap      []pqItem // min-heap on lower-bound distance
-
-	// confirmed holds refined (exact) neighbors not yet emitted, as a
-	// min-heap on distance.
-	confirmed  []Neighbor
-	exactCache map[int32]exactPage
-	regionBuf  []pagesched.Region
-	arena      kernel.Arena // iterator-owned: Next may interleave with other queries on the session
-	started    bool
-	err        error // first read failure; ends the iteration
+	sc  queryScratch // iterator-owned: Next may interleave with other queries on the session
+	err error        // first read failure; ends the iteration
 }
 
 // NewNNIterator starts an incremental nearest-neighbor ranking for q over
 // the tree's current snapshot. All simulated I/O and CPU is charged to s.
 func (t *Tree) NewNNIterator(s *store.Session, q vec.Point) *NNIterator {
-	return &NNIterator{t: t, sn: t.load(), gen: t.reoptGen.Load(), s: s, q: q}
+	it := &NNIterator{t: t, gen: t.reoptGen.Load(), s: s}
+	it.sc.init()
+	tr := t.traceOf(s)
+	tr.SetLabel("nn iterator")
+	it.sc.knn = knnCursor{t: t, gen: it.gen, pending: -1}
+	it.sc.knn.st = it.sc.beginSearch(t, t.load(), s, q, 0, tr, index.Approx{})
+	return it
 }
 
 // Err returns the first read failure encountered by the iterator, or nil.
@@ -64,245 +55,18 @@ func (it *NNIterator) Err() error { return it.err }
 // Next returns the next neighbor in increasing distance order, or
 // ok=false when the database is exhausted or a read failed (see Err).
 func (it *NNIterator) Next() (Neighbor, bool) {
-	it.t.world.RLock()
-	defer it.t.world.RUnlock()
+	t := it.t
+	t.world.RLock()
+	defer t.world.RUnlock()
 	if it.err != nil {
 		return Neighbor{}, false
 	}
-	if it.t.reoptGen.Load() != it.gen {
+	if t.reoptGen.Load() != it.gen {
 		it.err = ErrStaleIterator
 		return Neighbor{}, false
 	}
-	if !it.started {
-		it.start()
+	if it.err = t.execute(it.s, &it.sc, &it.sc.knn); it.err != nil {
+		return Neighbor{}, false
 	}
-	for it.err == nil {
-		// Emit a confirmed neighbor as soon as nothing in the priority
-		// list could still be closer.
-		if len(it.confirmed) > 0 && (len(it.heap) == 0 || it.confirmed[0].Dist <= it.heap[0].dist) {
-			return it.popConfirmed(), true
-		}
-		if len(it.heap) == 0 {
-			return Neighbor{}, false
-		}
-		item := it.popItem()
-		if item.pt >= 0 {
-			it.refine(item)
-			continue
-		}
-		if it.processed[item.entry] {
-			continue
-		}
-		it.processPage(int(item.entry))
-	}
-	return Neighbor{}, false
-}
-
-func (it *NNIterator) start() {
-	it.started = true
-	t := it.t
-	sn := it.sn
-	met := t.opt.Metric
-	if sn.dirBlocks > 0 {
-		if _, err := it.s.Read(t.dirFile, 0, sn.dirBlocks); err != nil {
-			it.err = err
-			return
-		}
-	}
-	it.s.ChargeApproxCPU(t.dirFile, t.dim, len(sn.entries))
-	it.minD = make([]float64, len(sn.entries))
-	it.processed = make([]bool, len(sn.entries))
-	for i, e := range sn.entries {
-		if sn.free[i] {
-			it.processed[i] = true
-			continue
-		}
-		it.minD[i] = e.MBR.MinDist(it.q, met)
-		it.pushItem(pqItem{dist: it.minD[i], entry: int32(i), pt: -1})
-		it.sorted = append(it.sorted, int32(i))
-	}
-	sort.Slice(it.sorted, func(a, b int) bool { return it.minD[it.sorted[a]] < it.minD[it.sorted[b]] })
-}
-
-// processPage loads (batched, if enabled) and decodes quantized pages,
-// feeding point approximations into the priority list. Unlike the
-// k-bounded search, nothing can be pruned: every point will eventually be
-// emitted.
-func (it *NNIterator) processPage(entry int) {
-	t := it.t
-	sn := it.sn
-	pivot := int(sn.entries[entry].QPos)
-	first, last := pivot, pivot
-	if t.opt.OptimizedIO {
-		sched := &pagesched.Scheduler{
-			Cfg:        t.sto.Config(),
-			PageBlocks: t.opt.QPageBlocks,
-			NumPages:   len(sn.entryAt),
-			Prob:       it.accessProb,
-		}
-		first, last = sched.Batch(pivot)
-	}
-	buf, err := it.s.Read(t.qFile, first*t.opt.QPageBlocks, (last-first+1)*t.opt.QPageBlocks)
-	if err != nil {
-		it.err = err
-		return
-	}
-	pageBytes := t.qPageBytes()
-	met := t.opt.Metric
-	for pos := first; pos <= last; pos++ {
-		e := sn.entryIndex(pos)
-		if e < 0 || it.processed[e] || sn.free[e] {
-			continue
-		}
-		it.processed[e] = true
-		qp := page.UnmarshalQPage(buf[(pos-first)*pageBytes : (pos-first+1)*pageBytes])
-		if qp.Bits == quantize.ExactBits {
-			pts, ids := qp.ExactPoints(t.dim)
-			it.s.ChargeDistCPU(t.qFile, t.dim, len(pts))
-			for i, p := range pts {
-				it.pushConfirmed(Neighbor{ID: ids[i], Dist: met.Dist(it.q, p), Point: p})
-			}
-			continue
-		}
-		grid := sn.grids[e]
-		codes := it.arena.Unpack(qp.Payload, qp.Count*t.dim, qp.Bits)
-		tb := it.arena.Tables(grid, it.q, met, qp.Count)
-		it.s.ChargeApproxCPU(t.qFile, t.dim, qp.Count)
-		for i := 0; i < qp.Count; i++ {
-			lb := tb.MinDist(codes[i*t.dim : (i+1)*t.dim])
-			it.pushItem(pqItem{dist: lb, entry: int32(e), pt: int32(i)})
-		}
-	}
-}
-
-func (it *NNIterator) accessProb(pos int) float64 {
-	sn := it.sn
-	entry := sn.entryIndex(pos)
-	if entry < 0 || it.processed[entry] || sn.free[entry] {
-		return 0
-	}
-	r := it.minD[entry]
-	it.regionBuf = it.regionBuf[:0]
-	for _, e := range it.sorted {
-		if it.minD[e] >= r {
-			break
-		}
-		if it.processed[e] || int(e) == entry {
-			continue
-		}
-		it.regionBuf = append(it.regionBuf, pagesched.Region{
-			MBR:     sn.entries[e].MBR,
-			Count:   int(sn.entries[e].Count),
-			MinDist: it.minD[e],
-		})
-	}
-	return pagesched.AccessProbability(it.q, it.t.opt.Metric, r, it.regionBuf)
-}
-
-func (it *NNIterator) refine(item pqItem) {
-	t := it.t
-	ep, ok := it.exactCache[item.entry]
-	if !ok {
-		e := it.sn.entries[item.entry]
-		entrySize := page.ExactEntrySize(t.dim)
-		raw, rel, err := it.s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*entrySize)
-		if err != nil {
-			it.err = err
-			return
-		}
-		ep = exactPage{pts: make([]vec.Point, e.Count), ids: make([]uint32, e.Count)}
-		for i := 0; i < int(e.Count); i++ {
-			ep.pts[i], ep.ids[i] = page.UnmarshalExactEntry(raw[rel+i*entrySize:], t.dim)
-		}
-		if it.exactCache == nil {
-			it.exactCache = make(map[int32]exactPage)
-		}
-		it.exactCache[item.entry] = ep
-	}
-	it.s.ChargeDistCPU(t.eFile, t.dim, 1)
-	it.pushConfirmed(Neighbor{
-		ID:    ep.ids[item.pt],
-		Dist:  t.opt.Metric.Dist(it.q, ep.pts[item.pt]),
-		Point: ep.pts[item.pt],
-	})
-}
-
-// --- heaps ---
-
-func (it *NNIterator) pushItem(item pqItem) {
-	it.heap = append(it.heap, item)
-	a := it.heap
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].dist <= a[i].dist {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (it *NNIterator) popItem() pqItem {
-	a := it.heap
-	top := a[0]
-	a[0] = a[len(a)-1]
-	it.heap = a[:len(a)-1]
-	a = it.heap
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l].dist < a[m].dist {
-			m = l
-		}
-		if r < len(a) && a[r].dist < a[m].dist {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-	return top
-}
-
-func (it *NNIterator) pushConfirmed(nb Neighbor) {
-	it.confirmed = append(it.confirmed, nb)
-	a := it.confirmed
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].Dist <= a[i].Dist {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (it *NNIterator) popConfirmed() Neighbor {
-	a := it.confirmed
-	top := a[0]
-	a[0] = a[len(a)-1]
-	it.confirmed = a[:len(a)-1]
-	a = it.confirmed
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l].Dist < a[m].Dist {
-			m = l
-		}
-		if r < len(a) && a[r].Dist < a[m].Dist {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-	return top
+	return it.sc.search.emit()
 }

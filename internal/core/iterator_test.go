@@ -115,3 +115,43 @@ func TestIteratorVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestIteratorDegradedRead: the iterator runs on the same executor as
+// KNN, so a corrupt quantized page is quarantined and served from its
+// exact shadow instead of ending the ranking with a checksum error.
+func TestIteratorDegradedRead(t *testing.T) {
+	sto, tr, pts := buildCheckedTree(t, 5, 1500, 6, DefaultOptions())
+	q := randPoints(rand.New(rand.NewSource(6)), 1, 6)[0]
+	rank := func() []Neighbor {
+		it := tr.NewNNIterator(sto.NewSession(), q)
+		var out []Neighbor
+		for {
+			nb, ok := it.Next()
+			if !ok {
+				break
+			}
+			out = append(out, nb)
+		}
+		if err := it.Err(); err != nil {
+			t.Fatalf("ranking after %d neighbors: %v", len(out), err)
+		}
+		return out
+	}
+	clean := rank()
+	if len(clean) != len(pts) {
+		t.Fatalf("clean ranking has %d of %d points", len(clean), len(pts))
+	}
+	flipQPageBit(t, sto, compressedPages(tr)[0], tr.Options().QPageBlocks)
+	got := rank()
+	if len(got) != len(clean) {
+		t.Fatalf("degraded ranking has %d points, clean %d", len(got), len(clean))
+	}
+	for i := range clean {
+		if got[i].ID != clean[i].ID || got[i].Dist != clean[i].Dist {
+			t.Fatalf("rank %d: degraded (%d, %v), clean (%d, %v)", i, got[i].ID, got[i].Dist, clean[i].ID, clean[i].Dist)
+		}
+	}
+	if len(tr.QuarantinedPages()) == 0 {
+		t.Fatal("the corrupt page was not quarantined")
+	}
+}

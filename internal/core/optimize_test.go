@@ -251,7 +251,7 @@ func TestTraceCountsWork(t *testing.T) {
 	pts := randPoints(r, 3000, 10)
 	tr := buildTree(t, pts, DefaultOptions())
 	var trace Trace
-	if _, err := tr.KNNTrace(tr.sto.NewSession(), randPoints(r, 1, 10)[0], 1, &trace); err != nil {
+	if _, err := tr.KNN(traced(tr.sto, &trace), randPoints(r, 1, 10)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	if trace.PagesRead == 0 || len(trace.Batches) == 0 {

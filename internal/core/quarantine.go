@@ -50,13 +50,9 @@ func (t *Tree) corruptQPage(err error) bool {
 }
 
 // unrecoverablePage builds the typed error for a corrupt exact-mode page.
-func unrecoverablePage(pos, entry int, cause error) error {
-	if cause == nil {
-		return fmt.Errorf("core: quantized page %d (entry %d) stores exact data with no level-3 shadow: %w",
-			pos, entry, ErrUnrecoverable)
-	}
-	return fmt.Errorf("core: quantized page %d (entry %d) stores exact data with no level-3 shadow: %w: %w",
-		pos, entry, ErrUnrecoverable, cause)
+func unrecoverablePage(pos, entry int) error {
+	return fmt.Errorf("core: quantized page %d (entry %d) stores exact data with no level-3 shadow: %w",
+		pos, entry, ErrUnrecoverable)
 }
 
 // quarantinePage marks the physical page position as damaged.
@@ -166,7 +162,7 @@ func (t *Tree) Repair(s *store.Session) (int, error) {
 		}
 		e := sn.entries[i]
 		if int(e.Bits) == quantize.ExactBits {
-			return repaired, unrecoverablePage(int(e.QPos), i, nil)
+			return repaired, unrecoverablePage(int(e.QPos), i)
 		}
 		pts, ids, err := t.readPagePoints(s, sn, i)
 		if err != nil {

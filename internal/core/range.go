@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/index"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/page"
@@ -18,51 +19,28 @@ import (
 // tree's metric), ordered by increasing distance. Because the affected
 // pages are known in advance from the directory, the second level is
 // fetched with the optimal known-set schedule of paper Section 2 (Fig. 1).
-// When the session's observer is a *Trace, plan events are recorded into
-// it (see KNN).
 func (t *Tree) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]Neighbor, error) {
-	return t.RangeSearchTrace(s, q, eps, obs.TraceFrom(s.Observer()))
-}
-
-// RangeSearchTrace is RangeSearch with an optional physical-work trace
-// (see KNNTrace for the attachment semantics).
-func (t *Tree) RangeSearchTrace(s *store.Session, q vec.Point, eps float64, tr *Trace) ([]Neighbor, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
-	sn := t.load()
-	label := ""
-	if tr != nil {
-		label = fmt.Sprintf("range eps=%g", eps)
-	}
-	detach := attachTrace(s, tr, t.sto.Config(), label)
-	defer detach()
 	sc := scratchFor(s)
-	sc.eps = epsFilter{q: q, eps: eps, met: t.opt.Metric}
-	res, err := t.scanCandidates(s, sn, tr, sc, &sc.eps)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(res, func(i, j int) bool { return res[i].Dist < res[j].Dist })
-	return res, nil
+	return t.scan(s, sc, t.beginRange(s, sc, q, eps))
 }
 
 // WindowQuery returns all points inside the query window w. Dist fields of
 // the results are 0.
 func (t *Tree) WindowQuery(s *store.Session, w vec.MBR) ([]Neighbor, error) {
-	return t.WindowQueryTrace(s, w, obs.TraceFrom(s.Observer()))
-}
-
-// WindowQueryTrace is WindowQuery with an optional physical-work trace
-// (see KNNTrace for the attachment semantics).
-func (t *Tree) WindowQueryTrace(s *store.Session, w vec.MBR, tr *Trace) ([]Neighbor, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
-	sn := t.load()
-	detach := attachTrace(s, tr, t.sto.Config(), "window")
-	defer detach()
 	sc := scratchFor(s)
-	sc.win = windowFilter{w: w}
-	return t.scanCandidates(s, sn, tr, sc, &sc.win)
+	return t.scan(s, sc, t.beginWindow(s, sc, w))
+}
+
+// scan runs one range-style cursor to completion.
+func (t *Tree) scan(s *store.Session, sc *queryScratch, c *scanCursor) ([]Neighbor, error) {
+	if err := t.execute(s, sc, c); err != nil {
+		return nil, err
+	}
+	return c.out, nil
 }
 
 // scanFilter is the query-specific part of a range-style scan. The two
@@ -104,7 +82,8 @@ func (f *epsFilter) preparePage(sc *queryScratch, g quantize.Grid, count int) {
 func (f *epsFilter) pageHits(sc *queryScratch, codes []uint32, dim, count int) []bool {
 	pb := &sc.bounds
 	f.tb.MinDistBatch(codes, dim, count, f.lbT, pb)
-	hits := growHits(&sc.hits, count)
+	sc.hits = grow(sc.hits, count)
+	hits := sc.hits
 	for i := 0; i < count; i++ {
 		hits[i] = !pb.Pruned[i] && pb.Lb[i] <= f.eps
 	}
@@ -136,225 +115,280 @@ func (f *windowFilter) pageHits(sc *queryScratch, codes []uint32, dim, count int
 
 func (f *windowFilter) exactHit(p vec.Point) (float64, bool) { return 0, f.w.Contains(p) }
 
-// growHits resizes the scratch hit buffer, keeping its high-water
-// capacity across pages.
-func growHits(hits *[]bool, n int) []bool {
-	if cap(*hits) < n {
-		*hits = make([]bool, n)
-	}
-	*hits = (*hits)[:n]
-	return *hits
+// scanCursor drives range and window queries: one directory scan selects
+// every candidate page up front, all of them are wanted at once, and each
+// delivered page appends its qualifying points. Alone, execute reads them
+// with the optimal known-set schedule; under sharing, deliveries arrive
+// in ascending position order within a round (the plan's spans are
+// disjoint and ascending), so a clean scan produces results in the same
+// order either way. Range results are sorted by distance on completion.
+type scanCursor struct {
+	t          *Tree
+	s          *store.Session
+	sn         *snapshot
+	tr         *Trace
+	sc         *queryScratch
+	f          scanFilter
+	gen        uint64
+	sortByDist bool
+
+	started bool
+	done    bool
+	err     error
+	pending []int // candidate positions, ascending (aliases sc.positions)
+	shadow  []int // entries already quarantined; served from the exact shadow on finish
+	out     []Neighbor
 }
 
-// beginScan runs the level-1 directory scan of a range-style query
-// against the pinned snapshot: it selects the candidate pages via the
-// filter's pageHit, returning their sorted quantized-page positions
-// (aliasing sc.positions; sc.posEntry maps position → entry) and the
-// entries whose page is already quarantined and must be served from the
-// exact shadow. Shared between the share-nothing scan and the
-// scan-sharing cursor so both select identical page sets.
-func (t *Tree) beginScan(s *store.Session, sn *snapshot, sc *queryScratch, f scanFilter) (positions, degraded []int, err error) {
-	if sn.dirBlocks > 0 {
-		if _, err := s.Read(t.dirFile, 0, sn.dirBlocks); err != nil {
-			return nil, nil, err
+// beginRange resets the scratch's scan cursor for one range query over
+// the current epoch. The caller holds world.RLock.
+func (t *Tree) beginRange(s *store.Session, sc *queryScratch, q vec.Point, eps float64) *scanCursor {
+	sc.eps = epsFilter{q: q, eps: eps, met: t.opt.Metric}
+	tr := t.traceOf(s)
+	if tr != nil {
+		tr.SetLabel(fmt.Sprintf("range eps=%g", eps))
+	}
+	return t.beginScan(s, sc, tr, &sc.eps, true)
+}
+
+// beginWindow is beginRange for a window query.
+func (t *Tree) beginWindow(s *store.Session, sc *queryScratch, w vec.MBR) *scanCursor {
+	sc.win = windowFilter{w: w}
+	tr := t.traceOf(s)
+	tr.SetLabel("window")
+	return t.beginScan(s, sc, tr, &sc.win, false)
+}
+
+func (t *Tree) beginScan(s *store.Session, sc *queryScratch, tr *Trace, f scanFilter, sortByDist bool) *scanCursor {
+	c := &sc.scan
+	*c = scanCursor{t: t, s: s, sn: t.load(), tr: tr, sc: sc, f: f, gen: t.reoptGen.Load(), sortByDist: sortByDist}
+	clear(sc.delivered)
+	return c
+}
+
+func (c *scanCursor) Step() (bool, error) {
+	if c.done || c.err != nil {
+		return c.step()
+	}
+	return c.t.lockedStep(c.gen, c.step)
+}
+
+func (c *scanCursor) step() (bool, error) {
+	if c.done || c.err != nil {
+		return c.finish(c.err)
+	}
+	if !c.started {
+		c.started = true
+		if err := c.scanDirectory(); err != nil {
+			return c.finish(err)
 		}
 	}
-	s.ChargeApproxCPU(t.dirFile, t.dim, len(sn.entries))
+	if len(c.sc.delivered) < len(c.pending) {
+		return false, nil
+	}
+	// All candidate pages are in; serve the degraded entries from the
+	// exact level and finalize.
+	for _, entry := range c.shadow {
+		if err := c.shadowPage(entry); err != nil {
+			return c.finish(err)
+		}
+	}
+	if c.sortByDist {
+		out := c.out
+		sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
+	}
+	return c.finish(nil)
+}
 
+func (c *scanCursor) finish(err error) (bool, error) {
+	c.done = true
+	c.err = err
+	return true, err
+}
+
+func (c *scanCursor) Wants(buf []int) []int {
+	if c.done || !c.started {
+		return buf
+	}
+	for _, pos := range c.pending {
+		if _, ok := c.sc.delivered[pos]; !ok {
+			buf = append(buf, pos)
+		}
+	}
+	return buf
+}
+
+func (c *scanCursor) wanted(pos int) bool {
+	if c.err != nil {
+		return false
+	}
+	_, cand := c.sc.posEntry[pos]
+	_, dup := c.sc.delivered[pos]
+	return cand && !dup
+}
+
+func (c *scanCursor) AccessProb(pos int) float64 {
+	if c.done || !c.started || !c.wanted(pos) {
+		return 0
+	}
+	return 1 // known-set scan: every undelivered candidate page is certain
+}
+
+// plan reads the wanted pages with the optimal known-set schedule of
+// paper Fig. 1: a gap is read through whenever its transfer costs less
+// than a seek.
+func (c *scanCursor) plan(sc *queryScratch, wants []int) []pagesched.PageSpan {
+	pb := c.t.opt.QPageBlocks
+	sc.blocks = sc.blocks[:0]
+	for _, pos := range wants {
+		sc.blocks = append(sc.blocks, pos*pb)
+	}
+	spans := sc.spans[:0]
+	for _, r := range pagesched.PlanKnownSet(sc.blocks, pb, c.t.sto.Config()) {
+		spans = append(spans, pagesched.PageSpan{First: r.Pos / pb, Last: (r.Pos+r.Blocks)/pb - 1})
+	}
+	sc.spans = spans
+	return spans
+}
+
+// noteRead records each contiguous known-set read as one pivot-less
+// batch; page-granular damage reads record none.
+func (c *scanCursor) noteRead(span pagesched.PageSpan, pending int, pagewise bool, _ []int) {
+	if !pagewise {
+		c.tr.AddBatch(obs.BatchDecision{Pivot: -1, First: span.First, Last: span.Last, Pending: pending})
+	}
+}
+
+func (c *scanCursor) Deliver(pg *index.SharedPage, shared bool) bool {
+	if c.done || c.err != nil || !c.started {
+		return false
+	}
+	wanted := c.wanted(pg.Pos)
+	if !shared {
+		c.tr.AddPages(1)
+		if !wanted {
+			c.tr.AddPruned(1) // over-read gap page (cheaper than a seek)
+			return false
+		}
+	} else if !wanted {
+		return false
+	}
+	c.sc.delivered[pg.Pos] = struct{}{}
+	if shared {
+		c.s.NoteShared(c.t.qFile, c.t.opt.QPageBlocks)
+		c.tr.AddShared(1)
+	}
+	if pg.Bits == quantize.ExactBits {
+		c.exactPage(pg.Payload, pg.Count)
+	} else {
+		c.err = c.codesPage(c.sc.posEntry[pg.Pos], pg.Count, pg.Codes())
+	}
+	return true
+}
+
+// degraded serves an unreadable page from its exact shadow right away,
+// in position order with the pages read around it.
+func (c *scanCursor) degraded(pos int) {
+	if !c.wanted(pos) {
+		return
+	}
+	c.sc.delivered[pos] = struct{}{}
+	c.err = c.shadowPage(c.sc.posEntry[pos])
+}
+
+func (c *scanCursor) DeliverDegraded(pos int) bool {
+	if c.done || c.err != nil || !c.started || !c.wanted(pos) {
+		return false
+	}
+	c.degraded(pos)
+	return true
+}
+
+func (c *scanCursor) Results() ([]vec.Neighbor, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.out, nil
+}
+
+func (c *scanCursor) Close() {}
+
+// scanDirectory runs the level-1 directory scan against the pinned
+// snapshot: the filter's pageHit selects the candidate pages, whose
+// sorted positions become the wants (posEntry maps position → entry),
+// except pages already quarantined, which are served from their exact
+// shadow at the end.
+func (c *scanCursor) scanDirectory() error {
+	t, sn, sc := c.t, c.sn, c.sc
+	if err := t.readDirectory(c.s, sn); err != nil {
+		return err
+	}
 	sc.pts.Reset()
-	positions = sc.positions[:0]
+	c.pending = sc.positions[:0]
 	clear(sc.posEntry)
 	for i, e := range sn.entries {
-		if sn.free[i] {
-			continue
-		}
-		if !f.pageHit(e.MBR) {
+		if sn.free[i] || !c.f.pageHit(e.MBR) {
 			continue
 		}
 		if t.isQuarantined(int(e.QPos)) {
-			degraded = append(degraded, i)
+			c.shadow = append(c.shadow, i)
 			continue
 		}
-		positions = append(positions, int(e.QPos))
+		c.pending = append(c.pending, int(e.QPos))
 		sc.posEntry[int(e.QPos)] = i
 	}
-	sc.positions = positions
-	sort.Ints(positions)
-	return positions, degraded, nil
+	sc.positions = c.pending
+	sort.Ints(c.pending)
+	return nil
 }
 
-// scanCandidates drives both range-style queries against the pinned
-// snapshot sn: select pages via the filter's pageHit, classify
-// approximations via pageHits, and refine candidates via exactHit (which
-// returns the result distance and whether the exact point qualifies).
-// Every qualifying point must be refined regardless of certainty, because
-// point ids live in the exact pages.
-func (t *Tree) scanCandidates(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter) ([]Neighbor, error) {
-	positions, degraded, err := t.beginScan(s, sn, sc, f)
-	if err != nil {
-		return nil, err
-	}
-	posEntry := sc.posEntry
-	if len(positions) == 0 && len(degraded) == 0 {
-		return nil, nil
-	}
-
-	// Level 2: optimal known-set fetch (Fig. 1), optionally buffer-capped.
-	runs := pagesched.PlanKnownSet(positions, t.opt.QPageBlocks, t.sto.Config(), t.opt.MaxBufferBlocks)
-	pageBytes := t.qPageBytes()
-	var out []Neighbor
-	for _, run := range runs {
-		firstPage := run.Pos
-		nPages := run.Blocks / t.opt.QPageBlocks
-		buf, err := s.Read(t.qFile, run.Pos*t.opt.QPageBlocks, run.Blocks)
-		if err != nil {
-			if !t.corruptQPage(err) {
-				return nil, err
-			}
-			// Fresh corruption somewhere in the run: retry page by page
-			// so only the damaged pages pay the degraded path.
-			s.Recover()
-			out, err = t.rangeRunDegraded(s, sn, tr, sc, f, firstPage, nPages, out)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		tr.AddPages(nPages)
-		pending := 0
-		for j := 0; j < nPages; j++ {
-			pos := firstPage + j
-			entry, wanted := posEntry[pos]
-			if !wanted {
-				tr.AddPruned(1) // gap page over-read because it was cheaper than a seek
-				continue
-			}
-			pending++
-			res, err := t.rangePage(s, sn, tr, sc, f, entry, buf[j*pageBytes:(j+1)*pageBytes], out)
-			if err != nil {
-				return nil, err
-			}
-			out = res
-		}
-		tr.AddBatch(obs.BatchDecision{
-			Pivot:   -1, // known-set run: no pivot
-			First:   firstPage,
-			Last:    firstPage + nPages - 1,
-			Pending: pending,
-		})
-	}
-	for _, entry := range degraded {
-		var err error
-		out, err = t.rangeDegraded(s, sn, tr, sc, f, entry, out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// rangeRunDegraded replays one known-set run page by page after a bulk
-// read hit corruption: undamaged pages take the normal path, freshly
-// corrupt compressed pages are quarantined and answered from their
-// exact shadow, and a corrupt exact-mode page fails typed.
-func (t *Tree) rangeRunDegraded(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter,
-	firstPage, nPages int, out []Neighbor) ([]Neighbor, error) {
-	pageBytes := t.qPageBytes()
-	for j := 0; j < nPages; j++ {
-		pos := firstPage + j
-		entry, wanted := sc.posEntry[pos]
-		if !wanted {
-			continue
-		}
-		buf, err := s.Read(t.qFile, pos*t.opt.QPageBlocks, t.opt.QPageBlocks)
-		if err != nil {
-			if !t.corruptQPage(err) {
-				return nil, err
-			}
-			s.Recover()
-			if int(sn.entries[entry].Bits) != quantize.ExactBits {
-				t.quarantinePage(pos)
-			}
-			out, err = t.rangeDegraded(s, sn, tr, sc, f, entry, out)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		tr.AddPages(1)
-		out, err = t.rangePage(s, sn, tr, sc, f, entry, buf[:pageBytes], out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// rangeDegraded answers one page of a range-style query entirely from
-// its exact (level-3) shadow — every point of the page is decided on
-// exact geometry, so results match a clean run bit for bit; only the
-// cost degrades. A quarantined exact-mode page has no shadow and fails
-// with ErrUnrecoverable.
-func (t *Tree) rangeDegraded(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter,
-	entry int, out []Neighbor) ([]Neighbor, error) {
-	e := sn.entries[entry]
+// shadowPage answers one page entirely from its exact (level-3) shadow —
+// every point of the page is decided on exact geometry, so results match
+// a clean run bit for bit; only the cost degrades. A quarantined
+// exact-mode page has no shadow and fails with ErrUnrecoverable.
+func (c *scanCursor) shadowPage(entry int) error {
+	t, e := c.t, c.sn.entries[entry]
 	if int(e.Bits) == quantize.ExactBits {
-		return nil, unrecoverablePage(int(e.QPos), entry, nil)
+		return unrecoverablePage(int(e.QPos), entry)
 	}
 	entrySize := page.ExactEntrySize(t.dim)
-	raw, rel, err := s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*entrySize)
+	raw, rel, err := c.s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*entrySize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	metricDegradedReads.Inc()
-	tr.AddDegraded(1)
-	tr.AddRefinement(int(e.Count))
-	s.ChargeDistCPU(t.eFile, t.dim, int(e.Count))
-	pts, ids := sc.pts.DecodeExact(raw[rel:], int(e.Count), t.dim)
+	c.tr.AddDegraded(1)
+	c.tr.AddRefinement(int(e.Count))
+	c.s.ChargeDistCPU(t.eFile, t.dim, int(e.Count))
+	c.appendHits(c.sc.pts.DecodeExact(raw[rel:], int(e.Count), t.dim))
+	return nil
+}
+
+// exactPage decides an exact-mode (32-bit) quantized page: every point
+// carries its full coordinates, so the filter's exact predicate applies
+// directly.
+func (c *scanCursor) exactPage(payload []byte, count int) {
+	pts, ids := c.sc.pts.DecodeQPage(payload, count, c.t.dim)
+	c.s.ChargeDistCPU(c.t.qFile, c.t.dim, len(pts))
+	c.appendHits(pts, ids)
+}
+
+// appendHits appends every point the filter's exact predicate accepts,
+// copied out of the scratch arena.
+func (c *scanCursor) appendHits(pts []vec.Point, ids []uint32) {
 	for i, p := range pts {
-		if d, ok := f.exactHit(p); ok {
-			out = append(out, Neighbor{ID: ids[i], Dist: d, Point: p.Clone()})
+		if d, ok := c.f.exactHit(p); ok {
+			c.out = append(c.out, Neighbor{ID: ids[i], Dist: d, Point: p.Clone()})
 		}
 	}
-	return out, nil
 }
 
-// rangePage processes one candidate page of a range-style query,
-// appending qualifying neighbors to out. Result points are copied out of
-// the scratch arenas before they escape.
-func (t *Tree) rangePage(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter,
-	entry int, buf []byte, out []Neighbor) ([]Neighbor, error) {
-	qp := page.UnmarshalQPage(buf)
-	if qp.Bits == quantize.ExactBits {
-		return t.rangeExactQPage(s, sc, f, qp.Payload, qp.Count, out)
-	}
-	codes := sc.arena.Unpack(qp.Payload, qp.Count*t.dim, qp.Bits)
-	return t.rangePageCodes(s, sn, tr, sc, f, entry, qp.Count, codes, out)
-}
-
-// rangeExactQPage decides an exact-mode (32-bit) quantized page: every
-// point carries its full coordinates, so the filter's exact predicate
-// applies directly.
-func (t *Tree) rangeExactQPage(s *store.Session, sc *queryScratch, f scanFilter,
-	payload []byte, count int, out []Neighbor) ([]Neighbor, error) {
-	pts, ids := sc.pts.DecodeQPage(payload, count, t.dim)
-	s.ChargeDistCPU(t.qFile, t.dim, len(pts))
-	for i, p := range pts {
-		if d, ok := f.exactHit(p); ok {
-			out = append(out, Neighbor{ID: ids[i], Dist: d, Point: p.Clone()})
-		}
-	}
-	return out, nil
-}
-
-// rangePageCodes filters one compressed page's bulk-unpacked codes and
-// refines the surviving candidates against the exact level. Split from
-// rangePage so the scan-sharing path can feed it codes decoded once per
-// shared page.
-func (t *Tree) rangePageCodes(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter,
-	entry, count int, codes []uint32, out []Neighbor) ([]Neighbor, error) {
-	f.preparePage(sc, sn.grids[entry], count)
-	s.ChargeApproxCPU(t.qFile, t.dim, count)
+// codesPage filters one compressed page's bulk-unpacked codes and
+// refines the surviving candidates against the exact level.
+func (c *scanCursor) codesPage(entry, count int, codes []uint32) error {
+	t, sc, f := c.t, c.sc, c.f
+	f.preparePage(sc, c.sn.grids[entry], count)
+	c.s.ChargeApproxCPU(t.qFile, t.dim, count)
 	hits := f.pageHits(sc, codes, t.dim, count)
 	need := sc.need[:0]
 	for i := 0; i < count; i++ {
@@ -363,31 +397,30 @@ func (t *Tree) rangePageCodes(s *store.Session, sn *snapshot, tr *Trace, sc *que
 		}
 	}
 	sc.need = need
-	tr.AddCandidates(len(need))
+	c.tr.AddCandidates(len(need))
 	if len(need) == 0 {
-		return out, nil
+		return nil
 	}
 	// Level 3: candidates of one page are contiguous in the exact file;
 	// read the covering range in a single operation and bulk-decode the
 	// covered span into the point arena.
-	e := sn.entries[entry]
+	e := c.sn.entries[entry]
 	entrySize := page.ExactEntrySize(t.dim)
 	base := int(e.EPos) * t.sto.Config().BlockSize
 	lo := base + need[0]*entrySize
 	hi := base + (need[len(need)-1]+1)*entrySize
-	raw, rel, err := s.ReadRange(t.eFile, lo, hi-lo)
+	raw, rel, err := c.s.ReadRange(t.eFile, lo, hi-lo)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	tr.AddRefinement(len(need))
-	s.ChargeDistCPU(t.eFile, t.dim, len(need))
-	span := need[len(need)-1] - need[0] + 1
-	pts, ids := sc.pts.DecodeExact(raw[rel:], span, t.dim)
+	c.tr.AddRefinement(len(need))
+	c.s.ChargeDistCPU(t.eFile, t.dim, len(need))
+	pts, ids := sc.pts.DecodeExact(raw[rel:], need[len(need)-1]-need[0]+1, t.dim)
 	for _, i := range need {
 		j := i - need[0]
 		if d, ok := f.exactHit(pts[j]); ok {
-			out = append(out, Neighbor{ID: ids[j], Dist: d, Point: pts[j].Clone()})
+			c.out = append(c.out, Neighbor{ID: ids[j], Dist: d, Point: pts[j].Clone()})
 		}
 	}
-	return out, nil
+	return nil
 }

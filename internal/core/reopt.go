@@ -275,7 +275,7 @@ func (t *Tree) repairOne(s *store.Session) (bool, error) {
 		}
 		e := sn.entries[i]
 		if int(e.Bits) == quantize.ExactBits {
-			return false, unrecoverablePage(int(e.QPos), i, nil)
+			return false, unrecoverablePage(int(e.QPos), i)
 		}
 		pts, ids, err := t.readPagePoints(s, sn, i)
 		if err != nil {

@@ -9,11 +9,12 @@ import (
 )
 
 // queryScratch is the per-session reusable state of the query paths:
-// kernel arenas, the k-NN search state, the range/window scan buffers,
-// and the access-probability scratch. It rides on the session's scratch
-// slot (surviving Session.Reset), so pooled sessions — the engine's
-// workers — reach a zero-allocation steady state on the KNN hot path.
-// Like the session itself, it is single-goroutine state.
+// kernel arenas, the k-NN search state, both cursors, the executor's
+// buffers, the range/window scan buffers, and the access-probability
+// scratch. It rides on the session's scratch slot (surviving
+// Session.Reset), so pooled sessions — the engine's workers — reach a
+// zero-allocation steady state on the KNN hot path. Like the session
+// itself, it is single-goroutine state.
 type queryScratch struct {
 	arena kernel.Arena      // codes + distance/window tables
 	pts   kernel.PointArena // decoded exact points (KNN refinement)
@@ -24,15 +25,25 @@ type queryScratch struct {
 	probFn func(int) float64 // st.accessProb, bound once
 	sched  pagesched.Scheduler
 
+	// The cursors (one query at a time per session) and the executor's
+	// per-turn buffers.
+	knn   knnCursor
+	scan  scanCursor
+	dec   pageDecoder
+	wants []int
+	got   []int
+	spans []pagesched.PageSpan
+
 	// Range/window scan state.
 	positions []int
 	posEntry  map[int]int
+	delivered map[int]struct{}
+	blocks    []int
 	need      []int
 	eps       epsFilter
 	win       windowFilter
 
-	// Batch-kernel buffers (scan-sharing page filters and the batch
-	// range/window classifiers).
+	// Batch-kernel buffers of the range/window page classifiers.
 	bounds kernel.PageBounds
 	hits   []bool
 }
@@ -43,15 +54,20 @@ func scratchFor(s *store.Session) *queryScratch {
 	if sc, ok := s.Scratch().(*queryScratch); ok {
 		return sc
 	}
-	sc := &queryScratch{
-		posEntry: make(map[int]int),
-	}
+	sc := &queryScratch{}
+	sc.init()
+	s.SetScratch(sc)
+	return sc
+}
+
+// init prepares a zero scratch for use.
+func (sc *queryScratch) init() {
+	sc.posEntry = make(map[int]int)
+	sc.delivered = make(map[int]struct{})
 	sc.search.sc = sc
 	sc.search.exactCache = make(map[int32]exactPage)
 	sc.search.exactSkip = make(map[int32]bool)
 	sc.probFn = sc.search.accessProb
-	s.SetScratch(sc)
-	return sc
 }
 
 // beginSearch re-initializes the scratch's k-NN state for one query,
@@ -61,18 +77,18 @@ func (sc *queryScratch) beginSearch(t *Tree, sn *snapshot, s *store.Session, q v
 	st.t, st.sn, st.s, st.q, st.k, st.tr = t, sn, s, q, k, tr
 	st.err = nil
 	st.ap = ap
-	st.fetched, st.apStopped, st.apStopRefine, st.apSkipped, st.apProb = 0, false, false, 0, 0
+	st.fetched, st.apStopped, st.apStopRefine = 0, false, false
 	n := len(sn.entries)
-	st.minD = growF64(st.minD, n)
-	st.processed = growBool(st.processed, n)
+	st.minD = grow(st.minD, n)
+	st.processed = grow(st.processed, n)
 	clear(st.processed)
 	st.sorted = st.sorted[:0]
 	st.heap = st.heap[:0]
 	st.res = st.res[:0]
 	st.ub = st.ub[:0]
-	st.wSum = growF64(st.wSum, n)
+	st.wSum = grow(st.wSum, n)
 	clear(st.wSum)
-	st.wCnt = growI32(st.wCnt, n)
+	st.wCnt = grow(st.wCnt, n)
 	clear(st.wCnt)
 	st.regionBuf = st.regionBuf[:0]
 	clear(st.exactCache)
@@ -94,23 +110,11 @@ func (s *entrySorter) Len() int           { return len(s.idx) }
 func (s *entrySorter) Less(a, b int) bool { return s.minD[s.idx[a]] < s.minD[s.idx[b]] }
 func (s *entrySorter) Swap(a, b int)      { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-func growF64(s []float64, n int) []float64 {
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short; reused elements keep their old values.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

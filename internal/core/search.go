@@ -27,10 +27,11 @@ type Neighbor = vec.Neighbor
 
 // Trace records the physical work of one query: per-level simulated
 // cost, the scheduler's batch decisions, and the candidate/refinement
-// funnel. It is the obs.QueryTrace of the observability layer; the
-// traced query entry points attach it to the session for the duration of
-// the query, so it also captures per-level seek/transfer/CPU charges.
-// All methods are nil-safe — a nil *Trace records nothing.
+// funnel. It is the obs.QueryTrace of the observability layer: attach one
+// to the session with SetObserver and every query entry point records
+// its plan events into it, sets its simulated costs and labels it, while
+// the session feeds it the per-level seek/transfer/CPU charges. All
+// methods are nil-safe — a nil *Trace records nothing.
 type Trace = obs.QueryTrace
 
 // NearestNeighbor returns the nearest neighbor of q, charging all
@@ -46,23 +47,9 @@ func (t *Tree) NearestNeighbor(s *store.Session, q vec.Point) (nb Neighbor, ok b
 
 // KNN returns the k nearest neighbors of q ordered by increasing
 // distance. On a read failure it returns the session's (sticky) error;
-// the partial result must not be trusted. When the session's observer is
-// a *Trace, the query records its plan events into it (so a serving
-// layer attaching traces per query needs no method-specific entry point).
+// the partial result must not be trusted.
 func (t *Tree) KNN(s *store.Session, q vec.Point, k int) ([]Neighbor, error) {
-	return t.KNNTrace(s, q, k, obs.TraceFrom(s.Observer()))
-}
-
-// KNNTrace is KNN with an optional physical-work trace: a non-nil tr is
-// attached to the session as its observer for the duration of the query
-// (displacing, then restoring, any previously attached observer), so it
-// records the per-level cost decomposition alongside the plan events.
-func (t *Tree) KNNTrace(s *store.Session, q vec.Point, k int, tr *Trace) ([]Neighbor, error) {
-	st, err := t.knn(s, q, k, tr, index.Approx{})
-	if st == nil || err != nil {
-		return nil, err
-	}
-	return st.results(), nil
+	return t.KNNApprox(s, q, k, index.Approx{})
 }
 
 // KNNApprox is KNN under a probability-bounded approximation knob
@@ -76,11 +63,7 @@ func (t *Tree) KNNTrace(s *store.Session, q vec.Point, k int, tr *Trace) ([]Neig
 // substitute farther neighbors for missed ones, never fabricate them.
 // A zero (or MinRecall = 1) knob is bit-identical to KNN.
 func (t *Tree) KNNApprox(s *store.Session, q vec.Point, k int, ap index.Approx) ([]Neighbor, error) {
-	st, err := t.knn(s, q, k, obs.TraceFrom(s.Observer()), ap)
-	if st == nil || err != nil {
-		return nil, err
-	}
-	return st.results(), nil
+	return t.knn(s, q, k, ap, nil)
 }
 
 // KNNInto is KNN reusing the caller's result buffer: dst (grown as
@@ -90,49 +73,241 @@ func (t *Tree) KNNApprox(s *store.Session, q vec.Point, k int, ap index.Approx) 
 // returned slice and its points are owned by the caller until the next
 // KNNInto with the same dst.
 func (t *Tree) KNNInto(s *store.Session, q vec.Point, k int, dst []Neighbor) ([]Neighbor, error) {
-	st, err := t.knn(s, q, k, obs.TraceFrom(s.Observer()), index.Approx{})
-	if st == nil || err != nil {
-		return nil, err
-	}
-	return st.resultsInto(dst), nil
+	return t.knn(s, q, k, index.Approx{}, dst)
 }
 
-// knn runs the shared search; a nil state (with nil error) means the
-// empty-query case.
-func (t *Tree) knn(s *store.Session, q vec.Point, k int, tr *Trace, ap index.Approx) (*nnSearch, error) {
+// knn runs the session's k-NN cursor to completion under one pinned
+// epoch and pops its result into dst (see resultsInto).
+func (t *Tree) knn(s *store.Session, q vec.Point, k int, ap index.Approx, dst []Neighbor) ([]Neighbor, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
-	sn := t.load()
-	label := ""
-	if tr != nil {
-		label = fmt.Sprintf("knn k=%d", k)
+	sc := scratchFor(s)
+	c := t.beginKNN(s, sc, q, k, ap)
+	if err := t.execute(s, sc, c); err != nil {
+		return nil, err
 	}
-	detach := attachTrace(s, tr, t.sto.Config(), label)
-	defer detach()
-	if k <= 0 || sn.n == 0 {
+	if c.st == nil {
 		return nil, s.Err()
 	}
-	st := scratchFor(s).beginSearch(t, sn, s, q, k, tr, ap)
-	st.run()
-	if st.err != nil {
-		return nil, st.err
-	}
-	return st, nil
+	return c.st.resultsInto(dst), nil
 }
 
-// attachTrace installs tr as the session's observer and returns the
-// function undoing it. With a nil tr it is a no-op (the session keeps
-// whatever observer it already has).
-func attachTrace(s *store.Session, tr *Trace, cfg store.Config, label string) func() {
-	if tr == nil {
-		return func() {}
+// traceOf returns the session's *Trace observer (nil when there is
+// none) with the store's simulated costs set, so it can render times.
+func (t *Tree) traceOf(s *store.Session) *Trace {
+	tr := obs.TraceFrom(s.Observer())
+	if tr != nil {
+		cfg := t.sto.Config()
+		tr.SetCosts(cfg.Seek, cfg.Xfer)
 	}
-	tr.SetCosts(cfg.Seek, cfg.Xfer)
-	tr.SetLabel(label)
-	prev := s.Observer()
-	s.SetObserver(tr)
-	return func() { s.SetObserver(prev) }
+	return tr
 }
+
+// knnCursor drives the nnSearch state machine one page fetch at a time:
+// start, then repeatedly advance to the next unpruned pending page and
+// report it as the want. Alone, execute fetches that want with the
+// Sec. 2.1 batch around it as the pivot (or the page alone when
+// OptimizedIO is off). Under sharing, pages delivered early (fetched for
+// another query) only tighten the search's bounds sooner; processing a
+// page is order-independent for the final result set (candidates enter
+// the same priority list, prune radii only shrink), so the returned
+// neighbors are identical either way.
+type knnCursor struct {
+	t       *Tree
+	st      *nnSearch // nil for the empty query
+	gen     uint64
+	pending int32 // entry awaiting its page; -1 = none
+	started bool
+	done    bool
+	res     []Neighbor
+}
+
+// beginKNN resets the scratch's k-NN cursor for one query over the
+// current epoch. The caller holds world.RLock.
+func (t *Tree) beginKNN(s *store.Session, sc *queryScratch, q vec.Point, k int, ap index.Approx) *knnCursor {
+	tr := t.traceOf(s)
+	if tr != nil {
+		tr.SetLabel(fmt.Sprintf("knn k=%d", k))
+	}
+	c := &sc.knn
+	*c = knnCursor{t: t, gen: t.reoptGen.Load(), pending: -1}
+	sn := t.load()
+	if k <= 0 || sn.n == 0 {
+		c.done = true
+		return c
+	}
+	c.st = sc.beginSearch(t, sn, s, q, k, tr, ap)
+	return c
+}
+
+func (c *knnCursor) Step() (bool, error) {
+	if c.done || c.st.err != nil {
+		return c.step()
+	}
+	return c.t.lockedStep(c.gen, c.step)
+}
+
+func (c *knnCursor) step() (bool, error) {
+	if c.done {
+		return true, nil
+	}
+	st := c.st
+	if st.err != nil {
+		c.done = true
+		return true, st.err
+	}
+	if !c.started {
+		c.started = true
+		if !st.start() {
+			c.done = true
+			return true, st.err
+		}
+	}
+	if c.pending >= 0 && !st.processed[c.pending] {
+		// Last round's fetch did not reach this page (its leader failed);
+		// keep wanting it.
+		return false, nil
+	}
+	entry, ok := st.advance()
+	if !ok {
+		// An unbounded ranking stops only until the caller emitted the
+		// neighbor that is ready; it resumes on the next step.
+		c.done = st.k > 0 || st.err != nil
+		return true, st.err
+	}
+	c.pending = int32(entry)
+	return false, nil
+}
+
+func (c *knnCursor) Wants(buf []int) []int {
+	if c.done || !c.started || c.pending < 0 || c.st.processed[c.pending] {
+		return buf
+	}
+	return append(buf, int(c.st.sn.entries[c.pending].QPos))
+}
+
+func (c *knnCursor) wanted(pos int) bool {
+	st := c.st
+	if st.err != nil {
+		return false
+	}
+	e := st.sn.entryIndex(pos)
+	return e >= 0 && !st.processed[e] && !st.sn.free[e]
+}
+
+func (c *knnCursor) AccessProb(pos int) float64 {
+	if c.done || !c.started || c.st.err != nil {
+		return 0
+	}
+	return c.st.accessProb(pos)
+}
+
+// plan reads the pivot page alone, or, with OptimizedIO, the contiguous
+// page sequence around it whose cumulated cost balance is favorable
+// (paper Sec. 2.1); the scheduler records the decision in the trace.
+func (c *knnCursor) plan(sc *queryScratch, wants []int) []pagesched.PageSpan {
+	t, pivot := c.t, wants[0]
+	first, last := pivot, pivot
+	if t.opt.OptimizedIO {
+		sc.sched = pagesched.Scheduler{
+			Cfg:        t.sto.Config(),
+			PageBlocks: t.opt.QPageBlocks,
+			NumPages:   len(c.st.sn.entryAt),
+			Prob:       sc.probFn,
+			Trace:      c.st.tr,
+		}
+		first, last = sc.sched.Batch(pivot)
+	}
+	sc.spans = append(sc.spans[:0], pagesched.PageSpan{First: first, Last: last})
+	return sc.spans
+}
+
+// noteRead completes the scheduler's batch decision with its pending
+// count; every page read on its own records as its own batch.
+func (c *knnCursor) noteRead(_ pagesched.PageSpan, pending int, pagewise bool, got []int) {
+	tr := c.st.tr
+	if c.t.opt.OptimizedIO && !pagewise {
+		tr.NotePending(pending)
+		return
+	}
+	for _, pos := range got {
+		tr.AddBatch(obs.BatchDecision{Pivot: pos, First: pos, Last: pos, Pending: 1})
+	}
+}
+
+func (c *knnCursor) Deliver(pg *index.SharedPage, shared bool) bool {
+	st := c.st
+	if c.done || !c.started || st.err != nil {
+		return false
+	}
+	relevant := c.wanted(pg.Pos)
+	if !shared {
+		// The leader accounts every transferred page, irrelevant ones as
+		// pruned — and every transferred page consumes the approximate-mode
+		// fetch budget, over-reads included.
+		st.fetched++
+		st.tr.AddPages(1)
+	}
+	if !relevant {
+		if !shared {
+			st.tr.AddPruned(1)
+		}
+		return false
+	}
+	e := st.sn.entryIndex(pg.Pos)
+	st.processed[e] = true
+	if st.minD[e] >= st.prune() {
+		if !shared {
+			st.tr.AddPruned(1) // transferred but certainly irrelevant
+		}
+		return false
+	}
+	if shared {
+		// Another query's session paid the transfer; record a zero-cost
+		// shared read so trace totals still reconcile with session stats.
+		st.s.NoteShared(st.t.qFile, st.t.opt.QPageBlocks)
+		st.tr.AddShared(1)
+	}
+	if pg.Bits == quantize.ExactBits {
+		st.processExact(pg.Payload, pg.Count)
+		return true
+	}
+	st.processCodes(e, pg.Count, pg.Codes())
+	return true
+}
+
+func (c *knnCursor) degraded(pos int) {
+	if c.wanted(pos) {
+		c.st.degradedExact(c.st.sn.entryIndex(pos))
+	}
+}
+
+// DeliverDegraded serves only the actively wanted page from its exact
+// shadow: under sharing, the search must not touch the exact shadow of
+// pages it still might prune, and an exact-mode page it would never
+// fetch must not fail the query.
+func (c *knnCursor) DeliverDegraded(pos int) bool {
+	if c.done || !c.started || c.pending < 0 || c.st.sn.entryIndex(pos) != int(c.pending) || !c.wanted(pos) {
+		return false
+	}
+	c.st.degradedExact(int(c.pending))
+	return true
+}
+
+func (c *knnCursor) Results() ([]vec.Neighbor, error) {
+	if c.st == nil {
+		return nil, nil
+	}
+	if c.st.err != nil {
+		return nil, c.st.err
+	}
+	if c.res == nil {
+		c.res = c.st.resultsInto(nil)
+	}
+	return c.res, nil
+}
+
+func (c *knnCursor) Close() {}
 
 // pqItem is an entry of the search priority list (paper Sec. 3.2): either
 // a whole quantized page or the box approximation of a single point.
@@ -147,7 +322,7 @@ type nnSearch struct {
 	sn  *snapshot // pinned directory epoch; all state below indexes it
 	s   *store.Session
 	q   vec.Point
-	k   int
+	k   int // result bound; 0 ranks without one (NNIterator)
 	tr  *Trace
 	sc  *queryScratch // owning scratch (arenas, sorter, prob buffers)
 	err error         // first read failure; aborts the search
@@ -160,20 +335,20 @@ type nnSearch struct {
 
 	// Approximate execution state (zero for exact queries): the knob, the
 	// quantized pages fetched so far (mirrors the trace's PagesRead; kept
-	// here because tracing is optional), and — once the knob's stopping
-	// rule fired — the skipped-page count and the remaining-improvement
-	// probability recorded at termination.
+	// here because tracing is optional), and the stopping rule's state.
 	ap           index.Approx
 	fetched      int
-	apStopped    bool // ε or budget rule fired: no more quantized page fetches
-	apStopRefine bool // ε rule fired: no more fresh exact-page (level-3) loads either
-	apSkipped    int
-	apProb       float64
+	apStopped    bool           // ε or budget rule fired: no more quantized page fetches
+	apStopRefine bool           // ε rule fired: no more fresh exact-page (level-3) loads either
 	wSum         []float64      // per entry: Σ (ub − lb) over admitted candidates
 	wCnt         []int32        // per entry: admitted candidate count
 	exactSkip    map[int32]bool // exact pages the ε stop left unloaded
 
-	res resHeap   // k best refined neighbors (max-heap on dist)
+	// res holds the k best refined neighbors as a max-heap on distance.
+	// An unbounded ranking keeps every refined neighbor not yet emitted
+	// there instead, with negated distances, which makes the same heap a
+	// min-heap on distance (emit undoes the negation).
+	res resHeap
 	ub  []float64 // max-heap of the k smallest upper bounds seen
 
 	regionBuf []pagesched.Region
@@ -192,7 +367,7 @@ type exactPage struct {
 
 // nnDist is the exact kth-best distance found so far.
 func (st *nnSearch) nnDist() float64 {
-	if len(st.res) < st.k {
+	if st.k == 0 || len(st.res) < st.k {
 		return math.Inf(1)
 	}
 	return st.res[0].Dist
@@ -202,7 +377,7 @@ func (st *nnSearch) nnDist() float64 {
 // within it, so anything farther can be discarded (VA-file style pruning,
 // implied by the paper's b-sphere argument).
 func (st *nnSearch) bound() float64 {
-	if len(st.ub) < st.k {
+	if st.k == 0 || len(st.ub) < st.k {
 		return math.Inf(1)
 	}
 	return st.ub[0]
@@ -210,26 +385,17 @@ func (st *nnSearch) bound() float64 {
 
 func (st *nnSearch) prune() float64 { return math.Min(st.nnDist(), st.bound()) }
 
-// run drives the share-nothing search to completion: seed the priority
-// list, then alternately pick the next pending page and fetch it (with
-// the batched or single-page strategy). The scan-sharing cursor drives
-// the same start/advance state machine but suspends at the fetch
-// boundary instead, so both paths make identical page decisions.
-func (st *nnSearch) run() {
-	if !st.start() {
-		return
-	}
-	for st.err == nil {
-		entry, ok := st.advance()
-		if !ok {
-			break
-		}
-		if st.t.opt.OptimizedIO {
-			st.processBatch(entry)
-		} else {
-			st.processSingle(entry)
+// readDirectory is level 1 of every query: a sequential scan of the flat
+// directory (the extent the pinned epoch was published with — the file
+// may have grown since), charged as one approximation test per entry.
+func (t *Tree) readDirectory(s *store.Session, sn *snapshot) error {
+	if sn.dirBlocks > 0 {
+		if _, err := s.Read(t.dirFile, 0, sn.dirBlocks); err != nil {
+			return err
 		}
 	}
+	s.ChargeApproxCPU(t.dirFile, t.dim, len(sn.entries))
+	return nil
 }
 
 // start runs the level-1 directory scan and seeds the priority list
@@ -239,17 +405,9 @@ func (st *nnSearch) start() bool {
 	t := st.t
 	sn := st.sn
 	met := t.opt.Metric
-
-	// Level 1: sequential scan of the flat directory (the extent the
-	// pinned epoch was published with — the file may have grown since).
-	if sn.dirBlocks > 0 {
-		if _, err := st.s.Read(t.dirFile, 0, sn.dirBlocks); err != nil {
-			st.err = err
-			return false
-		}
+	if st.err = t.readDirectory(st.s, sn); st.err != nil {
+		return false
 	}
-	st.s.ChargeApproxCPU(t.dirFile, t.dim, len(sn.entries))
-
 	for i, e := range sn.entries {
 		if sn.free[i] {
 			st.processed[i] = true
@@ -267,9 +425,10 @@ func (st *nnSearch) start() bool {
 // advance pops the priority list to the next unprocessed page entry,
 // refining point items inline on the way. ok=false means the search is
 // complete: either the list ran dry, nothing left can improve the
-// result, or a refinement failed (st.err).
+// result, or a refinement failed (st.err). An unbounded ranking also
+// stops as soon as its closest refined neighbor can be emitted.
 func (st *nnSearch) advance() (entry int, ok bool) {
-	for len(st.heap) > 0 && st.err == nil {
+	for len(st.heap) > 0 && st.err == nil && !st.ready() {
 		it := st.popItem()
 		if it.dist >= st.nnDist() {
 			break // nothing left can improve the result set
@@ -338,7 +497,6 @@ func (st *nnSearch) skipExact(entry int32) {
 		st.exactSkip = make(map[int32]bool)
 	}
 	st.exactSkip[entry] = true
-	st.apSkipped++
 	st.tr.AddSkipped(1)
 	metricApproxSkipped.Inc()
 }
@@ -463,7 +621,6 @@ func (st *nnSearch) candImprove(it *pqItem, r float64) float64 {
 // whatever page or refinement triggered it.
 func (st *nnSearch) terminateApprox(p float64) {
 	st.apStopped = true
-	st.apProb = p
 	metricApproxStops.Inc()
 	st.tr.NoteTermination(p)
 }
@@ -472,104 +629,8 @@ func (st *nnSearch) terminateApprox(p float64) {
 // termination.
 func (st *nnSearch) skipPage(entry int) {
 	st.processed[entry] = true
-	st.apSkipped++
 	st.tr.AddSkipped(1)
 	metricApproxSkipped.Inc()
-}
-
-// processSingle loads exactly one quantized page with a random access
-// (the "standard NN-search" of Fig. 7). A quarantined or
-// corrupt-on-read page is answered from its exact shadow instead.
-func (st *nnSearch) processSingle(entry int) {
-	t := st.t
-	pos := int(st.sn.entries[entry].QPos)
-	if t.isQuarantined(pos) {
-		st.degradedExact(entry, nil)
-		return
-	}
-	buf, err := st.s.Read(t.qFile, pos*t.opt.QPageBlocks, t.opt.QPageBlocks)
-	if err != nil {
-		if !t.corruptQPage(err) {
-			st.err = err
-			return
-		}
-		st.s.Recover()
-		if int(st.sn.entries[entry].Bits) != quantize.ExactBits {
-			t.quarantinePage(pos)
-		}
-		st.degradedExact(entry, err)
-		return
-	}
-	st.fetched++
-	st.tr.AddPages(1)
-	st.tr.AddBatch(obs.BatchDecision{Pivot: pos, First: pos, Last: pos, Pending: 1})
-	st.processPage(entry, buf)
-}
-
-// processBatch runs the time-optimized strategy of Sec. 2.1: around the
-// pivot page it loads the contiguous page sequence whose cumulated cost
-// balance is favorable, then processes every still-pending page in it.
-func (st *nnSearch) processBatch(entry int) {
-	t := st.t
-	sn := st.sn
-	pivot := int(sn.entries[entry].QPos)
-	sched := &st.sc.sched
-	*sched = pagesched.Scheduler{
-		Cfg:        t.sto.Config(),
-		PageBlocks: t.opt.QPageBlocks,
-		NumPages:   len(sn.entryAt),
-		Prob:       st.sc.probFn,
-		Trace:      st.tr,
-	}
-	first, last := sched.Batch(pivot)
-	if t.anyQuarantinedIn(first, last) {
-		// Known damage inside the batch extent: a contiguous read would
-		// fail verification wholesale. Fetch the pending pages one by one
-		// instead; processSingle routes damaged ones to the exact level.
-		st.processRunDegraded(first, last)
-		return
-	}
-	buf, err := st.s.Read(t.qFile, first*t.opt.QPageBlocks, (last-first+1)*t.opt.QPageBlocks)
-	if err != nil {
-		if !t.corruptQPage(err) {
-			st.err = err
-			return
-		}
-		// Fresh corruption somewhere in the run: localize it by retrying
-		// each pending page individually.
-		st.s.Recover()
-		st.processRunDegraded(first, last)
-		return
-	}
-	st.fetched += last - first + 1
-	st.tr.AddPages(last - first + 1)
-	pageBytes := t.qPageBytes()
-	pending := 0
-	for pos := first; pos <= last; pos++ {
-		e := sn.entryIndex(pos)
-		if e < 0 || st.processed[e] || sn.free[e] {
-			st.tr.AddPruned(1)
-			continue
-		}
-		pending++
-		st.processPage(e, buf[(pos-first)*pageBytes:(pos-first+1)*pageBytes])
-	}
-	st.tr.NotePending(pending)
-}
-
-// processRunDegraded replaces one corrupt (or damage-spanning) batch
-// read with per-page random accesses — honest degraded cost — letting
-// processSingle quarantine the damaged pages and serve them exactly
-// from the third level.
-func (st *nnSearch) processRunDegraded(first, last int) {
-	sn := st.sn
-	for pos := first; pos <= last && st.err == nil; pos++ {
-		e := sn.entryIndex(pos)
-		if e < 0 || st.processed[e] || sn.free[e] {
-			continue
-		}
-		st.processSingle(e)
-	}
 }
 
 // degradedExact answers one page whose quantized representation is
@@ -579,12 +640,12 @@ func (st *nnSearch) processRunDegraded(first, last int) {
 // bit-identical to a clean run — only the cost degrades. Exact-mode
 // (32-bit) pages have no level-3 shadow; their corruption is a typed,
 // unrecoverable error.
-func (st *nnSearch) degradedExact(entry int, cause error) {
+func (st *nnSearch) degradedExact(entry int) {
 	t := st.t
 	e := st.sn.entries[entry]
 	st.processed[entry] = true
 	if int(e.Bits) == quantize.ExactBits {
-		st.err = unrecoverablePage(int(e.QPos), entry, cause)
+		st.err = unrecoverablePage(int(e.QPos), entry)
 		return
 	}
 	if st.minD[entry] >= st.prune() {
@@ -637,32 +698,6 @@ func (st *nnSearch) accessProb(pos int) float64 {
 	return st.sc.prob.AccessProbability(st.q, st.t.opt.Metric, r, st.regionBuf)
 }
 
-// processPage decodes one quantized page: exact (32-bit) pages yield final
-// distances directly; compressed pages yield per-point box approximations
-// that enter the priority list.
-//
-// This is the CPU hot loop of the filter step. The page's codes are
-// bulk-unpacked once, per-point bounds come from the kernel's per-query
-// lookup tables, and points whose bounds provably clear both the prune
-// radius and the current kth upper bound are abandoned mid-accumulation
-// (every decision is bit-identical to the naive Grid math; see
-// internal/kernel).
-func (st *nnSearch) processPage(entry int, buf []byte) {
-	t := st.t
-	st.processed[entry] = true
-	if st.minD[entry] >= st.prune() {
-		st.tr.AddPruned(1)
-		return // transferred as part of a batch but certainly irrelevant
-	}
-	qp := page.UnmarshalQPage(buf)
-	if qp.Bits == quantize.ExactBits {
-		st.processExact(qp.Payload, qp.Count)
-		return
-	}
-	codes := st.sc.arena.Unpack(qp.Payload, qp.Count*t.dim, qp.Bits)
-	st.processCodes(entry, qp.Count, codes)
-}
-
 // processExact consumes one exact-mode (32-bit) page: final distances,
 // no refinement needed.
 func (st *nnSearch) processExact(payload []byte, count int) {
@@ -677,9 +712,14 @@ func (st *nnSearch) processExact(payload []byte, count int) {
 	}
 }
 
-// processCodes filters one compressed page's bulk-unpacked codes with
-// the scalar per-point loop, pushing candidate approximations onto the
-// priority list.
+// processCodes filters one compressed page's bulk-unpacked codes,
+// pushing candidate approximations onto the priority list.
+//
+// This is the CPU hot loop of the filter step. Per-point bounds come
+// from the kernel's per-query lookup tables, and points whose bounds
+// provably clear both the prune radius and the current kth upper bound
+// are abandoned mid-accumulation (every decision is bit-identical to the
+// naive Grid math; see internal/kernel).
 func (st *nnSearch) processCodes(entry, count int, codes []uint32) {
 	t := st.t
 	met := t.opt.Metric
@@ -712,42 +752,6 @@ func (st *nnSearch) processCodes(entry, count int, codes []uint32) {
 			st.wSum[entry] += ubD - lb
 			st.wCnt[entry]++
 			st.pushItem(pqItem{dist: lb, entry: int32(entry), pt: int32(i)})
-		}
-	}
-	st.tr.AddCandidates(cand)
-}
-
-// processCodesBatch is processCodes over the kernel's batch entry point:
-// all bounds are computed against the page-start thresholds in one call
-// (so a shared page decoded once serves many queries with cache-hot
-// codes), then admitted through the same live-threshold tests as the
-// scalar loop. Final search state is identical to processCodes — a
-// batch-computed point the scalar loop would have pruned fails the same
-// live candidate test and cannot move a full upper-bound heap (see
-// internal/kernel/multi.go).
-func (st *nnSearch) processCodesBatch(entry, count int, codes []uint32) {
-	t := st.t
-	met := t.opt.Metric
-	tb := st.sc.arena.Tables(st.sn.grids[entry], st.q, met, count)
-	st.s.ChargeApproxCPU(t.qFile, t.dim, count)
-	pb := &st.sc.bounds
-	prune := st.prune()
-	lbT := kernel.SqThreshold(met, prune)
-	ubT := kernel.SqThreshold(met, st.bound())
-	tb.BoundsBatch(codes, t.dim, count, lbT, ubT, pb)
-	cand := 0
-	for i := 0; i < count; i++ {
-		if pb.Pruned[i] {
-			continue
-		}
-		if st.pushUB(pb.Ub[i]) {
-			prune = st.prune()
-		}
-		if pb.Lb[i] < prune {
-			cand++
-			st.wSum[entry] += pb.Ub[i] - pb.Lb[i]
-			st.wCnt[entry]++
-			st.pushItem(pqItem{dist: pb.Lb[i], entry: int32(entry), pt: int32(i)})
 		}
 	}
 	st.tr.AddCandidates(cand)
@@ -793,6 +797,11 @@ func (st *nnSearch) loadExact(entry int32) (exactPage, error) {
 }
 
 func (st *nnSearch) addResult(nb Neighbor) {
+	if st.k == 0 {
+		nb.Dist = -nb.Dist
+		st.res.push(nb)
+		return
+	}
 	if nb.Dist >= st.nnDist() {
 		return
 	}
@@ -802,20 +811,26 @@ func (st *nnSearch) addResult(nb Neighbor) {
 	}
 }
 
-// results pops the result heap into a fresh, caller-owned slice. The
-// result points may alias the scratch point arena, so they are cloned.
-func (st *nnSearch) results() []Neighbor {
-	out := make([]Neighbor, len(st.res))
-	for i := len(out) - 1; i >= 0; i-- {
-		nb := st.res.pop()
-		nb.Point = nb.Point.Clone()
-		out[i] = nb
+// ready reports whether an unbounded ranking can emit its closest
+// refined neighbor: no pending item of the priority list can be closer.
+func (st *nnSearch) ready() bool {
+	return st.k == 0 && len(st.res) > 0 && (len(st.heap) == 0 || -st.res[0].Dist <= st.heap[0].dist)
+}
+
+// emit pops the closest refined neighbor of an unbounded ranking.
+func (st *nnSearch) emit() (Neighbor, bool) {
+	if len(st.res) == 0 {
+		return Neighbor{}, false
 	}
-	return out
+	nb := st.res.pop()
+	nb.Dist = -nb.Dist
+	return nb, true
 }
 
 // resultsInto pops the result heap into dst, reusing its backing array
 // and, where capacities allow, the per-neighbor Point backing arrays.
+// The result points may alias the scratch point arena, so they are
+// copied; a nil dst yields a fresh, caller-owned slice (nil when empty).
 func (st *nnSearch) resultsInto(dst []Neighbor) []Neighbor {
 	n := len(st.res)
 	if cap(dst) < n {
@@ -842,6 +857,9 @@ func (st *nnSearch) resultsInto(dst []Neighbor) []Neighbor {
 // reporting whether the heap changed (i.e. whether the kth-smallest
 // upper bound may have moved).
 func (st *nnSearch) pushUB(ub float64) bool {
+	if st.k == 0 {
+		return false
+	}
 	if len(st.ub) == st.k {
 		if ub >= st.ub[0] {
 			return false

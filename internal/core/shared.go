@@ -1,23 +1,18 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/index"
-	"repro/internal/kernel"
-	"repro/internal/obs"
-	"repro/internal/page"
-	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
 
-// This file adapts the tree's query state machines to the scan-sharing
-// protocol of internal/index: each query suspends at its quantized-page
-// fetch boundary, the engine's coordinator merges the wanted pages of
-// every in-flight query into one deduplicated read plan per round, and
-// each fetched page is decoded once and offered to all attached cursors.
+// This file adapts the tree's query cursors (knnCursor in search.go,
+// scanCursor in range.go) to the scan-sharing protocol of
+// internal/index: each query suspends at its quantized-page fetch
+// boundary, the engine's coordinator merges the wanted pages of every
+// in-flight query into one deduplicated read plan per round, and each
+// fetched page is decoded once and offered to all attached cursors. The
+// same cursors run alone under execute (exec.go).
 //
 // Safety rests on two properties of the tree's concurrency model:
 //
@@ -27,15 +22,17 @@ import (
 //     other pinned epoch that still owns the position (cursors map
 //     positions through their own snapshot and decline stale ones).
 //   - Reorganization excludes readers via the world lock and bumps the
-//     generation. Cursors and FetchRun take the read lock per call and
+//     generation. Step and FetchRun take the read lock per call and
 //     re-validate the generation, so no cursor holds the lock across a
 //     coordinator round (a held read lock would deadlock against a
 //     writer once the lock queue forces new readers to wait). A failed
 //     validation surfaces index.ErrStaleScan and the coordinator
-//     restarts the query on a fresh cursor.
+//     restarts the query on a fresh cursor. Run alone, a query holds the
+//     read lock throughout and calls the unlocked bodies instead, so it
+//     never sees ErrStaleScan.
 //
-// Result equivalence with the share-nothing paths is argued per cursor
-// below and pinned by the shared_test.go equivalence suite.
+// Result equivalence with execution alone is argued at each cursor and
+// pinned by the shared_test.go equivalence suite.
 
 var _ index.SharedScanner = (*Tree)(nil)
 var _ index.ApproxSharedScan = (*sharedScan)(nil)
@@ -48,8 +45,8 @@ func (t *Tree) NewSharedScan() index.SharedScan {
 }
 
 type sharedScan struct {
-	t     *Tree
-	arena kernel.Arena // decode-once buffer for the current shared page
+	t   *Tree
+	dec pageDecoder // decode-once buffer for the current shared page
 }
 
 func (ss *sharedScan) Layout() index.SharedLayout {
@@ -68,55 +65,35 @@ func (ss *sharedScan) KNN(s *store.Session, q vec.Point, k int) index.Cursor {
 }
 
 // KNNApprox begins one resumable k-NN query under the given
-// approximation knob: the cursor drives the same probability-bounded
-// state machine as Tree.KNNApprox, so once the knob's stopping rule
-// fires it drains its candidate refinements and stops wanting pages. A
-// zero (or MinRecall = 1) knob is bit-identical to KNN.
+// approximation knob: once the knob's stopping rule fires the cursor
+// drains its candidate refinements and stops wanting pages. A zero (or
+// MinRecall = 1) knob is bit-identical to KNN.
 func (ss *sharedScan) KNNApprox(s *store.Session, q vec.Point, k int, ap index.Approx) index.Cursor {
 	t := ss.t
-	c := &knnCursor{t: t, s: s, pending: -1}
 	t.world.RLock()
-	c.gen = t.reoptGen.Load()
-	sn := t.load()
-	t.world.RUnlock()
-	if tr := obs.TraceFrom(s.Observer()); tr != nil {
-		tr.SetLabel(fmt.Sprintf("knn k=%d", k))
-	}
-	if k <= 0 || sn.n == 0 {
-		c.done = true
-		return c
-	}
-	c.st = scratchFor(s).beginSearch(t, sn, s, q, k, obs.TraceFrom(s.Observer()), ap)
-	return c
+	defer t.world.RUnlock()
+	return t.beginKNN(s, scratchFor(s), q, k, ap)
 }
 
 // Range begins one resumable range query charged to s.
 func (ss *sharedScan) Range(s *store.Session, q vec.Point, eps float64) index.Cursor {
 	t := ss.t
-	sc := scratchFor(s)
-	sc.eps = epsFilter{q: q, eps: eps, met: t.opt.Metric}
-	if tr := obs.TraceFrom(s.Observer()); tr != nil {
-		tr.SetLabel(fmt.Sprintf("range eps=%g", eps))
-	}
-	return newScanCursor(t, s, sc, &sc.eps, true)
+	t.world.RLock()
+	defer t.world.RUnlock()
+	return t.beginRange(s, scratchFor(s), q, eps)
 }
 
 // Window begins one resumable window query charged to s.
 func (ss *sharedScan) Window(s *store.Session, w vec.MBR) index.Cursor {
 	t := ss.t
-	sc := scratchFor(s)
-	sc.win = windowFilter{w: w}
-	if tr := obs.TraceFrom(s.Observer()); tr != nil {
-		tr.SetLabel("window")
-	}
-	return newScanCursor(t, s, sc, &sc.win, false)
+	t.world.RLock()
+	defer t.world.RUnlock()
+	return t.beginWindow(s, scratchFor(s), w)
 }
 
 // FetchRun reads quantized pages [first, last] through the leader's
-// session, delivering each verified page (decoded at most once) and
-// reporting quarantined or corrupt positions. Damage downgrades the run
-// to wanted-only page-granular reads, mirroring the share-nothing
-// degraded paths.
+// session (see fetchRun), after validating the generation under the
+// world read lock.
 func (ss *sharedScan) FetchRun(s *store.Session, gen uint64, first, last int, wanted func(pos int) bool,
 	deliver func(pg *index.SharedPage), degraded func(pos int)) error {
 	t := ss.t
@@ -125,383 +102,18 @@ func (ss *sharedScan) FetchRun(s *store.Session, gen uint64, first, last int, wa
 	if t.reoptGen.Load() != gen {
 		return index.ErrStaleScan
 	}
-	if t.anyQuarantinedIn(first, last) {
-		return ss.fetchPagewise(s, first, last, wanted, deliver, degraded)
-	}
-	buf, err := s.Read(t.qFile, first*t.opt.QPageBlocks, (last-first+1)*t.opt.QPageBlocks)
-	if err != nil {
-		if !t.corruptQPage(err) {
-			return err
-		}
-		// Fresh corruption somewhere in the run: localize it by retrying
-		// each wanted page individually.
-		s.Recover()
-		return ss.fetchPagewise(s, first, last, wanted, deliver, degraded)
-	}
-	pageBytes := t.qPageBytes()
-	for pos := first; pos <= last; pos++ {
-		ss.deliverPage(pos, buf[(pos-first)*pageBytes:(pos-first+1)*pageBytes], deliver)
-	}
-	return nil
+	_, err := t.fetchRun(s, &ss.dec, first, last, wanted, deliver, degraded)
+	return err
 }
 
-// fetchPagewise is the degraded fetch: only wanted positions are read,
-// one random access each, so no query pays for pages nobody needs.
-func (ss *sharedScan) fetchPagewise(s *store.Session, first, last int, wanted func(pos int) bool,
-	deliver func(pg *index.SharedPage), degraded func(pos int)) error {
-	t := ss.t
-	for pos := first; pos <= last; pos++ {
-		if !wanted(pos) {
-			continue
-		}
-		if t.isQuarantined(pos) {
-			degraded(pos)
-			continue
-		}
-		buf, err := s.Read(t.qFile, pos*t.opt.QPageBlocks, t.opt.QPageBlocks)
-		if err != nil {
-			if !t.corruptQPage(err) {
-				return err
-			}
-			s.Recover()
-			sn := t.load()
-			if e := sn.entryIndex(pos); e >= 0 && int(sn.entries[e].Bits) != quantize.ExactBits {
-				t.quarantinePage(pos)
-			}
-			degraded(pos)
-			continue
-		}
-		ss.deliverPage(pos, buf[:t.qPageBytes()], deliver)
-	}
-	return nil
-}
-
-// deliverPage wraps one page's raw bytes as a SharedPage whose Codes
-// closure bulk-decodes into the scan-owned buffer on first use.
-func (ss *sharedScan) deliverPage(pos int, buf []byte, deliver func(pg *index.SharedPage)) {
-	qp := page.UnmarshalQPage(buf)
-	sp := index.SharedPage{Pos: pos, Count: qp.Count, Bits: qp.Bits, Payload: qp.Payload}
-	if qp.Bits != quantize.ExactBits {
-		var codes []uint32
-		sp.Codes = func() []uint32 {
-			if codes == nil {
-				codes = ss.arena.Unpack(qp.Payload, qp.Count*ss.t.dim, qp.Bits)
-			}
-			return codes
-		}
-	}
-	deliver(&sp)
-}
-
-// knnCursor drives the nnSearch state machine one page fetch at a time.
-//
-// Equivalence with the share-nothing search: the cursor makes the same
-// page decisions as run() — start, then repeatedly advance to the next
-// unpruned pending page — but instead of fetching a batch itself it
-// reports the page as its want and suspends. Pages delivered early
-// (fetched for another query) only tighten the search's bounds sooner;
-// since processing a page is order-independent for the final result set
-// (candidates enter the same priority list, prune radii only shrink),
-// the returned neighbors are identical to the share-nothing run.
-type knnCursor struct {
-	t       *Tree
-	s       *store.Session
-	st      *nnSearch
-	gen     uint64
-	pending int32 // entry awaiting its page; -1 = none
-	started bool
-	done    bool
-	res     []Neighbor
-}
-
-func (c *knnCursor) Step() (bool, error) {
-	if c.done {
-		return true, nil
-	}
-	st := c.st
-	if st.err != nil {
-		c.done = true
-		return true, st.err
-	}
-	t := c.t
+// lockedStep runs one coordinator-driven cursor step under the world
+// read lock, after checking that no reorganization invalidated the
+// cursor's pinned epoch since it began (gen).
+func (t *Tree) lockedStep(gen uint64, step func() (bool, error)) (bool, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
-	if t.reoptGen.Load() != c.gen {
+	if t.reoptGen.Load() != gen {
 		return false, index.ErrStaleScan
 	}
-	if !c.started {
-		c.started = true
-		if !st.start() {
-			c.done = true
-			return true, st.err
-		}
-	}
-	if c.pending >= 0 && !st.processed[c.pending] {
-		// Last round's fetch did not reach this page (its leader failed);
-		// keep wanting it.
-		return false, nil
-	}
-	entry, ok := st.advance()
-	if !ok {
-		c.done = true
-		if st.err != nil {
-			return true, st.err
-		}
-		c.res = st.results()
-		return true, nil
-	}
-	c.pending = int32(entry)
-	return false, nil
+	return step()
 }
-
-func (c *knnCursor) Wants(buf []int) []int {
-	if c.done || !c.started || c.pending < 0 || c.st.processed[c.pending] {
-		return buf
-	}
-	return append(buf, int(c.st.sn.entries[c.pending].QPos))
-}
-
-func (c *knnCursor) AccessProb(pos int) float64 {
-	if c.done || !c.started || c.st.err != nil {
-		return 0
-	}
-	return c.st.accessProb(pos)
-}
-
-func (c *knnCursor) Deliver(pg *index.SharedPage, shared bool) bool {
-	st := c.st
-	if c.done || !c.started || st.err != nil {
-		return false
-	}
-	e := st.sn.entryIndex(pg.Pos)
-	relevant := e >= 0 && !st.sn.free[e] && !st.processed[e]
-	if !shared {
-		// Leader accounting matches the share-nothing batch loop: every
-		// transferred page is counted, irrelevant ones as pruned — and
-		// every transferred page consumes the approximate-mode fetch
-		// budget, exactly like the batch loop's over-reads.
-		st.fetched++
-		st.tr.AddPages(1)
-	}
-	if !relevant {
-		if !shared {
-			st.tr.AddPruned(1)
-		}
-		return false
-	}
-	st.processed[e] = true
-	if st.minD[e] >= st.prune() {
-		if !shared {
-			st.tr.AddPruned(1)
-		}
-		return false
-	}
-	if shared {
-		// Another query's session paid the transfer; record a zero-cost
-		// shared read so trace totals still reconcile with session stats.
-		st.s.NoteShared(st.t.qFile, st.t.opt.QPageBlocks)
-		st.tr.AddShared(1)
-	}
-	if pg.Bits == quantize.ExactBits {
-		st.processExact(pg.Payload, pg.Count)
-		return true
-	}
-	st.processCodesBatch(e, pg.Count, pg.Codes())
-	return true
-}
-
-func (c *knnCursor) DeliverDegraded(pos int) bool {
-	st := c.st
-	if c.done || !c.started || st.err != nil || c.pending < 0 {
-		return false
-	}
-	// Only the actively wanted page may go degraded here: share-nothing
-	// search never touches the exact shadow of pages it still might
-	// prune, and an exact-mode page it would never fetch must not fail
-	// the query.
-	e := st.sn.entryIndex(pos)
-	if e < 0 || int32(e) != c.pending || st.processed[e] {
-		return false
-	}
-	st.degradedExact(e, nil)
-	return true
-}
-
-func (c *knnCursor) Results() ([]vec.Neighbor, error) {
-	if c.st != nil && c.st.err != nil {
-		return nil, c.st.err
-	}
-	return c.res, nil
-}
-
-func (c *knnCursor) Close() {}
-
-// scanCursor drives range and window queries: one directory scan selects
-// every candidate page up front (beginScan, identical to the
-// share-nothing path), all of them are wanted at once, and each
-// delivered page appends its qualifying points. Deliveries arrive in
-// ascending position order within a round — the plan's spans are
-// disjoint and ascending — so a clean scan produces results in the same
-// order as the share-nothing known-set schedule; degraded entries are
-// served from their exact shadow at the end, and range results are
-// sorted by distance on completion either way.
-type scanCursor struct {
-	t          *Tree
-	s          *store.Session
-	sn         *snapshot
-	tr         *Trace
-	sc         *queryScratch
-	f          scanFilter
-	gen        uint64
-	sortByDist bool
-
-	started   bool
-	done      bool
-	err       error
-	pending   []int // candidate positions, ascending (aliases sc.positions)
-	delivered map[int]struct{}
-	degraded  []int // entries to serve from the exact shadow on finish
-	out       []Neighbor
-}
-
-func newScanCursor(t *Tree, s *store.Session, sc *queryScratch, f scanFilter, sortByDist bool) *scanCursor {
-	c := &scanCursor{t: t, s: s, sc: sc, f: f, sortByDist: sortByDist}
-	t.world.RLock()
-	c.gen = t.reoptGen.Load()
-	c.sn = t.load()
-	c.tr = obs.TraceFrom(s.Observer())
-	t.world.RUnlock()
-	return c
-}
-
-func (c *scanCursor) Step() (bool, error) {
-	if c.done || c.err != nil {
-		return true, c.err
-	}
-	t := c.t
-	t.world.RLock()
-	defer t.world.RUnlock()
-	if t.reoptGen.Load() != c.gen {
-		return false, index.ErrStaleScan
-	}
-	if !c.started {
-		c.started = true
-		positions, degraded, err := t.beginScan(c.s, c.sn, c.sc, c.f)
-		if err != nil {
-			return c.finish(err)
-		}
-		c.pending = positions
-		c.degraded = degraded
-		c.delivered = make(map[int]struct{}, len(positions))
-	}
-	if len(c.delivered) < len(c.pending) {
-		return false, nil
-	}
-	// All candidate pages are in; serve the degraded entries from the
-	// exact level and finalize.
-	for _, entry := range c.degraded {
-		out, err := t.rangeDegraded(c.s, c.sn, c.tr, c.sc, c.f, entry, c.out)
-		if err != nil {
-			return c.finish(err)
-		}
-		c.out = out
-	}
-	if c.sortByDist {
-		out := c.out
-		sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-	}
-	return c.finish(nil)
-}
-
-func (c *scanCursor) finish(err error) (bool, error) {
-	c.done = true
-	c.err = err
-	return true, err
-}
-
-func (c *scanCursor) Wants(buf []int) []int {
-	if c.done || !c.started {
-		return buf
-	}
-	for _, pos := range c.pending {
-		if _, ok := c.delivered[pos]; !ok {
-			buf = append(buf, pos)
-		}
-	}
-	return buf
-}
-
-func (c *scanCursor) AccessProb(pos int) float64 {
-	if c.done || !c.started {
-		return 0
-	}
-	if _, ok := c.sc.posEntry[pos]; !ok {
-		return 0
-	}
-	if _, ok := c.delivered[pos]; ok {
-		return 0
-	}
-	return 1 // known-set scan: every undelivered candidate page is certain
-}
-
-func (c *scanCursor) Deliver(pg *index.SharedPage, shared bool) bool {
-	if c.done || c.err != nil || !c.started {
-		return false
-	}
-	entry, wanted := c.sc.posEntry[pg.Pos]
-	if _, dup := c.delivered[pg.Pos]; dup {
-		wanted = false
-	}
-	if !shared {
-		c.tr.AddPages(1)
-		if !wanted {
-			c.tr.AddPruned(1) // over-read gap page (cheaper than a seek)
-			return false
-		}
-	} else if !wanted {
-		return false
-	}
-	c.delivered[pg.Pos] = struct{}{}
-	if shared {
-		c.s.NoteShared(c.t.qFile, c.t.opt.QPageBlocks)
-		c.tr.AddShared(1)
-	}
-	var out []Neighbor
-	var err error
-	if pg.Bits == quantize.ExactBits {
-		out, err = c.t.rangeExactQPage(c.s, c.sc, c.f, pg.Payload, pg.Count, c.out)
-	} else {
-		out, err = c.t.rangePageCodes(c.s, c.sn, c.tr, c.sc, c.f, entry, pg.Count, pg.Codes(), c.out)
-	}
-	if err != nil {
-		c.err = err
-		return true
-	}
-	c.out = out
-	return true
-}
-
-func (c *scanCursor) DeliverDegraded(pos int) bool {
-	if c.done || c.err != nil || !c.started {
-		return false
-	}
-	entry, wanted := c.sc.posEntry[pos]
-	if !wanted {
-		return false
-	}
-	if _, dup := c.delivered[pos]; dup {
-		return false
-	}
-	c.delivered[pos] = struct{}{}
-	c.degraded = append(c.degraded, entry)
-	return true
-}
-
-func (c *scanCursor) Results() ([]vec.Neighbor, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.out, nil
-}
-
-func (c *scanCursor) Close() {}

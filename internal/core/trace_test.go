@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -37,6 +36,13 @@ func traceMatchesSession(t *testing.T, tr *Trace, s *store.Session) {
 	}
 }
 
+// traced returns a fresh session of sto that records into tr.
+func traced(sto *store.Store, tr *Trace) *store.Session {
+	s := sto.NewSession()
+	s.SetObserver(tr)
+	return s
+}
+
 func TestTraceSumsToSessionStats(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	pts := randPoints(r, 4000, 8)
@@ -53,9 +59,9 @@ func TestTraceSumsToSessionStats(t *testing.T) {
 	}
 
 	t.Run("knn", func(t *testing.T) {
-		s := sto.NewSession()
 		var tr Trace
-		if _, err := tree.KNNTrace(s, q, 10, &tr); err != nil {
+		s := traced(sto, &tr)
+		if _, err := tree.KNN(s, q, 10); err != nil {
 			t.Fatal(err)
 		}
 		traceMatchesSession(t, &tr, s)
@@ -74,22 +80,22 @@ func TestTraceSumsToSessionStats(t *testing.T) {
 	})
 
 	t.Run("range", func(t *testing.T) {
-		s := sto.NewSession()
 		var tr Trace
-		if _, err := tree.RangeSearchTrace(s, q, 0.4, &tr); err != nil {
+		s := traced(sto, &tr)
+		if _, err := tree.RangeSearch(s, q, 0.4); err != nil {
 			t.Fatal(err)
 		}
 		traceMatchesSession(t, &tr, s)
 	})
 
 	t.Run("window", func(t *testing.T) {
-		s := sto.NewSession()
 		w := vec.MBR{Lo: make(vec.Point, 8), Hi: make(vec.Point, 8)}
 		for i := range w.Lo {
 			w.Lo[i], w.Hi[i] = 0.2, 0.6
 		}
 		var tr Trace
-		if _, err := tree.WindowQueryTrace(s, w, &tr); err != nil {
+		s := traced(sto, &tr)
+		if _, err := tree.WindowQuery(s, w); err != nil {
 			t.Fatal(err)
 		}
 		traceMatchesSession(t, &tr, s)
@@ -115,39 +121,13 @@ func TestTraceWithBufferPool(t *testing.T) {
 	if _, err := tree.KNN(sto.NewSession(), q, 5); err != nil {
 		t.Fatal(err)
 	}
-	s := sto.NewSession()
 	var tr Trace
-	if _, err := tree.KNNTrace(s, q, 5, &tr); err != nil {
+	s := traced(sto, &tr)
+	if _, err := tree.KNN(s, q, 5); err != nil {
 		t.Fatal(err)
 	}
 	traceMatchesSession(t, &tr, s)
 	if tr.CachedBlocks() == 0 {
 		t.Fatal("expected pool hits in the warmed trace")
-	}
-}
-
-// TestTraceObserverRestored checks the attach/restore semantics: a
-// pre-attached observer is displaced during a traced query and restored
-// afterwards.
-func TestTraceObserverRestored(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	pts := randPoints(r, 500, 4)
-	tree := buildTree(t, pts, DefaultOptions())
-	s := tree.sto.NewSession()
-
-	outer := obs.NewQueryTrace("outer")
-	s.SetObserver(outer)
-	var tr Trace
-	if _, err := tree.KNNTrace(s, randPoints(r, 1, 4)[0], 3, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if s.Observer() != obs.Observer(outer) {
-		t.Fatal("previous observer not restored after traced query")
-	}
-	if len(outer.Levels) != 0 {
-		t.Fatal("displaced observer still received events")
-	}
-	if len(tr.Levels) == 0 {
-		t.Fatal("trace received no events")
 	}
 }

@@ -246,7 +246,9 @@ func TestWriteCoalescing(t *testing.T) {
 	reg := &obs.Registry{}
 	sto, tr, _ := buildWALTree(t, 46, 1500, 4)
 	gm := &gatedMutator{Tree: tr, started: make(chan struct{}), gate: make(chan struct{})}
-	e := New(sto, gm, 2, WithWrites(), WithRegistry(reg))
+	// Three workers give a write queue of 12 slots, so all nine queued
+	// writes fit in its buffer and the wait below can observe them there.
+	e := New(sto, gm, 3, WithWrites(), WithRegistry(reg))
 	defer e.Close()
 
 	r := rand.New(rand.NewSource(47))
@@ -270,8 +272,10 @@ func TestWriteCoalescing(t *testing.T) {
 		wg.Add(1)
 		go submit(i)
 	}
-	// All nine are queued (or blocked sending) once the depth reads 9.
-	for e.writeQueueDepth.Value() != 9 {
+	// Wait until all nine sit in the queue's buffer. The depth gauge alone
+	// is not enough: it counts a write before its send, and the writer's
+	// non-blocking drain misses a submitter still between the two.
+	for len(e.writeQueue) != 9 {
 		runtime.Gosched()
 	}
 	gm.gate <- struct{}{} // release insert 0: applied alone

@@ -8,9 +8,9 @@ import (
 )
 
 // TestBoundsBatchMatchesScalar pins the batch entry points to the scalar
-// ones bit for bit: for every point of a synthetic page, BoundsBatch,
-// MinDistBatch and HitsBatch must reproduce exactly what per-point
-// BoundsPruned, MinDistPruned and Hits return with the same thresholds.
+// ones bit for bit: for every point of a synthetic page, MinDistBatch and
+// HitsBatch must reproduce exactly what per-point MinDistPruned and Hits
+// return with the same threshold.
 func TestBoundsBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, bits := range []int{1, 2, 4, 8, 16} {
@@ -26,26 +26,10 @@ func TestBoundsBatchMatchesScalar(t *testing.T) {
 
 				var a Arena
 				tb := a.Tables(g, q, met, count)
-				// Thresholds around the typical bound magnitudes so all
-				// three outcomes (pruned, candidate, in-between) occur.
+				// A threshold around the typical bound magnitudes so both
+				// outcomes (pruned, candidate) occur.
 				ref := g.MBR.MinDist(q, met) + float64(g.MBR.Side(0))
 				lbT := SqThreshold(met, ref*(0.2+rng.Float64()))
-				ubT := SqThreshold(met, ref*(0.2+rng.Float64()))
-
-				var pb PageBounds
-				tb.BoundsBatch(codes, dim, count, lbT, ubT, &pb)
-				for i := 0; i < count; i++ {
-					cs := codes[i*dim : (i+1)*dim]
-					lb, ub, pruned := tb.BoundsPruned(cs, lbT, ubT)
-					if pb.Pruned[i] != pruned {
-						t.Fatalf("bits=%d dim=%d met=%v point %d: batch pruned=%v scalar=%v",
-							bits, dim, met, i, pb.Pruned[i], pruned)
-					}
-					if !pruned && (pb.Lb[i] != lb || pb.Ub[i] != ub) {
-						t.Fatalf("bits=%d dim=%d met=%v point %d: batch (%v,%v) scalar (%v,%v)",
-							bits, dim, met, i, pb.Lb[i], pb.Ub[i], lb, ub)
-					}
-				}
 
 				var pm PageBounds
 				tb.MinDistBatch(codes, dim, count, lbT, &pm)
@@ -84,18 +68,19 @@ func TestPageBoundsReuse(t *testing.T) {
 	q := randPointIn(rng, g.MBR)
 	tb := a.Tables(g, q, vec.Euclidean, 32)
 	var pb PageBounds
+	lbT := SqThreshold(vec.Euclidean, 1)
 	for _, count := range []int{32, 5, 17, 1, 32} {
 		codes := make([]uint32, count*4)
 		for i := 0; i < count; i++ {
 			g.Encode(randPointIn(rng, g.MBR), codes[i*4:i*4])
 		}
-		tb.BoundsBatch(codes, 4, count, SqThreshold(vec.Euclidean, 1), SqThreshold(vec.Euclidean, 1), &pb)
-		if len(pb.Lb) != count || len(pb.Ub) != count || len(pb.Pruned) != count {
-			t.Fatalf("count=%d: lengths %d/%d/%d", count, len(pb.Lb), len(pb.Ub), len(pb.Pruned))
+		tb.MinDistBatch(codes, 4, count, lbT, &pb)
+		if len(pb.Lb) != count || len(pb.Pruned) != count {
+			t.Fatalf("count=%d: lengths %d/%d", count, len(pb.Lb), len(pb.Pruned))
 		}
 		for i := 0; i < count; i++ {
-			lb, ub, pruned := tb.BoundsPruned(codes[i*4:(i+1)*4], SqThreshold(vec.Euclidean, 1), SqThreshold(vec.Euclidean, 1))
-			if pb.Pruned[i] != pruned || (!pruned && (pb.Lb[i] != lb || pb.Ub[i] != ub)) {
+			lb, pruned := tb.MinDistPruned(codes[i*4:(i+1)*4], lbT)
+			if pb.Pruned[i] != pruned || (!pruned && pb.Lb[i] != lb) {
 				t.Fatalf("count=%d point %d: stale buffer contents", count, i)
 			}
 		}

@@ -32,10 +32,8 @@ type Run struct {
 // PlanKnownSet plans the reads for pages whose starting block positions
 // are known in advance and sorted ascending; every page spans pageBlocks
 // blocks. Whenever the gap between two consecutive pages costs less to
-// transfer than a seek, the gap is read through (paper Section 2). If
-// maxBufferBlocks is positive, no run exceeds that many blocks (the
-// buffer-limited variant of Seeger et al. [19]).
-func PlanKnownSet(positions []int, pageBlocks int, cfg store.Config, maxBufferBlocks int) []Run {
+// transfer than a seek, the gap is read through (paper Section 2).
+func PlanKnownSet(positions []int, pageBlocks int, cfg store.Config) []Run {
 	if len(positions) == 0 {
 		return nil
 	}
@@ -46,9 +44,7 @@ func PlanKnownSet(positions []int, pageBlocks int, cfg store.Config, maxBufferBl
 		if gap < 0 {
 			gap = 0 // overlapping/duplicate positions collapse
 		}
-		extended := cur.Blocks + gap + pageBlocks
-		fits := maxBufferBlocks <= 0 || extended <= maxBufferBlocks
-		if float64(gap)*cfg.Xfer < cfg.Seek && fits {
+		if float64(gap)*cfg.Xfer < cfg.Seek {
 			if p+pageBlocks > cur.Pos+cur.Blocks {
 				cur.Blocks = p + pageBlocks - cur.Pos
 			}

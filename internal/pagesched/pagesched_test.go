@@ -17,11 +17,11 @@ func testCfg() store.Config {
 }
 
 func TestPlanKnownSetSinglePage(t *testing.T) {
-	runs := PlanKnownSet([]int{5}, 2, testCfg(), 0)
+	runs := PlanKnownSet([]int{5}, 2, testCfg())
 	if len(runs) != 1 || runs[0].Pos != 5 || runs[0].Blocks != 2 {
 		t.Fatalf("runs = %+v", runs)
 	}
-	if PlanKnownSet(nil, 1, testCfg(), 0) != nil {
+	if PlanKnownSet(nil, 1, testCfg()) != nil {
 		t.Fatal("empty input should give no runs")
 	}
 }
@@ -29,33 +29,19 @@ func TestPlanKnownSetSinglePage(t *testing.T) {
 func TestPlanKnownSetOverreadVsSeek(t *testing.T) {
 	cfg := testCfg() // over-read gaps < 10 blocks
 	// Pages at 0 and 5 (gap 4): read through.
-	runs := PlanKnownSet([]int{0, 5}, 1, cfg, 0)
+	runs := PlanKnownSet([]int{0, 5}, 1, cfg)
 	if len(runs) != 1 || runs[0].Blocks != 6 {
 		t.Fatalf("small gap: %+v", runs)
 	}
 	// Pages at 0 and 50 (gap 49): seek.
-	runs = PlanKnownSet([]int{0, 50}, 1, cfg, 0)
+	runs = PlanKnownSet([]int{0, 50}, 1, cfg)
 	if len(runs) != 2 {
 		t.Fatalf("large gap: %+v", runs)
 	}
 	// Adjacent and duplicate pages collapse.
-	runs = PlanKnownSet([]int{0, 0, 1, 2}, 1, cfg, 0)
+	runs = PlanKnownSet([]int{0, 0, 1, 2}, 1, cfg)
 	if len(runs) != 1 || runs[0].Blocks != 3 {
 		t.Fatalf("adjacent: %+v", runs)
-	}
-}
-
-func TestPlanKnownSetBufferLimit(t *testing.T) {
-	cfg := testCfg()
-	// Without a limit this would be one run of 8 blocks.
-	runs := PlanKnownSet([]int{0, 3, 6}, 2, cfg, 5)
-	if len(runs) < 2 {
-		t.Fatalf("buffer limit ignored: %+v", runs)
-	}
-	for _, r := range runs {
-		if r.Blocks > 5 {
-			t.Fatalf("run exceeds buffer: %+v", r)
-		}
 	}
 }
 
@@ -77,7 +63,7 @@ func TestPlanKnownSetOptimalityBounds(t *testing.T) {
 		}
 		sort.Ints(positions)
 		pageBlocks := 1 + r.Intn(3)
-		runs := PlanKnownSet(positions, pageBlocks, cfg, 0)
+		runs := PlanKnownSet(positions, pageBlocks, cfg)
 
 		// Coverage and ordering.
 		covered := func(p int) bool {
@@ -129,7 +115,7 @@ func TestPlanKnownSetMatchesExhaustiveOptimum(t *testing.T) {
 		}
 		sort.Ints(positions)
 
-		got := PlanCost(PlanKnownSet(positions, 1, cfg, 0), cfg)
+		got := PlanCost(PlanKnownSet(positions, 1, cfg), cfg)
 
 		// Exhaustive: each of the n-1 gaps is independently "seek" or
 		// "over-read", so the optimum decomposes per gap; still, compute

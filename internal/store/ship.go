@@ -43,10 +43,11 @@ var ErrShipUnstable = errors.New("store: source checkpointed during every shippi
 
 // WALReader streams the valid frame prefix of a write-ahead log,
 // verifying each frame's CRC32C and LSN monotonicity, and yielding the
-// records with LSN strictly greater than a starting watermark. It reads
-// the extent snapshotted at creation: frames flushed later are not
-// visible, and a frame torn at (or running past) that extent ends the
-// stream with Torn reporting true.
+// records with LSN strictly greater than a starting watermark. It is the
+// log's only frame parser: recovery (OpenWAL) and inspection (InspectWAL)
+// scan through it too. It reads the extent snapshotted at creation:
+// frames flushed later are not visible, and a frame torn at (or running
+// past) that extent ends the stream with Torn reporting true.
 type WALReader struct {
 	bf   BlockFile
 	bs   int
@@ -57,6 +58,7 @@ type WALReader struct {
 	off  int // parse offset into buf
 	base int // absolute byte offset of buf[0]
 	pos  int // next block to fetch
+	good int // absolute byte offset one past the last valid frame or padding
 	seen uint64
 	torn bool
 	done bool
@@ -111,23 +113,31 @@ func (r *WALReader) Next() (WALRecord, error) {
 	}
 	le := binary.LittleEndian
 	for {
-		if err := r.fill(4); err != nil {
+		if err := r.fill(1); err != nil {
 			if err == io.EOF {
-				return r.finish(r.anyNonZero(len(r.buf) - r.off))
+				return r.finish(false)
 			}
 			return WALRecord{}, err
 		}
-		length := int(le.Uint32(r.buf[r.off:]))
-		if length == 0 {
-			// Padding: skip to the next block boundary (blocks are buffered
-			// whole, so the padding run is fully present).
-			pad := r.bs - (r.base+r.off)%r.bs
+		// Blocks are buffered whole, so the rest of this block is present.
+		// A zero length field, or a zero remainder too short to hold one,
+		// is padding: skip to the next block boundary.
+		pad := r.bs - (r.base+r.off)%r.bs
+		if !r.anyNonZero(min(pad, 4)) {
 			if r.anyNonZero(pad) {
 				return r.finish(true)
 			}
 			r.off += pad
+			r.good = r.base + r.off
 			continue
 		}
+		if err := r.fill(4); err != nil {
+			if err == io.EOF { // length field runs past the extent: torn tail
+				return r.finish(true)
+			}
+			return WALRecord{}, err
+		}
+		length := int(le.Uint32(r.buf[r.off:]))
 		if length < walHeaderSize {
 			return r.finish(true)
 		}
@@ -147,6 +157,7 @@ func (r *WALReader) Next() (WALRecord, error) {
 		}
 		r.seen = lsn
 		r.off += length
+		r.good = r.base + r.off
 		if lsn <= r.from {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,7 +32,10 @@ import (
 // flushed batch is zero-padded to a whole block, so durable blocks are
 // never rewritten by later appends: a torn append can only damage
 // frames of the final (uncommitted) batch, which is exactly the tail
-// recovery is allowed to discard. A length field of zero marks padding;
+// recovery is allowed to discard. A length field of zero marks padding,
+// and so does a zero remainder of fewer than four bytes before a block
+// boundary (too short to hold a length field: a batch that ended there,
+// or bytes a writer skipped so no length field straddles a boundary);
 // the scanner skips to the next block boundary.
 const (
 	// WALSuffix names write-ahead-log files. WAL records carry their own
@@ -95,57 +99,22 @@ type WAL struct {
 	durable atomic.Uint64 // highest LSN known to be on stable storage
 }
 
-// walScan parses the raw log bytes. It returns the valid records, the
-// byte offset one past the last valid frame, and whether the remainder
-// is a torn tail (any non-padding bytes after that offset).
-func walScan(raw []byte, bs int) (recs []WALRecord, goodEnd int, torn bool) {
-	le := binary.LittleEndian
-	off := 0
-	var lastLSN uint64
-	for off < len(raw) {
-		if len(raw)-off < 4 {
-			// Tail shorter than a length field: must be padding.
-			for ; off < len(raw); off++ {
-				if raw[off] != 0 {
-					return recs, goodEnd, true
-				}
-			}
-			goodEnd = off
-			break
+// scanWAL reads the valid frame prefix of bf with a WALReader, the one
+// frame parser of recovery, inspection and shipping. It returns the
+// records, the byte offset one past the last valid frame (or padding
+// run), and whether the scan stopped at a torn tail.
+func scanWAL(bf BlockFile, bs int) (recs []WALRecord, goodEnd int, torn bool, err error) {
+	r := &WALReader{bf: bf, bs: bs, end: bf.Blocks()}
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return recs, r.good, r.torn, nil
 		}
-		length := int(le.Uint32(raw[off:]))
-		if length == 0 { // padding: skip to the next block boundary
-			pad := bs - off%bs
-			for i := 0; i < pad; i++ {
-				if raw[off+i] != 0 {
-					return recs, goodEnd, true
-				}
-			}
-			off += pad
-			goodEnd = off
-			continue
+		if err != nil {
+			return nil, 0, false, err
 		}
-		if length < walHeaderSize || off+length > len(raw) {
-			return recs, goodEnd, true
-		}
-		frame := raw[off : off+length]
-		if crc32.Checksum(frame[8:], castagnoli) != le.Uint32(frame[4:]) {
-			return recs, goodEnd, true
-		}
-		lsn := le.Uint64(frame[8:])
-		if lsn <= lastLSN {
-			return recs, goodEnd, true
-		}
-		lastLSN = lsn
-		recs = append(recs, WALRecord{
-			LSN:     lsn,
-			Kind:    frame[16],
-			Payload: append([]byte(nil), frame[walHeaderSize:length]...),
-		})
-		off += length
-		goodEnd = off
+		recs = append(recs, rec)
 	}
-	return recs, goodEnd, false
 }
 
 // walInfoOf summarizes a scan result.
@@ -169,11 +138,10 @@ func InspectWAL(backend BlockStore, name string) (WALInfo, []WALRecord, error) {
 	if bf == nil || bf.Blocks() == 0 {
 		return WALInfo{}, nil, nil
 	}
-	raw, err := bf.ReadBlocks(0, bf.Blocks())
+	recs, goodEnd, torn, err := scanWAL(bf, bs)
 	if err != nil {
 		return WALInfo{}, nil, fmt.Errorf("store: read WAL %s: %w", name, err)
 	}
-	recs, goodEnd, torn := walScan(raw, bs)
 	goodBlocks := (goodEnd + bs - 1) / bs
 	return walInfoOf(recs, bf.Blocks(), torn, goodBlocks), recs, nil
 }
@@ -197,14 +165,10 @@ func OpenWAL(backend BlockStore, name string) (*WAL, []WALRecord, WALInfo, error
 		w, err := CreateWAL(backend, name)
 		return w, nil, WALInfo{}, err
 	}
-	var raw []byte
-	if bf.Blocks() > 0 {
-		var err error
-		if raw, err = bf.ReadBlocks(0, bf.Blocks()); err != nil {
-			return nil, nil, WALInfo{}, fmt.Errorf("store: read WAL %s: %w", name, err)
-		}
+	recs, goodEnd, torn, err := scanWAL(bf, bs)
+	if err != nil {
+		return nil, nil, WALInfo{}, fmt.Errorf("store: read WAL %s: %w", name, err)
 	}
-	recs, goodEnd, torn := walScan(raw, bs)
 	goodBlocks := (goodEnd + bs - 1) / bs
 	info := walInfoOf(recs, bf.Blocks(), torn, goodBlocks)
 	if torn {
@@ -216,8 +180,12 @@ func OpenWAL(backend BlockStore, name string) (*WAL, []WALRecord, WALInfo, error
 			// the head of the torn one. Zero everything past the last valid
 			// frame so later scans read it as padding instead of stopping
 			// there and orphaning records appended after this recovery.
+			last, err := bf.ReadBlocks(goodBlocks-1, 1)
+			if err != nil {
+				return nil, nil, WALInfo{}, fmt.Errorf("store: read WAL %s: %w", name, err)
+			}
 			clean := make([]byte, bs)
-			copy(clean, raw[(goodBlocks-1)*bs:(goodBlocks-1)*bs+tail])
+			copy(clean, last[:tail])
 			if err := bf.WriteBlocks(goodBlocks-1, clean); err != nil {
 				return nil, nil, WALInfo{}, fmt.Errorf("store: scrub torn WAL tail %s: %w", name, err)
 			}
@@ -254,11 +222,24 @@ func (w *WAL) Append(kind uint8, payload []byte) uint64 {
 	defer w.mu.Unlock()
 	lsn := w.nextLSN
 	w.nextLSN++
+	w.appendFrame(lsn, kind, payload)
+	return lsn
+}
+
+// appendFrame buffers one frame in the pending batch. A batch starts on
+// a block boundary, so its length is the offset within the block. A
+// frame never starts in the last three bytes of a block, where its
+// length word would straddle the boundary: those bytes stay zero, which
+// readers skip as padding — exactly like the tail of a batch that ended
+// there.
+func (w *WAL) appendFrame(lsn uint64, kind uint8, payload []byte) {
+	if rem := w.bs - len(w.pending)%w.bs; rem < 4 {
+		w.pending = append(w.pending, make([]byte, rem)...)
+	}
 	w.pending = append(w.pending, encodeWALFrame(lsn, kind, payload)...)
 	w.pendRecs++
 	w.appended = lsn
 	metricWALAppends.Inc()
-	return lsn
 }
 
 // AppendRecord buffers a record that already carries its LSN — the
@@ -276,11 +257,8 @@ func (w *WAL) AppendRecord(rec WALRecord) error {
 	if rec.LSN <= w.appended {
 		return fmt.Errorf("store: shipped LSN %d not after appended %d", rec.LSN, w.appended)
 	}
-	w.pending = append(w.pending, encodeWALFrame(rec.LSN, rec.Kind, rec.Payload)...)
-	w.pendRecs++
-	w.appended = rec.LSN
+	w.appendFrame(rec.LSN, rec.Kind, rec.Payload)
 	w.nextLSN = rec.LSN + 1
-	metricWALAppends.Inc()
 	return nil
 }
 

@@ -27,6 +27,18 @@ echo "== go test -race =="
 # right at the default 10m per-binary timeout; give it headroom.
 go test -race -timeout 1800s ./...
 
+echo "== WAL recovery repeat =="
+# Recovery once lost acknowledged records only for some commit layouts;
+# repeat the WAL suite so a layout-dependent regression cannot hide.
+go test -count=20 -run TestWAL ./internal/store/
+
+echo "== figures golden =="
+# The simulated-time figure series are deterministic: any change to
+# planning, page accounting or refinement cost shows up as a diff against
+# the committed CI-scale golden.
+go run ./cmd/iqbench -fig all -scale 0.02 -queries 10 -csv /tmp/f.csv > /dev/null
+cmp /tmp/f.csv results/figures_ci.csv
+
 echo "== fuzz seed corpus =="
 # The bit-flip corpus must keep passing in normal runs: a single flipped
 # bit anywhere on disk may change a KNN answer only into a typed error.
