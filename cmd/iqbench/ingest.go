@@ -34,8 +34,6 @@ type ingestReport struct {
 	WALAppends      int64   `json:"wal_appends"`
 	WALFsyncs       int64   `json:"wal_fsyncs"`
 	AppendsPerFsync float64 `json:"appends_per_fsync"`
-	GroupBatchP50   float64 `json:"group_commit_batch_p50"`
-	GroupBatchP99   float64 `json:"group_commit_batch_p99"`
 	EngineBatches   int64   `json:"engine_write_batches"`
 
 	ReoptSteps int64 `json:"reopt_steps"`
@@ -166,7 +164,6 @@ func runIngest(spec string, scale float64, queries int, seed int64, out string, 
 	default:
 	}
 	after := obs.Default().Snapshot().Counters
-	group := obs.Default().Histogram("wal.group_commit_batch").Snapshot()
 	writes := extraN + deletes
 
 	report.Inserts = extraN
@@ -178,8 +175,6 @@ func runIngest(spec string, scale float64, queries int, seed int64, out string, 
 	if report.WALFsyncs > 0 {
 		report.AppendsPerFsync = float64(report.WALAppends) / float64(report.WALFsyncs)
 	}
-	report.GroupBatchP50 = group.P50
-	report.GroupBatchP99 = group.P99
 	report.EngineBatches = reg.Snapshot().Counters["engine.write_batches"]
 	fmt.Printf("burst: %d acked writes in %.3fs (%.0f writes/s), %d WAL appends over %d fsyncs (%.1f/fsync)\n",
 		writes, wall, report.AckedWritesPerSec, report.WALAppends, report.WALFsyncs, report.AppendsPerFsync)

@@ -188,7 +188,7 @@ func TestSharedApproxFullRecallBitIdentical(t *testing.T) {
 		sessions[i] = tr.sto.NewSession()
 	}
 	results, errs := driveShared(t, tr, sessions, func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-		return scan.(index.ApproxSharedScan).KNNApprox(s, queries[i], 10, index.Approx{MinRecall: 1})
+		return scan.KNN(s, queries[i], 10, index.Approx{MinRecall: 1})
 	})
 	for i, q := range queries {
 		if errs[i] != nil {
@@ -224,7 +224,7 @@ func TestSharedApproxSubset(t *testing.T) {
 		sessions[i] = tr.sto.NewSession()
 	}
 	results, errs := driveShared(t, tr, sessions, func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-		return scan.(index.ApproxSharedScan).KNNApprox(s, queries[i], 10, index.Approx{MinRecall: 0.8})
+		return scan.KNN(s, queries[i], 10, index.Approx{MinRecall: 0.8})
 	})
 	for i, q := range queries {
 		if errs[i] != nil {

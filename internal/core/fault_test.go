@@ -453,7 +453,7 @@ func FuzzBitFlipKNN(f *testing.F) {
 		}
 		shRes, shErrs := driveShared(t, tr, sessions,
 			func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-				return scan.KNN(s, queries[i], 3)
+				return scan.KNN(s, queries[i], 3, index.Approx{})
 			})
 		for i := range queries {
 			if err := shErrs[i]; err != nil {

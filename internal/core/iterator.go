@@ -42,8 +42,7 @@ func (t *Tree) NewNNIterator(s *store.Session, q vec.Point) *NNIterator {
 	it.sc.init()
 	tr := t.traceOf(s)
 	tr.SetLabel("nn iterator")
-	it.sc.knn = knnCursor{t: t, gen: it.gen, pending: -1}
-	it.sc.knn.st = it.sc.beginSearch(t, t.load(), s, q, 0, tr, index.Approx{})
+	it.sc.startKNN(t, s, tr, q, 0, index.Approx{})
 	return it
 }
 
@@ -65,7 +64,7 @@ func (it *NNIterator) Next() (Neighbor, bool) {
 		it.err = ErrStaleIterator
 		return Neighbor{}, false
 	}
-	if it.err = t.execute(it.s, &it.sc, &it.sc.knn); it.err != nil {
+	if it.err = t.execute(&it.sc, &it.sc.knn); it.err != nil {
 		return Neighbor{}, false
 	}
 	return it.sc.search.emit()

@@ -5,11 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/index"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/page"
-	"repro/internal/pagesched"
 	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -18,7 +15,8 @@ import (
 // RangeSearch returns all points within distance eps of q (under the
 // tree's metric), ordered by increasing distance. Because the affected
 // pages are known in advance from the directory, the second level is
-// fetched with the optimal known-set schedule of paper Section 2 (Fig. 1).
+// fetched with the optimal known-set schedule of paper Section 2 (Fig. 1):
+// the round's cost-balance planner with access probabilities 0 and 1.
 func (t *Tree) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]Neighbor, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
@@ -37,7 +35,7 @@ func (t *Tree) WindowQuery(s *store.Session, w vec.MBR) ([]Neighbor, error) {
 
 // scan runs one range-style cursor to completion.
 func (t *Tree) scan(s *store.Session, sc *queryScratch, c *scanCursor) ([]Neighbor, error) {
-	if err := t.execute(s, sc, c); err != nil {
+	if err := t.execute(sc, c); err != nil {
 		return nil, err
 	}
 	return c.out, nil
@@ -117,24 +115,19 @@ func (f *windowFilter) exactHit(p vec.Point) (float64, bool) { return 0, f.w.Con
 
 // scanCursor drives range and window queries: one directory scan selects
 // every candidate page up front, all of them are wanted at once, and each
-// delivered page appends its qualifying points. Alone, execute reads them
-// with the optimal known-set schedule; under sharing, deliveries arrive
-// in ascending position order within a round (the plan's spans are
-// disjoint and ascending), so a clean scan produces results in the same
-// order either way. Range results are sorted by distance on completion.
+// delivered page appends its qualifying points. A round reads them with
+// the known-set schedule; deliveries arrive in ascending position order
+// within a round (the plan's spans are disjoint and ascending), so a
+// clean scan produces results in the same order alone or shared. Range
+// results are sorted by distance on completion.
 type scanCursor struct {
+	cursorBase
 	t          *Tree
-	s          *store.Session
-	sn         *snapshot
-	tr         *Trace
 	sc         *queryScratch
 	f          scanFilter
-	gen        uint64
 	sortByDist bool
 
 	started bool
-	done    bool
-	err     error
 	pending []int // candidate positions, ascending (aliases sc.positions)
 	shadow  []int // entries already quarantined; served from the exact shadow on finish
 	out     []Neighbor
@@ -161,109 +154,65 @@ func (t *Tree) beginWindow(s *store.Session, sc *queryScratch, w vec.MBR) *scanC
 
 func (t *Tree) beginScan(s *store.Session, sc *queryScratch, tr *Trace, f scanFilter, sortByDist bool) *scanCursor {
 	c := &sc.scan
-	*c = scanCursor{t: t, s: s, sn: t.load(), tr: tr, sc: sc, f: f, gen: t.reoptGen.Load(), sortByDist: sortByDist}
+	*c = scanCursor{
+		cursorBase: cursorBase{s: s, tr: tr, sn: t.load(), gen: t.reoptGen.Load()},
+		t:          t, sc: sc, f: f, sortByDist: sortByDist,
+	}
 	clear(sc.delivered)
 	return c
 }
 
-func (c *scanCursor) Step() (bool, error) {
-	if c.done || c.err != nil {
-		return c.step()
-	}
-	return c.t.lockedStep(c.gen, c.step)
-}
-
-func (c *scanCursor) step() (bool, error) {
-	if c.done || c.err != nil {
-		return c.finish(c.err)
-	}
+func (c *scanCursor) step(buf []int) []int {
 	if !c.started {
 		c.started = true
 		if err := c.scanDirectory(); err != nil {
-			return c.finish(err)
+			c.finish(err)
+			return buf
 		}
 	}
 	if len(c.sc.delivered) < len(c.pending) {
-		return false, nil
+		for _, pos := range c.pending {
+			if _, ok := c.sc.delivered[pos]; !ok {
+				buf = append(buf, pos)
+			}
+		}
+		return buf
 	}
 	// All candidate pages are in; serve the degraded entries from the
 	// exact level and finalize.
 	for _, entry := range c.shadow {
 		if err := c.shadowPage(entry); err != nil {
-			return c.finish(err)
+			c.finish(err)
+			return buf
 		}
 	}
 	if c.sortByDist {
 		out := c.out
 		sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
 	}
-	return c.finish(nil)
-}
-
-func (c *scanCursor) finish(err error) (bool, error) {
-	c.done = true
-	c.err = err
-	return true, err
-}
-
-func (c *scanCursor) Wants(buf []int) []int {
-	if c.done || !c.started {
-		return buf
-	}
-	for _, pos := range c.pending {
-		if _, ok := c.sc.delivered[pos]; !ok {
-			buf = append(buf, pos)
-		}
-	}
+	c.finish(nil)
 	return buf
 }
 
-func (c *scanCursor) wanted(pos int) bool {
-	if c.err != nil {
-		return false
-	}
+func (c *scanCursor) pivot() int { return -1 }
+
+func (c *scanCursor) needs(pos int) bool {
 	_, cand := c.sc.posEntry[pos]
 	_, dup := c.sc.delivered[pos]
 	return cand && !dup
 }
 
-func (c *scanCursor) AccessProb(pos int) float64 {
-	if c.done || !c.started || !c.wanted(pos) {
-		return 0
+// accessProb is 1 for every undelivered candidate page: the scan's page
+// set is known, so every such page is certain.
+func (c *scanCursor) accessProb(pos int) float64 {
+	if c.needs(pos) {
+		return 1
 	}
-	return 1 // known-set scan: every undelivered candidate page is certain
+	return 0
 }
 
-// plan reads the wanted pages with the optimal known-set schedule of
-// paper Fig. 1: a gap is read through whenever its transfer costs less
-// than a seek.
-func (c *scanCursor) plan(sc *queryScratch, wants []int) []pagesched.PageSpan {
-	pb := c.t.opt.QPageBlocks
-	sc.blocks = sc.blocks[:0]
-	for _, pos := range wants {
-		sc.blocks = append(sc.blocks, pos*pb)
-	}
-	spans := sc.spans[:0]
-	for _, r := range pagesched.PlanKnownSet(sc.blocks, pb, c.t.sto.Config()) {
-		spans = append(spans, pagesched.PageSpan{First: r.Pos / pb, Last: (r.Pos+r.Blocks)/pb - 1})
-	}
-	sc.spans = spans
-	return spans
-}
-
-// noteRead records each contiguous known-set read as one pivot-less
-// batch; page-granular damage reads record none.
-func (c *scanCursor) noteRead(span pagesched.PageSpan, pending int, pagewise bool, _ []int) {
-	if !pagewise {
-		c.tr.AddBatch(obs.BatchDecision{Pivot: -1, First: span.First, Last: span.Last, Pending: pending})
-	}
-}
-
-func (c *scanCursor) Deliver(pg *index.SharedPage, shared bool) bool {
-	if c.done || c.err != nil || !c.started {
-		return false
-	}
-	wanted := c.wanted(pg.Pos)
+func (c *scanCursor) deliver(pg *sharedPage, shared bool) bool {
+	wanted := c.needs(pg.pos)
 	if !shared {
 		c.tr.AddPages(1)
 		if !wanted {
@@ -273,34 +222,29 @@ func (c *scanCursor) Deliver(pg *index.SharedPage, shared bool) bool {
 	} else if !wanted {
 		return false
 	}
-	c.sc.delivered[pg.Pos] = struct{}{}
+	c.sc.delivered[pg.pos] = struct{}{}
 	if shared {
 		c.s.NoteShared(c.t.qFile, c.t.opt.QPageBlocks)
 		c.tr.AddShared(1)
 	}
-	if pg.Bits == quantize.ExactBits {
-		c.exactPage(pg.Payload, pg.Count)
-	} else {
-		c.err = c.codesPage(c.sc.posEntry[pg.Pos], pg.Count, pg.Codes())
+	if pg.bits == quantize.ExactBits {
+		c.exactPage(pg.payload, pg.count)
+	} else if err := c.codesPage(c.sc.posEntry[pg.pos], pg.count, pg.codes()); err != nil {
+		c.finish(err)
 	}
 	return true
 }
 
-// degraded serves an unreadable page from its exact shadow right away,
-// in position order with the pages read around it.
-func (c *scanCursor) degraded(pos int) {
-	if !c.wanted(pos) {
-		return
-	}
-	c.sc.delivered[pos] = struct{}{}
-	c.err = c.shadowPage(c.sc.posEntry[pos])
-}
-
-func (c *scanCursor) DeliverDegraded(pos int) bool {
-	if c.done || c.err != nil || !c.started || !c.wanted(pos) {
+// deliverDegraded serves an unreadable candidate page from its exact
+// shadow right away, in position order with the pages read around it.
+func (c *scanCursor) deliverDegraded(pos int) bool {
+	if !c.needs(pos) {
 		return false
 	}
-	c.degraded(pos)
+	c.sc.delivered[pos] = struct{}{}
+	if err := c.shadowPage(c.sc.posEntry[pos]); err != nil {
+		c.finish(err)
+	}
 	return true
 }
 
@@ -310,8 +254,6 @@ func (c *scanCursor) Results() ([]vec.Neighbor, error) {
 	}
 	return c.out, nil
 }
-
-func (c *scanCursor) Close() {}
 
 // scanDirectory runs the level-1 directory scan against the pinned
 // snapshot: the filter's pageHit selects the candidate pages, whose

@@ -591,9 +591,10 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 	// Deterministic straddle: step a cursor mid-flight, run the stepper to
 	// completion, and check the stale signal on the next step.
 	scan := tr.NewSharedScan()
-	cur := scan.KNN(tr.sto.NewSession(), pts[3], 3)
-	if done, err := cur.Step(); done || err != nil {
-		t.Fatalf("first step: done=%v err=%v", done, err)
+	cur := scan.KNN(tr.sto.NewSession(), pts[3], 3, index.Approx{})
+	if scan.Round([]index.Cursor{cur}); cur.Done() {
+		_, err := cur.Results()
+		t.Fatalf("first round ended the query: %v", err)
 	}
 	s := tr.sto.NewSession()
 	for {
@@ -605,8 +606,9 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 			break
 		}
 	}
-	if _, err := cur.Step(); !errors.Is(err, index.ErrStaleScan) {
-		t.Fatalf("cursor step after swap: %v, want ErrStaleScan", err)
+	scan.Round([]index.Cursor{cur})
+	if _, err := cur.Results(); !cur.Done() || !errors.Is(err, index.ErrStaleScan) {
+		t.Fatalf("round after swap: done=%v err=%v, want ErrStaleScan", cur.Done(), err)
 	}
 	cur.Close()
 
@@ -631,7 +633,7 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 	}
 	results, errs := driveShared(t, tr, sessions,
 		func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-			return scan.KNN(s, queries[i], 3)
+			return scan.KNN(s, queries[i], 3, index.Approx{})
 		})
 	if err := <-stepErr; err != nil {
 		t.Fatalf("reoptimize during shared scan: %v", err)

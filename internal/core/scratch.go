@@ -9,7 +9,7 @@ import (
 )
 
 // queryScratch is the per-session reusable state of the query paths:
-// kernel arenas, the k-NN search state, both cursors, the executor's
+// kernel arenas, the k-NN search state, both cursors, the round's
 // buffers, the range/window scan buffers, and the access-probability
 // scratch. It rides on the session's scratch slot (surviving
 // Session.Reset), so pooled sessions — the engine's workers — reach a
@@ -22,23 +22,17 @@ type queryScratch struct {
 
 	search nnSearch
 	sorter entrySorter
-	probFn func(int) float64 // st.accessProb, bound once
-	sched  pagesched.Scheduler
 
-	// The cursors (one query at a time per session) and the executor's
-	// per-turn buffers.
+	// The cursors (one query at a time per session) and the round that
+	// runs them.
 	knn   knnCursor
 	scan  scanCursor
-	dec   pageDecoder
-	wants []int
-	got   []int
-	spans []pagesched.PageSpan
+	round roundScratch
 
 	// Range/window scan state.
 	positions []int
 	posEntry  map[int]int
 	delivered map[int]struct{}
-	blocks    []int
 	need      []int
 	eps       epsFilter
 	win       windowFilter
@@ -67,7 +61,7 @@ func (sc *queryScratch) init() {
 	sc.search.sc = sc
 	sc.search.exactCache = make(map[int32]exactPage)
 	sc.search.exactSkip = make(map[int32]bool)
-	sc.probFn = sc.search.accessProb
+	sc.round.init()
 }
 
 // beginSearch re-initializes the scratch's k-NN state for one query,

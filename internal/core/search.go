@@ -83,7 +83,7 @@ func (t *Tree) knn(s *store.Session, q vec.Point, k int, ap index.Approx, dst []
 	defer t.world.RUnlock()
 	sc := scratchFor(s)
 	c := t.beginKNN(s, sc, q, k, ap)
-	if err := t.execute(s, sc, c); err != nil {
+	if err := t.execute(sc, c); err != nil {
 		return nil, err
 	}
 	if c.st == nil {
@@ -105,20 +105,18 @@ func (t *Tree) traceOf(s *store.Session) *Trace {
 
 // knnCursor drives the nnSearch state machine one page fetch at a time:
 // start, then repeatedly advance to the next unpruned pending page and
-// report it as the want. Alone, execute fetches that want with the
-// Sec. 2.1 batch around it as the pivot (or the page alone when
-// OptimizedIO is off). Under sharing, pages delivered early (fetched for
-// another query) only tighten the search's bounds sooner; processing a
-// page is order-independent for the final result set (candidates enter
-// the same priority list, prune radii only shrink), so the returned
-// neighbors are identical either way.
+// want it. A round reads that want with the Sec. 2.1 batch around it as
+// the pivot (or the page alone when OptimizedIO is off). Pages delivered
+// early (over-read for the batch or fetched for another query) only
+// tighten the search's bounds sooner; processing a page is
+// order-independent for the final result set (candidates enter the same
+// priority list, prune radii only shrink), so the returned neighbors are
+// identical either way.
 type knnCursor struct {
-	t       *Tree
+	cursorBase
 	st      *nnSearch // nil for the empty query
-	gen     uint64
-	pending int32 // entry awaiting its page; -1 = none
+	pending int32     // entry awaiting its page; -1 = none
 	started bool
-	done    bool
 	res     []Neighbor
 }
 
@@ -129,64 +127,56 @@ func (t *Tree) beginKNN(s *store.Session, sc *queryScratch, q vec.Point, k int, 
 	if tr != nil {
 		tr.SetLabel(fmt.Sprintf("knn k=%d", k))
 	}
-	c := &sc.knn
-	*c = knnCursor{t: t, gen: t.reoptGen.Load(), pending: -1}
-	sn := t.load()
-	if k <= 0 || sn.n == 0 {
-		c.done = true
-		return c
+	c := sc.startKNN(t, s, tr, q, k, ap)
+	if k <= 0 || c.sn.n == 0 {
+		c.st, c.done = nil, true
 	}
+	return c
+}
+
+// startKNN resets the scratch's k-NN cursor to search the current epoch;
+// k = 0 ranks without a result bound (NNIterator).
+func (sc *queryScratch) startKNN(t *Tree, s *store.Session, tr *Trace, q vec.Point, k int, ap index.Approx) *knnCursor {
+	sn := t.load()
+	c := &sc.knn
+	*c = knnCursor{cursorBase: cursorBase{s: s, tr: tr, sn: sn, gen: t.reoptGen.Load()}, pending: -1}
 	c.st = sc.beginSearch(t, sn, s, q, k, tr, ap)
 	return c
 }
 
-func (c *knnCursor) Step() (bool, error) {
-	if c.done || c.st.err != nil {
-		return c.step()
-	}
-	return c.t.lockedStep(c.gen, c.step)
-}
-
-func (c *knnCursor) step() (bool, error) {
-	if c.done {
-		return true, nil
-	}
+func (c *knnCursor) step(buf []int) []int {
 	st := c.st
 	if st.err != nil {
-		c.done = true
-		return true, st.err
+		c.finish(st.err)
+		return buf
 	}
 	if !c.started {
 		c.started = true
 		if !st.start() {
-			c.done = true
-			return true, st.err
+			c.finish(st.err)
+			return buf
 		}
 	}
-	if c.pending >= 0 && !st.processed[c.pending] {
-		// Last round's fetch did not reach this page (its leader failed);
-		// keep wanting it.
-		return false, nil
+	// A pending page that last round's read did not reach (its leader
+	// failed) stays wanted.
+	if c.pending < 0 || st.processed[c.pending] {
+		entry, ok := st.advance()
+		if !ok {
+			// An unbounded ranking pauses until the caller emitted the
+			// neighbor that is ready.
+			if st.k > 0 || st.err != nil {
+				c.finish(st.err)
+			}
+			return buf
+		}
+		c.pending = int32(entry)
 	}
-	entry, ok := st.advance()
-	if !ok {
-		// An unbounded ranking stops only until the caller emitted the
-		// neighbor that is ready; it resumes on the next step.
-		c.done = st.k > 0 || st.err != nil
-		return true, st.err
-	}
-	c.pending = int32(entry)
-	return false, nil
+	return append(buf, c.pivot())
 }
 
-func (c *knnCursor) Wants(buf []int) []int {
-	if c.done || !c.started || c.pending < 0 || c.st.processed[c.pending] {
-		return buf
-	}
-	return append(buf, int(c.st.sn.entries[c.pending].QPos))
-}
+func (c *knnCursor) pivot() int { return int(c.st.sn.entries[c.pending].QPos) }
 
-func (c *knnCursor) wanted(pos int) bool {
+func (c *knnCursor) needs(pos int) bool {
 	st := c.st
 	if st.err != nil {
 		return false
@@ -195,52 +185,19 @@ func (c *knnCursor) wanted(pos int) bool {
 	return e >= 0 && !st.processed[e] && !st.sn.free[e]
 }
 
-func (c *knnCursor) AccessProb(pos int) float64 {
-	if c.done || !c.started || c.st.err != nil {
+func (c *knnCursor) accessProb(pos int) float64 {
+	if c.st.err != nil {
 		return 0
 	}
 	return c.st.accessProb(pos)
 }
 
-// plan reads the pivot page alone, or, with OptimizedIO, the contiguous
-// page sequence around it whose cumulated cost balance is favorable
-// (paper Sec. 2.1); the scheduler records the decision in the trace.
-func (c *knnCursor) plan(sc *queryScratch, wants []int) []pagesched.PageSpan {
-	t, pivot := c.t, wants[0]
-	first, last := pivot, pivot
-	if t.opt.OptimizedIO {
-		sc.sched = pagesched.Scheduler{
-			Cfg:        t.sto.Config(),
-			PageBlocks: t.opt.QPageBlocks,
-			NumPages:   len(c.st.sn.entryAt),
-			Prob:       sc.probFn,
-			Trace:      c.st.tr,
-		}
-		first, last = sc.sched.Batch(pivot)
-	}
-	sc.spans = append(sc.spans[:0], pagesched.PageSpan{First: first, Last: last})
-	return sc.spans
-}
-
-// noteRead completes the scheduler's batch decision with its pending
-// count; every page read on its own records as its own batch.
-func (c *knnCursor) noteRead(_ pagesched.PageSpan, pending int, pagewise bool, got []int) {
-	tr := c.st.tr
-	if c.t.opt.OptimizedIO && !pagewise {
-		tr.NotePending(pending)
-		return
-	}
-	for _, pos := range got {
-		tr.AddBatch(obs.BatchDecision{Pivot: pos, First: pos, Last: pos, Pending: 1})
-	}
-}
-
-func (c *knnCursor) Deliver(pg *index.SharedPage, shared bool) bool {
+func (c *knnCursor) deliver(pg *sharedPage, shared bool) bool {
 	st := c.st
-	if c.done || !c.started || st.err != nil {
+	if st.err != nil {
 		return false
 	}
-	relevant := c.wanted(pg.Pos)
+	relevant := c.needs(pg.pos)
 	if !shared {
 		// The leader accounts every transferred page, irrelevant ones as
 		// pruned — and every transferred page consumes the approximate-mode
@@ -254,7 +211,7 @@ func (c *knnCursor) Deliver(pg *index.SharedPage, shared bool) bool {
 		}
 		return false
 	}
-	e := st.sn.entryIndex(pg.Pos)
+	e := st.sn.entryIndex(pg.pos)
 	st.processed[e] = true
 	if st.minD[e] >= st.prune() {
 		if !shared {
@@ -268,26 +225,19 @@ func (c *knnCursor) Deliver(pg *index.SharedPage, shared bool) bool {
 		st.s.NoteShared(st.t.qFile, st.t.opt.QPageBlocks)
 		st.tr.AddShared(1)
 	}
-	if pg.Bits == quantize.ExactBits {
-		st.processExact(pg.Payload, pg.Count)
+	if pg.bits == quantize.ExactBits {
+		st.processExact(pg.payload, pg.count)
 		return true
 	}
-	st.processCodes(e, pg.Count, pg.Codes())
+	st.processCodes(e, pg.count, pg.codes())
 	return true
 }
 
-func (c *knnCursor) degraded(pos int) {
-	if c.wanted(pos) {
-		c.st.degradedExact(c.st.sn.entryIndex(pos))
-	}
-}
-
-// DeliverDegraded serves only the actively wanted page from its exact
-// shadow: under sharing, the search must not touch the exact shadow of
-// pages it still might prune, and an exact-mode page it would never
-// fetch must not fail the query.
-func (c *knnCursor) DeliverDegraded(pos int) bool {
-	if c.done || !c.started || c.pending < 0 || c.st.sn.entryIndex(pos) != int(c.pending) || !c.wanted(pos) {
+// deliverDegraded serves only the pivot page from its exact shadow: the
+// search must not touch the exact shadow of pages it still might prune,
+// and an exact-mode page it would never fetch must not fail the query.
+func (c *knnCursor) deliverDegraded(pos int) bool {
+	if c.pending < 0 || c.st.sn.entryIndex(pos) != int(c.pending) || !c.needs(pos) {
 		return false
 	}
 	c.st.degradedExact(int(c.pending))
@@ -295,19 +245,17 @@ func (c *knnCursor) DeliverDegraded(pos int) bool {
 }
 
 func (c *knnCursor) Results() ([]vec.Neighbor, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	if c.st == nil {
 		return nil, nil
-	}
-	if c.st.err != nil {
-		return nil, c.st.err
 	}
 	if c.res == nil {
 		c.res = c.st.resultsInto(nil)
 	}
 	return c.res, nil
 }
-
-func (c *knnCursor) Close() {}
 
 // pqItem is an entry of the search priority list (paper Sec. 3.2): either
 // a whole quantized page or the box approximation of a single point.

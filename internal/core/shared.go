@@ -6,13 +6,12 @@ import (
 	"repro/internal/vec"
 )
 
-// This file adapts the tree's query cursors (knnCursor in search.go,
-// scanCursor in range.go) to the scan-sharing protocol of
-// internal/index: each query suspends at its quantized-page fetch
-// boundary, the engine's coordinator merges the wanted pages of every
-// in-flight query into one deduplicated read plan per round, and each
-// fetched page is decoded once and offered to all attached cursors. The
-// same cursors run alone under execute (exec.go).
+// This file exposes the tree's query cursors (knnCursor in search.go,
+// scanCursor in range.go) to the engine's scan-sharing coordinator: it
+// begins cursors through a SharedScan handle and advances up to its share
+// window of them per Round — the same round a direct query runs over its
+// one cursor (exec.go). Each fetched page is decoded once and offered to
+// every attached cursor.
 //
 // Safety rests on two properties of the tree's concurrency model:
 //
@@ -22,53 +21,39 @@ import (
 //     other pinned epoch that still owns the position (cursors map
 //     positions through their own snapshot and decline stale ones).
 //   - Reorganization excludes readers via the world lock and bumps the
-//     generation. Step and FetchRun take the read lock per call and
-//     re-validate the generation, so no cursor holds the lock across a
-//     coordinator round (a held read lock would deadlock against a
-//     writer once the lock queue forces new readers to wait). A failed
-//     validation surfaces index.ErrStaleScan and the coordinator
-//     restarts the query on a fresh cursor. Run alone, a query holds the
-//     read lock throughout and calls the unlocked bodies instead, so it
-//     never sees ErrStaleScan.
+//     generation. Round holds the read lock for one round only, never
+//     across rounds (a read lock held across rounds would deadlock
+//     against a writer once the lock queue forces new readers to wait),
+//     and the round ends a cursor begun at an older generation with
+//     index.ErrStaleScan; the coordinator restarts it on a fresh cursor.
+//     A direct query holds the read lock throughout, so it never sees
+//     ErrStaleScan.
 //
 // Result equivalence with execution alone is argued at each cursor and
 // pinned by the shared_test.go equivalence suite.
 
 var _ index.SharedScanner = (*Tree)(nil)
-var _ index.ApproxSharedScan = (*sharedScan)(nil)
 
 // NewSharedScan returns a scan-sharing handle over the tree. The handle
-// owns the round-scoped decode scratch for shared pages, so it must be
-// confined to one coordinator goroutine.
+// owns the round scratch, so it must be confined to one coordinator
+// goroutine.
 func (t *Tree) NewSharedScan() index.SharedScan {
-	return &sharedScan{t: t}
+	ss := &sharedScan{t: t}
+	ss.rs.init()
+	return ss
 }
 
 type sharedScan struct {
-	t   *Tree
-	dec pageDecoder // decode-once buffer for the current shared page
+	t  *Tree
+	rs roundScratch
+	cs []cursor
 }
 
-func (ss *sharedScan) Layout() index.SharedLayout {
-	sn := ss.t.load()
-	return index.SharedLayout{
-		PageBlocks: ss.t.opt.QPageBlocks,
-		NumPages:   len(sn.entryAt),
-	}
-}
-
-func (ss *sharedScan) Gen() uint64 { return ss.t.reoptGen.Load() }
-
-// KNN begins one resumable k-NN query charged to s.
-func (ss *sharedScan) KNN(s *store.Session, q vec.Point, k int) index.Cursor {
-	return ss.KNNApprox(s, q, k, index.Approx{})
-}
-
-// KNNApprox begins one resumable k-NN query under the given
+// KNN begins one resumable k-NN query charged to s under the given
 // approximation knob: once the knob's stopping rule fires the cursor
 // drains its candidate refinements and stops wanting pages. A zero (or
-// MinRecall = 1) knob is bit-identical to KNN.
-func (ss *sharedScan) KNNApprox(s *store.Session, q vec.Point, k int, ap index.Approx) index.Cursor {
+// MinRecall = 1) knob is exact search.
+func (ss *sharedScan) KNN(s *store.Session, q vec.Point, k int, ap index.Approx) index.Cursor {
 	t := ss.t
 	t.world.RLock()
 	defer t.world.RUnlock()
@@ -91,29 +76,15 @@ func (ss *sharedScan) Window(s *store.Session, w vec.MBR) index.Cursor {
 	return t.beginWindow(s, scratchFor(s), w)
 }
 
-// FetchRun reads quantized pages [first, last] through the leader's
-// session (see fetchRun), after validating the generation under the
-// world read lock.
-func (ss *sharedScan) FetchRun(s *store.Session, gen uint64, first, last int, wanted func(pos int) bool,
-	deliver func(pg *index.SharedPage), degraded func(pos int)) error {
+// Round runs one fetch round over the cursors under the world read lock.
+func (ss *sharedScan) Round(cs []index.Cursor) (pages, serves int) {
+	ss.cs = ss.cs[:0]
+	for _, c := range cs {
+		ss.cs = append(ss.cs, c.(cursor))
+	}
 	t := ss.t
 	t.world.RLock()
 	defer t.world.RUnlock()
-	if t.reoptGen.Load() != gen {
-		return index.ErrStaleScan
-	}
-	_, err := t.fetchRun(s, &ss.dec, first, last, wanted, deliver, degraded)
-	return err
-}
-
-// lockedStep runs one coordinator-driven cursor step under the world
-// read lock, after checking that no reorganization invalidated the
-// cursor's pinned epoch since it began (gen).
-func (t *Tree) lockedStep(gen uint64, step func() (bool, error)) (bool, error) {
-	t.world.RLock()
-	defer t.world.RUnlock()
-	if t.reoptGen.Load() != gen {
-		return false, index.ErrStaleScan
-	}
-	return step()
+	t.round(&ss.rs, ss.cs)
+	return ss.rs.pages, ss.rs.serves
 }

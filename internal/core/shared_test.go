@@ -3,21 +3,17 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/index"
-	"repro/internal/pagesched"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
 
-// driveShared is a minimal scan-sharing coordinator for tests: it steps
-// every cursor to its fetch boundary, merges the wanted pages with
-// pagesched.BatchAll under the combined access probability, fetches each
-// span once through the first wanting query's session, and fans the
-// pages out to all cursors — the same round protocol the engine
-// coordinator runs. Returns per-query results and errors.
+// driveShared runs the cursors mk begins, one per session, through the
+// tree's fetch rounds the way the engine's coordinator does: a round over
+// every live cursor, restarting cursors a reorganization invalidated.
+// Returns per-query results and errors.
 func driveShared(t *testing.T, tr *Tree, sessions []*store.Session,
 	mk func(scan index.SharedScan, i int, s *store.Session) index.Cursor) ([][]Neighbor, []error) {
 	t.Helper()
@@ -29,118 +25,36 @@ func driveShared(t *testing.T, tr *Tree, sessions []*store.Session,
 	}
 	results := make([][]Neighbor, n)
 	errs := make([]error, n)
-	done := make([]bool, n)
 	restarts := 0
-
+	var live []index.Cursor
 	for rounds := 0; ; rounds++ {
 		if rounds > 100000 {
 			t.Fatal("driveShared: no progress")
 		}
-		live := 0
-		owner := map[int]int{}
-		var wants []int
-		for i, c := range cursors {
-			if done[i] {
-				continue
-			}
-			d, err := c.Step()
-			if errors.Is(err, index.ErrStaleScan) {
-				restarts++
-				if restarts > 100 {
-					t.Fatal("driveShared: restart loop")
-				}
-				c.Close()
-				cursors[i] = mk(scan, i, sessions[i])
-				d, err = cursors[i].Step()
-				c = cursors[i]
-			}
-			if d {
-				done[i] = true
-				results[i], errs[i] = c.Results()
-				if err != nil {
-					errs[i] = err
-				}
-				c.Close()
-				continue
-			}
-			if err != nil {
-				done[i] = true
-				errs[i] = err
-				c.Close()
-				continue
-			}
-			live++
-			for _, p := range c.Wants(nil) {
-				if _, ok := owner[p]; !ok {
-					owner[p] = i
-					wants = append(wants, p)
-				}
+		live = live[:0]
+		for _, c := range cursors {
+			if c != nil {
+				live = append(live, c)
 			}
 		}
-		if live == 0 {
+		if len(live) == 0 {
 			return results, errs
 		}
-		if len(wants) == 0 {
-			continue
-		}
-		sort.Ints(wants)
-		layout := scan.Layout()
-		gen := scan.Gen()
-		sched := &pagesched.Scheduler{
-			Cfg:        tr.sto.Config(),
-			PageBlocks: layout.PageBlocks,
-			NumPages:   layout.NumPages,
-			Prob: func(pos int) float64 {
-				if _, ok := owner[pos]; ok {
-					return 1
-				}
-				miss := 1.0
-				for i, c := range cursors {
-					if done[i] {
-						continue
-					}
-					miss *= 1 - c.AccessProb(pos)
-				}
-				return 1 - miss
-			},
-		}
-		for _, span := range sched.BatchAll(wants) {
-			var leader int = -1
-			for i := sort.SearchInts(wants, span.First); i < len(wants) && wants[i] <= span.Last; i++ {
-				if o := owner[wants[i]]; !done[o] {
-					leader = o
-					break
-				}
-			}
-			if leader < 0 {
+		scan.Round(live)
+		for i, c := range cursors {
+			if c == nil || !c.Done() {
 				continue
 			}
-			err := scan.FetchRun(sessions[leader], gen, span.First, span.Last,
-				func(pos int) bool { _, ok := owner[pos]; return ok },
-				func(pg *index.SharedPage) {
-					if !done[leader] {
-						cursors[leader].Deliver(pg, false)
-					}
-					for i, c := range cursors {
-						if i == leader || done[i] {
-							continue
-						}
-						c.Deliver(pg, true)
-					}
-				},
-				func(pos int) {
-					for i, c := range cursors {
-						if !done[i] {
-							c.DeliverDegraded(pos)
-						}
-					}
-				},
-			)
-			if err != nil && !errors.Is(err, index.ErrStaleScan) {
-				done[leader] = true
-				errs[leader] = err
-				cursors[leader].Close()
+			res, err := c.Results()
+			c.Close()
+			if errors.Is(err, index.ErrStaleScan) {
+				if restarts++; restarts > 100 {
+					t.Fatal("driveShared: restart loop")
+				}
+				cursors[i] = mk(scan, i, sessions[i])
+				continue
 			}
+			results[i], errs[i], cursors[i] = res, err, nil
 		}
 	}
 }
@@ -181,7 +95,7 @@ func mixedCases(r *rand.Rand, n, dim int) []sharedCase {
 func newSharedCursor(scan index.SharedScan, c sharedCase, s *store.Session) index.Cursor {
 	switch c.kind {
 	case "knn":
-		return scan.KNN(s, c.q, c.k)
+		return scan.KNN(s, c.q, c.k, index.Approx{})
 	case "range":
 		return scan.Range(s, c.q, c.eps)
 	default:
@@ -291,9 +205,9 @@ func TestSharedSingleQueryDegeneratesToShareNothing(t *testing.T) {
 	}
 }
 
-// TestSharedCursorStaleAfterReoptimize checks the generation guard: a
-// cursor created before Reoptimize reports ErrStaleScan instead of
-// reading rewritten file regions, and a fresh cursor succeeds.
+// TestSharedCursorStaleAfterReoptimize checks the round's generation
+// guard: a cursor created before Reoptimize ends with ErrStaleScan
+// instead of reading rewritten file regions, and a fresh cursor succeeds.
 func TestSharedCursorStaleAfterReoptimize(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	pts := randPoints(r, 1200, 4)
@@ -305,26 +219,23 @@ func TestSharedCursorStaleAfterReoptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan := tr.NewSharedScan()
-	s := sto.NewSession()
-	cur := scan.KNN(s, pts[0], 3)
-	if done, err := cur.Step(); done || err != nil {
-		t.Fatalf("first step: done=%v err=%v", done, err)
+	cur := scan.KNN(sto.NewSession(), pts[0], 3, index.Approx{})
+	if scan.Round([]index.Cursor{cur}); cur.Done() {
+		_, err := cur.Results()
+		t.Fatalf("first round ended the query: %v", err)
 	}
 	if err := tr.Reoptimize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cur.Step(); !errors.Is(err, index.ErrStaleScan) {
-		t.Fatalf("step after reoptimize: %v, want ErrStaleScan", err)
-	}
-	if err := scan.FetchRun(s, scan.Gen()+1, 0, 0, func(int) bool { return true },
-		func(*index.SharedPage) {}, func(int) {}); !errors.Is(err, index.ErrStaleScan) {
-		t.Fatalf("FetchRun with stale gen: %v, want ErrStaleScan", err)
+	scan.Round([]index.Cursor{cur})
+	if _, err := cur.Results(); !cur.Done() || !errors.Is(err, index.ErrStaleScan) {
+		t.Fatalf("round after reoptimize: done=%v err=%v, want ErrStaleScan", cur.Done(), err)
 	}
 	cur.Close()
 	sessions := []*store.Session{sto.NewSession()}
 	results, errs := driveShared(t, tr, sessions,
 		func(scan index.SharedScan, _ int, s *store.Session) index.Cursor {
-			return scan.KNN(s, pts[0], 3)
+			return scan.KNN(s, pts[0], 3, index.Approx{})
 		})
 	if errs[0] != nil || len(results[0]) != 3 {
 		t.Fatalf("fresh cursor after reoptimize: %d results, err %v", len(results[0]), errs[0])

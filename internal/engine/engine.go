@@ -49,8 +49,10 @@ var ErrInvalidQuery = errors.New("engine: invalid query")
 // ErrPanicked marks a query whose index execution panicked. The panic is
 // contained — neither a worker nor the sharing coordinator dies — and
 // surfaces typed so routing layers (internal/shard) can classify it as a
-// replica-local fault and retry a sibling replica.
-var ErrPanicked = errors.New("engine: query panicked")
+// replica-local fault and retry a sibling replica. It aliases
+// index.ErrPanicked, which a fetch round reports for a contained cursor
+// panic, so errors.Is works across the layers.
+var ErrPanicked = index.ErrPanicked
 
 // ErrTooManyRestarts marks a shared-scan query abandoned because index
 // reorganizations invalidated its cursor more than maxSharedRestarts
@@ -140,6 +142,24 @@ func (q Query) Validate() error {
 		}
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrInvalidQuery, int(q.Kind))
+	}
+	return nil
+}
+
+// validate checks the query's shape and that its point or window has the
+// index's dimensionality: a query of another dimensionality would reach
+// the index and fail there as a contained panic, which routing layers
+// retry on every replica.
+func (e *Engine) validate(q Query) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	n := len(q.Point)
+	if q.Kind == Window {
+		n = len(q.Window.Lo)
+	}
+	if dim := e.idx.Dim(); n != dim {
+		return fmt.Errorf("%w: %d-d %s query on a %d-d index", ErrInvalidQuery, n, q.Kind, dim)
 	}
 	return nil
 }
@@ -442,7 +462,7 @@ func (e *Engine) SubmitBatch(qs []Query) []Result {
 // which also bounds how long Close can block behind a full queue: at
 // most the queue wait.
 func (e *Engine) enqueue(j job) error {
-	if err := j.q.Validate(); err != nil {
+	if err := e.validate(j.q); err != nil {
 		return err
 	}
 	// Fast path: once Close has started, fail before touching closeMu —
@@ -606,6 +626,12 @@ func (e *Engine) execute(s *store.Session, q Query, res *Result) (panicked bool)
 		res.Neighbors, res.Err = e.idx.WindowQuery(s, q.Window)
 	default:
 		res.Err = fmt.Errorf("engine: unknown query kind %d", q.Kind)
+	}
+	if errors.Is(res.Err, ErrPanicked) {
+		// The index contained the panic itself (a fetch round does).
+		res.Neighbors = nil
+		e.panics.Inc()
+		return true
 	}
 	return false
 }

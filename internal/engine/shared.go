@@ -4,37 +4,30 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/pagesched"
 	"repro/internal/store"
-	"repro/internal/vec"
 )
 
 // Scan-sharing execution (WithScanSharing): instead of one worker
 // driving one monolithic query, a single coordinator multiplexes up to
-// shareWindow in-flight queries as resumable cursors. Each round it
-//
-//  1. steps every cursor to its next page-fetch boundary (finished
-//     queries are finalized and their slots refilled from the queue),
-//  2. gathers the union of wanted pages and plans one deduplicated read
-//     schedule with the cross-query cumulated-cost-balance batcher
-//     (pagesched.BatchAll) — no block is fetched twice per round,
-//  3. fetches each planned span once through the leader query's session
-//     (the first wanting query, which accounts the transfer exactly like
-//     its share-nothing batch would) and offers every page to all live
-//     cursors; co-attached queries consume it as a zero-cost shared read.
+// shareWindow in-flight queries as resumable cursors and advances them
+// together, one index.SharedScan.Round at a time. The round — planning
+// the union of the queries' wanted pages, reading each span once through
+// a leader query's session and offering every page to all of them — is
+// the index's own executor, the same one a direct query runs; the
+// coordinator owns what surrounds it: admission from the queue,
+// cancellation at round boundaries, bounded restarts of cursors a
+// reorganization invalidated (index.ErrStaleScan), contained panics
+// (ErrPanicked) and the busy-lane accounting.
 //
 // Per-query semantics survive sharing: results are identical to
 // share-nothing execution, Query.Ctx cancellation is honored at every
-// round boundary and at the leader's fetches, degraded/quarantined pages
-// take the same per-query recovery paths, and a panic in one cursor
-// fails only that query. A reorganization between rounds invalidates
-// cursors typed (index.ErrStaleScan) and the coordinator restarts them
-// on fresh cursors, bounded by maxSharedRestarts.
+// round boundary (and a canceled query never leads a read), damaged pages
+// take the same recovery path, and a panic in one cursor fails only that
+// query.
 
 // maxSharedRestarts bounds how many times one query is restarted after
 // reorganizations invalidated its cursor before it fails with
@@ -52,22 +45,13 @@ type sharedQuery struct {
 	restarts int
 	finished bool
 	panicked bool
-	wants    []int // per-round scratch
-}
-
-// canceled reports whether the query's context is already done. A
-// canceled query must not lead a span fetch: its session fails the read
-// at the next cancellation check, aborting the whole span for everyone
-// attached to it — and the doomed query would still be charged the
-// transfer.
-func (sq *sharedQuery) canceled() bool {
-	return sq.job.q.Ctx != nil && sq.job.q.Ctx.Err() != nil
 }
 
 // coordinator is the scan-sharing main loop; it replaces the worker pool.
 func (e *Engine) coordinator() {
 	defer e.wg.Done()
 	var active []*sharedQuery
+	var cursors []index.Cursor
 	open := true
 	lane := 0
 	for open || len(active) > 0 {
@@ -75,7 +59,7 @@ func (e *Engine) coordinator() {
 		if len(active) == 0 {
 			continue
 		}
-		active = e.round(active)
+		active, cursors = e.round(active, cursors[:0])
 		// Yield between rounds for the same reason workers yield between
 		// queries: warmed rounds run without preemption points.
 		runtime.Gosched()
@@ -127,47 +111,47 @@ func (e *Engine) startShared(j job, lane int) *sharedQuery {
 	if q.Ctx != nil {
 		s.SetContext(q.Ctx)
 	}
-	e.guard(sq, func() { sq.cur = e.newCursor(q, s) })
-	if sq.panicked || sq.cur == nil {
-		e.finishShared(sq)
+	if !e.begin(sq) {
 		return nil
 	}
 	return sq
 }
 
-// newCursor dispatches on the (already validated) query kind.
-func (e *Engine) newCursor(q Query, s *store.Session) index.Cursor {
-	switch q.Kind {
-	case KNN:
-		if ap := q.approx(); ap.Enabled() {
-			e.approxQs.Inc()
-			if as, ok := e.scan.(index.ApproxSharedScan); ok {
-				return as.KNNApprox(s, q.Point, q.K, ap)
-			}
-			// No approximate cursor support: run exact (same fallback as
-			// the share-nothing dispatch).
-		}
-		return e.scan.KNN(s, q.Point, q.K)
-	case Range:
-		return e.scan.Range(s, q.Point, q.Eps)
-	default:
-		return e.scan.Window(s, q.Window)
-	}
-}
-
-// guard runs one cursor interaction, converting a panic into the query's
+// begin starts the query's cursor, converting a panic into the query's
 // failure so a poisoned query cannot kill the coordinator (which would
-// wedge every other in-flight query).
-func (e *Engine) guard(sq *sharedQuery, f func()) {
+// wedge every other in-flight query). Reports whether the cursor exists;
+// on false the query is finished.
+func (e *Engine) begin(sq *sharedQuery) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			sq.panicked = true
-			sq.job.res.Neighbors = nil
-			sq.job.res.Err = fmt.Errorf("%w: %s query: %v", ErrPanicked, sq.job.q.Kind, r)
-			e.panics.Inc()
+			e.fail(sq, fmt.Errorf("%w: %s query: %v", ErrPanicked, sq.job.q.Kind, r))
 		}
 	}()
-	f()
+	q := sq.job.q
+	switch q.Kind {
+	case KNN:
+		ap := q.approx()
+		if ap.Enabled() {
+			e.approxQs.Inc()
+		}
+		sq.cur = e.scan.KNN(sq.s, q.Point, q.K, ap)
+	case Range:
+		sq.cur = e.scan.Range(sq.s, q.Point, q.Eps)
+	default:
+		sq.cur = e.scan.Window(sq.s, q.Window)
+	}
+	return true
+}
+
+// fail finishes the query with err; a panic leaves its session unpooled.
+func (e *Engine) fail(sq *sharedQuery, err error) {
+	if errors.Is(err, ErrPanicked) {
+		sq.panicked = true
+		e.panics.Inc()
+	}
+	sq.job.res.Neighbors = nil
+	sq.job.res.Err = err
+	e.finishShared(sq)
 }
 
 // finishShared finalizes one query exactly like the share-nothing run
@@ -195,216 +179,55 @@ func (e *Engine) finishShared(sq *sharedQuery) {
 	sq.job.done.Done()
 }
 
-// stepShared advances one query to its next fetch boundary, handling
-// cancellation, stale-cursor restarts, and completion. Reports whether
-// the query finished.
-func (e *Engine) stepShared(sq *sharedQuery) bool {
-	q := sq.job.q
-	for {
-		if q.Ctx != nil {
-			if cerr := q.Ctx.Err(); cerr != nil {
-				if sq.job.res.Err == nil {
-					sq.job.res.Err = fmt.Errorf("%w: %w", ErrCanceled, cerr)
-				}
-				e.finishShared(sq)
-				return true
-			}
+// round finishes the canceled queries, runs one index round over the
+// others and settles every query the round ended. Returns the still-live
+// queries and the cursor buffer for reuse.
+func (e *Engine) round(active []*sharedQuery, cursors []index.Cursor) ([]*sharedQuery, []index.Cursor) {
+	for _, sq := range active {
+		if q := sq.job.q; q.Ctx != nil && q.Ctx.Err() != nil {
+			e.fail(sq, fmt.Errorf("%w: %w", ErrCanceled, q.Ctx.Err()))
+			continue
 		}
-		var done bool
-		var err error
-		e.guard(sq, func() { done, err = sq.cur.Step() })
-		if sq.panicked {
-			e.finishShared(sq)
-			return true
-		}
-		if errors.Is(err, index.ErrStaleScan) {
-			sq.restarts++
-			if sq.restarts > e.maxRestarts {
-				e.sharedExhausted.Inc()
-				sq.job.res.Err = fmt.Errorf("%w: %w", ErrTooManyRestarts, err)
-				e.finishShared(sq)
-				return true
-			}
-			e.sharedRestarts.Inc()
-			sq.cur.Close()
-			sq.cur = nil
-			e.guard(sq, func() { sq.cur = e.newCursor(q, sq.s) })
-			if sq.panicked || sq.cur == nil {
-				e.finishShared(sq)
-				return true
-			}
-			continue // drive the fresh cursor to its first fetch boundary
-		}
-		if done {
-			var nbs []vec.Neighbor
-			var rerr error
-			e.guard(sq, func() { nbs, rerr = sq.cur.Results() })
-			if !sq.panicked {
-				sq.job.res.Neighbors = nbs
-				if sq.job.res.Err == nil {
-					if err != nil {
-						sq.job.res.Err = err
-					} else {
-						sq.job.res.Err = rerr
-					}
-				}
-			}
-			e.finishShared(sq)
-			return true
-		}
-		if err != nil {
-			sq.job.res.Err = err
-			e.finishShared(sq)
-			return true
-		}
-		return false
+		cursors = append(cursors, sq.cur)
 	}
-}
-
-// round runs one coordinator round: step, plan, fetch, deliver. Returns
-// the still-live queries.
-func (e *Engine) round(active []*sharedQuery) []*sharedQuery {
+	if len(cursors) > 0 {
+		pages, serves := e.scan.Round(cursors)
+		e.sharedRounds.Inc()
+		e.sharedFetched.Add(int64(pages))
+		e.sharedServes.Add(int64(serves))
+	}
 	live := active[:0]
 	for _, sq := range active {
-		if !e.stepShared(sq) {
+		if !sq.finished && (!sq.cur.Done() || e.settle(sq)) {
 			live = append(live, sq)
 		}
 	}
-	active = live
-	if len(active) == 0 {
-		return active
-	}
-	e.sharedRounds.Inc()
+	clear(cursors)
+	return live, cursors
+}
 
-	// Union of wanted pages; the first wanting query leads a page's fetch.
-	owner := make(map[int]*sharedQuery, len(active))
-	var wants []int
-	for _, sq := range active {
-		sq.wants = sq.cur.Wants(sq.wants[:0])
-		for _, p := range sq.wants {
-			if _, ok := owner[p]; !ok {
-				owner[p] = sq
-				wants = append(wants, p)
-			}
-		}
-	}
-	if len(wants) == 0 {
-		return active // defensive: a live cursor always wants pages
-	}
-	sort.Ints(wants)
-
-	// Cross-query plan: wanted pages are certain (probability 1); between
-	// them the combined probability that any in-flight query will need
-	// the page decides whether to read through the gap.
-	layout := e.scan.Layout()
-	gen := e.scan.Gen()
-	sched := &pagesched.Scheduler{
-		Cfg:        e.sto.Config(),
-		PageBlocks: layout.PageBlocks,
-		NumPages:   layout.NumPages,
-		Prob: func(pos int) float64 {
-			if _, ok := owner[pos]; ok {
-				return 1
-			}
-			miss := 1.0
-			for _, sq := range active {
-				if sq.finished {
-					continue
-				}
-				miss *= 1 - sq.cur.AccessProb(pos)
-				if miss < pagesched.ProbFloor {
-					return 1
-				}
-			}
-			return 1 - miss
-		},
-	}
-	spans := sched.BatchAll(wants)
-
-	wantedFn := func(pos int) bool { _, ok := owner[pos]; return ok }
-	for _, span := range spans {
-		leader := spanLeader(span, wants, owner)
-		if leader == nil {
-			continue // every wanting query in this span already failed
-		}
-		err := e.scan.FetchRun(leader.s, gen, span.First, span.Last, wantedFn,
-			func(pg *index.SharedPage) { e.deliver(active, leader, pg) },
-			func(pos int) { e.deliverDegraded(active, pos) },
-		)
+// settle finalizes a query whose cursor ended, restarting it on a fresh
+// cursor when a reorganization invalidated the old one (bounded by
+// maxRestarts). Reports whether the query is still live.
+func (e *Engine) settle(sq *sharedQuery) bool {
+	nbs, err := sq.cur.Results()
+	if !errors.Is(err, index.ErrStaleScan) {
 		if err != nil {
-			if errors.Is(err, index.ErrStaleScan) {
-				break // plan is stale; next round's Steps restart the cursors
-			}
-			// The leader's session failed the fetch (hard read error or
-			// cancellation); only the leader fails. Other queries re-want
-			// their undelivered pages next round under a new leader.
-			leader.job.res.Err = err
-			e.finishShared(leader)
+			e.fail(sq, err)
+			return false
 		}
-	}
-
-	live = active[:0]
-	for _, sq := range active {
-		if !sq.finished {
-			live = append(live, sq)
-		}
-	}
-	return live
-}
-
-// spanLeader returns the first live, non-canceled query owning a want
-// inside the span. Skipping just-canceled owners matters: a canceled
-// leader's session fails the fetch at its first cancellation check,
-// which would both charge the doomed query for a transfer it never uses
-// and abort the span for every co-attached query. The canceled query is
-// finalized by the next round's step instead.
-func spanLeader(span pagesched.PageSpan, wants []int, owner map[int]*sharedQuery) *sharedQuery {
-	for i := sort.SearchInts(wants, span.First); i < len(wants) && wants[i] <= span.Last; i++ {
-		if sq := owner[wants[i]]; !sq.finished && !sq.canceled() {
-			return sq
-		}
-	}
-	return nil
-}
-
-// deliver fans one fetched page out to every live cursor, leader first
-// (it accounts the transfer the share-nothing way; co-attached queries
-// record a zero-cost shared read).
-func (e *Engine) deliver(active []*sharedQuery, leader *sharedQuery, pg *index.SharedPage) {
-	e.sharedFetched.Inc()
-	if !leader.finished {
-		e.deliverOne(leader, pg, false)
-	}
-	for _, sq := range active {
-		if sq == leader || sq.finished {
-			continue
-		}
-		e.deliverOne(sq, pg, true)
-	}
-}
-
-func (e *Engine) deliverOne(sq *sharedQuery, pg *index.SharedPage, shared bool) {
-	used := false
-	e.guard(sq, func() { used = sq.cur.Deliver(pg, shared) })
-	if sq.panicked {
+		sq.job.res.Neighbors = nbs
 		e.finishShared(sq)
-		return
+		return false
 	}
-	if used {
-		e.sharedServes.Inc()
+	sq.restarts++
+	if sq.restarts > e.maxRestarts {
+		e.sharedExhausted.Inc()
+		e.fail(sq, fmt.Errorf("%w: %w", ErrTooManyRestarts, err))
+		return false
 	}
-}
-
-// deliverDegraded reports one unreadable page to every live cursor; each
-// recovers through its own redundant path (or records a typed error).
-func (e *Engine) deliverDegraded(active []*sharedQuery, pos int) {
-	for _, sq := range active {
-		if sq.finished {
-			continue
-		}
-		e.guard(sq, func() { sq.cur.DeliverDegraded(pos) })
-		if sq.panicked {
-			e.finishShared(sq)
-		}
-	}
+	e.sharedRestarts.Inc()
+	sq.cur.Close()
+	sq.cur = nil
+	return e.begin(sq)
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,43 +10,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/pagesched"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
-
-// TestSpanLeaderSkipsCanceled is the regression test for leader
-// election: a query whose context is already done must never lead a
-// span fetch (its session would fail the read at the next cancellation
-// check, aborting the span for every co-attached query and charging the
-// doomed query the transfer). Finished and canceled owners are skipped;
-// the first live owner leads.
-func TestSpanLeaderSkipsCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	canceledSQ := &sharedQuery{job: job{q: Query{Ctx: ctx}, res: &Result{}}}
-	finishedSQ := &sharedQuery{finished: true, job: job{res: &Result{}}}
-	liveSQ := &sharedQuery{job: job{res: &Result{}}}
-
-	wants := []int{3, 5, 9}
-	owner := map[int]*sharedQuery{3: canceledSQ, 5: finishedSQ, 9: liveSQ}
-
-	if got := spanLeader(pagesched.PageSpan{First: 0, Last: 10}, wants, owner); got != liveSQ {
-		t.Fatalf("leader = %p, want the live owner %p (canceled and finished owners must be skipped)", got, liveSQ)
-	}
-	if got := spanLeader(pagesched.PageSpan{First: 0, Last: 5}, wants, owner); got != nil {
-		t.Fatalf("span with only canceled/finished owners elected leader %p, want nil", got)
-	}
-	if got := spanLeader(pagesched.PageSpan{First: 9, Last: 9}, wants, owner); got != liveSQ {
-		t.Fatalf("single-want span: leader = %p, want %p", got, liveSQ)
-	}
-	// An owner with a live (not-yet-done) context leads normally.
-	liveCtxSQ := &sharedQuery{job: job{q: Query{Ctx: context.Background()}, res: &Result{}}}
-	owner[3] = liveCtxSQ
-	if got := spanLeader(pagesched.PageSpan{First: 0, Last: 10}, wants, owner); got != liveCtxSQ {
-		t.Fatalf("owner with live context skipped: leader = %p, want %p", got, liveCtxSQ)
-	}
-}
 
 // TestSharedRestartsExhaustedTyped pins the typed failure of a shared
 // query whose restart budget is exhausted by a writer reorganizing

@@ -129,6 +129,13 @@ func (e *Engine) enqueueWrite(j writeJob) error {
 	if err := j.w.Validate(); err != nil {
 		return err
 	}
+	// A point of another dimensionality would fail every write coalesced
+	// into its InsertBatch, so it is rejected before it can join one.
+	for i, p := range j.w.Points {
+		if dim := e.idx.Dim(); len(p) != dim {
+			return fmt.Errorf("%w: %d-d point at %d on a %d-d index", ErrInvalidWrite, len(p), i, dim)
+		}
+	}
 	if e.closing.Load() { // see enqueue: fail fast once Close has started
 		return ErrClosed
 	}

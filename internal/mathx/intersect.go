@@ -21,87 +21,6 @@ func BoxSphereIntersectMax(lo, hi, q []float64, r float64) float64 {
 	return v
 }
 
-// halton returns element i of the Halton low-discrepancy sequence in the
-// given prime base, in (0, 1).
-func halton(i int, base int) float64 {
-	f := 1.0
-	r := 0.0
-	for i > 0 {
-		f /= float64(base)
-		r += f * float64(i%base)
-		i /= base
-	}
-	return r
-}
-
-// primes holds the first 64 primes, enough Halton bases for up to 64
-// dimensions.
-var primes = [64]int{
-	2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-	59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131,
-	137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
-	227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311,
-}
-
-// BoxSphereIntersectEuclSamples is the quasi-Monte-Carlo sample count used
-// by BoxSphereIntersectEucl. 256 Halton samples keep the estimate
-// deterministic and within a few percent on the volumes the cost model
-// consumes (the paper only needs the estimate "using approximations").
-const BoxSphereIntersectEuclSamples = 256
-
-// BoxSphereIntersectEucl estimates the volume of the intersection of the
-// box [lo, hi] with the L2 ball of radius r around q (paper Eq. 4). It
-// clips the box by the ball's bounding box and integrates the ball
-// indicator with a deterministic Halton quasi-Monte-Carlo rule, so repeated
-// calls are reproducible. Dimensionalities above 64 fall back to the L∞
-// upper bound.
-func BoxSphereIntersectEucl(lo, hi, q []float64, r float64) float64 {
-	d := len(lo)
-	if d > len(primes) {
-		return BoxSphereIntersectMax(lo, hi, q, r)
-	}
-	// Clip the box to the ball's bounding box; the remainder is where the
-	// indicator can be non-zero.
-	clo := make([]float64, d)
-	chi := make([]float64, d)
-	clipVol := 1.0
-	for i := 0; i < d; i++ {
-		clo[i] = math.Max(lo[i], q[i]-r)
-		chi[i] = math.Min(hi[i], q[i]+r)
-		if chi[i] <= clo[i] {
-			return 0
-		}
-		clipVol *= chi[i] - clo[i]
-	}
-	// If the clipped box is entirely inside the ball, the intersection is
-	// the clipped box itself. Check the farthest corner.
-	var farSq float64
-	for i := 0; i < d; i++ {
-		a := q[i] - clo[i]
-		b := chi[i] - q[i]
-		m := math.Max(math.Abs(a), math.Abs(b))
-		farSq += m * m
-	}
-	if farSq <= r*r {
-		return clipVol
-	}
-	rr := r * r
-	hits := 0
-	x := make([]float64, d)
-	for s := 1; s <= BoxSphereIntersectEuclSamples; s++ {
-		var distSq float64
-		for i := 0; i < d; i++ {
-			x[i] = clo[i] + halton(s, primes[i])*(chi[i]-clo[i])
-			dv := x[i] - q[i]
-			distSq += dv * dv
-		}
-		if distSq <= rr {
-			hits++
-		}
-	}
-	return clipVol * float64(hits) / float64(BoxSphereIntersectEuclSamples)
-}
-
 // BoxSphereContainFracEucl returns the fraction of the box [lo, hi]
 // inside the L2 ball of radius r around q — P(‖X − q‖ ≤ r) for X
 // uniform in the box — via a central-limit normal approximation of the
@@ -146,21 +65,12 @@ func BoxSphereContainFracEucl(lo, hi, q []float64, r float64) float64 {
 	return 0.5 * math.Erfc((mu-rr)/math.Sqrt(2*va))
 }
 
-// BoxSphereIntersect dispatches on the metric kind: euclidean selects the
-// quasi-Monte-Carlo L2 estimate, otherwise the exact L∞ product form.
-func BoxSphereIntersect(lo, hi, q []float64, r float64, euclidean bool) float64 {
-	if euclidean {
-		return BoxSphereIntersectEucl(lo, hi, q, r)
-	}
-	return BoxSphereIntersectMax(lo, hi, q, r)
-}
-
 // BoxSphereIntersectEuclFast approximates the box ∩ L2-ball volume by
 // replacing the ball with the L∞ ball (cube) of equal volume, then using
 // the exact product form. This is the classic cost-model surrogate (used
 // where the estimate feeds a heuristic, such as the page scheduler's
-// access probabilities): it preserves total volume and monotonicity in r
-// at a tiny fraction of the quasi-Monte-Carlo cost.
+// access probabilities): it preserves total volume and monotonicity in r,
+// and it is exact for a ball fully inside or fully around the box.
 func BoxSphereIntersectEuclFast(lo, hi, q []float64, r float64) float64 {
 	d := len(lo)
 	req := CubeRadius(d, SphereVolume(d, r))

@@ -32,20 +32,20 @@ func TestBoxSphereIntersectEuclFullContainment(t *testing.T) {
 	// Ball fully inside the box: volume must equal the sphere volume.
 	lo := []float64{-10, -10, -10}
 	hi := []float64{10, 10, 10}
-	got := BoxSphereIntersectEucl(lo, hi, []float64{0, 0, 0}, 1)
+	got := BoxSphereIntersectEuclFast(lo, hi, []float64{0, 0, 0}, 1)
 	want := SphereVolume(3, 1)
-	if math.Abs(got-want) > 0.05*want {
+	if math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("contained ball: %f, want ≈%f", got, want)
 	}
-	// Box fully inside the ball: exact (detected analytically).
+	// Box fully inside the ball: exact.
 	lo2 := []float64{-0.1, -0.1, -0.1}
 	hi2 := []float64{0.1, 0.1, 0.1}
-	got = BoxSphereIntersectEucl(lo2, hi2, []float64{0, 0, 0}, 5)
+	got = BoxSphereIntersectEuclFast(lo2, hi2, []float64{0, 0, 0}, 5)
 	if math.Abs(got-0.008) > 1e-12 {
 		t.Fatalf("contained box: %f, want 0.008", got)
 	}
 	// Disjoint.
-	if got := BoxSphereIntersectEucl(lo2, hi2, []float64{9, 9, 9}, 1); got != 0 {
+	if got := BoxSphereIntersectEuclFast(lo2, hi2, []float64{9, 9, 9}, 1); got != 0 {
 		t.Fatalf("disjoint: %f", got)
 	}
 }
@@ -54,16 +54,17 @@ func TestBoxSphereIntersectEuclHalfBall(t *testing.T) {
 	// Query centered on a face: the intersection is half the ball.
 	lo := []float64{0, -10}
 	hi := []float64{10, 10}
-	got := BoxSphereIntersectEucl(lo, hi, []float64{0, 0}, 1)
+	got := BoxSphereIntersectEuclFast(lo, hi, []float64{0, 0}, 1)
 	want := SphereVolume(2, 1) / 2
-	if math.Abs(got-want) > 0.08*want {
+	if math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("half ball: %f, want ≈%f", got, want)
 	}
 }
 
-// Property: the intersection volume is bounded by both the clipped box
-// volume and the ball volume, never exceeds the L∞ intersection, and is
-// monotone in r.
+// Property: the cube-surrogate intersection volume is bounded by both
+// the box volume and the ball volume, never exceeds the L∞ intersection
+// (the equal-volume cube is narrower than the ball's bounding cube), and
+// is monotone in r.
 func TestBoxSphereIntersectProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -79,7 +80,7 @@ func TestBoxSphereIntersectProperties(t *testing.T) {
 			box *= hi[i] - lo[i]
 		}
 		rad := 0.05 + r.Float64()
-		eucl := BoxSphereIntersectEucl(lo, hi, q, rad)
+		eucl := BoxSphereIntersectEuclFast(lo, hi, q, rad)
 		maxm := BoxSphereIntersectMax(lo, hi, q, rad)
 		if eucl < 0 || eucl > box+1e-9 || eucl > SphereVolume(d, rad)+1e-9 {
 			t.Fatalf("eucl volume %f out of bounds (box %f, sphere %f)", eucl, box, SphereVolume(d, rad))
@@ -87,41 +88,8 @@ func TestBoxSphereIntersectProperties(t *testing.T) {
 		if eucl > maxm+1e-9 {
 			t.Fatalf("eucl intersection %f exceeds max-metric %f", eucl, maxm)
 		}
-		if bigger := BoxSphereIntersectEucl(lo, hi, q, rad*2); bigger < eucl-1e-9 {
+		if bigger := BoxSphereIntersectEuclFast(lo, hi, q, rad*2); bigger < eucl-1e-9 {
 			t.Fatalf("intersection not monotone in r")
-		}
-	}
-}
-
-func TestBoxSphereIntersectDispatch(t *testing.T) {
-	lo := []float64{0}
-	hi := []float64{1}
-	q := []float64{0.5}
-	if got := BoxSphereIntersect(lo, hi, q, 0.25, false); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("max dispatch: %f", got)
-	}
-	// In 1-d the L2 and L∞ balls coincide; the QMC estimate detects full
-	// containment analytically here.
-	if got := BoxSphereIntersect(lo, hi, q, 0.25, true); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("eucl dispatch: %f", got)
-	}
-}
-
-func TestHaltonDeterministicAndInUnitInterval(t *testing.T) {
-	for i := 1; i < 200; i++ {
-		v := halton(i, 2)
-		if v <= 0 || v >= 1 {
-			t.Fatalf("halton(%d, 2) = %f out of (0,1)", i, v)
-		}
-		if v != halton(i, 2) {
-			t.Fatal("halton not deterministic")
-		}
-	}
-	// First few base-2 values are the van der Corput sequence.
-	want := []float64{0.5, 0.25, 0.75, 0.125}
-	for i, w := range want {
-		if got := halton(i+1, 2); math.Abs(got-w) > 1e-12 {
-			t.Fatalf("halton(%d,2) = %f, want %f", i+1, got, w)
 		}
 	}
 }

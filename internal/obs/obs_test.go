@@ -15,7 +15,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.ObserveCPU("f", CPUDist, 0.5)
 	tr.ObserveWrite("f", 1, 2)
 	tr.AddBatch(BatchDecision{})
-	tr.NotePending(3)
 	tr.AddPages(1)
 	tr.AddPruned(1)
 	tr.AddCandidates(1)
@@ -78,8 +77,7 @@ func TestTraceBatchesAndFunnel(t *testing.T) {
 	if tr.Label != "range r=0.2" {
 		t.Fatalf("Label = %q", tr.Label)
 	}
-	tr.AddBatch(BatchDecision{Pivot: 5, First: 3, Last: 7})
-	tr.NotePending(2)
+	tr.AddBatch(BatchDecision{Pivot: 5, First: 3, Last: 7, Pending: 2})
 	tr.AddBatch(BatchDecision{Pivot: -1, First: 10, Last: 11, Pending: 2})
 	if len(tr.Batches) != 2 {
 		t.Fatalf("Batches = %d", len(tr.Batches))

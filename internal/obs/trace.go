@@ -206,16 +206,6 @@ func (t *QueryTrace) AddBatch(b BatchDecision) {
 	t.Batches = append(t.Batches, b)
 }
 
-// NotePending sets the Pending count of the most recent batch (the
-// scheduler records the extent, the search knows how many pages of it
-// were still needed). Nil-safe; a no-op when no batch was recorded.
-func (t *QueryTrace) NotePending(pending int) {
-	if t == nil || len(t.Batches) == 0 {
-		return
-	}
-	t.Batches[len(t.Batches)-1].Pending = pending
-}
-
 // AddPages counts n quantized pages as transferred. Nil-safe.
 func (t *QueryTrace) AddPages(n int) {
 	if t == nil {

@@ -46,7 +46,8 @@ func TestBatchAllProperties(t *testing.T) {
 			}
 		}
 
-		spans := s.BatchAll(wants)
+		sort.Ints(wants)
+		spans := s.BatchAll(nil, wants)
 		for i, sp := range spans {
 			if sp.First < 0 || sp.Last >= numPages || sp.First > sp.Last {
 				t.Fatalf("trial %d: span %d out of range: %+v (numPages=%d)", trial, i, sp, numPages)
@@ -59,7 +60,7 @@ func TestBatchAllProperties(t *testing.T) {
 		for _, w := range wants {
 			covered := false
 			for _, sp := range spans {
-				if sp.Contains(w) {
+				if w >= sp.First && w <= sp.Last {
 					covered = true
 					break
 				}
@@ -68,7 +69,6 @@ func TestBatchAllProperties(t *testing.T) {
 				t.Fatalf("trial %d: want %d not covered by %+v", trial, w, spans)
 			}
 		}
-		sort.Ints(wants)
 		for i, sp := range spans {
 			j := sort.SearchInts(wants, sp.First)
 			if j >= len(wants) || wants[j] > sp.Last {
@@ -99,9 +99,56 @@ func TestBatchAllSingleWantDegeneratesToBatch(t *testing.T) {
 		}
 		pivot := rng.Intn(numPages)
 		first, last := s.Batch(pivot)
-		spans := s.BatchAll([]int{pivot})
+		spans := s.BatchAll(nil, []int{pivot})
 		if len(spans) != 1 || spans[0].First != first || spans[0].Last != last {
 			t.Fatalf("trial %d: BatchAll(%d) = %+v, Batch = [%d,%d]", trial, pivot, spans, first, last)
+		}
+	}
+}
+
+// TestBatchAllKnownSetMatchesPlanKnownSet pins the known-set degeneracy:
+// with access probability 1 on the wanted pages and 0 everywhere else,
+// BatchAll's cumulated cost balance over-reads a gap exactly when its
+// transfer is cheaper than a seek, so its spans are the optimal
+// known-set schedule of paper Fig. 1 (PlanKnownSet, the test oracle).
+func TestBatchAllKnownSetMatchesPlanKnownSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	def := store.DefaultConfig()
+	for trial := 0; trial < 1000; trial++ {
+		numPages := 1 + rng.Intn(300)
+		pageBlocks := 1 + rng.Intn(4)
+		cfg := def
+		cfg.Seek = def.Seek * (0.25 + rng.Float64()*2)
+		cfg.Xfer = def.Xfer * (0.25 + rng.Float64()*2)
+		want := make([]bool, numPages)
+		var wants, blocks []int
+		for pos := range want {
+			if rng.Intn(1+rng.Intn(30)) == 0 {
+				want[pos] = true
+				wants = append(wants, pos)
+				blocks = append(blocks, pos*pageBlocks)
+			}
+		}
+		s := &Scheduler{
+			Cfg:        cfg,
+			PageBlocks: pageBlocks,
+			NumPages:   numPages,
+			Prob: func(pos int) float64 {
+				if want[pos] {
+					return 1
+				}
+				return 0
+			},
+		}
+		spans := s.BatchAll(nil, wants)
+		runs := PlanKnownSet(blocks, pageBlocks, cfg)
+		if len(spans) != len(runs) {
+			t.Fatalf("trial %d: BatchAll %+v, PlanKnownSet %+v", trial, spans, runs)
+		}
+		for i, r := range runs {
+			if spans[i].First*pageBlocks != r.Pos || (spans[i].Last-spans[i].First+1)*pageBlocks != r.Blocks {
+				t.Fatalf("trial %d span %d: BatchAll %+v, PlanKnownSet %+v", trial, i, spans, runs)
+			}
 		}
 	}
 }

@@ -1,70 +1,27 @@
 // Package pagesched implements the time-based page access strategies of
 // paper Section 2:
 //
-//   - PlanKnownSet: the optimal fetch schedule for a page set known in
-//     advance (range queries, Fig. 1) — over-read a gap whenever the
-//     transfer of the skipped blocks is cheaper than a seek.
 //   - Scheduler.Batch: the cumulated-cost-balance batching of the
 //     time-optimized nearest-neighbor algorithm (Sec. 2.1) — starting from
 //     the pivot page, extend the read sequence forward and backward while
 //     the expected savings of over-reading probable pages outweigh the
 //     transfer cost.
+//   - Scheduler.BatchAll: Batch around every wanted page of a round,
+//     merged into disjoint spans. With access probabilities 0 and 1 it is
+//     the optimal known-set schedule of Fig. 1 (over-read a gap whenever
+//     its transfer is cheaper than a seek), so one rule plans range,
+//     window and nearest-neighbor reads alike.
 //   - AccessProbability: the probability that a page must be loaded later
 //     in a nearest-neighbor search (Sec. 2.2, Eq. 2–5).
 package pagesched
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/mathx"
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
-
-// Run is one contiguous read of Blocks blocks starting at block Pos.
-type Run struct {
-	Pos    int
-	Blocks int
-}
-
-// PlanKnownSet plans the reads for pages whose starting block positions
-// are known in advance and sorted ascending; every page spans pageBlocks
-// blocks. Whenever the gap between two consecutive pages costs less to
-// transfer than a seek, the gap is read through (paper Section 2).
-func PlanKnownSet(positions []int, pageBlocks int, cfg store.Config) []Run {
-	if len(positions) == 0 {
-		return nil
-	}
-	var runs []Run
-	cur := Run{Pos: positions[0], Blocks: pageBlocks}
-	for _, p := range positions[1:] {
-		gap := p - (cur.Pos + cur.Blocks)
-		if gap < 0 {
-			gap = 0 // overlapping/duplicate positions collapse
-		}
-		if float64(gap)*cfg.Xfer < cfg.Seek {
-			if p+pageBlocks > cur.Pos+cur.Blocks {
-				cur.Blocks = p + pageBlocks - cur.Pos
-			}
-		} else {
-			runs = append(runs, cur)
-			cur = Run{Pos: p, Blocks: pageBlocks}
-		}
-	}
-	return append(runs, cur)
-}
-
-// PlanCost returns the simulated time of executing the given runs:
-// one seek per run plus the transfer of all blocks.
-func PlanCost(runs []Run, cfg store.Config) float64 {
-	var t float64
-	for _, r := range runs {
-		t += cfg.Seek + float64(r.Blocks)*cfg.Xfer
-	}
-	return t
-}
 
 // Region describes a page region competing in a nearest-neighbor priority
 // list, for access-probability estimation.
@@ -259,9 +216,9 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// Scheduler computes the read batch around a pivot page for the
-// time-optimized nearest-neighbor algorithm. Pages are fixed-size and laid
-// out consecutively: page i starts at block i·PageBlocks.
+// Scheduler computes the read batches of the time-optimized
+// nearest-neighbor algorithm. Pages are fixed-size and laid out
+// consecutively: page i starts at block i·PageBlocks.
 type Scheduler struct {
 	// Cfg holds the disk parameters.
 	Cfg store.Config
@@ -272,10 +229,6 @@ type Scheduler struct {
 	// Prob returns the access probability of the page at position pos;
 	// it must return 0 for pages already processed or pruned.
 	Prob func(pos int) float64
-	// Trace, when non-nil, records each Batch decision (pivot and
-	// committed extent); the caller fills in the pending count once it
-	// knows how many pages of the batch were still needed.
-	Trace *obs.QueryTrace
 }
 
 // Batch returns the page positions [first, last] to load together with the
@@ -315,64 +268,44 @@ func (s *Scheduler) Batch(pivot int) (first, last int) {
 			break
 		}
 	}
-	s.Trace.AddBatch(obs.BatchDecision{Pivot: pivot, First: first, Last: last})
 	return first, last
 }
 
-// PageSpan is one contiguous page extent [First, Last] of a cross-query
-// round plan (page units, inclusive).
+// PageSpan is one contiguous page extent [First, Last] of a round plan
+// (page units, inclusive).
 type PageSpan struct {
 	First, Last int
 }
 
-// Pages returns the number of pages the span covers.
-func (p PageSpan) Pages() int { return p.Last - p.First + 1 }
-
-// Contains reports whether page position pos lies inside the span.
-func (p PageSpan) Contains(pos int) bool { return pos >= p.First && pos <= p.Last }
-
-// BatchAll plans one scan-sharing round: wants holds every page position
-// some in-flight query needs next (duplicates allowed, any order), and
-// the scheduler's Prob must already combine the access probabilities of
-// all those queries (1 − Π(1 − p_q)). Each uncovered want anchors one
-// cumulated-cost-balance extension — the same Batch logic that plans one
-// query's pivot, stretched across queries — and overlapping or adjacent
-// extents are merged, so the returned spans are disjoint, ascending, and
-// cover every want: no block is fetched twice within a round. With a
-// single want the plan is exactly [Batch(want)], so one query in flight
-// degenerates to the share-nothing schedule.
-func (s *Scheduler) BatchAll(wants []int) []PageSpan {
-	if len(wants) == 0 {
-		return nil
-	}
-	sorted := append([]int(nil), wants...)
-	sort.Ints(sorted)
-	var exts []PageSpan
+// BatchAll plans one fetch round and appends its spans to dst: wants
+// holds, in ascending order (duplicates allowed), every page position
+// some query of the round needs next, and the scheduler's Prob must
+// already combine the access probabilities of all those queries
+// (1 − Π(1 − p_q)), with 1 for the wants themselves. Each uncovered want
+// anchors one cumulated-cost-balance extension — the Batch logic that
+// plans one query's pivot, stretched across queries — and overlapping or
+// adjacent extents are merged, so the returned spans are disjoint,
+// ascending, and cover every want: no block is fetched twice within a
+// round. With a single want the plan is exactly [Batch(want)]; with
+// probabilities 0 and 1 it is the known-set schedule of paper Fig. 1.
+// A dst with enough capacity makes the call allocation-free.
+func (s *Scheduler) BatchAll(dst []PageSpan, wants []int) []PageSpan {
+	base := len(dst)
 	covered := -1 // highest page already covered by an earlier extent
-	for i, p := range sorted {
-		if p <= covered || (i > 0 && p == sorted[i-1]) {
+	for _, p := range wants {
+		if p <= covered {
 			continue
 		}
 		first, last := s.Batch(p)
-		exts = append(exts, PageSpan{First: first, Last: last})
-		if last > covered {
-			covered = last
+		covered = last
+		// Backward extension can dip below earlier extents; absorb every
+		// one it overlaps or touches (an adjacent merge is cost-neutral —
+		// the second read would have continued seek-free from the first).
+		for len(dst) > base && dst[len(dst)-1].Last+1 >= first {
+			first = min(first, dst[len(dst)-1].First)
+			dst = dst[:len(dst)-1]
 		}
+		dst = append(dst, PageSpan{First: first, Last: last})
 	}
-	// Backward extension can dip below an earlier extent; merge anything
-	// overlapping or adjacent (an adjacent merge is cost-neutral — the
-	// second read would have continued seek-free from the first).
-	sort.Slice(exts, func(i, j int) bool { return exts[i].First < exts[j].First })
-	merged := exts[:1]
-	for _, e := range exts[1:] {
-		top := &merged[len(merged)-1]
-		if e.First <= top.Last+1 {
-			if e.Last > top.Last {
-				top.Last = e.Last
-			}
-			continue
-		}
-		merged = append(merged, e)
-	}
-	return merged
+	return dst
 }

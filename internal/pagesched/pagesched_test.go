@@ -16,6 +16,50 @@ func testCfg() store.Config {
 	return store.Config{BlockSize: 4096, Seek: 0.01, Xfer: 0.001}
 }
 
+// Run is one contiguous read of Blocks blocks starting at block Pos.
+type Run struct {
+	Pos    int
+	Blocks int
+}
+
+// PlanKnownSet is the test oracle for BatchAll with probabilities 0 and
+// 1: it plans the reads for pages whose starting block positions are
+// known in advance and sorted ascending; every page spans pageBlocks
+// blocks. Whenever the gap between two consecutive pages costs less to
+// transfer than a seek, the gap is read through (paper Section 2, Fig. 1).
+func PlanKnownSet(positions []int, pageBlocks int, cfg store.Config) []Run {
+	if len(positions) == 0 {
+		return nil
+	}
+	var runs []Run
+	cur := Run{Pos: positions[0], Blocks: pageBlocks}
+	for _, p := range positions[1:] {
+		gap := p - (cur.Pos + cur.Blocks)
+		if gap < 0 {
+			gap = 0 // overlapping/duplicate positions collapse
+		}
+		if float64(gap)*cfg.Xfer < cfg.Seek {
+			if p+pageBlocks > cur.Pos+cur.Blocks {
+				cur.Blocks = p + pageBlocks - cur.Pos
+			}
+		} else {
+			runs = append(runs, cur)
+			cur = Run{Pos: p, Blocks: pageBlocks}
+		}
+	}
+	return append(runs, cur)
+}
+
+// PlanCost returns the simulated time of executing the given runs:
+// one seek per run plus the transfer of all blocks.
+func PlanCost(runs []Run, cfg store.Config) float64 {
+	var t float64
+	for _, r := range runs {
+		t += cfg.Seek + float64(r.Blocks)*cfg.Xfer
+	}
+	return t
+}
+
 func TestPlanKnownSetSinglePage(t *testing.T) {
 	runs := PlanKnownSet([]int{5}, 2, testCfg())
 	if len(runs) != 1 || runs[0].Pos != 5 || runs[0].Blocks != 2 {

@@ -168,6 +168,7 @@ func (sh *shardState) ids() []uint32 { return *sh.gids.Load() }
 type Coordinator struct {
 	cfg    Config
 	shards []*shardState
+	dim    int // the fleet's dimensionality, from the build points
 
 	// nextGID hands out global IDs for Insert (starts past the build
 	// points).
@@ -259,6 +260,7 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 
 	c := &Coordinator{
 		cfg:          cfg,
+		dim:          len(pts[0]),
 		stopCh:       make(chan struct{}),
 		reg:          cfg.Registry,
 		fanout:       cfg.Registry.Counter("shard.fanout"),

@@ -1,0 +1,62 @@
+package shard
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/vec"
+)
+
+// TestShardRejectsWrongDimensionQuery: a query of another dimensionality
+// fails typed with ErrInvalidQuery and consumes no failover — it is
+// query-local, so no replica could answer it.
+func TestShardRejectsWrongDimensionQuery(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	pts := randPoints(r, 2000, 6)
+	reg := &obs.Registry{}
+	c, err := New(Config{Shards: 4, Replicas: 2, Registry: reg}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	res := c.Submit(engine.Query{Kind: engine.KNN, Point: vec.Point{0.5, 0.5, 0.5}, K: 3})
+	if !errors.Is(res.Err, engine.ErrInvalidQuery) {
+		t.Fatalf("3-d query on a 6-d fleet: err %v, want ErrInvalidQuery", res.Err)
+	}
+	if res.Failovers != 0 || reg.Counter("shard.failovers").Value() != 0 {
+		t.Fatalf("wrong-dimension query took %d failovers, want 0", res.Failovers)
+	}
+}
+
+// TestShardRejectsWrongDimensionInsert: an insert of another
+// dimensionality is rejected before any global ID is assigned, so no
+// replica fails the write, none is drained, and the fleet keeps serving.
+func TestShardRejectsWrongDimensionInsert(t *testing.T) {
+	r := rand.New(rand.NewSource(94))
+	pts := randPoints(r, 2000, 6)
+	c, err := New(Config{Shards: 4, Replicas: 2}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.Insert([]vec.Point{{0.5, 0.5, 0.5}}); !errors.Is(err, engine.ErrInvalidWrite) {
+		t.Fatalf("3-d insert into a 6-d fleet: err %v, want ErrInvalidWrite", err)
+	}
+	gids, err := c.Insert(randPoints(r, 1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gids[0] != uint32(len(pts)) {
+		t.Fatalf("rejected insert consumed a global ID: next ID %d, want %d", gids[0], len(pts))
+	}
+	for i, q := range randPoints(r, 8, 6) {
+		if res := c.Submit(engine.Query{Kind: engine.KNN, Point: q, K: 3}); res.Err != nil {
+			t.Fatalf("query %d after a rejected insert: %v", i, res.Err)
+		}
+	}
+}

@@ -27,9 +27,12 @@ func (c *Coordinator) Insert(pts []vec.Point) ([]uint32, error) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
+	// Reject a point of another dimensionality before any global ID is
+	// assigned: applied, it would fail its shard's whole batch on every
+	// replica, and the repairer would drain them all.
 	for i, p := range pts {
-		if len(p) == 0 {
-			return nil, fmt.Errorf("shard: empty point at %d", i)
+		if len(p) != c.dim {
+			return nil, fmt.Errorf("%w: %d-d point at %d in a %d-d fleet", engine.ErrInvalidWrite, len(p), i, c.dim)
 		}
 	}
 	assign := c.cfg.Partitioner.Assign(pts, len(c.shards))

@@ -7,15 +7,17 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // Write-ahead log. A WAL is an append-only block file of checksummed,
-// length-prefixed records with group commit: any number of writers
-// buffer records concurrently, and one fsync makes durable every record
-// that arrived while the previous fsync was in flight. Recovery scans
+// length-prefixed records: writers buffer records, and a commit flushes
+// everything buffered in one block-padded batch and fsyncs it. The log
+// does no grouping of its own — every shipped writer is already
+// serialized, and the engine's write lane is the one batching point: it
+// coalesces a burst of inserts into one InsertBatch, one record and one
+// commit. Recovery scans
 // the log from the front, stops at the first frame that fails its CRC
 // (or breaks LSN monotonicity), and truncates that torn tail — torn
 // records are never replayed.
@@ -51,11 +53,9 @@ func IsWALFile(name string) bool { return strings.HasSuffix(name, WALSuffix) }
 // Process-wide WAL metrics on obs.Default(), so a metrics dump shows
 // ingest durability health next to serving metrics.
 var (
-	metricWALAppends   = obs.Default().Counter("wal.appends")
-	metricWALFsyncs    = obs.Default().Counter("wal.fsyncs")
-	metricWALGroupSize = obs.Default().Counter("wal.group_size")
-	metricWALReplays   = obs.Default().Counter("wal.replays")
-	histWALGroupCommit = obs.Default().Histogram("wal.group_commit_batch")
+	metricWALAppends = obs.Default().Counter("wal.appends")
+	metricWALFsyncs  = obs.Default().Counter("wal.fsyncs")
+	metricWALReplays = obs.Default().Counter("wal.replays")
 )
 
 // WALRecord is one recovered log record.
@@ -77,26 +77,19 @@ type WALInfo struct {
 	TornBlocks int  `json:"torn_blocks,omitempty"`
 }
 
-// WAL is a group-commit write-ahead log over one backend block file.
+// WAL is a write-ahead log over one backend block file. One mutex
+// guards it, held across a commit's flush and fsync.
 type WAL struct {
 	bf      BlockFile
 	bs      int
 	backend BlockStore // fsynced on commit
 
-	// syncMu is the group-commit leader lock: the first committer to
-	// take it flushes and fsyncs every record buffered so far; commits
-	// that queued behind it find their LSN already durable and return
-	// without a second fsync.
-	syncMu sync.Mutex
-
 	mu       sync.Mutex
 	nextLSN  uint64
 	appended uint64 // highest LSN buffered (or flushed)
+	durable  uint64 // highest LSN known to be on stable storage
 	pending  []byte // frames not yet written to the backend
-	pendRecs int    // records currently in pending
 	err      error  // sticky: a failed flush loses buffered records
-
-	durable atomic.Uint64 // highest LSN known to be on stable storage
 }
 
 // scanWAL reads the valid frame prefix of bf with a WALReader, the one
@@ -195,8 +188,7 @@ func OpenWAL(backend BlockStore, name string) (*WAL, []WALRecord, WALInfo, error
 	if len(recs) > 0 {
 		last = recs[len(recs)-1].LSN
 	}
-	w := &WAL{bf: bf, bs: bs, backend: backend, nextLSN: last + 1, appended: last}
-	w.durable.Store(last)
+	w := &WAL{bf: bf, bs: bs, backend: backend, nextLSN: last + 1, appended: last, durable: last}
 	metricWALReplays.Add(int64(len(recs)))
 	return w, recs, info, nil
 }
@@ -237,7 +229,6 @@ func (w *WAL) appendFrame(lsn uint64, kind uint8, payload []byte) {
 		w.pending = append(w.pending, make([]byte, rem)...)
 	}
 	w.pending = append(w.pending, encodeWALFrame(lsn, kind, payload)...)
-	w.pendRecs++
 	w.appended = lsn
 	metricWALAppends.Inc()
 }
@@ -269,35 +260,22 @@ func (w *WAL) ReadFrom(lsn uint64) *WALReader {
 	return &WALReader{bf: w.bf, bs: w.bs, end: w.bf.Blocks(), from: lsn}
 }
 
-// Commit makes every record up to and including lsn durable, group-wise:
-// if the LSN is already durable (a concurrent committer's fsync covered
-// it) Commit returns immediately; otherwise the caller becomes the
-// leader, flushing and fsyncing everything buffered so far — including
-// records appended by writers now queued behind it.
+// Commit makes every record up to and including lsn durable: it writes
+// everything buffered so far as one batch, zero-padded to a whole block
+// so durable blocks are never rewritten (the next batch starts on a fresh
+// block boundary), and fsyncs. A commit whose LSN an earlier flush
+// covered returns without I/O.
 func (w *WAL) Commit(lsn uint64) error {
-	if w.durable.Load() >= lsn {
-		return nil
-	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.durable.Load() >= lsn {
-		return nil
-	}
 	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
+	defer w.mu.Unlock()
+	if w.durable >= lsn {
+		return nil
 	}
-	batch := w.pending
-	w.pending = nil
-	target := w.appended
-	n := w.pendRecs
-	w.pendRecs = 0
-	w.mu.Unlock()
-	if len(batch) > 0 {
-		// Zero-pad to a whole block so durable blocks are never rewritten:
-		// the next batch starts on a fresh block boundary.
+	if w.err != nil {
+		return w.err
+	}
+	if batch := w.pending; len(batch) > 0 {
+		w.pending = nil
 		if rem := len(batch) % w.bs; rem != 0 {
 			batch = append(batch, make([]byte, w.bs-rem)...)
 		}
@@ -309,19 +287,14 @@ func (w *WAL) Commit(lsn uint64) error {
 		return w.fail(fmt.Errorf("store: WAL fsync: %w", err))
 	}
 	metricWALFsyncs.Inc()
-	if n > 0 {
-		metricWALGroupSize.Add(int64(n))
-		histWALGroupCommit.Observe(float64(n))
-	}
-	w.durable.Store(target)
+	w.durable = w.appended
 	return nil
 }
 
 // fail poisons the WAL: a failed flush may have lost buffered records,
-// so no later commit can be trusted to cover earlier LSNs.
+// so no later commit can be trusted to cover earlier LSNs. The caller
+// holds w.mu.
 func (w *WAL) fail(err error) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err == nil {
 		w.err = err
 	}
@@ -335,26 +308,25 @@ func (w *WAL) fail(err error) error {
 // Callers must have made all state covered by LSNs ≤ the current append
 // watermark durable before calling.
 func (w *WAL) Reset() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.pending = nil
-	w.pendRecs = 0
-	target := w.appended
-	err := w.err
-	w.mu.Unlock()
-	if err != nil {
-		return err
+	if w.err != nil {
+		return w.err
 	}
-	if serr := w.bf.SetContents(nil); serr != nil {
-		return w.fail(fmt.Errorf("store: WAL reset: %w", serr))
+	if err := w.bf.SetContents(nil); err != nil {
+		return w.fail(fmt.Errorf("store: WAL reset: %w", err))
 	}
-	w.durable.Store(target)
+	w.durable = w.appended
 	return nil
 }
 
 // DurableLSN returns the highest LSN known durable.
-func (w *WAL) DurableLSN() uint64 { return w.durable.Load() }
+func (w *WAL) DurableLSN() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.durable
+}
 
 // AppendedLSN returns the highest LSN assigned so far.
 func (w *WAL) AppendedLSN() uint64 {

@@ -277,6 +277,9 @@ func TestWALTornViaFaultStore(t *testing.T) {
 	}
 }
 
+// TestWALGroupCommit: concurrent committers are all durable — every
+// acknowledged record survives a reopen in LSN order — and no commit
+// costs more than one fsync.
 func TestWALGroupCommit(t *testing.T) {
 	backend := NewSimStore(testConfig())
 	w, err := CreateWAL(backend, "t.wal")

@@ -19,6 +19,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== read planning stays in core =="
+# The engine advances queries through index.SharedScan rounds; planning
+# reads (internal/pagesched) is the index's job, in one place.
+if go list -f '{{join .Imports " "}}' ./internal/engine | grep -q 'internal/pagesched'; then
+	echo "internal/engine imports internal/pagesched" >&2
+	exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
