@@ -1,164 +1,90 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
 
-// approxReport is the schema of the -approx JSON report
-// (BENCH_approx.json): the measured recall-vs-latency Pareto frontier of
-// the probability-bounded approximate search, one row per MinRecall
-// setting, all against the same tree, query batch and exact ground
-// truth.
-type approxReport struct {
-	Date    string      `json:"date"`
-	Dataset string      `json:"dataset"`
-	N       int         `json:"n"`
-	Dim     int         `json:"dim"`
-	Queries int         `json:"queries"`
-	K       int         `json:"k"`
-	ExactS  float64     `json:"exact_seconds"`
-	Rows    []approxRow `json:"rows"`
-}
-
-// approxRow is one point of the ε sweep. Recall is measured against the
-// exact ground truth (mean |approx ∩ exact| / k over the batch); SimQPS
-// divides the batch size by the summed simulated seconds; Speedup is
-// against the exact run of the same batch. Terminated counts queries
-// whose stopping rule fired, SkippedPages the pages (quantized and
-// exact) those terminations left unfetched.
-type approxRow struct {
-	MinRecall    float64 `json:"min_recall"`
-	Epsilon      float64 `json:"epsilon"`
-	Recall       float64 `json:"recall"`
-	Seconds      float64 `json:"seconds"`
-	SimQPS       float64 `json:"sim_qps"`
-	Speedup      float64 `json:"speedup"`
-	Terminated   int     `json:"terminated"`
-	SkippedPages int     `json:"skipped_pages"`
-}
+// approxDials is the MinRecall sweep, in the decreasing order the gate
+// checks monotonicity in. The figure's X is MinRecall in percent.
+var approxDials = []float64{1.0, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2}
 
 // runApprox sweeps the MinRecall dial over a high-dimensional uniform
 // workload — where the exact search degenerates toward a full scan and
 // approximation has the most to skip — and measures the recall/latency
-// Pareto against the exact ground truth.
-func runApprox(spec string, scale float64, queries int, seed int64, out string, gate bool) error {
-	var dials []float64
-	if spec == "default" {
-		dials = []float64{1.0, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2}
-	} else {
-		for _, part := range strings.Split(spec, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || v <= 0 || v > 1 {
-				return fmt.Errorf("bad -approx MinRecall %q (want values in (0, 1])", part)
-			}
-			dials = append(dials, v)
-		}
-	}
-
-	n := int(float64(20000) * scale)
-	if n < 4000 {
-		n = 4000
-	}
+// Pareto against the exact ground truth. Recall is mean |approx ∩ exact|
+// / k over the batch; QPS divides the batch size by the summed simulated
+// seconds; speedup is against the exact run of the same batch.
+// Terminated counts queries whose stopping rule fired, skipped pages the
+// pages (quantized and exact) those terminations left unfetched.
+func runApprox(o experiments.RunOpts) (experiments.Figure, error) {
+	n := max(4000, int(20000*o.Scale))
 	const dim, k = 32, 10
-	all, err := dataset.Generate(dataset.Uniform, seed, n+queries, dim)
+	all, err := dataset.Generate(dataset.Uniform, o.Seed, n+o.Queries, dim)
 	if err != nil {
-		return err
+		return experiments.Figure{}, err
 	}
-	db, qs := dataset.Split(all, queries)
+	db, qs := dataset.Split(all, o.Queries)
 	sto := store.NewSim(store.DefaultConfig())
 	tr, err := core.Build(sto, db, core.DefaultOptions())
 	if err != nil {
-		return err
+		return experiments.Figure{}, err
 	}
-
-	report := approxReport{
-		Date:    time.Now().UTC().Format(time.RFC3339),
-		Dataset: string(dataset.Uniform),
-		N:       n,
-		Dim:     dim,
-		Queries: len(qs),
-		K:       k,
-	}
-	fmt.Printf("approximate search: %s n=%d dim=%d queries=%d k=%d\n",
-		dataset.Uniform, n, dim, len(qs), k)
 
 	exact := make([][]vec.Neighbor, len(qs))
+	exactS := 0.0
 	for i, q := range qs {
 		s := sto.NewSession()
 		res, err := tr.KNN(s, q, k)
 		if err != nil {
-			return fmt.Errorf("exact query %d: %w", i, err)
+			return experiments.Figure{}, fmt.Errorf("exact query %d: %w", i, err)
 		}
 		exact[i] = res
-		report.ExactS += s.Time()
+		exactS += s.Time()
 	}
-	fmt.Printf("exact ground truth: %.3fs simulated (%.1f qps)\n",
-		report.ExactS, float64(len(qs))/report.ExactS)
 
-	for _, mr := range dials {
-		row := approxRow{MinRecall: mr, Epsilon: 1 - mr}
-		bitIdentical := true
+	fig := experiments.Figure{
+		ID:     "approx",
+		Title:  fmt.Sprintf("Approximate search: recall/latency Pareto (%s n=%d dim=%d queries=%d k=%d)", dataset.Uniform, n, dim, len(qs), k),
+		XLabel: "MinRecall (%)",
+	}
+	for _, mr := range approxDials {
+		var recall, seconds float64
+		terminated, skipped := 0, 0
 		for i, q := range qs {
 			trace := obs.NewQueryTrace("")
 			s := sto.NewSession()
 			s.SetObserver(trace)
 			res, err := tr.KNNApprox(s, q, k, index.Approx{MinRecall: mr})
 			if err != nil {
-				return fmt.Errorf("MinRecall=%v query %d: %w", mr, i, err)
+				return experiments.Figure{}, fmt.Errorf("MinRecall=%v query %d: %w", mr, i, err)
 			}
-			row.Seconds += s.Time()
-			row.Recall += recallAgainst(exact[i], res)
+			if mr == 1 && !sameAnswer(res, exact[i]) {
+				return experiments.Figure{}, fmt.Errorf("MinRecall=1 diverged from the exact answer of query %d — ε = 0 must be bit-identical", i)
+			}
+			seconds += s.Time()
+			recall += recallAgainst(exact[i], res)
 			if trace.Terminated {
-				row.Terminated++
+				terminated++
 			}
-			row.SkippedPages += trace.SkippedPages
-			if len(res) != len(exact[i]) {
-				bitIdentical = false
-			} else {
-				for j := range res {
-					if res[j].ID != exact[i][j].ID || res[j].Dist != exact[i][j].Dist {
-						bitIdentical = false
-						break
-					}
-				}
-			}
+			skipped += trace.SkippedPages
 		}
-		row.Recall /= float64(len(qs))
-		row.SimQPS = float64(len(qs)) / row.Seconds
-		row.Speedup = report.ExactS / row.Seconds
-		if mr == 1 && !bitIdentical {
-			return fmt.Errorf("MinRecall=1 diverged from the exact answers — ε = 0 must be bit-identical")
-		}
-		report.Rows = append(report.Rows, row)
-		fmt.Printf("min-recall=%.2f  recall=%.4f  %8.1f qps  speedup=%.2fx  terminated=%d/%d  skipped=%d pages\n",
-			mr, row.Recall, row.SimQPS, row.Speedup, row.Terminated, len(qs), row.SkippedPages)
+		x := mr * 100
+		add(&fig, "recall", x, recall/float64(len(qs)))
+		add(&fig, "sim s", x, seconds)
+		add(&fig, "sim qps", x, float64(len(qs))/seconds)
+		add(&fig, "speedup", x, exactS/seconds)
+		add(&fig, "terminated", x, float64(terminated))
+		add(&fig, "skipped pages", x, float64(skipped))
 	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", out, err)
-	}
-	fmt.Printf("report written to %s\n", out)
-
-	if gate {
-		return checkApprox(report)
-	}
-	return nil
+	return fig, nil
 }
 
 // recallAgainst returns |approx ∩ exact| / |exact| by ID.
@@ -180,49 +106,31 @@ func recallAgainst(exact, approx []vec.Neighbor) float64 {
 }
 
 // checkApprox enforces the acceptance thresholds of the approximate
-// search: the ε = 0 row exact (recall 1.0 — bit-identity was already
-// asserted during the sweep), the sweep a monotone Pareto frontier
-// (turning the dial down never costs recall-per-time), and a real win —
-// some setting reaching >= 1.5x the exact simulated QPS while keeping
-// measured recall >= 0.95.
-func checkApprox(r approxReport) error {
-	var atOne *approxRow
-	for i := range r.Rows {
-		if r.Rows[i].MinRecall == 1 {
-			atOne = &r.Rows[i]
+// search: recall exactly 1.0 at MinRecall 1 (ε = 0; bit-identity was
+// already asserted during the sweep), the sweep a monotone Pareto
+// frontier (turning the dial down never costs time or buys recall), and
+// a real win — some setting reaching >= 1.5x the exact simulated QPS
+// while keeping measured recall >= 0.95.
+func checkApprox(fig experiments.Figure) error {
+	g := gateCheck{fig: fig}
+	best, bestAt := 0.0, 0.0
+	var prevRecall, prevSeconds float64
+	for i, mr := range approxDials {
+		x := mr * 100
+		recall, seconds, speedup := g.at("recall", x), g.at("sim s", x), g.at("speedup", x)
+		if i == 0 {
+			g.require(recall == 1.0, "recall %.4f at MinRecall=%.2f, want exactly 1.0", recall, mr)
+		} else {
+			g.require(seconds <= prevSeconds*(1+1e-9), "non-monotone latency — %.4fs at MinRecall=%.2f after %.4fs at %.2f",
+				seconds, mr, prevSeconds, approxDials[i-1])
+			g.require(recall <= prevRecall+0.005, "non-monotone recall — %.4f at MinRecall=%.2f after %.4f at %.2f",
+				recall, mr, prevRecall, approxDials[i-1])
 		}
-	}
-	if atOne == nil {
-		return fmt.Errorf("approx gate needs a MinRecall=1 row")
-	}
-	if atOne.Recall != 1.0 {
-		return fmt.Errorf("approx gate FAILED: recall %.4f at MinRecall=1, want exactly 1.0", atOne.Recall)
-	}
-	for i := 1; i < len(r.Rows); i++ {
-		prev, cur := r.Rows[i-1], r.Rows[i]
-		if cur.MinRecall >= prev.MinRecall {
-			return fmt.Errorf("approx gate FAILED: sweep not ordered by decreasing MinRecall")
+		if recall >= 0.95 && speedup > best {
+			best, bestAt = speedup, mr
 		}
-		if cur.Seconds > prev.Seconds*(1+1e-9) {
-			return fmt.Errorf("approx gate FAILED: non-monotone latency — %.4fs at MinRecall=%.2f after %.4fs at %.2f",
-				cur.Seconds, cur.MinRecall, prev.Seconds, prev.MinRecall)
-		}
-		if cur.Recall > prev.Recall+0.005 {
-			return fmt.Errorf("approx gate FAILED: non-monotone recall — %.4f at MinRecall=%.2f after %.4f at %.2f",
-				cur.Recall, cur.MinRecall, prev.Recall, prev.MinRecall)
-		}
+		prevRecall, prevSeconds = recall, seconds
 	}
-	best := 0.0
-	bestAt := 0.0
-	for _, row := range r.Rows {
-		if row.Recall >= 0.95 && row.Speedup > best {
-			best, bestAt = row.Speedup, row.MinRecall
-		}
-	}
-	if best < 1.5 {
-		return fmt.Errorf("approx gate FAILED: best speedup at recall >= 0.95 is %.2fx, want >= 1.5x", best)
-	}
-	fmt.Printf("approx gate OK: recall 1.0 at ε=0, monotone Pareto, %.2fx at MinRecall=%.2f (recall >= 0.95)\n",
-		best, bestAt)
-	return nil
+	g.require(best >= 1.5, "best speedup at recall >= 0.95 is %.2fx (at MinRecall=%.2f), want >= 1.5x", best, bestAt)
+	return g.err()
 }

@@ -1,93 +1,43 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// ingestReport is the schema of the -ingest JSON report
-// (BENCH_ingest.json): one durable-ingest burst through the engine's
-// write lane on a WAL-mode tree, then read latency quiescent vs. while
-// the incremental reoptimizer runs.
-type ingestReport struct {
-	Date    string `json:"date"`
-	Dataset string `json:"dataset"`
-	N       int    `json:"n"`
-	Dim     int    `json:"dim"`
-	Writers int    `json:"writers"`
-
-	Inserts           int     `json:"inserts"`
-	Deletes           int     `json:"deletes"`
-	WallSeconds       float64 `json:"wall_seconds"`
-	AckedWritesPerSec float64 `json:"acked_writes_per_sec"`
-
-	WALAppends      int64   `json:"wal_appends"`
-	WALFsyncs       int64   `json:"wal_fsyncs"`
-	AppendsPerFsync float64 `json:"appends_per_fsync"`
-	EngineBatches   int64   `json:"engine_write_batches"`
-
-	ReoptSteps int64 `json:"reopt_steps"`
-
-	Quiescent   ingestLatency `json:"quiescent"`
-	DuringReopt ingestLatency `json:"during_reopt"`
-
-	// SimP99Ratio is during-reopt simulated p99 over quiescent simulated
-	// p99 — the bounded-interference number the gate checks. Simulated
-	// latency is the repo's latency currency: it charges exactly the I/O
-	// a query pays, so a reoptimizer that made readers fall off their
-	// pinned snapshots (or degraded them onto exact-page fallbacks)
-	// shows up here, deterministically. Wall latency is reported too but
-	// not gated: on a small CI host it measures scheduler contention
-	// with the CPU-bound re-quantization steps, not index interference.
-	SimP99Ratio  float64 `json:"sim_p99_ratio"`
-	WallP99Ratio float64 `json:"wall_p99_ratio"`
-}
-
-// ingestLatency is one read-latency measurement: simulated seconds (the
-// disk model, deterministic) and host wall seconds (actual interference
-// from the concurrent reoptimizer).
-type ingestLatency struct {
-	SimP50  float64 `json:"sim_p50"`
-	SimP99  float64 `json:"sim_p99"`
-	WallP50 float64 `json:"wall_p50"`
-	WallP99 float64 `json:"wall_p99"`
-}
+// ingestWriters is the number of concurrent writers in the burst.
+const ingestWriters = 8
 
 // runIngest benchmarks the durable write path end to end: a burst of
 // concurrent single-point writes through the engine's write lane (every
-// acknowledgement means WAL-durable), then the same KNN batch measured
-// quiescent and again while a background goroutine drives the
-// incremental reoptimizer step by step. The gate fails when reads under
-// reoptimization degrade past 2x the quiescent simulated p99.
-func runIngest(spec string, scale float64, queries int, seed int64, out string, gate bool) error {
-	writers := 8
-	if spec != "" && spec != "default" {
-		w, err := strconv.Atoi(spec)
-		if err != nil || w <= 0 {
-			return fmt.Errorf("bad -ingest writer count %q", spec)
-		}
-		writers = w
-	}
-
-	n := int(float64(50000) * scale)
-	if n < 2000 {
-		n = 2000
-	}
+// acknowledgement means WAL-durable) on a WAL-mode tree, then the same
+// KNN batch measured quiescent and again while a background goroutine
+// drives the incremental reoptimizer step by step.
+//
+// The sim p99 ratio (during reoptimization over quiescent) is the
+// bounded-interference number the gate checks. Simulated latency is the
+// repo's latency currency: it charges exactly the I/O a query pays, so
+// a reoptimizer that made readers fall off their pinned snapshots (or
+// degraded them onto exact-page fallbacks) shows up here,
+// deterministically. Wall latency is reported too but not gated: on a
+// small CI host it measures scheduler contention with the CPU-bound
+// re-quantization steps, not index interference.
+func runIngest(o experiments.RunOpts) (experiments.Figure, error) {
+	const writers = ingestWriters
+	n := max(2000, int(50000*o.Scale))
 	const dim, k = 16, 5
 	extraN := n / 4 / writers * writers // evenly divisible insert burst
-	pts, err := dataset.Generate(dataset.Uniform, seed, n+extraN+queries, dim)
+	pts, err := dataset.Generate(dataset.Uniform, o.Seed, n+extraN+o.Queries, dim)
 	if err != nil {
-		return err
+		return experiments.Figure{}, err
 	}
 	db := pts[:n]
 	extra := pts[n : n+extraN]
@@ -98,18 +48,8 @@ func runIngest(spec string, scale float64, queries int, seed int64, out string, 
 	opt.WAL = true
 	tr, err := core.Build(sto, db, opt)
 	if err != nil {
-		return err
+		return experiments.Figure{}, err
 	}
-
-	report := ingestReport{
-		Date:    time.Now().UTC().Format(time.RFC3339),
-		Dataset: string(dataset.Uniform),
-		N:       n,
-		Dim:     dim,
-		Writers: writers,
-	}
-	fmt.Printf("durable ingest: %s n=%d dim=%d writers=%d inserts=%d\n",
-		dataset.Uniform, n, dim, writers, extraN)
 
 	// Phase 1 — ingest burst. WAL counters live on the process registry;
 	// deltas around the burst isolate this run's appends and fsyncs.
@@ -160,37 +100,22 @@ func runIngest(spec string, scale float64, queries int, seed int64, out string, 
 	we.Close()
 	select {
 	case err := <-errc:
-		return err
+		return experiments.Figure{}, err
 	default:
 	}
 	after := obs.Default().Snapshot().Counters
-	writes := extraN + deletes
-
-	report.Inserts = extraN
-	report.Deletes = deletes
-	report.WallSeconds = wall
-	report.AckedWritesPerSec = float64(writes) / wall
-	report.WALAppends = after["wal.appends"] - before["wal.appends"]
-	report.WALFsyncs = after["wal.fsyncs"] - before["wal.fsyncs"]
-	if report.WALFsyncs > 0 {
-		report.AppendsPerFsync = float64(report.WALAppends) / float64(report.WALFsyncs)
-	}
-	report.EngineBatches = reg.Snapshot().Counters["engine.write_batches"]
-	fmt.Printf("burst: %d acked writes in %.3fs (%.0f writes/s), %d WAL appends over %d fsyncs (%.1f/fsync)\n",
-		writes, wall, report.AckedWritesPerSec, report.WALAppends, report.WALFsyncs, report.AppendsPerFsync)
+	appends := after["wal.appends"] - before["wal.appends"]
+	fsyncs := after["wal.fsyncs"] - before["wal.fsyncs"]
 
 	// Phase 2 — quiescent read latency over the churned tree.
 	batch := make([]engine.Query, len(qs))
 	for i, q := range qs {
 		batch[i] = engine.Query{Kind: engine.KNN, Point: q, K: k}
 	}
-	quiet, err := measureReads(sto, tr, batch)
+	quietSim, quietWall, err := measureReads(sto, tr, batch)
 	if err != nil {
-		return fmt.Errorf("quiescent reads: %w", err)
+		return experiments.Figure{}, fmt.Errorf("quiescent reads: %w", err)
 	}
-	report.Quiescent = quiet
-	fmt.Printf("quiescent reads: sim p50/p99 = %.4f/%.4f s, wall p50/p99 = %.6f/%.6f s\n",
-		quiet.SimP50, quiet.SimP99, quiet.WallP50, quiet.WallP99)
 
 	// Phase 3 — same reads while a background goroutine steps the
 	// incremental reoptimizer; when a run completes it begins another,
@@ -225,54 +150,49 @@ func runIngest(spec string, scale float64, queries int, seed int64, out string, 
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	during, rerr := measureReads(sto, tr, batch)
+	reoptSim, reoptWall, rerr := measureReads(sto, tr, batch)
 	close(stop)
 	if serr := <-stepDone; serr != nil {
-		return fmt.Errorf("reoptimize step: %w", serr)
+		return experiments.Figure{}, fmt.Errorf("reoptimize step: %w", serr)
 	}
 	if rerr != nil {
-		return fmt.Errorf("reads during reoptimize: %w", rerr)
+		return experiments.Figure{}, fmt.Errorf("reads during reoptimize: %w", rerr)
 	}
-	report.DuringReopt = during
-	report.ReoptSteps = steps
-	if quiet.SimP99 > 0 {
-		report.SimP99Ratio = during.SimP99 / quiet.SimP99
-	}
-	if quiet.WallP99 > 0 {
-		report.WallP99Ratio = during.WallP99 / quiet.WallP99
-	}
-	fmt.Printf("reads during reoptimize (%d steps): sim p50/p99 = %.4f/%.4f s (%.2fx quiescent sim p99), wall p50/p99 = %.6f/%.6f s\n",
-		steps, during.SimP50, during.SimP99, report.SimP99Ratio, during.WallP50, during.WallP99)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+	fig := experiments.Figure{
+		ID:     "ingest",
+		Title:  fmt.Sprintf("Durable ingest, then reads quiescent vs during reoptimization (%s n=%d dim=%d k=%d)", dataset.Uniform, n, dim, k),
+		XLabel: "writers",
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", out, err)
-	}
-	fmt.Printf("report written to %s\n", out)
-
-	if gate {
-		if ratio, ok := checkIngest(report); !ok {
-			return fmt.Errorf("ingest gate FAILED: simulated p99 during incremental reoptimize is %.2fx quiescent, want <= 2x", ratio)
-		} else {
-			fmt.Printf("ingest gate OK: simulated p99 during incremental reoptimize is %.2fx quiescent\n", ratio)
-		}
-	}
-	return nil
-}
-
-// checkIngest evaluates the bounded-interference gate: read simulated
-// p99 while the reoptimizer runs must stay within 2x the quiescent p99.
-func checkIngest(r ingestReport) (float64, bool) {
-	return r.SimP99Ratio, r.Quiescent.SimP99 > 0 && r.DuringReopt.SimP99 <= 2*r.Quiescent.SimP99
+	x := float64(writers)
+	add(&fig, "inserts", x, float64(extraN))
+	add(&fig, "deletes", x, float64(deletes))
+	add(&fig, "burst wall s", x, wall)
+	add(&fig, "acked writes/s", x, float64(extraN+deletes)/wall)
+	add(&fig, "wal appends", x, float64(appends))
+	add(&fig, "wal fsyncs", x, float64(fsyncs))
+	add(&fig, "appends/fsync", x, ratio(float64(appends), float64(fsyncs)))
+	add(&fig, "write batches", x, float64(reg.Snapshot().Counters["engine.write_batches"]))
+	add(&fig, "reopt steps", x, float64(steps))
+	add(&fig, "quiet sim p50 s", x, quietSim.P50)
+	add(&fig, "quiet sim p99 s", x, quietSim.P99)
+	add(&fig, "quiet wall p50 ms", x, quietWall.P50*1e3)
+	add(&fig, "quiet wall p99 ms", x, quietWall.P99*1e3)
+	add(&fig, "reopt sim p50 s", x, reoptSim.P50)
+	add(&fig, "reopt sim p99 s", x, reoptSim.P99)
+	add(&fig, "reopt wall p50 ms", x, reoptWall.P50*1e3)
+	add(&fig, "reopt wall p99 ms", x, reoptWall.P99*1e3)
+	add(&fig, "sim p99 ratio", x, ratio(reoptSim.P99, quietSim.P99))
+	add(&fig, "wall p99 ratio", x, ratio(reoptWall.P99, quietWall.P99))
+	return fig, nil
 }
 
 // measureReads pushes the query batch through a fresh 4-worker engine
 // (its own registry, so phases do not share histogram windows) enough
-// times to populate the latency histograms, and returns the snapshot.
-func measureReads(sto *store.Store, tr *core.Tree, batch []engine.Query) (ingestLatency, error) {
+// times to populate the latency histograms, and returns the simulated
+// latency (the disk model, deterministic) and the host wall latency
+// (actual interference from a concurrent reoptimizer).
+func measureReads(sto *store.Store, tr *core.Tree, batch []engine.Query) (sim, wall obs.HistogramSnapshot, err error) {
 	reg := &obs.Registry{}
 	e := engine.New(sto, tr, 4, engine.WithRegistry(reg))
 	defer e.Close()
@@ -280,11 +200,21 @@ func measureReads(sto *store.Store, tr *core.Tree, batch []engine.Query) (ingest
 	for p := 0; p < passes; p++ {
 		for _, res := range e.SubmitBatch(batch) {
 			if res.Err != nil {
-				return ingestLatency{}, res.Err
+				return sim, wall, res.Err
 			}
 		}
 	}
-	sim := reg.Histogram("engine.sim_latency_seconds").Snapshot()
-	wl := reg.Histogram("engine.wall_latency_seconds").Snapshot()
-	return ingestLatency{SimP50: sim.P50, SimP99: sim.P99, WallP50: wl.P50, WallP99: wl.P99}, nil
+	return reg.Histogram("engine.sim_latency_seconds").Snapshot(),
+		reg.Histogram("engine.wall_latency_seconds").Snapshot(), nil
+}
+
+// checkIngest evaluates the bounded-interference gate: read simulated
+// p99 while the reoptimizer runs must stay within 2x the quiescent p99,
+// and the quiescent p99 must be a real measurement.
+func checkIngest(fig experiments.Figure) error {
+	g := gateCheck{fig: fig}
+	quiet, during := g.at("quiet sim p99 s", ingestWriters), g.at("reopt sim p99 s", ingestWriters)
+	g.require(quiet > 0, "quiescent simulated p99 is %.4fs, want > 0", quiet)
+	g.require(during <= 2*quiet, "simulated p99 during incremental reoptimize is %.2fx quiescent, want <= 2x", during/quiet)
+	return g.err()
 }

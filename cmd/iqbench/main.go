@@ -1,12 +1,18 @@
 // Command iqbench regenerates the paper's evaluation figures (Figures
-// 7–12 of "Independent Quantization", ICDE 2000) on the simulated disk.
+// 7–12 of "Independent Quantization", ICDE 2000) on the simulated disk,
+// and runs the serving stack's figures with their acceptance gates.
 //
 // Usage:
 //
 //	iqbench -fig all            # every figure at paper scale (slow)
 //	iqbench -fig 8 -scale 0.05  # figure 8 at 5% of the paper's N
 //	iqbench -fig 9 -csv out.csv # also dump CSV rows
-//	iqbench -faults default -gate  # seeded fault-injection campaign
+//	iqbench -fig faults -gate   # seeded fault-injection campaign, gated
+//
+// The serving figures (scaling, sharing, shards, ingest, approx,
+// faults) sweep a fixed parameter and report one series per measured
+// quantity; -gate fails the run unless the requested figures'
+// acceptance thresholds hold.
 //
 // -metrics <file.json> writes a machine-readable report after the run:
 // every figure's series plus a snapshot of the process-wide metrics
@@ -15,7 +21,7 @@
 // the benchmark runs, e.g. -debug-addr 127.0.0.1:6060 then visit
 // /metrics, /debug/vars or /debug/pprof/.
 //
-// The reported numbers are average simulated seconds per nearest-neighbor
+// The paper figures report average simulated seconds per nearest-neighbor
 // query; shapes (who wins, crossover dimensions, speed-up factors) are the
 // reproduction target, not the paper's absolute values.
 package main
@@ -24,7 +30,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -39,6 +47,24 @@ func main() {
 	}
 }
 
+// runners are the experiments, keyed by their -fig name.
+var runners = map[string]func(experiments.RunOpts) (experiments.Figure, error){
+	"7": experiments.Figure7, "8": experiments.Figure8, "9": experiments.Figure9,
+	"10": experiments.Figure10, "11": experiments.Figure11, "12": experiments.Figure12,
+	"va-bits": experiments.AblationVABits, "cost-model": experiments.AblationCostModel,
+	"knn": experiments.AblationKNN, "model": experiments.ModelValidation,
+	"fixed-bits": experiments.AblationFixedBits,
+	"scaling":    runScaling, "sharing": runSharing, "shards": runShards,
+	"ingest": runIngest, "approx": runApprox, "faults": runFaults,
+}
+
+// gates are the acceptance thresholds -gate checks, keyed by figure ID;
+// a serving figure's ID is its -fig name.
+var gates = map[string]func(experiments.Figure) error{
+	"scaling": checkScaling, "sharing": checkSharing, "shards": checkShards,
+	"ingest": checkIngest, "approx": checkApprox, "faults": checkFaults,
+}
+
 // metricsReport is the schema of the -metrics JSON file.
 type metricsReport struct {
 	Date    string               `json:"date"`
@@ -50,8 +76,13 @@ type metricsReport struct {
 }
 
 func run() error {
+	names := make([]string, 0, len(runners))
+	for name := range runners {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var (
-		figFlag   = flag.String("fig", "all", "figure to run: 7..12, an ablation (va-bits | cost-model | knn), or 'all'")
+		figFlag   = flag.String("fig", "all", "comma-separated figures to run ("+strings.Join(names, ", ")+"), or 'all' for Figs. 7-12")
 		scale     = flag.Float64("scale", 1.0, "fraction of the paper's database sizes")
 		queries   = flag.Int("queries", 50, "query points per configuration")
 		seed      = flag.Int64("seed", 42, "dataset seed")
@@ -60,47 +91,32 @@ func run() error {
 		quickFlag = flag.Bool("quick", false, "shorthand for -scale 0.04 -queries 20")
 		metrics   = flag.String("metrics", "", "write a machine-readable JSON report (figures + registry snapshot) to this file")
 		debugAddr = flag.String("debug-addr", "", "serve expvar + pprof on this address while running (e.g. 127.0.0.1:6060)")
-		parallel  = flag.String("parallel", "", "throughput mode instead of figures: comma-separated worker counts (e.g. 1,2,4,8)")
-		benchOut  = flag.String("bench-out", "BENCH_engine.json", "where -parallel writes its JSON scaling report")
-		gate      = flag.Bool("gate", false, "with -parallel or -faults: fail unless the mode's acceptance thresholds hold")
-		faultsFlg = flag.String("faults", "", "chaos mode instead of figures: fault spec (e.g. seed=42,read=0.02) or 'default'")
-		chaosOut  = flag.String("chaos-out", "BENCH_faulttol.json", "where -faults writes its JSON fault-tolerance report")
-		share     = flag.String("share", "", "scan-sharing mode instead of figures: comma-separated client counts (e.g. 1,8,32,64)")
-		shareOut  = flag.String("share-out", "BENCH_share.json", "where -share writes its JSON sharing report")
-		shards    = flag.String("shards", "", "sharded serving mode instead of figures: comma-separated shard counts (e.g. 1,2,4,8)")
-		replicas  = flag.Int("replicas", 2, "with -shards: replicas per shard for the chaos campaign")
-		shardOut  = flag.String("shard-out", "BENCH_shard.json", "where -shards writes its JSON scatter-gather report")
-		ingest    = flag.String("ingest", "", "durable ingest mode instead of figures: concurrent writer count (e.g. 8) or 'default'")
-		ingestOut = flag.String("ingest-out", "BENCH_ingest.json", "where -ingest writes its JSON write-path report")
-		approx    = flag.String("approx", "", "approximate-search mode instead of figures: comma-separated MinRecall sweep (e.g. 1,0.95,0.8) or 'default'")
-		approxOut = flag.String("approx-out", "BENCH_approx.json", "where -approx writes its JSON Pareto report")
+		gate      = flag.Bool("gate", false, "fail unless every requested figure's acceptance thresholds hold (serving figures only)")
 	)
 	flag.Parse()
 	if *quickFlag {
 		*scale = 0.04
 		*queries = 20
 	}
-	if *faultsFlg != "" {
-		spec := *faultsFlg
-		if spec == "default" {
-			spec = ""
+	var order []string
+	if *figFlag == "all" {
+		order = []string{"7", "8", "9", "10", "11", "12"}
+	} else {
+		for _, f := range strings.Split(*figFlag, ",") {
+			f = strings.TrimSpace(f)
+			if _, ok := runners[f]; !ok {
+				return fmt.Errorf("unknown figure %q (want one of %s, or all)", f, strings.Join(names, ", "))
+			}
+			order = append(order, f)
 		}
-		return runChaos(spec, *scale, *queries, *seed, *chaosOut, *gate)
 	}
-	if *parallel != "" {
-		return runParallel(*parallel, *scale, *queries, *seed, *benchOut, *gate)
-	}
-	if *share != "" {
-		return runShare(*share, *scale, *queries, *seed, *shareOut, *gate)
-	}
-	if *shards != "" {
-		return runShard(*shards, *replicas, *scale, *queries, *seed, *shardOut, *gate)
-	}
-	if *ingest != "" {
-		return runIngest(*ingest, *scale, *queries, *seed, *ingestOut, *gate)
-	}
-	if *approx != "" {
-		return runApprox(*approx, *scale, *queries, *seed, *approxOut, *gate)
+	if *gate {
+		// A gate run that checks nothing must not pass.
+		for _, f := range order {
+			if gates[f] == nil {
+				return fmt.Errorf("-gate: figure %s has no gate", f)
+			}
+		}
 	}
 	if *debugAddr != "" {
 		addr, err := obs.StartDebugServer(*debugAddr)
@@ -110,26 +126,6 @@ func run() error {
 		fmt.Printf("debug server on http://%s (/metrics, /debug/vars, /debug/pprof/)\n\n", addr)
 	}
 	opts := experiments.RunOpts{Scale: *scale, Queries: *queries, Seed: *seed}
-
-	runners := map[string]func(experiments.RunOpts) (experiments.Figure, error){
-		"7": experiments.Figure7, "8": experiments.Figure8, "9": experiments.Figure9,
-		"10": experiments.Figure10, "11": experiments.Figure11, "12": experiments.Figure12,
-		"va-bits": experiments.AblationVABits, "cost-model": experiments.AblationCostModel,
-		"knn": experiments.AblationKNN, "model": experiments.ModelValidation,
-		"fixed-bits": experiments.AblationFixedBits,
-	}
-	var order []string
-	if *figFlag == "all" {
-		order = []string{"7", "8", "9", "10", "11", "12"}
-	} else {
-		for _, f := range strings.Split(*figFlag, ",") {
-			f = strings.TrimSpace(f)
-			if _, ok := runners[f]; !ok {
-				return fmt.Errorf("unknown figure %q (want 7..12 or all)", f)
-			}
-			order = append(order, f)
-		}
-	}
 
 	var csv strings.Builder
 	var figures []experiments.Figure
@@ -170,5 +166,74 @@ func run() error {
 		}
 		fmt.Printf("metrics written to %s\n", *metrics)
 	}
+	if *gate {
+		for i, f := range order {
+			if err := gates[f](figures[i]); err != nil {
+				return err
+			}
+			fmt.Printf("%s gate OK\n", f)
+		}
+	}
 	return nil
+}
+
+// add appends the point (x, y) to the figure's series label, creating
+// the series on first use: series keep the order the runner reports
+// them in.
+func add(fig *experiments.Figure, label string, x, y float64) {
+	for i := range fig.Series {
+		if fig.Series[i].Label == label {
+			fig.Series[i].X = append(fig.Series[i].X, x)
+			fig.Series[i].Y = append(fig.Series[i].Y, y)
+			return
+		}
+	}
+	fig.Series = append(fig.Series, experiments.Series{Label: label, X: []float64{x}, Y: []float64{y}})
+}
+
+// ratio returns a/b, or 0 when b is 0 (nothing measured).
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
+
+// gateCheck collects one gate's failed thresholds. A point the figure
+// lacks is a failure of its own and reads as NaN, so every threshold
+// written as the condition that must hold fails on it too.
+type gateCheck struct {
+	fig   experiments.Figure
+	fails []string
+}
+
+// at returns the series label's value at x.
+func (g *gateCheck) at(label string, x float64) float64 {
+	for _, s := range g.fig.Series {
+		if s.Label != label {
+			continue
+		}
+		for i := range s.X {
+			if s.X[i] == x {
+				return s.Y[i]
+			}
+		}
+	}
+	g.fails = append(g.fails, fmt.Sprintf("no %q point at %s %g", label, g.fig.XLabel, x))
+	return math.NaN()
+}
+
+// require records a failure unless ok holds.
+func (g *gateCheck) require(ok bool, format string, args ...any) {
+	if !ok {
+		g.fails = append(g.fails, fmt.Sprintf(format, args...))
+	}
+}
+
+// err reports the failures, or nil when every threshold held.
+func (g *gateCheck) err() error {
+	if len(g.fails) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s gate FAILED: %s", g.fig.ID, strings.Join(g.fails, "; "))
 }

@@ -1,0 +1,80 @@
+package main
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/experiments"
+	"repro/internal/obs"
+	"repro/internal/store"
+)
+
+// scalingWorkers is the engine scaling sweep: worker-pool sizes.
+var scalingWorkers = []int{1, 2, 4, 8}
+
+// runScaling benchmarks the engine's scaling curve: it builds one
+// IQ-tree on the simulated disk and pushes the same KNN batch through
+// worker pools of each size. Simulated QPS divides the batch size by the
+// simulated makespan (the busiest worker's summed simulated seconds —
+// the model of one disk per worker); wall QPS is the host wall-clock
+// throughput, which only scales with real cores.
+func runScaling(o experiments.RunOpts) (experiments.Figure, error) {
+	n := max(2000, int(100000*o.Scale))
+	const dim, k = 16, 1
+	pts, err := dataset.Generate(dataset.Uniform, o.Seed, n+o.Queries, dim)
+	if err != nil {
+		return experiments.Figure{}, err
+	}
+	db, qs := dataset.Split(pts, o.Queries)
+	sto := store.NewSim(store.DefaultConfig())
+	tr, err := core.Build(sto, db, core.DefaultOptions())
+	if err != nil {
+		return experiments.Figure{}, err
+	}
+	batch := make([]engine.Query, len(qs))
+	for i, q := range qs {
+		batch[i] = engine.Query{Kind: engine.KNN, Point: q, K: k}
+	}
+
+	fig := experiments.Figure{
+		ID:     "scaling",
+		Title:  fmt.Sprintf("Engine scaling (%s n=%d dim=%d queries=%d k=%d)", dataset.Uniform, n, dim, len(qs), k),
+		XLabel: "workers",
+	}
+	for _, w := range scalingWorkers {
+		reg := &obs.Registry{}
+		e := engine.New(sto, tr, w, engine.WithRegistry(reg))
+		start := time.Now()
+		results := e.SubmitBatch(batch)
+		wall := time.Since(start).Seconds()
+		makespan := e.Makespan()
+		e.Close()
+		for _, res := range results {
+			if res.Err != nil {
+				return experiments.Figure{}, fmt.Errorf("workers=%d: %w", w, res.Err)
+			}
+		}
+		lat := reg.Histogram("engine.sim_latency_seconds").Snapshot()
+		x := float64(w)
+		add(&fig, "sim qps", x, float64(len(batch))/makespan)
+		add(&fig, "wall qps", x, float64(len(batch))/wall)
+		add(&fig, "sim makespan s", x, makespan)
+		add(&fig, "wall s", x, wall)
+		add(&fig, "sim p50 s", x, lat.P50)
+		add(&fig, "sim p95 s", x, lat.P95)
+		add(&fig, "sim p99 s", x, lat.P99)
+	}
+	return fig, nil
+}
+
+// checkScaling: 4 workers deliver at least twice the 1-worker simulated
+// QPS.
+func checkScaling(fig experiments.Figure) error {
+	g := gateCheck{fig: fig}
+	one, four := g.at("sim qps", 1), g.at("sim qps", 4)
+	g.require(four >= 2*one, "4-worker simulated QPS is %.2fx the 1-worker rate, want >= 2x", four/one)
+	return g.err()
+}

@@ -12,7 +12,7 @@ import (
 )
 
 // runShardStatus demonstrates the self-healing replica lifecycle on a
-// small in-process fleet: it builds a Durable+SelfHeal coordinator over
+// small in-process fleet: it builds a SelfHeal coordinator over
 // the generated dataset, applies a few write batches, kills one
 // replica, and prints every per-replica state transition (with WAL
 // position and lag) until the repairer has rebuilt the victim and the
@@ -29,7 +29,6 @@ func runShardStatus(name dataset.Name, seed int64, n, d int) error {
 		Registry: reg,
 		Shards:   shards,
 		Replicas: replicas,
-		Durable:  true,
 		SelfHeal: true,
 		Heal: shard.HealConfig{
 			Interval:     5 * time.Millisecond,

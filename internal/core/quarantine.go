@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/quantize"
 	"repro/internal/store"
 )
 
@@ -149,38 +148,15 @@ func (t *Tree) DegradedEntries() []int {
 // pages repaired. Repair cannot fix a corrupt exact-mode (32-bit) page —
 // that has no redundant copy — and reports it via ErrUnrecoverable;
 // Reoptimize (over the surviving points) or a restore is needed then.
+// Each page is published as it is repaired, so the pages repaired
+// before such an error stay repaired.
 func (t *Tree) Repair(s *store.Session) (int, error) {
-	t.world.RLock()
-	defer t.world.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sn := t.load().clone()
 	repaired := 0
-	for i := range sn.entries {
-		if sn.free[i] || !t.isQuarantined(int(sn.entries[i].QPos)) {
-			continue
-		}
-		e := sn.entries[i]
-		if int(e.Bits) == quantize.ExactBits {
-			return repaired, unrecoverablePage(int(e.QPos), i)
-		}
-		pts, ids, err := t.readPagePoints(s, sn, i)
-		if err != nil {
+	for {
+		ok, err := t.repairOne(s)
+		if err != nil || !ok {
 			return repaired, err
 		}
-		t.rewritePage(s, sn, i, pts, ids, int(e.Bits))
 		repaired++
 	}
-	if repaired == 0 {
-		return 0, nil
-	}
-	if err := t.rewriteDirectory(sn); err != nil {
-		return repaired, err
-	}
-	if err := t.sto.Err(); err != nil {
-		return repaired, err
-	}
-	t.publish(sn)
-	metricRepairedPages.Add(int64(repaired))
-	return repaired, nil
 }

@@ -256,10 +256,10 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 	return nil
 }
 
-// repairOne rewrites one quarantined live page from its exact shadow —
-// the incremental counterpart of Repair, giving every reoptimize step a
-// bounded amount of quarantine draining. Returns whether a page was
-// repaired.
+// repairOne rewrites one quarantined live page from its exact shadow
+// and publishes the result. Repair calls it until no page is left; every
+// reoptimize step calls it once, a bounded amount of quarantine
+// draining. Returns whether a page was repaired.
 func (t *Tree) repairOne(s *store.Session) (bool, error) {
 	if len(t.QuarantinedPages()) == 0 {
 		return false, nil

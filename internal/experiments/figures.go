@@ -12,7 +12,7 @@ import (
 type Series struct {
 	Label  string
 	X      []float64
-	Y      []float64 // average simulated seconds per query
+	Y      []float64 // paper figures: average simulated seconds per query
 	Detail []string
 }
 
@@ -173,20 +173,6 @@ func Figure12(o RunOpts) (Figure, error) {
 	return sizeFigure(o, "fig12", "WEATHER (9-d station data), varying N", "weather",
 		[]int{100000, 200000, 300000, 400000, 500000},
 		[]Method{IQTree, XTree, VAFile, Scan})
-}
-
-// AllFigures runs every reproduced figure.
-func AllFigures(o RunOpts) ([]Figure, error) {
-	runs := []func(RunOpts) (Figure, error){Figure7, Figure8, Figure9, Figure10, Figure11, Figure12}
-	var out []Figure
-	for _, run := range runs {
-		f, err := run(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }
 
 // Format renders the figure as an aligned text table: one row per X value,

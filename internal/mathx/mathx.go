@@ -44,15 +44,6 @@ func CubeRadius(d int, v float64) float64 {
 	return math.Pow(v, 1/float64(d)) / 2
 }
 
-// UnitBallVolume returns the volume of the unit ball of metric-kind k in
-// d dimensions, where k selects Euclidean (true) or maximum (false).
-func UnitBallVolume(d int, euclidean bool) float64 {
-	if euclidean {
-		return SphereVolume(d, 1)
-	}
-	return CubeVolume(d, 1)
-}
-
 // Binomial returns the binomial coefficient C(n, k) as a float64.
 func Binomial(n, k int) float64 {
 	if k < 0 || k > n {

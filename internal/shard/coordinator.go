@@ -66,17 +66,21 @@ type Config struct {
 	// and capped at 100x (default 100us). It spaces retries of an
 	// overloaded replica without stalling corrupt-replica failover.
 	Backoff time.Duration
-	// Durable makes the default Build construct WAL-mode trees — the
-	// precondition for WAL-shipping replica rebuild and for Insert being
-	// acknowledged durably. A custom Build decides for itself.
-	Durable bool
 	// SelfHeal starts the repairer: failed replicas are drained, probed,
-	// rebuilt from a healthy peer and readmitted instead of PR 7's
-	// permanent drain. See heal.go and DESIGN.md §15.
+	// rebuilt from a healthy peer by WAL shipping and readmitted instead
+	// of staying drained. See heal.go and DESIGN.md §15. Shipping needs
+	// WAL-mode trees: the default Build makes them (so Insert is
+	// acknowledged durably), and New rejects a custom Build whose index
+	// is anything else with ErrSelfHealNeedsWAL.
 	SelfHeal bool
 	// Heal tunes the repairer (zero fields take defaults, see HealConfig).
 	Heal HealConfig
 }
+
+// ErrSelfHealNeedsWAL means Config.SelfHeal was set but a replica's
+// index is not a WAL-mode *core.Tree, which a rebuild by WAL shipping
+// needs.
+var ErrSelfHealNeedsWAL = errors.New("shard: self-healing needs WAL-mode *core.Tree replicas")
 
 // Result is the outcome of one coordinated query.
 type Result struct {
@@ -223,10 +227,10 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		cfg.NewStore = func(_, _ int) (*store.Store, error) { return store.NewSim(sc), nil }
 	}
 	if cfg.Build == nil {
-		durable := cfg.Durable
+		selfHeal := cfg.SelfHeal
 		cfg.Build = func(sto *store.Store, pts []vec.Point) (index.Index, error) {
 			opt := core.DefaultOptions()
-			if durable {
+			if selfHeal {
 				opt.WAL = true
 				opt.WALCheckpointBlocks = 256
 			}
@@ -293,6 +297,10 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 				if err != nil {
 					c.Close()
 					return nil, fmt.Errorf("shard %d replica %d: build: %w", si, ri, err)
+				}
+				if tree, ok := idx.(*core.Tree); cfg.SelfHeal && (!ok || !tree.WALEnabled()) {
+					c.Close()
+					return nil, fmt.Errorf("shard %d replica %d: %w, got %T", si, ri, ErrSelfHealNeedsWAL, idx)
 				}
 				eng := engine.New(sto, idx, cfg.Workers, cfg.EngineOpts...)
 				rep := &replica{shard: si, id: ri}

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -270,9 +269,8 @@ func (c *Coordinator) startRebuild(sh *shardState, rep *replica) {
 //     and return to Serving. The old engine is closed after the swap so
 //     its in-flight queries drain on the old stack.
 //
-// Peers without WAL get the logical fallback: re-build from AllPoints
-// under the write lock (exact same local IDs, since the coordinator
-// only appends).
+// New admits only WAL-mode trees under SelfHeal, so every peer can seed
+// this rebuild.
 func (c *Coordinator) rebuild(sh *shardState, rep *replica) {
 	defer c.healWG.Done()
 	err := c.rebuildOnce(sh, rep)
@@ -315,15 +313,6 @@ func (c *Coordinator) rebuildOnce(sh *shardState, rep *replica) error {
 	if peer == nil {
 		return errNoPeer
 	}
-	pst := peer.stack()
-	tree, ok := pst.idx.(*core.Tree)
-	if !ok {
-		return fmt.Errorf("shard %d replica %d: peer index %T cannot seed a rebuild", rep.shard, rep.id, pst.idx)
-	}
-	if !tree.WALEnabled() {
-		return c.rebuildLogical(sh, rep, peer)
-	}
-
 	for restart := 0; restart < c.cfg.Heal.ShipRestarts; restart++ {
 		if restart > 0 {
 			c.shipRestarts.Inc()
@@ -433,47 +422,6 @@ func (c *Coordinator) shipRebuild(sh *shardState, rep *replica, peer *replica) (
 	c.readmit(rep, c.rebuilds)
 	c.closeAsync(old.eng) // drains in-flight probes on the old stack
 	return true, nil
-}
-
-// rebuildLogical re-builds a non-WAL replica from the peer's live
-// points. The whole rebuild holds the write lock: without a WAL there
-// is no tail to catch up on, the copy must be atomic with respect to
-// writes. Local IDs survive because the coordinator only appends —
-// AllPoints returns exactly the IDs 0..n-1.
-func (c *Coordinator) rebuildLogical(sh *shardState, rep *replica, peer *replica) error {
-	sh.writeMu.Lock()
-	defer sh.writeMu.Unlock()
-	pst := peer.stack()
-	tree := pst.idx.(*core.Tree)
-	pts, ids, err := tree.AllPoints()
-	if err != nil {
-		return fmt.Errorf("shard %d replica %d: peer points: %w", rep.shard, rep.id, err)
-	}
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
-	sorted := make([]vec.Point, len(pts))
-	for i, j := range order {
-		if ids[j] != uint32(i) {
-			return fmt.Errorf("shard %d replica %d: peer IDs not dense (want %d, got %d)", rep.shard, rep.id, i, ids[j])
-		}
-		sorted[i] = pts[j]
-	}
-	newSto, err := c.cfg.NewStore(rep.shard, rep.id)
-	if err != nil {
-		return fmt.Errorf("shard %d replica %d: rebuild store: %w", rep.shard, rep.id, err)
-	}
-	idx, err := c.cfg.Build(newSto, sorted)
-	if err != nil {
-		return fmt.Errorf("shard %d replica %d: rebuild: %w", rep.shard, rep.id, err)
-	}
-	eng := engine.New(newSto, idx, c.cfg.Workers, c.cfg.EngineOpts...)
-	old := rep.st.Swap(&stack{sto: newSto, idx: idx, eng: eng})
-	c.readmit(rep, c.rebuilds)
-	c.closeAsync(old.eng)
-	return nil
 }
 
 // closeAsync closes a replaced engine off the rebuild path (Close

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/scan"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -24,14 +27,14 @@ func fastHeal() HealConfig {
 	}
 }
 
-// healCoordinator builds a Durable+SelfHeal fleet over checksummed
-// stores — the configuration the self-healing contract is stated for.
+// healCoordinator builds a fleet over checksummed stores; with selfHeal
+// its replicas are WAL-mode trees under the repairer — the
+// configuration the self-healing contract is stated for.
 func healCoordinator(t *testing.T, pts []vec.Point, selfHeal bool, reg *obs.Registry) *Coordinator {
 	t.Helper()
 	c, err := New(Config{
 		Shards:   2,
 		Replicas: 2,
-		Durable:  true,
 		SelfHeal: selfHeal,
 		Heal:     fastHeal(),
 		Registry: reg,
@@ -266,4 +269,32 @@ func TestHealProbeReadmission(t *testing.T) {
 	if got := reg.Counter("shard.heal.probes").Value(); got < 1 {
 		t.Fatal("no probes recorded")
 	}
+}
+
+// TestSelfHealRejectsNonWALReplicas: a rebuild ships a peer's files and
+// WAL tail, so New refuses SelfHeal over any other index at build time
+// instead of failing the first rebuild.
+func TestSelfHealRejectsNonWALReplicas(t *testing.T) {
+	pts := randPoints(rand.New(rand.NewSource(65)), 400, 6)
+	for name, build := range map[string]func(*store.Store, []vec.Point) (index.Index, error){
+		"core without WAL": func(sto *store.Store, pts []vec.Point) (index.Index, error) {
+			return core.Build(sto, pts, core.DefaultOptions())
+		},
+		"scan": func(sto *store.Store, pts []vec.Point) (index.Index, error) {
+			return scan.Build(sto, pts, vec.Euclidean)
+		},
+	} {
+		c, err := New(Config{Shards: 2, Replicas: 2, SelfHeal: true, Build: build}, pts)
+		if !errors.Is(err, ErrSelfHealNeedsWAL) {
+			if c != nil {
+				c.Close()
+			}
+			t.Fatalf("%s: err %v, want ErrSelfHealNeedsWAL", name, err)
+		}
+	}
+	c, err := New(Config{Shards: 2, Replicas: 2, SelfHeal: true}, pts)
+	if err != nil {
+		t.Fatalf("default build under SelfHeal: %v", err)
+	}
+	c.Close()
 }

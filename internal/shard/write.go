@@ -20,7 +20,7 @@ var ErrNoReplicas = errors.New("shard: no serving replica accepted the write")
 
 // Insert appends pts to the fleet and returns their global IDs (one per
 // point, in input order). An ID is durable as soon as Insert returns
-// when the replicas log (Config.Durable). A non-nil error means at
+// when the replicas log (Config.SelfHeal). A non-nil error means at
 // least one shard could not apply its slice on any Serving replica —
 // those points are not in the fleet; slices that did apply are.
 func (c *Coordinator) Insert(pts []vec.Point) ([]uint32, error) {

@@ -3,9 +3,6 @@ package store
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -77,70 +74,6 @@ type FaultConfig struct {
 	// to place a fault deterministically, e.g. a torn write at the known
 	// operation index of a page rewrite.
 	Schedule map[int]FaultKind
-}
-
-// ParseFaultSpec parses a comma-separated fault spec like
-//
-//	"seed=7,read=0.02,write=0.01,flip=0.005,torn=0.001,latency=0.01:200us"
-//
-// into a FaultConfig. All keys are optional; latency takes an optional
-// ":duration" suffix.
-func ParseFaultSpec(spec string) (FaultConfig, error) {
-	var cfg FaultConfig
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return cfg, fmt.Errorf("store: fault spec %q: want key=value", part)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("store: fault spec seed: %w", err)
-			}
-			cfg.Seed = n
-		case "read", "write", "flip", "torn", "latency":
-			if key == "latency" {
-				if p, d, ok := strings.Cut(val, ":"); ok {
-					dur, err := time.ParseDuration(d)
-					if err != nil {
-						return cfg, fmt.Errorf("store: fault spec latency duration: %w", err)
-					}
-					cfg.LatencyDur = dur
-					val = p
-				}
-			}
-			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
-				return cfg, fmt.Errorf("store: fault spec %s: want probability in [0,1], got %q", key, val)
-			}
-			switch key {
-			case "read":
-				cfg.ReadErr = p
-			case "write":
-				cfg.WriteErr = p
-			case "flip":
-				cfg.Flip = p
-			case "torn":
-				cfg.Torn = p
-			case "latency":
-				cfg.Latency = p
-			}
-		default:
-			return cfg, fmt.Errorf("store: fault spec: unknown key %q", key)
-		}
-	}
-	if cfg.Latency > 0 && cfg.LatencyDur == 0 {
-		cfg.LatencyDur = time.Millisecond
-	}
-	return cfg, nil
 }
 
 // FaultStore wraps any BlockStore and injects faults into its
@@ -221,25 +154,6 @@ func (fs *FaultStore) InjectedTotal() int {
 		n += v
 	}
 	return n
-}
-
-// FormatInjected renders the tallies as "kind=count" pairs in a fixed
-// order.
-func (fs *FaultStore) FormatInjected() string {
-	inj := fs.Injected()
-	kinds := make([]FaultKind, 0, len(inj))
-	for k := range inj {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, inj[k]))
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
 }
 
 // decide advances the operation counter and picks the fault (if any) for

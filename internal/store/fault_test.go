@@ -7,29 +7,6 @@ import (
 	"time"
 )
 
-func TestParseFaultSpec(t *testing.T) {
-	cfg, err := ParseFaultSpec("seed=7,read=0.02,write=0.01,flip=0.005,torn=0.001,latency=0.01:200us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Seed != 7 || cfg.ReadErr != 0.02 || cfg.WriteErr != 0.01 ||
-		cfg.Flip != 0.005 || cfg.Torn != 0.001 || cfg.Latency != 0.01 ||
-		cfg.LatencyDur != 200*time.Microsecond {
-		t.Fatalf("parsed %+v", cfg)
-	}
-	if cfg, err := ParseFaultSpec(""); err != nil || cfg.ReadErr != 0 || cfg.Seed != 0 {
-		t.Fatalf("empty spec: %+v, %v", cfg, err)
-	}
-	if cfg, err := ParseFaultSpec("latency=0.5"); err != nil || cfg.LatencyDur != time.Millisecond {
-		t.Fatalf("default latency duration: %+v, %v", cfg, err)
-	}
-	for _, bad := range []string{"read", "read=2", "bogus=1", "seed=x", "latency=0.1:xx"} {
-		if _, err := ParseFaultSpec(bad); err == nil {
-			t.Fatalf("spec %q should fail", bad)
-		}
-	}
-}
-
 // TestFaultDeterminism: the same seed injects the same faults at the
 // same operations.
 func TestFaultDeterminism(t *testing.T) {

@@ -76,7 +76,7 @@ func (d *FileStore) open(name string, truncate bool) (*osFile, error) {
 	defer d.mu.Unlock()
 	if f, ok := d.files[name]; ok {
 		if truncate {
-			if err := f.truncate(); err != nil {
+			if err := f.Truncate(0); err != nil {
 				return nil, err
 			}
 		}
@@ -331,25 +331,23 @@ func (f *osFile) Truncate(nblocks int) error {
 	return nil
 }
 
-// truncate resets the file to zero blocks.
-func (f *osFile) truncate() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.h.Truncate(0); err != nil {
-		return fmt.Errorf("file: truncate %s: %w", f.name, err)
-	}
-	f.size = 0
-	return nil
-}
-
 // SetContents replaces the whole file with p, padded to a block boundary.
+// The new bytes overwrite the old from block 0 before the file shrinks
+// to their length: a concurrent reader of a file whose contents never
+// shrink (the directory under inserts) never finds it empty or short.
 func (f *osFile) SetContents(p []byte) error {
-	if err := f.truncate(); err != nil {
-		return err
+	bs := f.d.cfg.BlockSize
+	nblocks := (len(p) + bs - 1) / bs
+	buf := make([]byte, nblocks*bs)
+	copy(buf, p)
+	f.mu.Lock()
+	_, err := f.h.WriteAt(buf, 0)
+	if end := int64(len(buf)); err == nil && end > f.size {
+		f.size = end
 	}
-	if len(p) > 0 {
-		_, _, err := f.Append(p)
-		return err
+	f.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("file: write %s: %w", f.name, err)
 	}
-	return nil
+	return f.Truncate(nblocks)
 }

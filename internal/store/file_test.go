@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,6 +43,55 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	}
 	if !bytes.Equal(got[:200], payload) {
 		t.Fatal("reopened store returned wrong bytes")
+	}
+}
+
+// TestFileStoreSetContentsUnderConcurrentReader: a file rewritten with
+// contents that never shrink — the directory under inserts — stays
+// readable throughout; no reader may find it empty or short.
+func TestFileStoreSetContentsUnderConcurrentReader(t *testing.T) {
+	sto, err := OpenFileStore(t.TempDir(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sto.Close()
+	f := mustFile(t, sto, "dir")
+	bs := testConfig().BlockSize
+	if err := f.SetContents(make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var fails int
+	var firstErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := f.ReadRaw(0, 1); err != nil {
+				if fails == 0 {
+					firstErr = err
+				}
+				fails++
+			}
+		}
+	}()
+	var werr error
+	for i := 0; i < 2000 && werr == nil; i++ {
+		werr = f.SetContents(make([]byte, bs+i))
+	}
+	close(stop)
+	wg.Wait()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if fails > 0 {
+		t.Fatalf("%d reads failed during rewrites, first: %v", fails, firstErr)
 	}
 }
 

@@ -253,13 +253,6 @@ func (w *WAL) AppendRecord(rec WALRecord) error {
 	return nil
 }
 
-// ReadFrom returns a streaming reader over the log's flushed extent that
-// yields records with LSN strictly greater than lsn. Records still
-// buffered (appended but not yet flushed by a Commit) are not visible.
-func (w *WAL) ReadFrom(lsn uint64) *WALReader {
-	return &WALReader{bf: w.bf, bs: w.bs, end: w.bf.Blocks(), from: lsn}
-}
-
 // Commit makes every record up to and including lsn durable: it writes
 // everything buffered so far as one batch, zero-padded to a whole block
 // so durable blocks are never rewritten (the next batch starts on a fresh

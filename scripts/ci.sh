@@ -53,8 +53,7 @@ echo "== fuzz seed corpus =="
 go test -run 'FuzzBitFlipKNN' ./internal/core/
 
 echo "== engine scaling gate =="
-go run ./cmd/iqbench -parallel 1,4 -scale 0.05 -queries 40 \
-	-bench-out /tmp/iqbench_scaling_gate.json -gate
+go run ./cmd/iqbench -fig scaling -scale 0.05 -queries 40 -gate
 
 echo "== scan sharing gate =="
 # Cross-query scan sharing must earn its keep on the hot workload:
@@ -62,8 +61,7 @@ echo "== scan sharing gate =="
 # page feeding > 1 query on average, and no single-client p99 regression
 # beyond 10% (with one query in flight the shared plan degenerates to
 # the share-nothing batch schedule exactly).
-go run ./cmd/iqbench -share 1,32 -scale 0.2 -queries 128 \
-	-share-out /tmp/iqbench_share_gate.json -gate
+go run ./cmd/iqbench -fig sharing -scale 0.2 -queries 128 -gate
 
 echo "== shard scale-out + self-healing gate =="
 # Sharded scatter-gather must scale out, stay exact, and heal itself:
@@ -74,8 +72,7 @@ echo "== shard scale-out + self-healing gate =="
 # changing zero answers vs an untouched twin, rebuilding both victims
 # from their siblings by WAL shipping, converging back to all-Serving,
 # and doing so within the 30s MTTR budget.
-go run ./cmd/iqbench -shards 1,8 -replicas 2 -scale 0.05 -queries 42 \
-	-shard-out /tmp/iqbench_shard_gate.json -gate
+go run ./cmd/iqbench -fig shards -scale 0.05 -queries 42 -gate
 
 echo "== kill-and-recover gate =="
 # No acknowledged write may be lost: the recovery suite crash-reopens
@@ -89,8 +86,7 @@ echo "== durable ingest gate =="
 # burst, simulated p99 of KNN reads while the incremental reoptimizer
 # steps must stay within 2x the quiescent simulated p99 (readers keep
 # their pinned snapshots, so compaction must not show up in their I/O).
-go run ./cmd/iqbench -ingest default -scale 0.1 -queries 60 \
-	-ingest-out /tmp/iqbench_ingest_gate.json -gate
+go run ./cmd/iqbench -fig ingest -scale 0.1 -queries 60 -gate
 
 echo "== approximate search gate =="
 # The probability-bounded recall/latency dial must earn its keep on the
@@ -98,16 +94,14 @@ echo "== approximate search gate =="
 # frontier, recall exactly 1.0 at the exact-degenerate setting (ε = 0),
 # and some setting reaching >= 1.5x the exact simulated QPS while
 # keeping measured recall >= 0.95.
-go run ./cmd/iqbench -approx default -queries 30 \
-	-approx-out /tmp/iqbench_approx_gate.json -gate
+go run ./cmd/iqbench -fig approx -queries 30 -gate
 
 echo "== chaos gate =="
 # Seeded fault-injection campaign: transient faults fully retried,
 # corruption fully quarantined and repaired (results identical to the
 # clean run), overload shed, and checksum overhead within 5% of the
 # plain clean path.
-go run ./cmd/iqbench -faults default -scale 0.1 -queries 40 \
-	-chaos-out /tmp/iqbench_chaos_gate.json -gate
+go run ./cmd/iqbench -fig faults -scale 0.1 -queries 40 -gate
 
 echo "== observer overhead gate =="
 # The bound is 5% of one query. The filter kernels made the untraced
