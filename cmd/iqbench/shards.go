@@ -181,7 +181,7 @@ func chaosConfig(shards, workers int, selfHeal bool, reg *obs.Registry,
 // one replica's directory is corrupted at rest (bit flips beneath the
 // checksum sidecars) and another replica's engine is killed mid-batch.
 // Live writes keep landing while the repairer drains, probes and
-// rebuilds both victims from their siblings by WAL shipping. Lost counts
+// rebuilds both victims from copies of their siblings. Lost counts
 // queries that returned an error; mismatched counts answers that
 // differed from an untouched twin fed the same writes. MTTR is the
 // wall-clock from injection to the first all-Serving observation under

@@ -23,7 +23,7 @@
 //	iqtool -store file -dir /tmp/iq -open -checksum -verify -stats
 //
 // A tree built with -durable keeps a write-ahead log: every update is
-// logged and group-committed before it is acknowledged, and a crashed
+// logged and committed (fsynced) before it is acknowledged, and a crashed
 // process recovers by replay on the next open. -wal inspects the log
 // (record count, LSN range, torn tail); -wal-replay forces recovery and
 // compaction:
@@ -34,8 +34,8 @@
 //
 // -shard-status demos the self-healing shard layer in-process: a small
 // replicated fleet takes writes, one replica is killed, and the tool
-// prints every replica lifecycle transition (state, WAL position, LSN
-// lag) until the repairer has rebuilt it from a sibling:
+// prints every replica lifecycle transition (state, and lag in missed
+// write batches) until the repairer has rebuilt it from a sibling:
 //
 //	iqtool -shard-status -n 8000
 //
@@ -94,10 +94,10 @@ func run() (err error) {
 		open     = flag.Bool("open", false, "open the existing tree in -dir instead of building (implies -store file)")
 		cache    = flag.Int64("cache", 0, "buffer-pool cache budget in bytes (0 = no cache)")
 		checksum = flag.Bool("checksum", false, "guard every block with a CRC32C checksum (with -verify: also scrub)")
-		durable  = flag.Bool("durable", false, "build in WAL mode: updates are logged and group-committed before acknowledgement")
+		durable  = flag.Bool("durable", false, "build in WAL mode: updates are logged and committed before acknowledgement")
 		walFlg   = flag.Bool("wal", false, "inspect the write-ahead and checkpoint logs in -dir (implies -store file)")
 		walRepl  = flag.Bool("wal-replay", false, "with -wal: force recovery — replay the log, truncate torn tails, checkpoint and compact")
-		shardSt  = flag.Bool("shard-status", false, "demo the self-healing replica lifecycle: build a small fleet, kill a replica, print per-replica state and WAL lag until it heals")
+		shardSt  = flag.Bool("shard-status", false, "demo the self-healing replica lifecycle: build a small fleet, kill a replica, print per-replica state and missed write batches until it heals")
 	)
 	flag.Parse()
 

@@ -14,9 +14,9 @@ import (
 // runShardStatus demonstrates the self-healing replica lifecycle on a
 // small in-process fleet: it builds a SelfHeal coordinator over
 // the generated dataset, applies a few write batches, kills one
-// replica, and prints every per-replica state transition (with WAL
-// position and lag) until the repairer has rebuilt the victim and the
-// fleet is back to all-Serving.
+// replica, and prints every per-replica state transition (with the
+// write batches it missed) until the repairer has rebuilt the victim
+// and the fleet is back to all-Serving.
 func runShardStatus(name dataset.Name, seed int64, n, d int) error {
 	pts, err := dataset.Generate(name, seed, n, d)
 	if err != nil {
@@ -42,16 +42,15 @@ func runShardStatus(name dataset.Name, seed int64, n, d int) error {
 
 	printStatus := func(header string) {
 		fmt.Printf("%s\n", header)
-		fmt.Printf("  %-5s %-7s %-12s %-5s %8s %5s %5s\n",
-			"shard", "replica", "state", "ready", "lsn", "lag", "fails")
+		fmt.Printf("  %-5s %-7s %-12s %-5s %14s %5s\n",
+			"shard", "replica", "state", "ready", "missed batches", "fails")
 		for _, row := range c.Status() {
-			fmt.Printf("  %-5d %-7d %-12s %-5v %8d %5d %5d\n",
-				row.Shard, row.Replica, row.State, row.Ready,
-				row.AppliedLSN, row.Lag, row.Fails)
+			fmt.Printf("  %-5d %-7d %-12s %-5v %14d %5d\n",
+				row.Shard, row.Replica, row.State, row.Ready, row.Lag, row.Fails)
 		}
 	}
 
-	// A few write batches so every replica carries a WAL position.
+	// A few write batches, so the fleet serves a mutated state.
 	r := rand.New(rand.NewSource(seed + 7))
 	for round := 0; round < 3; round++ {
 		extra := make([]vec.Point, 32)

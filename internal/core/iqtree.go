@@ -19,10 +19,11 @@
 // directory snapshot with one atomic load and runs lock-free against it;
 // Insert, InsertBatch and Delete serialize on a writer mutex, write new
 // page versions out of place and publish the next snapshot atomically,
-// so readers and writers overlap freely (see DESIGN.md §8). Only
-// Reoptimize — which compacts the data files in place — excludes
-// queries, via a readers-writer lock that every entry point takes in
-// read mode.
+// so readers and writers overlap freely (see DESIGN.md §8). Reoptimize
+// builds the next generation of the data files beside the live ones
+// while queries and updates run; only its final swap to that generation
+// excludes them, via a readers-writer lock that every entry point takes
+// in read mode.
 package core
 
 import (
@@ -77,9 +78,10 @@ type Options struct {
 	FixedBits int
 	// WAL enables write-ahead logging: Insert/InsertBatch/Delete are
 	// acknowledged only once their logical record is durable in the log
-	// (group commit amortizes the fsync), and Open replays the log after
-	// a crash, restoring exactly the acknowledged state. See DESIGN.md
-	// §13.
+	// (a mutation's commit is one flush and one fsync; the engine's
+	// write lane batches bursts of inserts into one InsertBatch), and
+	// Open replays the log after a crash, restoring exactly the
+	// acknowledged state. See DESIGN.md §13.
 	WAL bool
 	// WALCheckpointBlocks triggers an automatic checkpoint once the log
 	// grows past this many blocks (0 = only explicit/maintenance
@@ -106,12 +108,13 @@ func DefaultOptions() Options {
 // Tree is a multi-version IQ-tree: searches pin an immutable snapshot
 // and run lock-free; Insert and Delete serialize on the writer mutex and
 // publish copy-on-write snapshots, so concurrent searches and updates
-// are safe. Reoptimize is the only stop-the-world operation.
+// are safe. The final swap step of Reoptimize is the only
+// stop-the-world operation.
 type Tree struct {
-	// world excludes Reoptimize (write side) from everything else (read
-	// side): queries and incremental updates hold it shared, so they
-	// overlap freely; compaction rewrites the files in place and must
-	// drain them first.
+	// world excludes the final reoptimize swap (write side) from
+	// everything else (read side): queries and incremental updates hold
+	// it shared, so they overlap freely; the swap repoints the data files
+	// to the next generation and must drain them first.
 	world sync.RWMutex
 	mu    sync.Mutex // serializes writers (Insert/InsertBatch/Delete)
 	snap  atomic.Pointer[snapshot]

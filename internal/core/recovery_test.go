@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -648,5 +650,31 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 				t.Fatalf("shared query %d result %d: %f vs %f", i, j, results[i][j].Dist, want[j])
 			}
 		}
+	}
+}
+
+// TestReplayLegacyInsertRecord: logs once held one-point insert records
+// (kind 1). Every insert now logs a batch record, but a log that still
+// holds the old kind must recover with its point.
+func TestReplayLegacyInsertRecord(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	live := buildWALTree(t, randPoints(r, 400, 6), walTestOptions())
+	p := randPoints(r, 1, 6)[0]
+	const id = 424242
+	payload := binary.LittleEndian.AppendUint32(nil, id)
+	for _, c := range p {
+		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(c))
+	}
+	if err := live.wal.Commit(live.wal.Append(walKindInsert, payload)); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := crashRecover(t, live)
+	if rec.Len() != live.Len()+1 {
+		t.Fatalf("recovered %d points, want %d", rec.Len(), live.Len()+1)
+	}
+	got := mustKNN(t, rec, p, 1)
+	if len(got) != 1 || got[0].ID != id || got[0].Dist != 0 {
+		t.Fatalf("replayed insert not found: %+v", got)
 	}
 }

@@ -1,137 +1,110 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"repro/internal/store"
 )
 
-// Shipping tests at the tree level: a Shipper copy of a live WAL-mode
-// tree's directory, opened through the normal recovery path, must
-// reproduce the source bit-identically — the same contract as
-// kill-and-recover, with the "crash image" transported to another
-// backend instead of reopened in place.
+// Shipping a replica at the tree level: a store.Copy of a quiescent
+// WAL-mode tree's files onto a fresh backend, opened through the normal
+// recovery path, must give back the source — the same contract as
+// kill-and-recover, with the crash image moved to another backend
+// instead of reopened in place. Each test covers one source state.
 
-// shipTree runs a full ShipAll from the tree's backend onto a fresh sim
-// backend and returns the destination backend with the report.
-func shipTree(t *testing.T, tr *Tree) (store.BlockStore, store.ShipReport) {
+// shipAndOpen copies the tree's backend onto a fresh simulated backend
+// and recovers a tree from the copy.
+func shipAndOpen(t *testing.T, tr *Tree) *Tree {
 	t.Helper()
 	dst := store.NewSimStore(store.DefaultConfig())
-	sh := &store.Shipper{Src: tr.sto.Backend(), Dst: dst, TailWAL: WALFileName}
-	rep, err := sh.ShipAll()
-	if err != nil {
-		t.Fatalf("ShipAll: %v", err)
+	if err := store.Copy(dst, tr.sto.Backend()); err != nil {
+		t.Fatalf("copy: %v", err)
 	}
-	return dst, rep
+	rec, err := Open(store.Wrap(dst))
+	if err != nil {
+		t.Fatalf("open the copy: %v", err)
+	}
+	if err := rec.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // TestShipCheckpointOnlyFreshReplica: a freshly checkpointed source has
-// an empty mutation log, so the ship is checkpoint-only — zero records —
-// and the destination still opens to an identical tree (the shipped
-// checkpoint is the whole state).
+// an empty mutation log, so its checkpoint is the whole state, and the
+// copy opens to the source.
 func TestShipCheckpointOnlyFreshReplica(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	base := randPoints(r, 400, 8)
-	extra := randPoints(r, 120, 8)
 	live := buildWALTree(t, base, walTestOptions())
-	twin := buildWALTree(t, base, walTestOptions())
-	applyInsertDeleteMix(t, []*Tree{live, twin}, base, extra)
+	applyInsertDeleteMix(t, []*Tree{live}, base, randPoints(r, 120, 8))
 	if err := live.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-
-	dst, rep := shipTree(t, live)
-	// Records counts checkpoint-log frames too; LastLSN is reported for
-	// the mutation log only, and a freshly checkpointed source has none.
-	if rep.LastLSN != 0 {
-		t.Fatalf("checkpoint-only ship carried mutation records to LSN %d", rep.LastLSN)
+	if info, _, err := store.InspectWAL(live.sto.Backend(), WALFileName); err != nil || info.Records != 0 {
+		t.Fatalf("checkpointed mutation log: %d records, err %v", info.Records, err)
 	}
-	dstStore := store.Wrap(dst)
-	lsn, err := RecoveredLSN(dstStore)
+
+	assertTreesEqual(t, shipAndOpen(t, live), live, randPoints(r, 10, 8))
+}
+
+// TestShipTornLogTail: the source's mutation log ends in a torn frame,
+// the trace of a writer that died mid-append and was never
+// acknowledged. The copy carries the tear unchanged, and recovery on the
+// copy truncates it exactly as it would on the source.
+func TestShipTornLogTail(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	base := randPoints(r, 400, 8)
+	live := buildWALTree(t, base, walTestOptions())
+	applyInsertDeleteMix(t, []*Tree{live}, base, randPoints(r, 120, 8))
+
+	// A frame header whose CRC cannot match, on a fresh block: the head
+	// of an append that never completed.
+	backend := live.sto.Backend()
+	torn := make([]byte, backend.Config().BlockSize)
+	binary.LittleEndian.PutUint32(torn[0:], 64)
+	binary.LittleEndian.PutUint32(torn[4:], 0xdeadbeef)
+	if _, _, err := backend.Lookup(WALFileName).Append(torn); err != nil {
+		t.Fatal(err)
+	}
+	info, recs, err := store.InspectWAL(backend, WALFileName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != live.AppliedLSN() {
-		t.Fatalf("shipped watermark %d, source applied %d", lsn, live.AppliedLSN())
+	if !info.Torn || len(recs) == 0 {
+		t.Fatalf("source log: torn=%v, %d records; want a torn tail after live records", info.Torn, len(recs))
 	}
 
-	rec, err := Open(dstStore)
-	if err != nil {
-		t.Fatalf("open shipped replica: %v", err)
-	}
-	if err := rec.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	assertTreesEqual(t, rec, twin, randPoints(r, 10, 8))
+	assertTreesEqual(t, shipAndOpen(t, live), live, randPoints(r, 10, 8))
 }
 
 // TestShipAcrossGenerationSwap: the source reoptimizes (generation 0 →
-// 1, fresh checkpoint log, mutation log reset) and keeps mutating; a
-// full ship plus a tail ship must land the destination on the same
-// generation and the same bytes as a never-shipped twin.
+// 1: new data files, a fresh checkpoint log, the mutation log reset) and
+// keeps mutating. The copy must recover the same generation and state.
 func TestShipAcrossGenerationSwap(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	base := randPoints(r, 400, 8)
-	extra := randPoints(r, 120, 8)
 	live := buildWALTree(t, base, walTestOptions())
-	twin := buildWALTree(t, base, walTestOptions())
-	applyInsertDeleteMix(t, []*Tree{live, twin}, base, extra)
-	for _, tr := range []*Tree{live, twin} {
-		if err := tr.Reoptimize(); err != nil {
+	applyInsertDeleteMix(t, []*Tree{live}, base, randPoints(r, 120, 8))
+	if err := live.Reoptimize(); err != nil {
+		t.Fatal(err)
+	}
+	if live.gen != 1 {
+		t.Fatalf("expected generation 1 after reoptimize, got %d", live.gen)
+	}
+	// Post-swap mutations land in the reset mutation log.
+	s := live.sto.NewSession()
+	for i, p := range randPoints(r, 40, 8) {
+		if err := live.Insert(s, p, uint32(300000+i)); err != nil {
 			t.Fatal(err)
 		}
-		if tr.gen != 1 {
-			t.Fatalf("expected generation 1 after reoptimize, got %d", tr.gen)
-		}
-	}
-	// Post-swap mutations land in the fresh (generation 1) WAL.
-	tail1 := randPoints(r, 40, 8)
-	for _, tr := range []*Tree{live, twin} {
-		s := tr.sto.NewSession()
-		for i, p := range tail1 {
-			if err := tr.Insert(s, p, uint32(300000+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 
-	dst, _ := shipTree(t, live)
-	dstStore := store.Wrap(dst)
-	baseLSN, err := RecoveredLSN(dstStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The source keeps moving after the full copy; the destination
-	// catches up by tail alone.
-	tail2 := randPoints(r, 40, 8)
-	for _, tr := range []*Tree{live, twin} {
-		s := tr.sto.NewSession()
-		for i, p := range tail2 {
-			if err := tr.Insert(s, p, uint32(400000+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sh := &store.Shipper{Src: live.sto.Backend(), Dst: dst, TailWAL: WALFileName}
-	rep, err := sh.ShipTail(WALFileName, baseLSN)
-	if err != nil {
-		t.Fatalf("ShipTail: %v", err)
-	}
-	if rep.LastLSN != live.AppliedLSN() {
-		t.Fatalf("tail shipped to LSN %d, source applied %d", rep.LastLSN, live.AppliedLSN())
-	}
-
-	rec, err := Open(store.Wrap(dst))
-	if err != nil {
-		t.Fatalf("open shipped replica: %v", err)
-	}
-	if err := rec.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	rec := shipAndOpen(t, live)
 	if rec.gen != 1 {
-		t.Fatalf("shipped replica recovered generation %d, want 1", rec.gen)
+		t.Fatalf("copy recovered generation %d, want 1", rec.gen)
 	}
-	assertTreesEqual(t, rec, twin, randPoints(r, 10, 8))
+	assertTreesEqual(t, rec, live, randPoints(r, 10, 8))
 }

@@ -23,27 +23,16 @@ import (
 // In WAL mode (Options.WAL) each mutation additionally buffers its
 // logical record inside the same t.mu critical section that applies it —
 // so LSN order equals apply order and replay is deterministic — and the
-// entry point acknowledges only after a group commit made the record
-// durable (see wal.go and DESIGN.md §13).
+// entry point acknowledges only after a commit made the record durable
+// (see wal.go and DESIGN.md §13).
 
 // Insert adds one point to the tree (paper Section 6 / end of 3.6): the
 // point goes to the page needing least MBR enlargement; on page overflow
 // the cost model decides between splitting the page and re-quantizing it
 // at a coarser level. I/O performed by the maintenance operation is
-// charged to s.
+// charged to s. It is InsertBatch of one point.
 func (t *Tree) Insert(s *store.Session, p vec.Point, id uint32) error {
-	if len(p) != t.dim {
-		return fmt.Errorf("core: insert dimension %d, want %d", len(p), t.dim)
-	}
-	op := mutOp{kind: walKindInsert, pts: []vec.Point{p.Clone()}, ids: []uint32{id}}
-	lsn, err := t.runMutation(s, op)
-	if err != nil {
-		return err
-	}
-	if err := t.commitDurable(lsn); err != nil {
-		return err
-	}
-	return t.autoReoptimize(s)
+	return t.InsertBatch(s, []vec.Point{p}, []uint32{id})
 }
 
 // InsertBatch adds many points at once, grouping them by target page so
@@ -77,7 +66,7 @@ func (t *Tree) InsertBatch(s *store.Session, pts []vec.Point, ids []uint32) erro
 	return t.autoReoptimize(s)
 }
 
-// runMutation applies one logical mutation under the writer locks and
+// runMutation applies one logical insert under the writer locks and
 // returns the WAL LSN to commit (0 when logging is off or nothing
 // changed). The caller must not acknowledge the mutation before
 // commitDurable(lsn) returns.
@@ -87,47 +76,10 @@ func (t *Tree) runMutation(s *store.Session, op mutOp) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sn := t.load().clone()
-	switch op.kind {
-	case walKindInsert:
-		if err := t.applyInsert(s, sn, op.pts[0], op.ids[0]); err != nil {
-			return 0, err
-		}
-	case walKindInsertBatch:
-		if err := t.applyInsertBatch(s, sn, op.pts, op.ids); err != nil {
-			return 0, err
-		}
-	default:
-		panic("core: runMutation on non-insert op")
+	if err := t.applyInsertBatch(s, sn, op.pts, op.ids); err != nil {
+		return 0, err
 	}
 	return t.finishMutation(sn, op)
-}
-
-// applyInsert mutates sn in place: one point into the page needing least
-// enlargement. Caller holds t.mu (and world.RLock) and owns p.
-func (t *Tree) applyInsert(s *store.Session, sn *snapshot, p vec.Point, id uint32) error {
-	target := sn.chooseEntry(p)
-	if target < 0 {
-		// Every page is free (the tree was emptied by deletes): revive a
-		// slot instead of failing the insert.
-		target = sn.reviveFreeEntry()
-	}
-	if target < 0 {
-		return fmt.Errorf("core: no page available for insert")
-	}
-	pts, ids, err := t.readPagePoints(s, sn, target)
-	if err != nil {
-		return err
-	}
-	pts = append(pts, p)
-	ids = append(ids, id)
-
-	sn.n++
-	sn.model.N = sn.n
-	sn.dataSpace.Extend(p)
-	sn.model.DataSpace = sn.dataSpace
-
-	t.storeGroup(s, sn, target, pts, ids, int(sn.entries[target].Bits))
-	return nil
 }
 
 // applyInsertBatch mutates sn in place: many points, grouped by target
@@ -137,6 +89,8 @@ func (t *Tree) applyInsertBatch(s *store.Session, sn *snapshot, pts []vec.Point,
 	for i, p := range pts {
 		target := sn.chooseEntry(p)
 		if target < 0 {
+			// Every page is free (the tree was emptied by deletes): revive a
+			// slot instead of failing the insert.
 			target = sn.reviveFreeEntry()
 		}
 		if target < 0 {
@@ -195,10 +149,10 @@ func (t *Tree) finishMutation(sn *snapshot, op mutOp) (uint64, error) {
 	return lsn, nil
 }
 
-// commitDurable group-commits the mutation's WAL record (no-op when
-// logging is off) and runs an automatic checkpoint when the log has
-// outgrown its threshold. Called after the writer locks are released, so
-// concurrent writers' records share one fsync.
+// commitDurable commits the mutation's WAL record (no-op when logging is
+// off) and runs an automatic checkpoint when the log has outgrown its
+// threshold. Called after the writer locks are released; a commit that
+// an earlier writer's flush already covered does no I/O.
 func (t *Tree) commitDurable(lsn uint64) error {
 	if t.wal == nil || lsn == 0 {
 		return nil
@@ -318,9 +272,7 @@ func (t *Tree) applyDelete(s *store.Session, sn *snapshot, p vec.Point, id uint3
 // bit-identical. Caller holds t.mu (and the world lock in some mode).
 func (t *Tree) applyMutOp(s *store.Session, sn *snapshot, op mutOp) error {
 	switch op.kind {
-	case walKindInsert:
-		return t.applyInsert(s, sn, op.pts[0], op.ids[0])
-	case walKindInsertBatch:
+	case walKindInsert, walKindInsertBatch:
 		return t.applyInsertBatch(s, sn, op.pts, op.ids)
 	case walKindDelete:
 		_, err := t.applyDelete(s, sn, op.pts[0], op.ids[0])

@@ -30,9 +30,11 @@ import (
 // to-be-replayed mutations), rebuilds the directory from the embedded
 // copy, and replays WAL records with LSN > watermark.
 
-// WAL record kinds (the store layer treats them as opaque).
+// WAL record kinds (the store layer treats them as opaque). Every insert
+// logs a batch record, a single point too; replay still decodes the
+// one-point insert record, so a log written before that recovers.
 const (
-	walKindInsert      = 1 // id u32 | dim × f32
+	walKindInsert      = 1 // id u32 | dim × f32 (replay only)
 	walKindDelete      = 2 // id u32 | dim × f32
 	walKindInsertBatch = 3 // count u32 | count × (id u32 | dim × f32)
 )
@@ -95,7 +97,7 @@ func encodeMutOp(op mutOp, dim int) []byte {
 	pointBytes := 4 + 4*dim
 	var buf []byte
 	switch op.kind {
-	case walKindInsert, walKindDelete:
+	case walKindDelete:
 		buf = make([]byte, 0, pointBytes)
 	case walKindInsertBatch:
 		buf = make([]byte, 0, 4+len(op.pts)*pointBytes)

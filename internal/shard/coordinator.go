@@ -1,6 +1,6 @@
 // Package shard is the scale-out serving layer: a coordinator
 // partitions one dataset across N independent shards — each its own
-// store.Store, index.Index and internal/engine engine — scatter-gathers
+// store.Store, IQ-tree and internal/engine engine — scatter-gathers
 // every query across all shards, and merges the per-shard answers into
 // a globally exact result (see merge.go for the exactness argument).
 //
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -32,6 +31,11 @@ import (
 
 // Config parameterizes a Coordinator. The zero value of every optional
 // field selects a sensible default (see New).
+//
+// Every replica is core.Build with core.DefaultOptions over its own
+// store, served by an engine without extra options. One shard
+// sub-query makes at most 2*Replicas replica attempts before its last
+// error surfaces, sleeping retryBackoff before the first retry.
 type Config struct {
 	// Shards is the number of partitions (>= 1).
 	Shards int
@@ -43,44 +47,29 @@ type Config struct {
 	Workers int
 	// Partitioner assigns build points to shards (default RoundRobin).
 	Partitioner Partitioner
-	// StoreConfig parameterizes each replica's own simulated store
-	// (default store.DefaultConfig). Every replica gets an independent
-	// store — one disk per replica, which is what makes shards scale.
-	StoreConfig store.Config
-	// NewStore, when non-nil, supplies the store for one replica —
-	// the hook chaos tests use to slot a FaultStore under a chosen
-	// replica. Default: store.NewSim(StoreConfig).
+	// NewStore, when non-nil, supplies the store for one replica — the
+	// hook chaos tests use to slot a FaultStore under a chosen replica.
+	// Every replica gets an independent store — one disk per replica,
+	// which is what makes shards scale. Default: store.NewSim with
+	// store.DefaultConfig.
 	NewStore func(shard, replica int) (*store.Store, error)
-	// Build, when non-nil, builds one replica's index over its local
-	// points. Default: core.Build with core.DefaultOptions.
-	Build func(sto *store.Store, pts []vec.Point) (index.Index, error)
-	// EngineOpts is appended to every replica engine's options.
-	EngineOpts []engine.Option
 	// Registry receives the coordinator's shard.* metrics (default: a
 	// private registry).
 	Registry *obs.Registry
-	// MaxAttempts bounds how many replica attempts one shard sub-query
-	// makes before its last error surfaces (default 2*Replicas).
-	MaxAttempts int
-	// Backoff is the sleep before the first retry, doubling per attempt
-	// and capped at 100x (default 100us). It spaces retries of an
-	// overloaded replica without stalling corrupt-replica failover.
-	Backoff time.Duration
 	// SelfHeal starts the repairer: failed replicas are drained, probed,
-	// rebuilt from a healthy peer by WAL shipping and readmitted instead
-	// of staying drained. See heal.go and DESIGN.md §15. Shipping needs
-	// WAL-mode trees: the default Build makes them (so Insert is
-	// acknowledged durably), and New rejects a custom Build whose index
-	// is anything else with ErrSelfHealNeedsWAL.
+	// rebuilt from a healthy peer by one locked copy of its files and
+	// readmitted instead of staying drained. See heal.go and DESIGN.md
+	// §15. The replicas are then WAL-mode trees, so a copy recovers
+	// through core.Open and Insert is acknowledged durably.
 	SelfHeal bool
 	// Heal tunes the repairer (zero fields take defaults, see HealConfig).
 	Heal HealConfig
 }
 
-// ErrSelfHealNeedsWAL means Config.SelfHeal was set but a replica's
-// index is not a WAL-mode *core.Tree, which a rebuild by WAL shipping
-// needs.
-var ErrSelfHealNeedsWAL = errors.New("shard: self-healing needs WAL-mode *core.Tree replicas")
+// retryBackoff is the sleep before a sub-query's first retry, doubling
+// per attempt and capped at 100x. It spaces retries of an overloaded
+// replica without stalling corrupt-replica failover.
+const retryBackoff = 100 * time.Microsecond
 
 // Result is the outcome of one coordinated query.
 type Result struct {
@@ -114,9 +103,9 @@ type Result struct {
 // the new one whole, never a mix, and the old engine drains its
 // in-flight queries before it is closed.
 type stack struct {
-	sto *store.Store
-	idx index.Index
-	eng *engine.Engine
+	sto  *store.Store
+	tree *core.Tree
+	eng  *engine.Engine
 }
 
 // replica is one independently built copy of a shard.
@@ -124,7 +113,7 @@ type replica struct {
 	shard, id int
 	st        atomic.Pointer[stack]
 	// state is the replica lifecycle (ReplicaState, see heal.go):
-	// Serving → Draining → Rebuilding → CatchingUp → Serving. Without
+	// Serving → Draining → Rebuilding → Serving. Without
 	// SelfHeal a replica stays Serving forever and only engine health
 	// gates routing, preserving PR 7 behavior.
 	state atomic.Int32
@@ -156,10 +145,11 @@ type shardState struct {
 	rr   atomic.Uint32 // rotates the preferred replica for load spread
 
 	// writeMu serializes the shard's writes and the rebuild critical
-	// sections (full copy, final tail, stack swap): holding it makes
-	// every replica's files quiescent, which is what lets ShipAll copy a
-	// live peer consistently. writeSeq counts applied write batches —
-	// the staleness witness for probe readmission.
+	// section (copy, scrub, recovery, stack swap): holding it makes every
+	// replica's files quiescent, which is what lets a rebuild copy a live
+	// peer consistently. writeSeq counts applied write batches — the
+	// staleness witness for probe readmission and the measure of a
+	// drained replica's lag.
 	writeMu  sync.Mutex
 	writeSeq atomic.Uint64
 }
@@ -197,7 +187,6 @@ type Coordinator struct {
 	readmits     *obs.Counter // probe-driven readmissions (no rebuild)
 	rebuilds     *obs.Counter // completed replica rebuilds
 	rebuildFails *obs.Counter // rebuild attempts that gave up
-	shipRestarts *obs.Counter // catch-up restarts from a fresh full copy
 	mttr         *obs.Histogram
 }
 
@@ -219,32 +208,11 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = RoundRobin{}
 	}
-	if cfg.StoreConfig.BlockSize == 0 {
-		cfg.StoreConfig = store.DefaultConfig()
-	}
 	if cfg.NewStore == nil {
-		sc := cfg.StoreConfig
-		cfg.NewStore = func(_, _ int) (*store.Store, error) { return store.NewSim(sc), nil }
-	}
-	if cfg.Build == nil {
-		selfHeal := cfg.SelfHeal
-		cfg.Build = func(sto *store.Store, pts []vec.Point) (index.Index, error) {
-			opt := core.DefaultOptions()
-			if selfHeal {
-				opt.WAL = true
-				opt.WALCheckpointBlocks = 256
-			}
-			return core.Build(sto, pts, opt)
-		}
+		cfg.NewStore = func(_, _ int) (*store.Store, error) { return store.NewSim(store.DefaultConfig()), nil }
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = &obs.Registry{}
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 2 * cfg.Replicas
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Microsecond
 	}
 	cfg.Heal = cfg.Heal.withDefaults()
 
@@ -278,10 +246,14 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		readmits:     cfg.Registry.Counter("shard.heal.readmissions"),
 		rebuilds:     cfg.Registry.Counter("shard.heal.rebuilds"),
 		rebuildFails: cfg.Registry.Counter("shard.heal.rebuild_failures"),
-		shipRestarts: cfg.Registry.Counter("shard.heal.ship_restarts"),
 		mttr:         cfg.Registry.Histogram("shard.mttr_seconds"),
 	}
 	c.nextGID.Store(uint64(len(pts)))
+	opt := core.DefaultOptions()
+	if cfg.SelfHeal {
+		opt.WAL = true
+		opt.WALCheckpointBlocks = 256
+	}
 	for si := 0; si < cfg.Shards; si++ {
 		sh := &shardState{}
 		g := gids[si]
@@ -293,18 +265,14 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 					c.Close()
 					return nil, fmt.Errorf("shard %d replica %d: store: %w", si, ri, err)
 				}
-				idx, err := cfg.Build(sto, local[si])
+				tree, err := core.Build(sto, local[si], opt)
 				if err != nil {
 					c.Close()
 					return nil, fmt.Errorf("shard %d replica %d: build: %w", si, ri, err)
 				}
-				if tree, ok := idx.(*core.Tree); cfg.SelfHeal && (!ok || !tree.WALEnabled()) {
-					c.Close()
-					return nil, fmt.Errorf("shard %d replica %d: %w, got %T", si, ri, ErrSelfHealNeedsWAL, idx)
-				}
-				eng := engine.New(sto, idx, cfg.Workers, cfg.EngineOpts...)
+				eng := engine.New(sto, tree, cfg.Workers)
 				rep := &replica{shard: si, id: ri}
-				rep.st.Store(&stack{sto: sto, idx: idx, eng: eng})
+				rep.st.Store(&stack{sto: sto, tree: tree, eng: eng})
 				rep.state.Store(int32(Serving))
 				sh.reps = append(sh.reps, rep)
 			}
@@ -410,7 +378,8 @@ type shardAnswer struct {
 func (c *Coordinator) askShard(sh *shardState, q engine.Query) shardAnswer {
 	var ans shardAnswer
 	start := int(sh.rr.Add(1)-1) % len(sh.reps)
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	maxAttempts := 2 * c.cfg.Replicas
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		rep := sh.pick(start + attempt)
 		if rep == nil {
 			// Every replica is closed; report it as the typed error.
@@ -418,8 +387,8 @@ func (c *Coordinator) askShard(sh *shardState, q engine.Query) shardAnswer {
 			return ans
 		}
 		if attempt > 0 {
-			d := c.cfg.Backoff << uint(attempt-1)
-			if max := 100 * c.cfg.Backoff; d > max {
+			d := retryBackoff << uint(attempt-1)
+			if max := 100 * retryBackoff; d > max {
 				d = max
 			}
 			time.Sleep(d)
@@ -436,7 +405,7 @@ func (c *Coordinator) askShard(sh *shardState, q engine.Query) shardAnswer {
 			return ans
 		}
 		rep.fails.Add(1)
-		if attempt+1 < c.cfg.MaxAttempts {
+		if attempt+1 < maxAttempts {
 			ans.failovers++
 			c.retries.Inc()
 		}

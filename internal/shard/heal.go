@@ -1,11 +1,11 @@
 // Self-healing replicas: the repairer goroutine watches every replica,
 // drains the ones that stop answering, probes them with canary queries,
 // and either readmits them (transient faults, no missed writes) or
-// rebuilds them from a healthy peer by WAL shipping (see store/ship.go
-// and DESIGN.md §15). The lifecycle is
+// rebuilds them from a healthy peer by one locked copy of its files
+// (see DESIGN.md §15). The lifecycle is
 //
-//	Serving → Draining → Rebuilding → CatchingUp → Serving
-//	            └──────────── probe readmission ────┘
+//	Serving → Draining → Rebuilding → Serving
+//	            └── probe readmission ──┘
 //
 // with the probe shortcut legal only when no write landed since the
 // drain — a drained replica skipped every write applied in the
@@ -33,10 +33,9 @@ const (
 	Serving ReplicaState = iota
 	// Draining: out of rotation, skipping writes, under canary probes.
 	Draining
-	// Rebuilding: a rebuild goroutine is copying a peer's checkpoint.
+	// Rebuilding: a rebuild goroutine is copying a peer and will swap
+	// the copy in.
 	Rebuilding
-	// CatchingUp: full copy done, tailing the peer's WAL down to MaxLag.
-	CatchingUp
 )
 
 func (s ReplicaState) String() string {
@@ -47,11 +46,22 @@ func (s ReplicaState) String() string {
 		return "draining"
 	case Rebuilding:
 		return "rebuilding"
-	case CatchingUp:
-		return "catching-up"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
 }
+
+const (
+	// drainAfter drains a Serving replica after this many consecutive
+	// failed query attempts. One is enough: routing already prefers
+	// clean siblings after one failure, so a broken replica's counter
+	// never climbs past one; the canary probe is what separates a
+	// transient fault from a broken replica, cheaply. Engine un-readiness
+	// (closed) drains immediately regardless.
+	drainAfter = 1
+	// rebuildAfterProbes is how many consecutive probe failures trigger
+	// a rebuild instead of further probing.
+	rebuildAfterProbes = 2
+)
 
 // HealConfig tunes the repairer. Zero fields take the listed defaults.
 type HealConfig struct {
@@ -65,24 +75,6 @@ type HealConfig struct {
 	// a circuit breaker that goes half-open on each expiry.
 	ProbeBackoff time.Duration
 	ProbeCap     time.Duration
-	// RebuildAfterProbes is how many consecutive probe failures trigger
-	// a rebuild instead of further probing (default 2).
-	RebuildAfterProbes int
-	// DrainAfter drains a Serving replica after this many consecutive
-	// failed query attempts (default 1 — routing already prefers clean
-	// siblings after one failure, so a broken replica's counter never
-	// climbs past one; the canary probe is what separates a transient
-	// fault from a broken replica, cheaply). Engine un-readiness
-	// (closed) drains immediately regardless.
-	DrainAfter int
-	// MaxLag is the WAL catch-up convergence bound in LSNs: once the
-	// rebuilt replica is within MaxLag of its peer, the final hand-over
-	// (under the shard write lock) closes the rest (default 64).
-	MaxLag uint64
-	// ShipRestarts bounds how many times one rebuild may restart from a
-	// fresh full copy after losing the WAL race to a peer checkpoint
-	// (default 3).
-	ShipRestarts int
 }
 
 func (h HealConfig) withDefaults() HealConfig {
@@ -97,18 +89,6 @@ func (h HealConfig) withDefaults() HealConfig {
 	}
 	if h.ProbeCap <= 0 {
 		h.ProbeCap = 2 * time.Second
-	}
-	if h.RebuildAfterProbes <= 0 {
-		h.RebuildAfterProbes = 2
-	}
-	if h.DrainAfter <= 0 {
-		h.DrainAfter = 1
-	}
-	if h.MaxLag <= 0 {
-		h.MaxLag = 64
-	}
-	if h.ShipRestarts <= 0 {
-		h.ShipRestarts = 3
 	}
 	return h
 }
@@ -138,14 +118,14 @@ func (c *Coordinator) tend(sh *shardState, rep *replica) {
 	switch ReplicaState(rep.state.Load()) {
 	case Serving:
 		ready := rep.stack().eng.Health().Ready()
-		failing := rep.fails.Load() >= int32(c.cfg.Heal.DrainAfter)
+		failing := rep.fails.Load() >= drainAfter
 		if ready && !failing {
 			return
 		}
 		// A flaky-but-alive replica only drains when a sibling can carry
 		// the shard; a dead engine cannot serve anyway, so it always
 		// drains.
-		if ready && failing && !sh.hasOtherServing(rep) {
+		if ready && failing && sh.servingPeer(rep) == nil {
 			return
 		}
 		c.drain(sh, rep)
@@ -164,7 +144,7 @@ func (c *Coordinator) tend(sh *shardState, rep *replica) {
 			return
 		}
 		rep.probeFails++
-		if rep.probeFails >= c.cfg.Heal.RebuildAfterProbes {
+		if rep.probeFails >= rebuildAfterProbes {
 			c.startRebuild(sh, rep)
 			return
 		}
@@ -173,7 +153,7 @@ func (c *Coordinator) tend(sh *shardState, rep *replica) {
 			back = c.cfg.Heal.ProbeCap
 		}
 		rep.nextProbe = time.Now().Add(back)
-	case Rebuilding, CatchingUp:
+	case Rebuilding:
 		// Owned by the rebuild goroutine.
 	}
 }
@@ -190,20 +170,6 @@ func (c *Coordinator) drain(sh *shardState, rep *replica) {
 	c.drains.Inc()
 }
 
-// hasOtherServing reports whether any sibling of rep is Serving and
-// ready.
-func (sh *shardState) hasOtherServing(rep *replica) bool {
-	for _, sib := range sh.reps {
-		if sib == rep {
-			continue
-		}
-		if ReplicaState(sib.state.Load()) == Serving && sib.stack().eng.Health().Ready() {
-			return true
-		}
-	}
-	return false
-}
-
 // probe sends one canary KNN with a tight deadline at the drained
 // replica's own engine. Success means the whole stack — queue, worker,
 // index, store — answered end to end.
@@ -217,7 +183,7 @@ func (c *Coordinator) probe(rep *replica) bool {
 	defer cancel()
 	res := st.eng.Submit(engine.Query{
 		Kind:  engine.KNN,
-		Point: make(vec.Point, st.idx.Dim()),
+		Point: make(vec.Point, c.dim),
 		K:     1,
 		Ctx:   ctx,
 	})
@@ -254,23 +220,8 @@ func (c *Coordinator) startRebuild(sh *shardState, rep *replica) {
 	go c.rebuild(sh, rep)
 }
 
-// rebuild replaces a replica's whole stack from a healthy peer:
-//
-//  1. Full copy (ShipAll) of the peer's directory under the shard write
-//     lock — the write path is the only thing that mutates a replica's
-//     files, so holding the lock makes the source quiescent.
-//  2. Catch-up (CatchingUp): repeatedly ship the peer's WAL tail
-//     without the lock until the lag is within MaxLag. A peer
-//     checkpoint can consume un-shipped records (ErrShipGap, or an
-//     empty tail with positive lag); that restarts from a fresh full
-//     copy, bounded by ShipRestarts.
-//  3. Hand-over: under the write lock, ship the final tail (the source
-//     LSN is now frozen), scrub, recover via core.Open, swap the stack
-//     and return to Serving. The old engine is closed after the swap so
-//     its in-flight queries drain on the old stack.
-//
-// New admits only WAL-mode trees under SelfHeal, so every peer can seed
-// this rebuild.
+// rebuild replaces a replica's whole stack from a healthy peer (see
+// rebuildOnce). A failed rebuild returns the replica to Draining.
 func (c *Coordinator) rebuild(sh *shardState, rep *replica) {
 	defer c.healWG.Done()
 	err := c.rebuildOnce(sh, rep)
@@ -290,7 +241,8 @@ func (c *Coordinator) rebuild(sh *shardState, rep *replica) {
 // errNoPeer means no Serving sibling could seed a rebuild.
 var errNoPeer = errors.New("shard: no serving peer to rebuild from")
 
-// servingPeer returns a Serving, ready sibling of rep.
+// servingPeer returns a Serving, ready sibling of rep, or nil when there
+// is none.
 func (sh *shardState) servingPeer(rep *replica) *replica {
 	for _, sib := range sh.reps {
 		if sib == rep {
@@ -303,125 +255,61 @@ func (sh *shardState) servingPeer(rep *replica) *replica {
 	return nil
 }
 
+// rebuildOnce rebuilds rep in one critical section under the shard
+// write lock: copy every file of a Serving peer onto a fresh store
+// (store.Copy wipes it first), scrub the copy, recover it through
+// core.Open, start its engine, swap the stack and readmit.
+//
+// The write lock is what makes the copy consistent. Every file mutation
+// on a replica — inserts, log commits, checkpoints, auto-reoptimize
+// steps, quarantine repair — happens on the write path, so holding the
+// lock freezes the peer's files, and a frozen copy of a WAL-mode tree is
+// a crash image that core.Open turns into an exact twin of the peer.
+// The peer is chosen under the lock too, so it has taken every write.
+// The old engine is closed after the swap, so its in-flight queries
+// drain on the old stack.
 func (c *Coordinator) rebuildOnce(sh *shardState, rep *replica) error {
 	select {
 	case <-c.stopCh:
 		return errors.New("shard: coordinator closing")
 	default:
 	}
+	newSto, err := c.cfg.NewStore(rep.shard, rep.id)
+	if err != nil {
+		return fmt.Errorf("shard %d replica %d: rebuild store: %w", rep.shard, rep.id, err)
+	}
+
+	sh.writeMu.Lock()
+	defer sh.writeMu.Unlock()
 	peer := sh.servingPeer(rep)
 	if peer == nil {
 		return errNoPeer
 	}
-	for restart := 0; restart < c.cfg.Heal.ShipRestarts; restart++ {
-		if restart > 0 {
-			c.shipRestarts.Inc()
-		}
-		ok, err := c.shipRebuild(sh, rep, peer)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		// Lost the WAL race to a peer checkpoint: full copy again.
-	}
-	return fmt.Errorf("shard %d replica %d: catch-up lost the WAL race %d times", rep.shard, rep.id, c.cfg.Heal.ShipRestarts)
-}
-
-// shipRebuild runs one full-copy + catch-up + hand-over attempt.
-// Returns (false, nil) when a peer checkpoint consumed un-shipped WAL
-// records and the attempt must restart from a fresh full copy.
-func (c *Coordinator) shipRebuild(sh *shardState, rep *replica, peer *replica) (bool, error) {
 	pst := peer.stack()
-	tree := pst.idx.(*core.Tree)
-	newSto, err := c.cfg.NewStore(rep.shard, rep.id)
-	if err != nil {
-		return false, fmt.Errorf("shard %d replica %d: rebuild store: %w", rep.shard, rep.id, err)
+	if err := store.Copy(newSto.Backend(), pst.sto.Backend()); err != nil {
+		return fmt.Errorf("shard %d replica %d: copy: %w", rep.shard, rep.id, err)
 	}
-	shipper := &store.Shipper{Src: pst.sto.Backend(), Dst: newSto.Backend(), TailWAL: core.WALFileName}
-
-	// Full copy under the write lock: source quiescent, data and .crc
-	// sidecars consistent.
-	sh.writeMu.Lock()
-	_, err = shipper.ShipAll()
-	sh.writeMu.Unlock()
-	if err != nil {
-		return false, fmt.Errorf("shard %d replica %d: full copy: %w", rep.shard, rep.id, err)
-	}
-
-	// The store wrapper indexes files lazily per name; wrap the shipped
+	// The store wrapper indexes files lazily per name; wrap the copied
 	// backend fresh so the copied files are visible.
 	sto := store.Wrap(newSto.Backend())
 	if pst.sto.Checked() {
 		if err := sto.EnableChecksums(); err != nil {
-			return false, fmt.Errorf("shard %d replica %d: checksums: %w", rep.shard, rep.id, err)
+			return fmt.Errorf("shard %d replica %d: checksums: %w", rep.shard, rep.id, err)
 		}
-	}
-	lsn, err := core.RecoveredLSN(sto)
-	if err != nil {
-		return false, fmt.Errorf("shard %d replica %d: shipped watermark: %w", rep.shard, rep.id, err)
-	}
-
-	// Catch up outside the lock so live writes keep flowing.
-	rep.state.Store(int32(CatchingUp))
-	for {
-		select {
-		case <-c.stopCh:
-			return false, errors.New("shard: coordinator closing")
-		default:
-		}
-		target := tree.AppliedLSN()
-		if target <= lsn || target-lsn <= c.cfg.Heal.MaxLag {
-			break
-		}
-		srep, err := shipper.ShipTail(core.WALFileName, lsn)
-		if errors.Is(err, store.ErrShipGap) {
-			return false, nil // checkpoint consumed the tail; restart
-		}
-		if err != nil {
-			return false, fmt.Errorf("shard %d replica %d: catch-up: %w", rep.shard, rep.id, err)
-		}
-		if srep.Records == 0 {
-			// No gap but nothing to ship while still behind: the peer
-			// checkpointed everything past lsn. Restart.
-			return false, nil
-		}
-		lsn = srep.LastLSN
-	}
-
-	// Verify the shipped bytes before trusting them with traffic.
-	if sto.Checked() {
+		// Verify the copied bytes before trusting them with traffic.
 		if _, err := sto.Scrub(); err != nil {
-			return false, fmt.Errorf("shard %d replica %d: scrub: %w", rep.shard, rep.id, err)
-		}
-	}
-
-	// Hand-over: writes blocked, the peer LSN is frozen; the final tail
-	// closes the lag exactly.
-	sh.writeMu.Lock()
-	defer sh.writeMu.Unlock()
-	if target := tree.AppliedLSN(); target > lsn {
-		srep, err := shipper.ShipTail(core.WALFileName, lsn)
-		if errors.Is(err, store.ErrShipGap) {
-			return false, nil
-		}
-		if err != nil {
-			return false, fmt.Errorf("shard %d replica %d: final tail: %w", rep.shard, rep.id, err)
-		}
-		if srep.LastLSN < target {
-			return false, nil // tail incomplete: checkpoint race; restart
+			return fmt.Errorf("shard %d replica %d: scrub: %w", rep.shard, rep.id, err)
 		}
 	}
 	newTree, err := core.Open(sto)
 	if err != nil {
-		return false, fmt.Errorf("shard %d replica %d: recover: %w", rep.shard, rep.id, err)
+		return fmt.Errorf("shard %d replica %d: recover: %w", rep.shard, rep.id, err)
 	}
-	eng := engine.New(sto, newTree, c.cfg.Workers, c.cfg.EngineOpts...)
-	old := rep.st.Swap(&stack{sto: sto, idx: newTree, eng: eng})
+	eng := engine.New(sto, newTree, c.cfg.Workers)
+	old := rep.st.Swap(&stack{sto: sto, tree: newTree, eng: eng})
 	c.readmit(rep, c.rebuilds)
 	c.closeAsync(old.eng) // drains in-flight probes on the old stack
-	return true, nil
+	return nil
 }
 
 // closeAsync closes a replaced engine off the rebuild path (Close
@@ -440,24 +328,20 @@ type ReplicaStatus struct {
 	Shard, Replica int
 	State          ReplicaState
 	Ready          bool
-	AppliedLSN     uint64 // 0 on non-WAL indexes
-	Lag            uint64 // behind the most advanced sibling
+	Lag            uint64 // write batches missed since the drain (0 when Serving)
 	Fails          int32  // consecutive failed query attempts
 	Queries        int64
 	Failures       int64
 }
 
-// Status snapshots every replica's lifecycle state, readiness and WAL
-// position — the view iqtool -shard-status prints and the chaos
-// harness polls for all-Serving convergence.
+// Status snapshots every replica's lifecycle state, readiness and lag —
+// the view iqtool -shard-status prints and the chaos harness polls for
+// all-Serving convergence.
 func (c *Coordinator) Status() []ReplicaStatus {
 	var out []ReplicaStatus
 	for si, sh := range c.shards {
-		base := len(out)
-		var maxLSN uint64
 		for ri, rep := range sh.reps {
-			st := rep.stack()
-			h := st.eng.Health()
+			h := rep.stack().eng.Health()
 			row := ReplicaStatus{
 				Shard:    si,
 				Replica:  ri,
@@ -467,16 +351,10 @@ func (c *Coordinator) Status() []ReplicaStatus {
 				Queries:  h.Queries,
 				Failures: h.Failures,
 			}
-			if tree, ok := st.idx.(*core.Tree); ok && tree.WALEnabled() {
-				row.AppliedLSN = tree.AppliedLSN()
-			}
-			if row.AppliedLSN > maxLSN {
-				maxLSN = row.AppliedLSN
+			if row.State != Serving {
+				row.Lag = sh.writeSeq.Load() - rep.drainedSeq.Load()
 			}
 			out = append(out, row)
-		}
-		for i := base; i < len(out); i++ {
-			out[i].Lag = maxLSN - out[i].AppliedLSN
 		}
 	}
 	return out

@@ -1,16 +1,13 @@
 package shard
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/scan"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -23,7 +20,6 @@ func fastHeal() HealConfig {
 		ProbeTimeout: 250 * time.Millisecond,
 		ProbeBackoff: 5 * time.Millisecond,
 		ProbeCap:     100 * time.Millisecond,
-		MaxLag:       8,
 	}
 }
 
@@ -65,8 +61,8 @@ func waitHealthy(t *testing.T, c *Coordinator, what string) {
 }
 
 // TestHealKillRebuild: killing a replica's engine mid-flight drains it,
-// the repairer rebuilds it from its sibling by WAL shipping, and the
-// fleet converges back to all-Serving with unchanged answers.
+// the repairer rebuilds it from a copy of its sibling, and the fleet
+// converges back to all-Serving with unchanged answers.
 func TestHealKillRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	pts := randPoints(r, 1600, 6)
@@ -136,7 +132,7 @@ func TestHealCorruptAtRestRebuild(t *testing.T) {
 
 	corruptDir(t, victimStore(t, c, 0, 0))
 	// Traffic drives the drain: every attempt on the corrupt replica
-	// fails, fails accumulates past DrainAfter, the repairer takes over.
+	// fails, fails accumulates past drainAfter, the repairer takes over.
 	deadline := time.Now().Add(30 * time.Second)
 	for !c.Healthy() || reg.Counter("shard.heal.rebuilds").Value() == 0 {
 		if time.Now().After(deadline) {
@@ -182,10 +178,10 @@ func corruptDir(t *testing.T, sto *store.Store) {
 	}
 }
 
-// TestHealWritesDuringRebuild: inserts keep landing while a replica
-// rebuilds; the rebuilt replica catches up through the shipped WAL tail
-// and the healed fleet answers exactly like an untouched twin fed the
-// same writes.
+// TestHealWritesDuringRebuild: inserts keep landing while a replica is
+// drained and rebuilt; the rebuild copies its sibling with every write
+// applied so far, the writes wait out the copy, and the healed fleet
+// answers exactly like an untouched twin fed the same writes.
 func TestHealWritesDuringRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(63))
 	pts := randPoints(r, 1600, 6)
@@ -198,7 +194,7 @@ func TestHealWritesDuringRebuild(t *testing.T) {
 	kill := c.Engine(0, 1)
 	go kill.Close()
 	// Writes race the drain and the rebuild: some land while the victim
-	// is Serving, some while it is Draining/Rebuilding/CatchingUp.
+	// is Serving, some while it is Draining or Rebuilding.
 	for round := 0; round < 8; round++ {
 		extra := randPoints(r, 40, 6)
 		gids, err := c.Insert(extra)
@@ -232,7 +228,7 @@ func TestHealWritesDuringRebuild(t *testing.T) {
 	// Zero lag everywhere: the rebuilt replica holds every write.
 	for _, row := range c.Status() {
 		if row.Lag != 0 {
-			t.Fatalf("replica %d/%d still lags by %d LSNs: %+v", row.Shard, row.Replica, row.Lag, row)
+			t.Fatalf("replica %d/%d still lags by %d write batches: %+v", row.Shard, row.Replica, row.Lag, row)
 		}
 	}
 }
@@ -250,7 +246,7 @@ func TestHealProbeReadmission(t *testing.T) {
 	// Simulate a transient fault: enough consecutive failures to drain,
 	// but a perfectly healthy stack underneath.
 	rep := c.shards[0].reps[0]
-	rep.fails.Store(int32(c.cfg.Heal.DrainAfter))
+	rep.fails.Store(drainAfter)
 
 	deadline := time.Now().Add(30 * time.Second)
 	for reg.Counter("shard.heal.readmissions").Value() == 0 {
@@ -271,30 +267,70 @@ func TestHealProbeReadmission(t *testing.T) {
 	}
 }
 
-// TestSelfHealRejectsNonWALReplicas: a rebuild ships a peer's files and
-// WAL tail, so New refuses SelfHeal over any other index at build time
-// instead of failing the first rebuild.
-func TestSelfHealRejectsNonWALReplicas(t *testing.T) {
-	pts := randPoints(rand.New(rand.NewSource(65)), 400, 6)
-	for name, build := range map[string]func(*store.Store, []vec.Point) (index.Index, error){
-		"core without WAL": func(sto *store.Store, pts []vec.Point) (index.Index, error) {
-			return core.Build(sto, pts, core.DefaultOptions())
-		},
-		"scan": func(sto *store.Store, pts []vec.Point) (index.Index, error) {
-			return scan.Build(sto, pts, vec.Euclidean)
-		},
-	} {
-		c, err := New(Config{Shards: 2, Replicas: 2, SelfHeal: true, Build: build}, pts)
-		if !errors.Is(err, ErrSelfHealNeedsWAL) {
-			if c != nil {
-				c.Close()
-			}
-			t.Fatalf("%s: err %v, want ErrSelfHealNeedsWAL", name, err)
+// TestHealLagAfterCheckpoint: a replica rebuilt from a checkpointed
+// peer holds every write, so no replica reports lag once the fleet is
+// Serving again — even though the copy's recovery restarts its log
+// positions, which a lag measured in log positions would count as
+// missed writes.
+func TestHealLagAfterCheckpoint(t *testing.T) {
+	r := rand.New(rand.NewSource(66))
+	pts := randPoints(r, 1600, 6)
+	reg := &obs.Registry{}
+	c := healCoordinator(t, pts, true, reg)
+	defer c.Close()
+
+	for round := 0; round < 4; round++ {
+		if _, err := c.Insert(randPoints(r, 40, 6)); err != nil {
+			t.Fatalf("round %d: insert: %v", round, err)
 		}
 	}
-	c, err := New(Config{Shards: 2, Replicas: 2, SelfHeal: true}, pts)
-	if err != nil {
-		t.Fatalf("default build under SelfHeal: %v", err)
+	for _, rep := range c.shards[0].reps {
+		if err := rep.stack().tree.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.Close()
+	peer := c.shards[0].reps[0].stack().tree
+	c.Engine(0, 1).Close()
+	waitHealthy(t, c, "rebuild from a checkpointed peer")
+
+	if got := reg.Counter("shard.heal.rebuilds").Value(); got < 1 {
+		t.Fatalf("fleet healthy with %d rebuilds; the killed replica cannot have recovered without one", got)
+	}
+	if got, want := c.shards[0].reps[1].stack().tree.Len(), peer.Len(); got != want {
+		t.Fatalf("rebuilt replica holds %d points, its peer %d", got, want)
+	}
+	for _, row := range c.Status() {
+		if row.State != Serving || row.Lag != 0 {
+			t.Fatalf("after the heal: %+v", row)
+		}
+	}
+}
+
+// TestStatusLagCountsMissedBatches: a drained replica's lag is the
+// number of write batches the shard applied since its drain; Serving
+// replicas report none.
+func TestStatusLagCountsMissedBatches(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	c := healCoordinator(t, randPoints(r, 800, 6), false, &obs.Registry{})
+	defer c.Close()
+
+	sh := c.shards[1]
+	c.drain(sh, sh.reps[0])
+	for round := 0; round < 3; round++ {
+		if _, err := c.Insert(randPoints(r, 20, 6)); err != nil {
+			t.Fatalf("round %d: insert: %v", round, err)
+		}
+	}
+	for _, row := range c.Status() {
+		want := uint64(0)
+		if row.Shard == 1 && row.Replica == 0 {
+			want = sh.writeSeq.Load()
+		}
+		if row.Lag != want {
+			t.Fatalf("replica %d/%d lag %d, want %d: %+v", row.Shard, row.Replica, row.Lag, want, row)
+		}
+	}
+	if sh.writeSeq.Load() == 0 {
+		t.Fatal("shard 1 took none of the writes")
+	}
 }

@@ -102,12 +102,7 @@ func (c *Coordinator) insertShard(sh *shardState, pts []vec.Point, gids []uint32
 			continue // drained replicas resync via rebuild, not via writes
 		}
 		st := rep.stack()
-		mut, ok := st.idx.(engine.Mutator)
-		if !ok {
-			errs = append(errs, fmt.Errorf("replica %d: index %T: %w", rep.id, st.idx, engine.ErrNoWrites))
-			continue
-		}
-		if err := mut.InsertBatch(st.sto.NewSession(), pts, locals); err != nil {
+		if err := st.tree.InsertBatch(st.sto.NewSession(), pts, locals); err != nil {
 			// This replica missed a write every sibling took: it is stale
 			// from this moment and must stop serving. drain records the
 			// pre-increment writeSeq, so probe readmission is impossible

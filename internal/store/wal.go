@@ -14,13 +14,12 @@ import (
 // Write-ahead log. A WAL is an append-only block file of checksummed,
 // length-prefixed records: writers buffer records, and a commit flushes
 // everything buffered in one block-padded batch and fsyncs it. The log
-// does no grouping of its own — every shipped writer is already
-// serialized, and the engine's write lane is the one batching point: it
-// coalesces a burst of inserts into one InsertBatch, one record and one
-// commit. Recovery scans
-// the log from the front, stops at the first frame that fails its CRC
-// (or breaks LSN monotonicity), and truncates that torn tail — torn
-// records are never replayed.
+// does no grouping of its own — every writer is already serialized,
+// and the engine's write lane is the one batching point: it coalesces a
+// burst of inserts into one InsertBatch, one record and one commit.
+// Recovery scans the log from the front, stops at the first frame that
+// fails its CRC (or breaks LSN monotonicity), and truncates that torn
+// tail — torn records are never replayed.
 //
 // Frame layout (little-endian), packed back to back within blocks:
 //
@@ -92,14 +91,14 @@ type WAL struct {
 	err      error  // sticky: a failed flush loses buffered records
 }
 
-// scanWAL reads the valid frame prefix of bf with a WALReader, the one
-// frame parser of recovery, inspection and shipping. It returns the
-// records, the byte offset one past the last valid frame (or padding
-// run), and whether the scan stopped at a torn tail.
+// scanWAL reads the valid frame prefix of bf with a walReader, the one
+// frame parser of recovery and inspection. It returns the records, the
+// byte offset one past the last valid frame (or padding run), and
+// whether the scan stopped at a torn tail.
 func scanWAL(bf BlockFile, bs int) (recs []WALRecord, goodEnd int, torn bool, err error) {
-	r := &WALReader{bf: bf, bs: bs, end: bf.Blocks()}
+	r := &walReader{bf: bf, bs: bs, end: bf.Blocks()}
 	for {
-		rec, err := r.Next()
+		rec, err := r.next()
 		if err == io.EOF {
 			return recs, r.good, r.torn, nil
 		}
@@ -108,6 +107,137 @@ func scanWAL(bf BlockFile, bs int) (recs []WALRecord, goodEnd int, torn bool, er
 		}
 		recs = append(recs, rec)
 	}
+}
+
+// walReadChunk is how many blocks a walReader fetches per backend read.
+const walReadChunk = 64
+
+// walReader streams the valid frame prefix of a write-ahead log,
+// verifying each frame's CRC32C and LSN monotonicity. It reads the
+// extent it was given: a frame torn at (or running past) that extent
+// ends the stream with torn set.
+type walReader struct {
+	bf  BlockFile
+	bs  int
+	end int // extent in blocks
+
+	buf  []byte
+	off  int // parse offset into buf
+	base int // absolute byte offset of buf[0]
+	pos  int // next block to fetch
+	good int // absolute byte offset one past the last valid frame or padding
+	seen uint64
+	torn bool
+}
+
+// fill ensures n unparsed bytes are buffered, fetching more blocks as
+// needed. io.EOF means the extent cannot supply n bytes.
+func (r *walReader) fill(n int) error {
+	if len(r.buf)-r.off >= n {
+		return nil
+	}
+	if k := r.off / r.bs; k > 0 { // drop fully parsed blocks
+		r.buf = r.buf[k*r.bs:]
+		r.base += k * r.bs
+		r.off -= k * r.bs
+	}
+	for len(r.buf)-r.off < n && r.pos < r.end {
+		chunk := r.end - r.pos
+		if chunk > walReadChunk {
+			chunk = walReadChunk
+		}
+		data, err := r.bf.ReadBlocks(r.pos, chunk)
+		if err != nil {
+			return err
+		}
+		r.buf = append(r.buf, data...)
+		r.pos += chunk
+	}
+	if len(r.buf)-r.off < n {
+		return io.EOF
+	}
+	return nil
+}
+
+// next returns the next record, or io.EOF at the end of the valid
+// prefix, after which it must not be called again. A damaged or torn
+// frame ends the stream (torn is then set); torn frames are never
+// yielded.
+func (r *walReader) next() (WALRecord, error) {
+	le := binary.LittleEndian
+	for {
+		if err := r.fill(1); err != nil {
+			if err == io.EOF {
+				return r.finish(false)
+			}
+			return WALRecord{}, err
+		}
+		// Blocks are buffered whole, so the rest of this block is present.
+		// A zero length field, or a zero remainder too short to hold one,
+		// is padding: skip to the next block boundary.
+		pad := r.bs - (r.base+r.off)%r.bs
+		if !r.anyNonZero(min(pad, 4)) {
+			if r.anyNonZero(pad) {
+				return r.finish(true)
+			}
+			r.off += pad
+			r.good = r.base + r.off
+			continue
+		}
+		if err := r.fill(4); err != nil {
+			if err == io.EOF { // length field runs past the extent: torn tail
+				return r.finish(true)
+			}
+			return WALRecord{}, err
+		}
+		length := int(le.Uint32(r.buf[r.off:]))
+		if length < walHeaderSize {
+			return r.finish(true)
+		}
+		if err := r.fill(length); err != nil {
+			if err == io.EOF { // frame runs past the extent: torn tail
+				return r.finish(true)
+			}
+			return WALRecord{}, err
+		}
+		frame := r.buf[r.off : r.off+length]
+		if crc32.Checksum(frame[8:], castagnoli) != le.Uint32(frame[4:]) {
+			return r.finish(true)
+		}
+		lsn := le.Uint64(frame[8:])
+		if lsn <= r.seen {
+			return r.finish(true)
+		}
+		r.seen = lsn
+		r.off += length
+		r.good = r.base + r.off
+		return WALRecord{
+			LSN:     lsn,
+			Kind:    frame[16],
+			Payload: append([]byte(nil), frame[walHeaderSize:]...),
+		}, nil
+	}
+}
+
+// anyNonZero reports whether any of the next n buffered bytes (clamped
+// to what is buffered) is non-zero.
+func (r *walReader) anyNonZero(n int) bool {
+	end := r.off + n
+	if end > len(r.buf) {
+		end = len(r.buf)
+	}
+	for i := r.off; i < end; i++ {
+		if r.buf[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// finish ends the stream.
+func (r *walReader) finish(torn bool) (WALRecord, error) {
+	r.torn = torn
+	return WALRecord{}, io.EOF
 }
 
 // walInfoOf summarizes a scan result.
@@ -231,26 +361,6 @@ func (w *WAL) appendFrame(lsn uint64, kind uint8, payload []byte) {
 	w.pending = append(w.pending, encodeWALFrame(lsn, kind, payload)...)
 	w.appended = lsn
 	metricWALAppends.Inc()
-}
-
-// AppendRecord buffers a record that already carries its LSN — the
-// shipping path, which transplants frames from a source log while
-// preserving the source's LSN sequence so checkpoint watermarks keep
-// lining up on the destination. The LSN must advance past everything
-// appended so far; LSN assignment resumes after it. Like Append, the
-// record is not durable until a covering Commit returns.
-func (w *WAL) AppendRecord(rec WALRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if rec.LSN <= w.appended {
-		return fmt.Errorf("store: shipped LSN %d not after appended %d", rec.LSN, w.appended)
-	}
-	w.appendFrame(rec.LSN, rec.Kind, rec.Payload)
-	w.nextLSN = rec.LSN + 1
-	return nil
 }
 
 // Commit makes every record up to and including lsn durable: it writes

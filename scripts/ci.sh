@@ -19,6 +19,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== bench module =="
+# bench/ is its own Go module, so go test ./... stops at its boundary; a
+# change that breaks an API it uses (shard, store, engine, core) must
+# fail here, not in bench/run.sh.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== read planning stays in core =="
 # The engine advances queries through index.SharedScan rounds; planning
 # reads (internal/pagesched) is the index's job, in one place.
@@ -70,8 +76,8 @@ echo "== shard scale-out + self-healing gate =="
 # campaign (one replica's directory corrupted at rest, another replica
 # killed mid-batch, live writes throughout) losing zero queries,
 # changing zero answers vs an untouched twin, rebuilding both victims
-# from their siblings by WAL shipping, converging back to all-Serving,
-# and doing so within the 30s MTTR budget.
+# from copies of their siblings, converging back to all-Serving, and
+# doing so within the 30s MTTR budget.
 go run ./cmd/iqbench -fig shards -scale 0.05 -queries 42 -gate
 
 echo "== kill-and-recover gate =="
