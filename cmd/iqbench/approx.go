@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -61,8 +60,8 @@ func runApprox(o experiments.RunOpts) (experiments.Figure, error) {
 		for i, q := range qs {
 			trace := obs.NewQueryTrace("")
 			s := sto.NewSession()
-			s.SetObserver(trace)
-			res, err := tr.KNNApprox(s, q, k, index.Approx{MinRecall: mr})
+			s.SetTrace(trace)
+			res, err := tr.KNNApprox(s, q, k, mr)
 			if err != nil {
 				return experiments.Figure{}, fmt.Errorf("MinRecall=%v query %d: %w", mr, i, err)
 			}

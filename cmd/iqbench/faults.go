@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -67,17 +68,16 @@ func runFaults(o experiments.RunOpts) (experiments.Figure, error) {
 	if err != nil {
 		return experiments.Figure{}, err
 	}
-	plainUs, checkedUs, plainQPS, checkedQPS, err := measureCleanPaths(
-		plainSto, plainTree, checkedSto, checkedTree, qs, k)
+	cp, err := measureCleanPaths(plainSto, plainTree, checkedSto, checkedTree, qs, k)
 	if err != nil {
 		return experiments.Figure{}, err
 	}
-	add(&fig, "plain us/query", x, plainUs)
-	add(&fig, "checked us/query", x, checkedUs)
-	add(&fig, "query ratio", x, checkedUs/plainUs)
-	add(&fig, "plain qps", x, plainQPS)
-	add(&fig, "checked qps", x, checkedQPS)
-	add(&fig, "qps ratio", x, plainQPS/checkedQPS)
+	add(&fig, "plain us/query", x, cp.plainUs)
+	add(&fig, "checked us/query", x, cp.checkedUs)
+	add(&fig, "query ratio", x, cp.queryRatio)
+	add(&fig, "plain qps", x, cp.plainQPS)
+	add(&fig, "checked qps", x, cp.checkedQPS)
+	add(&fig, "qps ratio", x, cp.qpsRatio)
 
 	// ---- Build the chaos tree: checksums above a fault injector. ----
 	faults := store.NewFaultStore(store.NewSimStore(store.DefaultConfig()), store.FaultConfig{})
@@ -199,19 +199,34 @@ func runFaults(o experiments.RunOpts) (experiments.Figure, error) {
 	return fig, nil
 }
 
+// cleanPairs is the number of interleaved plain/checksummed pairs each
+// clean-path measurement takes; odd, so the median is one pair's.
+const cleanPairs = 101
+
+// cleanPaths is the clean-path cost of checksums: per direct query and
+// in engine throughput. Each ratio (checksummed over plain time) is the
+// median of the per-pair ratios; the absolute figures are the medians
+// of each store's samples.
+type cleanPaths struct {
+	plainUs, checkedUs, queryRatio float64
+	plainQPS, checkedQPS, qpsRatio float64
+}
+
 // measureCleanPaths times direct KNN queries and engine batch
-// throughput on the plain and checksummed trees with the rounds
-// interleaved, so clock drift, turbo states and GC land on both
-// stores alike — the 5% gate must compare CRC cost, not machine noise.
-// Best round is kept per store.
+// throughput on the plain and checksummed trees in interleaved pairs,
+// alternating which store runs first, so clock drift, turbo states and
+// GC land on both stores alike — the 5% gate must compare CRC cost, not
+// machine noise.
 func measureCleanPaths(plainSto *store.Store, plainTree *core.Tree,
 	checkedSto *store.Store, checkedTree *core.Tree,
-	qs []vec.Point, k int) (plainUs, checkedUs, plainQPS, checkedQPS float64, err error) {
+	qs []vec.Point, k int) (cleanPaths, error) {
 
-	// Repeat the query set until a round is long enough (~3000 queries)
-	// that scheduler noise cannot swamp a 5% signal.
-	reps := (3000 + len(qs) - 1) / len(qs)
-	direct := func(sto *store.Store, tr *core.Tree) (time.Duration, error) {
+	// A sample is short (the query set repeated to ~160 queries): host
+	// noise comes in bursts longer than a pair, so it lands on both
+	// halves of most pairs, and the median over many pairs discards the
+	// rest.
+	reps := (160 + len(qs) - 1) / len(qs)
+	direct := func(sto *store.Store, tr *core.Tree) (float64, error) {
 		start := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, q := range qs {
@@ -220,29 +235,8 @@ func measureCleanPaths(plainSto *store.Store, plainTree *core.Tree,
 				}
 			}
 		}
-		return time.Since(start), nil
+		return time.Since(start).Seconds(), nil
 	}
-	bestPlain, bestChecked := time.Duration(1<<62), time.Duration(1<<62)
-	for round := 0; round < 5; round++ {
-		dp, err := direct(plainSto, plainTree)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		dc, err := direct(checkedSto, checkedTree)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if dp < bestPlain {
-			bestPlain = dp
-		}
-		if dc < bestChecked {
-			bestChecked = dc
-		}
-	}
-	nq := float64(reps * len(qs))
-	plainUs = float64(bestPlain.Microseconds()) / nq
-	checkedUs = float64(bestChecked.Microseconds()) / nq
-
 	batch := make([]engine.Query, 0, reps*len(qs))
 	for r := 0; r < reps; r++ {
 		for _, q := range qs {
@@ -262,28 +256,63 @@ func measureCleanPaths(plainSto *store.Store, plainTree *core.Tree,
 		}
 		return wall, nil
 	}
-	// The engine path is noisier than direct queries (goroutine
-	// scheduling); more rounds keep the best-of stable.
-	bestPlainWall, bestCheckedWall := 1e18, 1e18
-	for round := 0; round < 7; round++ {
-		wp, err := throughput(plainSto, plainTree)
-		if err != nil {
-			return 0, 0, 0, 0, err
+	plainD, checkedD, err := interleave(direct, plainSto, plainTree, checkedSto, checkedTree)
+	if err != nil {
+		return cleanPaths{}, err
+	}
+	plainT, checkedT, err := interleave(throughput, plainSto, plainTree, checkedSto, checkedTree)
+	if err != nil {
+		return cleanPaths{}, err
+	}
+	nq := float64(len(batch))
+	return cleanPaths{
+		plainUs:    1e6 * median(plainD) / nq,
+		checkedUs:  1e6 * median(checkedD) / nq,
+		queryRatio: medianRatio(checkedD, plainD),
+		plainQPS:   nq / median(plainT),
+		checkedQPS: nq / median(checkedT),
+		qpsRatio:   medianRatio(checkedT, plainT),
+	}, nil
+}
+
+// interleave takes cleanPairs pairs of samples of run, plain then
+// checksummed or the reverse, alternating which runs first.
+func interleave(run func(*store.Store, *core.Tree) (float64, error),
+	plainSto *store.Store, plainTree *core.Tree,
+	checkedSto *store.Store, checkedTree *core.Tree) (plain, checked []float64, err error) {
+
+	plain = make([]float64, cleanPairs)
+	checked = make([]float64, cleanPairs)
+	for p := 0; p < cleanPairs; p++ {
+		var errP, errC error
+		if p%2 == 0 {
+			plain[p], errP = run(plainSto, plainTree)
+			checked[p], errC = run(checkedSto, checkedTree)
+		} else {
+			checked[p], errC = run(checkedSto, checkedTree)
+			plain[p], errP = run(plainSto, plainTree)
 		}
-		wc, err := throughput(checkedSto, checkedTree)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if wp < bestPlainWall {
-			bestPlainWall = wp
-		}
-		if wc < bestCheckedWall {
-			bestCheckedWall = wc
+		if err := errors.Join(errP, errC); err != nil {
+			return nil, nil, err
 		}
 	}
-	plainQPS = float64(len(batch)) / bestPlainWall
-	checkedQPS = float64(len(batch)) / bestCheckedWall
-	return plainUs, checkedUs, plainQPS, checkedQPS, nil
+	return plain, checked, nil
+}
+
+// median returns the median of xs (odd length), leaving xs unchanged.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
+}
+
+// medianRatio returns the median of the per-pair ratios num[i]/den[i].
+func medianRatio(num, den []float64) float64 {
+	r := make([]float64, len(num))
+	for i := range num {
+		r[i] = num[i] / den[i]
+	}
+	return median(r)
 }
 
 // checkFaults enforces the campaign's eleven checks: transients fully

@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/index"
 	"repro/internal/scan"
 	"repro/internal/store"
 	"repro/internal/vafile"
@@ -249,7 +248,7 @@ func run() (err error) {
 	for qi, q := range qs {
 		s := sto.NewSession()
 		var trace core.Trace
-		s.SetObserver(&trace)
+		s.SetTrace(&trace)
 		if *rng > 0 {
 			res, err := tree.RangeSearch(s, q, *rng)
 			if err != nil {
@@ -261,7 +260,7 @@ func run() (err error) {
 			var res []core.Neighbor
 			var err error
 			if *minRec > 0 {
-				res, err = tree.KNNApprox(s, q, *knn, index.Approx{MinRecall: *minRec})
+				res, err = tree.KNNApprox(s, q, *knn, *minRec)
 			} else {
 				res, err = tree.KNN(s, q, *knn)
 			}
@@ -274,9 +273,9 @@ func run() (err error) {
 			}
 			if *explain {
 				cfg := sto.Config()
-				t1 := s.FileStats(core.DirFileName)
-				t2 := s.FileStats(core.QFileName)
-				t3 := s.FileStats(core.EFileName)
+				t1 := levelStats(&trace, core.DirFileName)
+				t2 := levelStats(&trace, core.QFileName)
+				t3 := levelStats(&trace, core.EFileName)
 				fmt.Printf("   T1st directory: %.4fs (%v)\n", t1.Time(cfg), t1)
 				fmt.Printf("   T2nd quantized: %.4fs (%v); %d pages in %d batches\n",
 					t2.Time(cfg), t2, trace.PagesRead, len(trace.Batches))
@@ -330,6 +329,17 @@ type competitor struct {
 	name string
 	sto  *store.Store
 	idx  searcher
+}
+
+// levelStats returns the charges the trace recorded against one file,
+// the paper's T1st/T2nd/T3rd component of that level.
+func levelStats(tr *core.Trace, file string) store.Stats {
+	for _, l := range tr.Levels {
+		if l.File == file {
+			return store.Stats{Seeks: l.Seeks, BlocksRead: l.Blocks, Reads: l.Reads, CPUSeconds: l.CPUSeconds}
+		}
+	}
+	return store.Stats{}
 }
 
 func sortedHistogram(h map[int]int) string {

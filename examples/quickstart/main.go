@@ -32,13 +32,14 @@ func main() {
 		// Each query gets its own store session; the session accumulates
 		// the simulated seeks, block transfers and CPU time.
 		s := sto.NewSession()
-		nn, ok, err := tree.NearestNeighbor(s, q)
+		res, err := tree.KNN(s, q, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !ok {
+		if len(res) == 0 {
 			log.Fatal("no neighbor found")
 		}
+		nn := res[0]
 		fmt.Printf("query %d: NN id=%d dist=%.4f   (simulated %.4fs: %v)\n",
 			i, nn.ID, nn.Dist, s.Time(), s.Stats)
 

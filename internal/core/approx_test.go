@@ -79,7 +79,7 @@ func TestKNNApproxFullRecallBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			sa := tr.sto.NewSession()
-			approx, err := tr.KNNApprox(sa, q, 10, index.Approx{MinRecall: 1})
+			approx, err := tr.KNNApprox(sa, q, 10, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestKNNApproxSubsetWithSubstitutions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			approx, err := tr.KNNApprox(tr.sto.NewSession(), q, k, index.Approx{MinRecall: minRecall})
+			approx, err := tr.KNNApprox(tr.sto.NewSession(), q, k, minRecall)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,44 +137,6 @@ func TestKNNApproxSubsetWithSubstitutions(t *testing.T) {
 	}
 }
 
-// TestKNNApproxMaxCostBudget: the page budget bounds the quantized
-// pages transferred. With OptimizedIO off every fetch is a single page,
-// so the bound is tight; the trace records the termination.
-func TestKNNApproxMaxCostBudget(t *testing.T) {
-	opt := DefaultOptions()
-	opt.OptimizedIO = false
-	r := rand.New(rand.NewSource(3))
-	pts := randPoints(r, 4000, 8)
-	tr := buildTree(t, pts, opt)
-	queries := randPoints(r, 20, 8)
-	met := tr.Options().Metric
-	const budget = 3
-
-	terminated := 0
-	for _, q := range queries {
-		trace := obs.NewQueryTrace("")
-		s := tr.sto.NewSession()
-		s.SetObserver(trace)
-		res, err := tr.KNNApprox(s, q, 5, index.Approx{MaxCost: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGenuine(t, pts, q, res, 5, met)
-		if trace.PagesRead > budget {
-			t.Fatalf("budget %d, but %d pages transferred", budget, trace.PagesRead)
-		}
-		if trace.Terminated {
-			terminated++
-			if trace.SkippedPages == 0 {
-				t.Fatal("terminated without skipping any page")
-			}
-		}
-	}
-	if terminated == 0 {
-		t.Fatal("budget of 3 pages never terminated a query; budget not exercised")
-	}
-}
-
 // TestSharedApproxFullRecallBitIdentical: the scan-sharing cursor path
 // under MinRecall = 1 returns exactly the share-nothing exact answers.
 func TestSharedApproxFullRecallBitIdentical(t *testing.T) {
@@ -188,7 +150,7 @@ func TestSharedApproxFullRecallBitIdentical(t *testing.T) {
 		sessions[i] = tr.sto.NewSession()
 	}
 	results, errs := driveShared(t, tr, sessions, func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-		return scan.KNN(s, queries[i], 10, index.Approx{MinRecall: 1})
+		return scan.KNN(s, queries[i], 10, 1)
 	})
 	for i, q := range queries {
 		if errs[i] != nil {
@@ -224,7 +186,7 @@ func TestSharedApproxSubset(t *testing.T) {
 		sessions[i] = tr.sto.NewSession()
 	}
 	results, errs := driveShared(t, tr, sessions, func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-		return scan.KNN(s, queries[i], 10, index.Approx{MinRecall: 0.8})
+		return scan.KNN(s, queries[i], 10, 0.8)
 	})
 	for i, q := range queries {
 		if errs[i] != nil {
@@ -254,8 +216,8 @@ func TestKNNApproxQuarantineInterplay(t *testing.T) {
 	for _, q := range queries {
 		trace := obs.NewQueryTrace("")
 		s := sto.NewSession()
-		s.SetObserver(trace)
-		res, err := tr.KNNApprox(s, q, 5, index.Approx{MinRecall: 0.9})
+		s.SetTrace(trace)
+		res, err := tr.KNNApprox(s, q, 5, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

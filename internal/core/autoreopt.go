@@ -5,13 +5,11 @@ import (
 	"repro/internal/store"
 )
 
-// Automatic reoptimization (the PR-8 follow-up): instead of an operator
-// deciding when to call Reoptimize, a policy watches the two pressures
-// updates create — garbage blocks in the quantized file (every rewrite
-// appends a new page version and strands the old one) and quarantined
-// pages (checksum failures answered from the exact shadow until a
-// rebuild relocates them) — and drives the incremental stepper one
-// bounded unit per acknowledged mutation while either persists. Because
+// Automatic reoptimization: instead of an operator deciding when to call
+// Reoptimize, a policy watches the pressure updates create — garbage
+// blocks in the quantized file (every rewrite appends a new page version
+// and strands the old one) — and drives the incremental stepper one
+// bounded unit per acknowledged mutation while it persists. Because
 // steps interleave with queries and updates, the policy adds no pause:
 // the cost is one extra page re-quantization per write while a run is
 // active.
@@ -24,16 +22,6 @@ type AutoReoptPolicy struct {
 	// (0 disables the garbage trigger). Sensible values sit in (0,1);
 	// e.g. 0.5 rebuilds when half the file is stale page versions.
 	GarbageRatio float64
-	// QuarantineMax starts a run once at least this many pages are
-	// quarantined (0 disables the quarantine trigger). Each step drains
-	// at most one quarantined page, so pressure falls as the run
-	// progresses.
-	QuarantineMax int
-}
-
-// enabled reports whether any trigger is configured.
-func (p AutoReoptPolicy) enabled() bool {
-	return p.GarbageRatio > 0 || p.QuarantineMax > 0
 }
 
 var metricAutoReoptTriggers = obs.Default().Counter("reopt.auto_triggers")
@@ -65,16 +53,12 @@ func (t *Tree) GarbageRatio() float64 {
 // mutation that called it is already durable, so a maintenance error
 // surfaces to the caller without undoing anything.
 func (t *Tree) autoReoptimize(s *store.Session) error {
-	p := t.opt.AutoReoptimize
-	if !p.enabled() || t.Len() == 0 {
+	ratio := t.opt.AutoReoptimize.GarbageRatio
+	if ratio <= 0 || t.Len() == 0 {
 		return nil
 	}
 	if !t.ReoptimizeRunning() {
-		trigger := p.GarbageRatio > 0 && t.GarbageRatio() >= p.GarbageRatio
-		if !trigger && p.QuarantineMax > 0 {
-			trigger = len(t.QuarantinedPages()) >= p.QuarantineMax
-		}
-		if !trigger {
+		if t.GarbageRatio() < ratio {
 			return nil
 		}
 		metricAutoReoptTriggers.Inc()

@@ -58,53 +58,6 @@ func TestAutoReoptimizeGarbageTrigger(t *testing.T) {
 	}
 }
 
-// TestAutoReoptimizeQuarantineTrigger: quarantine pressure alone (no
-// garbage threshold) must start a run, and driving the stepper through
-// further writes must eventually rewrite the damaged page and clear the
-// quarantine set — the self-healing single-replica loop.
-func TestAutoReoptimizeQuarantineTrigger(t *testing.T) {
-	opt := DefaultOptions()
-	opt.AutoReoptimize = AutoReoptPolicy{QuarantineMax: 1}
-	sto, tr, _ := buildCheckedTree(t, 3, 2000, 8, opt)
-	r := rand.New(rand.NewSource(4))
-
-	comp := compressedPages(tr)
-	if len(comp) == 0 {
-		t.Fatal("no compressed pages to corrupt")
-	}
-	flipQPageBit(t, sto, comp[0], tr.Options().QPageBlocks)
-	// Queries detect the corruption and quarantine the page.
-	for _, q := range randPoints(r, 30, 8) {
-		if _, err := tr.KNN(sto.NewSession(), q, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(tr.QuarantinedPages()) == 0 {
-		t.Fatal("corruption did not quarantine any page")
-	}
-
-	// Each write advances the policy's run by one step; enough of them
-	// must complete the rebuild and clear the quarantine.
-	extra := randPoints(r, 300, 8)
-	cleared := false
-	for i, p := range extra {
-		if err := tr.Insert(sto.NewSession(), p, uint32(500000+i)); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		if len(tr.QuarantinedPages()) == 0 && !tr.ReoptimizeRunning() {
-			cleared = true
-			break
-		}
-	}
-	if !cleared {
-		t.Fatalf("quarantine never cleared: %d pages still quarantined, running=%v",
-			len(tr.QuarantinedPages()), tr.ReoptimizeRunning())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAutoReoptimizeDisabledByDefault: the zero policy must never step.
 func TestAutoReoptimizeDisabledByDefault(t *testing.T) {
 	r := rand.New(rand.NewSource(9))

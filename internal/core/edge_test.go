@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -282,35 +283,45 @@ func TestMergeOnDelete(t *testing.T) {
 	}
 }
 
-// TestCostDecomposition: the per-file session stats decompose an IQ-tree
-// query into the paper's three cost components.
+// TestCostDecomposition: the trace's levels decompose an IQ-tree query
+// into the paper's three cost components.
 func TestCostDecomposition(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	pts := randPoints(r, 5000, 12)
 	tr := buildTree(t, pts, DefaultOptions())
+	var tc Trace
 	s := tr.sto.NewSession()
+	s.SetTrace(&tc)
 	if _, err := tr.KNN(s, randPoints(r, 1, 12)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 
-	t1 := s.FileStats(DirFileName)
-	t2 := s.FileStats(QFileName)
-	t3 := s.FileStats(EFileName)
-	if t1.BlocksRead == 0 || t1.Seeks != 1 {
+	level := func(file string) obs.LevelTrace {
+		for _, l := range tc.Levels {
+			if l.File == file {
+				return *l
+			}
+		}
+		return obs.LevelTrace{}
+	}
+	t1 := level(DirFileName)
+	t2 := level(QFileName)
+	t3 := level(EFileName)
+	if t1.Blocks == 0 || t1.Seeks != 1 {
 		t.Fatalf("T1st: %+v", t1)
 	}
-	if t2.BlocksRead == 0 {
+	if t2.Blocks == 0 {
 		t.Fatalf("T2nd: %+v", t2)
 	}
 	sum := t1.Seeks + t2.Seeks + t3.Seeks
 	if sum != s.Stats.Seeks {
-		t.Fatalf("per-file seeks %d != total %d", sum, s.Stats.Seeks)
+		t.Fatalf("per-level seeks %d != total %d", sum, s.Stats.Seeks)
 	}
-	blocks := t1.BlocksRead + t2.BlocksRead + t3.BlocksRead
+	blocks := t1.Blocks + t2.Blocks + t3.Blocks
 	if blocks != s.Stats.BlocksRead {
-		t.Fatalf("per-file blocks %d != total %d", blocks, s.Stats.BlocksRead)
+		t.Fatalf("per-level blocks %d != total %d", blocks, s.Stats.BlocksRead)
 	}
-	if s.FileStats("nonexistent").Reads != 0 {
-		t.Fatal("untouched file should have zero stats")
+	if len(tc.Levels) > 3 {
+		t.Fatalf("a query touched %d levels, want at most the tree's 3", len(tc.Levels))
 	}
 }

@@ -16,7 +16,6 @@ import (
 // baselines, so one table exercises all of them.
 type edgeSearcher interface {
 	KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error)
-	NearestNeighbor(s *store.Session, q vec.Point) (vec.Neighbor, bool, error)
 	RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.Neighbor, error)
 }
 
@@ -30,7 +29,7 @@ func edgeMethods(t *testing.T, db []vec.Point) map[string]edgeSearcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["iqtree"] = treeSearcher{iq}
+	out["iqtree"] = iq
 
 	xt, err := xtree.Build(store.NewSim(store.DefaultConfig()), db, xtree.DefaultOptions())
 	if err != nil {
@@ -44,20 +43,6 @@ func edgeMethods(t *testing.T, db []vec.Point) map[string]edgeSearcher {
 	}
 	out["vafile"] = va
 	return out
-}
-
-// treeSearcher adapts *Tree (whose store is embedded) to edgeSearcher
-// with sessions supplied by the caller.
-type treeSearcher struct{ t *Tree }
-
-func (w treeSearcher) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error) {
-	return w.t.KNN(s, q, k)
-}
-func (w treeSearcher) NearestNeighbor(s *store.Session, q vec.Point) (vec.Neighbor, bool, error) {
-	return w.t.NearestNeighbor(s, q)
-}
-func (w treeSearcher) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.Neighbor, error) {
-	return w.t.RangeSearch(s, q, eps)
 }
 
 func sortedDists(nbs []vec.Neighbor) []float64 {
@@ -153,9 +138,9 @@ func TestQueryEdgeCases(t *testing.T) {
 							len(res), len(want))
 					}
 
-					// NearestNeighbor on a populated index always reports ok.
-					if _, ok, err := m.NearestNeighbor(truthSto.NewSession(), q); err != nil || !ok {
-						t.Fatalf("NN: ok=%v err=%v", ok, err)
+					// The nearest neighbor of a populated index always exists.
+					if nn, err := m.KNN(truthSto.NewSession(), q, 1); err != nil || len(nn) != 1 {
+						t.Fatalf("NN: %d results, err %v", len(nn), err)
 					}
 				})
 			}
@@ -184,9 +169,6 @@ func TestEmptyTreeQueries(t *testing.T) {
 	s = tr.sto.NewSession()
 	if res, err := tr.KNN(s, q, 5); err != nil || len(res) != 0 {
 		t.Fatalf("empty KNN: %d results, err %v", len(res), err)
-	}
-	if _, ok, err := tr.NearestNeighbor(s, q); err != nil || ok {
-		t.Fatalf("empty NN: ok=%v err=%v", ok, err)
 	}
 	if res, err := tr.RangeSearch(s, q, 0.5); err != nil || len(res) != 0 {
 		t.Fatalf("empty range: %d results, err %v", len(res), err)

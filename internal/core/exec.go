@@ -18,9 +18,9 @@ import (
 // The tree has one query executor: the fetch round. Every query kind is a
 // resumable cursor (knnCursor, scanCursor) that suspends at its
 // quantized-page fetch boundary, and round advances any set of cursors
-// by one fetch. A direct query — KNN, KNNApprox, KNNInto,
-// NearestNeighbor, RangeSearch, WindowQuery, NNIterator — is a loop of
-// rounds over its one cursor (execute); the engine's scan-sharing
+// by one fetch. A direct query — KNN, KNNApprox, KNNInto, RangeSearch,
+// WindowQuery — is a loop of rounds over its one cursor (execute); the
+// engine's scan-sharing
 // coordinator runs rounds over up to its share window of cursors
 // (SharedScan.Round, shared.go). Planning, leader choice, damage handling
 // and accounting are one code path for both.
@@ -30,9 +30,8 @@ type cursor interface {
 	index.Cursor
 	base() *cursorBase
 	// step advances the query to its next fetch boundary and appends the
-	// page positions it needs to buf. It appends nothing when the query
-	// ended (base().done) or paused: an unbounded ranking stops once its
-	// next neighbor is ready and resumes in a later round.
+	// page positions it needs to buf. It appends nothing exactly when the
+	// query ended (base().done).
 	step(buf []int) []int
 	// needs reports whether the page at pos is still pending for the
 	// query; a read's batch decision counts these.
@@ -113,7 +112,7 @@ func (rs *roundScratch) init() {
 }
 
 // execute runs one query on its own: rounds over its one cursor until it
-// ends or pauses. The caller holds world.RLock for the whole query, so
+// ends. The caller holds world.RLock for the whole query, so
 // the query sees one epoch and never ends with index.ErrStaleScan.
 func (t *Tree) execute(sc *queryScratch, c cursor) error {
 	rs := &sc.round
@@ -162,7 +161,7 @@ func (t *Tree) round(rs *roundScratch, cs []cursor) bool {
 		}
 		rs.buf = step(c, rs.buf[:0])
 		if len(rs.buf) == 0 {
-			continue // ended or paused
+			continue // ended
 		}
 		for _, pos := range rs.buf {
 			rs.union = append(rs.union, want{pos: pos, owner: len(rs.live)})

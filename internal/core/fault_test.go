@@ -405,7 +405,7 @@ func FuzzBitFlipKNN(f *testing.F) {
 		// points at true distances — or fail typed — never corrupt data.
 		met := tr.Options().Metric
 		for i, q := range queries {
-			res, err := tr.KNNApprox(sto.NewSession(), q, 3, index.Approx{MinRecall: 1})
+			res, err := tr.KNNApprox(sto.NewSession(), q, 3, 1)
 			if err != nil {
 				var cbe *store.CorruptBlockError
 				if !errors.As(err, &cbe) && !errors.Is(err, ErrUnrecoverable) {
@@ -424,7 +424,7 @@ func FuzzBitFlipKNN(f *testing.F) {
 			}
 		}
 		for i, q := range queries {
-			res, err := tr.KNNApprox(sto.NewSession(), q, 3, index.Approx{MinRecall: 0.8})
+			res, err := tr.KNNApprox(sto.NewSession(), q, 3, 0.8)
 			if err != nil {
 				var cbe *store.CorruptBlockError
 				if !errors.As(err, &cbe) && !errors.Is(err, ErrUnrecoverable) {
@@ -453,7 +453,7 @@ func FuzzBitFlipKNN(f *testing.F) {
 		}
 		shRes, shErrs := driveShared(t, tr, sessions,
 			func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-				return scan.KNN(s, queries[i], 3, index.Approx{})
+				return scan.KNN(s, queries[i], 3, 0)
 			})
 		for i := range queries {
 			if err := shErrs[i]; err != nil {

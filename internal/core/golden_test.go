@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -54,11 +53,7 @@ func TestQueryCostGolden(t *testing.T) {
 		for i, q := range queries {
 			goldenQuery(t, &b, fmt.Sprintf("approx recall=0.9 q%d", i), tr.sto,
 				func(s *store.Session) ([]Neighbor, error) {
-					return tr.KNNApprox(s, q, 10, index.Approx{MinRecall: 0.9})
-				})
-			goldenQuery(t, &b, fmt.Sprintf("approx cost=5 q%d", i), tr.sto,
-				func(s *store.Session) ([]Neighbor, error) {
-					return tr.KNNApprox(s, q, 10, index.Approx{MaxCost: 5})
+					return tr.KNNApprox(s, q, 10, 0.9)
 				})
 			goldenQuery(t, &b, fmt.Sprintf("range q%d", i), tr.sto,
 				func(s *store.Session) ([]Neighbor, error) { return tr.RangeSearch(s, q, 0.45) })
@@ -68,20 +63,6 @@ func TestQueryCostGolden(t *testing.T) {
 			}
 			goldenQuery(t, &b, fmt.Sprintf("window q%d", i), tr.sto,
 				func(s *store.Session) ([]Neighbor, error) { return tr.WindowQuery(s, w) })
-			// The iterator's trace recording is not pinned, only its cost.
-			goldenUntraced(t, &b, fmt.Sprintf("iterator 25 q%d", i), tr.sto,
-				func(s *store.Session) ([]Neighbor, error) {
-					it := tr.NewNNIterator(s, q)
-					var out []Neighbor
-					for len(out) < 25 {
-						nb, ok := it.Next()
-						if !ok {
-							break
-						}
-						out = append(out, nb)
-					}
-					return out, it.Err()
-				})
 		}
 	}
 
@@ -138,7 +119,7 @@ func goldenQuery(t *testing.T, b *strings.Builder, name string, sto *store.Store
 	t.Helper()
 	s := sto.NewSession()
 	tr := obs.NewQueryTrace("")
-	s.SetObserver(tr)
+	s.SetTrace(tr)
 	res, err := run(s)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -154,26 +135,6 @@ func goldenQuery(t *testing.T, b *strings.Builder, name string, sto *store.Store
 		fmt.Fprintf(b, " %d:[%d,%d]/%d", bd.Pivot, bd.First, bd.Last, bd.Pending)
 	}
 	b.WriteString("\n")
-	goldenResults(b, res)
-}
-
-// goldenUntraced is goldenQuery without a trace: session Stats and the
-// answer only.
-func goldenUntraced(t *testing.T, b *strings.Builder, name string, sto *store.Store,
-	run func(s *store.Session) ([]Neighbor, error)) {
-	t.Helper()
-	s := sto.NewSession()
-	res, err := run(s)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	st := s.Stats
-	fmt.Fprintf(b, "%s | seeks=%d blocks=%d reads=%d cpu=%s\n",
-		name, st.Seeks, st.BlocksRead, st.Reads, ff(st.CPUSeconds))
-	goldenResults(b, res)
-}
-
-func goldenResults(b *strings.Builder, res []Neighbor) {
 	b.WriteString("  results")
 	for _, nb := range res {
 		fmt.Fprintf(b, " %d@%s", nb.ID, ff(nb.Dist))

@@ -196,7 +196,7 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 	blk := make([]byte, bs)
 	copy(blk, raw)
 	blk[0] ^= 0xff // clobber the count
-	if err := tr.qFile.WriteBlocks(0, blk); err != nil {
+	if err := tr.sto.Backend().Lookup(tr.qFile.Name()).WriteBlocks(0, blk); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err == nil {

@@ -118,9 +118,10 @@ type Tree struct {
 	world sync.RWMutex
 	mu    sync.Mutex // serializes writers (Insert/InsertBatch/Delete)
 	snap  atomic.Pointer[snapshot]
-	// reoptGen counts Reoptimize runs; an NNIterator records it at
-	// creation and refuses to continue across a compaction (its pinned
-	// snapshot would point into rewritten file regions).
+	// reoptGen counts Reoptimize runs; a cursor records it when it
+	// begins, and a round ends it with index.ErrStaleScan across a
+	// compaction (its pinned snapshot would point into rewritten file
+	// regions).
 	reoptGen atomic.Uint64
 
 	// quar tracks quarantined physical positions of the quantized file:
@@ -165,11 +166,6 @@ func (t *Tree) load() *snapshot { return t.snap.Load() }
 
 // publish installs sn as the current snapshot.
 func (t *Tree) publish(sn *snapshot) { t.snap.Store(sn) }
-
-// Epoch returns the epoch counter of the current snapshot; it increases
-// by one per published update (tests use it to reason about snapshot
-// isolation).
-func (t *Tree) Epoch() uint64 { return t.load().epoch }
 
 // Dim returns the dimensionality of the indexed points.
 func (t *Tree) Dim() int { return t.dim }

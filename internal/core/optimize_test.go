@@ -148,8 +148,8 @@ func TestConcurrentSearches(t *testing.T) {
 		go func(i int, q vec.Point) {
 			defer wg.Done()
 			s := tr.sto.NewSession()
-			nn, ok, err := tr.NearestNeighbor(s, q)
-			if err != nil || !ok || nn.Dist > want[i]+1e-6 {
+			nn, err := tr.KNN(s, q, 1)
+			if err != nil || len(nn) != 1 || nn[0].Dist > want[i]+1e-6 {
 				errs <- "wrong concurrent result"
 			}
 		}(i, q)
@@ -174,11 +174,7 @@ func TestKNNEdgeCases(t *testing.T) {
 	if got := mustKNN(t, tr, pts[0], 1000); len(got) != 500 {
 		t.Fatalf("k > n returned %d results", len(got))
 	}
-	nn, ok, err := tr.NearestNeighbor(tr.sto.NewSession(), pts[33])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok || nn.Dist != 0 {
+	if nn := mustKNN(t, tr, pts[33], 1); len(nn) != 1 || nn[0].Dist != 0 {
 		t.Fatalf("self query: %+v", nn)
 	}
 }

@@ -219,9 +219,8 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = tr
-	meta := sto.File(MetaFileName)
 	blk := make([]byte, sto.Config().BlockSize)
-	if err := meta.WriteBlocks(0, blk); err != nil {
+	if err := sto.Backend().Lookup(MetaFileName).WriteBlocks(0, blk); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(sto); err == nil {

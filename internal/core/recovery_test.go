@@ -61,8 +61,9 @@ func sameNeighbor(a, b Neighbor) bool {
 }
 
 // assertTreesEqual compares got against want through all four access
-// methods (KNN, range search, the incremental NN iterator, and the full
-// scan) and then byte-for-byte on the live generation's data files.
+// methods (KNN, range search, the full ranking as KNN with k = Len(),
+// and the full scan) and then byte-for-byte on the live generation's
+// data files.
 func assertTreesEqual(t *testing.T, got, want *Tree, queries []vec.Point) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -98,17 +99,15 @@ func assertTreesEqual(t *testing.T, got, want *Tree, queries []vec.Point) {
 				t.Fatalf("query %d range[%d]: %+v, want %+v", qi, i, ra[i], rb[i])
 			}
 		}
-		ia := got.NewNNIterator(got.sto.NewSession(), q)
-		ib := want.NewNNIterator(want.sto.NewSession(), q)
-		for i := 0; i < 8; i++ {
-			na, oka := ia.Next()
-			nb, okb := ib.Next()
-			if oka != okb || (oka && !sameNeighbor(na, nb)) {
-				t.Fatalf("query %d iterator[%d]: %+v/%v, want %+v/%v", qi, i, na, oka, nb, okb)
-			}
+		fa := mustKNN(t, got, q, got.Len())
+		fb := mustKNN(t, want, q, want.Len())
+		if len(fa) != len(fb) {
+			t.Fatalf("query %d: ranking of %d neighbors, want %d", qi, len(fa), len(fb))
 		}
-		if ia.Err() != nil || ib.Err() != nil {
-			t.Fatalf("query %d iterator errs: %v / %v", qi, ia.Err(), ib.Err())
+		for i := range fa {
+			if !sameNeighbor(fa[i], fb[i]) {
+				t.Fatalf("query %d ranking[%d]: %+v, want %+v", qi, i, fa[i], fb[i])
+			}
 		}
 	}
 	assertSamePoints(t, got, want)
@@ -593,7 +592,7 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 	// Deterministic straddle: step a cursor mid-flight, run the stepper to
 	// completion, and check the stale signal on the next step.
 	scan := tr.NewSharedScan()
-	cur := scan.KNN(tr.sto.NewSession(), pts[3], 3, index.Approx{})
+	cur := scan.KNN(tr.sto.NewSession(), pts[3], 3, 0)
 	if scan.Round([]index.Cursor{cur}); cur.Done() {
 		_, err := cur.Results()
 		t.Fatalf("first round ended the query: %v", err)
@@ -635,7 +634,7 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 	}
 	results, errs := driveShared(t, tr, sessions,
 		func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-			return scan.KNN(s, queries[i], 3, index.Approx{})
+			return scan.KNN(s, queries[i], 3, 0)
 		})
 	if err := <-stepErr; err != nil {
 		t.Fatalf("reoptimize during shared scan: %v", err)

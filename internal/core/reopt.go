@@ -30,8 +30,8 @@ import (
 // Snapshot correctness: queries pin epochs of the old generation and
 // hold world.RLock for their whole duration, so the final swap cannot
 // run under them; once it has run, reoptGen invalidates outstanding
-// iterators/scans (ErrStaleIterator / index.ErrStaleScan) instead of
-// letting them read repositioned pages.
+// shared-scan cursors (index.ErrStaleScan) instead of letting them read
+// repositioned pages.
 
 var (
 	metricReoptSteps = obs.Default().Counter("reopt.steps")
@@ -174,10 +174,8 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 	t.world.Lock()
 	defer t.world.Unlock()
 	r := t.reopt
-	cur := t.load()
 
 	sn := &snapshot{
-		epoch:     cur.epoch + 1,
 		n:         r.n,
 		dataSpace: r.dataSpace.Clone(),
 		model:     r.model,

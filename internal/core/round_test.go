@@ -26,7 +26,7 @@ func TestSpanLeaderSkipsCanceled(t *testing.T) {
 	begin := func(ctx context.Context) cursor {
 		s := tr.sto.NewSession()
 		s.SetContext(ctx)
-		return scan.KNN(s, pts[0], 3, index.Approx{}).(cursor)
+		return scan.KNN(s, pts[0], 3, 0).(cursor)
 	}
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -72,7 +72,7 @@ func TestRoundContainsCursorPanic(t *testing.T) {
 	results, errs := driveShared(t, tr, sessions,
 		func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
 			if i == bad {
-				return scan.KNN(s, short, 3, index.Approx{})
+				return scan.KNN(s, short, 3, 0)
 			}
 			return newSharedCursor(scan, cases[i], s)
 		})
@@ -118,7 +118,7 @@ func TestDegradedReadsAgreeAcrossDrivers(t *testing.T) {
 			}
 			shared, sharedErrs := driveShared(t, tr, sessions,
 				func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-					return scan.KNN(s, queries[i], 5, index.Approx{})
+					return scan.KNN(s, queries[i], 5, 0)
 				})
 			for i, q := range queries {
 				direct, err := tr.KNN(sto.NewSession(), q, 5)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/index"
 	"repro/internal/kernel"
 	"repro/internal/pagesched"
 	"repro/internal/store"
@@ -66,12 +65,15 @@ func (sc *queryScratch) init() {
 
 // beginSearch re-initializes the scratch's k-NN state for one query,
 // reusing every buffer at its high-water capacity.
-func (sc *queryScratch) beginSearch(t *Tree, sn *snapshot, s *store.Session, q vec.Point, k int, tr *Trace, ap index.Approx) *nnSearch {
+func (sc *queryScratch) beginSearch(t *Tree, sn *snapshot, s *store.Session, q vec.Point, k int, tr *Trace, minRecall float64) *nnSearch {
 	st := &sc.search
 	st.t, st.sn, st.s, st.q, st.k, st.tr = t, sn, s, q, k, tr
 	st.err = nil
-	st.ap = ap
-	st.fetched, st.apStopped, st.apStopRefine = 0, false, false
+	st.eps = 0
+	if minRecall > 0 {
+		st.eps = 1 - minRecall
+	}
+	st.apStopped = false
 	n := len(sn.entries)
 	st.minD = grow(st.minD, n)
 	st.processed = grow(st.processed, n)

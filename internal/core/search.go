@@ -28,42 +28,30 @@ type Neighbor = vec.Neighbor
 // Trace records the physical work of one query: per-level simulated
 // cost, the scheduler's batch decisions, and the candidate/refinement
 // funnel. It is the obs.QueryTrace of the observability layer: attach one
-// to the session with SetObserver and every query entry point records
-// its plan events into it, sets its simulated costs and labels it, while
-// the session feeds it the per-level seek/transfer/CPU charges. All
-// methods are nil-safe — a nil *Trace records nothing.
+// to the session with SetTrace and every query entry point records its
+// plan events into it, sets its simulated costs and labels it, while the
+// session feeds it the per-level seek/transfer/CPU charges. All methods
+// are nil-safe — a nil *Trace records nothing.
 type Trace = obs.QueryTrace
-
-// NearestNeighbor returns the nearest neighbor of q, charging all
-// simulated I/O and CPU to session s. ok is false when the tree is
-// empty or the search failed.
-func (t *Tree) NearestNeighbor(s *store.Session, q vec.Point) (nb Neighbor, ok bool, err error) {
-	res, err := t.KNN(s, q, 1)
-	if err != nil || len(res) == 0 {
-		return Neighbor{}, false, err
-	}
-	return res[0], true, nil
-}
 
 // KNN returns the k nearest neighbors of q ordered by increasing
 // distance. On a read failure it returns the session's (sticky) error;
 // the partial result must not be trusted.
 func (t *Tree) KNN(s *store.Session, q vec.Point, k int) ([]Neighbor, error) {
-	return t.KNNApprox(s, q, k, index.Approx{})
+	return t.knn(s, q, k, 0, nil)
 }
 
-// KNNApprox is KNN under a probability-bounded approximation knob
-// (paper Sec. 2.2 turned into a stopping rule; see index.Approx): the
-// best-first search stops fetching quantized pages once the estimated
-// probability that any still-unfetched page improves the current top-k
-// drops below ε = 1 − MinRecall, or once MaxCost pages were fetched.
-// Candidates already admitted from fetched pages are still refined
-// against exact geometry, so every returned neighbor is a genuine
-// indexed point at its exact distance — an approximate answer can
-// substitute farther neighbors for missed ones, never fabricate them.
-// A zero (or MinRecall = 1) knob is bit-identical to KNN.
-func (t *Tree) KNNApprox(s *store.Session, q vec.Point, k int, ap index.Approx) ([]Neighbor, error) {
-	return t.knn(s, q, k, ap, nil)
+// KNNApprox is KNN at a recall target (paper Sec. 2.2 turned into a
+// stopping rule; see index.ApproxSearcher): the best-first search stops
+// fetching quantized pages once the estimated probability that any
+// still-unfetched page improves the current top-k drops below
+// ε = 1 − minRecall. Candidates already admitted from fetched pages are
+// still refined against exact geometry, so every returned neighbor is a
+// genuine indexed point at its exact distance — an approximate answer
+// can substitute farther neighbors for missed ones, never fabricate
+// them. minRecall = 0 (exact) or 1 (ε = 0) is bit-identical to KNN.
+func (t *Tree) KNNApprox(s *store.Session, q vec.Point, k int, minRecall float64) ([]Neighbor, error) {
+	return t.knn(s, q, k, minRecall, nil)
 }
 
 // KNNInto is KNN reusing the caller's result buffer: dst (grown as
@@ -73,16 +61,16 @@ func (t *Tree) KNNApprox(s *store.Session, q vec.Point, k int, ap index.Approx) 
 // returned slice and its points are owned by the caller until the next
 // KNNInto with the same dst.
 func (t *Tree) KNNInto(s *store.Session, q vec.Point, k int, dst []Neighbor) ([]Neighbor, error) {
-	return t.knn(s, q, k, index.Approx{}, dst)
+	return t.knn(s, q, k, 0, dst)
 }
 
 // knn runs the session's k-NN cursor to completion under one pinned
 // epoch and pops its result into dst (see resultsInto).
-func (t *Tree) knn(s *store.Session, q vec.Point, k int, ap index.Approx, dst []Neighbor) ([]Neighbor, error) {
+func (t *Tree) knn(s *store.Session, q vec.Point, k int, minRecall float64, dst []Neighbor) ([]Neighbor, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
 	sc := scratchFor(s)
-	c := t.beginKNN(s, sc, q, k, ap)
+	c := t.beginKNN(s, sc, q, k, minRecall)
 	if err := t.execute(sc, c); err != nil {
 		return nil, err
 	}
@@ -92,10 +80,10 @@ func (t *Tree) knn(s *store.Session, q vec.Point, k int, ap index.Approx, dst []
 	return c.st.resultsInto(dst), nil
 }
 
-// traceOf returns the session's *Trace observer (nil when there is
-// none) with the store's simulated costs set, so it can render times.
+// traceOf returns the session's trace (nil when there is none) with the
+// store's simulated costs set, so it can render times.
 func (t *Tree) traceOf(s *store.Session) *Trace {
-	tr := obs.TraceFrom(s.Observer())
+	tr := s.Trace()
 	if tr != nil {
 		cfg := t.sto.Config()
 		tr.SetCosts(cfg.Seek, cfg.Xfer)
@@ -122,25 +110,18 @@ type knnCursor struct {
 
 // beginKNN resets the scratch's k-NN cursor for one query over the
 // current epoch. The caller holds world.RLock.
-func (t *Tree) beginKNN(s *store.Session, sc *queryScratch, q vec.Point, k int, ap index.Approx) *knnCursor {
+func (t *Tree) beginKNN(s *store.Session, sc *queryScratch, q vec.Point, k int, minRecall float64) *knnCursor {
 	tr := t.traceOf(s)
 	if tr != nil {
 		tr.SetLabel(fmt.Sprintf("knn k=%d", k))
 	}
-	c := sc.startKNN(t, s, tr, q, k, ap)
-	if k <= 0 || c.sn.n == 0 {
-		c.st, c.done = nil, true
-	}
-	return c
-}
-
-// startKNN resets the scratch's k-NN cursor to search the current epoch;
-// k = 0 ranks without a result bound (NNIterator).
-func (sc *queryScratch) startKNN(t *Tree, s *store.Session, tr *Trace, q vec.Point, k int, ap index.Approx) *knnCursor {
 	sn := t.load()
 	c := &sc.knn
 	*c = knnCursor{cursorBase: cursorBase{s: s, tr: tr, sn: sn, gen: t.reoptGen.Load()}, pending: -1}
-	c.st = sc.beginSearch(t, sn, s, q, k, tr, ap)
+	c.st = sc.beginSearch(t, sn, s, q, k, tr, minRecall)
+	if k <= 0 || sn.n == 0 {
+		c.st, c.done = nil, true
+	}
 	return c
 }
 
@@ -162,11 +143,7 @@ func (c *knnCursor) step(buf []int) []int {
 	if c.pending < 0 || st.processed[c.pending] {
 		entry, ok := st.advance()
 		if !ok {
-			// An unbounded ranking pauses until the caller emitted the
-			// neighbor that is ready.
-			if st.k > 0 || st.err != nil {
-				c.finish(st.err)
-			}
+			c.finish(st.err)
 			return buf
 		}
 		c.pending = int32(entry)
@@ -200,9 +177,7 @@ func (c *knnCursor) deliver(pg *sharedPage, shared bool) bool {
 	relevant := c.needs(pg.pos)
 	if !shared {
 		// The leader accounts every transferred page, irrelevant ones as
-		// pruned — and every transferred page consumes the approximate-mode
-		// fetch budget, over-reads included.
-		st.fetched++
+		// pruned.
 		st.tr.AddPages(1)
 	}
 	if !relevant {
@@ -270,7 +245,7 @@ type nnSearch struct {
 	sn  *snapshot // pinned directory epoch; all state below indexes it
 	s   *store.Session
 	q   vec.Point
-	k   int // result bound; 0 ranks without one (NNIterator)
+	k   int // result bound
 	tr  *Trace
 	sc  *queryScratch // owning scratch (arenas, sorter, prob buffers)
 	err error         // first read failure; aborts the search
@@ -281,21 +256,15 @@ type nnSearch struct {
 
 	heap []pqItem // min-heap on dist
 
-	// Approximate execution state (zero for exact queries): the knob, the
-	// quantized pages fetched so far (mirrors the trace's PagesRead; kept
-	// here because tracing is optional), and the stopping rule's state.
-	ap           index.Approx
-	fetched      int
-	apStopped    bool           // ε or budget rule fired: no more quantized page fetches
-	apStopRefine bool           // ε rule fired: no more fresh exact-page (level-3) loads either
-	wSum         []float64      // per entry: Σ (ub − lb) over admitted candidates
-	wCnt         []int32        // per entry: admitted candidate count
-	exactSkip    map[int32]bool // exact pages the ε stop left unloaded
+	// Approximate execution state (zero for exact queries): the stopping
+	// threshold and the stopping rule's state.
+	eps       float64        // ε = 1 − minRecall; the rule never fires at ε ≤ 0
+	apStopped bool           // ε rule fired: no more quantized page fetches or fresh exact-page loads
+	wSum      []float64      // per entry: Σ (ub − lb) over admitted candidates
+	wCnt      []int32        // per entry: admitted candidate count
+	exactSkip map[int32]bool // exact pages the ε stop left unloaded
 
 	// res holds the k best refined neighbors as a max-heap on distance.
-	// An unbounded ranking keeps every refined neighbor not yet emitted
-	// there instead, with negated distances, which makes the same heap a
-	// min-heap on distance (emit undoes the negation).
 	res resHeap
 	ub  []float64 // max-heap of the k smallest upper bounds seen
 
@@ -315,7 +284,7 @@ type exactPage struct {
 
 // nnDist is the exact kth-best distance found so far.
 func (st *nnSearch) nnDist() float64 {
-	if st.k == 0 || len(st.res) < st.k {
+	if len(st.res) < st.k {
 		return math.Inf(1)
 	}
 	return st.res[0].Dist
@@ -325,7 +294,7 @@ func (st *nnSearch) nnDist() float64 {
 // within it, so anything farther can be discarded (VA-file style pruning,
 // implied by the paper's b-sphere argument).
 func (st *nnSearch) bound() float64 {
-	if st.k == 0 || len(st.ub) < st.k {
+	if len(st.ub) < st.k {
 		return math.Inf(1)
 	}
 	return st.ub[0]
@@ -373,10 +342,9 @@ func (st *nnSearch) start() bool {
 // advance pops the priority list to the next unprocessed page entry,
 // refining point items inline on the way. ok=false means the search is
 // complete: either the list ran dry, nothing left can improve the
-// result, or a refinement failed (st.err). An unbounded ranking also
-// stops as soon as its closest refined neighbor can be emitted.
+// result, or a refinement failed (st.err).
 func (st *nnSearch) advance() (entry int, ok bool) {
-	for len(st.heap) > 0 && st.err == nil && !st.ready() {
+	for len(st.heap) > 0 && st.err == nil {
 		it := st.popItem()
 		if it.dist >= st.nnDist() {
 			break // nothing left can improve the result set
@@ -409,26 +377,20 @@ func (st *nnSearch) advance() (entry int, ok bool) {
 // the page-fetch stopping rule — the remaining-improvement estimate
 // counts unfetched pages and pending candidates alike — and never fires
 // before k refined results exist, so an approximate answer always holds
-// k genuine neighbors. A budget (MaxCost) stop does not gate
-// refinements: the budget bounds quantized page transfers only.
+// k genuine neighbors.
 func (st *nnSearch) approxSkipRefine(it pqItem) bool {
-	if !st.ap.Enabled() || len(st.res) < st.k {
+	if st.eps <= 0 || len(st.res) < st.k {
 		return false
 	}
 	if _, cached := st.exactCache[it.entry]; cached {
 		return false
 	}
-	if !st.apStopRefine {
-		eps := st.ap.Epsilon()
-		if eps <= 0 {
-			return false
-		}
-		p := st.remainingImprove(eps, &it)
-		if p >= eps {
+	if !st.apStopped {
+		p := st.remainingImprove(st.eps, &it)
+		if p >= st.eps {
 			return false
 		}
 		st.terminateApprox(p)
-		st.apStopRefine = true
 	}
 	st.skipExact(it.entry)
 	return true
@@ -450,38 +412,27 @@ func (st *nnSearch) skipExact(entry int32) {
 }
 
 // approxStop decides, immediately before the popped page entry would be
-// fetched, whether the approximate knob terminates page fetching: either
-// the page-fetch budget is spent, or the cumulative probability that any
-// still-unfetched page improves the current top-k — 1 − Π(1 − p_i) over
-// the remaining unprocessed, unpruned pages, p_i from the paper's
-// uniformity-within-MBR model — dropped below ε = 1 − MinRecall. Once
-// stopped, every later-popped page is skipped the same way while point
-// candidates from already-fetched pages keep refining, so the answer
-// stays exact for everything the filter level actually saw. Exact
-// queries (zero knob) return false without touching any state.
+// fetched, whether the ε rule terminates page fetching: whether the
+// cumulative probability that any still-unfetched page improves the
+// current top-k — 1 − Π(1 − p_i) over the remaining unprocessed,
+// unpruned pages, p_i from the paper's uniformity-within-MBR model —
+// dropped below ε = 1 − minRecall. Once stopped, every later-popped page
+// is skipped the same way while point candidates from already-fetched
+// pages keep refining, so the answer stays exact for everything the
+// filter level actually saw. Exact queries (ε = 0) return false without
+// touching any state.
 func (st *nnSearch) approxStop(entry int) bool {
-	if !st.ap.Enabled() {
+	if st.eps <= 0 {
 		return false
 	}
 	if st.apStopped {
 		st.skipPage(entry)
 		return true
 	}
-	if st.ap.MaxCost > 0 && st.fetched >= st.ap.MaxCost {
-		// Budget stop: record the (un-cut) remaining-improvement estimate
-		// so the trace reports how much the budget may have cost. The
-		// budget bounds page transfers only; refinements keep running.
-		st.terminateApprox(st.remainingImprove(1, nil))
+	if p := st.remainingImprove(st.eps, nil); p < st.eps {
+		st.terminateApprox(p)
 		st.skipPage(entry)
 		return true
-	}
-	if eps := st.ap.Epsilon(); eps > 0 {
-		if p := st.remainingImprove(eps, nil); p < eps {
-			st.terminateApprox(p)
-			st.apStopRefine = true
-			st.skipPage(entry)
-			return true
-		}
 	}
 	return false
 }
@@ -745,11 +696,6 @@ func (st *nnSearch) loadExact(entry int32) (exactPage, error) {
 }
 
 func (st *nnSearch) addResult(nb Neighbor) {
-	if st.k == 0 {
-		nb.Dist = -nb.Dist
-		st.res.push(nb)
-		return
-	}
 	if nb.Dist >= st.nnDist() {
 		return
 	}
@@ -757,22 +703,6 @@ func (st *nnSearch) addResult(nb Neighbor) {
 	if len(st.res) > st.k {
 		st.res.pop()
 	}
-}
-
-// ready reports whether an unbounded ranking can emit its closest
-// refined neighbor: no pending item of the priority list can be closer.
-func (st *nnSearch) ready() bool {
-	return st.k == 0 && len(st.res) > 0 && (len(st.heap) == 0 || -st.res[0].Dist <= st.heap[0].dist)
-}
-
-// emit pops the closest refined neighbor of an unbounded ranking.
-func (st *nnSearch) emit() (Neighbor, bool) {
-	if len(st.res) == 0 {
-		return Neighbor{}, false
-	}
-	nb := st.res.pop()
-	nb.Dist = -nb.Dist
-	return nb, true
 }
 
 // resultsInto pops the result heap into dst, reusing its backing array
@@ -805,9 +735,6 @@ func (st *nnSearch) resultsInto(dst []Neighbor) []Neighbor {
 // reporting whether the heap changed (i.e. whether the kth-smallest
 // upper bound may have moved).
 func (st *nnSearch) pushUB(ub float64) bool {
-	if st.k == 0 {
-		return false
-	}
 	if len(st.ub) == st.k {
 		if ub >= st.ub[0] {
 			return false

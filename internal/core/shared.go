@@ -49,15 +49,15 @@ type sharedScan struct {
 	cs []cursor
 }
 
-// KNN begins one resumable k-NN query charged to s under the given
-// approximation knob: once the knob's stopping rule fires the cursor
-// drains its candidate refinements and stops wanting pages. A zero (or
-// MinRecall = 1) knob is exact search.
-func (ss *sharedScan) KNN(s *store.Session, q vec.Point, k int, ap index.Approx) index.Cursor {
+// KNN begins one resumable k-NN query charged to s at the recall target
+// minRecall: once the ε rule fires the cursor drains its candidate
+// refinements and stops wanting pages. minRecall = 0 or 1 is exact
+// search.
+func (ss *sharedScan) KNN(s *store.Session, q vec.Point, k int, minRecall float64) index.Cursor {
 	t := ss.t
 	t.world.RLock()
 	defer t.world.RUnlock()
-	return t.beginKNN(s, scratchFor(s), q, k, ap)
+	return t.beginKNN(s, scratchFor(s), q, k, minRecall)
 }
 
 // Range begins one resumable range query charged to s.

@@ -95,7 +95,7 @@ func mixedCases(r *rand.Rand, n, dim int) []sharedCase {
 func newSharedCursor(scan index.SharedScan, c sharedCase, s *store.Session) index.Cursor {
 	switch c.kind {
 	case "knn":
-		return scan.KNN(s, c.q, c.k, index.Approx{})
+		return scan.KNN(s, c.q, c.k, 0)
 	case "range":
 		return scan.Range(s, c.q, c.eps)
 	default:
@@ -219,7 +219,7 @@ func TestSharedCursorStaleAfterReoptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan := tr.NewSharedScan()
-	cur := scan.KNN(sto.NewSession(), pts[0], 3, index.Approx{})
+	cur := scan.KNN(sto.NewSession(), pts[0], 3, 0)
 	if scan.Round([]index.Cursor{cur}); cur.Done() {
 		_, err := cur.Results()
 		t.Fatalf("first round ended the query: %v", err)
@@ -235,7 +235,7 @@ func TestSharedCursorStaleAfterReoptimize(t *testing.T) {
 	sessions := []*store.Session{sto.NewSession()}
 	results, errs := driveShared(t, tr, sessions,
 		func(scan index.SharedScan, _ int, s *store.Session) index.Cursor {
-			return scan.KNN(s, pts[0], 3, index.Approx{})
+			return scan.KNN(s, pts[0], 3, 0)
 		})
 	if errs[0] != nil || len(results[0]) != 3 {
 		t.Fatalf("fresh cursor after reoptimize: %d results, err %v", len(results[0]), errs[0])

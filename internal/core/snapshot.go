@@ -17,7 +17,6 @@ import (
 // pinned snapshots keep reading consistent bytes), and publish the clone
 // atomically as the next epoch.
 type snapshot struct {
-	epoch     uint64
 	n         int             // live points
 	entries   []page.DirEntry // decoded directory
 	grids     []quantize.Grid // per-entry quantization grid
@@ -34,7 +33,6 @@ type snapshot struct {
 // paths, so sharing them with the previous epoch is safe.
 func (sn *snapshot) clone() *snapshot {
 	c := &snapshot{
-		epoch:     sn.epoch + 1,
 		n:         sn.n,
 		entries:   append([]page.DirEntry(nil), sn.entries...),
 		grids:     append([]quantize.Grid(nil), sn.grids...),

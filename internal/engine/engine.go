@@ -79,17 +79,14 @@ type Query struct {
 	Window vec.MBR   // Window bounds
 	Trace  bool      // collect a per-query plan trace (costs extra allocation)
 
-	// MinRecall and MaxCost arm approximate KNN execution (KNN-only; at
-	// most one may be set, and both are "unset" at zero). MinRecall ∈
-	// (0,1] is the target expected recall: the index stops fetching pages
-	// once the modeled probability that any unfetched page still improves
-	// the top-k drops below ε = 1 − MinRecall. MinRecall = 1 is armed but
-	// bit-identical to exact execution. MaxCost > 0 is a hard budget on
-	// quantized pages transferred (checked at fetch boundaries, so a
-	// batched read may overshoot by its over-read tail). On indexes
-	// without approximate support the query runs exact.
+	// MinRecall arms approximate KNN execution (KNN-only; 0 means
+	// exact). MinRecall ∈ (0,1] is the target expected recall: the index
+	// stops fetching pages once the modeled probability that any
+	// unfetched page still improves the top-k drops below
+	// ε = 1 − MinRecall. MinRecall = 1 is armed but bit-identical to
+	// exact execution. On indexes without approximate support the query
+	// runs exact.
 	MinRecall float64
-	MaxCost   int
 
 	// Ctx, when non-nil, bounds the query: a done context fails the
 	// query with an error wrapping ErrCanceled — checked while waiting
@@ -106,14 +103,8 @@ func (q Query) Validate() error {
 	if q.MinRecall < 0 || q.MinRecall > 1 || q.MinRecall != q.MinRecall {
 		return fmt.Errorf("%w: min recall %v outside [0, 1]", ErrInvalidQuery, q.MinRecall)
 	}
-	if q.MaxCost < 0 {
-		return fmt.Errorf("%w: negative max cost %d", ErrInvalidQuery, q.MaxCost)
-	}
-	if q.MinRecall > 0 && q.MaxCost > 0 {
-		return fmt.Errorf("%w: min recall and max cost are mutually exclusive", ErrInvalidQuery)
-	}
-	if q.Kind != KNN && (q.MinRecall > 0 || q.MaxCost > 0) {
-		return fmt.Errorf("%w: approximate knobs on a %s query", ErrInvalidQuery, q.Kind)
+	if q.Kind != KNN && q.MinRecall > 0 {
+		return fmt.Errorf("%w: recall target on a %s query", ErrInvalidQuery, q.Kind)
 	}
 	switch q.Kind {
 	case KNN:
@@ -162,11 +153,6 @@ func (e *Engine) validate(q Query) error {
 		return fmt.Errorf("%w: %d-d %s query on a %d-d index", ErrInvalidQuery, n, q.Kind, dim)
 	}
 	return nil
-}
-
-// approx returns the query's approximate-execution knob in index form.
-func (q Query) approx() index.Approx {
-	return index.Approx{MinRecall: q.MinRecall, MaxCost: q.MaxCost}
 }
 
 // Result is the outcome of one Query.
@@ -576,7 +562,7 @@ func (e *Engine) run(s *store.Session, q Query, res *Result) (panicked bool) {
 		res.Trace = obs.NewQueryTrace(q.Kind.String())
 		cfg := e.sto.Config()
 		res.Trace.SetCosts(cfg.Seek, cfg.Xfer)
-		s.SetObserver(res.Trace)
+		s.SetTrace(res.Trace)
 	}
 	if q.Ctx != nil {
 		s.SetContext(q.Ctx)
@@ -610,14 +596,14 @@ func (e *Engine) execute(s *store.Session, q Query, res *Result) (panicked bool)
 	}()
 	switch q.Kind {
 	case KNN:
-		if ap := q.approx(); ap.Enabled() {
+		if q.MinRecall > 0 {
 			e.approxQs.Inc()
 			if as, ok := e.idx.(index.ApproxSearcher); ok {
-				res.Neighbors, res.Err = as.KNNApprox(s, q.Point, q.K, ap)
+				res.Neighbors, res.Err = as.KNNApprox(s, q.Point, q.K, q.MinRecall)
 				break
 			}
 			// No approximate support: run exact, which trivially satisfies
-			// any recall target (the cost knob degrades to unbounded).
+			// any recall target.
 		}
 		res.Neighbors, res.Err = e.idx.KNN(s, q.Point, q.K)
 	case Range:

@@ -106,7 +106,7 @@ func (e *Engine) startShared(j job, lane int) *sharedQuery {
 		j.res.Trace = obs.NewQueryTrace(q.Kind.String())
 		cfg := e.sto.Config()
 		j.res.Trace.SetCosts(cfg.Seek, cfg.Xfer)
-		s.SetObserver(j.res.Trace)
+		s.SetTrace(j.res.Trace)
 	}
 	if q.Ctx != nil {
 		s.SetContext(q.Ctx)
@@ -130,11 +130,10 @@ func (e *Engine) begin(sq *sharedQuery) (ok bool) {
 	q := sq.job.q
 	switch q.Kind {
 	case KNN:
-		ap := q.approx()
-		if ap.Enabled() {
+		if q.MinRecall > 0 {
 			e.approxQs.Inc()
 		}
-		sq.cur = e.scan.KNN(sq.s, q.Point, q.K, ap)
+		sq.cur = e.scan.KNN(sq.s, q.Point, q.K, q.MinRecall)
 	case Range:
 		sq.cur = e.scan.Range(sq.s, q.Point, q.Eps)
 	default:

@@ -240,10 +240,8 @@ func TestEngineQueryValidation(t *testing.T) {
 		{Kind: KNN, Point: p, K: 3, MinRecall: -0.1},                              // recall below [0, 1]
 		{Kind: KNN, Point: p, K: 3, MinRecall: 1.5},                               // recall above [0, 1]
 		{Kind: KNN, Point: p, K: 3, MinRecall: math.NaN()},                        // recall NaN
-		{Kind: KNN, Point: p, K: 3, MaxCost: -1},                                  // negative budget
-		{Kind: KNN, Point: p, K: 3, MinRecall: 0.9, MaxCost: 5},                   // both knobs at once
-		{Kind: Range, Point: p, Eps: 0.1, MinRecall: 0.9},                         // approx knob on non-KNN
-		{Kind: Window, Window: vec.MBR{Lo: p, Hi: p}, MaxCost: 5},                 // approx knob on non-KNN
+		{Kind: Range, Point: p, Eps: 0.1, MinRecall: 0.9},                         // recall target on non-KNN
+		{Kind: Window, Window: vec.MBR{Lo: p, Hi: p}, MinRecall: 0.9},             // recall target on non-KNN
 	}
 	for i, q := range bad {
 		res := e.Submit(q)
@@ -253,9 +251,8 @@ func TestEngineQueryValidation(t *testing.T) {
 	}
 	good := []Query{
 		{Kind: KNN, Point: p, K: 3},
-		{Kind: KNN, Point: p, K: 3, MinRecall: 0.9}, // recall knob alone
+		{Kind: KNN, Point: p, K: 3, MinRecall: 0.9}, // recall target
 		{Kind: KNN, Point: p, K: 3, MinRecall: 1},   // exact-degenerate knob
-		{Kind: KNN, Point: p, K: 3, MaxCost: 5},     // budget knob alone
 	}
 	for i, q := range good {
 		if res := e.Submit(q); res.Err != nil {

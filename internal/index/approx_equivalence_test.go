@@ -107,39 +107,34 @@ func TestApproxShardedEquivalence(t *testing.T) {
 			}
 		}
 
-		for _, rq := range []engine.Query{
-			{Kind: engine.KNN, Point: q, K: k, MinRecall: 0.8},
-			{Kind: engine.KNN, Point: q, K: k, MaxCost: 3},
-		} {
-			res := c.Submit(rq)
-			if res.Err != nil {
-				t.Fatalf("query %d relaxed: %v", qi, res.Err)
+		res := c.Submit(engine.Query{Kind: engine.KNN, Point: q, K: k, MinRecall: 0.8})
+		if res.Err != nil {
+			t.Fatalf("query %d relaxed: %v", qi, res.Err)
+		}
+		if len(res.Neighbors) != k {
+			t.Fatalf("query %d relaxed: %d results, want %d", qi, len(res.Neighbors), k)
+		}
+		seen := make(map[uint32]bool, k)
+		prev := math.Inf(-1)
+		for i, nb := range res.Neighbors {
+			if int(nb.ID) >= len(pts) {
+				t.Fatalf("query %d relaxed rank %d: fabricated ID %d", qi, i, nb.ID)
 			}
-			if len(res.Neighbors) != k {
-				t.Fatalf("query %d relaxed: %d results, want %d", qi, len(res.Neighbors), k)
+			if seen[nb.ID] {
+				t.Fatalf("query %d relaxed rank %d: duplicate ID %d", qi, i, nb.ID)
 			}
-			seen := make(map[uint32]bool, k)
-			prev := math.Inf(-1)
-			for i, nb := range res.Neighbors {
-				if int(nb.ID) >= len(pts) {
-					t.Fatalf("query %d relaxed rank %d: fabricated ID %d", qi, i, nb.ID)
-				}
-				if seen[nb.ID] {
-					t.Fatalf("query %d relaxed rank %d: duplicate ID %d", qi, i, nb.ID)
-				}
-				seen[nb.ID] = true
-				if nb.Dist < prev {
-					t.Fatalf("query %d relaxed rank %d: out of order", qi, i)
-				}
-				prev = nb.Dist
-				if td := vec.Euclidean.Dist(q, pts[nb.ID]); math.Abs(nb.Dist-td) > 1e-5 {
-					t.Fatalf("query %d relaxed rank %d: ID %d at %v, true %v", qi, i, nb.ID, nb.Dist, td)
-				}
+			seen[nb.ID] = true
+			if nb.Dist < prev {
+				t.Fatalf("query %d relaxed rank %d: out of order", qi, i)
 			}
-			// The relaxed kth distance can never beat the exact kth.
-			if res.Neighbors[k-1].Dist < exact.Neighbors[k-1].Dist-1e-9 {
-				t.Fatalf("query %d relaxed: kth %v beats exact %v", qi, res.Neighbors[k-1].Dist, exact.Neighbors[k-1].Dist)
+			prev = nb.Dist
+			if td := vec.Euclidean.Dist(q, pts[nb.ID]); math.Abs(nb.Dist-td) > 1e-5 {
+				t.Fatalf("query %d relaxed rank %d: ID %d at %v, true %v", qi, i, nb.ID, nb.Dist, td)
 			}
+		}
+		// The relaxed kth distance can never beat the exact kth.
+		if res.Neighbors[k-1].Dist < exact.Neighbors[k-1].Dist-1e-9 {
+			t.Fatalf("query %d relaxed: kth %v beats exact %v", qi, res.Neighbors[k-1].Dist, exact.Neighbors[k-1].Dist)
 		}
 	}
 }

@@ -38,56 +38,26 @@ type Index interface {
 	IndexStats() Stats
 }
 
-// Approx configures probability-bounded approximate KNN execution. The
-// zero value means exact execution; at most one of the two knobs may be
-// set on a query (serving layers validate this at submission).
-//
-// MinRecall is the target recall in (0, 1]: the search may stop fetching
-// pages once the estimated probability that any still-unfetched page
-// improves the current top-k drops below ε = 1 − MinRecall (the paper's
-// access-probability model, Eq. 1–5, turned from a fetch *ordering* into
-// a fetch *stopping* rule). MinRecall = 1 (ε = 0) never triggers the
-// stopping rule and is bit-identical to exact execution; MinRecall = 0
-// means the knob is unset. ε at or below pagesched.ProbFloor is
-// indistinguishable from exact execution — that floor is the resolution
-// limit of the dial.
-//
-// MaxCost caps the number of data pages the search may fetch (its
-// filter-level page-fetch budget, over-read pages included); 0 means
-// unlimited. The budget is checked at fetch boundaries, so a batched
-// fetch may overshoot it by the tail of one read sequence.
-type Approx struct {
-	MinRecall float64
-	MaxCost   int
-}
-
-// Enabled reports whether either knob requests approximate execution.
-// MinRecall = 1 still counts as enabled: the termination rule is armed,
-// it just never fires (ε = 0).
-func (a Approx) Enabled() bool { return a.MinRecall > 0 || a.MaxCost > 0 }
-
-// Epsilon returns the termination threshold ε = 1 − MinRecall, or 0 when
-// the recall knob is unset.
-func (a Approx) Epsilon() float64 {
-	if a.MinRecall <= 0 {
-		return 0
-	}
-	return 1 - a.MinRecall
-}
-
 // ApproxSearcher is implemented by access methods whose KNN search can
-// execute under an Approx knob. Methods without it are always exact —
-// serving layers fall back to KNN, which trivially satisfies any
-// MinRecall (recall 1) at the cost of ignoring MaxCost.
+// run at a recall target. Methods without it are always exact — serving
+// layers fall back to KNN, which trivially satisfies any recall target
+// (recall 1).
 type ApproxSearcher interface {
 	Index
-	// KNNApprox is KNN under the given approximation knob. A zero (or
-	// MinRecall = 1) knob is bit-identical to KNN. With the knob active
-	// the result is always well-formed — min(k, Len()) genuine indexed
-	// points with exact distances, ordered by increasing distance — but
-	// up to an ε-probability (or budget-forced) fraction of the exact
-	// top-k may be substituted by farther neighbors.
-	KNNApprox(s *store.Session, q vec.Point, k int, ap Approx) ([]vec.Neighbor, error)
+	// KNNApprox is KNN at the recall target minRecall ∈ [0, 1]. 0 means
+	// exact. A value > 0 arms the stopping rule (the paper's
+	// access-probability model, Eq. 1–5, turned from a fetch *ordering*
+	// into a fetch *stopping* rule): the search may stop fetching pages
+	// once the estimated probability that any still-unfetched page
+	// improves the current top-k drops below ε = 1 − minRecall. At
+	// minRecall = 1 (ε = 0) the rule never fires and the search is
+	// bit-identical to KNN; ε at or below pagesched.ProbFloor is
+	// indistinguishable from exact execution — that floor is the
+	// resolution limit of the dial. The result is always well-formed —
+	// min(k, Len()) genuine indexed points with exact distances, ordered
+	// by increasing distance — but up to an ε-probability fraction of the
+	// exact top-k may be substituted by farther neighbors.
+	KNNApprox(s *store.Session, q vec.Point, k int, minRecall float64) ([]vec.Neighbor, error)
 }
 
 // Stats is the cross-method physical summary every Index reports; the

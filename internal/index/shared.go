@@ -40,9 +40,10 @@ type Cursor interface {
 // confined to one coordinator goroutine; cursors from different handles
 // over the same index are still isolated.
 type SharedScan interface {
-	// KNN, Range and Window begin one resumable query charged to s. A
-	// zero (or MinRecall = 1) Approx knob is exact k-NN search.
-	KNN(s *store.Session, q vec.Point, k int, ap Approx) Cursor
+	// KNN, Range and Window begin one resumable query charged to s. KNN
+	// runs at the recall target minRecall, as ApproxSearcher.KNNApprox
+	// does; minRecall = 0 (or 1) is exact k-NN search.
+	KNN(s *store.Session, q vec.Point, k int, minRecall float64) Cursor
 	Range(s *store.Session, q vec.Point, eps float64) Cursor
 	Window(s *store.Session, w vec.MBR) Cursor
 	// Round advances every cursor that is not Done by one fetch round:

@@ -101,21 +101,6 @@ func MinkowskiBoxSphereEucl(sides []float64, r float64) float64 {
 	return v
 }
 
-// MinkowskiBoxSphereEuclGeoMean returns the paper's Eq. 12 approximation of
-// MinkowskiBoxSphereEucl, replacing the box by a cube whose side is the
-// geometric mean a of the box sides:
-//
-//	V ≈ Σ_k C(d,k) a^k (√π r)^{d−k} / Γ((d−k)/2 + 1).
-func MinkowskiBoxSphereEuclGeoMean(sides []float64, r float64) float64 {
-	d := len(sides)
-	a := GeometricMean(sides)
-	var v float64
-	for k := 0; k <= d; k++ {
-		v += Binomial(d, k) * math.Pow(a, float64(k)) * SphereVolume(d-k, r)
-	}
-	return v
-}
-
 // GeometricMean returns the geometric mean of xs (0 if any value is ≤ 0,
 // matching the degenerate-box convention of the cost model).
 func GeometricMean(xs []float64) float64 {

@@ -80,8 +80,9 @@ func TestElementarySymmetric(t *testing.T) {
 	}
 }
 
-// Property: for a cube, the exact Minkowski sum equals the paper's
-// geometric-mean approximation (they coincide when all sides are equal).
+// Property: for a cube of side a, the exact Minkowski sum equals the
+// closed form Σ_k C(d,k) a^k V_{d−k}(r) (the paper's Eq. 12, which is
+// exact when all sides are equal).
 func TestMinkowskiCubeAgreement(t *testing.T) {
 	f := func(sideSeed, rSeed uint8, dSeed uint8) bool {
 		d := 1 + int(dSeed)%10
@@ -92,8 +93,11 @@ func TestMinkowskiCubeAgreement(t *testing.T) {
 			sides[i] = side
 		}
 		exact := MinkowskiBoxSphereEucl(sides, r)
-		approx := MinkowskiBoxSphereEuclGeoMean(sides, r)
-		return math.Abs(exact-approx) <= 1e-9*math.Max(exact, 1)
+		cube := 0.0
+		for k := 0; k <= d; k++ {
+			cube += Binomial(d, k) * math.Pow(side, float64(k)) * SphereVolume(d-k, r)
+		}
+		return math.Abs(exact-cube) <= 1e-9*math.Max(exact, 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

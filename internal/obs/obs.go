@@ -10,10 +10,10 @@
 //     counts, and buffer-pool hits — the raw material behind
 //     `iqtool -trace` and the paper's T1st/T2nd/T3rd decomposition.
 //
-// Observation is strictly opt-in: the store session and the access
-// methods carry a nil-checked Observer hook, so with no observer
-// attached the query path pays one nil check per cost event and nothing
-// else (see BenchmarkObserverOverhead and BENCH_obs.json).
+// Observation is strictly opt-in: the store session carries a
+// nil-checked *QueryTrace, so with no trace attached the query path pays
+// one nil check per cost event and nothing else (see
+// BenchmarkObserverOverhead and BENCH_obs.json).
 package obs
 
 // CPUKind classifies a CPU charge for tracing.
@@ -41,7 +41,7 @@ func (k CPUKind) String() string {
 	}
 }
 
-// ReadTier tells an observer which layer served a read.
+// ReadTier tells a trace which layer served a read.
 type ReadTier uint8
 
 const (
@@ -59,33 +59,3 @@ const (
 	// reads charge zero simulated time and are excluded from trace totals.
 	ReadShared
 )
-
-// Observer receives the cost events of one store session. Implementations
-// must be cheap: the hooks run inside the query path. All methods take
-// primitive arguments so that observers need no knowledge of the store.
-//
-// An Observer is attached per session (Session.SetObserver) and is not
-// required to be safe for concurrent use unless the session is shared.
-type Observer interface {
-	// ObserveRead reports one read operation against the named file.
-	// For ReadPoolHit events seeks is 0 and blocks counts the cached
-	// blocks (which charge no simulated time); for the other tiers the
-	// values mirror the session's cost charge exactly.
-	ObserveRead(file string, seeks, blocks int, tier ReadTier)
-	// ObserveCPU reports one CPU charge, attributed to the named file
-	// ("" when unattributed), in seconds.
-	ObserveCPU(file string, kind CPUKind, seconds float64)
-	// ObserveWrite reports one charged write operation (maintenance
-	// path): seeks and blocks mirror the session's charge.
-	ObserveWrite(file string, seeks, blocks int)
-}
-
-// TraceFrom returns the *QueryTrace behind an Observer, or nil if the
-// observer is nil or of another type. Access methods use it to record
-// plan-level events (candidates, refinements) on a best-effort basis.
-func TraceFrom(o Observer) *QueryTrace {
-	if t, ok := o.(*QueryTrace); ok {
-		return t
-	}
-	return nil
-}

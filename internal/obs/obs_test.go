@@ -102,21 +102,6 @@ func TestTraceBatchesAndFunnel(t *testing.T) {
 	}
 }
 
-func TestTraceFrom(t *testing.T) {
-	tr := NewQueryTrace("x")
-	if TraceFrom(tr) != tr {
-		t.Fatal("TraceFrom did not unwrap")
-	}
-	if TraceFrom(nil) != nil {
-		t.Fatal("TraceFrom(nil) != nil")
-	}
-	// A typed-nil *QueryTrace stays usable: its methods are nil-safe.
-	var nilTrace *QueryTrace
-	if got := TraceFrom(nilTrace); got != nil {
-		got.AddPages(1) // must not panic
-	}
-}
-
 func TestRegistryCountersGauges(t *testing.T) {
 	var r Registry
 	c := r.Counter("queries")

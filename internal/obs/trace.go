@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -46,9 +45,9 @@ func (b BatchDecision) Pages() int { return b.Last - b.First + 1 }
 
 // QueryTrace records the physical work of one query: per-level cost, the
 // page scheduler's batch decisions, and the funnel from scheduled pages
-// through candidates to exact-geometry refinements. It implements
-// Observer, so attaching it to a session (or passing it to the *Trace
-// query variants, which attach it for you) captures every cost charge.
+// through candidates to exact-geometry refinements. Attached to a store
+// session (Session.SetTrace) it is the session's per-level cost ledger:
+// the session records every charge in it through the Observe methods.
 //
 // All recording methods are nil-safe: calling them on a nil *QueryTrace
 // is a no-op, so query code traces unconditionally and pays only a nil
@@ -97,9 +96,9 @@ type QueryTrace struct {
 	SkippedPages int
 	// TermProb is the estimated probability, recorded when the
 	// approximate stopping rule fired, that some skipped page could still
-	// have improved the result: the value that dropped below ε, or the
-	// remaining-improvement estimate at a budget stop. Meaningful only
-	// when Terminated is set (a probability of 0 is legitimate).
+	// have improved the result: the value that dropped below ε.
+	// Meaningful only when Terminated is set (a probability of 0 is
+	// legitimate).
 	TermProb float64
 	// Terminated reports that the approximate stopping rule fired.
 	Terminated bool
@@ -153,7 +152,10 @@ func (t *QueryTrace) Level(file string) *LevelTrace {
 	return l
 }
 
-// ObserveRead implements Observer.
+// ObserveRead records one read operation against the named file. For
+// ReadPoolHit and ReadShared events seeks is 0 and blocks counts the
+// blocks served at zero simulated cost; for the other tiers the values
+// mirror the session's cost charge exactly. Nil-safe.
 func (t *QueryTrace) ObserveRead(file string, seeks, blocks int, tier ReadTier) {
 	if t == nil {
 		return
@@ -172,7 +174,8 @@ func (t *QueryTrace) ObserveRead(file string, seeks, blocks int, tier ReadTier) 
 	l.Reads++
 }
 
-// ObserveCPU implements Observer.
+// ObserveCPU records one CPU charge, attributed to the named file (""
+// when unattributed), in seconds. Nil-safe.
 func (t *QueryTrace) ObserveCPU(file string, kind CPUKind, seconds float64) {
 	if t == nil {
 		return
@@ -187,7 +190,8 @@ func (t *QueryTrace) ObserveCPU(file string, kind CPUKind, seconds float64) {
 	}
 }
 
-// ObserveWrite implements Observer.
+// ObserveWrite records one charged write operation (maintenance path):
+// seeks and blocks mirror the session's charge. Nil-safe.
 func (t *QueryTrace) ObserveWrite(file string, seeks, blocks int) {
 	if t == nil {
 		return
@@ -267,9 +271,6 @@ func (t *QueryTrace) NoteTermination(prob float64) {
 	t.Terminated = true
 	t.TermProb = prob
 }
-
-// Degraded reports whether the traced query paid any degraded reads.
-func (t *QueryTrace) Degraded() bool { return t != nil && t.DegradedReads > 0 }
 
 // AddRefinement counts one exact-page access resolving points exact
 // points. Nil-safe.
@@ -399,16 +400,4 @@ func (t *QueryTrace) Format() string {
 			t.SkippedPages, t.TermProb)
 	}
 	return b.String()
-}
-
-// SortedLevels returns the levels sorted by file name (for deterministic
-// machine-readable output; Levels itself keeps first-touch order).
-func (t *QueryTrace) SortedLevels() []*LevelTrace {
-	if t == nil {
-		return nil
-	}
-	out := make([]*LevelTrace, len(t.Levels))
-	copy(out, t.Levels)
-	sort.Slice(out, func(i, j int) bool { return out[i].File < out[j].File })
-	return out
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -94,15 +93,6 @@ func (sc *Scan) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error
 	return out, nil
 }
 
-// NearestNeighbor returns the single nearest neighbor of q.
-func (sc *Scan) NearestNeighbor(s *store.Session, q vec.Point) (vec.Neighbor, bool, error) {
-	r, err := sc.KNN(s, q, 1)
-	if err != nil || len(r) == 0 {
-		return vec.Neighbor{}, false, err
-	}
-	return r[0], true, nil
-}
-
 // RangeSearch returns all points within eps of q, in file order.
 func (sc *Scan) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.Neighbor, error) {
 	var out []vec.Neighbor
@@ -122,7 +112,7 @@ func (sc *Scan) scanAll(s *store.Session, fn func(vec.Point, uint32)) error {
 	if err != nil {
 		return err
 	}
-	tr := obs.TraceFrom(s.Observer())
+	tr := s.Trace()
 	tr.AddPages(sc.file.Blocks())
 	tr.AddCandidates(sc.n) // every point is distance-checked
 	s.ChargeDistCPU(sc.file, sc.dim, sc.n)

@@ -92,11 +92,7 @@ func TestKNNEdgeCases(t *testing.T) {
 	if got := mustKNN(t, sto, sc, pts[0], 500); len(got) != 50 {
 		t.Fatalf("k>n returned %d", len(got))
 	}
-	nn, ok, err := sc.NearestNeighbor(sto.NewSession(), pts[7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok || nn.Dist != 0 || nn.ID != 7 {
+	if nn := mustKNN(t, sto, sc, pts[7], 1); len(nn) != 1 || nn[0].Dist != 0 || nn[0].ID != 7 {
 		t.Fatalf("self-NN: %+v", nn)
 	}
 }

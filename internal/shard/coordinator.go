@@ -447,24 +447,11 @@ func (sh *shardState) pick(n int) *replica {
 // merges the per-shard answers into the globally exact result.
 func (c *Coordinator) Submit(q engine.Query) Result {
 	start := time.Now()
-	// Approximate-mode knobs scatter with the query: a global page budget
-	// splits evenly across the non-empty shards (ceil, so the per-shard
-	// budgets sum to at least the global one), while MinRecall passes
-	// through unchanged — each shard stops at ε locally, so the merged
-	// miss probability compounds at worst by a union bound over shards
-	// (see DESIGN.md §14). The merge itself is unchanged: per-shard
-	// answers stay subset-with-substitutions, so the merged list is too.
-	if q.MaxCost > 0 {
-		nonEmpty := 0
-		for _, sh := range c.shards {
-			if len(sh.reps) > 0 {
-				nonEmpty++
-			}
-		}
-		if nonEmpty > 0 {
-			q.MaxCost = (q.MaxCost + nonEmpty - 1) / nonEmpty
-		}
-	}
+	// A recall target scatters with the query unchanged: each shard
+	// stops at ε locally, so the merged miss probability compounds at
+	// worst by a union bound over shards (see DESIGN.md §14). The merge
+	// itself is unchanged: per-shard answers stay
+	// subset-with-substitutions, so the merged list is too.
 	res := Result{Shards: make([]engine.Result, len(c.shards))}
 	answers := make([]shardAnswer, len(c.shards))
 	var wg sync.WaitGroup

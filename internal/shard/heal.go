@@ -258,7 +258,10 @@ func (sh *shardState) servingPeer(rep *replica) *replica {
 // rebuildOnce rebuilds rep in one critical section under the shard
 // write lock: copy every file of a Serving peer onto a fresh store
 // (store.Copy wipes it first), scrub the copy, recover it through
-// core.Open, start its engine, swap the stack and readmit.
+// core.Open, start its engine, swap the stack and readmit. A copy whose
+// scrub report lists a corrupt block fails the rebuild: the peer holds
+// at-rest damage no query has hit yet, and readmitting a copy of it
+// would serve that damage through quarantine.
 //
 // The write lock is what makes the copy consistent. Every file mutation
 // on a replica — inserts, log commits, checkpoints, auto-reoptimize
@@ -297,8 +300,14 @@ func (c *Coordinator) rebuildOnce(sh *shardState, rep *replica) error {
 			return fmt.Errorf("shard %d replica %d: checksums: %w", rep.shard, rep.id, err)
 		}
 		// Verify the copied bytes before trusting them with traffic.
-		if _, err := sto.Scrub(); err != nil {
+		report, err := sto.Scrub()
+		if err != nil {
 			return fmt.Errorf("shard %d replica %d: scrub: %w", rep.shard, rep.id, err)
+		}
+		if len(report.Corrupt) > 0 {
+			first := report.Corrupt[0]
+			return fmt.Errorf("shard %d replica %d: copy of replica %d has %d corrupt blocks, first %s block %d",
+				rep.shard, rep.id, peer.id, len(report.Corrupt), first.File, first.Block)
 		}
 	}
 	newTree, err := core.Open(sto)

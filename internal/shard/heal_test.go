@@ -157,6 +157,70 @@ func TestHealCorruptAtRestRebuild(t *testing.T) {
 	}
 }
 
+// TestHealRejectsDamagedPeerCopy: a rebuild copies its only Serving
+// peer, whose quantized file carries at-rest damage no query has read
+// yet. The copy's scrub report lists the damaged block, so the rebuild
+// fails and the replica stays out of rotation instead of serving the
+// damage through quarantine.
+func TestHealRejectsDamagedPeerCopy(t *testing.T) {
+	r := rand.New(rand.NewSource(65))
+	pts := randPoints(r, 1200, 6)
+	reg := &obs.Registry{}
+	c, err := New(Config{
+		Shards:   1,
+		Replicas: 2,
+		SelfHeal: true,
+		Heal:     fastHeal(),
+		Registry: reg,
+		NewStore: func(_, _ int) (*store.Store, error) {
+			sto := store.NewSim(store.DefaultConfig())
+			if err := sto.EnableChecksums(); err != nil {
+				return nil, err
+			}
+			return sto, nil
+		},
+	}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Flip one bit of replica 0's quantized file beneath its .crc
+	// sidecar, before any query reads it.
+	bf := victimStore(t, c, 0, 0).Backend().Lookup(core.QFileName)
+	if bf == nil {
+		t.Fatal("replica 0 has no quantized file")
+	}
+	data, err := bf.ReadBlocks(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte(nil), data...)
+	buf[len(buf)/2] ^= 0x08
+	if err := bf.WriteBlocks(0, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	c.Engine(0, 1).Close()
+	rebuilds := reg.Counter("shard.heal.rebuilds")
+	failures := reg.Counter("shard.heal.rebuild_failures")
+	deadline := time.Now().Add(10 * time.Second)
+	for rebuilds.Value()+failures.Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no rebuild attempted: %+v", c.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, row := range c.Status() {
+		if row.Replica == 1 && row.State == Serving {
+			t.Fatalf("replica 1 readmitted from a damaged copy: %+v", row)
+		}
+	}
+	if got := rebuilds.Value(); got != 0 {
+		t.Fatalf("%d rebuilds succeeded from a damaged copy", got)
+	}
+}
+
 // corruptDir flips a bit in every directory block beneath the checksum
 // layer (same idiom as the chaos tests).
 func corruptDir(t *testing.T, sto *store.Store) {

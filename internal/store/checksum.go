@@ -152,20 +152,6 @@ func (t *sumTable) recordAppend(pos int, p []byte, nblocks int) error {
 	return t.persistLocked()
 }
 
-// recordWrite re-records the sums of an in-place overwrite of
-// block-aligned data at block pos and persists the sidecar.
-func (t *sumTable) recordWrite(pos int, data []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := len(data) / t.bs
-	for len(t.sums) < pos+n {
-		t.sums = append(t.sums, 0)
-	}
-	fresh := blockSums(nil, data, n, t.bs)
-	copy(t.sums[pos:], fresh)
-	return t.persistLocked()
-}
-
 // recordContents replaces the whole table with the sums of p and
 // persists the sidecar.
 func (t *sumTable) recordContents(p []byte, nblocks int) error {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func testConfig() Config {
@@ -180,10 +182,10 @@ func TestWriteBlocksAndSetContents(t *testing.T) {
 		f := mustFile(t, sto, "t")
 		mustAppend(t, f, make([]byte, 128))
 		repl := bytes.Repeat([]byte{9}, 64)
-		if err := f.WriteBlocks(1, repl); err != nil {
+		if err := f.bf.WriteBlocks(1, repl); err != nil {
 			t.Fatal(err)
 		}
-		got, err := f.ReadRaw(1, 1)
+		got, err := f.bf.ReadBlocks(1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,18 +215,14 @@ func TestWriteBlocksErrors(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
 		f := mustFile(t, sto, "t")
 		mustAppend(t, f, make([]byte, 64))
-		if err := f.WriteBlocks(0, make([]byte, 10)); err == nil {
+		if err := f.bf.WriteBlocks(0, make([]byte, 10)); err == nil {
 			t.Fatal("unaligned WriteBlocks should fail")
-		}
-		// The write error is sticky on the store.
-		if sto.Err() == nil {
-			t.Fatal("store should carry the sticky write error")
 		}
 	})
 	forEachBackend(t, func(t *testing.T, sto *Store) {
 		f := mustFile(t, sto, "t")
 		mustAppend(t, f, make([]byte, 64))
-		if err := f.WriteBlocks(1, make([]byte, 64)); err == nil {
+		if err := f.bf.WriteBlocks(1, make([]byte, 64)); err == nil {
 			t.Fatal("WriteBlocks past end should fail")
 		}
 	})
@@ -256,19 +254,23 @@ func TestReadPastEndFails(t *testing.T) {
 func TestCPUCharges(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
 		s := sto.NewSession()
+		tr := obs.NewQueryTrace("")
+		s.SetTrace(tr)
 		f := mustFile(t, sto, "cpu")
 		s.ChargeDistCPU(f, 16, 10)   // 16e-6
 		s.ChargeApproxCPU(f, 8, 100) // 80e-6
-		s.ChargeCPU(nil, 1e-3)       // unattributed: aggregate only
+		s.ChargeDistCPU(nil, 1, 1e4) // unattributed: 1e-3
 		want := 16*10*1e-7 + 8*100*1e-7 + 1e-3
 		if math.Abs(s.Stats.CPUSeconds-want) > 1e-15 {
 			t.Fatalf("cpu %g, want %g", s.Stats.CPUSeconds, want)
 		}
-		// Attributed CPU shows up in the file's decomposition; the
-		// unattributed charge only in the aggregate.
-		perFile := s.FileStats("cpu").CPUSeconds
-		if math.Abs(perFile-(16*10*1e-7+8*100*1e-7)) > 1e-15 {
-			t.Fatalf("per-file cpu %g", perFile)
+		// Attributed CPU shows up in the file's trace level; the
+		// unattributed charge under the empty name.
+		if got := tr.Level("cpu").CPUSeconds; math.Abs(got-(16*10*1e-7+8*100*1e-7)) > 1e-15 {
+			t.Fatalf("per-file cpu %g", got)
+		}
+		if got := tr.Level("").CPUSeconds; math.Abs(got-1e-3) > 1e-15 {
+			t.Fatalf("unattributed cpu %g", got)
 		}
 	})
 }
@@ -377,8 +379,8 @@ func TestCacheMissRuns(t *testing.T) {
 	})
 }
 
-// TestCacheInvalidation: WriteBlocks drops exactly the overwritten
-// blocks; SetContents drops the whole file.
+// TestCacheInvalidation: SetContents drops the whole file's cached
+// blocks.
 func TestCacheInvalidation(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
 		sto.SetCache(1 << 20)
@@ -388,22 +390,11 @@ func TestCacheInvalidation(t *testing.T) {
 		if _, err := s.Read(f, 0, 2); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.WriteBlocks(1, bytes.Repeat([]byte{2}, 64)); err != nil {
-			t.Fatal(err)
-		}
-		s2 := sto.NewSession()
-		got, err := s2.Read(f, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != 1 || got[64] != 2 {
-			t.Fatalf("stale cache after WriteBlocks: %d %d", got[0], got[64])
-		}
 		if err := f.SetContents(bytes.Repeat([]byte{3}, 64)); err != nil {
 			t.Fatal(err)
 		}
 		s3 := sto.NewSession()
-		got, err = s3.Read(f, 0, 1)
+		got, err := s3.Read(f, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,8 @@ import (
 // sessions and the backend: many concurrent queries share hot directory
 // and quantized pages, and a cache hit charges zero seek/transfer time —
 // which is also how it plugs into the paper's cost model (a cached block
-// has no I/O cost, only the CPU charges remain).
-//
-// Files can be pinned: their frames still count against the budget but
-// are never evicted (pin the directory file to guarantee level-1 scans
-// stay memory-resident). All methods are safe for concurrent use.
+// has no I/O cost, only the CPU charges remain). All methods are safe for
+// concurrent use.
 type BufferPool struct {
 	mu     sync.Mutex
 	budget int64
@@ -22,7 +19,6 @@ type BufferPool struct {
 	frames map[frameKey]*frame
 	head   *frame // most recently used
 	tail   *frame // least recently used
-	pinned map[string]bool
 
 	hits      uint64
 	misses    uint64
@@ -48,7 +44,6 @@ func NewBufferPool(budgetBytes int64) *BufferPool {
 	return &BufferPool{
 		budget: budgetBytes,
 		frames: make(map[frameKey]*frame),
-		pinned: make(map[string]bool),
 	}
 }
 
@@ -89,23 +84,6 @@ func (p *BufferPool) Stats() PoolStats {
 		BytesUsed: p.used,
 		Budget:    p.budget,
 	}
-}
-
-// PinFile marks the named file's frames as non-evictable. They still
-// count against the budget; if pinned frames alone exceed it, the pool
-// runs over budget rather than evicting them.
-func (p *BufferPool) PinFile(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pinned[name] = true
-}
-
-// UnpinFile makes the named file's frames evictable again.
-func (p *BufferPool) UnpinFile(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.pinned, name)
-	p.evictOverBudget()
 }
 
 // missRun is a maximal contiguous run of blocks absent from the pool.
@@ -159,18 +137,6 @@ func (p *BufferPool) insert(name string, pos, bs int, data []byte) {
 	p.evictOverBudget()
 }
 
-// Invalidate drops the frames covering [pos, pos+nblocks) of the named
-// file (called on block overwrites).
-func (p *BufferPool) Invalidate(name string, pos, nblocks int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := 0; i < nblocks; i++ {
-		if fr, ok := p.frames[frameKey{name: name, pos: pos + i}]; ok {
-			p.drop(fr)
-		}
-	}
-}
-
 // InvalidateFile drops every frame of the named file (called on file
 // truncation/replacement).
 func (p *BufferPool) InvalidateFile(name string) {
@@ -185,17 +151,12 @@ func (p *BufferPool) InvalidateFile(name string) {
 	}
 }
 
-// evictOverBudget evicts least-recently-used unpinned frames until the
-// budget is respected (or only pinned frames remain).
+// evictOverBudget evicts least-recently-used frames until the budget is
+// respected.
 func (p *BufferPool) evictOverBudget() {
-	fr := p.tail
-	for p.used > p.budget && fr != nil {
-		prev := fr.prev
-		if !p.pinned[fr.key.name] {
-			p.drop(fr)
-			p.evictions++
-		}
-		fr = prev
+	for p.used > p.budget && p.tail != nil {
+		p.drop(p.tail)
+		p.evictions++
 	}
 }
 

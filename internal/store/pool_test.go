@@ -77,72 +77,6 @@ func TestPoolLRUTouchOnHit(t *testing.T) {
 	}
 }
 
-func TestPoolPinning(t *testing.T) {
-	// Pin the file, then stream far more data than the budget: pinned
-	// frames must not be evicted.
-	sto, f := poolFixture(t, 4*64, 4)
-	sto.PinFile("t")
-	g := mustFile(t, sto, "g")
-	mustAppend(t, g, make([]byte, 16*64))
-
-	s := sto.NewSession()
-	if _, err := s.Read(f, 0, 4); err != nil { // fills the budget with pinned frames
-		t.Fatal(err)
-	}
-	if _, err := s.Read(g, 0, 16); err != nil { // pressure from another file
-		t.Fatal(err)
-	}
-	s2 := sto.NewSession()
-	if _, err := s2.Read(f, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Stats.BlocksRead != 0 {
-		t.Fatalf("pinned blocks were evicted (charged %d)", s2.Stats.BlocksRead)
-	}
-}
-
-func TestPoolUnpin(t *testing.T) {
-	sto, f := poolFixture(t, 2*64, 2)
-	sto.PinFile("t")
-	s := sto.NewSession()
-	if _, err := s.Read(f, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	sto.Pool().UnpinFile("t")
-	g := mustFile(t, sto, "g")
-	mustAppend(t, g, make([]byte, 2*64))
-	if _, err := s.Read(g, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	s2 := sto.NewSession()
-	if _, err := s2.Read(f, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Stats.BlocksRead != 2 {
-		t.Fatal("unpinned blocks should have been evicted under pressure")
-	}
-}
-
-func TestPoolInvalidateRange(t *testing.T) {
-	sto, f := poolFixture(t, 8*64, 4)
-	s := sto.NewSession()
-	if _, err := s.Read(f, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	sto.Pool().Invalidate("t", 1, 2)
-	ps := sto.Pool().Stats()
-	if ps.Frames != 2 {
-		t.Fatalf("frames after invalidate %d, want 2", ps.Frames)
-	}
-	s2 := sto.NewSession()
-	if _, err := s2.Read(f, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Stats.BlocksRead != 2 {
-		t.Fatalf("charged %d blocks, want the 2 invalidated", s2.Stats.BlocksRead)
-	}
-}
-
 func TestPoolDetach(t *testing.T) {
 	sto, f := poolFixture(t, 8*64, 2)
 	s := sto.NewSession()

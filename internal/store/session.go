@@ -26,8 +26,7 @@ type Session struct {
 	head    int         // next block under the head within cur
 	started bool
 	Stats   Stats
-	perFile map[string]*Stats
-	obs     obs.Observer    // nil = no observation (the common case)
+	tr      *obs.QueryTrace // nil = no observation (the common case)
 	ctx     context.Context // nil = never canceled
 	retry   RetryPolicy     // captured from the store at creation/Reset
 	err     error
@@ -47,14 +46,15 @@ func (s *Session) Scratch() any { return s.scratch }
 // queries.
 func (s *Session) SetScratch(v any) { s.scratch = v }
 
-// SetObserver attaches an observer that receives every cost event the
-// session charges (and the zero-cost buffer-pool hits). Pass nil to
-// detach. The typical observer is an *obs.QueryTrace; with none attached
-// the charge paths pay a single nil check.
-func (s *Session) SetObserver(o obs.Observer) { s.obs = o }
+// SetTrace attaches a trace that records every cost event the session
+// charges (and the zero-cost buffer-pool hits and shared reads), per
+// file: it is the session's per-level ledger, and its totals equal
+// Stats. Pass nil to detach; with none attached the charge paths pay a
+// nil check.
+func (s *Session) SetTrace(t *obs.QueryTrace) { s.tr = t }
 
-// Observer returns the currently attached observer (nil if none).
-func (s *Session) Observer() obs.Observer { return s.obs }
+// Trace returns the attached trace (nil if none).
+func (s *Session) Trace() *obs.QueryTrace { return s.tr }
 
 // SetContext attaches a context to the session: every Read checks it
 // first and fails with an error wrapping both ErrCanceled and the
@@ -78,24 +78,20 @@ func (s *Session) Err() error { return s.err }
 func (s *Session) Recover() { s.err = nil }
 
 // Reset returns the session to its freshly created state so it can be
-// reused for another query: the sticky error, aggregate and per-file
-// stats, head position, and observer are all cleared, and the store's
-// current buffer pool is re-captured (a pool attached after the session
-// was created becomes visible). The scratch slot and the per-file map's
-// backing storage are kept (values are zeroed in place) so pooled reuse
-// reaches a zero-allocation steady state. Pooled reuse (e.g. by the
-// query engine's workers) must Reset between queries or one query's
-// failure and charges leak into the next.
+// reused for another query: the sticky error, stats, head position, and
+// trace are all cleared, and the store's current buffer pool is
+// re-captured (a pool attached after the session was created becomes
+// visible). The scratch slot is kept so pooled reuse reaches a
+// zero-allocation steady state. Pooled reuse (e.g. by the query engine's
+// workers) must Reset between queries or one query's failure and
+// charges leak into the next.
 func (s *Session) Reset() {
 	s.pool = s.st.Pool()
 	s.cur = nil
 	s.head = 0
 	s.started = false
 	s.Stats = Stats{}
-	for _, st := range s.perFile {
-		*st = Stats{}
-	}
-	s.obs = nil
+	s.tr = nil
 	s.ctx = nil
 	s.retry = s.st.retryPolicy()
 	s.err = nil
@@ -110,42 +106,9 @@ func (s *Session) fail(err error) error {
 	return s.err
 }
 
-// FileStats returns the session's charges attributed to the named file,
-// including CPU attributed via the Charge*CPU file argument. The zero
-// Stats is returned for untouched files. For the IQ-tree this decomposes
-// a query into the paper's T1st/T2nd/T3rd components; CPU charged with a
-// nil file (unattributed) appears only in the session's aggregate Stats.
-func (s *Session) FileStats(name string) Stats {
-	if st, ok := s.perFile[name]; ok {
-		return *st
-	}
-	return Stats{}
-}
-
-// fileStats returns (creating if needed) the per-file accumulator.
-func (s *Session) fileStats(name string) *Stats {
-	if s.perFile == nil {
-		s.perFile = make(map[string]*Stats, 4)
-	}
-	st, ok := s.perFile[name]
-	if !ok {
-		st = &Stats{}
-		s.perFile[name] = st
-	}
-	return st
-}
-
-// chargeFile attributes one read to a file.
-func (s *Session) chargeFile(name string, seeks, blocks int) {
-	st := s.fileStats(name)
-	st.Seeks += seeks
-	st.BlocksRead += blocks
-	st.Reads++
-}
-
 // charge bills one contiguous backend read and moves the head: a seek is
 // charged unless the head is already at (f, pos). tier tells an attached
-// observer whether the read went straight to the backend or filled a
+// trace whether the read went straight to the backend or filled a
 // buffer-pool miss.
 func (s *Session) charge(f *File, pos, nblocks int, tier obs.ReadTier) {
 	seeks := 0
@@ -156,34 +119,28 @@ func (s *Session) charge(f *File, pos, nblocks int, tier obs.ReadTier) {
 	s.Stats.Seeks += seeks
 	s.Stats.BlocksRead += nblocks
 	s.Stats.Reads++
-	s.chargeFile(f.Name(), seeks, nblocks)
 	s.cur = f
 	s.head = pos + nblocks
-	if s.obs != nil {
-		s.obs.ObserveRead(f.Name(), seeks, nblocks, tier)
+	if s.tr != nil {
+		s.tr.ObserveRead(f.Name(), seeks, nblocks, tier)
 	}
 }
 
 // ChargeWrite bills one charged write operation against file f: seeks
-// seeks plus blocks transferred, attributed to the file and reported to
-// any observer. Maintenance paths (page rewrites) use it so updates show
-// up in the same per-file decomposition as reads. The head position is
-// left untouched: the simulated cost model bills every write a full
-// seek, matching the historical accounting.
+// seeks plus blocks transferred, recorded in any attached trace under the
+// file. Maintenance paths (page rewrites) use it so updates show up in
+// the same per-level decomposition as reads. The head position is left
+// untouched: the simulated cost model bills every write a full seek,
+// matching the historical accounting.
 func (s *Session) ChargeWrite(f *File, seeks, blocks int) {
 	s.Stats.Seeks += seeks
 	s.Stats.BlocksRead += blocks
-	if f != nil {
-		st := s.fileStats(f.Name())
-		st.Seeks += seeks
-		st.BlocksRead += blocks
-	}
-	if s.obs != nil {
+	if s.tr != nil {
 		name := ""
 		if f != nil {
 			name = f.Name()
 		}
-		s.obs.ObserveWrite(name, seeks, blocks)
+		s.tr.ObserveWrite(name, seeks, blocks)
 	}
 }
 
@@ -253,7 +210,7 @@ func (s *Session) backendRead(f *File, pos, nblocks int) ([]byte, error) {
 // readPooled assembles the requested range from pool frames plus backend
 // reads for the missing runs. Each miss run is charged like an uncached
 // read (head tracking included); hits charge zero seek/transfer and are
-// reported to an attached observer as ReadPoolHit.
+// recorded in an attached trace as ReadPoolHit.
 func (s *Session) readPooled(f *File, pos, nblocks int) ([]byte, error) {
 	bs := s.st.Config().BlockSize
 	dst := make([]byte, nblocks*bs)
@@ -269,20 +226,20 @@ func (s *Session) readPooled(f *File, pos, nblocks int) ([]byte, error) {
 		s.pool.insert(f.Name(), run.pos, bs, data[:run.n*bs])
 		missed += run.n
 	}
-	if s.obs != nil && missed < nblocks {
-		s.obs.ObserveRead(f.Name(), 0, nblocks-missed, obs.ReadPoolHit)
+	if s.tr != nil && missed < nblocks {
+		s.tr.ObserveRead(f.Name(), 0, nblocks-missed, obs.ReadPoolHit)
 	}
 	return dst, nil
 }
 
-// NoteShared reports to the session's observer that nblocks blocks of
-// file f were consumed from another session's fetch (scan sharing).
-// Nothing is charged — the leader session paid the seek and transfer —
-// so aggregate Stats, per-file stats, and the head position are all left
-// untouched, and trace totals keep matching Stats exactly.
+// NoteShared records in the session's trace that nblocks blocks of file
+// f were consumed from another session's fetch (scan sharing). Nothing
+// is charged — the leader session paid the seek and transfer — so Stats
+// and the head position are left untouched, and trace totals keep
+// matching Stats exactly.
 func (s *Session) NoteShared(f *File, nblocks int) {
-	if s.obs != nil && f != nil && nblocks > 0 {
-		s.obs.ObserveRead(f.Name(), 0, nblocks, obs.ReadShared)
+	if s.tr != nil && f != nil && nblocks > 0 {
+		s.tr.ObserveRead(f.Name(), 0, nblocks, obs.ReadShared)
 	}
 }
 
@@ -300,24 +257,17 @@ func (s *Session) ReadRange(f *File, off, n int) (data []byte, rel int, err erro
 	return blk, off - first*bs, nil
 }
 
-// chargeCPU adds seconds to the aggregate and, when f is non-nil, to the
-// file's decomposition, reporting the charge to any observer.
+// chargeCPU adds seconds to Stats and records the charge in any attached
+// trace under file f ("" when f is nil: unattributed).
 func (s *Session) chargeCPU(f *File, kind obs.CPUKind, seconds float64) {
 	s.Stats.CPUSeconds += seconds
-	name := ""
-	if f != nil {
-		name = f.Name()
-		s.fileStats(name).CPUSeconds += seconds
+	if s.tr != nil {
+		name := ""
+		if f != nil {
+			name = f.Name()
+		}
+		s.tr.ObserveCPU(name, kind, seconds)
 	}
-	if s.obs != nil {
-		s.obs.ObserveCPU(name, kind, seconds)
-	}
-}
-
-// ChargeCPU adds raw CPU seconds to the session, attributed to file f
-// (nil = aggregate only).
-func (s *Session) ChargeCPU(f *File, seconds float64) {
-	s.chargeCPU(f, obs.CPUOther, seconds)
 }
 
 // ChargeDistCPU charges the CPU cost of n exact distance computations in

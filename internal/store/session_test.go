@@ -18,7 +18,7 @@ func TestSessionResetClearsLeakedState(t *testing.T) {
 	mustAppend(t, f, make([]byte, 128))
 
 	s := sto.NewSession()
-	s.SetObserver(obs.NewQueryTrace("q1"))
+	s.SetTrace(obs.NewQueryTrace("q1"))
 	if _, err := s.Read(f, 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestSessionResetClearsLeakedState(t *testing.T) {
 	if _, err := s.Read(f, 0, 1); err == nil {
 		t.Fatal("sticky error should poison later reads")
 	}
-	if s.Stats.Reads == 0 || s.FileStats("t").Reads == 0 {
+	if s.Stats.Reads == 0 || s.Trace().Level("t").Reads == 0 {
 		t.Fatal("expected charges before reset")
 	}
 
@@ -37,14 +37,11 @@ func TestSessionResetClearsLeakedState(t *testing.T) {
 	if s.Err() != nil {
 		t.Fatalf("Err after Reset: %v", s.Err())
 	}
-	if s.Observer() != nil {
-		t.Fatal("observer leaked through Reset")
+	if s.Trace() != nil {
+		t.Fatal("trace leaked through Reset")
 	}
 	if s.Stats != (Stats{}) {
 		t.Fatalf("stats leaked through Reset: %+v", s.Stats)
-	}
-	if s.FileStats("t") != (Stats{}) {
-		t.Fatalf("per-file stats leaked through Reset: %+v", s.FileStats("t"))
 	}
 	// A fresh read must charge exactly like a brand-new session (one
 	// seek: the head position must not leak either).

@@ -234,15 +234,6 @@ func (s *Store) Pool() *BufferPool {
 	return s.pool
 }
 
-// PinFile marks the named file's blocks as non-evictable in the buffer
-// pool (a no-op without a pool). Typical use: pin the directory file so
-// every query's level-1 scan is served from memory.
-func (s *Store) PinFile(name string) {
-	if p := s.Pool(); p != nil {
-		p.PinFile(name)
-	}
-}
-
 // NewFile creates (or truncates) a file on the backend.
 func (s *Store) NewFile(name string) (*File, error) {
 	s.mu.Lock()
@@ -451,25 +442,6 @@ func (f *File) Append(p []byte) (pos, nblocks int, err error) {
 		}
 	}
 	return pos, nblocks, nil
-}
-
-// WriteBlocks overwrites existing blocks starting at pos with data, which
-// must be block-aligned in length and fit within the current file extent.
-// Writes are construction/maintenance operations; their cost, where it
-// matters, is charged explicitly by the caller.
-func (f *File) WriteBlocks(pos int, data []byte) error {
-	if err := f.mutate(func() error { return f.bf.WriteBlocks(pos, data) }); err != nil {
-		return f.st.fail(fmt.Errorf("store: write to %s: %w", f.Name(), err))
-	}
-	if f.sums != nil {
-		if serr := f.sums.recordWrite(pos, data); serr != nil {
-			return f.st.fail(serr)
-		}
-	}
-	if p := f.st.Pool(); p != nil {
-		p.Invalidate(f.Name(), pos, len(data)/f.st.Config().BlockSize)
-	}
-	return nil
 }
 
 // SetContents replaces the whole file with p, padded to a block boundary.

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/quantize"
 	"repro/internal/store"
@@ -128,9 +127,6 @@ func (v *VAFile) Dim() int { return v.dim }
 
 // Bits returns the bits per dimension.
 func (v *VAFile) Bits() int { return v.opt.Bits }
-
-// ApproxBytes returns the size of the approximation file.
-func (v *VAFile) ApproxBytes() int { return v.aFile.Bytes() }
 
 // IndexStats implements index.Index with the common cross-method shape
 // summary.
@@ -379,7 +375,7 @@ func (v *VAFile) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, erro
 		}
 	}
 	sort.Slice(kept, func(a, b int) bool { return kept[a].lb < kept[b].lb })
-	tr := obs.TraceFrom(s.Observer())
+	tr := s.Trace()
 	tr.AddCandidates(len(kept))
 
 	// Phase 2: visit candidates in lower-bound order.
@@ -411,15 +407,6 @@ func (v *VAFile) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, erro
 	return out, nil
 }
 
-// NearestNeighbor returns the single nearest neighbor of q.
-func (v *VAFile) NearestNeighbor(s *store.Session, q vec.Point) (vec.Neighbor, bool, error) {
-	r, err := v.KNN(s, q, 1)
-	if err != nil || len(r) == 0 {
-		return vec.Neighbor{}, false, err
-	}
-	return r[0], true, nil
-}
-
 // RangeSearch returns all points within eps of q.
 func (v *VAFile) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.Neighbor, error) {
 	buf, err := s.Read(v.aFile, 0, v.aFile.Blocks())
@@ -427,7 +414,7 @@ func (v *VAFile) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.
 		return nil, err
 	}
 	s.ChargeApproxCPU(v.aFile, v.dim, v.n)
-	tr := obs.TraceFrom(s.Observer())
+	tr := s.Trace()
 	dt := v.buildTables(q)
 	var out []vec.Neighbor
 	var scanErr error
@@ -545,7 +532,7 @@ func (v *VAFile) WindowQuery(s *store.Session, w vec.MBR) ([]vec.Neighbor, error
 		return nil, err
 	}
 	s.ChargeApproxCPU(v.aFile, v.dim, v.n)
-	tr := obs.TraceFrom(s.Observer())
+	tr := s.Trace()
 	var out []vec.Neighbor
 	var scanErr error
 	entrySize := page.ExactEntrySize(v.dim)

@@ -247,7 +247,7 @@ func TestBitsClampingAndAccessors(t *testing.T) {
 	if v2.Bits() != 4 {
 		t.Fatalf("default bits %d, want 4", v2.Bits())
 	}
-	if v2.Len() != 100 || v2.Dim() != 4 || v2.ApproxBytes() == 0 {
+	if v2.Len() != 100 || v2.Dim() != 4 {
 		t.Fatal("accessors wrong")
 	}
 	// Approximation file is the expected compressed size.

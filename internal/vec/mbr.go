@@ -38,11 +38,6 @@ func MBROf(pts []Point) MBR {
 // Dim returns the dimensionality of the MBR.
 func (m MBR) Dim() int { return len(m.Lo) }
 
-// Empty reports whether the MBR has not been extended by any point.
-func (m MBR) Empty() bool {
-	return len(m.Lo) == 0 || float64(m.Lo[0]) > float64(m.Hi[0])
-}
-
 // Clone returns a deep copy of m.
 func (m MBR) Clone() MBR {
 	return MBR{Lo: m.Lo.Clone(), Hi: m.Hi.Clone()}
@@ -85,16 +80,6 @@ func (m MBR) Contains(p Point) bool {
 	return true
 }
 
-// ContainsMBR reports whether o lies entirely inside m.
-func (m MBR) ContainsMBR(o MBR) bool {
-	for i := range o.Lo {
-		if o.Lo[i] < m.Lo[i] || o.Hi[i] > m.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether m and o share at least one point.
 func (m MBR) Intersects(o MBR) bool {
 	for i := range m.Lo {
@@ -103,20 +88,6 @@ func (m MBR) Intersects(o MBR) bool {
 		}
 	}
 	return true
-}
-
-// Intersection returns the intersection box of m and o and whether it is
-// non-empty.
-func (m MBR) Intersection(o MBR) (MBR, bool) {
-	if !m.Intersects(o) {
-		return MBR{}, false
-	}
-	r := NewMBR(m.Dim())
-	for i := range m.Lo {
-		r.Lo[i] = maxf(m.Lo[i], o.Lo[i])
-		r.Hi[i] = minf(m.Hi[i], o.Hi[i])
-	}
-	return r, true
 }
 
 // Side returns the extent of the MBR along dimension i.
@@ -170,15 +141,6 @@ func (m MBR) OverlapVolume(o MBR) float64 {
 		v *= hi - lo
 	}
 	return v
-}
-
-// Center returns the center point of the box.
-func (m MBR) Center() Point {
-	c := make(Point, m.Dim())
-	for i := range c {
-		c[i] = float32((float64(m.Lo[i]) + float64(m.Hi[i])) / 2)
-	}
-	return c
 }
 
 // MinDist returns the minimum distance from q to any point of the box under
@@ -259,18 +221,4 @@ func axisFarDist(v, lo, hi float32) float64 {
 	a := math.Abs(float64(v) - float64(lo))
 	b := math.Abs(float64(v) - float64(hi))
 	return math.Max(a, b)
-}
-
-func minf(a, b float32) float32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float32) float32 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -100,16 +100,6 @@ func (m Metric) Dist(p, q Point) float64 {
 	}
 }
 
-// SqDist returns the squared Euclidean distance between p and q.
-// It is cheaper than Euclidean.Dist and order-equivalent, so inner search
-// loops compare squared distances.
-func SqDist(p, q Point) float64 {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("vec: dimension mismatch %d != %d", len(p), len(q)))
-	}
-	return sqDist(p, q)
-}
-
 func sqDist(p, q Point) float64 {
 	var s float64
 	for i := range p {

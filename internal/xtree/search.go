@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -31,7 +30,7 @@ func (t *Tree) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error)
 		k = t.n
 	}
 	met := t.opt.Metric
-	tr := obs.TraceFrom(s.Observer())
+	tr := s.Trace()
 	var pq nodeHeap
 	pq.push(nodeItem{dist: t.root.mbr.MinDist(q, met), n: t.root})
 	var res resHeap
@@ -78,15 +77,6 @@ func (t *Tree) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error)
 		out[i] = res.pop()
 	}
 	return out, nil
-}
-
-// NearestNeighbor returns the single nearest neighbor of q.
-func (t *Tree) NearestNeighbor(s *store.Session, q vec.Point) (vec.Neighbor, bool, error) {
-	r, err := t.KNN(s, q, 1)
-	if err != nil || len(r) == 0 {
-		return vec.Neighbor{}, false, err
-	}
-	return r[0], true, nil
 }
 
 // RangeSearch returns all points within eps of q, ordered by distance.

@@ -24,8 +24,8 @@
 //	tree, err := repro.BuildIQTree(sto, points, repro.DefaultIQTreeOptions())
 //	...
 //	s := sto.NewSession()
-//	nn, ok, err := tree.NearestNeighbor(s, query)
-//	fmt.Println(nn.ID, nn.Dist, s.Time()) // result + simulated seconds
+//	nn, err := tree.KNN(s, query, 1)
+//	fmt.Println(nn[0].ID, nn[0].Dist, s.Time()) // result + simulated seconds
 //
 // To persist the tree on real files and reopen it in another process:
 //
@@ -118,11 +118,6 @@ type IQTreeStats = core.Stats
 
 // QueryTrace records the physical work of one IQ-tree query.
 type QueryTrace = core.Trace
-
-// Observer receives per-event cost notifications from a Session
-// (Session.SetObserver); *QueryTrace implements it. A nil Observer is
-// valid and costs nothing.
-type Observer = obs.Observer
 
 // MetricsRegistry is a named set of counters, gauges and latency
 // histograms; see Metrics for the process-wide instance.
@@ -233,10 +228,6 @@ func FractalDimension(pts []Point, met Metric) float64 {
 	return fractal.Estimate(pts, met)
 }
 
-// NNIterator enumerates neighbors in increasing distance order on demand
-// (incremental ranking, Hjaltason & Samet — the paper's reference [13]).
-type NNIterator = core.NNIterator
-
 // Index is the common query contract of all four access methods: the
 // IQ-tree, X-tree, VA-file and Scan all implement it, so serving code
 // can be written once against the interface.
@@ -245,17 +236,13 @@ type Index = index.Index
 // IndexStats is the cross-method physical summary every Index reports.
 type IndexStats = index.Stats
 
-// Approx is the approximate-KNN execution knob: MinRecall ∈ (0,1] sets a
-// target expected recall (the search stops once the modeled probability
-// that any unfetched page still improves the top-k drops below
-// ε = 1 − MinRecall), MaxCost > 0 sets a hard page-fetch budget. The
-// zero value (and MinRecall = 1) executes exactly. Set the same fields
-// on EngineQuery to run approximate queries through an Engine or a
-// shard coordinator.
-type Approx = index.Approx
-
 // ApproxSearcher is implemented by indexes supporting approximate KNN
-// (the IQ-tree). Indexes without it serve approximate queries exactly.
+// (the IQ-tree): KNNApprox takes a recall target minRecall ∈ [0, 1] and
+// stops once the modeled probability that any unfetched page still
+// improves the top-k drops below ε = 1 − minRecall; 0 (and 1) executes
+// exactly. Set EngineQuery.MinRecall to run approximate queries through
+// an Engine or a shard coordinator. Indexes without it serve approximate
+// queries exactly.
 type ApproxSearcher = index.ApproxSearcher
 
 // Engine is the parallel serving layer: a worker pool draining a query

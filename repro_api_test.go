@@ -74,9 +74,9 @@ func TestFacadeSessionAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sto.NewSession()
-	if _, ok, err := tree.NearestNeighbor(s, queries[0]); err != nil {
+	if res, err := tree.KNN(s, queries[0], 1); err != nil {
 		t.Fatal(err)
-	} else if !ok {
+	} else if len(res) == 0 {
 		t.Fatal("no result")
 	}
 	if s.Time() <= 0 || s.Stats.Seeks == 0 || s.Stats.BlocksRead == 0 {
@@ -97,15 +97,15 @@ func TestFacadePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range queries {
-		a, _, err := orig.NearestNeighbor(sto.NewSession(), q)
+		a, err := orig.KNN(sto.NewSession(), q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := reopened.NearestNeighbor(sto.NewSession(), q)
+		b, err := reopened.KNN(sto.NewSession(), q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.ID != b.ID || a.Dist != b.Dist {
+		if a[0].ID != b[0].ID || a[0].Dist != b[0].Dist {
 			t.Fatalf("reopened tree disagrees: %+v vs %+v", a, b)
 		}
 	}
