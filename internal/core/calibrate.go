@@ -46,26 +46,40 @@ func (b *builder) calibrateRefinement(ranges []partRange) float64 {
 	}
 	predicted *= float64(len(queries))
 
+	// Each range's points are encoded once, on the first query that
+	// reaches the range, and shared by every later one; observed is a
+	// count, so the loop order cannot change the factor.
+	maxCount := 0
+	for _, r := range ranges {
+		maxCount = max(maxCount, r.hi-r.lo)
+	}
+	buf := make([]uint32, maxCount*t.dim)
 	var observed float64
 	var arena kernel.Arena
-	cells := make([]uint32, t.dim)
-	for qi, q := range queries {
-		rq := radii[qi]
-		lbT := kernel.SqThreshold(t.opt.Metric, rq)
-		for _, r := range ranges {
-			bits := t.fitBits(r.hi - r.lo)
-			if bits >= quantize.ExactBits {
-				continue
-			}
+	for _, r := range ranges {
+		bits := t.fitBits(r.hi - r.lo)
+		if bits >= quantize.ExactBits {
+			continue
+		}
+		var grid quantize.Grid
+		var codes []uint32 // nil until a query reaches the range
+		for qi, q := range queries {
+			rq := radii[qi]
 			if r.mbr.MinDist(q, t.opt.Metric) >= rq {
 				continue // no cell of this page can undercut the NN distance
 			}
-			grid := quantize.NewGrid(r.mbr, bits)
+			if codes == nil {
+				grid = quantize.NewGrid(r.mbr, bits)
+				codes = buf[:(r.hi-r.lo)*t.dim]
+				for i := r.lo; i < r.hi; i++ {
+					off := (i - r.lo) * t.dim
+					grid.Encode(b.pts[b.perm[i]], codes[off:off+t.dim])
+				}
+			}
 			tb := arena.Tables(grid, q, t.opt.Metric, r.hi-r.lo)
-			for i := r.lo; i < r.hi; i++ {
-				p := b.pts[b.perm[i]]
-				cells = grid.Encode(p, cells)
-				if lb, pruned := tb.MinDistPruned(cells, lbT); !pruned && lb < rq {
+			lbT := kernel.SqThreshold(t.opt.Metric, rq)
+			for off := 0; off < len(codes); off += t.dim {
+				if lb, pruned := tb.MinDistPruned(codes[off:off+t.dim], lbT); !pruned && lb < rq {
 					observed++
 				}
 			}

@@ -11,6 +11,7 @@ package fractal
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/vec"
@@ -38,6 +39,11 @@ func sample(pts []vec.Point) []vec.Point {
 // point pairs within distance r. The slope is fit by least squares over
 // the small-radius scaling region of the observed pair distances. The
 // result is clamped to [0.5, d].
+//
+// The fit reads only the smallest 5% of the pair distances, so only those
+// are ordered: the 5th percentile is selected in linear time and the
+// prefix at or below it sorted. The estimate is bit-identical to one that
+// sorts every pair distance.
 func CorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 	if len(pts) == 0 {
 		return 1
@@ -60,24 +66,27 @@ func CorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 		// Degenerate data (most points identical): dimension ~0.
 		return 0.5
 	}
-	sort.Float64s(dists)
 	// Fit over the small-radius scaling region (0.2%–5% quantiles of the
 	// pair distances): at larger radii boundary effects flatten log C(r)
 	// and the slope systematically underestimates D2. Note the classic
 	// finite-sample (Eckmann–Ruelle) bound still caps resolvable D2 at
 	// roughly 2·log10(#pairs); high uniform dimensionalities read low.
-	lo := dists[len(dists)/500]   // 0.2th percentile
-	hi := dists[len(dists)/20]    // 5th percentile
+	iHi := len(dists) / 20 // 5th percentile
+	selectNth(dists, iHi)
+	prefix, tail := dists[:iHi+1], dists[iHi+1:]
+	sort.Float64s(prefix)
+	lo := prefix[len(dists)/500]  // 0.2th percentile
+	hi := prefix[iHi]             // 5th percentile
 	if lo <= 0 || hi <= lo*1.01 { // no scaling region
 		return clamp(d, 0.5, d)
 	}
 	// Geometric ladder of radii across the scaling region; C(r) by binary
-	// search in the sorted distance list.
+	// search in the sorted prefix.
 	const steps = 12
 	var xs, ys []float64
 	for k := 0; k <= steps; k++ {
 		r := lo * math.Pow(hi/lo, float64(k)/steps)
-		c := sort.SearchFloat64s(dists, r)
+		c := countBelow(prefix, tail, r)
 		if c == 0 {
 			continue
 		}
@@ -89,6 +98,72 @@ func CorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 		return clamp(d, 0.5, d)
 	}
 	return clamp(slope, 0.5, d)
+}
+
+// countBelow returns how many of the values in prefix and tail are < r,
+// given prefix sorted ascending and no tail value below prefix's last.
+// Only a radius above that last value (rounding can put the ladder's top
+// rung there) needs to look at the tail.
+func countBelow(prefix, tail []float64, r float64) int {
+	c := sort.SearchFloat64s(prefix, r)
+	if c == len(prefix) {
+		for _, v := range tail {
+			if v < r {
+				c++
+			}
+		}
+	}
+	return c
+}
+
+// selectNth reorders a so that a[n] holds the value an ascending sort
+// would put there, no value of a[:n] above it and none of a[n+1:] below
+// it. Three-way partitioning keeps duplicate-heavy input linear; a
+// partition budget falls back to sorting the remaining range, so the
+// worst case stays O(len(a) log len(a)).
+func selectNth(a []float64, n int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 16 && budget > 0; budget-- {
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// a[lo:lt] < p, a[lt:i] == p, a[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case n < lt:
+			hi = lt
+		case n >= gt:
+			lo = gt
+		default:
+			return // a[n] == p, already in its sorted place
+		}
+	}
+	sort.Float64s(a[lo:hi])
+}
+
+// median3 returns the median of three values.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // BoxCountingDimension estimates the box-counting dimension D0: the slope

@@ -1,10 +1,13 @@
 package fractal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/vec"
 )
 
@@ -171,5 +174,193 @@ func TestSampleBounds(t *testing.T) {
 	small := uniformPoints(r, 10, 2)
 	if len(sample(small)) != 10 {
 		t.Fatal("small inputs should pass through")
+	}
+}
+
+// referenceCorrelationDimension is the full-sort estimator: it sorts
+// every pair distance and reads C(r) from the whole sorted list.
+// CorrelationDimension must match it bit for bit.
+func referenceCorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
+	if len(pts) == 0 {
+		return 1
+	}
+	d := float64(len(pts[0]))
+	s := sample(pts)
+	if len(s) < 8 {
+		return d
+	}
+	dists := make([]float64, 0, len(s)*(len(s)-1)/2)
+	for i := 0; i < len(s); i++ {
+		for j := i + 1; j < len(s); j++ {
+			if dd := met.Dist(s[i], s[j]); dd > 0 {
+				dists = append(dists, dd)
+			}
+		}
+	}
+	if len(dists) < 16 {
+		return 0.5
+	}
+	sort.Float64s(dists)
+	lo := dists[len(dists)/500]
+	hi := dists[len(dists)/20]
+	if lo <= 0 || hi <= lo*1.01 {
+		return clamp(d, 0.5, d)
+	}
+	const steps = 12
+	var xs, ys []float64
+	for k := 0; k <= steps; k++ {
+		r := lo * math.Pow(hi/lo, float64(k)/steps)
+		c := sort.SearchFloat64s(dists, r)
+		if c == 0 {
+			continue
+		}
+		xs = append(xs, math.Log(r))
+		ys = append(ys, math.Log(float64(c)/float64(len(dists))))
+	}
+	slope, ok := fitSlope(xs, ys)
+	if !ok {
+		return clamp(d, 0.5, d)
+	}
+	return clamp(slope, 0.5, d)
+}
+
+// generate returns n points of a data set, cut to its first d
+// coordinates when it has more.
+func generate(t testing.TB, name dataset.Name, seed int64, n, d int) []vec.Point {
+	t.Helper()
+	pts, err := dataset.Generate(name, seed, n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if len(p) > d {
+			pts[i] = p[:d]
+		}
+	}
+	return pts
+}
+
+func assertSameEstimate(t *testing.T, label string, pts []vec.Point, met vec.Metric) {
+	t.Helper()
+	got, want := CorrelationDimension(pts, met), referenceCorrelationDimension(pts, met)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s %v: D2 = %v, full sort gives %v", label, met, got, want)
+	}
+}
+
+var allMetrics = []vec.Metric{vec.Euclidean, vec.Maximum, vec.Manhattan}
+
+var allDatasets = []dataset.Name{dataset.Uniform, dataset.CAD, dataset.Color, dataset.Weather}
+
+// The reference sorts up to 2.1 M distances per call, so the subtests
+// run in parallel: about 12 s on a 2-vCPU host.
+func TestCorrelationDimensionMatchesFullSort(t *testing.T) {
+	for _, name := range allDatasets {
+		t.Run(string(name), func(t *testing.T) {
+			t.Parallel()
+			for _, n := range []int{9, 20, 100, 500, 1000} {
+				for _, d := range []int{2, 4, 16} {
+					for seed := int64(1); seed <= 3; seed++ {
+						pts := generate(t, name, seed, n, d)
+						for _, met := range allMetrics {
+							assertSameEstimate(t, fmt.Sprintf("n=%d d=%d seed=%d", n, d, seed), pts, met)
+						}
+					}
+				}
+			}
+		})
+	}
+	t.Run("duplicates", func(t *testing.T) {
+		t.Parallel()
+		// Integer grids: many pair distances tie, including at the
+		// quantiles the fit reads.
+		r := rand.New(rand.NewSource(11))
+		for c := 0; c < 200; c++ {
+			levels, d := 1+r.Intn(6), 1+r.Intn(8)
+			n := int(math.Round(10 * math.Pow(300, r.Float64()))) // 10 to 3,000, log-uniform
+			pts := make([]vec.Point, n)
+			for i := range pts {
+				p := make(vec.Point, d)
+				for j := range p {
+					p[j] = float32(r.Intn(levels))
+				}
+				pts[i] = p
+			}
+			assertSameEstimate(t, fmt.Sprintf("case %d: %d levels d=%d n=%d", c, levels, d, n), pts, allMetrics[c%len(allMetrics)])
+		}
+	})
+	t.Run("full sample", func(t *testing.T) {
+		t.Parallel()
+		for _, name := range allDatasets {
+			for _, n := range []int{MaxSample + 1, 25_000} {
+				assertSameEstimate(t, fmt.Sprintf("%s n=%d", name, n), generate(t, name, 1, n, 16), vec.Euclidean)
+			}
+		}
+	})
+}
+
+// TestSelectAndCountMatchFullSort checks the two steps that replace the
+// full sort on their own, including a radius above the selected value,
+// which the estimator's radius ladder may never produce.
+func TestSelectAndCountMatchFullSort(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for c := 0; c < 300; c++ {
+		vals := make([]float64, 1+r.Intn(2000))
+		levels := 1 + r.Intn(50)
+		for i := range vals {
+			vals[i] = float64(r.Intn(levels)) + 0.5*float64(r.Intn(2))
+		}
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		n := r.Intn(len(vals))
+		selectNth(vals, n)
+		if vals[n] != sorted[n] {
+			t.Fatalf("case %d: selected %v at %d, sort gives %v", c, vals[n], n, sorted[n])
+		}
+		prefix, tail := vals[:n+1], vals[n+1:]
+		for _, v := range tail {
+			if v < vals[n] {
+				t.Fatalf("case %d: tail value %v below selected %v", c, v, vals[n])
+			}
+		}
+		sort.Float64s(prefix)
+		top := sorted[n]
+		for _, rad := range []float64{0, sorted[0], top / 2, top, math.Nextafter(top, math.Inf(1)), top + 1, sorted[len(sorted)-1], math.Inf(1)} {
+			if got, want := countBelow(prefix, tail, rad), sort.SearchFloat64s(sorted, rad); got != want {
+				t.Fatalf("case %d: countBelow(%v) = %d, full sort gives %d", c, rad, got, want)
+			}
+		}
+	}
+}
+
+// TestSampleBiasBelowTwiceMaxSample records a known bias (see ROADMAP):
+// for MaxSample < N < 2·MaxSample the stride is 1, so the sample is the
+// first MaxSample points and the estimate never sees the rest. Here the
+// points past MaxSample fill a plane, yet the estimate is the line's.
+func TestSampleBiasBelowTwiceMaxSample(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	line := linePoints(r, MaxSample, 8)
+	pts := append(append([]vec.Point(nil), line...), planePoints(r, MaxSample-1, 8)...)
+	if got, want := CorrelationDimension(pts, vec.Euclidean), CorrelationDimension(line, vec.Euclidean); got != want {
+		t.Fatalf("D2 over line+plane = %v, over the line alone %v: the sample now reaches past the first %d points", got, want, MaxSample)
+	}
+}
+
+var benchSink float64
+
+// BenchmarkCorrelationDimension times the estimate on one full sample
+// (2,048 of 25,000 CAD points, 2.1 M pair distances) against the full-sort
+// reference; scripts/ci.sh requires select to stay at least 2x faster.
+func BenchmarkCorrelationDimension(b *testing.B) {
+	pts := generate(b, dataset.CAD, 1, 25_000, 16)
+	for _, bc := range []struct {
+		name     string
+		estimate func([]vec.Point, vec.Metric) float64
+	}{{"fullsort", referenceCorrelationDimension}, {"select", CorrelationDimension}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchSink = bc.estimate(pts, vec.Euclidean)
+			}
+		})
 	}
 }

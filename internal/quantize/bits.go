@@ -24,16 +24,19 @@ func (w *BitWriter) Write(v uint32, width int) {
 	if width < 0 || width > 32 {
 		panic(fmt.Sprintf("quantize: bit width %d out of range", width))
 	}
-	for i := 0; i < width; i++ {
-		byteIdx := w.nbit / 8
-		if byteIdx == len(w.buf) {
-			w.buf = append(w.buf, 0)
-		}
-		if v&(1<<uint(i)) != 0 {
-			w.buf[byteIdx] |= 1 << uint(w.nbit%8)
-		}
-		w.nbit++
+	x := uint64(v) & (1<<uint(width) - 1)
+	end := w.nbit + width
+	// buf holds exactly ⌈nbit/8⌉ bytes: fill the partial last byte, then
+	// append whole bytes.
+	if off := uint(w.nbit % 8); off != 0 {
+		w.buf[len(w.buf)-1] |= byte(x << off)
+		x >>= 8 - off
 	}
+	for n := (end+7)/8 - len(w.buf); n > 0; n-- {
+		w.buf = append(w.buf, byte(x))
+		x >>= 8
+	}
+	w.nbit = end
 }
 
 // Bytes returns the packed stream. The final partial byte is zero-padded.

@@ -1,6 +1,7 @@
 package quantize
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,6 +187,84 @@ func TestBitMixedWidths(t *testing.T) {
 			t.Fatalf("read %d-bit value %d, want %d", c.width, got, c.want)
 		}
 	}
+}
+
+// bitwiseWriter is the bit-at-a-time reference for BitWriter: one bit
+// per loop iteration, ignoring the bits of v above width.
+type bitwiseWriter struct {
+	buf  []byte
+	nbit int
+}
+
+func (w *bitwiseWriter) Write(v uint32, width int) {
+	for i := 0; i < width; i++ {
+		byteIdx := w.nbit / 8
+		if byteIdx == len(w.buf) {
+			w.buf = append(w.buf, 0)
+		}
+		if v&(1<<uint(i)) != 0 {
+			w.buf[byteIdx] |= 1 << uint(w.nbit%8)
+		}
+		w.nbit++
+	}
+}
+
+func TestBitWriterMatchesBitwiseReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		w, ref := NewBitWriter(0), &bitwiseWriter{}
+		for i := 0; i < 10_000; i++ {
+			// Full 32-bit values: every width below 32 sees bits above it.
+			v, width := r.Uint32(), r.Intn(33)
+			w.Write(v, width)
+			ref.Write(v, width)
+		}
+		if w.Bits() != ref.nbit || !bytes.Equal(w.Bytes(), ref.buf) {
+			t.Fatalf("seed %d: %d bits, %d bytes; bitwise reference %d bits, %d bytes, first difference at byte %d",
+				seed, w.Bits(), len(w.Bytes()), ref.nbit, len(ref.buf), firstDiff(w.Bytes(), ref.buf))
+		}
+	}
+	for _, width := range []int{-1, 33} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("width %d did not panic", width)
+				}
+			}()
+			NewBitWriter(0).Write(1, width)
+		}()
+	}
+	// Pack is the writer's production caller: its streams must not change
+	// at any quantization level.
+	rr := rand.New(rand.NewSource(6))
+	m := randMBR(rr, 7)
+	pts := make([]vec.Point, 101)
+	for i := range pts {
+		pts[i] = randPointIn(rr, m)
+	}
+	for _, bits := range Levels {
+		g := NewGrid(m, bits)
+		ref := &bitwiseWriter{}
+		cells := make([]uint32, g.Dim())
+		for _, p := range pts {
+			cells = g.Encode(p, cells)
+			for _, c := range cells {
+				ref.Write(c, g.Bits)
+			}
+		}
+		if got := Pack(g, pts); !bytes.Equal(got, ref.buf) {
+			t.Fatalf("bits=%d: Pack differs from the bitwise reference at byte %d", bits, firstDiff(got, ref.buf))
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }
 
 func TestBitReaderSeek(t *testing.T) {

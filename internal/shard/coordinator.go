@@ -18,6 +18,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +51,11 @@ type Config struct {
 	// NewStore, when non-nil, supplies the store for one replica — the
 	// hook chaos tests use to slot a FaultStore under a chosen replica.
 	// Every replica gets an independent store — one disk per replica,
-	// which is what makes shards scale. Default: store.NewSim with
-	// store.DefaultConfig.
+	// which is what makes shards scale. New calls it once per replica of
+	// each non-empty shard, in (shard, replica) order, on the caller's
+	// goroutine and before any build starts, so a hook may record its
+	// stores without locking; the builds then run concurrently. Default:
+	// store.NewSim with store.DefaultConfig.
 	NewStore func(shard, replica int) (*store.Store, error)
 	// Registry receives the coordinator's shard.* metrics (default: a
 	// private registry).
@@ -254,30 +258,58 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		opt.WAL = true
 		opt.WALCheckpointBlocks = 256
 	}
-	for si := 0; si < cfg.Shards; si++ {
+	// Stores come first, in (shard, replica) order on this goroutine (the
+	// Config.NewStore contract). The builds then run concurrently, at most
+	// GOMAXPROCS at a time: each holds its D_F sample's pair distances
+	// while it runs.
+	type build struct {
+		shard, replica int
+		sto            *store.Store
+		tree           *core.Tree
+		err            error
+	}
+	var builds []build
+	for si := range local {
+		if len(local[si]) == 0 {
+			continue
+		}
+		for ri := 0; ri < cfg.Replicas; ri++ {
+			sto, err := cfg.NewStore(si, ri)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d replica %d: store: %w", si, ri, err)
+			}
+			builds = append(builds, build{shard: si, replica: ri, sto: sto})
+		}
+	}
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range builds {
+		b := &builds[i]
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			b.tree, b.err = core.Build(b.sto, local[b.shard], opt)
+		}()
+	}
+	wg.Wait()
+	for _, b := range builds {
+		if b.err != nil {
+			return nil, fmt.Errorf("shard %d replica %d: build: %w", b.shard, b.replica, b.err)
+		}
+	}
+	for si := range local {
 		sh := &shardState{}
 		g := gids[si]
 		sh.gids.Store(&g)
-		if len(local[si]) > 0 {
-			for ri := 0; ri < cfg.Replicas; ri++ {
-				sto, err := cfg.NewStore(si, ri)
-				if err != nil {
-					c.Close()
-					return nil, fmt.Errorf("shard %d replica %d: store: %w", si, ri, err)
-				}
-				tree, err := core.Build(sto, local[si], opt)
-				if err != nil {
-					c.Close()
-					return nil, fmt.Errorf("shard %d replica %d: build: %w", si, ri, err)
-				}
-				eng := engine.New(sto, tree, cfg.Workers)
-				rep := &replica{shard: si, id: ri}
-				rep.st.Store(&stack{sto: sto, tree: tree, eng: eng})
-				rep.state.Store(int32(Serving))
-				sh.reps = append(sh.reps, rep)
-			}
-		}
 		c.shards = append(c.shards, sh)
+	}
+	for _, b := range builds {
+		rep := &replica{shard: b.shard, id: b.replica}
+		rep.st.Store(&stack{sto: b.sto, tree: b.tree, eng: engine.New(b.sto, b.tree, cfg.Workers)})
+		rep.state.Store(int32(Serving))
+		sh := c.shards[b.shard]
+		sh.reps = append(sh.reps, rep)
 	}
 	if cfg.SelfHeal {
 		c.healWG.Add(1)

@@ -143,6 +143,25 @@ go test -run '^$' -bench 'BenchmarkQuantizedFilter' -benchtime 200x -count 3 ./i
 			}
 		}'
 
+echo "== D_F estimate gate =="
+# Every build estimates the fractal dimension from 2.1 M pair distances
+# of a 2,048-point sample but reads only the smallest 5%; ordering just
+# those keeps a full sort (~0.4 s, most of a small build) from coming
+# back. Same statistic as the kernel gate: min of three runs per side.
+go test -run '^$' -bench 'BenchmarkCorrelationDimension' -benchtime 5x -count 3 ./internal/fractal |
+	awk '
+		/BenchmarkCorrelationDimension\/fullsort/ { if (!mf || $3 < mf) mf = $3 }
+		/BenchmarkCorrelationDimension\/select/   { if (!ms || $3 < ms) ms = $3 }
+		END {
+			if (!mf || !ms) { print "gate: missing benchmark output" > "/dev/stderr"; exit 1 }
+			ratio = mf / ms
+			printf "D_F estimate select vs full sort speedup: %.2fx\n", ratio
+			if (ratio < 2) {
+				printf "D_F estimate gate FAILED: %.2fx < 2x\n", ratio > "/dev/stderr"
+				exit 1
+			}
+		}'
+
 echo "== KNN steady-state alloc gate =="
 go test -run '^$' -bench 'BenchmarkKNNHotPath/KNNInto' -benchtime 50x ./internal/core |
 	awk '
