@@ -6,21 +6,27 @@ import (
 )
 
 // Automatic reoptimization: instead of an operator deciding when to call
-// Reoptimize, a policy watches the pressure updates create — garbage
-// blocks in the quantized file (every rewrite appends a new page version
-// and strands the old one) — and drives the incremental stepper one
-// bounded unit per acknowledged mutation while it persists. Because
-// steps interleave with queries and updates, the policy adds no pause:
-// the cost is one extra page re-quantization per write while a run is
-// active.
+// Reoptimize, a policy watches the garbage updates create — dead blocks
+// in the quantized file (every rewrite appends a new page version and
+// strands the old one) — and begins an incremental run when it reaches
+// the configured ratio. While a run is in flight, each acknowledged
+// mutation keeps stepping it until the next generation holds as many
+// written pages as the live quantized file has grown since the pin, so
+// the rebuild keeps pace with the writes and ends before the old
+// generation can double: at the trigger the old file is 1/(1−r) of the
+// live pages and a run adds about one live-page count more, so the ratio
+// peaks near 1 − (1−r)/(2−r) (2/3 at r = 0.5). The steps stay on the
+// write path, spread over the writes, and add no pause beyond the one
+// run's plan step and its swap.
 
 // AutoReoptPolicy configures Options.AutoReoptimize. The zero value
 // disables automatic reoptimization.
 type AutoReoptPolicy struct {
 	// GarbageRatio starts an incremental reoptimization once the
 	// fraction of dead blocks in the quantized file reaches this value
-	// (0 disables the garbage trigger). Sensible values sit in (0,1);
-	// e.g. 0.5 rebuilds when half the file is stale page versions.
+	// (0 disables the policy). Sensible values sit in (0,1); e.g. 0.5
+	// rebuilds when half the file is stale page versions, and the
+	// paced run keeps the fraction below about 2/3.
 	GarbageRatio float64
 }
 
@@ -48,21 +54,29 @@ func (t *Tree) GarbageRatio() float64 {
 }
 
 // autoReoptimize runs the Options.AutoReoptimize policy after an
-// acknowledged mutation: begin a run when a trigger fires, and advance
-// an in-flight run by one step either way. I/O is charged to s. The
-// mutation that called it is already durable, so a maintenance error
-// surfaces to the caller without undoing anything.
+// acknowledged mutation: with no run in flight, begin one when the
+// garbage ratio reaches the trigger; with one in flight, step it at
+// least once and until it has caught up with the live quantized file's
+// growth (reoptBehind). I/O is charged to s. The mutation that called
+// it is already durable, so a maintenance error surfaces to the caller
+// without undoing anything.
 func (t *Tree) autoReoptimize(s *store.Session) error {
 	ratio := t.opt.AutoReoptimize.GarbageRatio
 	if ratio <= 0 || t.Len() == 0 {
 		return nil
 	}
-	if !t.ReoptimizeRunning() {
+	t.reoptMu.Lock()
+	defer t.reoptMu.Unlock()
+	if t.reopt == nil {
 		if t.GarbageRatio() < ratio {
 			return nil
 		}
 		metricAutoReoptTriggers.Inc()
 	}
-	_, err := t.ReoptimizeStep(s)
-	return err
+	for {
+		done, err := t.reoptStep(s)
+		if err != nil || done || !t.reoptBehind() {
+			return err
+		}
+	}
 }

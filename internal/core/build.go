@@ -17,9 +17,8 @@ import (
 type builder struct {
 	t    *Tree
 	sn   *snapshot
-	pts  []vec.Point
-	ids  []uint32 // ids[i] is the id of pts[i]; nil means identity
-	perm []int32  // permutation of point indices; nodes own ranges of it
+	pts  []vec.Point // pts[i] has id i
+	perm []int32     // permutation of point indices; nodes own ranges of it
 }
 
 // bnode is a node of the split tree (paper Fig. 5). Leaves of the final
@@ -81,26 +80,26 @@ func (b *builder) frontier() []*bnode {
 	return frontier
 }
 
-// plan materializes the frontier as self-contained page plans, in disk
-// layout order. The returned pages alias b.pts' points but own their
-// id slices.
+// plan lists the frontier's pages in disk layout order. A planned page
+// names its points by a range of b.perm rather than holding them (see
+// points).
 func (b *builder) plan(frontier []*bnode) []planPage {
 	out := make([]planPage, len(frontier))
 	for i, n := range frontier {
-		pts := make([]vec.Point, n.count())
-		ids := make([]uint32, n.count())
-		for j := 0; j < n.count(); j++ {
-			idx := b.perm[n.lo+j]
-			pts[j] = b.pts[idx]
-			if b.ids != nil {
-				ids[j] = b.ids[idx]
-			} else {
-				ids[j] = uint32(idx)
-			}
-		}
-		out[i] = planPage{pts: pts, ids: ids, bits: n.bits, mbr: n.mbr, base: uint32(n.lo)}
+		out[i] = planPage{lo: n.lo, hi: n.hi, bits: n.bits, mbr: n.mbr}
 	}
 	return out
+}
+
+// points returns the points of planned page pp and their ids, in page
+// order. The points alias b.pts.
+func (b *builder) points(pp planPage) ([]vec.Point, []uint32) {
+	pts := make([]vec.Point, pp.hi-pp.lo)
+	ids := make([]uint32, pp.hi-pp.lo)
+	for j, idx := range b.perm[pp.lo:pp.hi] {
+		pts[j], ids[j] = b.pts[idx], uint32(idx)
+	}
+	return pts, ids
 }
 
 // partRange is an initial partition before split-tree nodes exist.
@@ -320,38 +319,37 @@ func (b *builder) optimize(roots []*bnode) []*bnode {
 	return frontier
 }
 
-// planPage is one page of a computed layout, ready to be written by
-// writePlanPage — the unit of work of the incremental reoptimizer.
+// planPage is one page of a computed layout — the unit of work of the
+// incremental reoptimizer. Its points are perm[lo:hi] of the builder
+// that planned it.
 type planPage struct {
-	pts  []vec.Point
-	ids  []uint32
-	bits int
-	mbr  vec.MBR
-	base uint32
+	lo, hi int
+	bits   int
+	mbr    vec.MBR
 }
 
-// writePlanPage appends one planned page to the given quantized/exact
-// files and returns its directory entry and grid. Write failures are
-// recorded as the store's sticky error, which the caller checks before
-// publishing anything that references the page.
-func (t *Tree) writePlanPage(qf, ef *store.File, pp planPage) (page.DirEntry, quantize.Grid) {
+// writePlanPage appends planned page pp, holding pts with their ids, to
+// the given quantized/exact files and returns its directory entry and
+// grid. Write failures are recorded as the store's sticky error, which
+// the caller checks before publishing anything that references the page.
+func (t *Tree) writePlanPage(qf, ef *store.File, pp planPage, pts []vec.Point, ids []uint32) (page.DirEntry, quantize.Grid) {
 	grid := quantize.NewGrid(pp.mbr, pp.bits)
 	e := page.DirEntry{
-		Count: uint32(len(pp.pts)),
+		Count: uint32(len(pts)),
 		Bits:  uint8(pp.bits),
-		Base:  pp.base,
+		Base:  uint32(pp.lo),
 		MBR:   pp.mbr,
 	}
 	var bpos int
 	if pp.bits < quantize.ExactBits {
-		epos, eblocks, err := ef.Append(page.MarshalExact(pp.pts, pp.ids))
+		epos, eblocks, err := ef.Append(page.MarshalExact(pts, ids))
 		if err == nil {
 			e.EPos = uint32(epos)
 			e.EBlocks = uint32(eblocks)
 		}
-		bpos, _, _ = qf.Append(page.MarshalQPage(grid, pp.pts, nil, t.qPageBytes()))
+		bpos, _, _ = qf.Append(page.MarshalQPage(grid, pts, nil, t.qPageBytes()))
 	} else {
-		bpos, _, _ = qf.Append(page.MarshalQPage(grid, pp.pts, pp.ids, t.qPageBytes()))
+		bpos, _, _ = qf.Append(page.MarshalQPage(grid, pts, ids, t.qPageBytes()))
 	}
 	e.QPos = uint32(bpos / t.opt.QPageBlocks)
 	return e, grid
@@ -367,7 +365,8 @@ func (b *builder) write(frontier []*bnode) {
 	dirBuf := make([]byte, 0, len(frontier)*page.DirEntrySize(t.dim))
 	entryBuf := make([]byte, page.DirEntrySize(t.dim))
 	for _, pp := range b.plan(frontier) {
-		e, grid := t.writePlanPage(t.qFile, t.eFile, pp)
+		pts, ids := b.points(pp)
+		e, grid := t.writePlanPage(t.qFile, t.eFile, pp, pts, ids)
 		e.Marshal(entryBuf, t.dim)
 		dirBuf = append(dirBuf, entryBuf...)
 		entryIdx := sn.appendEntry()

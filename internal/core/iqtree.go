@@ -88,10 +88,12 @@ type Options struct {
 	// checkpoints). Only meaningful with WAL.
 	WALCheckpointBlocks int
 	// AutoReoptimize drives incremental reoptimization from the write
-	// path: when a trigger fires (garbage ratio or quarantine pressure),
-	// each acknowledged mutation also advances the rebuild by one
-	// bounded step. The zero value disables it. A runtime knob — not
-	// persisted in the meta file. See autoreopt.go.
+	// path: once the garbage ratio reaches the policy's trigger, each
+	// acknowledged mutation also steps the rebuild until it has written
+	// as many pages as the live quantized file grew since the run began,
+	// and the swap applies the run's captured inserts as one batch. The
+	// zero value disables it. A runtime knob — not persisted in the meta
+	// file. See autoreopt.go.
 	AutoReoptimize AutoReoptPolicy
 }
 

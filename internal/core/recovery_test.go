@@ -438,6 +438,85 @@ func TestKillAndRecoverAfterIncrementalReoptimize(t *testing.T) {
 	}
 }
 
+// TestKillAndRecoverUnderAutoReoptimize: a WAL tree under the
+// auto-reoptimize policy takes inserts and deletes across automatic
+// swaps — each a checkpoint that becomes the recovery base — and crashes
+// while the next run is in flight. Recovery must drop the unfinished
+// generation and come back byte-identical to a twin with the same
+// policy that never crashed.
+func TestKillAndRecoverUnderAutoReoptimize(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	base := randPoints(r, 3000, 6)
+	opt := walTestOptions()
+	opt.AutoReoptimize = AutoReoptPolicy{GarbageRatio: 0.3}
+	live := buildWALTree(t, base, opt)
+	twin := buildWALTree(t, base, opt)
+
+	type write struct {
+		p  vec.Point
+		id uint32
+	}
+	var present []write // inserted and not yet deleted
+	nextID, nextBase := uint32(100000), 0
+	inRun := 0 // writes acknowledged since the in-flight run began
+	for step := 0; live.reoptGen.Load() < 2 || inRun < 3; step++ {
+		if step == 2000 {
+			t.Fatalf("no crash point after %d writes: %d swaps, running %v",
+				step, live.reoptGen.Load(), live.ReoptimizeRunning())
+		}
+		var ins []write
+		var del write
+		switch {
+		case step%5 == 4 && len(present) > 0:
+			i := r.Intn(len(present)) // some were captured by the run in flight
+			del = present[i]
+			present = append(present[:i], present[i+1:]...)
+		case step%5 == 2:
+			del = write{base[nextBase], uint32(nextBase)}
+			nextBase++
+		default:
+			for _, p := range randPoints(r, 1+r.Intn(4), 6) {
+				ins = append(ins, write{p, nextID})
+				nextID++
+			}
+			present = append(present, ins...)
+		}
+		for _, tr := range []*Tree{live, twin} {
+			s := tr.sto.NewSession()
+			if ins == nil {
+				if ok, err := tr.Delete(s, del.p, del.id); err != nil || !ok {
+					t.Fatalf("write %d: delete %d found=%v err=%v", step, del.id, ok, err)
+				}
+				continue
+			}
+			pts, ids := make([]vec.Point, len(ins)), make([]uint32, len(ins))
+			for i, x := range ins {
+				pts[i], ids[i] = x.p, x.id
+			}
+			if err := tr.InsertBatch(s, pts, ids); err != nil {
+				t.Fatalf("write %d: %v", step, err)
+			}
+		}
+		if inRun++; !live.ReoptimizeRunning() {
+			inRun = 0
+		}
+	}
+	if twin.reoptGen.Load() != live.reoptGen.Load() || !twin.ReoptimizeRunning() {
+		t.Fatalf("twin diverged: %d swaps (live %d), running %v",
+			twin.reoptGen.Load(), live.reoptGen.Load(), twin.ReoptimizeRunning())
+	}
+	rec := crashRecover(t, live)
+	if rec.gen != twin.gen {
+		t.Fatalf("recovered generation %d, want %d", rec.gen, twin.gen)
+	}
+	assertTreesEqual(t, rec, twin, randPoints(r, 4, 6))
+	for _, name := range rec.sto.Backend().Names() {
+		if strings.HasSuffix(name, fmt.Sprintf(".g%d", rec.gen+1)) {
+			t.Fatalf("unfinished generation's file survived recovery: %s", name)
+		}
+	}
+}
+
 // TestIncrementalReoptimizeConvergesToBatch: stepping with exact KNN
 // queries running concurrently must land on the same page count,
 // quantization levels, and answers as the batch path on an identical

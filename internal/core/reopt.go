@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/costmodel"
 	"repro/internal/obs"
@@ -20,12 +21,14 @@ import (
 //	        from the pinned snapshot and create generation gen+1 files.
 //	middle: write one planned page into the new generation's files —
 //	        invisible to queries, which keep serving the old generation —
-//	        and repair at most one quarantined live page.
+//	        reading its points back from the pinned pages, and repair at
+//	        most one quarantined live page.
 //	final:  under world.Lock (the only excluding step), swap the file
-//	        pointers to the new generation, re-apply the captured deltas
-//	        through the normal apply path, publish, and (in WAL mode)
-//	        checkpoint so the swap is the durable commit point. Old
-//	        generation files are removed afterwards.
+//	        pointers to the new generation, apply the captured deltas
+//	        through the normal apply path (the inserts as one batch,
+//	        then the deletes), publish, and (in WAL mode) checkpoint so
+//	        the swap is the durable commit point. Old generation files
+//	        are removed afterwards.
 //
 // Snapshot correctness: queries pin epochs of the old generation and
 // hold world.RLock for their whole duration, so the final swap cannot
@@ -41,8 +44,17 @@ var (
 // reoptState is one in-flight incremental reoptimization. The stepper
 // (serialized by t.reoptMu) owns every field except deltas, which
 // writers append to under t.mu.
+//
+// The plan does not hold the points it lays out: a planned page names
+// its points by their index in the pinned snapshot's page order, and
+// the step that writes the page reads them back from the pinned pages,
+// which copy-on-write leaves in place until the swap. A run in flight
+// thus holds about four bytes per point, not the points.
 type reoptState struct {
 	plan    []planPage
+	perm    []int32         // plan page p holds points perm[p.lo:p.hi]
+	pinned  *snapshot       // the snapshot the plan was made from
+	firsts  []int           // firsts[i]: index of pinned entry i's first point
 	next    int             // next plan index to write
 	entries []page.DirEntry // written pages, new-generation positions
 	grids   []quantize.Grid
@@ -50,6 +62,7 @@ type reoptState struct {
 
 	gen          uint32 // the generation being built
 	qFile, eFile *store.File
+	qStart       int // blocks of the live quantized file at the pin
 
 	n         int
 	dataSpace vec.MBR
@@ -74,6 +87,11 @@ func (t *Tree) ReoptimizeRunning() bool {
 func (t *Tree) ReoptimizeStep(s *store.Session) (done bool, err error) {
 	t.reoptMu.Lock()
 	defer t.reoptMu.Unlock()
+	return t.reoptStep(s)
+}
+
+// reoptStep is ReoptimizeStep. Caller holds t.reoptMu.
+func (t *Tree) reoptStep(s *store.Session) (done bool, err error) {
 	metricReoptSteps.Inc()
 	if t.reopt == nil {
 		return false, t.reoptBegin()
@@ -84,7 +102,12 @@ func (t *Tree) ReoptimizeStep(s *store.Session) (done bool, err error) {
 	r := t.reopt
 	if r.next < len(r.plan) {
 		pp := r.plan[r.next]
-		e, g := t.writePlanPage(r.qFile, r.eFile, pp)
+		pts, ids, err := t.pinnedPoints(r, pp)
+		if err != nil {
+			t.reoptAbort()
+			return false, err
+		}
+		e, g := t.writePlanPage(r.qFile, r.eFile, pp, pts, ids)
 		if err := t.sto.Err(); err != nil {
 			t.reoptAbort()
 			return false, err
@@ -101,6 +124,14 @@ func (t *Tree) ReoptimizeStep(s *store.Session) (done bool, err error) {
 	return true, nil
 }
 
+// reoptBehind reports whether the in-flight run has written fewer pages
+// into the next generation than the live quantized file has grown since
+// the pin. Caller holds t.reoptMu, which also keeps t.qFile in place.
+func (t *Tree) reoptBehind() bool {
+	r := t.reopt
+	return r != nil && r.next < (t.qFile.Blocks()-r.qStart)/t.opt.QPageBlocks
+}
+
 // reoptBegin pins the current state and computes the new layout. Caller
 // holds t.reoptMu.
 func (t *Tree) reoptBegin() error {
@@ -109,13 +140,13 @@ func (t *Tree) reoptBegin() error {
 	// Pin and arm delta capture atomically with respect to writers.
 	t.mu.Lock()
 	pinned := t.load()
-	r := &reoptState{gen: t.gen + 1}
+	r := &reoptState{gen: t.gen + 1, qStart: t.qFile.Blocks()}
 	t.reopt = r
 	t.mu.Unlock()
 	// Plan lock-free against the pinned snapshot: copy-on-write keeps
 	// its pages readable while writers publish newer epochs (those
 	// mutations arrive as deltas).
-	pts, ids, err := t.allPoints(pinned)
+	pts, _, firsts, err := t.allPoints(pinned)
 	if err != nil {
 		t.reoptAbort()
 		return err
@@ -131,8 +162,8 @@ func (t *Tree) reoptBegin() error {
 	msn.model.N = len(pts)
 	msn.model.DataSpace = msn.dataSpace
 	b := newBuilder(t, msn, pts)
-	b.ids = ids
 	r.plan = b.plan(b.frontier())
+	r.perm, r.pinned, r.firsts = b.perm, pinned, firsts
 	r.n = len(pts)
 	r.dataSpace = msn.dataSpace
 	r.model = msn.model
@@ -145,6 +176,52 @@ func (t *Tree) reoptBegin() error {
 		return err
 	}
 	return nil
+}
+
+// pinnedPoints reads the points of planned page pp and their ids back
+// from the pinned snapshot's pages, in page order: point k of the plan
+// is slot k − firsts[i] of the last pinned entry i with firsts[i] ≤ k.
+// The pages are immutable, so each holds the points it held at the plan.
+// Each source page is read once, and only the slots the page takes are
+// decoded. The reads are charged to no session. Caller holds t.reoptMu,
+// which keeps the pinned generation's files in place.
+func (t *Tree) pinnedPoints(r *reoptState, pp planPage) ([]vec.Point, []uint32, error) {
+	type pinnedPage struct {
+		raw []byte      // an exact-level page's exact entries
+		pts []vec.Point // a 32-bit page's points
+		ids []uint32
+	}
+	s := t.sto.NewSession()
+	size := page.ExactEntrySize(t.dim)
+	read := map[int]pinnedPage{}
+	pts := make([]vec.Point, pp.hi-pp.lo)
+	ids := make([]uint32, pp.hi-pp.lo)
+	for j, k := range r.perm[pp.lo:pp.hi] {
+		i := sort.SearchInts(r.firsts, int(k)+1) - 1
+		slot := int(k) - r.firsts[i]
+		pg, ok := read[i]
+		if !ok {
+			e := r.pinned.entries[i]
+			var err error
+			if e.Bits == quantize.ExactBits {
+				pg.pts, pg.ids, err = t.readPagePoints(s, r.pinned, i)
+			} else {
+				var rel int
+				pg.raw, rel, err = s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*size)
+				pg.raw = pg.raw[rel:]
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			read[i] = pg
+		}
+		if pg.raw != nil {
+			pts[j], ids[j] = page.UnmarshalExactEntry(pg.raw[slot*size:], t.dim)
+		} else {
+			pts[j], ids[j] = pg.pts[slot], pg.ids[slot]
+		}
+	}
+	return pts, ids, nil
 }
 
 // reoptAbort tears down an in-flight run: capture stops, partially
@@ -204,8 +281,36 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 		t.sto.Remove(r.eFile.Name())
 	}
 
+	// The new generation holds every pinned point already. The captured
+	// inserts go in as one batch, which rewrites each page it touches
+	// once, then the captured deletes in log order. Each delete then sees
+	// at least as many copies of its (id, point) as it did when it was
+	// logged, so it finds its point, and the contents and data space equal
+	// a one-by-one replay's. Only the layout differs, which is free: the
+	// checkpoint below, not the WAL, is the new generation's recovery base.
+	var pts []vec.Point
+	var ids []uint32
+	var dels []mutOp
 	for _, op := range r.deltas {
-		if err := t.applyMutOp(s, sn, op); err != nil {
+		if op.kind == walKindDelete {
+			dels = append(dels, op)
+		} else {
+			pts = append(pts, op.pts...)
+			ids = append(ids, op.ids...)
+		}
+	}
+	if len(pts) > 0 {
+		if err := t.applyInsertBatch(s, sn, pts, ids); err != nil {
+			rollback()
+			return fmt.Errorf("core: reoptimize delta replay: %w", err)
+		}
+	}
+	for _, op := range dels {
+		found, err := t.applyDelete(s, sn, op.pts[0], op.ids[0])
+		if err == nil && !found {
+			err = fmt.Errorf("deleted point %d not found", op.ids[0])
+		}
+		if err != nil {
 			rollback()
 			return fmt.Errorf("core: reoptimize delta replay: %w", err)
 		}

@@ -11,7 +11,8 @@ import (
 
 // TestConcurrentQueriesAndUpdates is the snapshot-isolation stress test:
 // query goroutines run KNN and range searches while updater goroutines
-// insert and delete concurrently and a background goroutine reoptimizes.
+// insert and delete concurrently — each also stepping the
+// auto-reoptimize policy — and a background goroutine reoptimizes.
 // Every point ever inserted comes from a fixed pool with ID == pool
 // index and per-ID geometry never changes, so any result a query can
 // legitimately see — on whichever published snapshot it pinned — must
@@ -30,7 +31,9 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(42))
 	pool := randPoints(r, poolSize, dim)
-	tr := buildTree(t, pool[:initial], DefaultOptions())
+	opt := DefaultOptions()
+	opt.AutoReoptimize = AutoReoptPolicy{GarbageRatio: 0.3}
+	tr := buildTree(t, pool[:initial], opt)
 	queries := randPoints(r, 32, dim)
 
 	// next is the insert watermark: a slot is reserved (watermark

@@ -267,9 +267,9 @@ func (t *Tree) applyDelete(s *store.Session, sn *snapshot, p vec.Point, id uint3
 	return false, nil
 }
 
-// applyMutOp dispatches a decoded WAL record (or a captured reopt delta)
-// through the same apply path the live mutation took, keeping replay
-// bit-identical. Caller holds t.mu (and the world lock in some mode).
+// applyMutOp dispatches a decoded WAL record through the same apply path
+// the live mutation took, keeping replay bit-identical. Caller holds t.mu
+// (and the world lock in some mode).
 func (t *Tree) applyMutOp(s *store.Session, sn *snapshot, op mutOp) error {
 	switch op.kind {
 	case walKindInsert, walKindInsertBatch:
@@ -540,23 +540,26 @@ func (t *Tree) Reoptimize() error {
 func (t *Tree) AllPoints() ([]vec.Point, []uint32, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
-	return t.allPoints(t.load())
+	pts, ids, _, err := t.allPoints(t.load())
+	return pts, ids, err
 }
 
-func (t *Tree) allPoints(sn *snapshot) ([]vec.Point, []uint32, error) {
+// allPoints reads every live point of sn and its id, page by page;
+// firsts[i] is the index in pts of entry i's first point.
+func (t *Tree) allPoints(sn *snapshot) (pts []vec.Point, ids []uint32, firsts []int, err error) {
 	free := t.sto.NewSession()
-	var pts []vec.Point
-	var ids []uint32
+	firsts = make([]int, len(sn.entries))
 	for i := range sn.entries {
+		firsts[i] = len(pts)
 		if sn.free[i] {
 			continue
 		}
 		p, id, err := t.readPagePoints(free, sn, i)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		pts = append(pts, p...)
 		ids = append(ids, id...)
 	}
-	return pts, ids, nil
+	return pts, ids, firsts, nil
 }

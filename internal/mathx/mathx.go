@@ -101,22 +101,6 @@ func MinkowskiBoxSphereEucl(sides []float64, r float64) float64 {
 	return v
 }
 
-// GeometricMean returns the geometric mean of xs (0 if any value is ≤ 0,
-// matching the degenerate-box convention of the cost model).
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Clamp limits v to the interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

@@ -145,15 +145,6 @@ func TestMinkowskiZeroRadiusIsBoxVolume(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	if got := GeometricMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("geometric mean %f, want 4", got)
-	}
-	if GeometricMean(nil) != 0 || GeometricMean([]float64{1, 0}) != 0 {
-		t.Fatal("degenerate geometric means should be 0")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("clamp wrong")

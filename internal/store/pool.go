@@ -12,13 +12,22 @@ import (
 // which is also how it plugs into the paper's cost model (a cached block
 // has no I/O cost, only the CPU charges remain). All methods are safe for
 // concurrent use.
+//
+// Frames are recycled rather than reallocated: an evicted frame holds the
+// block that displaced it, and the frames of an invalidated file wait in
+// a spare list for later misses. So the pool's memory stays at its
+// high-water mark, never above the budget, instead of following its
+// fill level: removing a file (an old generation after a compaction
+// swap) frees no memory, and the misses that refill the pool allocate
+// no frames.
 type BufferPool struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
 	frames map[frameKey]*frame
-	head   *frame // most recently used
-	tail   *frame // least recently used
+	head   *frame   // most recently used
+	tail   *frame   // least recently used
+	spare  []*frame // dropped frames kept for reuse; used + spare ≤ budget
 
 	hits      uint64
 	misses    uint64
@@ -119,7 +128,9 @@ func (p *BufferPool) gather(name string, pos, nblocks, bs int, dst []byte) []mis
 
 // insert caches the blocks of one fetched run (data holds n*bs bytes
 // starting at block pos). Blocks are copied; a block inserted by a racing
-// session in the meantime is left as is.
+// session in the meantime is left as is. Each new block first evicts
+// least-recently-used frames until it fits, then takes a spare frame
+// when one is left.
 func (p *BufferPool) insert(name string, pos, bs int, data []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -129,7 +140,19 @@ func (p *BufferPool) insert(name string, pos, bs int, data []byte) {
 			p.touch(fr)
 			continue
 		}
-		fr := &frame{key: key, data: append([]byte(nil), data[i*bs:(i+1)*bs]...)}
+		for p.used+int64(bs) > p.budget && p.tail != nil {
+			p.drop(p.tail)
+			p.evictions++
+		}
+		var fr *frame
+		if n := len(p.spare); n > 0 && len(p.spare[n-1].data) == bs {
+			fr = p.spare[n-1]
+			p.spare = p.spare[:n-1]
+		} else {
+			fr = &frame{data: make([]byte, bs)}
+		}
+		fr.key = key
+		copy(fr.data, data[i*bs:(i+1)*bs])
 		p.frames[key] = fr
 		p.used += int64(len(fr.data))
 		p.pushFront(fr)
@@ -160,11 +183,16 @@ func (p *BufferPool) evictOverBudget() {
 	}
 }
 
-// drop removes a frame from the map, the LRU list and the byte count.
+// drop removes a frame from the map, the LRU list and the byte count,
+// and keeps it as a spare while the resident and spare bytes together
+// stay within the budget.
 func (p *BufferPool) drop(fr *frame) {
 	delete(p.frames, fr.key)
 	p.used -= int64(len(fr.data))
 	p.unlink(fr)
+	if p.used+int64(len(p.spare)+1)*int64(len(fr.data)) <= p.budget {
+		p.spare = append(p.spare, fr)
+	}
 }
 
 // --- intrusive LRU list (head = most recent) ---

@@ -165,3 +165,65 @@ func TestPoolAppendDoesNotInvalidate(t *testing.T) {
 		t.Fatal("cached frames corrupted by append")
 	}
 }
+
+// TestPoolRecyclesFrames: the frames of a removed file wait as spares
+// and the misses that refill the pool take them, an evicted frame takes
+// the block that displaced it, and the resident plus spare bytes never
+// exceed the budget, so the pool's memory stays at its high-water mark.
+func TestPoolRecyclesFrames(t *testing.T) {
+	sto := NewSim(testConfig())
+	sto.SetCache(4*64 + 10) // not a whole number of blocks
+	fill := func(name string, nblocks int, first byte) *File {
+		f := mustFile(t, sto, name)
+		data := make([]byte, nblocks*64)
+		for i := range data {
+			data[i] = first + byte(i/64)
+		}
+		mustAppend(t, f, data)
+		return f
+	}
+	a, b := fill("a", 4, 10), fill("b", 8, 20)
+	p := sto.Pool()
+	read := func(f *File, pos, n int, first byte) {
+		t.Helper()
+		got, err := sto.NewSession().Read(f, pos, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if want := first + byte(pos+i/64); v != want {
+				t.Fatalf("%s block %d holds %d, want %d", f.Name(), pos+i/64, v, want)
+			}
+		}
+		if p.used+int64(len(p.spare))*64 > p.budget {
+			t.Fatalf("resident %d + %d spare frames exceed the budget %d", p.used, len(p.spare), p.budget)
+		}
+	}
+	resident := func() map[*frame]bool {
+		m := map[*frame]bool{}
+		for _, fr := range p.frames {
+			m[fr] = true
+		}
+		return m
+	}
+
+	read(a, 0, 4, 10)
+	first := resident()
+	if err := sto.Remove(a.Name()); err != nil {
+		t.Fatal(err)
+	}
+	if p.used != 0 || len(p.spare) != 4 {
+		t.Fatalf("after removing a: %d bytes resident, %d spares; want 0 and 4", p.used, len(p.spare))
+	}
+	read(b, 0, 4, 20) // the misses take a's frames
+	read(b, 4, 4, 20) // each new block evicts one and takes its frame
+	if ps := p.Stats(); ps.Evictions != 4 || ps.Frames != 4 || len(p.spare) != 0 {
+		t.Fatalf("pool %+v with %d spares, want 4 evictions, 4 frames, no spares", ps, len(p.spare))
+	}
+	for fr := range resident() {
+		if !first[fr] {
+			t.Fatal("the pool allocated a frame while it had one to reuse")
+		}
+	}
+	read(b, 0, 4, 20) // evicted blocks come back with the right bytes
+}

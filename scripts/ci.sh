@@ -83,8 +83,9 @@ go run ./cmd/iqbench -fig shards -scale 0.05 -queries 42 -gate
 echo "== kill-and-recover gate =="
 # No acknowledged write may be lost: the recovery suite crash-reopens
 # WAL-mode trees (insert-heavy, delete-heavy, torn tail, across
-# checkpoints, mid- and post-incremental-reoptimize) and requires the
-# recovered tree byte-identical to a never-crashed twin.
+# checkpoints, mid- and post-incremental-reoptimize, and under the
+# auto-reoptimize policy) and requires the recovered tree byte-identical
+# to a never-crashed twin.
 go test -run 'KillAndRecover' -count=1 ./internal/core/
 
 echo "== durable ingest gate =="
