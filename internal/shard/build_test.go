@@ -40,7 +40,8 @@ func TestNewBuildsReplicasConcurrently(t *testing.T) {
 	pts := randPoints(r, 4000, 8)
 	part := Centroid{Seed: 82}
 	local := make([][]vec.Point, shards)
-	for i, si := range part.Assign(pts, shards) {
+	assign, _ := part.Assign(pts, shards)
+	for i, si := range assign {
 		local[si] = append(local[si], pts[i])
 	}
 	var wantCalls [][2]int

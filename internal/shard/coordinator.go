@@ -1,8 +1,13 @@
 // Package shard is the scale-out serving layer: a coordinator
 // partitions one dataset across N independent shards — each its own
 // store.Store, IQ-tree and internal/engine engine — scatter-gathers
-// every query across all shards, and merges the per-shard answers into
+// each query across the shards, and merges the per-shard answers into
 // a globally exact result (see merge.go for the exactness argument).
+// Range and window queries go to every non-empty shard. A KNN takes at
+// most two rounds over one bounding box per shard: first the shards
+// whose box is nearest to the query, then an exact range query at the
+// merged k-th distance on only the other shards whose box lies within
+// it (see knn).
 //
 // Each shard runs R replicas built independently from the same points:
 // deterministic builds make every replica answer identically, so the
@@ -18,6 +23,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,7 +52,8 @@ type Config struct {
 	Replicas int
 	// Workers is the worker-pool size of every replica engine (default 2).
 	Workers int
-	// Partitioner assigns build points to shards (default RoundRobin).
+	// Partitioner assigns build points to shards and places inserted
+	// points the same way (default RoundRobin).
 	Partitioner Partitioner
 	// NewStore, when non-nil, supplies the store for one replica — the
 	// hook chaos tests use to slot a FaultStore under a chosen replica.
@@ -81,24 +88,29 @@ type Result struct {
 	// (Dist, ID) for KNN and range, ascending ID for window.
 	Neighbors []vec.Neighbor
 	// Err aggregates the shard sub-queries that exhausted failover (nil
-	// when every shard answered). A non-nil Err means Neighbors is nil:
-	// a partial scatter-gather must not be trusted.
+	// when every asked shard answered), or rejects an invalid query. A
+	// non-nil Err means Neighbors is nil: a partial scatter-gather must
+	// not be trusted.
 	Err error
-	// Stats sums the simulated charges of every attempt on every shard,
-	// failed attempts included — the true work the query cost the fleet.
+	// Stats sums the simulated charges of every attempt on every asked
+	// shard, failed attempts included — the true work the query cost the
+	// fleet.
 	Stats store.Stats
 	// SimTime is the simulated latency of the scatter-gather: the
 	// slowest shard's summed attempt time (shards run in parallel,
-	// failover attempts within a shard run sequentially).
+	// failover attempts within a shard run sequentially). A two-round
+	// KNN adds the slowest shard of each round, because round two starts
+	// after round one.
 	SimTime float64
 	// Wall is the wall-clock time of the whole scatter-gather.
 	Wall time.Duration
 	// Failovers counts failed replica attempts that were retried on a
 	// sibling during this query.
 	Failovers int
-	// Shards holds each shard's final attempt (zero-valued for empty
-	// shards), indexed by shard id — per-shard traces and stats for
-	// attribution.
+	// Shards holds each asked shard's final attempt, indexed by shard id
+	// — per-shard traces and stats for attribution. It is zero-valued
+	// for empty shards and for shards a KNN did not ask; a shard asked
+	// in a KNN's second round holds its range answer.
 	Shards []engine.Result
 }
 
@@ -139,12 +151,17 @@ type replica struct {
 // stack returns the replica's current serving stack.
 func (r *replica) stack() *stack { return r.st.Load() }
 
-// shardState is one partition: its global ID mapping and its replicas.
+// shardState is one partition: its global ID mapping, its bounding box
+// and its replicas.
 type shardState struct {
 	// gids maps local ID (position in the build slice, extended by
 	// Insert) to global ID. Behind an atomic pointer so the merge path
 	// reads it lock-free while Insert grows it copy-on-write.
 	gids atomic.Pointer[[]uint32]
+	// box bounds every point the shard holds (nil for an empty shard).
+	// Insert grows it copy-on-write before any replica applies a batch;
+	// nothing shrinks it.
+	box  atomic.Pointer[vec.MBR]
 	reps []*replica
 	rr   atomic.Uint32 // rotates the preferred replica for load spread
 
@@ -166,7 +183,9 @@ func (sh *shardState) ids() []uint32 { return *sh.gids.Load() }
 type Coordinator struct {
 	cfg    Config
 	shards []*shardState
-	dim    int // the fleet's dimensionality, from the build points
+	dim    int        // the fleet's dimensionality, from the build points
+	metric vec.Metric // every replica's query metric
+	place  Placer     // routes inserted points like the build placed its own
 
 	// nextGID hands out global IDs for Insert (starts past the build
 	// points).
@@ -180,6 +199,7 @@ type Coordinator struct {
 
 	reg       *obs.Registry
 	fanout    *obs.Counter // sub-queries dispatched to shards
+	pruned    *obs.Counter // non-empty shards a KNN did not ask
 	merged    *obs.Counter // queries successfully merged
 	failovers *obs.Counter // queries that needed at least one failover
 	retries   *obs.Counter // failed replica attempts retried on a sibling
@@ -220,7 +240,7 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 	}
 	cfg.Heal = cfg.Heal.withDefaults()
 
-	assign := cfg.Partitioner.Assign(pts, cfg.Shards)
+	assign, place := cfg.Partitioner.Assign(pts, cfg.Shards)
 	if len(assign) != len(pts) {
 		return nil, fmt.Errorf("shard: partitioner %s assigned %d of %d points", cfg.Partitioner.Name(), len(assign), len(pts))
 	}
@@ -234,12 +254,20 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		gids[si] = append(gids[si], uint32(i))
 	}
 
+	opt := core.DefaultOptions()
+	if cfg.SelfHeal {
+		opt.WAL = true
+		opt.WALCheckpointBlocks = 256
+	}
 	c := &Coordinator{
 		cfg:          cfg,
 		dim:          len(pts[0]),
+		metric:       opt.Metric,
+		place:        place,
 		stopCh:       make(chan struct{}),
 		reg:          cfg.Registry,
 		fanout:       cfg.Registry.Counter("shard.fanout"),
+		pruned:       cfg.Registry.Counter("shard.pruned"),
 		merged:       cfg.Registry.Counter("shard.merged"),
 		failovers:    cfg.Registry.Counter("shard.failovers"),
 		retries:      cfg.Registry.Counter("shard.replica_retries"),
@@ -253,11 +281,6 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		mttr:         cfg.Registry.Histogram("shard.mttr_seconds"),
 	}
 	c.nextGID.Store(uint64(len(pts)))
-	opt := core.DefaultOptions()
-	if cfg.SelfHeal {
-		opt.WAL = true
-		opt.WALCheckpointBlocks = 256
-	}
 	// Stores come first, in (shard, replica) order on this goroutine (the
 	// Config.NewStore contract). The builds then run concurrently, at most
 	// GOMAXPROCS at a time: each holds its D_F sample's pair distances
@@ -302,6 +325,10 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		sh := &shardState{}
 		g := gids[si]
 		sh.gids.Store(&g)
+		if len(local[si]) > 0 {
+			box := vec.MBROf(local[si])
+			sh.box.Store(&box)
+		}
 		c.shards = append(c.shards, sh)
 	}
 	for _, b := range builds {
@@ -475,60 +502,31 @@ func (sh *shardState) pick(n int) *replica {
 	return best
 }
 
-// Submit scatter-gathers one query across every non-empty shard and
-// merges the per-shard answers into the globally exact result.
+// Submit scatter-gathers one query across the shards and merges the
+// per-shard answers into the globally exact result: a KNN in at most
+// two rounds (see knn), a range or window query in one round over
+// every non-empty shard.
 func (c *Coordinator) Submit(q engine.Query) Result {
 	start := time.Now()
-	// A recall target scatters with the query unchanged: each shard
-	// stops at ε locally, so the merged miss probability compounds at
-	// worst by a union bound over shards (see DESIGN.md §14). The merge
-	// itself is unchanged: per-shard answers stay
-	// subset-with-substitutions, so the merged list is too.
 	res := Result{Shards: make([]engine.Result, len(c.shards))}
-	answers := make([]shardAnswer, len(c.shards))
-	var wg sync.WaitGroup
-	for si, sh := range c.shards {
-		if len(sh.reps) == 0 {
-			continue // empty shard: empty contribution
-		}
-		c.fanout.Inc()
-		wg.Add(1)
-		go func(si int, sh *shardState) {
-			defer wg.Done()
-			answers[si] = c.askShard(sh, q)
-		}(si, sh)
+	// Check the query at the door: an invalid one is query-local, so no
+	// replica could answer it, and a point longer than the fleet's would
+	// index past a shard's box.
+	if err := c.validate(q); err != nil {
+		res.Err = err
+		res.Wall = time.Since(start)
+		return res
 	}
-	wg.Wait()
-
-	var errs []error
-	lists := make([][]vec.Neighbor, 0, len(c.shards))
-	for si := range c.shards {
-		ans := &answers[si]
-		res.Shards[si] = ans.res
-		res.Stats.Add(ans.stats)
-		if ans.simTime > res.SimTime {
-			res.SimTime = ans.simTime
-		}
-		res.Failovers += ans.failovers
-		if len(c.shards[si].reps) == 0 {
-			continue
-		}
-		if ans.res.Err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", si, ans.res.Err))
-			continue
-		}
-		// Map local IDs (positions in the shard's build slice) back to
-		// global IDs; merge then works purely in the global space.
-		nbs := ans.res.Neighbors
-		gids := c.shards[si].ids()
-		for i := range nbs {
-			nbs[i].ID = gids[nbs[i].ID]
-		}
-		lists = append(lists, nbs)
+	var lists [][]vec.Neighbor
+	var err error
+	if q.Kind == engine.KNN {
+		lists, err = c.knn(q, &res)
+	} else {
+		lists, res.SimTime, err = c.ask(q, c.nonEmpty(), &res)
 	}
 	res.Wall = time.Since(start)
-	if len(errs) > 0 {
-		res.Err = errors.Join(errs...)
+	if err != nil {
+		res.Err = err
 		return res
 	}
 	switch q.Kind {
@@ -544,6 +542,136 @@ func (c *Coordinator) Submit(q engine.Query) Result {
 		c.failovers.Inc()
 	}
 	return res
+}
+
+// validate checks the query's shape and that its point or window has
+// the fleet's dimensionality, failing typed with engine.ErrInvalidQuery.
+func (c *Coordinator) validate(q engine.Query) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	n := len(q.Point)
+	if q.Kind == engine.Window {
+		n = len(q.Window.Lo)
+	}
+	if n != c.dim {
+		return fmt.Errorf("%w: %d-d %s query on a %d-d fleet", engine.ErrInvalidQuery, n, q.Kind, c.dim)
+	}
+	return nil
+}
+
+// nonEmpty returns the ids of the shards that hold replicas.
+func (c *Coordinator) nonEmpty() []int {
+	ids := make([]int, 0, len(c.shards))
+	for si, sh := range c.shards {
+		if len(sh.reps) > 0 {
+			ids = append(ids, si)
+		}
+	}
+	return ids
+}
+
+// knn answers a KNN in at most two rounds over the shards' boxes — the
+// k-d tree's bounds-overlap-ball test one level above the IQ-tree's own
+// MINDIST pruning (DESIGN.md §12). Round one asks every non-empty shard
+// whose box is nearest to q. With d the k-th distance of the merged
+// round-one answer, round two asks every other shard whose box lies
+// within d an exact range query at d, and skips the rest: a point of a
+// skipped shard lies beyond d, so k closer points are already in hand.
+// When round one found fewer than k points, round two asks every other
+// shard the KNN itself. A round-one failure fails the query without a
+// second round.
+//
+// A recall target runs in round one only: each shard stops at ε
+// locally and returns a subset with substitutions (DESIGN.md §14).
+// Round two is exact, so it can only add true neighbors the first
+// round missed, and the merged list stays subset-with-substitutions.
+func (c *Coordinator) knn(q engine.Query, res *Result) ([][]vec.Neighbor, error) {
+	minDist := make([]float64, len(c.shards))
+	nearest := math.Inf(1)
+	for si, sh := range c.shards {
+		if box := sh.box.Load(); box != nil {
+			minDist[si] = box.MinDist(q.Point, c.metric)
+			nearest = min(nearest, minDist[si])
+		}
+	}
+	var first, rest []int
+	for _, si := range c.nonEmpty() {
+		if minDist[si] == nearest {
+			first = append(first, si)
+		} else {
+			rest = append(rest, si)
+		}
+	}
+	lists, slowest, err := c.ask(q, first, res)
+	res.SimTime = slowest
+	if err != nil || len(rest) == 0 {
+		return lists, err
+	}
+	top := mergeKNN(lists, q.K)
+	second := q
+	if len(top) == q.K {
+		// A computed MINDIST never exceeds the computed distance to a
+		// point inside the box (both sum the same float64 per-axis
+		// terms), so only a box strictly beyond d is skipped; Range(d)
+		// returns every point tied at d for the canonical cut.
+		d := top[q.K-1].Dist
+		second = engine.Query{Kind: engine.Range, Point: q.Point, Eps: d, Trace: q.Trace, Ctx: q.Ctx}
+		asked := rest[:0]
+		for _, si := range rest {
+			if minDist[si] <= d {
+				asked = append(asked, si)
+			}
+		}
+		c.pruned.Add(int64(len(rest) - len(asked)))
+		rest = asked
+	}
+	more, slowest, err := c.ask(second, rest, res)
+	res.SimTime += slowest
+	return append(more, top), err
+}
+
+// ask scatters q to the listed shards in parallel and folds their
+// answers into res: each final attempt into res.Shards, the charges
+// into res.Stats, the failovers into res.Failovers. It returns the
+// answers with local IDs mapped to global ones and the slowest asked
+// shard's simulated time; a shard that exhausted failover makes err
+// non-nil.
+func (c *Coordinator) ask(q engine.Query, shards []int, res *Result) (lists [][]vec.Neighbor, slowest float64, err error) {
+	answers := make([]shardAnswer, len(shards))
+	var wg sync.WaitGroup
+	for i, si := range shards {
+		c.fanout.Inc()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i] = c.askShard(c.shards[si], q)
+		}()
+	}
+	wg.Wait()
+
+	var errs []error
+	lists = make([][]vec.Neighbor, 0, len(shards))
+	for i, si := range shards {
+		ans := &answers[i]
+		res.Shards[si] = ans.res
+		res.Stats.Add(ans.stats)
+		res.Failovers += ans.failovers
+		slowest = max(slowest, ans.simTime)
+		if ans.res.Err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", si, ans.res.Err))
+			continue
+		}
+		// Map local IDs (positions in the shard's build slice) back to
+		// global IDs; merge then works purely in the global space.
+		nbs := ans.res.Neighbors
+		gids := c.shards[si].ids()
+		for j := range nbs {
+			nbs[j].ID = gids[nbs[j].ID]
+		}
+		lists = append(lists, nbs)
+	}
+	return lists, slowest, errors.Join(errs...)
 }
 
 // SubmitBatch runs all queries through the coordinator with bounded

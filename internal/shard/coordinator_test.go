@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -149,11 +150,33 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// assertTraceMatchesStats checks that one shard's trace sums to its own
+// session stats.
+func assertTraceMatchesStats(t *testing.T, i, si int, sres engine.Result) {
+	t.Helper()
+	if sres.Trace == nil {
+		t.Fatalf("query %d shard %d: no trace", i, si)
+	}
+	seeks, blocks, reads, cpu := sres.Trace.Totals()
+	if seeks != sres.Stats.Seeks || blocks != sres.Stats.BlocksRead || reads != sres.Stats.Reads {
+		t.Fatalf("query %d shard %d: trace totals (%d,%d,%d) != stats %+v",
+			i, si, seeks, blocks, reads, sres.Stats)
+	}
+	if math.Abs(cpu-sres.Stats.CPUSeconds) > 1e-9 {
+		t.Fatalf("query %d shard %d: trace cpu %g != stats cpu %g", i, si, cpu, sres.Stats.CPUSeconds)
+	}
+}
+
 // TestShardStatsAttribution pins the coordinator's accounting: with a
 // healthy fleet (no failovers) the coordinator's Stats are exactly the
-// sum of the per-shard final results, SimTime is exactly the slowest
-// shard's, fanout counts one sub-query per non-empty shard, and every
-// per-shard trace still sums to its own session stats.
+// sum of the per-shard final results and every per-shard trace still
+// sums to its own session stats. Where every box covers the query (a
+// RoundRobin fleet over uniform data), SimTime is exactly the slowest
+// shard's and fanout counts one sub-query per non-empty shard. On a
+// Centroid fleet over clustered data, a KNN's SimTime is the slowest
+// round-one shard plus the slowest round-two shard, fanout and pruned
+// together count every non-empty shard, and a shard not asked stays
+// zero-valued.
 func TestShardStatsAttribution(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	pts := randPoints(r, 2000, 6)
@@ -184,17 +207,7 @@ func TestShardStatsAttribution(t *testing.T) {
 				slowest = sres.SimTime
 			}
 			if len(c.ShardSizes()) > si && c.ShardSizes()[si] > 0 {
-				if sres.Trace == nil {
-					t.Fatalf("query %d shard %d: no trace", i, si)
-				}
-				seeks, blocks, reads, cpu := sres.Trace.Totals()
-				if seeks != sres.Stats.Seeks || blocks != sres.Stats.BlocksRead || reads != sres.Stats.Reads {
-					t.Fatalf("query %d shard %d: trace totals (%d,%d,%d) != stats %+v",
-						i, si, seeks, blocks, reads, sres.Stats)
-				}
-				if math.Abs(cpu-sres.Stats.CPUSeconds) > 1e-9 {
-					t.Fatalf("query %d shard %d: trace cpu %g != stats cpu %g", i, si, cpu, sres.Stats.CPUSeconds)
-				}
+				assertTraceMatchesStats(t, i, si, sres)
 			}
 		}
 		if sum != res.Stats {
@@ -206,6 +219,78 @@ func TestShardStatsAttribution(t *testing.T) {
 	}
 	if got, want := reg.Counter("shard.fanout").Value(), int64(4*len(batch)); got != want {
 		t.Fatalf("shard.fanout = %d, want %d", got, want)
+	}
+
+	// Centroid over clustered data: KNN queries one at a time, so the
+	// counters can be read per query.
+	cad := cadWithDuplicates(76, 3000)
+	creg := &obs.Registry{}
+	cc, err := New(Config{Shards: 4, Replicas: 2, Partitioner: Centroid{Seed: 77}, Registry: creg}, cad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	fanout, pruned := creg.Counter("shard.fanout"), creg.Counter("shard.pruned")
+	var skipped, twoRound int
+	for i, p := range pruningQueries(r, cad, 30) {
+		k := 1 + i%12
+		f0, p0 := fanout.Value(), pruned.Value()
+		res := cc.Submit(engine.Query{Kind: engine.KNN, Point: p, K: k, Trace: true})
+		if res.Err != nil {
+			t.Fatalf("centroid query %d: %v", i, res.Err)
+		}
+		if res.Failovers != 0 {
+			t.Fatalf("centroid query %d: %d failovers on a healthy fleet", i, res.Failovers)
+		}
+		// Round one is every shard whose box is nearest to the query.
+		minDist := make([]float64, cc.Shards())
+		nearest := math.Inf(1)
+		for si, sh := range cc.shards {
+			minDist[si] = sh.box.Load().MinDist(p, vec.Euclidean)
+			nearest = min(nearest, minDist[si])
+		}
+		var rounds [2][]int // the shards asked in round one and in round two
+		for si, sres := range res.Shards {
+			round := 0
+			if minDist[si] > nearest {
+				round = 1
+			}
+			if reflect.DeepEqual(sres, engine.Result{}) {
+				// Not asked: only a round-two shard beyond the k-th distance.
+				if round == 0 || minDist[si] <= res.Neighbors[k-1].Dist {
+					t.Fatalf("centroid query %d: shard %d (box at %g, k-th distance %g) not asked",
+						i, si, minDist[si], res.Neighbors[k-1].Dist)
+				}
+				skipped++
+				continue
+			}
+			assertTraceMatchesStats(t, i, si, sres)
+			rounds[round] = append(rounds[round], si)
+		}
+		// Sum in the coordinator's order: float addition is not associative.
+		var sum store.Stats
+		var slowest [2]float64
+		for round, asked := range rounds {
+			for _, si := range asked {
+				sum.Add(res.Shards[si].Stats)
+				slowest[round] = max(slowest[round], res.Shards[si].SimTime)
+			}
+		}
+		twoRound += len(rounds[1])
+		if sum != res.Stats {
+			t.Fatalf("centroid query %d: coordinator stats %+v != asked-shard sum %+v", i, res.Stats, sum)
+		}
+		if math.Abs(slowest[0]+slowest[1]-res.SimTime) > 1e-12 {
+			t.Fatalf("centroid query %d: SimTime %g != slowest round-one %g + slowest round-two %g",
+				i, res.SimTime, slowest[0], slowest[1])
+		}
+		df, dp := fanout.Value()-f0, pruned.Value()-p0
+		if asked := len(rounds[0]) + len(rounds[1]); df != int64(asked) || df+dp != int64(cc.Shards()) {
+			t.Fatalf("centroid query %d: fanout %d + pruned %d, want %d asked of %d shards", i, df, dp, asked, cc.Shards())
+		}
+	}
+	if skipped == 0 || twoRound == 0 {
+		t.Fatalf("centroid fleet: %d shards skipped, %d asked in round two; want both > 0", skipped, twoRound)
 	}
 }
 

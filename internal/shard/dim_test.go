@@ -12,7 +12,9 @@ import (
 
 // TestShardRejectsWrongDimensionQuery: a query of another dimensionality
 // fails typed with ErrInvalidQuery and consumes no failover — it is
-// query-local, so no replica could answer it.
+// query-local, so no replica could answer it. A longer point would
+// index past a shard's bounding box, so it must fail before any box
+// distance is taken.
 func TestShardRejectsWrongDimensionQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	pts := randPoints(r, 2000, 6)
@@ -23,12 +25,14 @@ func TestShardRejectsWrongDimensionQuery(t *testing.T) {
 	}
 	defer c.Close()
 
-	res := c.Submit(engine.Query{Kind: engine.KNN, Point: vec.Point{0.5, 0.5, 0.5}, K: 3})
-	if !errors.Is(res.Err, engine.ErrInvalidQuery) {
-		t.Fatalf("3-d query on a 6-d fleet: err %v, want ErrInvalidQuery", res.Err)
-	}
-	if res.Failovers != 0 || reg.Counter("shard.failovers").Value() != 0 {
-		t.Fatalf("wrong-dimension query took %d failovers, want 0", res.Failovers)
+	for _, p := range []vec.Point{{0.5, 0.5, 0.5}, {0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}} {
+		res := c.Submit(engine.Query{Kind: engine.KNN, Point: p, K: 3})
+		if !errors.Is(res.Err, engine.ErrInvalidQuery) {
+			t.Fatalf("%d-d query on a 6-d fleet: err %v, want ErrInvalidQuery", len(p), res.Err)
+		}
+		if res.Failovers != 0 || reg.Counter("shard.failovers").Value() != 0 {
+			t.Fatalf("%d-d query took %d failovers, want 0", len(p), res.Failovers)
+		}
 	}
 }
 

@@ -63,12 +63,12 @@ func TestMergeKNNShortLists(t *testing.T) {
 type skewed struct{}
 
 func (skewed) Name() string { return "skewed" }
-func (skewed) Assign(pts []vec.Point, shards int) []int {
+func (skewed) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 	out := make([]int, len(pts))
 	if shards > 1 && len(pts) > 2 {
 		out[len(pts)/2] = 1
 	}
-	return out
+	return out, func(vec.Point, uint32) int { return 0 }
 }
 
 // TestShardEmptyShard runs a topology with a permanently empty shard:

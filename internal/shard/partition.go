@@ -6,17 +6,24 @@ import (
 	"repro/internal/vec"
 )
 
-// Partitioner assigns every point of a build set to one of n shards.
-// The assignment is a build-time decision: queries always fan out to
-// every shard (the global answer may live anywhere), so the partitioner
-// only shapes balance and locality, never correctness.
+// Partitioner assigns every point of a build set to one of n shards,
+// and places later inserts the same way. The placement shapes balance
+// and locality, never correctness: a KNN skips only the shards whose
+// bounding box lies beyond its k-th distance, and range and window
+// queries go to every shard, so any placement answers exactly. Locality
+// decides how many shards a KNN can skip.
 type Partitioner interface {
 	// Name identifies the strategy in benchmarks and stats.
 	Name() string
-	// Assign returns one shard id in [0, shards) per point. Shards may
-	// end up empty; the coordinator serves them as empty result sets.
-	Assign(pts []vec.Point, shards int) []int
+	// Assign returns one shard id in [0, shards) per point, and the
+	// Placer that routes points inserted after the build. Shards may end
+	// up empty; the coordinator serves them as empty result sets.
+	Assign(pts []vec.Point, shards int) ([]int, Placer)
 }
+
+// Placer routes one point inserted after the build to a shard in
+// [0, shards), given its global ID. Build point i has global ID i.
+type Placer func(p vec.Point, gid uint32) int
 
 // RoundRobin deals points out cyclically — the balance-first strategy:
 // shard sizes differ by at most one point, with no locality.
@@ -25,21 +32,23 @@ type RoundRobin struct{}
 // Name identifies the strategy.
 func (RoundRobin) Name() string { return "round-robin" }
 
-// Assign maps point i to shard i % shards.
-func (RoundRobin) Assign(pts []vec.Point, shards int) []int {
+// Assign maps point i to shard i % shards, and an inserted point with
+// global ID g to shard g % shards, continuing the rotation.
+func (RoundRobin) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 	out := make([]int, len(pts))
 	for i := range pts {
 		out[i] = i % shards
 	}
-	return out
+	return out, func(_ vec.Point, gid uint32) int { return int(gid % uint32(shards)) }
 }
 
 // Centroid is a coarse k-means router: a few seeded Lloyd iterations
 // over the build set place one centroid per shard, and each point joins
 // its nearest centroid (ties to the lowest shard id). Clustered data
-// then lands cluster-coherent shards, which tightens per-shard MBRs and
-// lets the quantized filter prune harder — the same coarse-quantizer
-// shape as an IVF index, applied at process scale.
+// then lands cluster-coherent shards, which tightens per-shard MBRs:
+// the quantized filter prunes harder, and a KNN skips the shards whose
+// box lies beyond its k-th distance — the same coarse-quantizer shape
+// as an IVF index, applied at process scale.
 type Centroid struct {
 	// Seed makes the routing deterministic; the same seed and point set
 	// always produce the same assignment.
@@ -52,11 +61,13 @@ type Centroid struct {
 func (Centroid) Name() string { return "centroid" }
 
 // Assign clusters pts around shards seeded centroids and returns each
-// point's cluster.
-func (c Centroid) Assign(pts []vec.Point, shards int) []int {
+// point's cluster. Its Placer puts an inserted point on its nearest
+// final centroid, so a copy of a build point lands on that point's
+// shard.
+func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 	out := make([]int, len(pts))
 	if shards <= 1 || len(pts) == 0 {
-		return out
+		return out, func(vec.Point, uint32) int { return 0 }
 	}
 	iters := c.Iters
 	if iters <= 0 {
@@ -129,5 +140,5 @@ func (c Centroid) Assign(pts []vec.Point, shards int) []int {
 	for i, p := range pts {
 		out[i] = nearest(p)
 	}
-	return out
+	return out, func(p vec.Point, _ uint32) int { return nearest(p) }
 }

@@ -1,7 +1,8 @@
 // Coordinator writes: Insert appends a batch of points to the fleet.
-// Points partition across shards with the coordinator's Partitioner;
-// each shard applies its slice to every Serving replica under the
-// shard's write lock, in the same order on every replica — which is
+// Each point goes where the build would have placed it (the Placer its
+// Partitioner returned); each shard grows its bounding box, then
+// applies its slice to every Serving replica under the shard's write
+// lock, in the same order on every replica — which is
 // what keeps deterministic replicas answering identically after any
 // number of writes. A replica that fails a write has diverged and is
 // drained on the spot; with SelfHeal it comes back through a rebuild.
@@ -35,10 +36,6 @@ func (c *Coordinator) Insert(pts []vec.Point) ([]uint32, error) {
 			return nil, fmt.Errorf("%w: %d-d point at %d in a %d-d fleet", engine.ErrInvalidWrite, len(p), i, c.dim)
 		}
 	}
-	assign := c.cfg.Partitioner.Assign(pts, len(c.shards))
-	if len(assign) != len(pts) {
-		return nil, fmt.Errorf("shard: partitioner %s assigned %d of %d points", c.cfg.Partitioner.Name(), len(assign), len(pts))
-	}
 	base := c.nextGID.Add(uint64(len(pts))) - uint64(len(pts))
 	gids := make([]uint32, len(pts))
 	for i := range gids {
@@ -47,7 +44,8 @@ func (c *Coordinator) Insert(pts []vec.Point) ([]uint32, error) {
 
 	perShard := make([][]vec.Point, len(c.shards))
 	perGIDs := make([][]uint32, len(c.shards))
-	for i, si := range assign {
+	for i, p := range pts {
+		si := c.place(p, gids[i])
 		if si < 0 || si >= len(c.shards) {
 			return nil, fmt.Errorf("shard: partitioner %s assigned point %d to shard %d of %d", c.cfg.Partitioner.Name(), i, si, len(c.shards))
 		}
@@ -80,6 +78,15 @@ func (c *Coordinator) Insert(pts []vec.Point) ([]uint32, error) {
 func (c *Coordinator) insertShard(sh *shardState, pts []vec.Point, gids []uint32) error {
 	sh.writeMu.Lock()
 	defer sh.writeMu.Unlock()
+
+	// Grow the box copy-on-write BEFORE applying: a KNN that ran between
+	// an apply and a later publish could skip this shard while it holds
+	// a new nearest neighbor.
+	box := sh.box.Load().Clone()
+	for _, p := range pts {
+		box.Extend(p)
+	}
+	sh.box.Store(&box)
 
 	// Grow the local→global mapping copy-on-write BEFORE applying: any
 	// query that sees the new points on a replica then finds their

@@ -80,6 +80,16 @@ echo "== shard scale-out + self-healing gate =="
 # doing so within the 30s MTTR budget.
 go run ./cmd/iqbench -fig shards -scale 0.05 -queries 42 -gate
 
+echo "== shard pruning gate =="
+# A KNN asks the shards whose bounding box is nearest to the query
+# first, then only the other shards whose box lies within the merged
+# k-th distance. On a 4-shard Centroid fleet over 40,000 clustered CAD
+# points this must bring the mean simulated KNN latency to <= 0.9x that
+# of asking every shard at once (measured 0.79x) with < 4 shards asked
+# per query, and must cost a RoundRobin fleet, whose boxes all cover the
+# data, no more than 2% (measured 1.00x).
+go test -run 'TestShardPruningCutsLatency' -count=1 -v ./internal/shard/
+
 echo "== kill-and-recover gate =="
 # No acknowledged write may be lost: the recovery suite crash-reopens
 # WAL-mode trees (insert-heavy, delete-heavy, torn tail, across
