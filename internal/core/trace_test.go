@@ -120,3 +120,89 @@ func TestTraceWithBufferPool(t *testing.T) {
 		t.Fatal("expected pool hits in the warmed trace")
 	}
 }
+
+// TestWritesKeepPoolWarm bounds what a read pays after a write on the
+// simulated clock: nothing for the blocks the write produced. The pool
+// is attached after the build, with room for more than two generations.
+// An insert rewrites the directory and one page out of place; a KNN at
+// the inserted point then reads the directory with no seek and no
+// backend block, and the rewritten page's quantized and exact blocks are
+// pool hits. After Reoptimize, a KNN reads no backend block of the new
+// generation's files.
+func TestWritesKeepPoolWarm(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	pts := randPoints(r, 4000, 8)
+	sto := store.NewSim(store.DefaultConfig())
+	tree, err := Build(sto, pts, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sto.SetCache(4 * int64(sto.TotalBlocks()*sto.Config().BlockSize))
+
+	before := tree.load()
+	p := randPoints(r, 1, 8)[0]
+	if err := tree.Insert(sto.NewSession(), p, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	after := tree.load()
+	rewritten := -1
+	for i := range before.entries {
+		if after.entries[i].QPos != before.entries[i].QPos {
+			rewritten = i
+		}
+	}
+	if rewritten < 0 {
+		t.Fatal("the insert rewrote no page")
+	}
+	e := after.entries[rewritten]
+
+	var tr Trace
+	s := traced(sto, &tr)
+	nbs, err := tree.KNN(s, p, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nbs[0].ID != 1<<20 || nbs[0].Dist != 0 {
+		t.Fatalf("KNN at the inserted point answered %+v first", nbs[0])
+	}
+	traceMatchesSession(t, &tr, s)
+	if dir := tr.Level(DirFileName); dir.Seeks != 0 || dir.Blocks != 0 || dir.CachedBlocks != after.dirBlocks {
+		t.Fatalf("directory after an insert: %d seeks, %d backend blocks, %d pool hits; want 0, 0, %d",
+			dir.Seeks, dir.Blocks, dir.CachedBlocks, after.dirBlocks)
+	}
+	// Only the insert's blocks were resident before this query, and a
+	// query reads each block once, so its hits on a level are the
+	// rewritten page's blocks.
+	if q := tr.Level(QFileName); q.CachedBlocks < tree.opt.QPageBlocks {
+		t.Fatalf("rewritten quantized page: %d pool hits, want %d", q.CachedBlocks, tree.opt.QPageBlocks)
+	}
+	if e.EBlocks == 0 {
+		t.Fatal("the rewritten page has no exact page")
+	}
+	if x := tr.Level(EFileName); x.CachedBlocks < int(e.EBlocks) {
+		t.Fatalf("rewritten exact page: %d pool hits, want %d", x.CachedBlocks, e.EBlocks)
+	}
+
+	if err := tree.Reoptimize(); err != nil {
+		t.Fatal(err)
+	}
+	tr = Trace{}
+	s = traced(sto, &tr)
+	if _, err := tree.KNN(s, p, 5); err != nil {
+		t.Fatal(err)
+	}
+	traceMatchesSession(t, &tr, s)
+	newGen := 0
+	for _, l := range tr.Levels {
+		if !strings.HasSuffix(l.File, ".g1") {
+			continue
+		}
+		newGen += l.CachedBlocks
+		if l.Seeks != 0 || l.Blocks != 0 {
+			t.Fatalf("KNN after Reoptimize read %s from the backend: %d seeks, %d blocks", l.File, l.Seeks, l.Blocks)
+		}
+	}
+	if newGen == 0 {
+		t.Fatalf("KNN after Reoptimize read no block of the new generation:\n%s", tr.Format())
+	}
+}

@@ -61,7 +61,9 @@ type Config struct {
 	// which is what makes shards scale. New calls it once per replica of
 	// each non-empty shard, in (shard, replica) order, on the caller's
 	// goroutine and before any build starts, so a hook may record its
-	// stores without locking; the builds then run concurrently. Default:
+	// stores without locking; the builds then run concurrently. A rebuild
+	// (SelfHeal) calls it again for its replica and serves from the
+	// returned store as is, pool and retry policy included. Default:
 	// store.NewSim with store.DefaultConfig.
 	NewStore func(shard, replica int) (*store.Store, error)
 	// Registry receives the coordinator's shard.* metrics (default: a

@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -257,7 +256,7 @@ func (sh *shardState) servingPeer(rep *replica) *replica {
 
 // rebuildOnce rebuilds rep in one critical section under the shard
 // write lock: copy every file of a Serving peer onto a fresh store
-// (store.Copy wipes it first), scrub the copy, recover it through
+// (Store.CopyFrom wipes it first), scrub the copy, recover it through
 // core.Open, start its engine, swap the stack and readmit. A copy whose
 // scrub report lists a corrupt block fails the rebuild: the peer holds
 // at-rest damage no query has hit yet, and readmitting a copy of it
@@ -277,7 +276,7 @@ func (c *Coordinator) rebuildOnce(sh *shardState, rep *replica) error {
 		return errors.New("shard: coordinator closing")
 	default:
 	}
-	newSto, err := c.cfg.NewStore(rep.shard, rep.id)
+	sto, err := c.cfg.NewStore(rep.shard, rep.id)
 	if err != nil {
 		return fmt.Errorf("shard %d replica %d: rebuild store: %w", rep.shard, rep.id, err)
 	}
@@ -289,12 +288,11 @@ func (c *Coordinator) rebuildOnce(sh *shardState, rep *replica) error {
 		return errNoPeer
 	}
 	pst := peer.stack()
-	if err := store.Copy(newSto.Backend(), pst.sto.Backend()); err != nil {
+	// The hook's store is used as is, so the rebuilt replica keeps the
+	// buffer pool and retry policy the hook gave it.
+	if err := sto.CopyFrom(pst.sto.Backend()); err != nil {
 		return fmt.Errorf("shard %d replica %d: copy: %w", rep.shard, rep.id, err)
 	}
-	// The store wrapper indexes files lazily per name; wrap the copied
-	// backend fresh so the copied files are visible.
-	sto := store.Wrap(newSto.Backend())
 	if pst.sto.Checked() {
 		if err := sto.EnableChecksums(); err != nil {
 			return fmt.Errorf("shard %d replica %d: checksums: %w", rep.shard, rep.id, err)

@@ -221,6 +221,66 @@ func TestHealRejectsDamagedPeerCopy(t *testing.T) {
 	}
 }
 
+// TestHealRebuildKeepsPool: a rebuilt replica serves from the store its
+// NewStore hook returned, buffer pool included. The hook attaches a
+// 1 MiB pool; after a rebuild the replica's store has a pool of that
+// budget, and a query repeated on the replica charges no backend block.
+func TestHealRebuildKeepsPool(t *testing.T) {
+	r := rand.New(rand.NewSource(66))
+	pts := randPoints(r, 1200, 6)
+	const budget = 1 << 20
+	reg := &obs.Registry{}
+	c, err := New(Config{
+		Shards:   1,
+		Replicas: 2,
+		SelfHeal: true,
+		Heal:     fastHeal(),
+		Registry: reg,
+		NewStore: func(_, _ int) (*store.Store, error) {
+			sto := store.NewSim(store.DefaultConfig())
+			if err := sto.EnableChecksums(); err != nil {
+				return nil, err
+			}
+			sto.SetCache(budget)
+			return sto, nil
+		},
+	}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	c.Engine(0, 1).Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Counter("shard.heal.rebuilds").Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica 1 never rebuilt: %+v", c.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	waitHealthy(t, c, "after rebuild")
+
+	pl := victimStore(t, c, 0, 1).Pool()
+	if pl == nil {
+		t.Fatal("the rebuilt replica has no buffer pool")
+	}
+	if got := pl.Stats().Budget; got != budget {
+		t.Fatalf("rebuilt replica's pool budget %d, want %d", got, budget)
+	}
+	q := engine.Query{Kind: engine.KNN, Point: pts[7], K: 5}
+	eng := c.Engine(0, 1)
+	if res := eng.Submit(q); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	again := eng.Submit(q)
+	if again.Err != nil {
+		t.Fatal(again.Err)
+	}
+	if again.Stats.Seeks != 0 || again.Stats.BlocksRead != 0 {
+		t.Fatalf("repeated query on the rebuilt replica charged %+v, want no backend block", again.Stats)
+	}
+}
+
 // corruptDir flips a bit in every directory block beneath the checksum
 // layer (same idiom as the chaos tests).
 func corruptDir(t *testing.T, sto *store.Store) {

@@ -214,6 +214,12 @@ func (s *Store) EnableChecksums() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.checked = true
+	return s.attachAllSumsLocked()
+}
+
+// attachAllSumsLocked gives every data file on the backend its sum
+// table, creating the canonical wrappers it lacks.
+func (s *Store) attachAllSumsLocked() error {
 	for _, name := range s.backend.Names() {
 		if IsChecksumFile(name) || IsWALFile(name) {
 			// WAL records carry their own per-record CRC32C, and the log is

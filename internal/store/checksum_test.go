@@ -55,17 +55,21 @@ func TestChecksumCatchesBitFlip(t *testing.T) {
 	}
 }
 
-// TestChecksumVerifiesBeforeCaching: a corrupt block must never be
-// inserted into the buffer pool — a later read may not silently hit a
-// poisoned frame.
+// TestChecksumVerifiesBeforeCaching: a frame holds either backend bytes
+// verified on the way in or the writer's own bytes. A corrupt block read
+// from the backend must never be inserted into the buffer pool — a later
+// read may not silently hit a poisoned frame. A block written through an
+// attached pool is served from the writer's bytes, so damage done to it
+// at rest afterwards is not seen by reads; the scrub, which reads the
+// device, reports it.
 func TestChecksumVerifiesBeforeCaching(t *testing.T) {
 	sto := NewSim(testConfig())
 	if err := sto.EnableChecksums(); err != nil {
 		t.Fatal(err)
 	}
-	sto.SetCache(1 << 20)
 	f := mustFile(t, sto, "data")
 	mustAppend(t, f, bytes.Repeat([]byte{1}, 64))
+	sto.SetCache(1 << 20) // after the write: the read below is cold
 	corrupt(t, sto, "data", 0, 0)
 	if _, err := sto.NewSession().Read(f, 0, 1); err == nil {
 		t.Fatal("corrupt read should fail")
@@ -75,6 +79,27 @@ func TestChecksumVerifiesBeforeCaching(t *testing.T) {
 	s := sto.NewSession()
 	if _, err := s.Read(f, 0, 1); err == nil {
 		t.Fatal("corrupt block was cached by the failed read")
+	}
+
+	// Written through the pool, then flipped at rest.
+	want := bytes.Repeat([]byte{2}, 64)
+	pos, _ := mustAppend(t, f, want)
+	corrupt(t, sto, "data", pos, 5)
+	s = sto.NewSession()
+	got, err := s.Read(f, pos, 1)
+	if err != nil {
+		t.Fatalf("written block should be served from the pool: %v", err)
+	}
+	if !bytes.Equal(got, want) || s.Stats.BlocksRead != 0 {
+		t.Fatalf("pooled read of a written block: clean=%v, charged %d blocks", bytes.Equal(got, want), s.Stats.BlocksRead)
+	}
+	rep, err := sto.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCorrupt := []CorruptBlock{{File: "data", Block: 0}, {File: "data", Block: pos}}
+	if len(rep.Corrupt) != 2 || rep.Corrupt[0] != wantCorrupt[0] || rep.Corrupt[1] != wantCorrupt[1] {
+		t.Fatalf("scrub reported %+v, want %+v", rep.Corrupt, wantCorrupt)
 	}
 }
 

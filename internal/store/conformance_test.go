@@ -308,13 +308,13 @@ func TestLookupAndNames(t *testing.T) {
 // backend.
 func TestCachedReadsChargeNothing(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
-		sto.SetCache(1 << 20)
 		f := mustFile(t, sto, "t")
 		data := make([]byte, 256)
 		for i := range data {
 			data[i] = byte(i)
 		}
 		mustAppend(t, f, data)
+		sto.SetCache(1 << 20) // after the write: the first read is cold
 
 		cold := sto.NewSession()
 		got, err := cold.Read(f, 0, 4)
@@ -350,13 +350,13 @@ func TestCachedReadsChargeNothing(t *testing.T) {
 // for exactly the missing runs.
 func TestCacheMissRuns(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
-		sto.SetCache(1 << 20)
 		f := mustFile(t, sto, "t")
 		data := make([]byte, 64*6)
 		for i := range data {
 			data[i] = byte(i / 64)
 		}
 		mustAppend(t, f, data)
+		sto.SetCache(1 << 20) // after the write: only the reads fill the pool
 
 		s := sto.NewSession()
 		if _, err := s.Read(f, 2, 2); err != nil { // cache blocks 2,3
@@ -379,8 +379,8 @@ func TestCacheMissRuns(t *testing.T) {
 	})
 }
 
-// TestCacheInvalidation: SetContents drops the whole file's cached
-// blocks.
+// TestCacheInvalidation: after SetContents a pooled read returns the new
+// bytes, never the cached old ones.
 func TestCacheInvalidation(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
 		sto.SetCache(1 << 20)
@@ -400,6 +400,81 @@ func TestCacheInvalidation(t *testing.T) {
 		}
 		if got[0] != 3 {
 			t.Fatalf("stale cache after SetContents: %d", got[0])
+		}
+	})
+}
+
+// readFree reads [pos, pos+n) of f through a fresh session and requires
+// the bytes want at no seek or transfer charge: every block a pool hit.
+func readFree(t *testing.T, sto *Store, f *File, pos, n int, want []byte) {
+	t.Helper()
+	s := sto.NewSession()
+	got, err := s.Read(f, pos, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read [%d,+%d) returned the wrong bytes", pos, n)
+	}
+	if s.Stats.Seeks != 0 || s.Stats.BlocksRead != 0 {
+		t.Fatalf("read [%d,+%d) of written blocks charged %+v, want nothing", pos, n, s.Stats)
+	}
+}
+
+// residentBlocks returns the positions of the named file's frames.
+func residentBlocks(p *BufferPool, name string) map[int]bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := map[int]bool{}
+	for key := range p.frames {
+		if key.name == name {
+			out[key.pos] = true
+		}
+	}
+	return out
+}
+
+// TestWritesFillPool is the write-through contract: once a mutation
+// through a File succeeds, the pool holds the bytes it wrote, so reading
+// them back charges nothing, and it holds no frame past the file's end.
+func TestWritesFillPool(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, sto *Store) {
+		bs := sto.Config().BlockSize
+		sto.SetCache(1 << 20)
+		f := mustFile(t, sto, "t")
+		data := make([]byte, 3*bs+10) // the last block is zero-padded
+		for i := range data {
+			data[i] = byte(i%251 + 1)
+		}
+		mustAppend(t, f, data)
+		readFree(t, sto, f, 0, 4, append(bytes.Clone(data), make([]byte, bs-10)...))
+
+		// A rewrite overwrites the resident frames and adds the new blocks.
+		repl := bytes.Repeat([]byte{0xEE}, 6*bs)
+		if err := f.SetContents(repl); err != nil {
+			t.Fatal(err)
+		}
+		readFree(t, sto, f, 0, 6, repl)
+
+		// A truncation keeps the surviving prefix and drops the tail.
+		if err := f.Truncate(2); err != nil {
+			t.Fatal(err)
+		}
+		readFree(t, sto, f, 0, 2, repl[:2*bs])
+		if got := residentBlocks(sto.Pool(), "t"); len(got) != 2 || !got[0] || !got[1] {
+			t.Fatalf("resident blocks after Truncate(2): %v, want 0 and 1", got)
+		}
+
+		// A shrinking rewrite drops the frames past its end too.
+		if err := f.SetContents([]byte{7}); err != nil {
+			t.Fatal(err)
+		}
+		readFree(t, sto, f, 0, 1, append([]byte{7}, make([]byte, bs-1)...))
+		if got := residentBlocks(sto.Pool(), "t"); len(got) != 1 || !got[0] {
+			t.Fatalf("resident blocks after a one-block rewrite: %v, want 0", got)
+		}
+		if ps := sto.Pool().Stats(); ps.Misses != 0 {
+			t.Fatalf("reads of written blocks missed: %+v", ps)
 		}
 	})
 }

@@ -54,3 +54,28 @@ func copyFile(dst, src BlockStore, name string) error {
 	}
 	return nil
 }
+
+// CopyFrom makes the store's backend an exact twin of src (see Copy) and
+// forgets every file wrapper and pooled frame the store held, so the
+// copied files are looked up afresh, with their sidecars loaded when
+// checksums are on. The store keeps its pool, retry policy and checksum
+// setting; the copied blocks bypass the pool and enter it when a session
+// first reads them. Wrappers held from before the copy are invalid.
+func (s *Store) CopyFrom(src BlockStore) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := Copy(s.backend, src)
+	if s.pool != nil {
+		for name := range s.files {
+			s.pool.InvalidateFile(name)
+		}
+	}
+	s.files = make(map[string]*File)
+	if err != nil {
+		return s.failLocked(err)
+	}
+	if s.checked {
+		return s.attachAllSumsLocked()
+	}
+	return nil
+}

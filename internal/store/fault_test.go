@@ -202,3 +202,41 @@ func TestFaultDisabledIsPassthrough(t *testing.T) {
 		t.Fatal("op counter should keep running while disabled")
 	}
 }
+
+// TestFailedRewriteDropsFrames: a rewrite the backend tears leaves no
+// frame of the file in the pool, so a pooled read behaves exactly like an
+// uncached one. Here both fail with the same CorruptBlockError: the torn
+// blocks do not match the sums the sidecar still holds for the old
+// contents. A pool that kept the old frames would serve them instead.
+func TestFailedRewriteDropsFrames(t *testing.T) {
+	fs := NewFaultStore(NewSimStore(testConfig()), FaultConfig{Seed: 5})
+	sto := Wrap(fs)
+	if err := sto.EnableChecksums(); err != nil {
+		t.Fatal(err)
+	}
+	sto.SetCache(1 << 20)
+	f := mustFile(t, sto, "data")
+	mustAppend(t, f, bytes.Repeat([]byte{1}, 4*64))
+	if _, err := sto.NewSession().Read(f, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetConfig(FaultConfig{Schedule: map[int]FaultKind{fs.Ops(): FaultTorn}})
+	if err := f.SetContents(bytes.Repeat([]byte{2}, 4*64)); err == nil {
+		t.Fatal("the scheduled torn rewrite succeeded")
+	}
+	if got := residentBlocks(sto.Pool(), "data"); len(got) != 0 {
+		t.Fatalf("blocks %v of the torn file are still resident", got)
+	}
+	n := f.Blocks()
+	_, perr := sto.NewSession().Read(f, 0, n)
+	_, rerr := f.ReadRaw(0, n)
+	var pc, rc *CorruptBlockError
+	switch {
+	case !errors.As(rerr, &rc):
+		t.Fatalf("uncached read of the torn file: %v, want a CorruptBlockError", rerr)
+	case !errors.As(perr, &pc):
+		t.Fatalf("pooled read of the torn file: %v; uncached read: %v", perr, rerr)
+	case *pc != *rc:
+		t.Fatalf("pooled read failed on %+v, uncached read on %+v", *pc, *rc)
+	}
+}

@@ -13,21 +13,34 @@ import (
 // has no I/O cost, only the CPU charges remain). All methods are safe for
 // concurrent use.
 //
+// The pool is write-through: once a mutation through a File succeeds,
+// the pool holds exactly the bytes a verified read of the written blocks
+// would return. An append inserts the blocks it wrote, a rewrite
+// overwrites or inserts every block it wrote and drops the frames past
+// the new end, a truncation drops the frames past the new end, and a
+// failed mutation, NewFile and Store.Remove drop the whole file. So a
+// read that follows a write finds what the writer just wrote instead of
+// fetching it again. A session's miss fill never overwrites a frame, and
+// it is discarded when a rewrite, truncation or drop of its file
+// completed after its lookup, so bytes fetched before a rewrite cannot
+// outlive it.
+//
 // Frames are recycled rather than reallocated: an evicted frame holds the
 // block that displaced it, and the frames of an invalidated file wait in
-// a spare list for later misses. So the pool's memory stays at its
+// a spare list for later inserts. So the pool's memory stays at its
 // high-water mark, never above the budget, instead of following its
 // fill level: removing a file (an old generation after a compaction
-// swap) frees no memory, and the misses that refill the pool allocate
+// swap) frees no memory, and the inserts that refill the pool allocate
 // no frames.
 type BufferPool struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
 	frames map[frameKey]*frame
-	head   *frame   // most recently used
-	tail   *frame   // least recently used
-	spare  []*frame // dropped frames kept for reuse; used + spare ≤ budget
+	head   *frame            // most recently used
+	tail   *frame            // least recently used
+	spare  []*frame          // dropped frames kept for reuse; used + spare ≤ budget
+	gens   map[string]uint64 // per-file count of completed rewrites (see fill)
 
 	hits      uint64
 	misses    uint64
@@ -53,6 +66,7 @@ func NewBufferPool(budgetBytes int64) *BufferPool {
 	return &BufferPool{
 		budget: budgetBytes,
 		frames: make(map[frameKey]*frame),
+		gens:   make(map[string]uint64),
 	}
 }
 
@@ -102,9 +116,10 @@ type missRun struct {
 
 // gather copies every cached block of [pos, pos+nblocks) of the named
 // file into its slot of dst (len nblocks*bs) and returns the maximal
-// contiguous runs of missing blocks, in order. Hit/miss counters are
-// updated here; the caller fetches the runs and hands them to insert.
-func (p *BufferPool) gather(name string, pos, nblocks, bs int, dst []byte) []missRun {
+// contiguous runs of missing blocks, in order, with the file's rewrite
+// generation. Hit/miss counters are updated here; the caller fetches the
+// runs and hands them, with the generation, to fill.
+func (p *BufferPool) gather(name string, pos, nblocks, bs int, dst []byte) ([]missRun, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var misses []missRun
@@ -123,48 +138,72 @@ func (p *BufferPool) gather(name string, pos, nblocks, bs int, dst []byte) []mis
 			misses = append(misses, missRun{pos: pos + i, n: 1})
 		}
 	}
-	return misses
+	return misses, p.gens[name]
 }
 
-// insert caches the blocks of one fetched run (data holds n*bs bytes
-// starting at block pos). Blocks are copied; a block inserted by a racing
-// session in the meantime is left as is. Each new block first evicts
-// least-recently-used frames until it fits, then takes a spare frame
-// when one is left.
-func (p *BufferPool) insert(name string, pos, bs int, data []byte) {
+// fill caches the blocks of one run a session fetched (data holds n*bs
+// bytes starting at block pos). A block already resident is left as is:
+// a racing fill or the file's writer put it there. The whole run is
+// discarded when the file was rewritten, truncated or invalidated since
+// the gather that returned gen, because the fetch may have read the
+// bytes that rewrite replaced.
+func (p *BufferPool) fill(name string, pos, bs int, data []byte, gen uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.gens[name] != gen {
+		return
+	}
 	for i := 0; i*bs < len(data); i++ {
 		key := frameKey{name: name, pos: pos + i}
 		if fr, ok := p.frames[key]; ok {
 			p.touch(fr)
 			continue
 		}
-		for p.used+int64(bs) > p.budget && p.tail != nil {
-			p.drop(p.tail)
-			p.evictions++
-		}
-		var fr *frame
-		if n := len(p.spare); n > 0 && len(p.spare[n-1].data) == bs {
-			fr = p.spare[n-1]
-			p.spare = p.spare[:n-1]
-		} else {
-			fr = &frame{data: make([]byte, bs)}
-		}
-		fr.key = key
-		copy(fr.data, data[i*bs:(i+1)*bs])
-		p.frames[key] = fr
-		p.used += int64(len(fr.data))
-		p.pushFront(fr)
+		copy(p.frameFor(key, bs), data[i*bs:(i+1)*bs])
 	}
 	p.evictOverBudget()
 }
 
-// InvalidateFile drops every frame of the named file (called on file
-// truncation/replacement).
+// write records a successful File mutation: the named file was old
+// blocks long and is now end blocks long, and blocks [pos, end) hold
+// data, zero past len(data) as the backend pads them. Every written block
+// is made resident, overwriting a frame, since a racing fill may hold the
+// bytes the write replaced; the frames of blocks [end, old) are dropped,
+// each looked up by key. When the mutation changed blocks the file
+// already had (pos < old), the fills in flight are discarded too.
+func (p *BufferPool) write(name string, old, pos, end, bs int, data []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pos < old {
+		p.gens[name]++
+	}
+	for b := end; b < old; b++ {
+		if fr, ok := p.frames[frameKey{name: name, pos: b}]; ok {
+			p.drop(fr)
+		}
+	}
+	for b := pos; b < end; b++ {
+		key := frameKey{name: name, pos: b}
+		var dst []byte
+		if fr, ok := p.frames[key]; ok {
+			p.touch(fr)
+			dst = fr.data
+		} else {
+			dst = p.frameFor(key, bs)
+		}
+		off := (b - pos) * bs
+		clear(dst[copy(dst, data[min(off, len(data)):min(off+bs, len(data))]):])
+	}
+	p.evictOverBudget()
+}
+
+// InvalidateFile drops every frame of the named file and discards the
+// fills in flight (called when a file is created, removed or left in an
+// unknown state by a failed mutation).
 func (p *BufferPool) InvalidateFile(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.gens[name]++
 	for fr := p.tail; fr != nil; {
 		prev := fr.prev
 		if fr.key.name == name {
@@ -172,6 +211,29 @@ func (p *BufferPool) InvalidateFile(name string) {
 		}
 		fr = prev
 	}
+}
+
+// frameFor makes key resident in a frame at the most-recently-used end
+// and returns the frame's bytes for the caller to fill: it first evicts
+// least-recently-used frames until the block fits, then takes a spare
+// frame when one is left.
+func (p *BufferPool) frameFor(key frameKey, bs int) []byte {
+	for p.used+int64(bs) > p.budget && p.tail != nil {
+		p.drop(p.tail)
+		p.evictions++
+	}
+	var fr *frame
+	if n := len(p.spare); n > 0 && len(p.spare[n-1].data) == bs {
+		fr = p.spare[n-1]
+		p.spare = p.spare[:n-1]
+	} else {
+		fr = &frame{data: make([]byte, bs)}
+	}
+	fr.key = key
+	p.frames[key] = fr
+	p.used += int64(len(fr.data))
+	p.pushFront(fr)
+	return fr.data
 }
 
 // evictOverBudget evicts least-recently-used frames until the budget is

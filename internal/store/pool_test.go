@@ -5,18 +5,20 @@ import (
 	"testing"
 )
 
-// poolFixture builds a sim-backed store with a cache of budget bytes and
-// one file of nblocks distinct blocks.
+// poolFixture builds a sim-backed store with one file of nblocks
+// distinct blocks and then attaches a cache of budget bytes, so the pool
+// starts empty: the file is written before the pool could take its
+// blocks in.
 func poolFixture(t *testing.T, budget int64, nblocks int) (*Store, *File) {
 	t.Helper()
 	sto := NewSim(testConfig())
-	sto.SetCache(budget)
 	f := mustFile(t, sto, "t")
 	data := make([]byte, nblocks*64)
 	for i := range data {
 		data[i] = byte(i / 64)
 	}
 	mustAppend(t, f, data)
+	sto.SetCache(budget)
 	return sto, f
 }
 
@@ -172,7 +174,6 @@ func TestPoolAppendDoesNotInvalidate(t *testing.T) {
 // exceed the budget, so the pool's memory stays at its high-water mark.
 func TestPoolRecyclesFrames(t *testing.T) {
 	sto := NewSim(testConfig())
-	sto.SetCache(4*64 + 10) // not a whole number of blocks
 	fill := func(name string, nblocks int, first byte) *File {
 		f := mustFile(t, sto, name)
 		data := make([]byte, nblocks*64)
@@ -183,6 +184,7 @@ func TestPoolRecyclesFrames(t *testing.T) {
 		return f
 	}
 	a, b := fill("a", 4, 10), fill("b", 8, 20)
+	sto.SetCache(4*64 + 10) // after the writes, so the reads start cold; not a whole number of blocks
 	p := sto.Pool()
 	read := func(f *File, pos, n int, first byte) {
 		t.Helper()

@@ -214,7 +214,7 @@ func (s *Session) backendRead(f *File, pos, nblocks int) ([]byte, error) {
 func (s *Session) readPooled(f *File, pos, nblocks int) ([]byte, error) {
 	bs := s.st.Config().BlockSize
 	dst := make([]byte, nblocks*bs)
-	misses := s.pool.gather(f.Name(), pos, nblocks, bs, dst)
+	misses, gen := s.pool.gather(f.Name(), pos, nblocks, bs, dst)
 	missed := 0
 	for _, run := range misses {
 		data, err := s.backendRead(f, run.pos, run.n)
@@ -223,7 +223,7 @@ func (s *Session) readPooled(f *File, pos, nblocks int) ([]byte, error) {
 		}
 		copy(dst[(run.pos-pos)*bs:], data[:run.n*bs])
 		s.charge(f, run.pos, run.n, obs.ReadPoolMiss)
-		s.pool.insert(f.Name(), run.pos, bs, data[:run.n*bs])
+		s.pool.fill(f.Name(), run.pos, bs, data[:run.n*bs], gen)
 		missed += run.n
 	}
 	if s.tr != nil && missed < nblocks {

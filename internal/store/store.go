@@ -15,8 +15,10 @@
 //
 // Between sessions and the backend sits an optional shared BufferPool
 // (an LRU block cache with a configurable byte budget): concurrent
-// queries share hot directory and quantized pages, and cache hits charge
-// zero seek/transfer time, which makes the paper's cost model cache-aware.
+// queries share hot directory and quantized pages, cache hits charge
+// zero seek/transfer time, which makes the paper's cost model
+// cache-aware, and writes through a File fill the pool with the blocks
+// they wrote, so a read after a write finds them resident.
 //
 // Files are append-only sequences of block-aligned pages. A Session is a
 // single query's view of the store: it tracks the head position, so that
@@ -168,7 +170,7 @@ type BlockStore interface {
 }
 
 // Store mediates all access to a backend: it hands out canonical *File
-// wrappers (which route writes through the cache-invalidation path) and
+// wrappers (which route writes through the buffer pool) and
 // per-query Sessions (which route reads through the shared buffer pool,
 // when one is attached). A Store carries a sticky write error: the first
 // failed mutation poisons it, so construction code can write freely and
@@ -217,6 +219,9 @@ func (s *Store) Backend() BlockStore { return s.backend }
 // SetCache attaches a shared LRU buffer pool with the given byte budget
 // to the store (budget <= 0 detaches any pool). All sessions created
 // afterwards read through it; cache hits charge zero seek/transfer.
+// Every File mutation from then on writes through it, so blocks written
+// after the pool is attached are resident until evicted; blocks written
+// before enter it when a session first reads them.
 func (s *Store) SetCache(budgetBytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -302,11 +307,14 @@ func (s *Store) TotalBlocks() int {
 func (s *Store) Remove(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	delete(s.files, name)
+	err := s.backend.Remove(name)
+	// After the backend change, so a racing fill of the old bytes is
+	// discarded rather than cached.
 	if s.pool != nil {
 		s.pool.InvalidateFile(name)
 	}
-	delete(s.files, name)
-	if err := s.backend.Remove(name); err != nil {
+	if err != nil {
 		return s.failLocked(fmt.Errorf("store: remove %s: %w", name, err))
 	}
 	if !IsChecksumFile(name) {
@@ -372,8 +380,8 @@ func (s *Store) Sync() error { return s.backend.Sync() }
 func (s *Store) Close() error { return s.backend.Close() }
 
 // File is the mediated view of one backend file. All mutations pass
-// through it so the shared buffer pool can invalidate stale frames and
-// the checksum sidecar (when enabled) stays write-through consistent;
+// through it so the shared buffer pool and the checksum sidecar (when
+// enabled) stay write-through consistent with the backend;
 // transient backend failures are retried under the store's RetryPolicy,
 // and mutation failures are additionally recorded as the store's sticky
 // error, so bulk writers may check once instead of at every call.
@@ -424,58 +432,79 @@ func (f *File) Blocks() int { return f.bf.Blocks() }
 // Bytes returns the size of the file in bytes (always block-aligned).
 func (f *File) Bytes() int { return f.bf.Bytes() }
 
+// failMutation records a failed mutation: the file's frames are dropped
+// from the pool, because the backend may hold any part of the attempted
+// write (a torn rewrite) and the sidecar may not cover it, so only a
+// verified backend read may serve the file's blocks again. The error
+// becomes the store's sticky error.
+func (f *File) failMutation(err error) error {
+	if pl := f.st.Pool(); pl != nil {
+		pl.InvalidateFile(f.Name())
+	}
+	return f.st.fail(err)
+}
+
 // Append writes p at the end of the file, padded to a block boundary, and
 // returns the starting block position and the number of blocks written.
-// Appends never touch previously readable blocks, so no cache
-// invalidation is needed.
+// Once the checksum sidecar (when enabled) records them, the written
+// blocks, zero-padded tail included, enter the buffer pool as the most
+// recently used; the blocks before pos are untouched.
 func (f *File) Append(p []byte) (pos, nblocks int, err error) {
 	err = f.mutate(func() error {
 		pos, nblocks, err = f.bf.Append(p)
 		return err
 	})
 	if err != nil {
-		return 0, 0, f.st.fail(fmt.Errorf("store: append to %s: %w", f.Name(), err))
+		return 0, 0, f.failMutation(fmt.Errorf("store: append to %s: %w", f.Name(), err))
 	}
 	if f.sums != nil {
 		if serr := f.sums.recordAppend(pos, p, nblocks); serr != nil {
-			return 0, 0, f.st.fail(serr)
+			return 0, 0, f.failMutation(serr)
 		}
+	}
+	if pl := f.st.Pool(); pl != nil {
+		pl.write(f.Name(), pos, pos, pos+nblocks, f.st.Config().BlockSize, p)
 	}
 	return pos, nblocks, nil
 }
 
 // SetContents replaces the whole file with p, padded to a block boundary.
-// An empty p truncates the file to zero blocks.
+// An empty p truncates the file to zero blocks. Once the sidecar records
+// the new sums, the buffer pool holds every new block (overwriting the
+// frames of the old contents) and no frame past the new end.
 func (f *File) SetContents(p []byte) error {
+	old := f.Blocks()
 	if err := f.mutate(func() error { return f.bf.SetContents(p) }); err != nil {
-		return f.st.fail(fmt.Errorf("store: rewrite of %s: %w", f.Name(), err))
+		return f.failMutation(fmt.Errorf("store: rewrite of %s: %w", f.Name(), err))
 	}
 	if f.sums != nil {
 		if serr := f.sums.recordContents(p, f.Blocks()); serr != nil {
-			return f.st.fail(serr)
+			return f.failMutation(serr)
 		}
 	}
 	if pl := f.st.Pool(); pl != nil {
-		pl.InvalidateFile(f.Name())
+		pl.write(f.Name(), old, 0, f.Blocks(), f.st.Config().BlockSize, p)
 	}
 	return nil
 }
 
 // Truncate shrinks the file to nblocks blocks, dropping the recorded
-// checksums of the discarded tail and invalidating any cached frames.
-// Used by generation-swap compaction and WAL tail recovery; truncating
-// at or past the current length is a no-op.
+// checksums and the pooled frames of the discarded tail; the frames of
+// the surviving prefix stay resident. Used by generation-swap compaction
+// and WAL tail recovery; truncating at or past the current length is a
+// no-op.
 func (f *File) Truncate(nblocks int) error {
+	old := f.Blocks()
 	if err := f.mutate(func() error { return f.bf.Truncate(nblocks) }); err != nil {
-		return f.st.fail(fmt.Errorf("store: truncate %s: %w", f.Name(), err))
+		return f.failMutation(fmt.Errorf("store: truncate %s: %w", f.Name(), err))
 	}
 	if f.sums != nil {
 		if serr := f.sums.truncateTo(nblocks); serr != nil {
-			return f.st.fail(serr)
+			return f.failMutation(serr)
 		}
 	}
-	if pl := f.st.Pool(); pl != nil {
-		pl.InvalidateFile(f.Name())
+	if pl := f.st.Pool(); pl != nil && nblocks < old {
+		pl.write(f.Name(), old, nblocks, nblocks, f.st.Config().BlockSize, nil)
 	}
 	return nil
 }

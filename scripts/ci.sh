@@ -90,6 +90,18 @@ echo "== shard pruning gate =="
 # data, no more than 2% (measured 1.00x).
 go test -run 'TestShardPruningCutsLatency' -count=1 -v ./internal/shard/
 
+echo "== write-through pool gate =="
+# A read after a write must not pay to fetch what the writer just wrote.
+# With the pool attached after the build, a KNN at a freshly inserted
+# point must read the directory with 0 seeks and 0 backend blocks and
+# find the rewritten page's quantized and exact blocks in the pool, and
+# a KNN after Reoptimize must read no backend block of the new
+# generation's files. The pool must stay coherent with writes: random
+# mutation sequences against a shadow model, and readers racing a
+# writer, repeated under the race detector.
+go test -run 'TestWritesKeepPoolWarm' -count=1 -v ./internal/core/
+go test -race -count=10 -run 'TestPoolCoherence' ./internal/store/
+
 echo "== kill-and-recover gate =="
 # No acknowledged write may be lost: the recovery suite crash-reopens
 # WAL-mode trees (insert-heavy, delete-heavy, torn tail, across
