@@ -133,14 +133,13 @@ func runFaults(o experiments.RunOpts) (experiments.Figure, error) {
 		if row.Bits == quantize.ExactBits || corrupted >= 3 {
 			continue
 		}
-		pos := row.QPos * tr.Options().QPageBlocks
-		data, err := bf.ReadBlocks(pos, 1)
+		data, err := bf.ReadBlocks(row.QPos, 1)
 		if err != nil {
 			return experiments.Figure{}, err
 		}
 		mut := append([]byte(nil), data...)
 		mut[len(mut)/3] ^= 0x40
-		if err := bf.WriteBlocks(pos, mut); err != nil {
+		if err := bf.WriteBlocks(row.QPos, mut); err != nil {
 			return experiments.Figure{}, err
 		}
 		corrupted++

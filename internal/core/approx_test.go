@@ -207,7 +207,7 @@ func TestKNNApproxQuarantineInterplay(t *testing.T) {
 		t.Fatalf("only %d compressed pages", len(comp))
 	}
 	for _, qpos := range comp[:3] {
-		flipQPageBit(t, sto, qpos, tr.Options().QPageBlocks)
+		flipQPageBit(t, sto, qpos)
 	}
 	r := rand.New(rand.NewSource(7))
 	queries := randPoints(r, 20, 8)

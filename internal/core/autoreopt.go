@@ -42,7 +42,7 @@ func (t *Tree) GarbageRatio() float64 {
 	if total <= 0 {
 		return 0
 	}
-	live := t.load().livePages() * t.opt.QPageBlocks
+	live := t.load().livePages()
 	g := float64(total-live) / float64(total)
 	if g < 0 {
 		return 0

@@ -86,7 +86,7 @@ func (b *builder) frontier() []*bnode {
 func (b *builder) plan(frontier []*bnode) []planPage {
 	out := make([]planPage, len(frontier))
 	for i, n := range frontier {
-		out[i] = planPage{lo: n.lo, hi: n.hi, bits: n.bits, mbr: n.mbr}
+		out[i] = planPage{lo: n.lo, hi: n.hi, bits: n.bits}
 	}
 	return out
 }
@@ -325,55 +325,47 @@ func (b *builder) optimize(roots []*bnode) []*bnode {
 type planPage struct {
 	lo, hi int
 	bits   int
-	mbr    vec.MBR
 }
 
-// writePlanPage appends planned page pp, holding pts with their ids, to
-// the given quantized/exact files and returns its directory entry and
-// grid. Write failures are recorded as the store's sticky error, which
-// the caller checks before publishing anything that references the page.
-func (t *Tree) writePlanPage(qf, ef *store.File, pp planPage, pts []vec.Point, ids []uint32) (page.DirEntry, quantize.Grid) {
-	grid := quantize.NewGrid(pp.mbr, pp.bits)
-	e := page.DirEntry{
-		Count: uint32(len(pts)),
-		Bits:  uint8(pp.bits),
-		Base:  uint32(pp.lo),
-		MBR:   pp.mbr,
-	}
-	var bpos int
-	if pp.bits < quantize.ExactBits {
-		epos, eblocks, err := ef.Append(page.MarshalExact(pts, ids))
-		if err == nil {
-			e.EPos = uint32(epos)
-			e.EBlocks = uint32(eblocks)
+// writePage appends one version of a page holding pts with their ids at
+// level bits over the points' MBR: for a compressed level its exact
+// page to ef, then its quantized page to qf. It sets e's count, level,
+// MBR and positions, and returns the page's grid and whether the
+// quantized page was written (e.QPos is unchanged when not). Write
+// failures are recorded as the store's sticky error, which the caller
+// checks before publishing anything that references the page.
+func (t *Tree) writePage(qf, ef *store.File, e *page.DirEntry, pts []vec.Point, ids []uint32, bits int) (quantize.Grid, bool) {
+	mbr := vec.MBROf(pts)
+	grid := quantize.NewGrid(mbr, bits)
+	e.Count, e.Bits, e.MBR = uint32(len(pts)), uint8(bits), mbr
+	qids := ids // a 32-bit page holds its ids; a compressed one leaves them to its exact page
+	if bits < quantize.ExactBits {
+		qids = nil
+		if epos, eblocks, err := ef.Append(page.MarshalExact(pts, ids)); err == nil {
+			e.EPos, e.EBlocks = uint32(epos), uint32(eblocks)
 		}
-		bpos, _, _ = qf.Append(page.MarshalQPage(grid, pts, nil, t.qPageBytes()))
 	} else {
-		bpos, _, _ = qf.Append(page.MarshalQPage(grid, pts, ids, t.qPageBytes()))
+		e.EPos, e.EBlocks = 0, 0
 	}
-	e.QPos = uint32(bpos / t.opt.QPageBlocks)
-	return e, grid
+	bpos, _, err := qf.Append(page.MarshalQPage(grid, pts, qids, t.qPageBytes()))
+	if err != nil {
+		return grid, false
+	}
+	e.QPos = uint32(bpos)
+	return grid, true
 }
 
 // write lays the frontier out on disk in partition order: quantized pages
 // back to back in the second-level file (so spatially adjacent partitions
 // are adjacent on disk), exact pages in the same order in the third-level
-// file, and one directory entry each.
+// file, and one directory entry each. The caller writes the directory.
 func (b *builder) write(frontier []*bnode) {
-	t := b.t
-	sn := b.sn
-	dirBuf := make([]byte, 0, len(frontier)*page.DirEntrySize(t.dim))
-	entryBuf := make([]byte, page.DirEntrySize(t.dim))
+	t, sn := b.t, b.sn
 	for _, pp := range b.plan(frontier) {
 		pts, ids := b.points(pp)
-		e, grid := t.writePlanPage(t.qFile, t.eFile, pp, pts, ids)
-		e.Marshal(entryBuf, t.dim)
-		dirBuf = append(dirBuf, entryBuf...)
-		entryIdx := sn.appendEntry()
-		sn.entries[entryIdx] = e
-		sn.grids[entryIdx] = grid
-		sn.setOwner(int(e.QPos), entryIdx)
+		i := sn.appendEntry()
+		sn.entries[i].Base = uint32(pp.lo)
+		sn.grids[i], _ = t.writePage(t.qFile, t.eFile, &sn.entries[i], pts, ids, pp.bits)
+		sn.setOwner(int(sn.entries[i].QPos), i)
 	}
-	t.dirFile.SetContents(dirBuf)
-	sn.dirBlocks = t.dirFile.Blocks()
 }

@@ -70,7 +70,7 @@ func TestCalibrationMatchesPerQueryReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, met := range []vec.Metric{vec.Euclidean, vec.Maximum, vec.Manhattan} {
+		for _, met := range []vec.Metric{vec.Euclidean, vec.Maximum} {
 			opt := DefaultOptions()
 			opt.Metric = met
 			tr, err := Build(store.NewSim(store.DefaultConfig()), pts, opt)

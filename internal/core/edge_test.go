@@ -108,35 +108,6 @@ func TestQueryOutsideDataSpace(t *testing.T) {
 	}
 }
 
-// TestLargePageBlocks: multi-block quantized pages.
-func TestLargePageBlocks(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	pts := randPoints(r, 4000, 8)
-	opt := DefaultOptions()
-	opt.QPageBlocks = 4
-	tr := buildTree(t, pts, opt)
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	checkKNN(t, tr, pts, randPoints(r, 6, 8), 3, vec.Euclidean)
-	// Larger pages hold more points: fewer pages than with 1-block pages.
-	small := buildTree(t, pts, DefaultOptions())
-	if tr.NumPages() >= small.NumPages() {
-		t.Fatalf("4-block pages (%d) should be fewer than 1-block pages (%d)",
-			tr.NumPages(), small.NumPages())
-	}
-}
-
-// TestManhattanMetricEndToEnd exercises the third supported metric.
-func TestManhattanMetricEndToEnd(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	pts := randPoints(r, 1500, 6)
-	opt := DefaultOptions()
-	opt.Metric = vec.Manhattan
-	tr := buildTree(t, pts, opt)
-	checkKNN(t, tr, pts, randPoints(r, 6, 6), 3, vec.Manhattan)
-}
-
 // TestHighDimensionalBuild sanity-checks a dimensionality above the
 // paper's range.
 func TestHighDimensionalBuild(t *testing.T) {

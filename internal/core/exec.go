@@ -209,7 +209,6 @@ func (rs *roundScratch) plan(t *Tree) {
 		rs.sched.NumPages = max(rs.sched.NumPages, len(c.base().sn.entryAt))
 	}
 	rs.sched.Cfg = t.sto.Config()
-	rs.sched.PageBlocks = t.opt.QPageBlocks
 	rs.spans = rs.sched.BatchAll(rs.spans, rs.wants)
 }
 
@@ -344,11 +343,10 @@ func deliverDegraded(c cursor, pos int) (acted bool) {
 // are quarantined first). pagewise reports that downgrade. The caller
 // holds world.RLock.
 func (t *Tree) fetchRun(rs *roundScratch, s *store.Session, span pagesched.PageSpan) (pagewise bool, err error) {
-	pb := t.opt.QPageBlocks
 	pageBytes := t.qPageBytes()
 	first, last := span.First, span.Last
 	if !t.anyQuarantinedIn(first, last) {
-		buf, err := s.Read(t.qFile, first*pb, (last-first+1)*pb)
+		buf, err := s.Read(t.qFile, first, last-first+1)
 		if err == nil {
 			for pos := first; pos <= last; pos++ {
 				rs.offer(rs.page.load(pos, buf[(pos-first)*pageBytes:(pos-first+1)*pageBytes], t.dim))
@@ -370,7 +368,7 @@ func (t *Tree) fetchRun(rs *roundScratch, s *store.Session, span pagesched.PageS
 			rs.offerDegraded(pos)
 			continue
 		}
-		buf, err := s.Read(t.qFile, pos*pb, pb)
+		buf, err := s.Read(t.qFile, pos, 1)
 		if err != nil {
 			if !t.corruptQPage(err) {
 				return true, err

@@ -33,20 +33,19 @@ func buildCheckedTree(t *testing.T, seed int64, n, dim int, opt Options) (*store
 // flipQPageBit flips one bit of the quantized file's page at physical
 // position qpos, directly on the backend — at-rest corruption beneath
 // the checksum layer.
-func flipQPageBit(t *testing.T, sto *store.Store, qpos, blocksPerPage int) {
+func flipQPageBit(t *testing.T, sto *store.Store, qpos int) {
 	t.Helper()
 	bf := sto.Backend().Lookup(QFileName)
 	if bf == nil {
 		t.Fatal("no quantized file")
 	}
-	pos := qpos * blocksPerPage
-	data, err := bf.ReadBlocks(pos, 1)
+	data, err := bf.ReadBlocks(qpos, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mut := append([]byte(nil), data...)
 	mut[len(mut)/2] ^= 0x10
-	if err := bf.WriteBlocks(pos, mut); err != nil {
+	if err := bf.WriteBlocks(qpos, mut); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,7 +93,7 @@ func TestQuarantineFallbackKNN(t *testing.T) {
 		t.Fatalf("only %d compressed pages; test needs at least 3", len(comp))
 	}
 	for _, qpos := range comp[:3] {
-		flipQPageBit(t, sto, qpos, tr.Options().QPageBlocks)
+		flipQPageBit(t, sto, qpos)
 	}
 
 	degradedTotal := 0
@@ -155,8 +154,8 @@ func TestQuarantineFallbackRangeWindow(t *testing.T) {
 	if len(comp) < 2 {
 		t.Fatalf("only %d compressed pages", len(comp))
 	}
-	flipQPageBit(t, sto, comp[0], tr.Options().QPageBlocks)
-	flipQPageBit(t, sto, comp[len(comp)/2], tr.Options().QPageBlocks)
+	flipQPageBit(t, sto, comp[0])
+	flipQPageBit(t, sto, comp[len(comp)/2])
 
 	sameSet := func(a, b []vec.Neighbor) bool {
 		if len(a) != len(b) {
@@ -210,7 +209,7 @@ func TestExactPageCorruptionIsTyped(t *testing.T) {
 		t.Fatalf("expected exact-mode pages, got %d bits", rows[0].Bits)
 	}
 	for _, row := range rows {
-		flipQPageBit(t, sto, row.QPos, tr.Options().QPageBlocks)
+		flipQPageBit(t, sto, row.QPos)
 	}
 	r := rand.New(rand.NewSource(6))
 	sawUnrecoverable := false
@@ -243,8 +242,8 @@ func TestRepairRewritesQuarantinedPages(t *testing.T) {
 	if len(comp) < 2 {
 		t.Fatalf("only %d compressed pages", len(comp))
 	}
-	flipQPageBit(t, sto, comp[0], tr.Options().QPageBlocks)
-	flipQPageBit(t, sto, comp[1], tr.Options().QPageBlocks)
+	flipQPageBit(t, sto, comp[0])
+	flipQPageBit(t, sto, comp[1])
 
 	// Queries discover and quarantine the damage.
 	checkKNN(t, tr, pts, queries, 4, vec.Euclidean)
@@ -294,7 +293,7 @@ func TestReoptimizeClearsQuarantine(t *testing.T) {
 	if len(comp) == 0 {
 		t.Fatal("no compressed pages despite FixedBits")
 	}
-	flipQPageBit(t, sto, comp[0], tr.Options().QPageBlocks)
+	flipQPageBit(t, sto, comp[0])
 	r := rand.New(rand.NewSource(10))
 	queries := randPoints(r, 6, 4)
 	checkKNN(t, tr, pts, queries, 3, vec.Euclidean) // quarantines

@@ -71,7 +71,7 @@ func TestQueryCostGolden(t *testing.T) {
 	sto, tr, _ := buildCheckedTree(t, 103, 2500, 8, DefaultOptions())
 	comp := compressedPages(tr)
 	for _, qpos := range []int{comp[0], comp[len(comp)/3], comp[2*len(comp)/3]} {
-		flipQPageBit(t, sto, qpos, tr.Options().QPageBlocks)
+		flipQPageBit(t, sto, qpos)
 	}
 	for i, q := range queries {
 		goldenQuery(t, &b, fmt.Sprintf("degraded knn q%d", i), sto,

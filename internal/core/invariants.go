@@ -60,7 +60,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		// (8) position-index consistency: the entry's page version exists
 		// and is owned by exactly this entry.
-		if int(e.QPos)*t.opt.QPageBlocks >= t.qFile.Blocks() {
+		if int(e.QPos) >= t.qFile.Blocks() {
 			return fmt.Errorf("entry %d: QPos %d past the quantized file", i, e.QPos)
 		}
 		if owner := sn.entryIndex(int(e.QPos)); owner != i {
@@ -77,7 +77,7 @@ func (t *Tree) CheckInvariants() error {
 		total += int(e.Count)
 
 		// (4) page header.
-		full, err := t.qFile.ReadRaw(int(e.QPos)*t.opt.QPageBlocks, t.opt.QPageBlocks)
+		full, err := t.qFile.ReadRaw(int(e.QPos), 1)
 		if err != nil {
 			return err
 		}

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/fractal"
-	"repro/internal/index"
 	"repro/internal/page"
 	"repro/internal/quantize"
 	"repro/internal/store"
@@ -45,9 +44,6 @@ import (
 type Options struct {
 	// Metric is the query metric. Default Euclidean.
 	Metric vec.Metric
-	// QPageBlocks is the fixed size of a quantized data page in disk
-	// blocks. Default 1.
-	QPageBlocks int
 	// Quantize enables independent quantization. When false, every page
 	// stores exact 32-bit coordinates (the "no quantization" ablation of
 	// paper Fig. 7: a plain bulk-loaded flat index).
@@ -101,7 +97,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Metric:      vec.Euclidean,
-		QPageBlocks: 1,
 		Quantize:    true,
 		OptimizedIO: true,
 	}
@@ -187,8 +182,8 @@ func (t *Tree) FractalDim() float64 { return t.fractalDim }
 // Model returns a copy of the tree's cost model.
 func (t *Tree) Model() costmodel.Model { return t.load().model }
 
-// qPageBytes returns the byte size of one quantized page.
-func (t *Tree) qPageBytes() int { return t.opt.QPageBlocks * t.sto.Config().BlockSize }
+// qPageBytes returns the byte size of one quantized page: one block.
+func (t *Tree) qPageBytes() int { return t.sto.Config().BlockSize }
 
 // qPayloadBytes returns the payload capacity of one quantized page.
 func (t *Tree) qPayloadBytes() int { return t.qPageBytes() - page.QHeaderSize }
@@ -231,9 +226,6 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 			return nil, fmt.Errorf("core: point %d has dimension %d, want %d", i, len(p), dim)
 		}
 	}
-	if opt.QPageBlocks <= 0 {
-		opt.QPageBlocks = 1
-	}
 	t := &Tree{
 		opt: opt,
 		sto: sto,
@@ -269,7 +261,6 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 		FractalDim:    df,
 		DataSpace:     sn.dataSpace,
 		DirEntryBytes: page.DirEntrySize(dim),
-		QPageBlocks:   opt.QPageBlocks,
 		ExactBlocks:   1,
 		RefineFactor:  opt.RefineCostFactor,
 		K:             opt.KNNTarget,
@@ -281,7 +272,7 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 
 	b := newBuilder(t, sn, pts)
 	b.run()
-	if err := t.writeMeta(sn); err != nil {
+	if err := t.writeDirectory(sn); err != nil {
 		return nil, err
 	}
 	if err := sto.Err(); err != nil {
@@ -346,19 +337,6 @@ func (t *Tree) Stats() Stats {
 	}
 	st.PredictedCost = sn.model.Total(sn.pageInfos())
 	return st
-}
-
-// IndexStats implements index.Index with the common cross-method shape
-// summary.
-func (t *Tree) IndexStats() index.Stats {
-	sn := t.load()
-	return index.Stats{
-		Method: "IQ-tree",
-		Points: sn.n,
-		Dim:    t.dim,
-		Pages:  sn.livePages(),
-		Bytes:  t.dirFile.Bytes() + t.qFile.Bytes() + t.eFile.Bytes(),
-	}
 }
 
 // PageInfoRow describes one live quantized page for introspection.

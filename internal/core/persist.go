@@ -29,14 +29,15 @@ const (
 const metaMagic = 0x49515452 // "IQTR"
 
 // metaVersion 2 added the WAL flag, the data-file generation and the
-// auto-checkpoint threshold; version-1 superblocks are rejected.
-const metaVersion = 2
+// auto-checkpoint threshold; version 3 dropped the quantized page size
+// (a page is one block). Other versions are rejected.
+const metaVersion = 3
 
 // writeMeta serializes the superblock for the given epoch. Layout
 // (little-endian):
 //
 //	magic u32 | version u32 | dim u32 | entries u32 | live points u64 |
-//	metric u8 | quantize u8 | optimizedIO u8 | wal u8 | qpageBlocks u32 |
+//	metric u8 | quantize u8 | optimizedIO u8 | wal u8 |
 //	fractalDim f64 | refineFactor f64 | gen u32 | ckptBlocks u32
 //
 // In WAL mode the dynamic fields (entries, live points, gen) are only
@@ -44,7 +45,7 @@ const metaVersion = 2
 // fsynced only by checkpoints, and recovery takes them from the newest
 // checkpoint record instead.
 func (t *Tree) writeMeta(sn *snapshot) error {
-	buf := make([]byte, 56)
+	buf := make([]byte, 52)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], metaMagic)
 	le.PutUint32(buf[4:], metaVersion)
@@ -55,11 +56,10 @@ func (t *Tree) writeMeta(sn *snapshot) error {
 	buf[25] = b2u(t.opt.Quantize)
 	buf[26] = b2u(t.opt.OptimizedIO)
 	buf[27] = b2u(t.opt.WAL)
-	le.PutUint32(buf[28:], uint32(t.opt.QPageBlocks))
-	le.PutUint64(buf[32:], math.Float64bits(t.fractalDim))
-	le.PutUint64(buf[40:], math.Float64bits(sn.model.RefineFactor))
-	le.PutUint32(buf[48:], t.gen)
-	le.PutUint32(buf[52:], uint32(t.opt.WALCheckpointBlocks))
+	le.PutUint64(buf[28:], math.Float64bits(t.fractalDim))
+	le.PutUint64(buf[36:], math.Float64bits(sn.model.RefineFactor))
+	le.PutUint32(buf[44:], t.gen)
+	le.PutUint32(buf[48:], uint32(t.opt.WALCheckpointBlocks))
 	return t.metaFile.SetContents(buf)
 }
 
@@ -111,11 +111,10 @@ func Open(sto *store.Store) (*Tree, error) {
 		Quantize:            buf[25] == 1,
 		OptimizedIO:         buf[26] == 1,
 		WAL:                 buf[27] == 1,
-		QPageBlocks:         int(le.Uint32(buf[28:])),
-		WALCheckpointBlocks: int(le.Uint32(buf[52:])),
+		WALCheckpointBlocks: int(le.Uint32(buf[48:])),
 	}
-	t.fractalDim = math.Float64frombits(le.Uint64(buf[32:]))
-	refineFactor := math.Float64frombits(le.Uint64(buf[40:]))
+	t.fractalDim = math.Float64frombits(le.Uint64(buf[28:]))
+	refineFactor := math.Float64frombits(le.Uint64(buf[36:]))
 	if t.dirFile = sto.File(DirFileName); t.dirFile == nil {
 		return nil, errors.New("core: missing directory file")
 	}
@@ -123,7 +122,7 @@ func Open(sto *store.Store) (*Tree, error) {
 		return t.recover(refineFactor)
 	}
 
-	t.gen = le.Uint32(buf[48:])
+	t.gen = le.Uint32(buf[44:])
 	if t.qFile = sto.File(genName(QFileName, t.gen)); t.qFile == nil {
 		return nil, fmt.Errorf("core: missing quantized file (generation %d)", t.gen)
 	}
@@ -164,7 +163,7 @@ func (t *Tree) rebuildSnapshot(entries []page.DirEntry, n int, dataSpace *vec.MB
 	// The quantized file may extend past the last live page (stale
 	// versions from out-of-place updates); size the position index by the
 	// file so batch scans can classify every position.
-	if qpages := t.qFile.Blocks() / t.opt.QPageBlocks; qpages > 0 {
+	if qpages := t.qFile.Blocks(); qpages > 0 {
 		sn.entryAt = make([]int32, qpages)
 		for i := range sn.entryAt {
 			sn.entryAt[i] = -1
@@ -195,7 +194,6 @@ func (t *Tree) rebuildSnapshot(entries []page.DirEntry, n int, dataSpace *vec.MB
 		FractalDim:    t.fractalDim,
 		DataSpace:     sn.dataSpace,
 		DirEntryBytes: page.DirEntrySize(t.dim),
-		QPageBlocks:   t.opt.QPageBlocks,
 		ExactBlocks:   1,
 		RefineFactor:  refineFactor,
 	}
@@ -285,7 +283,7 @@ func (t *Tree) recover(refineFactor float64) (*Tree, error) {
 		}
 		replayed++
 	}
-	if err := t.rewriteDirectory(sn); err != nil {
+	if err := t.writeDirectory(sn); err != nil {
 		return nil, err
 	}
 	if err := t.sto.Err(); err != nil {

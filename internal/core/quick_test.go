@@ -57,11 +57,10 @@ func TestQuickVariantEquivalence(t *testing.T) {
 
 		variants := []Options{
 			DefaultOptions(),
-			{Metric: vec.Euclidean, QPageBlocks: 1, Quantize: true, OptimizedIO: false},
-			{Metric: vec.Euclidean, QPageBlocks: 1, Quantize: false, OptimizedIO: true},
-			{Metric: vec.Euclidean, QPageBlocks: 2, Quantize: true, OptimizedIO: true},
-			{Metric: vec.Euclidean, QPageBlocks: 1, Quantize: true, OptimizedIO: true, FixedBits: 4},
-			{Metric: vec.Euclidean, QPageBlocks: 1, Quantize: true, OptimizedIO: true, UniformModel: true},
+			{Metric: vec.Euclidean, Quantize: true, OptimizedIO: false},
+			{Metric: vec.Euclidean, Quantize: false, OptimizedIO: true},
+			{Metric: vec.Euclidean, Quantize: true, OptimizedIO: true, FixedBits: 4},
+			{Metric: vec.Euclidean, Quantize: true, OptimizedIO: true, UniformModel: true},
 		}
 		var ref [][]float64
 		for vi, opt := range variants {

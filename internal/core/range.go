@@ -224,7 +224,7 @@ func (c *scanCursor) deliver(pg *sharedPage, shared bool) bool {
 	}
 	c.sc.delivered[pg.pos] = struct{}{}
 	if shared {
-		c.s.NoteShared(c.t.qFile, c.t.opt.QPageBlocks)
+		c.s.NoteShared(c.t.qFile, 1)
 		c.tr.AddShared(1)
 	}
 	if pg.bits == quantize.ExactBits {

@@ -107,7 +107,8 @@ func (t *Tree) reoptStep(s *store.Session) (done bool, err error) {
 			t.reoptAbort()
 			return false, err
 		}
-		e, g := t.writePlanPage(r.qFile, r.eFile, pp, pts, ids)
+		e := page.DirEntry{Base: uint32(pp.lo)}
+		g, _ := t.writePage(r.qFile, r.eFile, &e, pts, ids, pp.bits)
 		if err := t.sto.Err(); err != nil {
 			t.reoptAbort()
 			return false, err
@@ -129,7 +130,7 @@ func (t *Tree) reoptStep(s *store.Session) (done bool, err error) {
 // the pin. Caller holds t.reoptMu, which also keeps t.qFile in place.
 func (t *Tree) reoptBehind() bool {
 	r := t.reopt
-	return r != nil && r.next < (t.qFile.Blocks()-r.qStart)/t.opt.QPageBlocks
+	return r != nil && r.next < t.qFile.Blocks()-r.qStart
 }
 
 // reoptBegin pins the current state and computes the new layout. Caller
@@ -315,7 +316,7 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 			return fmt.Errorf("core: reoptimize delta replay: %w", err)
 		}
 	}
-	if err := t.rewriteDirectory(sn); err != nil {
+	if err := t.writeDirectory(sn); err != nil {
 		rollback()
 		return err
 	}
@@ -385,7 +386,7 @@ func (t *Tree) repairOne(s *store.Session) (bool, error) {
 			return false, err
 		}
 		t.rewritePage(s, sn, i, pts, ids, int(e.Bits))
-		if err := t.rewriteDirectory(sn); err != nil {
+		if err := t.writeDirectory(sn); err != nil {
 			return false, err
 		}
 		if err := t.sto.Err(); err != nil {

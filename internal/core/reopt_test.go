@@ -73,7 +73,7 @@ func TestReoptimizeSwapFoldsDeltas(t *testing.T) {
 		insert(p, uint32(500000+i))
 	}
 	finishReopt(t, tr)
-	if stale := tr.qFile.Blocks() - tr.NumPages()*tr.opt.QPageBlocks; stale > 2 {
+	if stale := tr.qFile.Blocks() - tr.NumPages(); stale > 2 {
 		t.Fatalf("new generation holds %d blocks beyond its %d live pages, want ≤ 2", stale, tr.NumPages())
 	}
 	assertSamePoints(t, tr, twin)

@@ -109,9 +109,8 @@ func TestDegradedReadsAgreeAcrossDrivers(t *testing.T) {
 		for i, q := range queries {
 			clean[i] = mustKNN(t, tr, q, 5)
 		}
-		pb := tr.Options().QPageBlocks
 		for _, row := range tr.DescribePages() {
-			flipQPageBit(t, sto, row.QPos, pb)
+			flipQPageBit(t, sto, row.QPos)
 			sessions := make([]*store.Session, len(queries))
 			for i := range sessions {
 				sessions[i] = sto.NewSession()
@@ -135,7 +134,7 @@ func TestDegradedReadsAgreeAcrossDrivers(t *testing.T) {
 				sameNeighbors(t, "direct", direct, clean[i])
 				sameNeighbors(t, "shared", shared[i], clean[i])
 			}
-			flipQPageBit(t, sto, row.QPos, pb) // restore
+			flipQPageBit(t, sto, row.QPos) // restore
 		}
 	}
 }

@@ -80,8 +80,8 @@ func (sc *queryScratch) beginSearch(t *Tree, sn *snapshot, s *store.Session, q v
 	clear(st.processed)
 	st.sorted = st.sorted[:0]
 	st.heap = st.heap[:0]
-	st.res = st.res[:0]
-	st.ub = st.ub[:0]
+	st.res.Reset(k)
+	st.ub.Reset(k)
 	st.wSum = grow(st.wSum, n)
 	clear(st.wSum)
 	st.wCnt = grow(st.wCnt, n)

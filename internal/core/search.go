@@ -197,7 +197,7 @@ func (c *knnCursor) deliver(pg *sharedPage, shared bool) bool {
 	if shared {
 		// Another query's session paid the transfer; record a zero-cost
 		// shared read so trace totals still reconcile with session stats.
-		st.s.NoteShared(st.t.qFile, st.t.opt.QPageBlocks)
+		st.s.NoteShared(st.t.qFile, 1)
 		st.tr.AddShared(1)
 	}
 	if pg.bits == quantize.ExactBits {
@@ -264,9 +264,13 @@ type nnSearch struct {
 	wCnt      []int32        // per entry: admitted candidate count
 	exactSkip map[int32]bool // exact pages the ε stop left unloaded
 
-	// res holds the k best refined neighbors as a max-heap on distance.
-	res resHeap
-	ub  []float64 // max-heap of the k smallest upper bounds seen
+	// res holds the k best refined neighbors; its bound is the exact
+	// k-th distance found so far.
+	res vec.KNearest
+	// ub holds the k smallest upper bounds seen: at least k points lie
+	// within its bound, so anything farther can be discarded (VA-file
+	// style pruning, implied by the paper's b-sphere argument).
+	ub vec.KNearest
 
 	regionBuf []pagesched.Region
 
@@ -282,25 +286,9 @@ type exactPage struct {
 	ids []uint32
 }
 
-// nnDist is the exact kth-best distance found so far.
-func (st *nnSearch) nnDist() float64 {
-	if len(st.res) < st.k {
-		return math.Inf(1)
-	}
-	return st.res[0].Dist
-}
-
-// bound is the kth-smallest upper bound seen so far: at least k points lie
-// within it, so anything farther can be discarded (VA-file style pruning,
-// implied by the paper's b-sphere argument).
-func (st *nnSearch) bound() float64 {
-	if len(st.ub) < st.k {
-		return math.Inf(1)
-	}
-	return st.ub[0]
-}
-
-func (st *nnSearch) prune() float64 { return math.Min(st.nnDist(), st.bound()) }
+// prune is the search radius: nothing farther than the exact k-th
+// distance or the k-th smallest upper bound can enter the result.
+func (st *nnSearch) prune() float64 { return math.Min(st.res.Bound(), st.ub.Bound()) }
 
 // readDirectory is level 1 of every query: a sequential scan of the flat
 // directory (the extent the pinned epoch was published with — the file
@@ -346,10 +334,10 @@ func (st *nnSearch) start() bool {
 func (st *nnSearch) advance() (entry int, ok bool) {
 	for len(st.heap) > 0 && st.err == nil {
 		it := st.popItem()
-		if it.dist >= st.nnDist() {
+		if it.dist >= st.res.Bound() {
 			break // nothing left can improve the result set
 		}
-		if it.dist > st.bound() {
+		if it.dist > st.ub.Bound() {
 			continue // k closer points certainly exist
 		}
 		if it.pt >= 0 {
@@ -379,7 +367,7 @@ func (st *nnSearch) advance() (entry int, ok bool) {
 // before k refined results exist, so an approximate answer always holds
 // k genuine neighbors.
 func (st *nnSearch) approxSkipRefine(it pqItem) bool {
-	if st.eps <= 0 || len(st.res) < st.k {
+	if st.eps <= 0 || st.res.Len() < st.k {
 		return false
 	}
 	if _, cached := st.exactCache[it.entry]; cached {
@@ -562,8 +550,8 @@ func (st *nnSearch) degradedExact(entry int) {
 	met := t.opt.Metric
 	for i, p := range ep.pts {
 		d := met.Dist(st.q, p)
-		st.pushUB(d)
-		st.addResult(Neighbor{ID: ep.ids[i], Dist: d, Point: p})
+		st.ub.Offer(Neighbor{Dist: d})
+		st.res.Offer(Neighbor{ID: ep.ids[i], Dist: d, Point: p})
 	}
 }
 
@@ -606,8 +594,8 @@ func (st *nnSearch) processExact(payload []byte, count int) {
 	st.s.ChargeDistCPU(t.qFile, t.dim, len(pts))
 	for i, p := range pts {
 		d := met.Dist(st.q, p)
-		st.pushUB(d)
-		st.addResult(Neighbor{ID: ids[i], Dist: d, Point: p})
+		st.ub.Offer(Neighbor{Dist: d})
+		st.res.Offer(Neighbor{ID: ids[i], Dist: d, Point: p})
 	}
 }
 
@@ -628,21 +616,21 @@ func (st *nnSearch) processCodes(entry, count int, codes []uint32) {
 	// prune/bound only shrink while scanning the page, so thresholds
 	// cached here stay safe: a point abandoned against a stale (larger)
 	// threshold would be abandoned against the current one too. They are
-	// refreshed whenever pushUB actually changes the upper-bound heap.
+	// refreshed whenever an offer actually changes the upper-bound heap.
 	prune := st.prune()
-	bound := st.bound()
+	bound := st.ub.Bound()
 	lbT := kernel.SqThreshold(met, prune)
 	ubT := kernel.SqThreshold(met, bound)
 	for i := 0; i < count; i++ {
 		cs := codes[i*t.dim : (i+1)*t.dim]
 		lb, ubD, pruned := tb.BoundsPruned(cs, lbT, ubT)
 		if pruned {
-			// lb ≥ prune (no candidate) and ubD ≥ bound (pushUB no-op).
+			// lb ≥ prune (no candidate) and ubD ≥ bound (no-op offer).
 			continue
 		}
-		if st.pushUB(ubD) {
+		if st.ub.Offer(Neighbor{Dist: ubD}) {
 			prune = st.prune()
-			bound = st.bound()
+			bound = st.ub.Bound()
 			lbT = kernel.SqThreshold(met, prune)
 			ubT = kernel.SqThreshold(met, bound)
 		}
@@ -669,7 +657,7 @@ func (st *nnSearch) refine(it pqItem) {
 	}
 	p, id := ep.pts[it.pt], ep.ids[it.pt]
 	st.s.ChargeDistCPU(t.eFile, t.dim, 1)
-	st.addResult(Neighbor{ID: id, Dist: t.opt.Metric.Dist(st.q, p), Point: p})
+	st.res.Offer(Neighbor{ID: id, Dist: t.opt.Metric.Dist(st.q, p), Point: p})
 }
 
 // loadExact returns (loading and caching on first use) the decoded
@@ -695,22 +683,12 @@ func (st *nnSearch) loadExact(entry int32) (exactPage, error) {
 	return ep, nil
 }
 
-func (st *nnSearch) addResult(nb Neighbor) {
-	if nb.Dist >= st.nnDist() {
-		return
-	}
-	st.res.push(nb)
-	if len(st.res) > st.k {
-		st.res.pop()
-	}
-}
-
 // resultsInto pops the result heap into dst, reusing its backing array
 // and, where capacities allow, the per-neighbor Point backing arrays.
 // The result points may alias the scratch point arena, so they are
 // copied; a nil dst yields a fresh, caller-owned slice (nil when empty).
 func (st *nnSearch) resultsInto(dst []Neighbor) []Neighbor {
-	n := len(st.res)
+	n := st.res.Len()
 	if cap(dst) < n {
 		grown := make([]Neighbor, n)
 		copy(grown, dst[:cap(dst)])
@@ -718,7 +696,7 @@ func (st *nnSearch) resultsInto(dst []Neighbor) []Neighbor {
 	}
 	dst = dst[:n]
 	for i := n - 1; i >= 0; i-- {
-		nb := st.res.pop()
+		nb := st.res.Pop()
 		p := dst[i].Point
 		if cap(p) < len(nb.Point) {
 			p = make(vec.Point, len(nb.Point))
@@ -729,23 +707,6 @@ func (st *nnSearch) resultsInto(dst []Neighbor) []Neighbor {
 		dst[i] = nb
 	}
 	return dst
-}
-
-// pushUB records a candidate upper bound in the k-smallest-UB max-heap,
-// reporting whether the heap changed (i.e. whether the kth-smallest
-// upper bound may have moved).
-func (st *nnSearch) pushUB(ub float64) bool {
-	if len(st.ub) == st.k {
-		if ub >= st.ub[0] {
-			return false
-		}
-		st.ub[0] = ub
-		siftDownF(st.ub, 0)
-		return true
-	}
-	st.ub = append(st.ub, ub)
-	siftUpF(st.ub, len(st.ub)-1)
-	return true
 }
 
 // --- small specialized heaps (avoid container/heap interface boxing in
@@ -787,77 +748,4 @@ func (st *nnSearch) popItem() pqItem {
 		i = m
 	}
 	return top
-}
-
-// resHeap is a max-heap of neighbors by distance.
-type resHeap []Neighbor
-
-func (h *resHeap) push(nb Neighbor) {
-	*h = append(*h, nb)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].Dist >= a[i].Dist {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h *resHeap) pop() Neighbor {
-	a := *h
-	top := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	*h = a[:last]
-	a = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l].Dist > a[m].Dist {
-			m = l
-		}
-		if r < len(a) && a[r].Dist > a[m].Dist {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-	return top
-}
-
-// float max-heap helpers for the upper-bound heap.
-func siftUpF(a []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p] >= a[i] {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func siftDownF(a []float64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l] > a[m] {
-			m = l
-		}
-		if r < len(a) && a[r] > a[m] {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
 }

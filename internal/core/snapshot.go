@@ -85,7 +85,7 @@ func (sn *snapshot) livePages() int {
 }
 
 // appendEntry reserves a new directory entry with no physical page yet;
-// the caller's rewritePage assigns its first quantized page position.
+// the caller's writePage assigns its first quantized page position.
 func (sn *snapshot) appendEntry() int {
 	sn.entries = append(sn.entries, page.DirEntry{})
 	sn.grids = append(sn.grids, quantize.Grid{})

@@ -132,7 +132,7 @@ func (t *Tree) applyInsertBatch(s *store.Session, sn *snapshot, pts []vec.Point,
 // epoch. Nothing fallible sits between the WAL append and the publish,
 // so a buffered record always corresponds to a published epoch.
 func (t *Tree) finishMutation(sn *snapshot, op mutOp) (uint64, error) {
-	if err := t.rewriteDirectory(sn); err != nil {
+	if err := t.writeDirectory(sn); err != nil {
 		return 0, err
 	}
 	if err := t.sto.Err(); err != nil {
@@ -386,7 +386,7 @@ func (t *Tree) readPagePoints(s *store.Session, sn *snapshot, entry int) ([]vec.
 		return nil, nil, nil // empty (e.g. just-revived or appended) page: nothing to read
 	}
 	if e.Bits == quantize.ExactBits {
-		buf, err := s.Read(t.qFile, int(e.QPos)*t.opt.QPageBlocks, t.opt.QPageBlocks)
+		buf, err := s.Read(t.qFile, int(e.QPos), 1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -464,42 +464,25 @@ func (t *Tree) rewritePage(s *store.Session, sn *snapshot, entry int, pts []vec.
 	if bits <= 0 {
 		panic("core: rewritePage with non-fitting bits")
 	}
-	mbr := vec.MBROf(pts)
-	grid := quantize.NewGrid(mbr, bits)
 	e := &sn.entries[entry]
 	sn.clearOwner(int(e.QPos), entry)
-	e.Count = uint32(len(pts))
-	e.Bits = uint8(bits)
-	e.MBR = mbr
 	// Write failures are recorded as the store's sticky error; the public
 	// update entry points check Store.Err before publishing the epoch.
-	var qbuf []byte
-	if bits < quantize.ExactBits {
-		epos, eblocks, err := t.eFile.Append(page.MarshalExact(pts, ids))
-		if err == nil {
-			e.EPos = uint32(epos)
-			e.EBlocks = uint32(eblocks)
-		}
-		qbuf = page.MarshalQPage(grid, pts, nil, t.qPageBytes())
-	} else {
-		e.EPos, e.EBlocks = 0, 0
-		qbuf = page.MarshalQPage(grid, pts, ids, t.qPageBytes())
-	}
-	if bpos, _, err := t.qFile.Append(qbuf); err == nil {
-		e.QPos = uint32(bpos / t.opt.QPageBlocks)
+	grid, ok := t.writePage(t.qFile, t.eFile, e, pts, ids, bits)
+	if ok {
 		sn.setOwner(int(e.QPos), entry)
 	}
 	sn.grids[entry] = grid
-	// Write cost: one seek plus the page transfer(s), attributed to the
+	// Write cost: one seek plus the page transfer, attributed to the
 	// quantized file (the exact-page rewrite rides on the same pass).
-	s.ChargeWrite(t.qFile, 1, t.opt.QPageBlocks)
+	s.ChargeWrite(t.qFile, 1, 1)
 }
 
-// rewriteDirectory re-serializes the whole first-level directory (it is
-// small and scanned linearly anyway). The directory file only grows
-// between compactions, so snapshots pinned with a shorter extent keep
-// reading valid blocks.
-func (t *Tree) rewriteDirectory(sn *snapshot) error {
+// writeDirectory serializes the whole first-level directory (it is
+// small and scanned linearly anyway), then the superblock. The directory
+// file only grows between compactions, so snapshots pinned with a
+// shorter extent keep reading valid blocks.
+func (t *Tree) writeDirectory(sn *snapshot) error {
 	dirBuf := make([]byte, 0, len(sn.entries)*page.DirEntrySize(t.dim))
 	entryBuf := make([]byte, page.DirEntrySize(t.dim))
 	for i := range sn.entries {

@@ -39,8 +39,6 @@ type Model struct {
 	DataSpace vec.MBR
 	// DirEntryBytes is the size of one first-level directory entry.
 	DirEntryBytes int
-	// QPageBlocks is the fixed size of a quantized data page in blocks.
-	QPageBlocks int
 	// ExactBlocks is the number of blocks one exact-geometry look-up
 	// transfers (usually 1).
 	ExactBlocks int
@@ -72,9 +70,8 @@ type PageInfo struct {
 	Bits  int // quantization level g
 }
 
-// euclidean reports whether the model uses L2 volumes; every other metric
-// uses the L∞ (cube) volume formulas, which are exact for Maximum and an
-// upper bound otherwise.
+// euclidean reports whether the model uses L2 volumes; the maximum
+// metric uses the L∞ (cube) volume formulas.
 func (m *Model) euclidean() bool { return m.Metric == vec.Euclidean }
 
 // sideFloor returns a tiny positive floor for degenerate MBR sides,
@@ -234,9 +231,9 @@ func (m *Model) SecondLevelCost(n int) float64 {
 }
 
 // optimizedReadCost evaluates Eq. 21 numerically for k pages to load out
-// of n. The page transfer unit is one quantized page (QPageBlocks blocks).
+// of n. The page transfer unit is one quantized page (one block).
 func (m *Model) optimizedReadCost(n int, k float64) float64 {
-	tp := float64(m.QPageBlocks) * m.Disk.Xfer // transfer time of one page
+	tp := m.Disk.Xfer // transfer time of one page
 	if k >= float64(n) {
 		// Degenerates to a full scan of the second level.
 		return m.Disk.Seek + float64(n)*tp

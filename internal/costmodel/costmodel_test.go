@@ -24,7 +24,6 @@ func testModel(d int, met vec.Metric) *Model {
 		FractalDim:    float64(d),
 		DataSpace:     vec.MBR{Lo: lo, Hi: hi},
 		DirEntryBytes: 24 + 8*d,
-		QPageBlocks:   1,
 		ExactBlocks:   1,
 	}
 }
@@ -186,7 +185,7 @@ func TestSecondLevelCostBounds(t *testing.T) {
 		k := m.ExpectedPageAccesses(n)
 		// Never cheaper than reading k pages sequentially after one seek,
 		// never costlier than k random reads.
-		tp := float64(m.QPageBlocks) * m.Disk.Xfer
+		tp := m.Disk.Xfer
 		lo := m.Disk.Seek + k*tp
 		hi := k*(m.Disk.Seek+tp) + 1e-9
 		if c < lo-1e-9 || c > hi {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -38,9 +37,8 @@ func (x *stubIndex) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]v
 func (x *stubIndex) WindowQuery(s *store.Session, w vec.MBR) ([]vec.Neighbor, error) {
 	return x.answer(s)
 }
-func (x *stubIndex) Len() int                { return 1 }
-func (x *stubIndex) Dim() int                { return 2 }
-func (x *stubIndex) IndexStats() index.Stats { return index.Stats{Method: "stub"} }
+func (x *stubIndex) Len() int { return 1 }
+func (x *stubIndex) Dim() int { return 2 }
 
 // TestEnginePanicRecovery: a panicking query becomes Result.Err, the
 // batch still completes, the worker survives to serve later queries,

@@ -5,10 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/index"
 	"repro/internal/store"
 	"repro/internal/vafile"
-	"repro/internal/vec"
 )
 
 // AblationVABits regenerates the paper's manual VA-file tuning (Section
@@ -168,7 +166,7 @@ func AblationKNN(o RunOpts) (Figure, error) {
 	aware := Series{Label: "IQ-tree (k-aware model)"}
 	vaSeries := Series{Label: "VA-file"}
 	for _, k := range ks {
-		secs, _, err := measureK(baseStore, baseTree, queries, k)
+		secs, _, err := measure(baseStore, baseTree, queries, k)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -179,13 +177,13 @@ func AblationKNN(o RunOpts) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		if secs, _, err = measureK(kStore, kTree, queries, k); err != nil {
+		if secs, _, err = measure(kStore, kTree, queries, k); err != nil {
 			return Figure{}, err
 		}
 		aware.X = append(aware.X, float64(k))
 		aware.Y = append(aware.Y, secs)
 
-		if secs, _, err = measureK(vaStore, va, queries, k); err != nil {
+		if secs, _, err = measure(vaStore, va, queries, k); err != nil {
 			return Figure{}, err
 		}
 		vaSeries.X = append(vaSeries.X, float64(k))
@@ -245,19 +243,6 @@ func ModelValidation(o RunOpts) (Figure, error) {
 	}
 	fig.Series = []Series{predicted, measured}
 	return fig, nil
-}
-
-// measureK is measure with an explicit k.
-func measureK(sto *store.Store, idx index.Index, queries []vec.Point, k int) (float64, store.Stats, error) {
-	var agg store.Stats
-	for _, q := range queries {
-		s := sto.NewSession()
-		if _, err := idx.KNN(s, q, k); err != nil {
-			return 0, store.Stats{}, err
-		}
-		agg.Add(s.Stats)
-	}
-	return agg.Time(sto.Config()) / float64(len(queries)), agg, nil
 }
 
 // AblationFixedBits compares the IQ-tree's optimal per-page quantization

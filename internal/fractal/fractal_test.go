@@ -248,7 +248,7 @@ func assertSameEstimate(t *testing.T, label string, pts []vec.Point, met vec.Met
 	}
 }
 
-var allMetrics = []vec.Metric{vec.Euclidean, vec.Maximum, vec.Manhattan}
+var allMetrics = []vec.Metric{vec.Euclidean, vec.Maximum}
 
 var allDatasets = []dataset.Name{dataset.Uniform, dataset.CAD, dataset.Color, dataset.Weather}
 

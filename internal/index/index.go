@@ -4,7 +4,8 @@
 // same exact similarity queries over the same block store; this package
 // names that shared surface so serving layers (internal/engine) and
 // harnesses (internal/experiments) can drive any of them through one
-// interface instead of four concrete types.
+// interface instead of four concrete types. The contract is the three
+// queries (KNN, RangeSearch, WindowQuery) plus Len and Dim.
 //
 // The package depends only on store and vec — it sits below every access
 // method, so all of them can implement it without import cycles.
@@ -34,8 +35,6 @@ type Index interface {
 	Len() int
 	// Dim returns the dimensionality of the indexed points.
 	Dim() int
-	// IndexStats summarizes the physical shape of the index.
-	IndexStats() Stats
 }
 
 // ApproxSearcher is implemented by access methods whose KNN search can
@@ -58,14 +57,4 @@ type ApproxSearcher interface {
 	// by increasing distance — but up to an ε-probability fraction of the
 	// exact top-k may be substituted by farther neighbors.
 	KNNApprox(s *store.Session, q vec.Point, k int, minRecall float64) ([]vec.Neighbor, error)
-}
-
-// Stats is the cross-method physical summary every Index reports; the
-// concrete methods expose richer method-specific statistics alongside.
-type Stats struct {
-	Method string // human-readable method name
-	Points int    // indexed points
-	Dim    int    // dimensionality
-	Pages  int    // method's unit of storage: data pages, leaves, ...
-	Bytes  int    // total bytes across the method's files
 }

@@ -55,7 +55,7 @@ type Tables struct {
 
 	// Table path: tab[(i<<bits|c)*2] is the minimum and
 	// tab[(i<<bits|c)*2+1] the maximum axis contribution of cell c along
-	// dimension i — squared for the Euclidean metric, raw otherwise —
+	// dimension i — squared for the Euclidean metric, raw for L∞ —
 	// exactly as Grid.MinDist/MaxDist would accumulate them.
 	tab []float64
 
@@ -231,19 +231,11 @@ func (t *Tables) MinDistPruned(codes []uint32, lbT float64) (lb float64, pruned 
 				return 0, true
 			}
 		}
-	case t.met == vec.Euclidean:
+	default: // vec.Euclidean
 		for i, c := range codes {
 			lo, hi := t.cellSpan(i, c)
 			v := axisDist(t.q[i], lo, hi)
 			sl += v * v
-			if sl >= lbT {
-				return 0, true
-			}
-		}
-	default:
-		for i, c := range codes {
-			lo, hi := t.cellSpan(i, c)
-			sl += axisDist(t.q[i], lo, hi)
 			if sl >= lbT {
 				return 0, true
 			}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/vec"
 )
 
-var metrics = []vec.Metric{vec.Euclidean, vec.Maximum, vec.Manhattan}
+var metrics = []vec.Metric{vec.Euclidean, vec.Maximum}
 
 // randGrid builds a random grid over dim dimensions; roughly one in
 // three grids gets at least one degenerate (zero-extent) dimension.
@@ -168,7 +168,7 @@ func TestSqThreshold(t *testing.T) {
 	if !math.IsInf(SqThreshold(vec.Euclidean, math.Inf(1)), 1) {
 		t.Fatal("SqThreshold(+Inf) must stay +Inf")
 	}
-	if got := SqThreshold(vec.Manhattan, 3.5); got != 3.5 {
+	if got := SqThreshold(vec.Maximum, 3.5); got != 3.5 {
 		t.Fatalf("non-Euclidean threshold must pass through, got %v", got)
 	}
 }

@@ -32,10 +32,9 @@ func TestBatchAllProperties(t *testing.T) {
 			}
 		}
 		s := &Scheduler{
-			Cfg:        store.Config{BlockSize: 4096, Seek: 0.005 + rng.Float64()*0.02, Xfer: 0.0005 + rng.Float64()*0.002},
-			PageBlocks: 1 + rng.Intn(4),
-			NumPages:   numPages,
-			Prob:       func(pos int) float64 { return probs[pos] },
+			Cfg:      store.Config{BlockSize: 4096, Seek: 0.005 + rng.Float64()*0.02, Xfer: 0.0005 + rng.Float64()*0.002},
+			NumPages: numPages,
+			Prob:     func(pos int) float64 { return probs[pos] },
 		}
 		nw := 1 + rng.Intn(20)
 		wants := make([]int, nw)
@@ -92,10 +91,9 @@ func TestBatchAllSingleWantDegeneratesToBatch(t *testing.T) {
 			probs[i] = rng.Float64()
 		}
 		s := &Scheduler{
-			Cfg:        store.Config{BlockSize: 4096, Seek: 0.01, Xfer: 0.001},
-			PageBlocks: 1 + rng.Intn(3),
-			NumPages:   numPages,
-			Prob:       func(pos int) float64 { return probs[pos] },
+			Cfg:      store.Config{BlockSize: 4096, Seek: 0.01, Xfer: 0.001},
+			NumPages: numPages,
+			Prob:     func(pos int) float64 { return probs[pos] },
 		}
 		pivot := rng.Intn(numPages)
 		first, last := s.Batch(pivot)
@@ -116,7 +114,6 @@ func TestBatchAllKnownSetMatchesPlanKnownSet(t *testing.T) {
 	def := store.DefaultConfig()
 	for trial := 0; trial < 1000; trial++ {
 		numPages := 1 + rng.Intn(300)
-		pageBlocks := 1 + rng.Intn(4)
 		cfg := def
 		cfg.Seek = def.Seek * (0.25 + rng.Float64()*2)
 		cfg.Xfer = def.Xfer * (0.25 + rng.Float64()*2)
@@ -126,13 +123,12 @@ func TestBatchAllKnownSetMatchesPlanKnownSet(t *testing.T) {
 			if rng.Intn(1+rng.Intn(30)) == 0 {
 				want[pos] = true
 				wants = append(wants, pos)
-				blocks = append(blocks, pos*pageBlocks)
+				blocks = append(blocks, pos)
 			}
 		}
 		s := &Scheduler{
-			Cfg:        cfg,
-			PageBlocks: pageBlocks,
-			NumPages:   numPages,
+			Cfg:      cfg,
+			NumPages: numPages,
 			Prob: func(pos int) float64 {
 				if want[pos] {
 					return 1
@@ -141,12 +137,12 @@ func TestBatchAllKnownSetMatchesPlanKnownSet(t *testing.T) {
 			},
 		}
 		spans := s.BatchAll(nil, wants)
-		runs := PlanKnownSet(blocks, pageBlocks, cfg)
+		runs := PlanKnownSet(blocks, 1, cfg)
 		if len(spans) != len(runs) {
 			t.Fatalf("trial %d: BatchAll %+v, PlanKnownSet %+v", trial, spans, runs)
 		}
 		for i, r := range runs {
-			if spans[i].First*pageBlocks != r.Pos || (spans[i].Last-spans[i].First+1)*pageBlocks != r.Blocks {
+			if spans[i].First != r.Pos || spans[i].Last-spans[i].First+1 != r.Blocks {
 				t.Fatalf("trial %d span %d: BatchAll %+v, PlanKnownSet %+v", trial, i, spans, runs)
 			}
 		}

@@ -217,13 +217,11 @@ func growF(s []float64, n int) []float64 {
 }
 
 // Scheduler computes the read batches of the time-optimized
-// nearest-neighbor algorithm. Pages are fixed-size and laid out
-// consecutively: page i starts at block i·PageBlocks.
+// nearest-neighbor algorithm. Pages are one block each and laid out
+// consecutively: page i is block i.
 type Scheduler struct {
 	// Cfg holds the disk parameters.
 	Cfg store.Config
-	// PageBlocks is the size of one page in blocks.
-	PageBlocks int
 	// NumPages is the number of pages in the file.
 	NumPages int
 	// Prob returns the access probability of the page at position pos;
@@ -240,7 +238,7 @@ type Scheduler struct {
 // committing the extension whenever the balance goes negative, and giving
 // up in a direction once the balance exceeds the seek cost.
 func (s *Scheduler) Batch(pivot int) (first, last int) {
-	txfer := float64(s.PageBlocks) * s.Cfg.Xfer
+	txfer := s.Cfg.Xfer
 	first, last = pivot, pivot
 
 	ccb := 0.0

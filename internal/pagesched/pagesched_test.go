@@ -259,10 +259,9 @@ func TestAccessProbabilityMonotonicity(t *testing.T) {
 
 func TestSchedulerBatchPivotOnly(t *testing.T) {
 	s := &Scheduler{
-		Cfg:        testCfg(),
-		PageBlocks: 1,
-		NumPages:   100,
-		Prob:       func(pos int) float64 { return 0 }, // nothing else worth reading
+		Cfg:      testCfg(),
+		NumPages: 100,
+		Prob:     func(pos int) float64 { return 0 }, // nothing else worth reading
 	}
 	first, last := s.Batch(50)
 	if first != 50 || last != 50 {
@@ -273,9 +272,8 @@ func TestSchedulerBatchPivotOnly(t *testing.T) {
 func TestSchedulerBatchExtendsTowardProbablePages(t *testing.T) {
 	probs := map[int]float64{51: 1, 52: 1, 49: 1}
 	s := &Scheduler{
-		Cfg:        testCfg(),
-		PageBlocks: 1,
-		NumPages:   100,
+		Cfg:      testCfg(),
+		NumPages: 100,
 		Prob: func(pos int) float64 {
 			return probs[pos]
 		},
@@ -290,9 +288,8 @@ func TestSchedulerBatchOverreadsCheapGaps(t *testing.T) {
 	// A certain page 5 positions away: the 4-block gap costs 4·Xfer,
 	// far less than a seek, so it must be included.
 	s := &Scheduler{
-		Cfg:        testCfg(),
-		PageBlocks: 1,
-		NumPages:   100,
+		Cfg:      testCfg(),
+		NumPages: 100,
 		Prob: func(pos int) float64 {
 			if pos == 55 {
 				return 1
@@ -319,10 +316,9 @@ func TestSchedulerBatchOverreadsCheapGaps(t *testing.T) {
 
 func TestSchedulerBatchStopsAtFileBounds(t *testing.T) {
 	s := &Scheduler{
-		Cfg:        testCfg(),
-		PageBlocks: 1,
-		NumPages:   4,
-		Prob:       func(pos int) float64 { return 1 },
+		Cfg:      testCfg(),
+		NumPages: 4,
+		Prob:     func(pos int) float64 { return 1 },
 	}
 	first, last := s.Batch(0)
 	if first != 0 || last != 3 {
@@ -342,10 +338,9 @@ func TestSchedulerBatchQuick(t *testing.T) {
 			probs[i] = r.Float64()
 		}
 		s := &Scheduler{
-			Cfg:        testCfg(),
-			PageBlocks: 1,
-			NumPages:   n,
-			Prob:       func(pos int) float64 { return probs[pos] },
+			Cfg:      testCfg(),
+			NumPages: n,
+			Prob:     func(pos int) float64 { return probs[pos] },
 		}
 		first, last := s.Batch(pivot)
 		return first >= 0 && last < n && first <= pivot && pivot <= last

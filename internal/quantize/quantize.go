@@ -147,13 +147,6 @@ func (g Grid) MinDist(q vec.Point, cells []uint32, met vec.Metric) float64 {
 			}
 		}
 		return s
-	case vec.Manhattan:
-		var s float64
-		for i, v := range q {
-			lo, hi := g.CellBounds(i, cells[i])
-			s += axisDist(float64(v), lo, hi)
-		}
-		return s
 	default:
 		panic("quantize: unknown metric")
 	}
@@ -178,13 +171,6 @@ func (g Grid) MaxDist(q vec.Point, cells []uint32, met vec.Metric) float64 {
 			if dd := axisFar(float64(v), lo, hi); dd > s {
 				s = dd
 			}
-		}
-		return s
-	case vec.Manhattan:
-		var s float64
-		for i, v := range q {
-			lo, hi := g.CellBounds(i, cells[i])
-			s += axisFar(float64(v), lo, hi)
 		}
 		return s
 	default:

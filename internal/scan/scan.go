@@ -6,8 +6,8 @@ package scan
 
 import (
 	"errors"
+	"sort"
 
-	"repro/internal/index"
 	"repro/internal/page"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -54,18 +54,6 @@ func (sc *Scan) Len() int { return sc.n }
 // Dim returns the dimensionality.
 func (sc *Scan) Dim() int { return sc.dim }
 
-// IndexStats implements index.Index with the common cross-method shape
-// summary.
-func (sc *Scan) IndexStats() index.Stats {
-	return index.Stats{
-		Method: "Scan",
-		Points: sc.n,
-		Dim:    sc.dim,
-		Pages:  sc.file.Blocks(),
-		Bytes:  sc.file.Bytes(),
-	}
-}
-
 // KNN returns the k nearest neighbors of q by scanning the whole file.
 func (sc *Scan) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error) {
 	if k <= 0 {
@@ -74,26 +62,17 @@ func (sc *Scan) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error
 	if k > sc.n {
 		k = sc.n
 	}
-	var res resHeap
+	var res vec.KNearest
+	res.Reset(k)
 	if err := sc.scanAll(s, func(p vec.Point, id uint32) {
-		d := sc.metric.Dist(q, p)
-		if len(res) < k {
-			res.push(vec.Neighbor{ID: id, Dist: d, Point: p})
-		} else if d < res[0].Dist {
-			res[0] = vec.Neighbor{ID: id, Dist: d, Point: p}
-			res.fix()
-		}
+		res.Offer(vec.Neighbor{ID: id, Dist: sc.metric.Dist(q, p), Point: p})
 	}); err != nil {
 		return nil, err
 	}
-	out := make([]vec.Neighbor, len(res))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = res.pop()
-	}
-	return out, nil
+	return res.Sorted(), nil
 }
 
-// RangeSearch returns all points within eps of q, in file order.
+// RangeSearch returns all points within eps of q, ordered by distance.
 func (sc *Scan) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.Neighbor, error) {
 	var out []vec.Neighbor
 	if err := sc.scanAll(s, func(p vec.Point, id uint32) {
@@ -103,6 +82,7 @@ func (sc *Scan) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.N
 	}); err != nil {
 		return nil, err
 	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
 	return out, nil
 }
 
@@ -122,52 +102,6 @@ func (sc *Scan) scanAll(s *store.Session, fn func(vec.Point, uint32)) error {
 		fn(p, id)
 	}
 	return nil
-}
-
-// resHeap is a max-heap of neighbors by distance.
-type resHeap []vec.Neighbor
-
-func (h *resHeap) push(nb vec.Neighbor) {
-	*h = append(*h, nb)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].Dist >= a[i].Dist {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h *resHeap) fix() {
-	a := *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l].Dist > a[m].Dist {
-			m = l
-		}
-		if r < len(a) && a[r].Dist > a[m].Dist {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-}
-
-func (h *resHeap) pop() vec.Neighbor {
-	a := *h
-	top := a[0]
-	a[0] = a[len(a)-1]
-	*h = a[:len(a)-1]
-	h.fix()
-	return top
 }
 
 // WindowQuery returns all points inside the query window w, in file

@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/index"
 	"repro/internal/kernel"
 	"repro/internal/page"
 	"repro/internal/quantize"
@@ -128,18 +127,6 @@ func (v *VAFile) Dim() int { return v.dim }
 // Bits returns the bits per dimension.
 func (v *VAFile) Bits() int { return v.opt.Bits }
 
-// IndexStats implements index.Index with the common cross-method shape
-// summary.
-func (v *VAFile) IndexStats() index.Stats {
-	return index.Stats{
-		Method: "VA-file",
-		Points: v.n,
-		Dim:    v.dim,
-		Pages:  v.aFile.Blocks(),
-		Bytes:  v.aFile.Bytes() + v.eFile.Bytes(),
-	}
-}
-
 // computeBounds derives the per-dimension cell boundaries.
 func (v *VAFile) computeBounds(pts []vec.Point) {
 	cells := 1 << uint(v.opt.Bits)
@@ -220,7 +207,7 @@ func (v *VAFile) lowerUpper(q vec.Point, cells []uint32) (lb, ub float64) {
 			u += du * du
 		}
 		return math.Sqrt(l), math.Sqrt(u)
-	case vec.Maximum:
+	default: // vec.Maximum
 		var l, u float64
 		for j := 0; j < v.dim; j++ {
 			clo, chi := v.cellBounds(j, cells[j])
@@ -230,14 +217,6 @@ func (v *VAFile) lowerUpper(q vec.Point, cells []uint32) (lb, ub float64) {
 			if du := axisFar(float64(q[j]), clo, chi); du > u {
 				u = du
 			}
-		}
-		return l, u
-	default:
-		var l, u float64
-		for j := 0; j < v.dim; j++ {
-			clo, chi := v.cellBounds(j, cells[j])
-			l += axisDist(float64(q[j]), clo, chi)
-			u += axisFar(float64(q[j]), clo, chi)
 		}
 		return l, u
 	}
@@ -259,7 +238,7 @@ func axisFar(v, lo, hi float64) float64 {
 }
 
 // distTables holds, per dimension and cell, the squared (Euclidean) or raw
-// (other metrics) lower/upper distance contribution of that cell for a
+// (maximum metric) lower/upper distance contribution of that cell for a
 // fixed query point — the classic VA-file trick that turns the per-point
 // bound computation into d table look-ups.
 type distTables struct {
@@ -304,18 +283,12 @@ func (dt *distTables) bounds(cells []uint32) (lb, ub float64) {
 			}
 		}
 		return lb, ub
-	case vec.Euclidean:
+	default: // vec.Euclidean
 		for j, c := range cells {
 			lb += dt.dl[j][c]
 			ub += dt.du[j][c]
 		}
 		return math.Sqrt(lb), math.Sqrt(ub)
-	default:
-		for j, c := range cells {
-			lb += dt.dl[j][c]
-			ub += dt.du[j][c]
-		}
-		return lb, ub
 	}
 }
 
@@ -344,33 +317,20 @@ func (v *VAFile) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, erro
 	s.ChargeApproxCPU(v.aFile, v.dim, v.n)
 	dt := v.buildTables(q)
 
-	ubHeap := make([]float64, 0, k) // max-heap of k smallest upper bounds
+	var ubs vec.KNearest // the k smallest upper bounds
+	ubs.Reset(k)
 	var cands []candidate
 	v.chunks(buf, func(i int, cells []uint32) {
 		lb, ub := dt.bounds(cells)
-		bound := math.Inf(1)
-		if len(ubHeap) == k {
-			bound = ubHeap[0]
-		}
-		if lb <= bound {
+		if lb <= ubs.Bound() {
 			cands = append(cands, candidate{idx: i, lb: lb})
 		}
-		if len(ubHeap) < k {
-			ubHeap = append(ubHeap, ub)
-			siftUpF(ubHeap, len(ubHeap)-1)
-		} else if ub < ubHeap[0] {
-			ubHeap[0] = ub
-			siftDownF(ubHeap, 0)
-		}
+		ubs.Offer(vec.Neighbor{Dist: ub})
 	})
-	bound := math.Inf(1)
-	if len(ubHeap) == k {
-		bound = ubHeap[0]
-	}
 	// Drop candidates admitted before the bound tightened.
 	kept := cands[:0]
 	for _, c := range cands {
-		if c.lb <= bound {
+		if c.lb <= ubs.Bound() {
 			kept = append(kept, c)
 		}
 	}
@@ -379,10 +339,11 @@ func (v *VAFile) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, erro
 	tr.AddCandidates(len(kept))
 
 	// Phase 2: visit candidates in lower-bound order.
-	var res resHeap
+	var res vec.KNearest
+	res.Reset(k)
 	entrySize := page.ExactEntrySize(v.dim)
 	for _, c := range kept {
-		if len(res) == k && c.lb >= res[0].Dist {
+		if c.lb >= res.Bound() {
 			break
 		}
 		raw, rel, err := s.ReadRange(v.eFile, c.idx*entrySize, entrySize)
@@ -392,19 +353,9 @@ func (v *VAFile) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, erro
 		p, id := page.UnmarshalExactEntry(raw[rel:], v.dim)
 		tr.AddRefinement(1)
 		s.ChargeDistCPU(v.eFile, v.dim, 1)
-		d := v.opt.Metric.Dist(q, p)
-		if len(res) < k {
-			res.push(vec.Neighbor{ID: id, Dist: d, Point: p})
-		} else if d < res[0].Dist {
-			res[0] = vec.Neighbor{ID: id, Dist: d, Point: p}
-			res.fix()
-		}
+		res.Offer(vec.Neighbor{ID: id, Dist: v.opt.Metric.Dist(q, p), Point: p})
 	}
-	out := make([]vec.Neighbor, len(res))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = res.pop()
-	}
-	return out, nil
+	return res.Sorted(), nil
 }
 
 // RangeSearch returns all points within eps of q.
@@ -445,82 +396,6 @@ func (v *VAFile) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
 	return out, nil
-}
-
-// --- heaps (shared shape with the other access methods) ---
-
-type resHeap []vec.Neighbor
-
-func (h *resHeap) push(nb vec.Neighbor) {
-	*h = append(*h, nb)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].Dist >= a[i].Dist {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h *resHeap) fix() {
-	a := *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l].Dist > a[m].Dist {
-			m = l
-		}
-		if r < len(a) && a[r].Dist > a[m].Dist {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-}
-
-func (h *resHeap) pop() vec.Neighbor {
-	a := *h
-	top := a[0]
-	a[0] = a[len(a)-1]
-	*h = a[:len(a)-1]
-	h.fix()
-	return top
-}
-
-func siftUpF(a []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p] >= a[i] {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func siftDownF(a []float64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l] > a[m] {
-			m = l
-		}
-		if r < len(a) && a[r] > a[m] {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
 }
 
 // WindowQuery returns all points inside the query window w. The

@@ -195,7 +195,7 @@ func TestMoreBitsShrinkCandidateSet(t *testing.T) {
 func TestLowerUpperAgreesWithTables(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	pts := randPoints(r, 500, 7)
-	for _, met := range []vec.Metric{vec.Euclidean, vec.Maximum, vec.Manhattan} {
+	for _, met := range []vec.Metric{vec.Euclidean, vec.Maximum} {
 		sto := store.NewSim(store.DefaultConfig())
 		v := mustBuild(t, sto, pts, Options{Metric: met, Bits: 4})
 		q := randPoints(r, 1, 7)[0]

@@ -155,12 +155,6 @@ func (m MBR) MinDist(q Point, met Metric) float64 {
 			d = math.Max(d, axisDist(v, m.Lo[i], m.Hi[i]))
 		}
 		return d
-	case Manhattan:
-		var d float64
-		for i, v := range q {
-			d += axisDist(v, m.Lo[i], m.Hi[i])
-		}
-		return d
 	default:
 		panic(fmt.Sprintf("vec: unknown metric %d", int(met)))
 	}
@@ -191,12 +185,6 @@ func (m MBR) MaxDist(q Point, met Metric) float64 {
 		var d float64
 		for i, v := range q {
 			d = math.Max(d, axisFarDist(v, m.Lo[i], m.Hi[i]))
-		}
-		return d
-	case Manhattan:
-		var d float64
-		for i, v := range q {
-			d += axisFarDist(v, m.Lo[i], m.Hi[i])
 		}
 		return d
 	default:

@@ -44,9 +44,8 @@ type Neighbor struct {
 	Point Point
 }
 
-// Metric identifies a distance metric. The cost model and the search
-// algorithms support the Euclidean and maximum metrics from the paper,
-// plus the Manhattan metric for completeness.
+// Metric identifies a distance metric: the Euclidean and maximum
+// metrics for which the paper states its cost model (Eq. 8–12).
 type Metric int
 
 const (
@@ -54,8 +53,6 @@ const (
 	Euclidean Metric = iota
 	// Maximum is the L∞ (Chebyshev) metric.
 	Maximum
-	// Manhattan is the L1 metric.
-	Manhattan
 )
 
 // String returns the conventional name of the metric.
@@ -65,8 +62,6 @@ func (m Metric) String() string {
 		return "L2"
 	case Maximum:
 		return "Lmax"
-	case Manhattan:
-		return "L1"
 	default:
 		return fmt.Sprintf("Metric(%d)", int(m))
 	}
@@ -87,12 +82,6 @@ func (m Metric) Dist(p, q Point) float64 {
 			if v := math.Abs(float64(p[i]) - float64(q[i])); v > d {
 				d = v
 			}
-		}
-		return d
-	case Manhattan:
-		var d float64
-		for i := range p {
-			d += math.Abs(float64(p[i]) - float64(q[i]))
 		}
 		return d
 	default:

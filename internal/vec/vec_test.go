@@ -16,7 +16,7 @@ func randPoint(r *rand.Rand, d int) Point {
 }
 
 func TestMetricString(t *testing.T) {
-	cases := map[Metric]string{Euclidean: "L2", Maximum: "Lmax", Manhattan: "L1", Metric(9): "Metric(9)"}
+	cases := map[Metric]string{Euclidean: "L2", Maximum: "Lmax", Metric(9): "Metric(9)"}
 	for m, want := range cases {
 		if got := m.String(); got != want {
 			t.Errorf("Metric(%d).String() = %q, want %q", int(m), got, want)
@@ -33,9 +33,6 @@ func TestDistKnownValues(t *testing.T) {
 	if d := Maximum.Dist(p, q); math.Abs(d-4) > 1e-9 {
 		t.Errorf("Lmax = %f, want 4", d)
 	}
-	if d := Manhattan.Dist(p, q); math.Abs(d-7) > 1e-9 {
-		t.Errorf("L1 = %f, want 7", d)
-	}
 }
 
 func TestDistDimensionMismatchPanics(t *testing.T) {
@@ -51,7 +48,7 @@ func TestDistDimensionMismatchPanics(t *testing.T) {
 // inequality on random points.
 func TestMetricAxioms(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, met := range []Metric{Euclidean, Maximum, Manhattan} {
+	for _, met := range []Metric{Euclidean, Maximum} {
 		for trial := 0; trial < 300; trial++ {
 			d := 1 + r.Intn(12)
 			a, b, c := randPoint(r, d), randPoint(r, d), randPoint(r, d)
@@ -68,15 +65,14 @@ func TestMetricAxioms(t *testing.T) {
 	}
 }
 
-// Property: Lmax ≤ L2 ≤ L1 for any pair of points.
+// Property: Lmax ≤ L2 for any pair of points.
 func TestMetricOrdering(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz float32) bool {
 		a := Point{ax, ay, az}
 		b := Point{bx, by, bz}
 		lmax := Maximum.Dist(a, b)
 		l2 := Euclidean.Dist(a, b)
-		l1 := Manhattan.Dist(a, b)
-		return lmax <= l2+1e-6 && l2 <= l1+1e-6
+		return lmax <= l2+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -133,7 +129,7 @@ func TestMBRDistanceProperties(t *testing.T) {
 		}
 		m := MBROf(pts)
 		q := randPoint(r, d)
-		for _, met := range []Metric{Euclidean, Maximum, Manhattan} {
+		for _, met := range []Metric{Euclidean, Maximum} {
 			minD := m.MinDist(q, met)
 			maxD := m.MaxDist(q, met)
 			if minD > maxD+1e-9 {

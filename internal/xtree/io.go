@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 
-	"repro/internal/index"
 	"repro/internal/page"
 	"repro/internal/vec"
 )
@@ -135,17 +134,4 @@ func (t *Tree) Stats() TreeStats {
 	}
 	walk(t.root)
 	return st
-}
-
-// IndexStats implements index.Index with the common cross-method shape
-// summary.
-func (t *Tree) IndexStats() index.Stats {
-	st := t.Stats()
-	return index.Stats{
-		Method: "X-tree",
-		Points: st.Points,
-		Dim:    t.dim,
-		Pages:  st.Leaves,
-		Bytes:  st.TotalBytes,
-	}
 }

@@ -2,7 +2,6 @@ package xtree
 
 import (
 	"errors"
-	"math"
 	"sort"
 
 	"repro/internal/store"
@@ -33,16 +32,11 @@ func (t *Tree) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error)
 	tr := s.Trace()
 	var pq nodeHeap
 	pq.push(nodeItem{dist: t.root.mbr.MinDist(q, met), n: t.root})
-	var res resHeap
-	prune := func() float64 {
-		if len(res) < k {
-			return math.Inf(1)
-		}
-		return res[0].Dist
-	}
+	var res vec.KNearest
+	res.Reset(k)
 	for len(pq.items) > 0 {
 		it := pq.pop()
-		if it.dist >= prune() {
+		if it.dist >= res.Bound() {
 			break
 		}
 		buf, err := s.Read(t.file, it.n.pos, it.n.blocks)
@@ -55,28 +49,18 @@ func (t *Tree) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error)
 			tr.AddCandidates(len(pts))
 			s.ChargeDistCPU(t.file, t.dim, len(pts))
 			for i, p := range pts {
-				d := met.Dist(q, p)
-				if len(res) < k {
-					res.push(vec.Neighbor{ID: ids[i], Dist: d, Point: p})
-				} else if d < res[0].Dist {
-					res[0] = vec.Neighbor{ID: ids[i], Dist: d, Point: p}
-					res.fix()
-				}
+				res.Offer(vec.Neighbor{ID: ids[i], Dist: met.Dist(q, p), Point: p})
 			}
 			continue
 		}
 		s.ChargeApproxCPU(t.file, t.dim, len(it.n.children))
 		for _, c := range it.n.children {
-			if d := c.mbr.MinDist(q, met); d < prune() {
+			if d := c.mbr.MinDist(q, met); d < res.Bound() {
 				pq.push(nodeItem{dist: d, n: c})
 			}
 		}
 	}
-	out := make([]vec.Neighbor, len(res))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = res.pop()
-	}
-	return out, nil
+	return res.Sorted(), nil
 }
 
 // RangeSearch returns all points within eps of q, ordered by distance.
@@ -168,51 +152,6 @@ func (h *nodeHeap) pop() nodeItem {
 		a[i], a[m] = a[m], a[i]
 		i = m
 	}
-	return top
-}
-
-type resHeap []vec.Neighbor
-
-func (h *resHeap) push(nb vec.Neighbor) {
-	*h = append(*h, nb)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].Dist >= a[i].Dist {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h *resHeap) fix() {
-	a := *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a) && a[l].Dist > a[m].Dist {
-			m = l
-		}
-		if r < len(a) && a[r].Dist > a[m].Dist {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-}
-
-func (h *resHeap) pop() vec.Neighbor {
-	a := *h
-	top := a[0]
-	a[0] = a[len(a)-1]
-	*h = a[:len(a)-1]
-	h.fix()
 	return top
 }
 

@@ -67,7 +67,6 @@ type Metric = vec.Metric
 const (
 	Euclidean = vec.Euclidean
 	Maximum   = vec.Maximum
-	Manhattan = vec.Manhattan
 )
 
 // MBROf computes the minimum bounding rectangle of a point set.
@@ -232,9 +231,6 @@ func FractalDimension(pts []Point, met Metric) float64 {
 // IQ-tree, X-tree, VA-file and Scan all implement it, so serving code
 // can be written once against the interface.
 type Index = index.Index
-
-// IndexStats is the cross-method physical summary every Index reports.
-type IndexStats = index.Stats
 
 // ApproxSearcher is implemented by indexes supporting approximate KNN
 // (the IQ-tree): KNNApprox takes a recall target minRecall ∈ [0, 1] and

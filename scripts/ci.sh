@@ -5,6 +5,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Scratch files live in a private directory, so two runs cannot
+# overwrite each other's output.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -50,8 +55,8 @@ echo "== figures golden =="
 # The simulated-time figure series are deterministic: any change to
 # planning, page accounting or refinement cost shows up as a diff against
 # the committed CI-scale golden.
-go run ./cmd/iqbench -fig all -scale 0.02 -queries 10 -csv /tmp/f.csv > /dev/null
-cmp /tmp/f.csv results/figures_ci.csv
+go run ./cmd/iqbench -fig all -scale 0.02 -queries 10 -csv "$tmp/f.csv" > /dev/null
+cmp "$tmp/f.csv" results/figures_ci.csv
 
 echo "== fuzz seed corpus =="
 # The bit-flip corpus must keep passing in normal runs: a single flipped
