@@ -149,8 +149,7 @@ func runShards(o experiments.RunOpts) (experiments.Figure, error) {
 }
 
 // chaosConfig builds the chaos fleet configuration over checksummed
-// stores, with the repairer tuned tight enough that MTTR is dominated by
-// the rebuild itself, not the probe cadence.
+// stores.
 func chaosConfig(shards, workers int, selfHeal bool, reg *obs.Registry,
 	stores map[[2]int]*store.Store) shard.Config {
 	return shard.Config{
@@ -158,10 +157,6 @@ func chaosConfig(shards, workers int, selfHeal bool, reg *obs.Registry,
 		Replicas: chaosReplicas,
 		Workers:  workers,
 		SelfHeal: selfHeal,
-		Heal: shard.HealConfig{
-			Interval:     5 * time.Millisecond,
-			ProbeBackoff: 25 * time.Millisecond,
-		},
 		Registry: reg,
 		NewStore: func(si, ri int) (*store.Store, error) {
 			sto := store.NewSim(store.DefaultConfig())

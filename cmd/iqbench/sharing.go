@@ -17,12 +17,12 @@ var sharingClients = []int{1, 2, 4, 8, 16, 32, 64}
 // runSharing benchmarks cross-query scan sharing: a clustered query
 // workload (concurrent clients hitting overlapping hot regions) is pushed
 // through the scan-sharing coordinator and the share-nothing worker pool
-// at each client count. The client count is both the pool's worker count
-// and the coordinator's share window, so the two modes model the same
-// number of concurrently executing queries. QPS divides the batch size by
-// the simulated makespan; queries/page is page serves over page fetches
-// — how many queries each fetched page fed on average (1.0 = no
-// sharing).
+// at each client count. The client count is the worker count of both
+// engines: the pool's workers and the queries the coordinator keeps in
+// flight, so the two modes model the same number of concurrently
+// executing queries. QPS divides the batch size by the simulated
+// makespan; queries/page is page serves over page fetches — how many
+// queries each fetched page fed on average (1.0 = no sharing).
 func runSharing(o experiments.RunOpts) (experiments.Figure, error) {
 	n := max(2000, int(100000*o.Scale))
 	const dim, k, clusters = 16, 1, 4
@@ -81,7 +81,7 @@ func runSharingMode(sto *store.Store, tr *core.Tree, batch []engine.Query, clien
 	reg := &obs.Registry{}
 	opts := []engine.Option{engine.WithRegistry(reg)}
 	if sharing {
-		opts = append(opts, engine.WithScanSharing(), engine.WithShareWindow(clients))
+		opts = append(opts, engine.WithScanSharing())
 	}
 	e := engine.New(sto, tr, clients, opts...)
 	results := e.SubmitBatch(batch)

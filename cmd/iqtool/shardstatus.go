@@ -30,10 +30,6 @@ func runShardStatus(name dataset.Name, seed int64, n, d int) error {
 		Shards:   shards,
 		Replicas: replicas,
 		SelfHeal: true,
-		Heal: shard.HealConfig{
-			Interval:     5 * time.Millisecond,
-			ProbeBackoff: 25 * time.Millisecond,
-		},
 	}, pts)
 	if err != nil {
 		return err

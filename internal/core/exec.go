@@ -20,10 +20,9 @@ import (
 // quantized-page fetch boundary, and round advances any set of cursors
 // by one fetch. A direct query — KNN, KNNApprox, KNNInto, RangeSearch,
 // WindowQuery — is a loop of rounds over its one cursor (execute); the
-// engine's scan-sharing
-// coordinator runs rounds over up to its share window of cursors
-// (SharedScan.Round, shared.go). Planning, leader choice, damage handling
-// and accounting are one code path for both.
+// engine's scan-sharing coordinator runs rounds over up to its worker
+// count of cursors (SharedScan.Round, shared.go). Planning, leader
+// choice, damage handling and accounting are one code path for both.
 
 // cursor is one query suspended at its quantized-page fetch boundary.
 type cursor interface {
@@ -71,9 +70,6 @@ func (b *cursorBase) base() *cursorBase { return b }
 
 // Done reports whether the query ended.
 func (b *cursorBase) Done() bool { return b.done }
-
-// Close releases nothing: cursors live in the session scratch.
-func (b *cursorBase) Close() {}
 
 // finish ends the query; the first error wins.
 func (b *cursorBase) finish(err error) {

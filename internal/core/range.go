@@ -117,9 +117,10 @@ func (f *windowFilter) exactHit(p vec.Point) (float64, bool) { return 0, f.w.Con
 // every candidate page up front, all of them are wanted at once, and each
 // delivered page appends its qualifying points. A round reads them with
 // the known-set schedule; deliveries arrive in ascending position order
-// within a round (the plan's spans are disjoint and ascending), so a
-// clean scan produces results in the same order alone or shared. Range
-// results are sorted by distance on completion.
+// within a round (the plan's spans are disjoint and ascending), and an
+// unreadable page is answered from its exact shadow in its place, so a
+// scan produces results in the same order alone or shared, damaged or
+// clean. Range results are sorted by distance on completion.
 type scanCursor struct {
 	cursorBase
 	t          *Tree
@@ -129,7 +130,6 @@ type scanCursor struct {
 
 	started bool
 	pending []int // candidate positions, ascending (aliases sc.positions)
-	shadow  []int // entries already quarantined; served from the exact shadow on finish
 	out     []Neighbor
 }
 
@@ -178,14 +178,6 @@ func (c *scanCursor) step(buf []int) []int {
 		}
 		return buf
 	}
-	// All candidate pages are in; serve the degraded entries from the
-	// exact level and finalize.
-	for _, entry := range c.shadow {
-		if err := c.shadowPage(entry); err != nil {
-			c.finish(err)
-			return buf
-		}
-	}
 	if c.sortByDist {
 		out := c.out
 		sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
@@ -224,7 +216,6 @@ func (c *scanCursor) deliver(pg *sharedPage, shared bool) bool {
 	}
 	c.sc.delivered[pg.pos] = struct{}{}
 	if shared {
-		c.s.NoteShared(c.t.qFile, 1)
 		c.tr.AddShared(1)
 	}
 	if pg.bits == quantize.ExactBits {
@@ -257,9 +248,7 @@ func (c *scanCursor) Results() ([]vec.Neighbor, error) {
 
 // scanDirectory runs the level-1 directory scan against the pinned
 // snapshot: the filter's pageHit selects the candidate pages, whose
-// sorted positions become the wants (posEntry maps position → entry),
-// except pages already quarantined, which are served from their exact
-// shadow at the end.
+// sorted positions become the wants (posEntry maps position → entry).
 func (c *scanCursor) scanDirectory() error {
 	t, sn, sc := c.t, c.sn, c.sc
 	if err := t.readDirectory(c.s, sn); err != nil {
@@ -270,10 +259,6 @@ func (c *scanCursor) scanDirectory() error {
 	clear(sc.posEntry)
 	for i, e := range sn.entries {
 		if sn.free[i] || !c.f.pageHit(e.MBR) {
-			continue
-		}
-		if t.isQuarantined(int(e.QPos)) {
-			c.shadow = append(c.shadow, i)
 			continue
 		}
 		c.pending = append(c.pending, int(e.QPos))

@@ -690,7 +690,6 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 	if _, err := cur.Results(); !cur.Done() || !errors.Is(err, index.ErrStaleScan) {
 		t.Fatalf("round after swap: done=%v err=%v, want ErrStaleScan", cur.Done(), err)
 	}
-	cur.Close()
 
 	// Probabilistic straddle under race coverage: a full coordinator run
 	// (driveShared restarts stale cursors, bounded at 100) races a second
@@ -731,28 +730,23 @@ func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
 	}
 }
 
-// TestReplayLegacyInsertRecord: logs once held one-point insert records
-// (kind 1). Every insert now logs a batch record, but a log that still
-// holds the old kind must recover with its point.
+// TestReplayLegacyInsertRecord: the one-point insert record (kind 1) is
+// retired — every insert logs a batch record — so a log that holds one
+// fails Open with an error naming the kind instead of recovering.
 func TestReplayLegacyInsertRecord(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	live := buildWALTree(t, randPoints(r, 400, 6), walTestOptions())
 	p := randPoints(r, 1, 6)[0]
-	const id = 424242
-	payload := binary.LittleEndian.AppendUint32(nil, id)
+	payload := binary.LittleEndian.AppendUint32(nil, 424242)
 	for _, c := range p {
 		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(c))
 	}
-	if err := live.wal.Commit(live.wal.Append(walKindInsert, payload)); err != nil {
+	if err := live.wal.Commit(live.wal.Append(1, payload)); err != nil {
 		t.Fatal(err)
 	}
 
-	rec := crashRecover(t, live)
-	if rec.Len() != live.Len()+1 {
-		t.Fatalf("recovered %d points, want %d", rec.Len(), live.Len()+1)
-	}
-	got := mustKNN(t, rec, p, 1)
-	if len(got) != 1 || got[0].ID != id || got[0].Dist != 0 {
-		t.Fatalf("replayed insert not found: %+v", got)
+	_, err := Open(store.Wrap(live.sto.Backend()))
+	if err == nil || !strings.Contains(err.Error(), "kind 1") {
+		t.Fatalf("Open of a log with a kind-1 record: err = %v, want one naming kind 1", err)
 	}
 }

@@ -195,9 +195,8 @@ func (c *knnCursor) deliver(pg *sharedPage, shared bool) bool {
 		return false
 	}
 	if shared {
-		// Another query's session paid the transfer; record a zero-cost
-		// shared read so trace totals still reconcile with session stats.
-		st.s.NoteShared(st.t.qFile, 1)
+		// Another query's session paid the transfer: a zero-cost shared
+		// page here, outside the trace totals.
 		st.tr.AddShared(1)
 	}
 	if pg.bits == quantize.ExactBits {

@@ -46,7 +46,6 @@ func driveShared(t *testing.T, tr *Tree, sessions []*store.Session,
 				continue
 			}
 			res, err := c.Results()
-			c.Close()
 			if errors.Is(err, index.ErrStaleScan) {
 				if restarts++; restarts > 100 {
 					t.Fatal("driveShared: restart loop")
@@ -231,7 +230,6 @@ func TestSharedCursorStaleAfterReoptimize(t *testing.T) {
 	if _, err := cur.Results(); !cur.Done() || !errors.Is(err, index.ErrStaleScan) {
 		t.Fatalf("round after reoptimize: done=%v err=%v, want ErrStaleScan", cur.Done(), err)
 	}
-	cur.Close()
 	sessions := []*store.Session{sto.NewSession()}
 	results, errs := driveShared(t, tr, sessions,
 		func(scan index.SharedScan, _ int, s *store.Session) index.Cursor {

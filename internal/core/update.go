@@ -272,7 +272,7 @@ func (t *Tree) applyDelete(s *store.Session, sn *snapshot, p vec.Point, id uint3
 // (and the world lock in some mode).
 func (t *Tree) applyMutOp(s *store.Session, sn *snapshot, op mutOp) error {
 	switch op.kind {
-	case walKindInsert, walKindInsertBatch:
+	case walKindInsertBatch:
 		return t.applyInsertBatch(s, sn, op.pts, op.ids)
 	case walKindDelete:
 		_, err := t.applyDelete(s, sn, op.pts[0], op.ids[0])

@@ -31,10 +31,10 @@ import (
 // copy, and replays WAL records with LSN > watermark.
 
 // WAL record kinds (the store layer treats them as opaque). Every insert
-// logs a batch record, a single point too; replay still decodes the
-// one-point insert record, so a log written before that recovers.
+// logs a batch record, a single point too. Kind 1, a one-point insert
+// record, is retired: no tree Open accepts can hold one, so replay
+// rejects it like any unknown kind.
 const (
-	walKindInsert      = 1 // id u32 | dim × f32 (replay only)
 	walKindDelete      = 2 // id u32 | dim × f32
 	walKindInsertBatch = 3 // count u32 | count × (id u32 | dim × f32)
 )
@@ -127,7 +127,7 @@ func decodeMutOp(kind uint8, payload []byte, dim int) (mutOp, error) {
 		}
 		count = int(le.Uint32(payload))
 		off = 4
-	} else if kind != walKindInsert && kind != walKindDelete {
+	} else if kind != walKindDelete {
 		return op, fmt.Errorf("core: unknown WAL record kind %d", kind)
 	}
 	if len(payload)-off != count*pointBytes {

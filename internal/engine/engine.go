@@ -172,38 +172,38 @@ type Engine struct {
 	sto       *store.Store
 	idx       index.Index
 	workers   int
-	queueWait time.Duration // max wait for queue space; negative = forever
+	queueWait time.Duration // max wait for queue space; <= 0 sheds at once
 
 	queue    chan job
 	sessions sync.Pool
 	wg       sync.WaitGroup
 
-	// closeMu orders Submit against Close: enqueue holds the read lock
-	// from the closed check through the channel send, and Close flips
-	// closed under the write lock before closing the channel, so a send
-	// on the closed channel is impossible — any enqueue that observed
-	// closed=false finishes its send before Close can proceed.
+	// closeMu orders submissions against Close: intake holds the read
+	// lock from the closed check through the channel send, and Close
+	// flips closed under the write lock before closing the channels, so
+	// a send on a closed channel is impossible — any intake that
+	// observed closed=false finishes its send before Close can proceed.
 	closeMu sync.RWMutex
 	closed  atomic.Bool
 	// closing flips before Close takes the write lock, so a health poll
 	// never reports a replica ready while Close is already committed but
-	// still blocked behind in-flight enqueues or the drain (the write
+	// still blocked behind in-flight submissions or the drain (the write
 	// lock can be held out for up to the queue wait). Both flags are
 	// atomics read outside closeMu: Health must stay non-blocking while
-	// a closer waits out a slow enqueue, and enqueues racing Close fail
-	// fast with ErrClosed instead of stalling behind the pending writer.
+	// a closer waits out a slow submission, and submissions racing Close
+	// fail fast with ErrClosed instead of stalling behind the pending
+	// writer.
 	closing atomic.Bool
 
 	busyMu sync.Mutex
 	busy   []float64 // per-lane summed simulated busy seconds
 
 	// Scan-sharing mode (see shared.go): one coordinator goroutine
-	// replaces the worker pool, multiplexing up to shareWindow in-flight
+	// replaces the worker pool, multiplexing up to workers in-flight
 	// queries over cross-query batched page fetches. busy then models
 	// workers parallel lanes fed round-robin, keeping Makespan comparable
 	// across modes.
 	sharing     bool
-	shareWindow int
 	maxRestarts int
 	scan        index.SharedScan
 
@@ -253,38 +253,25 @@ func WithRegistry(reg *obs.Registry) Option {
 }
 
 // WithQueueWait bounds how long a submission waits for space in the
-// full queue before the engine sheds it with ErrOverloaded. Zero sheds
-// immediately when the queue is full; a negative duration restores the
-// historical block-forever behavior. The default is one second —
-// far beyond any healthy queue dwell time for microsecond-scale
-// queries, so only a genuinely wedged or saturated pool sheds.
+// full queue before the engine sheds it with ErrOverloaded. Zero or a
+// negative duration sheds immediately when the queue is full. The
+// default is one second — far beyond any healthy queue dwell time for
+// microsecond-scale queries, so only a genuinely wedged or saturated
+// pool sheds.
 func WithQueueWait(d time.Duration) Option {
 	return func(e *Engine) { e.queueWait = d }
 }
 
 // WithScanSharing switches the engine to the shared multi-query
-// pipeline: a coordinator steps every in-flight query to its page-fetch
-// boundary, merges the wanted pages across queries into one deduplicated
-// read plan per round, and fans each fetched page out to all queries
-// that need it. Requires the index to implement index.SharedScanner;
-// other indexes are served share-nothing regardless of this option.
-// Results are identical to share-nothing execution.
+// pipeline: a coordinator keeps up to the worker count of queries in
+// flight, steps each to its page-fetch boundary, merges the wanted pages
+// across queries into one deduplicated read plan per round, and fans
+// each fetched page out to all queries that need it. Requires the index
+// to implement index.SharedScanner; other indexes are served
+// share-nothing regardless of this option. Results are identical to
+// share-nothing execution.
 func WithScanSharing() Option {
 	return func(e *Engine) { e.sharing = true }
-}
-
-// WithShareWindow caps how many queries the scan-sharing coordinator
-// keeps in flight at once — the fairness/latency knob: a larger window
-// exposes more cross-query page overlap (higher aggregate throughput), a
-// smaller one bounds how much co-scheduled work can delay any single
-// query. Defaults to 4× the worker count. Only meaningful with
-// WithScanSharing.
-func WithShareWindow(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.shareWindow = n
-		}
-	}
 }
 
 // New starts an engine with the given number of workers serving queries
@@ -338,9 +325,6 @@ func New(sto *store.Store, idx index.Index, workers int, opts ...Option) *Engine
 		}
 	}
 	if e.scan != nil {
-		if e.shareWindow <= 0 {
-			e.shareWindow = 4 * workers
-		}
 		e.sharedRounds = e.reg.Counter("engine.shared.rounds")
 		e.sharedFetched = e.reg.Counter("engine.shared.pages_fetched")
 		e.sharedServes = e.reg.Counter("engine.shared.page_serves")
@@ -390,7 +374,7 @@ func (h Health) Ready() bool { return !h.Closed && !h.Closing }
 func (e *Engine) Health() Health {
 	// Both flags are read outside closeMu on purpose: a health poll must
 	// not block (or report stale readiness) while Close waits for the
-	// write lock behind a slow enqueue's read lock.
+	// write lock behind a slow submission's read lock.
 	return Health{
 		Closed:     e.closed.Load(),
 		Closing:    e.closing.Load(),
@@ -442,15 +426,22 @@ func (e *Engine) SubmitBatch(qs []Query) []Result {
 	return results
 }
 
-// enqueue reserves a done slot and queues the job; on a non-nil error
-// nothing was reserved and the job will never run. The read lock is
-// held from the closed check through the channel send (see closeMu),
-// which also bounds how long Close can block behind a full queue: at
-// most the queue wait.
+// enqueue validates a query and queues its job (see intake).
 func (e *Engine) enqueue(j job) error {
 	if err := e.validate(j.q); err != nil {
 		return err
 	}
+	return intake(j.q.Ctx, e, e.queue, e.queueDepth, j.done, j)
+}
+
+// intake is the engine's one admission path, for the query queue and
+// the write lane alike: it reserves a done slot, counts j in depth and
+// sends it on lane. On a non-nil error — ErrClosed, ErrOverloaded, or
+// one wrapping ErrCanceled — nothing stays reserved and j never runs.
+// The read lock is held from the closed check through the send (see
+// closeMu), which also bounds how long Close can block behind a full
+// lane: at most the queue wait.
+func intake[J any](ctx context.Context, e *Engine, lane chan<- J, depth *obs.Gauge, done *sync.WaitGroup, j J) error {
 	// Fast path: once Close has started, fail before touching closeMu —
 	// a writer waiting for the lock blocks new readers, so without this
 	// check a submission racing Close would stall behind the drain
@@ -463,52 +454,37 @@ func (e *Engine) enqueue(j job) error {
 	if e.closed.Load() || e.closing.Load() {
 		return ErrClosed
 	}
-	var ctxDone <-chan struct{}
-	if j.q.Ctx != nil {
-		if cerr := j.q.Ctx.Err(); cerr != nil {
+	var ctxDone <-chan struct{} // nil (never ready) without a context
+	if ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
 			e.cancels.Inc()
 			return fmt.Errorf("%w: %w", ErrCanceled, cerr)
 		}
-		ctxDone = j.q.Ctx.Done() // nil channel (blocks forever) when Ctx is nil
+		ctxDone = ctx.Done()
 	}
-	j.done.Add(1)
-	e.queueDepth.Add(1)
+	done.Add(1)
+	depth.Add(1)
 	select {
-	case e.queue <- j:
+	case lane <- j:
 		return nil
 	default:
 	}
-	if e.queueWait < 0 { // block-forever mode
-		select {
-		case e.queue <- j:
-			return nil
-		case <-ctxDone:
-			return e.abandon(j, true)
-		}
-	}
 	timer := time.NewTimer(e.queueWait)
 	defer timer.Stop()
+	var err error
 	select {
-	case e.queue <- j:
+	case lane <- j:
 		return nil
 	case <-ctxDone:
-		return e.abandon(j, true)
-	case <-timer.C:
-		return e.abandon(j, false)
-	}
-}
-
-// abandon rolls back a reserved-but-unqueued job and returns the typed
-// shed/cancel error.
-func (e *Engine) abandon(j job, canceled bool) error {
-	j.done.Done()
-	e.queueDepth.Add(-1)
-	if canceled {
 		e.cancels.Inc()
-		return fmt.Errorf("%w: %w", ErrCanceled, j.q.Ctx.Err())
+		err = fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+	case <-timer.C:
+		e.sheds.Inc()
+		err = ErrOverloaded
 	}
-	e.sheds.Inc()
-	return ErrOverloaded
+	done.Done()
+	depth.Add(-1)
+	return err
 }
 
 // Close drains the queue, waits for in-flight queries, and stops the
@@ -535,16 +511,9 @@ func (e *Engine) worker(id int) {
 	defer e.wg.Done()
 	for j := range e.queue {
 		e.queueDepth.Add(-1)
-		s := e.sessions.Get().(*store.Session)
-		s.Reset()
-		panicked := e.run(s, j.q, j.res)
-		e.account(id, j.res)
-		if !panicked {
-			// A session that lived through a panic is in an unknown
-			// state; drop it and let the pool mint a fresh one.
-			e.sessions.Put(s)
-		}
-		j.done.Done()
+		f := e.open(j, id)
+		e.execute(f.s, j.q, j.res)
+		e.finish(f)
 		// Yield between queries: a warmed query runs in microseconds with
 		// no allocation (no preemption points), so on a host with fewer
 		// cores than workers one goroutine could otherwise drain the whole
@@ -553,45 +522,80 @@ func (e *Engine) worker(id int) {
 	}
 }
 
-// run executes one query on the given (freshly reset) session. It
-// reports whether the index panicked — the worker then discards the
-// session instead of pooling it — while the result, including the
-// charges accumulated before the panic, is recorded either way.
-func (e *Engine) run(s *store.Session, q Query, res *Result) (panicked bool) {
-	if q.Trace {
-		res.Trace = obs.NewQueryTrace(q.Kind.String())
+// flight is one query between open and finish, in either execution
+// mode: its job, its pooled session, the busy-ledger lane it charges
+// and when it started.
+type flight struct {
+	job
+	s     *store.Session
+	lane  int
+	start time.Time
+}
+
+// open starts one dequeued query: a pooled session, freshly reset, with
+// the query's trace and context attached.
+func (e *Engine) open(j job, lane int) flight {
+	s := e.sessions.Get().(*store.Session)
+	s.Reset()
+	if j.q.Trace {
+		j.res.Trace = obs.NewQueryTrace(j.q.Kind.String())
 		cfg := e.sto.Config()
-		res.Trace.SetCosts(cfg.Seek, cfg.Xfer)
-		s.SetTrace(res.Trace)
+		j.res.Trace.SetCosts(cfg.Seek, cfg.Xfer)
+		s.SetTrace(j.res.Trace)
 	}
-	if q.Ctx != nil {
-		s.SetContext(q.Ctx)
+	if j.q.Ctx != nil {
+		s.SetContext(j.q.Ctx)
 	}
-	start := time.Now()
-	panicked = e.execute(s, q, res)
+	return flight{job: j, s: s, lane: lane, start: time.Now()}
+}
+
+// finish settles one query in either mode: the session's sticky error,
+// the wall time and the charges — those accumulated before a failure or
+// a panic included — go into the result, the metrics and the busy
+// ledger; the session returns to the pool unless the query panicked; and
+// the submitter is acknowledged.
+func (e *Engine) finish(f flight) {
+	res := f.res
 	if res.Err == nil {
 		// A query can swallow individual read errors; the sticky session
 		// error is the boundary check that keeps a poisoned result from
 		// looking successful.
-		res.Err = s.Err()
+		res.Err = f.s.Err()
 	}
-	res.Wall = time.Since(start)
-	res.Stats = s.Stats
-	res.SimTime = s.Time()
-	return panicked
+	res.Wall = time.Since(f.start)
+	res.Stats = f.s.Stats
+	res.SimTime = f.s.Time()
+	e.queries.Inc()
+	if res.Err != nil {
+		e.failures.Inc()
+		if errors.Is(res.Err, ErrCanceled) {
+			e.cancels.Inc()
+		}
+	}
+	e.simLat.Observe(res.SimTime)
+	e.wallLat.Observe(res.Wall.Seconds())
+	e.busyMu.Lock()
+	e.busy[f.lane] += res.SimTime
+	e.busyMu.Unlock()
+	if errors.Is(res.Err, ErrPanicked) {
+		// A session that lived through a panic is in an unknown state;
+		// drop it and let the pool mint a fresh one.
+		res.Neighbors = nil
+		e.panics.Inc()
+	} else {
+		e.sessions.Put(f.s)
+	}
+	f.done.Done()
 }
 
 // execute dispatches the query to the index, converting a panic into
 // Result.Err so one poisoned query can neither kill its worker (which
 // would shrink the pool for the life of the engine) nor leave its
 // batch's WaitGroup forever undone.
-func (e *Engine) execute(s *store.Session, q Query, res *Result) (panicked bool) {
+func (e *Engine) execute(s *store.Session, q Query, res *Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = true
-			res.Neighbors = nil
 			res.Err = fmt.Errorf("%w: %s query: %v", ErrPanicked, q.Kind, r)
-			e.panics.Inc()
 		}
 	}()
 	switch q.Kind {
@@ -613,30 +617,6 @@ func (e *Engine) execute(s *store.Session, q Query, res *Result) (panicked bool)
 	default:
 		res.Err = fmt.Errorf("engine: unknown query kind %d", q.Kind)
 	}
-	if errors.Is(res.Err, ErrPanicked) {
-		// The index contained the panic itself (a fetch round does).
-		res.Neighbors = nil
-		e.panics.Inc()
-		return true
-	}
-	return false
-}
-
-// account records one finished query in the metrics and the per-worker
-// busy ledger.
-func (e *Engine) account(worker int, res *Result) {
-	e.queries.Inc()
-	if res.Err != nil {
-		e.failures.Inc()
-		if errors.Is(res.Err, ErrCanceled) {
-			e.cancels.Inc()
-		}
-	}
-	e.simLat.Observe(res.SimTime)
-	e.wallLat.Observe(res.Wall.Seconds())
-	e.busyMu.Lock()
-	e.busy[worker] += res.SimTime
-	e.busyMu.Unlock()
 }
 
 // WorkerBusy returns each worker's summed simulated busy seconds. The

@@ -192,13 +192,21 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineSubmitCloseRace hammers Submit against a concurrent Close
-// under the race detector: no send on a closed channel, no hang, and
-// every submission either runs or fails with ErrClosed.
+// stubWriter is a stubIndex that takes writes and applies nothing.
+type stubWriter struct{ stubIndex }
+
+func (*stubWriter) InsertBatch(*store.Session, []vec.Point, []uint32) error { return nil }
+func (*stubWriter) Delete(*store.Session, vec.Point, uint32) (bool, error)  { return true, nil }
+
+// TestEngineSubmitCloseRace hammers Submit and SubmitWrite against a
+// concurrent Close under the race detector: no send on a closed channel,
+// no hang, and every submission either runs or fails with ErrClosed. The
+// queue wait is long, so a submission that finds its lane full holds the
+// close lock while it waits for space instead of shedding.
 func TestEngineSubmitCloseRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		sto := store.NewSim(store.DefaultConfig())
-		e := New(sto, &stubIndex{}, 2, WithQueueWait(-1))
+		e := New(sto, &stubWriter{}, 2, WithWrites(), WithQueueWait(time.Minute))
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for g := 0; g < 8; g++ {
@@ -207,9 +215,14 @@ func TestEngineSubmitCloseRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 20; i++ {
-					res := e.Submit(Query{Kind: KNN, Point: vec.Point{0, 0}, K: 1})
-					if res.Err != nil && !errors.Is(res.Err, ErrClosed) {
-						t.Errorf("race round %d: %v", round, res.Err)
+					var err error
+					if g%2 == 0 {
+						err = e.Submit(Query{Kind: KNN, Point: vec.Point{0, 0}, K: 1}).Err
+					} else {
+						err = e.SubmitWrite(Write{Kind: WriteInsert, Points: []vec.Point{{0, 0}}, IDs: []uint32{uint32(i)}}).Err
+					}
+					if err != nil && !errors.Is(err, ErrClosed) {
+						t.Errorf("race round %d: %v", round, err)
 						return
 					}
 				}

@@ -4,24 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
-	"repro/internal/store"
+	"repro/internal/vec"
 )
 
 // Scan-sharing execution (WithScanSharing): instead of one worker
 // driving one monolithic query, a single coordinator multiplexes up to
-// shareWindow in-flight queries as resumable cursors and advances them
+// workers in-flight queries as resumable cursors and advances them
 // together, one index.SharedScan.Round at a time. The round — planning
 // the union of the queries' wanted pages, reading each span once through
 // a leader query's session and offering every page to all of them — is
 // the index's own executor, the same one a direct query runs; the
 // coordinator owns what surrounds it: admission from the queue,
 // cancellation at round boundaries, bounded restarts of cursors a
-// reorganization invalidated (index.ErrStaleScan), contained panics
-// (ErrPanicked) and the busy-lane accounting.
+// reorganization invalidated (index.ErrStaleScan) and contained panics
+// (ErrPanicked). Each query opens and finishes like a worker's (open,
+// finish), on busy lanes dealt round-robin.
 //
 // Per-query semantics survive sharing: results are identical to
 // share-nothing execution, Query.Ctx cancellation is honored at every
@@ -37,14 +36,9 @@ const maxSharedRestarts = 8
 
 // sharedQuery is one in-flight query of the scan-sharing coordinator.
 type sharedQuery struct {
-	job      job
-	s        *store.Session
+	flight
 	cur      index.Cursor
-	lane     int // busy-ledger lane (round-robin, models one disk per worker)
-	start    time.Time
 	restarts int
-	finished bool
-	panicked bool
 }
 
 // coordinator is the scan-sharing main loop; it replaces the worker pool.
@@ -66,10 +60,10 @@ func (e *Engine) coordinator() {
 	}
 }
 
-// admit refills the active set from the queue up to the share window,
+// admit refills the active set from the queue up to the worker count,
 // blocking only when there is nothing in flight at all.
 func (e *Engine) admit(active []*sharedQuery, open *bool, lane *int) []*sharedQuery {
-	for *open && len(active) < e.shareWindow {
+	for *open && len(active) < e.workers {
 		var j job
 		var ok bool
 		if len(active) == 0 {
@@ -86,35 +80,13 @@ func (e *Engine) admit(active []*sharedQuery, open *bool, lane *int) []*sharedQu
 			return active
 		}
 		e.queueDepth.Add(-1)
-		if sq := e.startShared(j, *lane%e.workers); sq != nil {
+		sq := &sharedQuery{flight: e.open(j, *lane%e.workers)}
+		*lane++
+		if e.begin(sq) {
 			active = append(active, sq)
 		}
-		*lane++
 	}
 	return active
-}
-
-// startShared prepares one admitted query: pooled session, optional
-// trace, context, cursor. Returns nil when the query already finished
-// (cursor construction panicked).
-func (e *Engine) startShared(j job, lane int) *sharedQuery {
-	s := e.sessions.Get().(*store.Session)
-	s.Reset()
-	sq := &sharedQuery{job: j, s: s, lane: lane, start: time.Now()}
-	q := j.q
-	if q.Trace {
-		j.res.Trace = obs.NewQueryTrace(q.Kind.String())
-		cfg := e.sto.Config()
-		j.res.Trace.SetCosts(cfg.Seek, cfg.Xfer)
-		s.SetTrace(j.res.Trace)
-	}
-	if q.Ctx != nil {
-		s.SetContext(q.Ctx)
-	}
-	if !e.begin(sq) {
-		return nil
-	}
-	return sq
 }
 
 // begin starts the query's cursor, converting a panic into the query's
@@ -124,10 +96,10 @@ func (e *Engine) startShared(j job, lane int) *sharedQuery {
 func (e *Engine) begin(sq *sharedQuery) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.fail(sq, fmt.Errorf("%w: %s query: %v", ErrPanicked, sq.job.q.Kind, r))
+			e.end(sq, nil, fmt.Errorf("%w: %s query: %v", ErrPanicked, sq.q.Kind, r))
 		}
 	}()
-	q := sq.job.q
+	q := sq.q
 	switch q.Kind {
 	case KNN:
 		if q.MinRecall > 0 {
@@ -142,51 +114,23 @@ func (e *Engine) begin(sq *sharedQuery) (ok bool) {
 	return true
 }
 
-// fail finishes the query with err; a panic leaves its session unpooled.
-func (e *Engine) fail(sq *sharedQuery, err error) {
-	if errors.Is(err, ErrPanicked) {
-		sq.panicked = true
-		e.panics.Inc()
-	}
-	sq.job.res.Neighbors = nil
-	sq.job.res.Err = err
-	e.finishShared(sq)
-}
-
-// finishShared finalizes one query exactly like the share-nothing run
-// path: sticky session error check, wall/stats/simulated time, metrics,
-// busy-lane accounting, session back to the pool (unless panicked).
-func (e *Engine) finishShared(sq *sharedQuery) {
-	if sq.finished {
-		return
-	}
-	sq.finished = true
-	if sq.cur != nil {
-		sq.cur.Close()
-	}
-	res := sq.job.res
-	if res.Err == nil {
-		res.Err = sq.s.Err()
-	}
-	res.Wall = time.Since(sq.start)
-	res.Stats = sq.s.Stats
-	res.SimTime = sq.s.Time()
-	e.account(sq.lane, res)
-	if !sq.panicked {
-		e.sessions.Put(sq.s)
-	}
-	sq.job.done.Done()
+// end finishes the query with its answer or the error that ended it.
+func (e *Engine) end(sq *sharedQuery, nbs []vec.Neighbor, err error) {
+	sq.res.Neighbors, sq.res.Err = nbs, err
+	e.finish(sq.flight)
 }
 
 // round finishes the canceled queries, runs one index round over the
 // others and settles every query the round ended. Returns the still-live
 // queries and the cursor buffer for reuse.
 func (e *Engine) round(active []*sharedQuery, cursors []index.Cursor) ([]*sharedQuery, []index.Cursor) {
+	live := active[:0]
 	for _, sq := range active {
-		if q := sq.job.q; q.Ctx != nil && q.Ctx.Err() != nil {
-			e.fail(sq, fmt.Errorf("%w: %w", ErrCanceled, q.Ctx.Err()))
+		if ctx := sq.q.Ctx; ctx != nil && ctx.Err() != nil {
+			e.end(sq, nil, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err()))
 			continue
 		}
+		live = append(live, sq)
 		cursors = append(cursors, sq.cur)
 	}
 	if len(cursors) > 0 {
@@ -195,9 +139,9 @@ func (e *Engine) round(active []*sharedQuery, cursors []index.Cursor) ([]*shared
 		e.sharedFetched.Add(int64(pages))
 		e.sharedServes.Add(int64(serves))
 	}
-	live := active[:0]
+	active, live = live, live[:0]
 	for _, sq := range active {
-		if !sq.finished && (!sq.cur.Done() || e.settle(sq)) {
+		if !sq.cur.Done() || e.settle(sq) {
 			live = append(live, sq)
 		}
 	}
@@ -211,22 +155,16 @@ func (e *Engine) round(active []*sharedQuery, cursors []index.Cursor) ([]*shared
 func (e *Engine) settle(sq *sharedQuery) bool {
 	nbs, err := sq.cur.Results()
 	if !errors.Is(err, index.ErrStaleScan) {
-		if err != nil {
-			e.fail(sq, err)
-			return false
-		}
-		sq.job.res.Neighbors = nbs
-		e.finishShared(sq)
+		e.end(sq, nbs, err)
 		return false
 	}
 	sq.restarts++
 	if sq.restarts > e.maxRestarts {
 		e.sharedExhausted.Inc()
-		e.fail(sq, fmt.Errorf("%w: %w", ErrTooManyRestarts, err))
+		e.end(sq, nil, fmt.Errorf("%w: %w", ErrTooManyRestarts, err))
 		return false
 	}
 	e.sharedRestarts.Inc()
-	sq.cur.Close()
 	sq.cur = nil
 	return e.begin(sq)
 }

@@ -81,7 +81,7 @@ func TestSharedRestartsExhaustedTyped(t *testing.T) {
 // shared pipeline (retries disabled, so every injected fault fails its
 // leader's span fetch mid-round) and asserts the accounting contract
 // survives leader failure: undelivered pages re-wanted under a new
-// leader never double-count SharedBlocks, so every query's trace totals
+// leader never double-count SharedPages, so every query's trace totals
 // — failed leaders included — still equal its session stats exactly,
 // and every survivor still answers exactly.
 func TestSharedLeaderFailureAccounting(t *testing.T) {
@@ -102,7 +102,7 @@ func TestSharedLeaderFailureAccounting(t *testing.T) {
 	sto.SetRetryPolicy(store.RetryPolicy{})
 
 	reg := &obs.Registry{}
-	e := New(sto, tr, 4, WithScanSharing(), WithRegistry(reg), WithShareWindow(32))
+	e := New(sto, tr, 32, WithScanSharing(), WithRegistry(reg))
 	defer e.Close()
 
 	// Near-identical queries: candidate pages overlap almost completely,
@@ -119,7 +119,7 @@ func TestSharedLeaderFailureAccounting(t *testing.T) {
 	}
 
 	fs.SetEnabled(true)
-	failures, sharedBlocks := 0, 0
+	failures, sharedPages := 0, 0
 	for attempt := 0; attempt < 6 && failures == 0; attempt++ {
 		for i, res := range e.SubmitBatch(batch) {
 			if res.Trace == nil {
@@ -133,7 +133,7 @@ func TestSharedLeaderFailureAccounting(t *testing.T) {
 			if math.Abs(cpu-res.Stats.CPUSeconds) > 1e-9 {
 				t.Fatalf("query %d: trace cpu %g != stats cpu %g", i, cpu, res.Stats.CPUSeconds)
 			}
-			sharedBlocks += res.Trace.SharedBlocks()
+			sharedPages += res.Trace.SharedPages
 			if res.Err != nil {
 				if !errors.Is(res.Err, store.ErrTransient) {
 					t.Fatalf("query %d failed outside the injected fault path: %v", i, res.Err)
@@ -161,7 +161,7 @@ func TestSharedLeaderFailureAccounting(t *testing.T) {
 	if failures == 0 {
 		t.Fatal("fault injection never failed a leader; the test exercised nothing")
 	}
-	if sharedBlocks == 0 {
+	if sharedPages == 0 {
 		t.Fatal("no shared reads recorded; spans had no followers, so leader failure was not exercised")
 	}
 }

@@ -163,11 +163,11 @@ func TestEngineSharingCancellation(t *testing.T) {
 // the shared pipeline: a clustered batch fetches each page once but
 // serves it to several queries (serves/fetches > 1), per-query traces
 // still sum exactly to the session's accounted stats, and co-attached
-// reads appear in the trace's shared tier.
+// reads are counted as the traces' shared pages.
 func TestEngineSharingCountersAndTraces(t *testing.T) {
 	sto, tr, _ := buildTree(t, 46, 4000, 8)
 	reg := &obs.Registry{}
-	e := New(sto, tr, 4, WithScanSharing(), WithRegistry(reg), WithShareWindow(32))
+	e := New(sto, tr, 32, WithScanSharing(), WithRegistry(reg))
 	defer e.Close()
 
 	// 32 near-identical queries: their candidate pages overlap almost
@@ -184,7 +184,7 @@ func TestEngineSharingCountersAndTraces(t *testing.T) {
 	}
 	results := e.SubmitBatch(batch)
 
-	sharedBlocks := 0
+	sharedPages := 0
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("query %d: %v", i, res.Err)
@@ -200,9 +200,9 @@ func TestEngineSharingCountersAndTraces(t *testing.T) {
 		if math.Abs(cpu-res.Stats.CPUSeconds) > 1e-9 {
 			t.Fatalf("query %d: trace cpu %g != stats cpu %g", i, cpu, res.Stats.CPUSeconds)
 		}
-		sharedBlocks += res.Trace.SharedBlocks()
+		sharedPages += res.Trace.SharedPages
 	}
-	if sharedBlocks == 0 {
+	if sharedPages == 0 {
 		t.Fatal("clustered batch recorded no shared reads in any trace")
 	}
 	fetched := reg.Counter("engine.shared.pages_fetched").Value()

@@ -12,10 +12,10 @@ import (
 )
 
 // Write path: a dedicated queue and a single writer goroutine beside the
-// read pool. Writes share the engine's admission control — the same
-// closed check, bounded queue wait, shedding, and context cancellation
-// as queries — but drain on their own lane, because the index serializes
-// mutations internally anyway: more write workers would only contend.
+// read pool. Writes pass the same admission as queries (intake: the
+// closed check, bounded queue wait, shedding and context cancellation)
+// but drain on their own lane, because the index serializes mutations
+// internally anyway: more write workers would only contend.
 //
 // The writer coalesces adjacent queued inserts into one InsertBatch call
 // (up to writeCoalesceMax points). On a WAL-mode tree that turns a burst
@@ -107,89 +107,42 @@ func WithWrites() Option {
 }
 
 // SubmitWrite applies one write through the engine's writer and blocks
-// until it is applied (and, on a WAL-mode index, durable). Admission
-// mirrors Submit: ErrClosed after Close, ErrOverloaded when the write
-// queue stays full past the queue wait, ErrCanceled when the context
-// expires while waiting, and ErrInvalidWrite for malformed shapes.
+// until it is applied (and, on a WAL-mode index, durable). Admission is
+// Submit's (see intake): ErrClosed after Close, ErrOverloaded when the
+// write queue stays full past the queue wait, ErrCanceled when the
+// context expires while waiting, and ErrInvalidWrite for malformed
+// shapes.
 func (e *Engine) SubmitWrite(w Write) WriteResult {
 	var res WriteResult
 	var done sync.WaitGroup
-	if err := e.enqueueWrite(writeJob{w: w, res: &res, done: &done}); err != nil {
+	err := e.validateWrite(w)
+	if err == nil {
+		err = intake(w.Ctx, e, e.writeQueue, e.writeQueueDepth, &done, writeJob{w: w, res: &res, done: &done})
+	}
+	if err != nil {
 		return WriteResult{Err: err}
 	}
 	done.Wait()
 	return res
 }
 
-// enqueueWrite mirrors enqueue for the write lane (see closeMu).
-func (e *Engine) enqueueWrite(j writeJob) error {
+// validateWrite checks that the engine takes writes and that w has a
+// valid shape and the index's dimensionality.
+func (e *Engine) validateWrite(w Write) error {
 	if e.mut == nil {
 		return ErrNoWrites
 	}
-	if err := j.w.Validate(); err != nil {
+	if err := w.Validate(); err != nil {
 		return err
 	}
 	// A point of another dimensionality would fail every write coalesced
 	// into its InsertBatch, so it is rejected before it can join one.
-	for i, p := range j.w.Points {
+	for i, p := range w.Points {
 		if dim := e.idx.Dim(); len(p) != dim {
 			return fmt.Errorf("%w: %d-d point at %d on a %d-d index", ErrInvalidWrite, len(p), i, dim)
 		}
 	}
-	if e.closing.Load() { // see enqueue: fail fast once Close has started
-		return ErrClosed
-	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() || e.closing.Load() {
-		return ErrClosed
-	}
-	var ctxDone <-chan struct{}
-	if j.w.Ctx != nil {
-		if cerr := j.w.Ctx.Err(); cerr != nil {
-			e.cancels.Inc()
-			return fmt.Errorf("%w: %w", ErrCanceled, cerr)
-		}
-		ctxDone = j.w.Ctx.Done()
-	}
-	j.done.Add(1)
-	e.writeQueueDepth.Add(1)
-	select {
-	case e.writeQueue <- j:
-		return nil
-	default:
-	}
-	if e.queueWait < 0 {
-		select {
-		case e.writeQueue <- j:
-			return nil
-		case <-ctxDone:
-			return e.abandonWrite(j, true)
-		}
-	}
-	timer := time.NewTimer(e.queueWait)
-	defer timer.Stop()
-	select {
-	case e.writeQueue <- j:
-		return nil
-	case <-ctxDone:
-		return e.abandonWrite(j, true)
-	case <-timer.C:
-		return e.abandonWrite(j, false)
-	}
-}
-
-// abandonWrite rolls back a reserved-but-unqueued write and returns the
-// typed shed/cancel error.
-func (e *Engine) abandonWrite(j writeJob, canceled bool) error {
-	j.done.Done()
-	e.writeQueueDepth.Add(-1)
-	if canceled {
-		e.cancels.Inc()
-		return fmt.Errorf("%w: %w", ErrCanceled, j.w.Ctx.Err())
-	}
-	e.sheds.Inc()
-	return ErrOverloaded
+	return nil
 }
 
 // writer drains the write queue until Close, coalescing insert bursts.

@@ -29,9 +29,6 @@ type Cursor interface {
 	// Results returns the query's final answer or the error that ended
 	// it; valid only once Done reports true.
 	Results() ([]vec.Neighbor, error)
-	// Close releases any cursor-held resources. Must be called once the
-	// cursor is abandoned or finished.
-	Close()
 }
 
 // SharedScan is a per-coordinator handle for scan-sharing query

@@ -53,9 +53,4 @@ const (
 	// ReadPoolHit reports blocks served from the buffer pool; hits
 	// charge zero simulated seek/transfer time.
 	ReadPoolHit
-	// ReadShared reports blocks delivered by another query's fetch under
-	// scan sharing: the leader query paid the seek and transfer, the
-	// observing query consumed the bytes for free. Like pool hits, shared
-	// reads charge zero simulated time and are excluded from trace totals.
-	ReadShared
 )

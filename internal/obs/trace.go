@@ -16,7 +16,6 @@ type LevelTrace struct {
 	Reads        int
 	Writes       int
 	CachedBlocks int     // blocks served by the buffer pool (zero cost)
-	SharedBlocks int     // blocks delivered by another query's fetch (zero cost)
 	CPUSeconds   float64 // CPU attributed to this level
 	DistCPU      float64 // … of which exact distance computations
 	ApproxCPU    float64 // … of which approximation decode/bound work
@@ -153,9 +152,9 @@ func (t *QueryTrace) Level(file string) *LevelTrace {
 }
 
 // ObserveRead records one read operation against the named file. For
-// ReadPoolHit and ReadShared events seeks is 0 and blocks counts the
-// blocks served at zero simulated cost; for the other tiers the values
-// mirror the session's cost charge exactly. Nil-safe.
+// ReadPoolHit events seeks is 0 and blocks counts the blocks served at
+// zero simulated cost; for the other tiers the values mirror the
+// session's cost charge exactly. Nil-safe.
 func (t *QueryTrace) ObserveRead(file string, seeks, blocks int, tier ReadTier) {
 	if t == nil {
 		return
@@ -163,10 +162,6 @@ func (t *QueryTrace) ObserveRead(file string, seeks, blocks int, tier ReadTier) 
 	l := t.Level(file)
 	if tier == ReadPoolHit {
 		l.CachedBlocks += blocks
-		return
-	}
-	if tier == ReadShared {
-		l.SharedBlocks += blocks
 		return
 	}
 	l.Seeks += seeks
@@ -319,19 +314,6 @@ func (t *QueryTrace) CachedBlocks() int {
 	return n
 }
 
-// SharedBlocks returns the total blocks delivered by other queries'
-// fetches under scan sharing (zero cost for this query).
-func (t *QueryTrace) SharedBlocks() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, l := range t.Levels {
-		n += l.SharedBlocks
-	}
-	return n
-}
-
 // Format renders the trace as a human-readable query plan: a per-level
 // cost table followed by the scheduler's decisions and the candidate/
 // refinement funnel.
@@ -392,8 +374,7 @@ func (t *QueryTrace) Format() string {
 		fmt.Fprintf(&b, "  buffer pool: %d blocks served from cache (zero simulated cost)\n", tc)
 	}
 	if t.SharedPages > 0 {
-		fmt.Fprintf(&b, "  scan sharing: %d pages (%d blocks) delivered by other queries' fetches (zero cost here)\n",
-			t.SharedPages, t.SharedBlocks())
+		fmt.Fprintf(&b, "  scan sharing: %d pages delivered by other queries' fetches (zero cost here)\n", t.SharedPages)
 	}
 	if t.Terminated {
 		fmt.Fprintf(&b, "  APPROX: terminated early, %d pages skipped, remaining improvement probability %.2e\n",

@@ -75,8 +75,6 @@ type Config struct {
 	// §15. The replicas are then WAL-mode trees, so a copy recovers
 	// through core.Open and Insert is acknowledged durably.
 	SelfHeal bool
-	// Heal tunes the repairer (zero fields take defaults, see HealConfig).
-	Heal HealConfig
 }
 
 // retryBackoff is the sleep before a sub-query's first retry, doubling
@@ -240,7 +238,6 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = &obs.Registry{}
 	}
-	cfg.Heal = cfg.Heal.withDefaults()
 
 	assign, place := cfg.Partitioner.Assign(pts, cfg.Shards)
 	if len(assign) != len(pts) {

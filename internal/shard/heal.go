@@ -60,43 +60,21 @@ const (
 	// rebuildAfterProbes is how many consecutive probe failures trigger
 	// a rebuild instead of further probing.
 	rebuildAfterProbes = 2
+	// healInterval is the repairer's tick.
+	healInterval = 5 * time.Millisecond
+	// probeTimeout bounds each canary query: a replica that cannot
+	// answer a trivial KNN inside it is not fit to serve.
+	probeTimeout = 250 * time.Millisecond
+	// probeBackoff is the wait after a failed probe before the next
+	// one; twice it paces the retry of a failed rebuild.
+	probeBackoff = 25 * time.Millisecond
 )
-
-// HealConfig tunes the repairer. Zero fields take the listed defaults.
-type HealConfig struct {
-	// Interval is the repairer's tick (default 10ms).
-	Interval time.Duration
-	// ProbeTimeout bounds each canary query (default 250ms): a replica
-	// that cannot answer a trivial KNN inside it is not fit to serve.
-	ProbeTimeout time.Duration
-	// ProbeBackoff is the wait after the first failed probe, doubling
-	// per failure (default 50ms) and capped at ProbeCap (default 2s) —
-	// a circuit breaker that goes half-open on each expiry.
-	ProbeBackoff time.Duration
-	ProbeCap     time.Duration
-}
-
-func (h HealConfig) withDefaults() HealConfig {
-	if h.Interval <= 0 {
-		h.Interval = 10 * time.Millisecond
-	}
-	if h.ProbeTimeout <= 0 {
-		h.ProbeTimeout = 250 * time.Millisecond
-	}
-	if h.ProbeBackoff <= 0 {
-		h.ProbeBackoff = 50 * time.Millisecond
-	}
-	if h.ProbeCap <= 0 {
-		h.ProbeCap = 2 * time.Second
-	}
-	return h
-}
 
 // repairer is the healing loop: one goroutine per coordinator, started
 // by New when SelfHeal is set, stopped by Close.
 func (c *Coordinator) repairer() {
 	defer c.healWG.Done()
-	tick := time.NewTicker(c.cfg.Heal.Interval)
+	tick := time.NewTicker(healInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -147,11 +125,7 @@ func (c *Coordinator) tend(sh *shardState, rep *replica) {
 			c.startRebuild(sh, rep)
 			return
 		}
-		back := c.cfg.Heal.ProbeBackoff << uint(rep.probeFails-1)
-		if back > c.cfg.Heal.ProbeCap {
-			back = c.cfg.Heal.ProbeCap
-		}
-		rep.nextProbe = time.Now().Add(back)
+		rep.nextProbe = time.Now().Add(probeBackoff)
 	case Rebuilding:
 		// Owned by the rebuild goroutine.
 	}
@@ -178,7 +152,7 @@ func (c *Coordinator) probe(rep *replica) bool {
 		return false
 	}
 	c.probes.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Heal.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	res := st.eng.Submit(engine.Query{
 		Kind:  engine.KNN,
@@ -233,7 +207,7 @@ func (c *Coordinator) rebuild(sh *shardState, rep *replica) {
 	// on a timer instead of a hot loop. The writes before the state
 	// store are visible to the repairer through the state load.
 	rep.probeFails = 0
-	rep.nextProbe = time.Now().Add(2 * c.cfg.Heal.ProbeBackoff)
+	rep.nextProbe = time.Now().Add(2 * probeBackoff)
 	rep.state.Store(int32(Draining))
 }
 

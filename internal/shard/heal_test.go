@@ -12,17 +12,6 @@ import (
 	"repro/internal/vec"
 )
 
-// fastHeal is the test repairer tuning: tight enough that a full
-// kill→rebuild→readmit cycle fits in a few hundred milliseconds.
-func fastHeal() HealConfig {
-	return HealConfig{
-		Interval:     2 * time.Millisecond,
-		ProbeTimeout: 250 * time.Millisecond,
-		ProbeBackoff: 5 * time.Millisecond,
-		ProbeCap:     100 * time.Millisecond,
-	}
-}
-
 // healCoordinator builds a fleet over checksummed stores; with selfHeal
 // its replicas are WAL-mode trees under the repairer — the
 // configuration the self-healing contract is stated for.
@@ -32,7 +21,6 @@ func healCoordinator(t *testing.T, pts []vec.Point, selfHeal bool, reg *obs.Regi
 		Shards:   2,
 		Replicas: 2,
 		SelfHeal: selfHeal,
-		Heal:     fastHeal(),
 		Registry: reg,
 		NewStore: func(_, _ int) (*store.Store, error) {
 			sto := store.NewSim(store.DefaultConfig())
@@ -170,7 +158,6 @@ func TestHealRejectsDamagedPeerCopy(t *testing.T) {
 		Shards:   1,
 		Replicas: 2,
 		SelfHeal: true,
-		Heal:     fastHeal(),
 		Registry: reg,
 		NewStore: func(_, _ int) (*store.Store, error) {
 			sto := store.NewSim(store.DefaultConfig())
@@ -234,7 +221,6 @@ func TestHealRebuildKeepsPool(t *testing.T) {
 		Shards:   1,
 		Replicas: 2,
 		SelfHeal: true,
-		Heal:     fastHeal(),
 		Registry: reg,
 		NewStore: func(_, _ int) (*store.Store, error) {
 			sto := store.NewSim(store.DefaultConfig())

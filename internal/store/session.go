@@ -232,17 +232,6 @@ func (s *Session) readPooled(f *File, pos, nblocks int) ([]byte, error) {
 	return dst, nil
 }
 
-// NoteShared records in the session's trace that nblocks blocks of file
-// f were consumed from another session's fetch (scan sharing). Nothing
-// is charged — the leader session paid the seek and transfer — so Stats
-// and the head position are left untouched, and trace totals keep
-// matching Stats exactly.
-func (s *Session) NoteShared(f *File, nblocks int) {
-	if s.tr != nil && f != nil && nblocks > 0 {
-		s.tr.ObserveRead(f.Name(), 0, nblocks, obs.ReadShared)
-	}
-}
-
 // ReadRange transfers the blocks covering the byte range [off, off+n) of
 // file f and returns those blocks plus the offset of the range within the
 // returned slice.

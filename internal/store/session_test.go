@@ -79,6 +79,33 @@ func TestSessionResetRecapturesPool(t *testing.T) {
 	}
 }
 
+// TestSimFileAppendAfterTruncateKeepsAlias: Append grows a file in
+// place, so Truncate must drop the spare capacity — otherwise the next
+// append would overwrite cut bytes that a reader still holds.
+func TestSimFileAppendAfterTruncateKeepsAlias(t *testing.T) {
+	bs := testConfig().BlockSize
+	f, err := NewSimStore(testConfig()).Create("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.Append(bytes.Repeat([]byte{1}, 2*bs)); err != nil {
+		t.Fatal(err)
+	}
+	held, err := f.ReadBlocks(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.Append(bytes.Repeat([]byte{2}, bs)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, bytes.Repeat([]byte{1}, bs)) {
+		t.Fatal("append after truncate overwrote bytes a reader holds")
+	}
+}
+
 // TestSimFileConcurrentReadersDuringRewrite verifies the copy-on-write
 // contract the snapshot layers depend on: a slice returned by ReadBlocks
 // keeps its bytes even while another goroutine truncates and rewrites

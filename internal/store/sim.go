@@ -122,10 +122,11 @@ func (f *SimFile) Bytes() int {
 }
 
 // ReadBlocks returns the raw content of nblocks blocks at pos, aliasing
-// the internal storage (zero copy). Appends never move published bytes
-// out from under the alias (append copies into a new array when it
-// grows), and rewrites install fresh arrays, so the returned slice stays
-// consistent even if the file is mutated after the call.
+// the internal storage (zero copy). Appends write only past the end of
+// the file (into spare capacity no reader was handed, or a new array),
+// truncation drops the spare capacity, and rewrites install fresh
+// arrays, so the returned slice stays consistent even if the file is
+// mutated after the call.
 func (f *SimFile) ReadBlocks(pos, nblocks int) ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -133,7 +134,7 @@ func (f *SimFile) ReadBlocks(pos, nblocks int) ([]byte, error) {
 	if pos < 0 || nblocks <= 0 || (pos+nblocks)*bs > len(f.data) {
 		return nil, fmt.Errorf("sim: read past end of %s: pos=%d n=%d blocks=%d", f.name, pos, nblocks, len(f.data)/bs)
 	}
-	return f.data[pos*bs : (pos+nblocks)*bs], nil
+	return f.data[pos*bs : (pos+nblocks)*bs : (pos+nblocks)*bs], nil
 }
 
 // Append writes p at the end of the file, padded to a block boundary.
@@ -146,12 +147,8 @@ func (f *SimFile) Append(p []byte) (pos, nblocks int, err error) {
 	if nblocks == 0 {
 		nblocks = 1 // even an empty page occupies one block
 	}
-	// Grow into a fresh array so previously returned aliases are never
-	// overwritten (cap growth could otherwise reuse the old array's tail).
-	grown := make([]byte, len(f.data)+nblocks*bs)
-	copy(grown, f.data)
-	copy(grown[len(f.data):], p)
-	f.data = grown
+	f.data = append(f.data, p...)
+	f.data = append(f.data, make([]byte, nblocks*bs-len(p))...)
 	return pos, nblocks, nil
 }
 
@@ -175,9 +172,9 @@ func (f *SimFile) WriteBlocks(pos int, data []byte) error {
 }
 
 // Truncate shrinks the file to nblocks blocks; at or past the current
-// length it is a no-op. The shortened slice keeps its backing array —
-// safe, because Append grows into a fresh array and WriteBlocks copies,
-// so bytes already handed to readers are never overwritten.
+// length it is a no-op. The shortened slice keeps no spare capacity, so
+// a later Append moves to a new array instead of overwriting cut bytes
+// a reader may still hold.
 func (f *SimFile) Truncate(nblocks int) error {
 	if nblocks < 0 {
 		return fmt.Errorf("sim: truncate %s to %d blocks", f.name, nblocks)
@@ -188,7 +185,7 @@ func (f *SimFile) Truncate(nblocks int) error {
 	if nblocks*bs >= len(f.data) {
 		return nil
 	}
-	f.data = f.data[:nblocks*bs]
+	f.data = f.data[: nblocks*bs : nblocks*bs]
 	return nil
 }
 

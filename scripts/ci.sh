@@ -46,6 +46,13 @@ echo "== go test -race =="
 # right at the default 10m per-binary timeout; give it headroom.
 go test -race -timeout 1800s ./...
 
+echo "== engine admission repeat =="
+# Submit, SubmitBatch and SubmitWrite share one admission path, which
+# holds the close lock through its send; repeat the admission and close
+# tests under the race detector so an ordering bug between a submission
+# and Close, on either lane, cannot hide in one lucky schedule.
+go test -race -count=10 -run 'TestEngine(SubmitCloseRace|ClosingVisibleDuringClose|CloseSemantics|LoadShedding|ContextCancellation|QueryValidation|RejectsWrongDimension.*)$|TestSubmitWrite' ./internal/engine/
+
 echo "== WAL recovery repeat =="
 # Recovery once lost acknowledged records only for some commit layouts;
 # repeat the WAL suite so a layout-dependent regression cannot hide.
