@@ -175,12 +175,11 @@ func chaosConfig(shards, workers int, selfHeal bool, reg *obs.Registry,
 // x = shards: a SelfHeal topology serves the batch once healthy, then
 // one replica's directory is corrupted at rest (bit flips beneath the
 // checksum sidecars) and another replica's engine is killed mid-batch.
-// Live writes keep landing while the repairer drains, probes and
-// rebuilds both victims from copies of their siblings. Lost counts
-// queries that returned an error; mismatched counts answers that
-// differed from an untouched twin fed the same writes. MTTR is the
-// wall-clock from injection to the first all-Serving observation under
-// that load.
+// Live writes keep landing while the repairer drains both victims and
+// rebuilds them from copies of their siblings. Lost counts queries that
+// returned an error; mismatched counts answers that differed from an
+// untouched twin fed the same writes. MTTR is the wall-clock from
+// injection to the first all-Serving observation under that load.
 func runShardChaos(fig *experiments.Figure, db []vec.Point, batch []engine.Query, baseline [][]vec.Neighbor,
 	shards, workers int, seed int64) error {
 	reg := &obs.Registry{}
@@ -298,8 +297,6 @@ func runShardChaos(fig *experiments.Figure, db []vec.Point, batch []engine.Query
 	add(fig, "chaos failovers", x, float64(reg.Counter("shard.failovers").Value()))
 	add(fig, "chaos retries", x, float64(reg.Counter("shard.replica_retries").Value()))
 	add(fig, "chaos drains", x, float64(reg.Counter("shard.heal.drains").Value()))
-	add(fig, "chaos probes", x, float64(reg.Counter("shard.heal.probes").Value()))
-	add(fig, "chaos readmissions", x, float64(reg.Counter("shard.heal.readmissions").Value()))
 	add(fig, "chaos rebuilds", x, float64(rebuilds.Value()))
 	add(fig, "chaos all serving", x, allServing)
 	add(fig, "chaos mttr s", x, mttr)

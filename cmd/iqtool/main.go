@@ -96,7 +96,7 @@ func run() (err error) {
 		durable  = flag.Bool("durable", false, "build in WAL mode: updates are logged and committed before acknowledgement")
 		walFlg   = flag.Bool("wal", false, "inspect the write-ahead and checkpoint logs in -dir (implies -store file)")
 		walRepl  = flag.Bool("wal-replay", false, "with -wal: force recovery — replay the log, truncate torn tails, checkpoint and compact")
-		shardSt  = flag.Bool("shard-status", false, "demo the self-healing replica lifecycle: build a small fleet, kill a replica, print per-replica state and missed write batches until it heals")
+		shardSt  = flag.Bool("shard-status", false, "demo the self-healing replica lifecycle: build a small fleet, kill a replica, print per-replica state and missed write batches until the repairer has rebuilt it from a sibling")
 	)
 	flag.Parse()
 

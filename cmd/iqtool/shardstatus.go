@@ -94,10 +94,8 @@ func runShardStatus(name dataset.Name, seed int64, n, d int) error {
 	}
 	fmt.Println()
 	printStatus(fmt.Sprintf("healed fleet (MTTR %s):", time.Since(killed).Round(time.Millisecond)))
-	fmt.Printf("repairer: drains=%d probes=%d readmissions=%d rebuilds=%d\n",
+	fmt.Printf("repairer: drains=%d rebuilds=%d\n",
 		reg.Counter("shard.heal.drains").Value(),
-		reg.Counter("shard.heal.probes").Value(),
-		reg.Counter("shard.heal.readmissions").Value(),
 		reg.Counter("shard.heal.rebuilds").Value())
 	return nil
 }

@@ -8,8 +8,9 @@
 // every query observes one consistent snapshot. The engine measures both
 // wall-clock and simulated time per query; on the simulated disk the
 // interesting throughput number is simulated QPS — queries divided by
-// the makespan, the largest per-worker sum of simulated busy seconds —
-// which models N independent disks serving the shared queue.
+// the makespan, the largest per-lane sum of simulated busy seconds over
+// workers lanes dealt round-robin at admission — which models N
+// independent disks serving the shared queue.
 package engine
 
 import (
@@ -95,11 +96,13 @@ type Query struct {
 	Ctx context.Context
 }
 
-// Validate checks the query's shape, returning an error wrapping
-// ErrInvalidQuery for queries that cannot be executed. Submission
-// validates every query, so malformed work fails typed at the door
-// instead of surfacing as an index panic or a silent empty result.
-func (q Query) Validate() error {
+// Validate checks the query's shape and that its point or window has
+// dim dimensions, returning an error wrapping ErrInvalidQuery for
+// queries that cannot be executed. Submission validates every query, so
+// malformed work fails typed at the door instead of surfacing as an
+// index panic — which routing layers would retry on every replica — or
+// a silent empty result.
+func (q Query) Validate(dim int) error {
 	if q.MinRecall < 0 || q.MinRecall > 1 || q.MinRecall != q.MinRecall {
 		return fmt.Errorf("%w: min recall %v outside [0, 1]", ErrInvalidQuery, q.MinRecall)
 	}
@@ -134,23 +137,12 @@ func (q Query) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrInvalidQuery, int(q.Kind))
 	}
-	return nil
-}
-
-// validate checks the query's shape and that its point or window has the
-// index's dimensionality: a query of another dimensionality would reach
-// the index and fail there as a contained panic, which routing layers
-// retry on every replica.
-func (e *Engine) validate(q Query) error {
-	if err := q.Validate(); err != nil {
-		return err
-	}
 	n := len(q.Point)
 	if q.Kind == Window {
 		n = len(q.Window.Lo)
 	}
-	if dim := e.idx.Dim(); n != dim {
-		return fmt.Errorf("%w: %d-d %s query on a %d-d index", ErrInvalidQuery, n, q.Kind, dim)
+	if n != dim {
+		return fmt.Errorf("%w: %d-d %s query, want %d-d", ErrInvalidQuery, n, q.Kind, dim)
 	}
 	return nil
 }
@@ -195,14 +187,18 @@ type Engine struct {
 	// writer.
 	closing atomic.Bool
 
-	busyMu sync.Mutex
-	busy   []float64 // per-lane summed simulated busy seconds
+	// busy is the simulated-disk ledger: workers lanes, each the summed
+	// simulated busy seconds of the queries dealt to it. Lanes are dealt
+	// at admission in both modes — query i of a SubmitBatch gets lane
+	// i mod workers, a Submit the next lane round-robin (submits) — so
+	// Makespan does not depend on which goroutine ran which query.
+	busyMu  sync.Mutex
+	busy    []float64
+	submits atomic.Uint64
 
 	// Scan-sharing mode (see shared.go): one coordinator goroutine
 	// replaces the worker pool, multiplexing up to workers in-flight
-	// queries over cross-query batched page fetches. busy then models
-	// workers parallel lanes fed round-robin, keeping Makespan comparable
-	// across modes.
+	// queries over cross-query batched page fetches.
 	sharing     bool
 	maxRestarts int
 	scan        index.SharedScan
@@ -238,6 +234,7 @@ type Engine struct {
 
 type job struct {
 	q    Query
+	lane int // busy-ledger lane, dealt at admission
 	res  *Result
 	done *sync.WaitGroup
 }
@@ -336,7 +333,7 @@ func New(sto *store.Store, idx index.Index, workers int, opts ...Option) *Engine
 	}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go e.worker(i)
+		go e.worker()
 	}
 	return e
 }
@@ -402,7 +399,8 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 func (e *Engine) Submit(q Query) Result {
 	var res Result
 	var done sync.WaitGroup
-	if err := e.enqueue(job{q: q, res: &res, done: &done}); err != nil {
+	lane := int((e.submits.Add(1) - 1) % uint64(e.workers))
+	if err := e.enqueue(job{q: q, lane: lane, res: &res, done: &done}); err != nil {
 		return Result{Err: err}
 	}
 	done.Wait()
@@ -411,14 +409,15 @@ func (e *Engine) Submit(q Query) Result {
 
 // SubmitBatch executes all queries on the worker pool and blocks until
 // every result is ready. Results are returned in query order regardless
-// of completion order, so downstream aggregation is deterministic.
+// of completion order, and query i charges busy lane i mod workers, so
+// downstream aggregation and Makespan are deterministic.
 // Individual queries that cannot be enqueued carry their typed error
 // (ErrClosed, ErrOverloaded, ErrCanceled) in their Result slot.
 func (e *Engine) SubmitBatch(qs []Query) []Result {
 	results := make([]Result, len(qs))
 	var done sync.WaitGroup
 	for i := range qs {
-		if err := e.enqueue(job{q: qs[i], res: &results[i], done: &done}); err != nil {
+		if err := e.enqueue(job{q: qs[i], lane: i % e.workers, res: &results[i], done: &done}); err != nil {
 			results[i].Err = err
 		}
 	}
@@ -428,7 +427,7 @@ func (e *Engine) SubmitBatch(qs []Query) []Result {
 
 // enqueue validates a query and queues its job (see intake).
 func (e *Engine) enqueue(j job) error {
-	if err := e.validate(j.q); err != nil {
+	if err := j.q.Validate(e.idx.Dim()); err != nil {
 		return err
 	}
 	return intake(j.q.Ctx, e, e.queue, e.queueDepth, j.done, j)
@@ -507,11 +506,11 @@ func (e *Engine) Close() {
 }
 
 // worker drains the queue until Close.
-func (e *Engine) worker(id int) {
+func (e *Engine) worker() {
 	defer e.wg.Done()
 	for j := range e.queue {
 		e.queueDepth.Add(-1)
-		f := e.open(j, id)
+		f := e.open(j)
 		e.execute(f.s, j.q, j.res)
 		e.finish(f)
 		// Yield between queries: a warmed query runs in microseconds with
@@ -523,18 +522,16 @@ func (e *Engine) worker(id int) {
 }
 
 // flight is one query between open and finish, in either execution
-// mode: its job, its pooled session, the busy-ledger lane it charges
-// and when it started.
+// mode: its job, its pooled session and when it started.
 type flight struct {
 	job
 	s     *store.Session
-	lane  int
 	start time.Time
 }
 
 // open starts one dequeued query: a pooled session, freshly reset, with
 // the query's trace and context attached.
-func (e *Engine) open(j job, lane int) flight {
+func (e *Engine) open(j job) flight {
 	s := e.sessions.Get().(*store.Session)
 	s.Reset()
 	if j.q.Trace {
@@ -546,7 +543,7 @@ func (e *Engine) open(j job, lane int) flight {
 	if j.q.Ctx != nil {
 		s.SetContext(j.q.Ctx)
 	}
-	return flight{job: j, s: s, lane: lane, start: time.Now()}
+	return flight{job: j, s: s, start: time.Now()}
 }
 
 // finish settles one query in either mode: the session's sticky error,
@@ -619,7 +616,7 @@ func (e *Engine) execute(s *store.Session, q Query, res *Result) {
 	}
 }
 
-// WorkerBusy returns each worker's summed simulated busy seconds. The
+// WorkerBusy returns each lane's summed simulated busy seconds. The
 // slice is one consistent snapshot taken under the ledger lock — a
 // concurrent query finishing during the call is either fully included or
 // not at all, never half-applied.
@@ -630,12 +627,12 @@ func (e *Engine) WorkerBusy() []float64 {
 }
 
 // Makespan returns the simulated wall-clock of the run so far under the
-// model of one disk per worker: the largest per-worker busy sum. With
-// queue-balanced work it approaches total busy / workers, which is what
-// makes simulated QPS scale with the pool. Like WorkerBusy, the maximum
-// is computed under the ledger lock in one critical section, so it is
-// monotonically non-decreasing across calls even under concurrent
-// accounting.
+// model of one disk per worker: the largest per-lane busy sum. Lanes are
+// dealt round-robin, so with balanced work it approaches total busy /
+// workers, which is what makes simulated QPS scale with the pool. Like
+// WorkerBusy, the maximum is computed under the ledger lock in one
+// critical section, so it is monotonically non-decreasing across calls
+// even under concurrent accounting.
 func (e *Engine) Makespan() float64 {
 	e.busyMu.Lock()
 	defer e.busyMu.Unlock()

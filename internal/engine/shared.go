@@ -20,7 +20,7 @@ import (
 // cancellation at round boundaries, bounded restarts of cursors a
 // reorganization invalidated (index.ErrStaleScan) and contained panics
 // (ErrPanicked). Each query opens and finishes like a worker's (open,
-// finish), on busy lanes dealt round-robin.
+// finish), on the busy lane its admission dealt it.
 //
 // Per-query semantics survive sharing: results are identical to
 // share-nothing execution, Query.Ctx cancellation is honored at every
@@ -47,9 +47,8 @@ func (e *Engine) coordinator() {
 	var active []*sharedQuery
 	var cursors []index.Cursor
 	open := true
-	lane := 0
 	for open || len(active) > 0 {
-		active = e.admit(active, &open, &lane)
+		active = e.admit(active, &open)
 		if len(active) == 0 {
 			continue
 		}
@@ -62,7 +61,7 @@ func (e *Engine) coordinator() {
 
 // admit refills the active set from the queue up to the worker count,
 // blocking only when there is nothing in flight at all.
-func (e *Engine) admit(active []*sharedQuery, open *bool, lane *int) []*sharedQuery {
+func (e *Engine) admit(active []*sharedQuery, open *bool) []*sharedQuery {
 	for *open && len(active) < e.workers {
 		var j job
 		var ok bool
@@ -80,8 +79,7 @@ func (e *Engine) admit(active []*sharedQuery, open *bool, lane *int) []*sharedQu
 			return active
 		}
 		e.queueDepth.Add(-1)
-		sq := &sharedQuery{flight: e.open(j, *lane%e.workers)}
-		*lane++
+		sq := &sharedQuery{flight: e.open(j)}
 		if e.begin(sq) {
 			active = append(active, sq)
 		}

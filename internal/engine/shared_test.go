@@ -342,6 +342,34 @@ func TestEngineBusyMakespanConsistency(t *testing.T) {
 	}
 }
 
+// TestEngineBatchLanesDealtAtAdmission: in both modes, query i of a
+// batch charges busy lane i mod workers, whichever goroutine ran it, so
+// Makespan is a function of the batch. The ledger sums in completion
+// order, so lanes agree with the per-query sums to 1e-9 relative.
+func TestEngineBatchLanesDealtAtAdmission(t *testing.T) {
+	sto, tr, _ := buildTree(t, 51, 2000, 6)
+	batch := mixedBatch(rand.New(rand.NewSource(52)), 96, 6)
+	for _, opts := range [][]Option{nil, {WithScanSharing()}} {
+		const workers = 4
+		e := New(sto, tr, workers, opts...)
+		want := make([]float64, workers)
+		for i, res := range e.SubmitBatch(batch) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			want[i%workers] += res.SimTime
+		}
+		got := e.WorkerBusy()
+		e.Close()
+		for lane := range want {
+			if math.Abs(got[lane]-want[lane]) > 1e-9*want[lane] {
+				t.Fatalf("sharing=%v lane %d: busy %v, want %v (the sum of queries i with i mod %d = %d)",
+					e.Sharing(), lane, got[lane], want[lane], workers, lane)
+			}
+		}
+	}
+}
+
 // TestEngineSharingSurvivesReoptimize runs reorganizations concurrently
 // with a shared batch: stale cursors must be restarted transparently and
 // every query must still answer exactly.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -88,7 +89,8 @@ func BenchmarkKernelMinDist(b *testing.B) {
 		tb := a.Tables(g, q, met, n)
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += tb.MinDist(cells[i%n])
+			lb, _ := tb.MinDistPruned(cells[i%n], math.Inf(1))
+			sink += lb
 		}
 		_ = sink
 	})

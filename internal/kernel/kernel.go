@@ -161,21 +161,6 @@ func (t *Tables) cellSpan(i int, c uint32) (lo, hi float64) {
 	return lo, hi
 }
 
-// MinDist returns the minimum distance from the query to the box
-// approximation with the given cell codes — the same float64
-// Grid.MinDist would return.
-func (t *Tables) MinDist(codes []uint32) float64 {
-	lb, _ := t.accum(codes, false)
-	return t.finalize(lb)
-}
-
-// MaxDist returns the maximum distance from the query to the box
-// approximation — the same float64 Grid.MaxDist would return.
-func (t *Tables) MaxDist(codes []uint32) float64 {
-	_, ub := t.accum(codes, true)
-	return t.finalize(ub)
-}
-
 // Bounds returns both distance bounds in one pass over the codes.
 func (t *Tables) Bounds(codes []uint32) (lb, ub float64) {
 	sl, su := t.accumBoth(codes, math.Inf(1), math.Inf(1))
@@ -242,54 +227,6 @@ func (t *Tables) MinDistPruned(codes []uint32, lbT float64) (lb float64, pruned 
 		}
 	}
 	return t.finalize(sl), false
-}
-
-// accum walks the codes accumulating one side (upper when up is true).
-func (t *Tables) accum(codes []uint32, up bool) (sl, su float64) {
-	off := 0
-	if up {
-		off = 1
-	}
-	var s float64
-	if t.useTab {
-		tab, bits := t.tab, uint(t.bits)
-		if t.met == vec.Maximum {
-			for i, c := range codes {
-				if v := tab[(i<<bits|int(c))*2+off]; v > s {
-					s = v
-				}
-			}
-		} else {
-			for i, c := range codes {
-				s += tab[(i<<bits|int(c))*2+off]
-			}
-		}
-	} else {
-		eucl := t.met == vec.Euclidean
-		for i, c := range codes {
-			lo, hi := t.cellSpan(i, c)
-			var v float64
-			if up {
-				v = axisFar(t.q[i], lo, hi)
-			} else {
-				v = axisDist(t.q[i], lo, hi)
-			}
-			if eucl {
-				v = v * v
-			}
-			if t.met == vec.Maximum {
-				if v > s {
-					s = v
-				}
-			} else {
-				s += v
-			}
-		}
-	}
-	if up {
-		return 0, s
-	}
-	return s, 0
 }
 
 // accumBoth walks the codes once accumulating both sides, abandoning as

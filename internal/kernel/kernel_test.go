@@ -50,13 +50,10 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, g quantize.Grid, count int) 
 		wantLB := g.MinDist(q, cells, met)
 		wantUB := g.MaxDist(q, cells, met)
 		tb := a.Tables(g, q, met, count)
-		if got := tb.MinDist(cells); got != wantLB {
-			t.Fatalf("MinDist mismatch (bits=%d dim=%d met=%v useTab=%v): got %v want %v",
-				g.Bits, dim, met, tb.useTab, got, wantLB)
-		}
-		if got := tb.MaxDist(cells); got != wantUB {
-			t.Fatalf("MaxDist mismatch (bits=%d dim=%d met=%v useTab=%v): got %v want %v",
-				g.Bits, dim, met, tb.useTab, got, wantUB)
+		// Infinite thresholds never abandon: the exact bounds.
+		if lb, ub, pruned := tb.BoundsPruned(cells, math.Inf(1), math.Inf(1)); pruned || lb != wantLB || ub != wantUB {
+			t.Fatalf("BoundsPruned(+Inf) mismatch (bits=%d dim=%d met=%v useTab=%v): got (%v,%v,%v) want (%v,%v)",
+				g.Bits, dim, met, tb.useTab, lb, ub, pruned, wantLB, wantUB)
 		}
 		lb, ub := tb.Bounds(cells)
 		if lb != wantLB || ub != wantUB {

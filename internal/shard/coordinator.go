@@ -69,11 +69,11 @@ type Config struct {
 	// Registry receives the coordinator's shard.* metrics (default: a
 	// private registry).
 	Registry *obs.Registry
-	// SelfHeal starts the repairer: failed replicas are drained, probed,
-	// rebuilt from a healthy peer by one locked copy of its files and
-	// readmitted instead of staying drained. See heal.go and DESIGN.md
-	// §15. The replicas are then WAL-mode trees, so a copy recovers
-	// through core.Open and Insert is acknowledged durably.
+	// SelfHeal starts the repairer: failed replicas are drained, rebuilt
+	// from a healthy peer by one locked copy of its files and readmitted
+	// instead of staying drained. See heal.go and DESIGN.md §15. The
+	// replicas are then WAL-mode trees, so a copy recovers through
+	// core.Open and Insert is acknowledged durably.
 	SelfHeal bool
 }
 
@@ -129,23 +129,23 @@ type replica struct {
 	shard, id int
 	st        atomic.Pointer[stack]
 	// state is the replica lifecycle (ReplicaState, see heal.go):
-	// Serving → Draining → Rebuilding → Serving. Without
-	// SelfHeal a replica stays Serving forever and only engine health
-	// gates routing, preserving PR 7 behavior.
+	// Serving → Draining → Rebuilding → Serving. Without SelfHeal
+	// nothing rebuilds: a replica leaves Serving only by failing a write
+	// (write.go) and then stays drained, and otherwise only engine
+	// health gates routing.
 	state atomic.Int32
 	// fails counts consecutive failed attempts; any success resets it.
 	// Replicas with strictly more consecutive failures than a sibling
 	// are deprioritized, so traffic drains away from a broken replica
-	// after its first failure instead of re-probing it every query.
+	// after its first failure instead of retrying it every query.
 	fails atomic.Int32
 
 	// Repairer bookkeeping (heal.go). drainedSeq snapshots the shard's
-	// writeSeq at drain time: probe readmission is only legal when no
-	// write has landed since (the drained replica skipped them).
+	// writeSeq at drain time, so Status can report the write batches the
+	// drained replica skipped.
 	drainedSeq atomic.Uint64
 	drainedAt  atomic.Int64 // unix nanos of the drain, for MTTR
-	probeFails int          // owned by the repairer goroutine
-	nextProbe  time.Time    // owned by the repairer goroutine
+	retryAt    time.Time    // earliest retry after a failed rebuild
 }
 
 // stack returns the replica's current serving stack.
@@ -169,8 +169,7 @@ type shardState struct {
 	// section (copy, scrub, recovery, stack swap): holding it makes every
 	// replica's files quiescent, which is what lets a rebuild copy a live
 	// peer consistently. writeSeq counts applied write batches — the
-	// staleness witness for probe readmission and the measure of a
-	// drained replica's lag.
+	// measure of a drained replica's lag.
 	writeMu  sync.Mutex
 	writeSeq atomic.Uint64
 }
@@ -205,10 +204,7 @@ type Coordinator struct {
 	retries   *obs.Counter // failed replica attempts retried on a sibling
 	writes    *obs.Counter // write batches applied
 
-	drains       *obs.Counter // replicas drained by the repairer
-	probes       *obs.Counter // canary probes sent
-	probeFails   *obs.Counter // canary probes failed
-	readmits     *obs.Counter // probe-driven readmissions (no rebuild)
+	drains       *obs.Counter // replicas drained
 	rebuilds     *obs.Counter // completed replica rebuilds
 	rebuildFails *obs.Counter // rebuild attempts that gave up
 	mttr         *obs.Histogram
@@ -272,9 +268,6 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		retries:      cfg.Registry.Counter("shard.replica_retries"),
 		writes:       cfg.Registry.Counter("shard.writes"),
 		drains:       cfg.Registry.Counter("shard.heal.drains"),
-		probes:       cfg.Registry.Counter("shard.heal.probes"),
-		probeFails:   cfg.Registry.Counter("shard.heal.probe_failures"),
-		readmits:     cfg.Registry.Counter("shard.heal.readmissions"),
 		rebuilds:     cfg.Registry.Counter("shard.heal.rebuilds"),
 		rebuildFails: cfg.Registry.Counter("shard.heal.rebuild_failures"),
 		mttr:         cfg.Registry.Histogram("shard.mttr_seconds"),
@@ -511,7 +504,7 @@ func (c *Coordinator) Submit(q engine.Query) Result {
 	// Check the query at the door: an invalid one is query-local, so no
 	// replica could answer it, and a point longer than the fleet's would
 	// index past a shard's box.
-	if err := c.validate(q); err != nil {
+	if err := q.Validate(c.dim); err != nil {
 		res.Err = err
 		res.Wall = time.Since(start)
 		return res
@@ -528,35 +521,12 @@ func (c *Coordinator) Submit(q engine.Query) Result {
 		res.Err = err
 		return res
 	}
-	switch q.Kind {
-	case engine.KNN:
-		res.Neighbors = mergeKNN(lists, q.K)
-	case engine.Range:
-		res.Neighbors = mergeRange(lists)
-	default:
-		res.Neighbors = mergeWindow(lists)
-	}
+	res.Neighbors = merge(q.Kind, lists, q.K)
 	c.merged.Inc()
 	if res.Failovers > 0 {
 		c.failovers.Inc()
 	}
 	return res
-}
-
-// validate checks the query's shape and that its point or window has
-// the fleet's dimensionality, failing typed with engine.ErrInvalidQuery.
-func (c *Coordinator) validate(q engine.Query) error {
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	n := len(q.Point)
-	if q.Kind == engine.Window {
-		n = len(q.Window.Lo)
-	}
-	if n != c.dim {
-		return fmt.Errorf("%w: %d-d %s query on a %d-d fleet", engine.ErrInvalidQuery, n, q.Kind, c.dim)
-	}
-	return nil
 }
 
 // nonEmpty returns the ids of the shards that hold replicas.
@@ -607,7 +577,7 @@ func (c *Coordinator) knn(q engine.Query, res *Result) ([][]vec.Neighbor, error)
 	if err != nil || len(rest) == 0 {
 		return lists, err
 	}
-	top := mergeKNN(lists, q.K)
+	top := merge(engine.KNN, lists, q.K)
 	second := q
 	if len(top) == q.K {
 		// A computed MINDIST never exceeds the computed distance to a

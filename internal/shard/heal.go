@@ -1,27 +1,23 @@
 // Self-healing replicas: the repairer goroutine watches every replica,
-// drains the ones that stop answering, probes them with canary queries,
-// and either readmits them (transient faults, no missed writes) or
-// rebuilds them from a healthy peer by one locked copy of its files
-// (see DESIGN.md §15). The lifecycle is
+// drains the ones that stop answering and rebuilds each drained replica
+// from a healthy peer by one locked copy of its files, readmitting the
+// copy only after a clean scrub (see DESIGN.md §15). The lifecycle is
 //
 //	Serving → Draining → Rebuilding → Serving
-//	            └── probe readmission ──┘
 //
-// with the probe shortcut legal only when no write landed since the
-// drain — a drained replica skipped every write applied in the
-// meantime, so readmitting it after a write would serve stale answers.
+// and the rebuild is a drained replica's only way back: whatever drained
+// it — a closed engine, a failed query or a missed write — a copy of a
+// Serving peer that scrubs clean is the one proof that it holds every
+// write and no damage.
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/vec"
 )
 
 // ReplicaState is one replica's position in the self-healing lifecycle.
@@ -30,7 +26,8 @@ type ReplicaState int32
 const (
 	// Serving: in the query rotation and receiving writes.
 	Serving ReplicaState = iota
-	// Draining: out of rotation, skipping writes, under canary probes.
+	// Draining: out of rotation and skipping writes until the repairer
+	// rebuilds it.
 	Draining
 	// Rebuilding: a rebuild goroutine is copying a peer and will swap
 	// the copy in.
@@ -53,21 +50,16 @@ const (
 	// drainAfter drains a Serving replica after this many consecutive
 	// failed query attempts. One is enough: routing already prefers
 	// clean siblings after one failure, so a broken replica's counter
-	// never climbs past one; the canary probe is what separates a
-	// transient fault from a broken replica, cheaply. Engine un-readiness
-	// (closed) drains immediately regardless.
+	// never climbs past one, and rebuilding a replica whose fault was
+	// transient costs one locked copy. Engine un-readiness (closed)
+	// drains immediately regardless.
 	drainAfter = 1
-	// rebuildAfterProbes is how many consecutive probe failures trigger
-	// a rebuild instead of further probing.
-	rebuildAfterProbes = 2
 	// healInterval is the repairer's tick.
 	healInterval = 5 * time.Millisecond
-	// probeTimeout bounds each canary query: a replica that cannot
-	// answer a trivial KNN inside it is not fit to serve.
-	probeTimeout = 250 * time.Millisecond
-	// probeBackoff is the wait after a failed probe before the next
-	// one; twice it paces the retry of a failed rebuild.
-	probeBackoff = 25 * time.Millisecond
+	// rebuildRetry paces the next attempt after a failed rebuild, so an
+	// unrecoverable replica (say, no serving peer) retries on a timer
+	// instead of in a hot loop.
+	rebuildRetry = 50 * time.Millisecond
 )
 
 // repairer is the healing loop: one goroutine per coordinator, started
@@ -107,33 +99,19 @@ func (c *Coordinator) tend(sh *shardState, rep *replica) {
 		}
 		c.drain(sh, rep)
 	case Draining:
-		if time.Now().Before(rep.nextProbe) {
-			return // breaker open (probe backoff or failed-rebuild pacing)
+		if time.Now().Before(rep.retryAt) {
+			return // the last rebuild failed; wait out rebuildRetry
 		}
-		if sh.writeSeq.Load() != rep.drainedSeq.Load() {
-			// The shard took writes this replica skipped: probing cannot
-			// prove it current, only a rebuild can.
-			c.startRebuild(sh, rep)
-			return
-		}
-		if c.probe(rep) {
-			c.readmit(rep, c.readmits)
-			return
-		}
-		rep.probeFails++
-		if rep.probeFails >= rebuildAfterProbes {
-			c.startRebuild(sh, rep)
-			return
-		}
-		rep.nextProbe = time.Now().Add(probeBackoff)
+		c.startRebuild(sh, rep)
 	case Rebuilding:
 		// Owned by the rebuild goroutine.
 	}
 }
 
-// drain takes a Serving replica out of rotation and arms the probe
-// cycle. Called from the repairer and from the write path (a replica
-// that failed a write has diverged and must stop serving immediately).
+// drain takes a Serving replica out of rotation; the repairer rebuilds
+// it on its next tick. Called from the repairer and from the write path
+// (a replica that failed a write has diverged and must stop serving
+// immediately).
 func (c *Coordinator) drain(sh *shardState, rep *replica) {
 	if !rep.state.CompareAndSwap(int32(Serving), int32(Draining)) {
 		return
@@ -143,72 +121,27 @@ func (c *Coordinator) drain(sh *shardState, rep *replica) {
 	c.drains.Inc()
 }
 
-// probe sends one canary KNN with a tight deadline at the drained
-// replica's own engine. Success means the whole stack — queue, worker,
-// index, store — answered end to end.
-func (c *Coordinator) probe(rep *replica) bool {
-	st := rep.stack()
-	if !st.eng.Health().Ready() {
-		return false
-	}
-	c.probes.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	res := st.eng.Submit(engine.Query{
-		Kind:  engine.KNN,
-		Point: make(vec.Point, c.dim),
-		K:     1,
-		Ctx:   ctx,
-	})
-	if res.Err != nil {
-		c.probeFails.Inc()
-		return false
-	}
-	return true
-}
-
-// readmit returns a replica to Serving and records its MTTR.
-func (c *Coordinator) readmit(rep *replica, how *obs.Counter) {
-	rep.fails.Store(0)
-	rep.probeFails = 0
-	rep.nextProbe = time.Time{}
-	rep.state.Store(int32(Serving))
-	how.Inc()
-	if at := rep.drainedAt.Load(); at > 0 {
-		c.mttr.Observe(time.Since(time.Unix(0, at)).Seconds())
-	}
-}
-
 // startRebuild transitions Draining → Rebuilding and spawns the rebuild
-// goroutine. probeFails resets so a failed rebuild falls back to a full
-// probe cycle (with backoff) before the next attempt — the pacing that
-// keeps an unrecoverable shard from rebuilding in a hot loop.
+// goroutine.
 func (c *Coordinator) startRebuild(sh *shardState, rep *replica) {
 	if !rep.state.CompareAndSwap(int32(Draining), int32(Rebuilding)) {
 		return
 	}
-	rep.probeFails = 0
-	rep.nextProbe = time.Time{}
 	c.healWG.Add(1)
 	go c.rebuild(sh, rep)
 }
 
 // rebuild replaces a replica's whole stack from a healthy peer (see
-// rebuildOnce). A failed rebuild returns the replica to Draining.
+// rebuildOnce). A failed rebuild returns the replica to Draining, to be
+// retried after rebuildRetry. The write of retryAt before the state
+// store is visible to the repairer through the state load.
 func (c *Coordinator) rebuild(sh *shardState, rep *replica) {
 	defer c.healWG.Done()
-	err := c.rebuildOnce(sh, rep)
-	if err == nil {
-		return
+	if err := c.rebuildOnce(sh, rep); err != nil {
+		c.rebuildFails.Inc()
+		rep.retryAt = time.Now().Add(rebuildRetry)
+		rep.state.Store(int32(Draining))
 	}
-	c.rebuildFails.Inc()
-	// Back to Draining, paced: tend honors nextProbe before anything
-	// else, so an unrecoverable replica (say, no serving peer) retries
-	// on a timer instead of a hot loop. The writes before the state
-	// store are visible to the repairer through the state load.
-	rep.probeFails = 0
-	rep.nextProbe = time.Now().Add(2 * probeBackoff)
-	rep.state.Store(int32(Draining))
 }
 
 // errNoPeer means no Serving sibling could seed a rebuild.
@@ -288,8 +221,11 @@ func (c *Coordinator) rebuildOnce(sh *shardState, rep *replica) error {
 	}
 	eng := engine.New(sto, newTree, c.cfg.Workers)
 	old := rep.st.Swap(&stack{sto: sto, tree: newTree, eng: eng})
-	c.readmit(rep, c.rebuilds)
-	c.closeAsync(old.eng) // drains in-flight probes on the old stack
+	rep.fails.Store(0)
+	rep.state.Store(int32(Serving))
+	c.rebuilds.Inc()
+	c.mttr.Observe(time.Since(time.Unix(0, rep.drainedAt.Load())).Seconds())
+	c.closeAsync(old.eng)
 	return nil
 }
 

@@ -12,24 +12,21 @@ import (
 	"repro/internal/vec"
 )
 
+// checkedSim is a NewStore hook: a checksummed simulated store.
+func checkedSim(_, _ int) (*store.Store, error) {
+	sto := store.NewSim(store.DefaultConfig())
+	if err := sto.EnableChecksums(); err != nil {
+		return nil, err
+	}
+	return sto, nil
+}
+
 // healCoordinator builds a fleet over checksummed stores; with selfHeal
 // its replicas are WAL-mode trees under the repairer — the
 // configuration the self-healing contract is stated for.
 func healCoordinator(t *testing.T, pts []vec.Point, selfHeal bool, reg *obs.Registry) *Coordinator {
 	t.Helper()
-	c, err := New(Config{
-		Shards:   2,
-		Replicas: 2,
-		SelfHeal: selfHeal,
-		Registry: reg,
-		NewStore: func(_, _ int) (*store.Store, error) {
-			sto := store.NewSim(store.DefaultConfig())
-			if err := sto.EnableChecksums(); err != nil {
-				return nil, err
-			}
-			return sto, nil
-		},
-	}, pts)
+	c, err := New(Config{Shards: 2, Replicas: 2, SelfHeal: selfHeal, Registry: reg, NewStore: checkedSim}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +103,7 @@ func TestHealKillRebuild(t *testing.T) {
 
 // TestHealCorruptAtRestRebuild: at-rest corruption of a replica's
 // directory file makes its queries fail typed; the failures drain it,
-// canary probes keep failing against the broken stack, and the rebuild
-// replaces it with a verified copy of its sibling.
+// and the rebuild replaces it with a verified copy of its sibling.
 func TestHealCorruptAtRestRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
 	pts := randPoints(r, 1600, 6)
@@ -134,14 +130,94 @@ func TestHealCorruptAtRestRebuild(t *testing.T) {
 		}
 	}
 
-	if got := reg.Counter("shard.heal.probe_failures").Value(); got == 0 {
-		t.Fatal("no failed probes recorded; the corrupt replica was readmitted without proof")
+	if got := reg.Counter("shard.heal.rebuilds").Value(); got < 1 {
+		t.Fatalf("fleet healthy with %d rebuilds; the corrupt replica cannot have recovered without one", got)
 	}
 	// The rebuilt replica must answer directly — the corruption is gone,
 	// not routed around.
 	direct := c.Engine(0, 0).Submit(engine.Query{Kind: engine.KNN, Point: pts[0], K: 3})
 	if direct.Err != nil {
 		t.Fatalf("rebuilt replica still failing: %v", direct.Err)
+	}
+}
+
+// TestHealDamagedReplicaRebuildsOnce: one flipped bit in an exact page
+// of a replica fails every query that refines on that page, while a KNN
+// at the origin still answers. Traffic at the page drains the replica
+// once, and the repairer rebuilds it from a scrubbed copy of its
+// sibling: no query is lost, the damage is never readmitted (a
+// readmitted replica would fail the next query at the page and drain
+// again), and the rebuilt replica answers at the page directly.
+func TestHealDamagedReplicaRebuildsOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	pts := randPoints(r, 4000, 6)
+	reg := &obs.Registry{}
+	c, err := New(Config{Shards: 1, Replicas: 2, SelfHeal: true, Registry: reg, NewStore: checkedSim}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The exact page of the last directory row is the last block of
+	// iq.exact; flip one bit of it beneath replica 0's .crc sidecar.
+	rows := c.shards[0].reps[0].stack().tree.DescribePages()
+	box := rows[len(rows)-1].MBR
+	centre := make(vec.Point, box.Dim())
+	for i := range centre {
+		centre[i] = (box.Lo[i] + box.Hi[i]) / 2
+	}
+	bf := victimStore(t, c, 0, 0).Backend().Lookup(core.EFileName)
+	if bf == nil {
+		t.Fatal("replica 0 has no exact file")
+	}
+	data, err := bf.ReadBlocks(bf.Blocks()-1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte(nil), data...)
+	buf[len(buf)/2] ^= 0x08
+	if err := bf.WriteBlocks(bf.Blocks()-1, buf); err != nil {
+		t.Fatal(err)
+	}
+	damaged := c.Engine(0, 0)
+	if res := damaged.Submit(engine.Query{Kind: engine.KNN, Point: make(vec.Point, 6), K: 1}); res.Err != nil {
+		t.Fatalf("damaged replica fails at the origin too: %v", res.Err)
+	}
+	q := engine.Query{Kind: engine.KNN, Point: centre, K: 10}
+	if res := damaged.Submit(q); res.Err == nil {
+		t.Fatal("damaged replica answers at the damaged page")
+	}
+
+	drains, rebuilds := reg.Counter("shard.heal.drains"), reg.Counter("shard.heal.rebuilds")
+	ask := func(i int) {
+		t.Helper()
+		if res := c.Submit(q); res.Err != nil {
+			t.Fatalf("query %d lost: %v", i, res.Err)
+		}
+		if d := drains.Value(); d > 1 {
+			t.Fatalf("query %d: %d drains and %d rebuilds; the damaged replica came back without a rebuild",
+				i, d, rebuilds.Value())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	i := 0
+	for ; rebuilds.Value() < 1 || !c.Healthy(); i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("damaged replica never rebuilt: %d drains, %+v", drains.Value(), c.Status())
+		}
+		ask(i)
+	}
+	// The rebuilt replica takes its share of the traffic without
+	// draining again.
+	for end := i + 100; i < end; i++ {
+		ask(i)
+	}
+	if d := drains.Value(); d != 1 {
+		t.Fatalf("%d drains, want 1", d)
+	}
+	if res := c.Engine(0, 0).Submit(q); res.Err != nil {
+		t.Fatalf("rebuilt replica fails at the damaged page: %v", res.Err)
 	}
 }
 
@@ -154,19 +230,7 @@ func TestHealRejectsDamagedPeerCopy(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
 	pts := randPoints(r, 1200, 6)
 	reg := &obs.Registry{}
-	c, err := New(Config{
-		Shards:   1,
-		Replicas: 2,
-		SelfHeal: true,
-		Registry: reg,
-		NewStore: func(_, _ int) (*store.Store, error) {
-			sto := store.NewSim(store.DefaultConfig())
-			if err := sto.EnableChecksums(); err != nil {
-				return nil, err
-			}
-			return sto, nil
-		},
-	}, pts)
+	c, err := New(Config{Shards: 1, Replicas: 2, SelfHeal: true, Registry: reg, NewStore: checkedSim}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,40 +404,6 @@ func TestHealWritesDuringRebuild(t *testing.T) {
 		if row.Lag != 0 {
 			t.Fatalf("replica %d/%d still lags by %d write batches: %+v", row.Shard, row.Replica, row.Lag, row)
 		}
-	}
-}
-
-// TestHealProbeReadmission: a replica drained without missing any write
-// comes back through canary probes alone — no rebuild.
-func TestHealProbeReadmission(t *testing.T) {
-	r := rand.New(rand.NewSource(64))
-	pts := randPoints(r, 1200, 6)
-
-	reg := &obs.Registry{}
-	c := healCoordinator(t, pts, true, reg)
-	defer c.Close()
-
-	// Simulate a transient fault: enough consecutive failures to drain,
-	// but a perfectly healthy stack underneath.
-	rep := c.shards[0].reps[0]
-	rep.fails.Store(drainAfter)
-
-	deadline := time.Now().Add(30 * time.Second)
-	for reg.Counter("shard.heal.readmissions").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drained replica never readmitted: %+v", c.Status())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	waitHealthy(t, c, "probe readmission")
-	if got := reg.Counter("shard.heal.drains").Value(); got < 1 {
-		t.Fatal("no drain recorded")
-	}
-	if got := reg.Counter("shard.heal.rebuilds").Value(); got != 0 {
-		t.Fatalf("probe readmission path ran %d rebuilds", got)
-	}
-	if got := reg.Counter("shard.heal.probes").Value(); got < 1 {
-		t.Fatal("no probes recorded")
 	}
 }
 

@@ -1,9 +1,10 @@
 package shard
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/vec"
 )
 
@@ -17,96 +18,22 @@ import (
 // merged answer is a deterministic function of the query and the data,
 // independent of shard count, replica choice, or failover history.
 
-// canonicalize sorts one shard's mapped result list into the canonical
-// (Dist, ID) order. Engines return KNN/range results ordered by
-// distance with unspecified tie order; pinning ties to ascending global
-// ID makes the k-way merge (and with it the k-boundary cut) exact and
-// reproducible.
-func canonicalize(nbs []vec.Neighbor) {
-	sort.Slice(nbs, func(i, j int) bool {
-		if nbs[i].Dist != nbs[j].Dist {
-			return nbs[i].Dist < nbs[j].Dist
-		}
-		return nbs[i].ID < nbs[j].ID
+// merge concatenates the shards' answers (global IDs) and sorts them
+// into the canonical order; a KNN keeps the first k. Global IDs are
+// unique across shards, so the order is total: ties in distance,
+// within a shard or across shards, are cut by ascending ID, and the
+// k-boundary cut does not depend on how the lists were split.
+func merge(kind engine.Kind, lists [][]vec.Neighbor, k int) []vec.Neighbor {
+	out := slices.Concat(lists...)
+	if kind == engine.Window {
+		slices.SortFunc(out, func(a, b vec.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
+		return out
+	}
+	slices.SortFunc(out, func(a, b vec.Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})
-}
-
-// knnHeap is a min-heap over the heads of per-shard candidate lists,
-// ordered canonically.
-type knnHeap [][]vec.Neighbor
-
-func (h knnHeap) Len() int { return len(h) }
-func (h knnHeap) Less(i, j int) bool {
-	a, b := h[i][0], h[j][0]
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
+	if kind == engine.KNN && len(out) > k {
+		out = out[:k]
 	}
-	return a.ID < b.ID
-}
-func (h knnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap) Push(x any)        { *h = append(*h, x.([]vec.Neighbor)) }
-func (h *knnHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (h knnHeap) head() vec.Neighbor { return h[0][0] }
-
-// mergeKNN merges per-shard top-k candidate lists into the global
-// top-k by exact distance: each list is canonicalized, then a k-way
-// heap merge pops the globally smallest head until k results are out or
-// every candidate is consumed (k larger than the dataset).
-func mergeKNN(lists [][]vec.Neighbor, k int) []vec.Neighbor {
-	h := make(knnHeap, 0, len(lists))
-	total := 0
-	for _, l := range lists {
-		if len(l) == 0 {
-			continue
-		}
-		canonicalize(l)
-		h = append(h, l)
-		total += len(l)
-	}
-	if total > k {
-		total = k
-	}
-	heap.Init(&h)
-	out := make([]vec.Neighbor, 0, total)
-	for len(out) < k && h.Len() > 0 {
-		out = append(out, h.head())
-		if rest := h[0][1:]; len(rest) > 0 {
-			h[0] = rest
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
-}
-
-// mergeRange concatenates per-shard range results (the shards partition
-// the points, so the union is exact and duplicate-free) in canonical
-// (Dist, ID) order.
-func mergeRange(lists [][]vec.Neighbor) []vec.Neighbor {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]vec.Neighbor, 0, n)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	canonicalize(out)
-	return out
-}
-
-// mergeWindow concatenates per-shard window results in ascending global
-// ID order (window results carry no distances).
-func mergeWindow(lists [][]vec.Neighbor) []vec.Neighbor {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]vec.Neighbor, 0, n)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -20,7 +20,7 @@ func TestMergeKNNBoundaryTies(t *testing.T) {
 		{nb(7, 0.5), nb(30, 0.5)},
 		{nb(2, 0.3), nb(99, 0.5)},
 	}
-	got := mergeKNN(lists, 4)
+	got := merge(engine.KNN, lists, 4)
 	want := []vec.Neighbor{nb(10, 0.1), nb(2, 0.3), nb(7, 0.5), nb(12, 0.5)}
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
@@ -43,7 +43,7 @@ func TestMergeKNNShortLists(t *testing.T) {
 		{},
 		{nb(1, 0.9), nb(3, 0.4)},
 	}
-	got := mergeKNN(lists, 10)
+	got := merge(engine.KNN, lists, 10)
 	want := []vec.Neighbor{nb(5, 0.2), nb(3, 0.4), nb(1, 0.9)}
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
@@ -53,7 +53,7 @@ func TestMergeKNNShortLists(t *testing.T) {
 			t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if got := mergeKNN(nil, 3); len(got) != 0 {
+	if got := merge(engine.KNN, nil, 3); len(got) != 0 {
 		t.Fatalf("merge of no lists returned %d results", len(got))
 	}
 }

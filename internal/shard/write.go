@@ -111,9 +111,9 @@ func (c *Coordinator) insertShard(sh *shardState, pts []vec.Point, gids []uint32
 		st := rep.stack()
 		if err := st.tree.InsertBatch(st.sto.NewSession(), pts, locals); err != nil {
 			// This replica missed a write every sibling took: it is stale
-			// from this moment and must stop serving. drain records the
-			// pre-increment writeSeq, so probe readmission is impossible
-			// and only a rebuild brings it back.
+			// from this moment and must stop serving until a rebuild
+			// brings it back. drain records the pre-increment writeSeq,
+			// so its lag counts this batch.
 			c.drain(sh, rep)
 			errs = append(errs, fmt.Errorf("replica %d: %w", rep.id, err))
 			continue

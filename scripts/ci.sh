@@ -53,6 +53,13 @@ echo "== engine admission repeat =="
 # and Close, on either lane, cannot hide in one lucky schedule.
 go test -race -count=10 -run 'TestEngine(SubmitCloseRace|ClosingVisibleDuringClose|CloseSemantics|LoadShedding|ContextCancellation|QueryValidation|RejectsWrongDimension.*)$|TestSubmitWrite' ./internal/engine/
 
+echo "== self-healing repeat =="
+# A drained replica has one way back, a rebuild from a scrubbed peer
+# copy, raced by live queries, writes and Close; repeat the repairer's
+# tests under the race detector so a lifecycle race cannot hide in one
+# lucky schedule.
+go test -race -count=5 -run 'TestHeal|TestShardChaos|TestStatusLag' ./internal/shard/
+
 echo "== WAL recovery repeat =="
 # Recovery once lost acknowledged records only for some commit layouts;
 # repeat the WAL suite so a layout-dependent regression cannot hide.
