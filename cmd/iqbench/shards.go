@@ -84,13 +84,36 @@ func sameAnswer(a, b []vec.Neighbor) bool {
 	return true
 }
 
+// fleetMakespan is the simulated finish time of a batch on a fleet of
+// one-replica shards with workers disk lanes each: every shard deals the
+// sub-queries it answered, in query order, round-robin to its lanes, the
+// way its engine deals Submits, and the busiest lane of any shard sets
+// the time. Taken from the results, it does not depend on the order in
+// which the coordinator's concurrent scatter-gathers reached an engine.
+func fleetMakespan(results []shard.Result, workers int) float64 {
+	busy := map[[2]int]float64{} // (shard, lane) → summed simulated seconds
+	dealt := map[int]int{}       // shard → sub-queries dealt so far
+	var m float64
+	for _, res := range results {
+		for s, sub := range res.Shards {
+			if sub.SimTime > 0 { // zero for a shard the query did not ask
+				lane := [2]int{s, dealt[s] % workers}
+				dealt[s]++
+				busy[lane] += sub.SimTime
+				m = max(m, busy[lane])
+			}
+		}
+	}
+	return m
+}
+
 // runShards benchmarks sharded scatter-gather serving: a scaling sweep
 // over shard counts (one replica each: replicas add availability, not
 // capacity), then a chaos campaign on the largest topology. QPS divides
-// the batch size by the fleet's simulated makespan — the busiest disk
-// lane across every shard engine — so the number models N shards' disks
-// running in parallel. Mismatched counts queries whose merged answer
-// differed from the single-shard answer (sharding never changes one).
+// the batch size by the fleet's simulated makespan (fleetMakespan), so
+// the number models N shards' disks running in parallel. Mismatched
+// counts queries whose merged answer differed from the single-shard
+// answer (sharding never changes one).
 func runShards(o experiments.RunOpts) (experiments.Figure, error) {
 	// Sharding is a scale-out play: per-shard fixed costs (directory
 	// seek, per-shard KNN refinement) amortize only over enough data,
@@ -118,7 +141,7 @@ func runShards(o experiments.RunOpts) (experiments.Figure, error) {
 			return experiments.Figure{}, fmt.Errorf("shards=%d: %w", sc, err)
 		}
 		results := c.SubmitBatch(batch)
-		qps := float64(len(batch)) / c.Makespan()
+		qps := float64(len(batch)) / fleetMakespan(results, workers)
 		c.Close()
 		answers := make([][]vec.Neighbor, len(results))
 		for i, res := range results {

@@ -39,8 +39,9 @@
 //
 //	iqtool -shard-status -n 8000
 //
-// -cache attaches a shared LRU buffer pool (in bytes); cached blocks
-// cost no simulated I/O, and -explain reports the pool's hit rate.
+// -cache attaches a shared buffer pool (in bytes) that evicts exact
+// pages before directory and quantized ones; cached blocks cost no
+// simulated I/O, and -explain reports the pool's hit rate.
 // -trace prints the full per-query plan: a per-level cost table
 // (directory/quantized/exact seeks, transfers and CPU), the page
 // scheduler's batch decisions, and the candidate/refinement funnel.
@@ -91,7 +92,7 @@ func run() (err error) {
 		backend  = flag.String("store", "sim", "block store backend: sim | file")
 		dir      = flag.String("dir", "", "directory for -store file")
 		open     = flag.Bool("open", false, "open the existing tree in -dir instead of building (implies -store file)")
-		cache    = flag.Int64("cache", 0, "buffer-pool cache budget in bytes (0 = no cache)")
+		cache    = flag.Int64("cache", 0, "buffer-pool budget in bytes, exact pages evicted first (0 = no cache)")
 		checksum = flag.Bool("checksum", false, "guard every block with a CRC32C checksum (with -verify: also scrub)")
 		durable  = flag.Bool("durable", false, "build in WAL mode: updates are logged and committed before acknowledgement")
 		walFlg   = flag.Bool("wal", false, "inspect the write-ahead and checkpoint logs in -dir (implies -store file)")

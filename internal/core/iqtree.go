@@ -244,6 +244,7 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 	if t.eFile, err = sto.NewFile(EFileName); err != nil {
 		return nil, err
 	}
+	t.eFile.EvictFirst()
 	sn := &snapshot{n: len(pts), dataSpace: vec.MBROf(pts)}
 
 	df := opt.FractalDim

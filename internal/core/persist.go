@@ -129,6 +129,7 @@ func Open(sto *store.Store) (*Tree, error) {
 	if t.eFile = sto.File(genName(EFileName, t.gen)); t.eFile == nil {
 		return nil, fmt.Errorf("core: missing exact file (generation %d)", t.gen)
 	}
+	t.eFile.EvictFirst()
 	nEntries := int(le.Uint32(buf[12:]))
 
 	// Rebuild the in-memory directory from level 1.
@@ -247,6 +248,7 @@ func (t *Tree) recover(refineFactor float64) (*Tree, error) {
 	if t.eFile = t.sto.File(genName(EFileName, t.gen)); t.eFile == nil {
 		return nil, fmt.Errorf("core: missing exact file (generation %d)", t.gen)
 	}
+	t.eFile.EvictFirst()
 	// Trim physical writes past the checkpoint: they belong to mutations
 	// that replay re-applies (identically, LSN order = apply order) or
 	// that never got acknowledged.

@@ -176,6 +176,7 @@ func (t *Tree) reoptBegin() error {
 		t.reoptAbort()
 		return err
 	}
+	r.eFile.EvictFirst()
 	return nil
 }
 

@@ -206,3 +206,112 @@ func TestWritesKeepPoolWarm(t *testing.T) {
 		t.Fatalf("KNN after Reoptimize read no block of the new generation:\n%s", tr.Format())
 	}
 }
+
+// TestPoolKeepsUpperLevels gates the level-aware pool on the simulated
+// clock. A WAL tree under the auto-reoptimize policy gets a pool that
+// holds its directory and quantized files, with room for their growth
+// and for the next generation's, but less than a quarter of its exact
+// file; the pool is warmed by reading every directory and quantized block
+// once. Inserts, deletes and traced KNNs then alternate through at least
+// one reoptimization swap. No KNN may read a directory or quantized block
+// of any generation from the backend: exact pages, on the evict-first
+// list, give way first. And after an insert, the exact page version it
+// superseded is gone from the pool, so reading it costs its blocks from
+// the backend.
+func TestPoolKeepsUpperLevels(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	const dim, budget = 16, 64 // budget in blocks
+	pts := randPoints(r, 20000, dim)
+	opt := walTestOptions()
+	opt.FixedBits = 1 // 32 exact blocks for every quantized one
+	opt.AutoReoptimize = AutoReoptPolicy{GarbageRatio: 0.3}
+	tree := buildWALTree(t, pts, opt)
+	sto := tree.sto
+	if ex := tree.eFile.Blocks(); 4*budget >= ex {
+		t.Fatalf("a pool of %d blocks is not under a quarter of the %d exact blocks", budget, ex)
+	}
+	sto.SetCache(budget * int64(sto.Config().BlockSize))
+	upper := func(name string) bool {
+		return strings.HasPrefix(name, DirFileName) || strings.HasPrefix(name, QFileName)
+	}
+	warm := sto.NewSession()
+	for _, f := range []*store.File{tree.dirFile, tree.qFile} {
+		if _, err := warm.Read(f, 0, f.Blocks()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	forgotten, peak, step := 0, 0, 0
+	for ; tree.reoptGen.Load() < 2; step++ {
+		if step == 400 {
+			t.Fatalf("%d swaps in %d steps, want 2", tree.reoptGen.Load(), step)
+		}
+		before, eFile, running := tree.load(), tree.eFile, tree.ReoptimizeRunning()
+		s := sto.NewSession()
+		inserted := step%3 != 2
+		if inserted {
+			if err := tree.Insert(s, randPoints(r, 1, dim)[0], uint32(len(pts)+step)); err != nil {
+				t.Fatal(err)
+			}
+		} else if found, err := tree.Delete(s, pts[step], uint32(step)); err != nil || !found {
+			t.Fatalf("step %d: delete found %v, %v", step, found, err)
+		}
+		held := 0
+		for _, name := range sto.Backend().Names() {
+			if upper(name) || name == MetaFileName {
+				held += sto.File(name).Blocks()
+			}
+		}
+		if held >= budget {
+			t.Fatalf("step %d: the upper levels hold %d blocks, more than the pool leaves room for", step, held)
+		}
+		peak = max(peak, held)
+
+		// A run in flight reads its pinned page versions, superseded
+		// ones included, and a swap removes the old generation, so the
+		// superseded version is checked only with neither.
+		if inserted && !running && tree.eFile == eFile {
+			after := tree.load()
+			for i, e := range before.entries {
+				if e.EBlocks == 0 || after.entries[i].EPos == e.EPos {
+					continue
+				}
+				var tr Trace
+				if _, err := traced(sto, &tr).Read(eFile, int(e.EPos), int(e.EBlocks)); err != nil {
+					t.Fatal(err)
+				}
+				if x := tr.Level(eFile.Name()); x.Blocks != int(e.EBlocks) || x.CachedBlocks != 0 {
+					t.Fatalf("step %d: the superseded exact version of page %d read %d backend blocks and %d pool hits, want %d and 0",
+						step, i, x.Blocks, x.CachedBlocks, e.EBlocks)
+				}
+				forgotten++
+			}
+		}
+
+		var tr Trace
+		ks := traced(sto, &tr)
+		if _, err := tree.KNN(ks, randPoints(r, 1, dim)[0], 10); err != nil {
+			t.Fatal(err)
+		}
+		traceMatchesSession(t, &tr, ks)
+		hits := 0
+		for _, l := range tr.Levels {
+			if !upper(l.File) {
+				continue
+			}
+			hits += l.CachedBlocks
+			if l.Seeks != 0 || l.Blocks != 0 {
+				t.Fatalf("step %d (%d swaps): the KNN read %s from the backend: %d seeks, %d blocks\n%s",
+					step, tree.reoptGen.Load(), l.File, l.Seeks, l.Blocks, tr.Format())
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("step %d: the KNN read no directory or quantized block", step)
+		}
+	}
+	if forgotten == 0 {
+		t.Fatal("no insert superseded an exact page version outside a run")
+	}
+	t.Logf("%d steps, 2 swaps, upper levels at most %d of %d blocks, %d superseded exact versions read from the backend",
+		step, peak, budget, forgotten)
+}

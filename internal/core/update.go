@@ -251,6 +251,7 @@ func (t *Tree) applyDelete(s *store.Session, sn *snapshot, p vec.Point, id uint3
 				sn.n--
 				sn.model.N = sn.n
 				if len(pts) == 0 {
+					t.forgetExact(e)
 					sn.free[i] = true
 					sn.entries[i].Count = 0
 					sn.clearOwner(int(sn.entries[i].QPos), i)
@@ -336,6 +337,7 @@ func (t *Tree) tryMerge(s *store.Session, sn *snapshot, entry int) error {
 	pts = append(pts, pts2...)
 	ids = append(ids, ids2...)
 	t.rewritePage(s, sn, entry, pts, ids, mergedBits)
+	t.forgetExact(o)
 	sn.free[best] = true
 	sn.entries[best].Count = 0
 	sn.clearOwner(int(sn.entries[best].QPos), best)
@@ -466,16 +468,26 @@ func (t *Tree) rewritePage(s *store.Session, sn *snapshot, entry int, pts []vec.
 	}
 	e := &sn.entries[entry]
 	sn.clearOwner(int(e.QPos), entry)
+	old := *e
 	// Write failures are recorded as the store's sticky error; the public
 	// update entry points check Store.Err before publishing the epoch.
 	grid, ok := t.writePage(t.qFile, t.eFile, e, pts, ids, bits)
 	if ok {
 		sn.setOwner(int(e.QPos), entry)
 	}
+	t.forgetExact(old)
 	sn.grids[entry] = grid
 	// Write cost: one seek plus the page transfer, attributed to the
 	// quantized file (the exact-page rewrite rides on the same pass).
 	s.ChargeWrite(t.qFile, 1, 1)
+}
+
+// forgetExact drops the pooled frames of a superseded exact page
+// version. Copy-on-write leaves its bytes in place, so a reader pinned to
+// an older epoch just misses; a superseded quantized version stays
+// pooled, because a batch read spans the dead versions between live ones.
+func (t *Tree) forgetExact(e page.DirEntry) {
+	t.eFile.Forget(int(e.EPos), int(e.EBlocks))
 }
 
 // writeDirectory serializes the whole first-level directory (it is

@@ -380,22 +380,6 @@ func (c *Coordinator) Engine(shard, replica int) *engine.Engine {
 	return sh.reps[replica].stack().eng
 }
 
-// Makespan returns the aggregate simulated wall-clock of the fleet so
-// far: the busiest lane across every replica engine. Shards (and the
-// lanes within each engine) model independent disks running in
-// parallel, so the slowest one bounds the fleet's simulated finish time.
-func (c *Coordinator) Makespan() float64 {
-	var m float64
-	for _, sh := range c.shards {
-		for _, rep := range sh.reps {
-			if b := rep.stack().eng.Makespan(); b > m {
-				m = b
-			}
-		}
-	}
-	return m
-}
-
 // retryable classifies a failed attempt: replica-local failures (the
 // sibling replica holds the same data on different hardware) are worth
 // a failover; query-local failures follow the query to any replica and

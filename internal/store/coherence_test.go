@@ -44,11 +44,13 @@ func randomBytes(r *rand.Rand, maxBlocks, bs int) []byte {
 }
 
 // TestPoolCoherenceModel runs seeded random sequences of Append,
-// SetContents, Truncate, NewFile and Remove, interleaved with pooled
-// reads, against a shadow model of the bytes each file held after its
-// last successful mutation. The pool holds five blocks, so fills and
-// writes evict. Every pooled read must equal the model, and so must every
-// resident frame after every step. On the fault-wrapped backend writes
+// SetContents, Truncate, NewFile, Remove and Forget, interleaved with
+// pooled reads, against a shadow model of the bytes each file held after
+// its last successful mutation. One of the three files is marked
+// EvictFirst. The pool holds five blocks, so fills and writes evict.
+// Every pooled read must equal the model, and so must every resident
+// frame after every step, each linked on its own list; a Forget must
+// leave no frame of its range. On the fault-wrapped backend writes
 // fail transiently (retries off) or tear; a failed mutation must leave no
 // frame of its file, and the model then takes the bytes the backend
 // holds, which is what an uncached read returns.
@@ -101,16 +103,21 @@ func runPoolModel(t *testing.T, sto *Store, seed int64, faulty bool) int {
 	sto.SetCache(5 * int64(bs))
 	r := rand.New(rand.NewSource(seed))
 	names := []string{"a", "b", "c"}
+	const evictFirst = "c"
 	model := map[string][]byte{}
 	failures := 0
 	for step := 0; step < 400; step++ {
 		name := names[r.Intn(len(names))]
 		f := sto.File(name)
 		var err error
-		switch op := r.Intn(10); {
+		switch op := r.Intn(11); {
 		case f == nil || op == 0:
-			if _, err := sto.NewFile(name); err != nil {
+			nf, err := sto.NewFile(name)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if name == evictFirst {
+				nf.EvictFirst()
 			}
 			model[name] = nil
 		case op == 1:
@@ -133,6 +140,14 @@ func runPoolModel(t *testing.T, sto *Store, seed int64, faulty bool) int {
 			n := r.Intn(f.Blocks() + 2)
 			if err = f.Truncate(n); err == nil && n*bs < len(model[name]) {
 				model[name] = model[name][:n*bs]
+			}
+		case op == 5:
+			pos, n := r.Intn(f.Blocks()+2), r.Intn(4)
+			f.Forget(pos, n)
+			for b := range residentBlocks(sto.Pool(), name) {
+				if b >= pos && b < pos+n {
+					t.Fatalf("seed %d step %d: block %d of %s survives Forget(%d, %d)", seed, step, b, name, pos, n)
+				}
 			}
 		default:
 			blocks := len(model[name]) / bs
@@ -167,16 +182,18 @@ func runPoolModel(t *testing.T, sto *Store, seed int64, faulty bool) int {
 			}
 		}
 		checkFramesMatch(t, sto.Pool(), model, bs)
+		lists(t, sto.Pool())
 	}
 	return failures
 }
 
-// TestPoolCoherenceConcurrent: sessions read a file while a writer
-// appends to it, rewrites it and truncates it, through a pool smaller
-// than the file. A read that races a mutation may fail or see either
-// version; once the writer stops, every resident frame must equal the
-// file's final bytes, and a pooled read of the whole file must return
-// them. Run it under -race.
+// TestPoolCoherenceConcurrent: sessions read a file and forget blocks of
+// it while a writer appends to it, rewrites it and truncates it, through
+// a pool smaller than the file. Halfway the writer marks the file
+// EvictFirst, so its frames straddle both lists. A read that races a
+// mutation may fail or see either version; once the writer stops, every
+// resident frame must equal the file's final bytes, and a pooled read of
+// the whole file must return them. Run it under -race.
 func TestPoolCoherenceConcurrent(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
 		bs := sto.Config().BlockSize
@@ -207,6 +224,10 @@ func TestPoolCoherenceConcurrent(t *testing.T) {
 						continue
 					}
 					pos := r.Intn(n)
+					if r.Intn(4) == 0 {
+						f.Forget(pos, 1+r.Intn(2))
+						continue
+					}
 					s.Reset()
 					s.Read(f, pos, 1+r.Intn(n-pos)) // may fail: the file can shrink under the read
 				}
@@ -215,6 +236,9 @@ func TestPoolCoherenceConcurrent(t *testing.T) {
 
 		r := rand.New(rand.NewSource(7))
 		for step := 0; step < 300; step++ {
+			if step == 150 {
+				f.EvictFirst()
+			}
 			switch r.Intn(3) {
 			case 0:
 				p := randomBytes(r, 3, bs)
@@ -237,6 +261,7 @@ func TestPoolCoherenceConcurrent(t *testing.T) {
 		halt()
 
 		checkFramesMatch(t, sto.Pool(), map[string][]byte{"t": model}, bs)
+		lists(t, sto.Pool())
 		if n := len(model) / bs; n > 0 {
 			got, err := sto.NewSession().Read(f, 0, n)
 			if err != nil {

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// BufferPool is a shared LRU cache of single blocks, keyed by (file,
-// block position), with a configurable byte budget. It sits between
+// BufferPool is a shared cache of single blocks, keyed by (file, block
+// position), with a configurable byte budget. It sits between
 // sessions and the backend: many concurrent queries share hot directory
 // and quantized pages, and a cache hit charges zero seek/transfer time —
 // which is also how it plugs into the paper's cost model (a cached block
@@ -25,6 +25,15 @@ import (
 // completed after its lookup, so bytes fetched before a rewrite cannot
 // outlive it.
 //
+// Frames sit on one of two LRU lists. A File marked EvictFirst (the
+// IQ-tree's exact pages, read only to refine) puts its frames on the
+// evict-first list, every other file on the ordinary list, and while the
+// evict-first list holds any frame the victims come only from it: the
+// directory and quantized pages that every query scans stay resident
+// while exact pages take what is left. A hit moves a frame to the front
+// of its own list. File.Forget drops the frames of a superseded page
+// version, which copy-on-write leaves on disk but no new epoch reads.
+//
 // Frames are recycled rather than reallocated: an evicted frame holds the
 // block that displaced it, and the frames of an invalidated file wait in
 // a spare list for later inserts. So the pool's memory stays at its
@@ -37,8 +46,7 @@ type BufferPool struct {
 	budget int64
 	used   int64
 	frames map[frameKey]*frame
-	head   *frame            // most recently used
-	tail   *frame            // least recently used
+	lists  [2]lru            // the ordinary and the evict-first list
 	spare  []*frame          // dropped frames kept for reuse; used + spare ≤ budget
 	gens   map[string]uint64 // per-file count of completed rewrites (see fill)
 
@@ -55,7 +63,13 @@ type frameKey struct {
 type frame struct {
 	key        frameKey
 	data       []byte
+	list       *lru // the pool list the frame is on
 	prev, next *frame
+}
+
+// lru is an intrusive list of frames, head the most recently used.
+type lru struct {
+	head, tail *frame
 }
 
 // NewBufferPool creates a pool with the given byte budget (> 0).
@@ -142,12 +156,13 @@ func (p *BufferPool) gather(name string, pos, nblocks, bs int, dst []byte) ([]mi
 }
 
 // fill caches the blocks of one run a session fetched (data holds n*bs
-// bytes starting at block pos). A block already resident is left as is:
+// bytes starting at block pos) on the evict-first list when first is set.
+// A block already resident is left as is:
 // a racing fill or the file's writer put it there. The whole run is
 // discarded when the file was rewritten, truncated or invalidated since
 // the gather that returned gen, because the fetch may have read the
 // bytes that rewrite replaced.
-func (p *BufferPool) fill(name string, pos, bs int, data []byte, gen uint64) {
+func (p *BufferPool) fill(name string, first bool, pos, bs int, data []byte, gen uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.gens[name] != gen {
@@ -159,19 +174,20 @@ func (p *BufferPool) fill(name string, pos, bs int, data []byte, gen uint64) {
 			p.touch(fr)
 			continue
 		}
-		copy(p.frameFor(key, bs), data[i*bs:(i+1)*bs])
+		copy(p.frameFor(key, first, bs), data[i*bs:(i+1)*bs])
 	}
-	p.evictOverBudget()
+	p.evictUntil(p.budget)
 }
 
 // write records a successful File mutation: the named file was old
 // blocks long and is now end blocks long, and blocks [pos, end) hold
 // data, zero past len(data) as the backend pads them. Every written block
-// is made resident, overwriting a frame, since a racing fill may hold the
-// bytes the write replaced; the frames of blocks [end, old) are dropped,
-// each looked up by key. When the mutation changed blocks the file
-// already had (pos < old), the fills in flight are discarded too.
-func (p *BufferPool) write(name string, old, pos, end, bs int, data []byte) {
+// is made resident (on the evict-first list when first is set),
+// overwriting a frame, since a racing fill may hold the bytes the write
+// replaced; the frames of blocks [end, old) are dropped, each looked up
+// by key. When the mutation changed blocks the file already had
+// (pos < old), the fills in flight are discarded too.
+func (p *BufferPool) write(name string, first bool, old, pos, end, bs int, data []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if pos < old {
@@ -189,12 +205,12 @@ func (p *BufferPool) write(name string, old, pos, end, bs int, data []byte) {
 			p.touch(fr)
 			dst = fr.data
 		} else {
-			dst = p.frameFor(key, bs)
+			dst = p.frameFor(key, first, bs)
 		}
 		off := (b - pos) * bs
 		clear(dst[copy(dst, data[min(off, len(data)):min(off+bs, len(data))]):])
 	}
-	p.evictOverBudget()
+	p.evictUntil(p.budget)
 }
 
 // InvalidateFile drops every frame of the named file and discards the
@@ -204,24 +220,31 @@ func (p *BufferPool) InvalidateFile(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gens[name]++
-	for fr := p.tail; fr != nil; {
-		prev := fr.prev
-		if fr.key.name == name {
+	for key, fr := range p.frames {
+		if key.name == name {
 			p.drop(fr)
 		}
-		fr = prev
+	}
+}
+
+// forget drops the frames of blocks [pos, pos+nblocks) of the named file
+// and nothing else. The bytes stay valid, so fills in flight are kept.
+func (p *BufferPool) forget(name string, pos, nblocks int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for b := pos; b < pos+nblocks; b++ {
+		if fr, ok := p.frames[frameKey{name: name, pos: b}]; ok {
+			p.drop(fr)
+		}
 	}
 }
 
 // frameFor makes key resident in a frame at the most-recently-used end
-// and returns the frame's bytes for the caller to fill: it first evicts
-// least-recently-used frames until the block fits, then takes a spare
-// frame when one is left.
-func (p *BufferPool) frameFor(key frameKey, bs int) []byte {
-	for p.used+int64(bs) > p.budget && p.tail != nil {
-		p.drop(p.tail)
-		p.evictions++
-	}
+// of its list and returns the frame's bytes for the caller to fill: it
+// first evicts until the block fits, then takes a spare frame when one is
+// left.
+func (p *BufferPool) frameFor(key frameKey, first bool, bs int) []byte {
+	p.evictUntil(p.budget - int64(bs))
 	var fr *frame
 	if n := len(p.spare); n > 0 && len(p.spare[n-1].data) == bs {
 		fr = p.spare[n-1]
@@ -229,66 +252,74 @@ func (p *BufferPool) frameFor(key frameKey, bs int) []byte {
 	} else {
 		fr = &frame{data: make([]byte, bs)}
 	}
-	fr.key = key
+	fr.key, fr.list = key, &p.lists[0]
+	if first {
+		fr.list = &p.lists[1]
+	}
 	p.frames[key] = fr
 	p.used += int64(len(fr.data))
-	p.pushFront(fr)
+	fr.list.pushFront(fr)
 	return fr.data
 }
 
-// evictOverBudget evicts least-recently-used frames until the budget is
-// respected.
-func (p *BufferPool) evictOverBudget() {
-	for p.used > p.budget && p.tail != nil {
-		p.drop(p.tail)
+// evictUntil evicts least-recently-used frames until at most limit bytes
+// are resident, taking them from the evict-first list while it holds any.
+func (p *BufferPool) evictUntil(limit int64) {
+	for p.used > limit {
+		victim := p.lists[1].tail
+		if victim == nil {
+			victim = p.lists[0].tail
+		}
+		if victim == nil {
+			return
+		}
+		p.drop(victim)
 		p.evictions++
 	}
 }
 
-// drop removes a frame from the map, the LRU list and the byte count,
+// drop removes a frame from the map, its LRU list and the byte count,
 // and keeps it as a spare while the resident and spare bytes together
 // stay within the budget.
 func (p *BufferPool) drop(fr *frame) {
 	delete(p.frames, fr.key)
 	p.used -= int64(len(fr.data))
-	p.unlink(fr)
+	fr.list.unlink(fr)
 	if p.used+int64(len(p.spare)+1)*int64(len(fr.data)) <= p.budget {
 		p.spare = append(p.spare, fr)
 	}
 }
 
-// --- intrusive LRU list (head = most recent) ---
-
-func (p *BufferPool) pushFront(fr *frame) {
-	fr.prev = nil
-	fr.next = p.head
-	if p.head != nil {
-		p.head.prev = fr
-	}
-	p.head = fr
-	if p.tail == nil {
-		p.tail = fr
+// touch moves a frame to the front of its own list.
+func (p *BufferPool) touch(fr *frame) {
+	if fr.list.head != fr {
+		fr.list.unlink(fr)
+		fr.list.pushFront(fr)
 	}
 }
 
-func (p *BufferPool) unlink(fr *frame) {
+func (l *lru) pushFront(fr *frame) {
+	fr.prev = nil
+	fr.next = l.head
+	if l.head != nil {
+		l.head.prev = fr
+	}
+	l.head = fr
+	if l.tail == nil {
+		l.tail = fr
+	}
+}
+
+func (l *lru) unlink(fr *frame) {
 	if fr.prev != nil {
 		fr.prev.next = fr.next
 	} else {
-		p.head = fr.next
+		l.head = fr.next
 	}
 	if fr.next != nil {
 		fr.next.prev = fr.prev
 	} else {
-		p.tail = fr.prev
+		l.tail = fr.prev
 	}
 	fr.prev, fr.next = nil, nil
-}
-
-func (p *BufferPool) touch(fr *frame) {
-	if p.head == fr {
-		return
-	}
-	p.unlink(fr)
-	p.pushFront(fr)
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -228,4 +230,169 @@ func TestPoolRecyclesFrames(t *testing.T) {
 		}
 	}
 	read(b, 0, 4, 20) // evicted blocks come back with the right bytes
+}
+
+// lists returns the keys of the pool's frames, most recent first, on
+// the ordinary list and on the evict-first list, after checking that the
+// two lists link every resident frame exactly once, each on its own list.
+func lists(t *testing.T, p *BufferPool) (ordinary, first []string) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out [2][]string
+	seen := 0
+	for i := range p.lists {
+		var prev *frame
+		for fr := p.lists[i].head; fr != nil; prev, fr = fr, fr.next {
+			if fr.prev != prev || fr.list != &p.lists[i] || p.frames[fr.key] != fr {
+				t.Fatalf("frame %s[%d] misplaced on list %d", fr.key.name, fr.key.pos, i)
+			}
+			out[i] = append(out[i], fmt.Sprintf("%s%d", fr.key.name, fr.key.pos))
+			seen++
+		}
+		if p.lists[i].tail != prev {
+			t.Fatalf("list %d: tail is not the last frame", i)
+		}
+	}
+	if seen != len(p.frames) {
+		t.Fatalf("%d frames on the lists, %d resident", seen, len(p.frames))
+	}
+	return out[0], out[1]
+}
+
+// twoListFixture builds a store with an ordinary file q and an
+// evict-first file x of four blocks each, then attaches a pool of four
+// blocks, so it starts empty.
+func twoListFixture(t *testing.T) (*Store, *File, *File) {
+	t.Helper()
+	sto := NewSim(testConfig())
+	mk := func(name string) *File {
+		f := mustFile(t, sto, name)
+		mustAppend(t, f, make([]byte, 4*64))
+		return f
+	}
+	q, x := mk("q"), mk("x")
+	x.EvictFirst()
+	sto.SetCache(4 * 64)
+	return sto, q, x
+}
+
+// TestPoolEvictFirstList: while the evict-first list holds a frame, the
+// victim is the least recently used frame of that list, however recently
+// it was used against the ordinary frames; a hit moves a frame to the
+// front of its own list; with the evict-first list empty the ordinary
+// list evicts in LRU order.
+func TestPoolEvictFirstList(t *testing.T) {
+	sto, q, x := twoListFixture(t)
+	p := sto.Pool()
+	step := func(f *File, pos int, hit bool, wantOrd, wantFirst string) {
+		t.Helper()
+		s := sto.NewSession()
+		if _, err := s.Read(f, pos, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats.BlocksRead == 0; got != hit {
+			t.Fatalf("read %s[%d]: hit %v, want %v", f.Name(), pos, got, hit)
+		}
+		ord, first := lists(t, p)
+		if g := strings.Join(ord, " "); g != wantOrd {
+			t.Fatalf("after %s[%d] the ordinary list is [%s], want [%s]", f.Name(), pos, g, wantOrd)
+		}
+		if g := strings.Join(first, " "); g != wantFirst {
+			t.Fatalf("after %s[%d] the evict-first list is [%s], want [%s]", f.Name(), pos, g, wantFirst)
+		}
+	}
+	step(x, 0, false, "", "x0")
+	step(x, 1, false, "", "x1 x0")
+	step(x, 2, false, "", "x2 x1 x0")
+	step(q, 0, false, "q0", "x2 x1 x0")
+	step(x, 0, true, "q0", "x0 x2 x1")   // a hit stays on its own list
+	step(q, 1, false, "q1 q0", "x0 x2")  // LRU within the evict-first list: x1
+	step(q, 2, false, "q2 q1 q0", "x0")  // x2 goes before q0, the older frame
+	step(q, 3, false, "q3 q2 q1 q0", "") // and so does x0
+	step(q, 0, true, "q0 q3 q2 q1", "")
+	step(x, 3, false, "q0 q3 q2", "x3") // the evict-first list is empty: LRU of the ordinary list
+	step(x, 2, false, "q0 q3 q2", "x2") // an exact block displaces only exact blocks
+	if ps := p.Stats(); ps.Evictions != 5 || ps.Frames != 4 {
+		t.Fatalf("pool %+v, want 5 evictions and 4 frames", ps)
+	}
+}
+
+// TestPoolForget: Forget drops the frames of [pos, pos+n) of its file and
+// no other frame, counts no eviction, and the forgotten blocks come back
+// from the backend on the next read.
+func TestPoolForget(t *testing.T) {
+	sto, q, x := twoListFixture(t)
+	s := sto.NewSession()
+	for _, r := range []struct {
+		f      *File
+		pos, n int
+	}{{x, 0, 3}, {q, 1, 1}} {
+		if _, err := s.Read(r.f, r.pos, r.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x.Forget(0, 2)
+	x.Forget(5, 3) // past the end: nothing to drop
+	q.Forget(2, 2) // no frame there
+	if got := residentBlocks(sto.Pool(), "x"); len(got) != 1 || !got[2] {
+		t.Fatalf("x keeps %v, want only block 2", got)
+	}
+	if got := residentBlocks(sto.Pool(), "q"); len(got) != 1 || !got[1] {
+		t.Fatalf("q keeps %v, want only block 1", got)
+	}
+	lists(t, sto.Pool())
+	if ps := sto.Pool().Stats(); ps.Evictions != 0 {
+		t.Fatalf("Forget counted %d evictions", ps.Evictions)
+	}
+	s = sto.NewSession()
+	if _, err := s.Read(x, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.BlocksRead != 3 {
+		t.Fatalf("x[0,4) after Forget fetched %d blocks, want 3 (blocks 0, 1 and 3)", s.Stats.BlocksRead)
+	}
+	mustFile(t, NewSim(testConfig()), "n").Forget(0, 1) // without a pool, a no-op
+}
+
+// TestPoolDropsFindBothLists: a file marked EvictFirst after some of its
+// blocks entered the pool has frames on both lists (the mark applies to
+// the blocks it brings in from then on); truncation and InvalidateFile
+// drop them from either list.
+func TestPoolDropsFindBothLists(t *testing.T) {
+	sto := NewSim(testConfig())
+	q := mustFile(t, sto, "q")
+	mustAppend(t, q, make([]byte, 4*64))
+	x := mustFile(t, sto, "x")
+	mustAppend(t, x, make([]byte, 4*64))
+	sto.SetCache(4 * 64)
+	read := func(f *File, pos int) {
+		t.Helper()
+		if _, err := sto.NewSession().Read(f, pos, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(x, 0)
+	read(x, 1)
+	x.EvictFirst()
+	read(x, 2)
+	read(x, 3)
+	if ord, first := lists(t, sto.Pool()); len(ord) != 2 || len(first) != 2 {
+		t.Fatalf("lists [%v] [%v], want two frames of x on each", ord, first)
+	}
+	if err := x.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := residentBlocks(sto.Pool(), "x"); len(got) != 1 || !got[0] {
+		t.Fatalf("x keeps %v after Truncate(1), want block 0", got)
+	}
+	lists(t, sto.Pool())
+	read(q, 0)
+	read(x, 0)
+	mustAppend(t, x, make([]byte, 64)) // block 1 again, on the evict-first list
+	sto.Pool().InvalidateFile("x")
+	ord, first := lists(t, sto.Pool())
+	if len(first) != 0 || strings.Join(ord, " ") != "q0" {
+		t.Fatalf("after InvalidateFile(x) the lists are [%v] [%v], want [q0] []", ord, first)
+	}
 }

@@ -223,7 +223,7 @@ func (s *Session) readPooled(f *File, pos, nblocks int) ([]byte, error) {
 		}
 		copy(dst[(run.pos-pos)*bs:], data[:run.n*bs])
 		s.charge(f, run.pos, run.n, obs.ReadPoolMiss)
-		s.pool.fill(f.Name(), run.pos, bs, data[:run.n*bs], gen)
+		s.pool.fill(f.Name(), f.first.Load(), run.pos, bs, data[:run.n*bs], gen)
 		missed += run.n
 	}
 	if s.tr != nil && missed < nblocks {

@@ -14,7 +14,8 @@
 //     one process can be reopened and queried in another.
 //
 // Between sessions and the backend sits an optional shared BufferPool
-// (an LRU block cache with a configurable byte budget): concurrent
+// (a block cache with a configurable byte budget and two LRU lists, one
+// for files marked EvictFirst, evicted first): concurrent
 // queries share hot directory and quantized pages, cache hits charge
 // zero seek/transfer time, which makes the paper's cost model
 // cache-aware, and writes through a File fill the pool with the blocks
@@ -32,6 +33,7 @@ package store
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -216,9 +218,10 @@ func (s *Store) Config() Config { return s.backend.Config() }
 // Backend returns the underlying block store.
 func (s *Store) Backend() BlockStore { return s.backend }
 
-// SetCache attaches a shared LRU buffer pool with the given byte budget
-// to the store (budget <= 0 detaches any pool). All sessions created
-// afterwards read through it; cache hits charge zero seek/transfer.
+// SetCache attaches a shared buffer pool with the given byte budget to
+// the store (budget <= 0 detaches any pool); see BufferPool for its two
+// LRU lists. All sessions created afterwards read through it; cache hits
+// charge zero seek/transfer.
 // Every File mutation from then on writes through it, so blocks written
 // after the pool is attached are resident until evicted; blocks written
 // before enter it when a session first reads them.
@@ -386,9 +389,27 @@ func (s *Store) Close() error { return s.backend.Close() }
 // and mutation failures are additionally recorded as the store's sticky
 // error, so bulk writers may check once instead of at every call.
 type File struct {
-	st   *Store
-	bf   BlockFile
-	sums *sumTable // per-block CRC32C mirror; nil when checksums are off
+	st    *Store
+	bf    BlockFile
+	sums  *sumTable   // per-block CRC32C mirror; nil when checksums are off
+	first atomic.Bool // the file's frames go on the pool's evict-first list
+}
+
+// EvictFirst sends the blocks this file brings into the buffer pool from
+// now on to the pool's evict-first list: while that list holds any
+// frame, the pool evicts only from it. Mark a file whose blocks are read
+// rarely and once (the IQ-tree's exact pages), so they do not displace
+// the blocks every read scans.
+func (f *File) EvictFirst() { f.first.Store(true) }
+
+// Forget drops the pooled frames of blocks [pos, pos+nblocks) and no
+// other. It is for a page version no new reader will ask for (a
+// copy-on-write page superseded by a newer one): the bytes stay on the
+// backend, so a reader that still asks just misses.
+func (f *File) Forget(pos, nblocks int) {
+	if pl := f.st.Pool(); pl != nil {
+		pl.forget(f.Name(), pos, nblocks)
+	}
 }
 
 // mutate runs op with bounded retries on transient failures. Transient
@@ -463,7 +484,7 @@ func (f *File) Append(p []byte) (pos, nblocks int, err error) {
 		}
 	}
 	if pl := f.st.Pool(); pl != nil {
-		pl.write(f.Name(), pos, pos, pos+nblocks, f.st.Config().BlockSize, p)
+		pl.write(f.Name(), f.first.Load(), pos, pos, pos+nblocks, f.st.Config().BlockSize, p)
 	}
 	return pos, nblocks, nil
 }
@@ -483,7 +504,7 @@ func (f *File) SetContents(p []byte) error {
 		}
 	}
 	if pl := f.st.Pool(); pl != nil {
-		pl.write(f.Name(), old, 0, f.Blocks(), f.st.Config().BlockSize, p)
+		pl.write(f.Name(), f.first.Load(), old, 0, f.Blocks(), f.st.Config().BlockSize, p)
 	}
 	return nil
 }
@@ -504,7 +525,7 @@ func (f *File) Truncate(nblocks int) error {
 		}
 	}
 	if pl := f.st.Pool(); pl != nil && nblocks < old {
-		pl.write(f.Name(), old, nblocks, nblocks, f.st.Config().BlockSize, nil)
+		pl.write(f.Name(), f.first.Load(), old, nblocks, nblocks, f.st.Config().BlockSize, nil)
 	}
 	return nil
 }

@@ -115,11 +115,17 @@ echo "== write-through pool gate =="
 # point must read the directory with 0 seeks and 0 backend blocks and
 # find the rewritten page's quantized and exact blocks in the pool, and
 # a KNN after Reoptimize must read no backend block of the new
-# generation's files. The pool must stay coherent with writes: random
-# mutation sequences against a shadow model, and readers racing a
-# writer, repeated under the race detector.
-go test -run 'TestWritesKeepPoolWarm' -count=1 -v ./internal/core/
-go test -race -count=10 -run 'TestPoolCoherence' ./internal/store/
+# generation's files. Exact pages give way first: with a pool that holds
+# the directory and quantized files but under a quarter of the exact
+# file, no KNN through inserts, deletes and two reoptimization swaps may
+# read a directory or quantized block from the backend, and an exact
+# page version an insert superseded must be gone from the pool. The pool
+# must stay coherent with writes: random mutation sequences (Forget and
+# an evict-first file included) against a shadow model, and readers
+# racing a writer, repeated under the race detector, with the two-list
+# eviction and Forget tests.
+go test -run 'TestWritesKeepPoolWarm|TestPoolKeepsUpperLevels' -count=1 -v ./internal/core/
+go test -race -count=10 -run 'TestPoolCoherence|TestPoolEvictFirstList|TestPoolForget|TestPoolDropsFindBothLists' ./internal/store/
 
 echo "== kill-and-recover gate =="
 # No acknowledged write may be lost: the recovery suite crash-reopens
