@@ -77,21 +77,6 @@ func TestCheckScaling(t *testing.T) {
 	})
 }
 
-func TestCheckSharing(t *testing.T) {
-	testGate(t, "sharing", checkSharing, []point{
-		{"speedup", 1, 1}, {"speedup", 32, 1.3},
-		{"queries/page", 1, 1}, {"queries/page", 32, 31.85},
-		{"shared p99 s", 1, 0.2948}, {"shared p99 s", 32, 0.2077},
-		{"direct p99 s", 1, 0.2681}, {"direct p99 s", 32, 0.2681},
-	}, []gateCase{
-		{name: "speedup under 1.3x at 32 clients", set: []point{{"speedup", 32, 1.29}}},
-		{name: "one query per page at 32 clients", set: []point{{"queries/page", 32, 1}}},
-		{name: "single-client p99 over 1.10x direct", set: []point{{"shared p99 s", 1, 0.2950}}},
-		{name: "missing speedup at 32 clients", drop: &point{"speedup", 32, 0}},
-		{name: "missing direct p99 at 1 client", drop: &point{"direct p99 s", 1, 0}},
-	})
-}
-
 func TestCheckShards(t *testing.T) {
 	testGate(t, "shards", checkShards, []point{
 		{"speedup", 1, 1}, {"speedup", 2, 1.9}, {"speedup", 4, 2.9}, {"speedup", 8, 3},

@@ -9,8 +9,8 @@
 //	iqbench -fig 9 -csv out.csv # also dump CSV rows
 //	iqbench -fig faults -gate   # seeded fault-injection campaign, gated
 //
-// The serving figures (scaling, sharing, shards, ingest, approx,
-// faults) sweep a fixed parameter and report one series per measured
+// The serving figures (scaling, shards, ingest, approx, faults) sweep a
+// fixed parameter and report one series per measured
 // quantity; -gate fails the run unless the requested figures'
 // acceptance thresholds hold.
 //
@@ -54,15 +54,15 @@ var runners = map[string]func(experiments.RunOpts) (experiments.Figure, error){
 	"va-bits": experiments.AblationVABits, "cost-model": experiments.AblationCostModel,
 	"knn": experiments.AblationKNN, "model": experiments.ModelValidation,
 	"fixed-bits": experiments.AblationFixedBits,
-	"scaling":    runScaling, "sharing": runSharing, "shards": runShards,
-	"ingest": runIngest, "approx": runApprox, "faults": runFaults,
+	"scaling":    runScaling, "shards": runShards, "ingest": runIngest,
+	"approx": runApprox, "faults": runFaults,
 }
 
 // gates are the acceptance thresholds -gate checks, keyed by figure ID;
 // a serving figure's ID is its -fig name.
 var gates = map[string]func(experiments.Figure) error{
-	"scaling": checkScaling, "sharing": checkSharing, "shards": checkShards,
-	"ingest": checkIngest, "approx": checkApprox, "faults": checkFaults,
+	"scaling": checkScaling, "shards": checkShards, "ingest": checkIngest,
+	"approx": checkApprox, "faults": checkFaults,
 }
 
 // metricsReport is the schema of the -metrics JSON file.

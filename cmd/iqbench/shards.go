@@ -86,23 +86,22 @@ func sameAnswer(a, b []vec.Neighbor) bool {
 
 // fleetMakespan is the simulated finish time of a batch on a fleet of
 // one-replica shards with workers disk lanes each: every shard deals the
-// sub-queries it answered, in query order, round-robin to its lanes, the
-// way its engine deals Submits, and the busiest lane of any shard sets
-// the time. Taken from the results, it does not depend on the order in
-// which the coordinator's concurrent scatter-gathers reached an engine.
+// sub-queries it answered, in query order, to its lanes (makespan), and
+// the slowest shard sets the time. Taken from the results, it does not
+// depend on the order in which the coordinator's concurrent
+// scatter-gathers reached an engine.
 func fleetMakespan(results []shard.Result, workers int) float64 {
-	busy := map[[2]int]float64{} // (shard, lane) → summed simulated seconds
-	dealt := map[int]int{}       // shard → sub-queries dealt so far
-	var m float64
+	answered := map[int][]float64{} // shard → its sub-queries' simulated seconds
 	for _, res := range results {
 		for s, sub := range res.Shards {
 			if sub.SimTime > 0 { // zero for a shard the query did not ask
-				lane := [2]int{s, dealt[s] % workers}
-				dealt[s]++
-				busy[lane] += sub.SimTime
-				m = max(m, busy[lane])
+				answered[s] = append(answered[s], sub.SimTime)
 			}
 		}
+	}
+	var m float64
+	for _, sims := range answered {
+		m = max(m, makespan(sims, workers))
 	}
 	return m
 }

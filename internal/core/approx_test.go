@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -134,65 +132,6 @@ func TestKNNApproxSubsetWithSubstitutions(t *testing.T) {
 		if mean < minRecall-0.15 {
 			t.Fatalf("MinRecall %v: mean measured recall %v", minRecall, mean)
 		}
-	}
-}
-
-// TestSharedApproxFullRecallBitIdentical: the scan-sharing cursor path
-// under MinRecall = 1 returns exactly the share-nothing exact answers.
-func TestSharedApproxFullRecallBitIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	pts := randPoints(r, 3000, 8)
-	tr := buildTree(t, pts, DefaultOptions())
-	queries := randPoints(r, 12, 8)
-
-	sessions := make([]*store.Session, len(queries))
-	for i := range sessions {
-		sessions[i] = tr.sto.NewSession()
-	}
-	results, errs := driveShared(t, tr, sessions, func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-		return scan.KNN(s, queries[i], 10, 1)
-	})
-	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatalf("cursor %d: %v", i, errs[i])
-		}
-		exact, err := tr.KNN(tr.sto.NewSession(), q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(exact) != len(results[i]) {
-			t.Fatalf("cursor %d: %d vs %d results", i, len(results[i]), len(exact))
-		}
-		for j := range exact {
-			if exact[j].ID != results[i][j].ID || exact[j].Dist != results[i][j].Dist {
-				t.Fatalf("cursor %d rank %d: shared (%d, %v), exact (%d, %v)",
-					i, j, results[i][j].ID, results[i][j].Dist, exact[j].ID, exact[j].Dist)
-			}
-		}
-	}
-}
-
-// TestSharedApproxSubset: ε > 0 cursors under the shared-scan round
-// protocol complete and return genuine answers.
-func TestSharedApproxSubset(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	pts := randPoints(r, 3000, 8)
-	tr := buildTree(t, pts, DefaultOptions())
-	queries := randPoints(r, 12, 8)
-	met := tr.Options().Metric
-
-	sessions := make([]*store.Session, len(queries))
-	for i := range sessions {
-		sessions[i] = tr.sto.NewSession()
-	}
-	results, errs := driveShared(t, tr, sessions, func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-		return scan.KNN(s, queries[i], 10, 0.8)
-	})
-	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatalf("cursor %d: %v", i, errs[i])
-		}
-		checkGenuine(t, pts, q, results[i], 10, met)
 	}
 }
 

@@ -26,13 +26,13 @@ func TestAutoReoptimizeGarbageTrigger(t *testing.T) {
 
 	before := metricAutoReoptTriggers.Value()
 	for i, p := range extra {
-		swaps := auto.reoptGen.Load()
+		swaps := auto.gen
 		for _, tr := range []*Tree{auto, twin} {
 			if err := tr.Insert(tr.sto.NewSession(), p, uint32(100000+i)); err != nil {
 				t.Fatalf("insert %d: %v", i, err)
 			}
 		}
-		if auto.reoptGen.Load() != swaps {
+		if auto.gen != swaps {
 			if g := auto.GarbageRatio(); g > 0.5 {
 				t.Fatalf("insert %d: garbage ratio %.3f right after a swap, want ≤ 0.5", i, g)
 			}
@@ -41,9 +41,9 @@ func TestAutoReoptimizeGarbageTrigger(t *testing.T) {
 	if metricAutoReoptTriggers.Value() == before {
 		t.Fatalf("garbage trigger never fired (final ratio %v)", auto.GarbageRatio())
 	}
-	// reoptGen counts completed swaps: at least one automatic run must
+	// gen counts completed swaps: at least one automatic run must
 	// have finished.
-	if auto.reoptGen.Load() == 0 {
+	if auto.gen == 0 {
 		t.Fatalf("no automatic run completed (final ratio %v, running %v)",
 			auto.GarbageRatio(), auto.ReoptimizeRunning())
 	}
@@ -103,7 +103,7 @@ func TestAutoReoptimizeBoundsGarbage(t *testing.T) {
 		for i := range ids {
 			ids[i] = uint32(100000 + 16*b + i)
 		}
-		swaps := tr.reoptGen.Load()
+		swaps := tr.gen
 		if err := tr.InsertBatch(s, pts, ids); err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestAutoReoptimizeBoundsGarbage(t *testing.T) {
 		if g > 0.75 {
 			t.Fatalf("batch %d: garbage ratio %.3f > 0.75 on %d live pages", b, g, tr.NumPages())
 		}
-		if tr.reoptGen.Load() != swaps && g >= opt.AutoReoptimize.GarbageRatio {
+		if tr.gen != swaps && g >= opt.AutoReoptimize.GarbageRatio {
 			t.Fatalf("batch %d: garbage ratio %.3f right after a swap, want below the trigger", b, g)
 		}
 	}
-	if n := tr.reoptGen.Load(); n < 2 {
+	if n := tr.gen; n < 2 {
 		t.Fatalf("%d automatic swaps in 60 batches, want ≥ 2", n)
 	}
 }

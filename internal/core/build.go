@@ -54,7 +54,7 @@ func (b *builder) run() {
 // up front and the page writes spread over many steps.
 func (b *builder) frontier() []*bnode {
 	ranges := b.initialRanges()
-	if b.t.opt.Quantize && b.t.opt.FixedBits == 0 && b.t.opt.RefineCostFactor == 0 {
+	if b.t.opt.Quantize && b.t.opt.FixedBits == 0 {
 		b.sn.model.RefineFactor = b.calibrateRefinement(ranges)
 	}
 	roots := make([]*bnode, len(ranges))

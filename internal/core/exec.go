@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -17,20 +15,16 @@ import (
 
 // The tree has one query executor: the fetch round. Every query kind is a
 // resumable cursor (knnCursor, scanCursor) that suspends at its
-// quantized-page fetch boundary, and round advances any set of cursors
-// by one fetch. A direct query — KNN, KNNApprox, KNNInto, RangeSearch,
-// WindowQuery — is a loop of rounds over its one cursor (execute); the
-// engine's scan-sharing coordinator runs rounds over up to its worker
-// count of cursors (SharedScan.Round, shared.go). Planning, leader
-// choice, damage handling and accounting are one code path for both.
+// quantized-page fetch boundary, and round advances it by one fetch. A
+// query — KNN, KNNApprox, KNNInto, RangeSearch, WindowQuery — is a loop
+// of rounds over its one cursor (execute) under one pinned epoch.
 
 // cursor is one query suspended at its quantized-page fetch boundary.
 type cursor interface {
-	index.Cursor
 	base() *cursorBase
 	// step advances the query to its next fetch boundary and appends the
-	// page positions it needs to buf. It appends nothing exactly when the
-	// query ended (base().done).
+	// page positions it needs to buf, ascending and distinct. It appends
+	// nothing exactly when the query ended (base().done).
 	step(buf []int) []int
 	// needs reports whether the page at pos is still pending for the
 	// query; a read's batch decision counts these.
@@ -40,36 +34,27 @@ type cursor interface {
 	// consumed, pruned or will never touch, 1 for pages it certainly reads.
 	accessProb(pos int) float64
 	// pivot is the page the query's best-first order fetches next, the
-	// pivot of the batch it leads; -1 for a known-set scan.
+	// pivot of its batch; -1 for a known-set scan.
 	pivot() int
-	// deliver offers one fetched page. shared marks a page another query's
-	// session paid for, which the query records as a zero-cost shared
-	// read; the leader of the read gets shared=false and accounts the
-	// transfer. Reports whether the query consumed the page.
-	deliver(pg *sharedPage, shared bool) bool
-	// deliverDegraded reports that the page at pos is unreadable
-	// (quarantined or corrupt). A query that is waiting for exactly this
-	// page answers it from the exact level or fails typed; every other
-	// query ignores the report and re-wants the page in a later round if
-	// it still needs it. Reports whether the query acted.
-	deliverDegraded(pos int) bool
+	// deliver offers one fetched page; the query accounts the transfer.
+	deliver(pg *fetchedPage)
+	// deliverDegraded reports that the page at pos, which the query
+	// wants this round, is unreadable (quarantined or corrupt); the query
+	// answers it from the exact level or fails typed.
+	deliverDegraded(pos int)
 }
 
-// cursorBase is the state a round reads from every cursor: the session it
+// cursorBase is the state a round reads from its cursor: the session it
 // charges, its trace, the epoch it pinned and how it ended.
 type cursorBase struct {
 	s    *store.Session
 	tr   *Trace
 	sn   *snapshot
-	gen  uint64 // reoptGen when the cursor began
 	done bool
 	err  error
 }
 
 func (b *cursorBase) base() *cursorBase { return b }
-
-// Done reports whether the query ended.
-func (b *cursorBase) Done() bool { return b.done }
 
 // finish ends the query; the first error wins.
 func (b *cursorBase) finish(err error) {
@@ -79,237 +64,146 @@ func (b *cursorBase) finish(err error) {
 	}
 }
 
-// want is one page of a round's union and the live cursor that owns it:
-// the first cursor, in round order, that wanted it.
-type want struct {
-	pos   int
-	owner int // index into roundScratch.live
+// canceled reports whether the query's context is done.
+func (b *cursorBase) canceled() bool {
+	ctx := b.s.Context()
+	return ctx != nil && ctx.Err() != nil
 }
 
-// roundScratch is the reusable state of a round driver: the session
-// scratch of a direct query, or a SharedScan handle. It is
-// single-goroutine state, and a warmed one makes rounds allocation-free.
+// roundScratch is the reusable state of a session's rounds: the cursor
+// they advance and its planning buffers. It is single-goroutine state,
+// and a warmed one makes rounds allocation-free.
 type roundScratch struct {
-	one    [1]cursor // execute's cursor set
-	live   []cursor  // cursors that want pages this round
-	buf    []int     // one cursor's wants
-	union  []want    // wanted pages, ascending, one entry per page
-	wants  []int     // union positions, for the planner
-	spans  []pagesched.PageSpan
-	sched  pagesched.Scheduler
-	page   sharedPage
-	leader cursor // leader of the span being read
-
-	pages, serves int // pages read and consumed in the last round
+	c     cursor
+	wants []int // the cursor's wanted pages this round, ascending
+	spans []pagesched.PageSpan
+	sched pagesched.Scheduler
+	page  fetchedPage
 }
 
 func (rs *roundScratch) init() {
 	rs.sched.Prob = rs.prob
 }
 
-// execute runs one query on its own: rounds over its one cursor until it
-// ends. The caller holds world.RLock for the whole query, so
-// the query sees one epoch and never ends with index.ErrStaleScan.
+// execute runs one query: rounds over its cursor until it ends. The
+// caller holds world.RLock for the whole query, so the query sees one
+// epoch.
 func (t *Tree) execute(sc *queryScratch, c cursor) error {
 	rs := &sc.round
-	rs.one[0] = c
-	for t.round(rs, rs.one[:]) {
+	rs.c = c
+	for t.round(rs) {
 	}
-	rs.one[0] = nil
+	rs.c = nil
 	return c.base().err
 }
 
-// round advances the cursors cs by one fetch round. The caller holds
+// round advances the query's cursor by one fetch round. The caller holds
 // world.RLock.
 //
-//  1. Every cursor that has not ended steps to its fetch boundary. One
-//     whose epoch a reorganization invalidated ends with
-//     index.ErrStaleScan, one whose context is done with
-//     store.ErrCanceled.
-//  2. The union of the wanted pages is planned with BatchAll over the
-//     cursors' combined access probabilities (paper Sec. 2.1; for a
-//     known-set scan the probabilities are 0 and 1, which is Fig. 1).
-//     With OptimizedIO off every want is read alone.
-//  3. Each span is read once through its leader: the first cursor owning
-//     a want inside it that has not ended and whose context is not done.
-//  4. Every page is offered to every live cursor, the leader first (it
-//     accounts the read); every unreadable page is reported to all of
-//     them.
+//  1. The cursor steps to its fetch boundary; a query whose context is
+//     done ends with store.ErrCanceled instead.
+//  2. The wanted pages are planned with BatchAll over the query's access
+//     probabilities (paper Sec. 2.1; for a known-set scan the
+//     probabilities are 0 and 1, which is Fig. 1). With OptimizedIO off
+//     every want is read alone.
+//  3. Each span is read through the query's session and every page is
+//     offered to the cursor; every unreadable page is reported to it.
 //
-// A panic in one cursor's step or delivery ends only that cursor, with
-// index.ErrPanicked. round reports whether any cursor wanted pages.
-func (t *Tree) round(rs *roundScratch, cs []cursor) bool {
-	rs.pages, rs.serves = 0, 0
-	rs.live, rs.union = rs.live[:0], rs.union[:0]
-	gen := t.reoptGen.Load()
-	for _, c := range cs {
-		b := c.base()
-		if b.done {
-			continue
-		}
-		if b.gen != gen {
-			b.finish(index.ErrStaleScan)
-			continue
-		}
-		if ctx := b.s.Context(); ctx != nil && ctx.Err() != nil {
-			b.finish(fmt.Errorf("%w: %w", store.ErrCanceled, ctx.Err()))
-			continue
-		}
-		rs.buf = step(c, rs.buf[:0])
-		if len(rs.buf) == 0 {
-			continue // ended
-		}
-		for _, pos := range rs.buf {
-			rs.union = append(rs.union, want{pos: pos, owner: len(rs.live)})
-		}
-		rs.live = append(rs.live, c)
-	}
-	if len(rs.live) == 0 {
+// A panic in the cursor's step or delivery ends the query with
+// index.ErrPanicked. round reports whether the cursor wanted pages.
+func (t *Tree) round(rs *roundScratch) bool {
+	b := rs.c.base()
+	if b.done {
 		return false
 	}
-	rs.plan(t)
-	for _, span := range rs.spans {
-		rs.read(t, span)
+	if b.canceled() {
+		b.finish(fmt.Errorf("%w: %w", store.ErrCanceled, b.s.Context().Err()))
+		return false
 	}
-	rs.leader = nil
-	return true
-}
-
-// plan deduplicates the round's wants, keeping each page's first owner,
-// and plans the spans to read.
-func (rs *roundScratch) plan(t *Tree) {
-	slices.SortFunc(rs.union, func(a, b want) int {
-		return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.owner, b.owner))
-	})
-	rs.wants = rs.wants[:0]
-	u := rs.union[:0]
-	for _, w := range rs.union {
-		if len(u) > 0 && u[len(u)-1].pos == w.pos {
-			continue
-		}
-		u = append(u, w)
-		rs.wants = append(rs.wants, w.pos)
+	rs.wants = step(rs.c, rs.wants[:0])
+	if len(rs.wants) == 0 {
+		return false // ended
 	}
-	rs.union = u
 	rs.spans = rs.spans[:0]
 	if !t.opt.OptimizedIO {
 		for _, pos := range rs.wants {
 			rs.spans = append(rs.spans, pagesched.PageSpan{First: pos, Last: pos})
 		}
-		return
+	} else {
+		// Pages beyond the pinned epoch have probability 0.
+		rs.sched.NumPages = len(b.sn.entryAt)
+		rs.sched.Cfg = t.sto.Config()
+		rs.spans = rs.sched.BatchAll(rs.spans, rs.wants)
 	}
-	// Pages beyond every cursor's pinned epoch have probability 0, so the
-	// largest pinned page count bounds the plan.
-	rs.sched.NumPages = 0
-	for _, c := range rs.live {
-		rs.sched.NumPages = max(rs.sched.NumPages, len(c.base().sn.entryAt))
+	for _, span := range rs.spans {
+		rs.read(t, span)
 	}
-	rs.sched.Cfg = t.sto.Config()
-	rs.spans = rs.sched.BatchAll(rs.spans, rs.wants)
+	return true
 }
 
 // prob is the round's access probability of the page at pos: 1 for a
-// wanted page, otherwise the probability that any live cursor will need
-// it, 1 − Π(1 − p_c) (accumulated as p + q − pq, which is exactly p_c
-// for a single cursor).
+// wanted page, otherwise the probability that the query will need it.
 func (rs *roundScratch) prob(pos int) float64 {
 	if rs.isWant(pos) {
 		return 1
 	}
-	p := 0.0
-	for _, c := range rs.live {
-		if c.base().done {
-			continue
-		}
-		q := c.accessProb(pos)
-		p += q - p*q
-		if 1-p < pagesched.ProbFloor {
-			break
-		}
-	}
-	return p
+	return rs.c.accessProb(pos)
 }
 
-// isWant reports whether some live cursor wants the page at pos.
+// isWant reports whether the cursor wants the page at pos this round.
 func (rs *roundScratch) isWant(pos int) bool {
 	i := sort.SearchInts(rs.wants, pos)
 	return i < len(rs.wants) && rs.wants[i] == pos
 }
 
-// leaderOf returns the first owner of a want inside the span that has not
-// ended and whose context is not done, or nil. A canceled leader's
-// session would fail the read at its cancellation check, aborting the
-// span for every co-attached query and charging the doomed one for the
-// transfer; the next round ends it instead.
-func (rs *roundScratch) leaderOf(span pagesched.PageSpan) cursor {
-	for i := sort.SearchInts(rs.wants, span.First); i < len(rs.wants) && rs.wants[i] <= span.Last; i++ {
-		c := rs.live[rs.union[i].owner]
-		b := c.base()
-		if b.done {
-			continue
-		}
-		if ctx := b.s.Context(); ctx != nil && ctx.Err() != nil {
-			continue
-		}
-		return c
-	}
-	return nil
-}
-
-// read reads one planned span through its leader and offers the pages.
-// A span read in one piece records the leader's batch decision in its
-// trace; damage-forced page-granular reads record none. A failed read
-// ends only the leader: the others re-want their pages next round under
-// a new leader.
+// read reads one planned span and offers its pages to the cursor. A span
+// read in one piece records the query's batch decision in its trace;
+// damage-forced page-granular reads record none. A query that ended, or
+// whose context is done, reads nothing more: its session would fail the
+// read at the cancellation check, and the next round ends the query
+// instead.
 func (rs *roundScratch) read(t *Tree, span pagesched.PageSpan) {
-	leader := rs.leaderOf(span)
-	if leader == nil {
-		return // every owner in the span ended or was canceled
+	c := rs.c
+	b := c.base()
+	if b.done || b.canceled() {
+		return
 	}
-	rs.leader = leader
-	lb := leader.base()
-	pivot, pending := leader.pivot(), 0
-	if lb.tr != nil {
+	pivot, pending := c.pivot(), 0
+	if b.tr != nil {
 		for pos := span.First; pos <= span.Last; pos++ {
-			if leader.needs(pos) {
+			if c.needs(pos) {
 				pending++
 			}
 		}
 	}
-	pagewise, err := t.fetchRun(rs, lb.s, span)
+	pagewise, err := t.fetchRun(rs, b.s, span)
 	if err != nil {
-		lb.finish(err)
+		b.finish(err)
 		return
 	}
 	if !pagewise {
-		lb.tr.AddBatch(obs.BatchDecision{Pivot: pivot, First: span.First, Last: span.Last, Pending: pending})
+		b.tr.AddBatch(obs.BatchDecision{Pivot: pivot, First: span.First, Last: span.Last, Pending: pending})
 	}
 }
 
-// offer hands one fetched page to every live cursor, the leader first.
-func (rs *roundScratch) offer(pg *sharedPage) {
-	rs.pages++
-	if !rs.leader.base().done && deliver(rs.leader, pg, false) {
-		rs.serves++
-	}
-	for _, c := range rs.live {
-		if c != rs.leader && !c.base().done && deliver(c, pg, true) {
-			rs.serves++
-		}
+// offer hands one fetched page to the cursor unless the query ended.
+func (rs *roundScratch) offer(pg *fetchedPage) {
+	if !rs.c.base().done {
+		deliver(rs.c, pg)
 	}
 }
 
-// offerDegraded reports one unreadable page to every live cursor.
+// offerDegraded reports one unreadable page to the cursor unless the
+// query ended.
 func (rs *roundScratch) offerDegraded(pos int) {
-	for _, c := range rs.live {
-		if !c.base().done {
-			deliverDegraded(c, pos)
-		}
+	if !rs.c.base().done {
+		deliverDegraded(rs.c, pos)
 	}
 }
 
 // contain ends c with index.ErrPanicked when the cursor call that defers
-// it panicked, so one poisoned query cannot fail the others of a round.
+// it panicked, so a poisoned query fails typed instead of panicking its
+// caller.
 func contain(c cursor) {
 	if r := recover(); r != nil {
 		c.base().finish(fmt.Errorf("%w: %v", index.ErrPanicked, r))
@@ -321,14 +215,14 @@ func step(c cursor, buf []int) (wants []int) {
 	return c.step(buf)
 }
 
-func deliver(c cursor, pg *sharedPage, shared bool) (used bool) {
+func deliver(c cursor, pg *fetchedPage) {
 	defer contain(c)
-	return c.deliver(pg, shared)
+	c.deliver(pg)
 }
 
-func deliverDegraded(c cursor, pos int) (acted bool) {
+func deliverDegraded(c cursor, pos int) {
 	defer contain(c)
-	return c.deliverDegraded(pos)
+	c.deliverDegraded(pos)
 }
 
 // fetchRun reads the quantized pages of span through s in one contiguous
@@ -382,13 +276,13 @@ func (t *Tree) fetchRun(rs *roundScratch, s *store.Session, span pagesched.PageS
 	return true, nil
 }
 
-// sharedPage is one fetched quantized page offered to every cursor of a
-// round. Its codes bulk-decode into the page's arena on first use and
-// are cached for every later cursor, so a page shared by many queries is
-// decoded once; exact-mode pages (bits == 32) carry coordinates, which
-// each cursor decodes into its own point arena from payload. Neither
-// payload nor the codes may be retained past the delivery.
-type sharedPage struct {
+// fetchedPage is one fetched quantized page offered to a round's cursor.
+// Its codes bulk-decode into the page's arena on first use, so a page the
+// query prunes is never decoded; exact-mode pages (bits == 32) carry
+// coordinates, which the cursor decodes into its point arena from
+// payload. Neither payload nor the codes may be retained past the
+// delivery.
+type fetchedPage struct {
 	pos, count, bits, dim int
 	payload               []byte
 	arena                 kernel.Arena
@@ -396,7 +290,7 @@ type sharedPage struct {
 }
 
 // load resets the page to the raw page buf at pos and returns it.
-func (pg *sharedPage) load(pos int, buf []byte, dim int) *sharedPage {
+func (pg *fetchedPage) load(pos int, buf []byte, dim int) *fetchedPage {
 	qp := page.UnmarshalQPage(buf)
 	pg.pos, pg.count, pg.bits, pg.dim = pos, qp.Count, qp.Bits, dim
 	pg.payload, pg.decoded = qp.Payload, nil
@@ -404,7 +298,7 @@ func (pg *sharedPage) load(pos int, buf []byte, dim int) *sharedPage {
 }
 
 // codes returns the page's cell codes, decoding them on first use.
-func (pg *sharedPage) codes() []uint32 {
+func (pg *fetchedPage) codes() []uint32 {
 	if pg.decoded == nil {
 		pg.decoded = pg.arena.Unpack(pg.payload, pg.count*pg.dim, pg.bits)
 	}

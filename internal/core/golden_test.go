@@ -127,9 +127,9 @@ func goldenQuery(t *testing.T, b *strings.Builder, name string, sto *store.Store
 	st := s.Stats
 	fmt.Fprintf(b, "%s | seeks=%d blocks=%d reads=%d cpu=%s | label=%q costs=%s/%s\n",
 		name, st.Seeks, st.BlocksRead, st.Reads, ff(st.CPUSeconds), tr.Label, ff(tr.SeekCost), ff(tr.XferCost))
-	fmt.Fprintf(b, "  funnel pages=%d pruned=%d cand=%d refine=%d/%d degraded=%d shared=%d skipped=%d term=%v/%s\n",
+	fmt.Fprintf(b, "  funnel pages=%d pruned=%d cand=%d refine=%d/%d degraded=%d skipped=%d term=%v/%s\n",
 		tr.PagesRead, tr.PagesPruned, tr.Candidates, tr.Refinements, tr.RefinedPoints,
-		tr.DegradedReads, tr.SharedPages, tr.SkippedPages, tr.Terminated, ff(tr.TermProb))
+		tr.DegradedReads, tr.SkippedPages, tr.Terminated, ff(tr.TermProb))
 	b.WriteString("  batches")
 	for _, bd := range tr.Batches {
 		fmt.Fprintf(b, " %d:[%d,%d]/%d", bd.Pivot, bd.First, bd.Last, bd.Pending)

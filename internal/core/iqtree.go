@@ -59,10 +59,6 @@ type Options struct {
 	// UniformModel forces the uniformity/independence cost model
 	// (D_F = d) regardless of FractalDim; an ablation knob.
 	UniformModel bool
-	// RefineCostFactor scales the cost model's refinement (third-level)
-	// cost during optimization. 1 uses the paper's model as-is; 0 means
-	// "calibrate empirically from sampled self-queries" (the default).
-	RefineCostFactor float64
 	// KNNTarget is the neighbor count the cost model optimizes for
 	// (paper footnote: the k-NN extension of Eq. 7/14/17). Default 1.
 	// Queries with any k remain exact regardless of this knob.
@@ -115,11 +111,6 @@ type Tree struct {
 	world sync.RWMutex
 	mu    sync.Mutex // serializes writers (Insert/InsertBatch/Delete)
 	snap  atomic.Pointer[snapshot]
-	// reoptGen counts Reoptimize runs; a cursor records it when it
-	// begins, and a round ends it with index.ErrStaleScan across a
-	// compaction (its pinned snapshot would point into rewritten file
-	// regions).
-	reoptGen atomic.Uint64
 
 	// quar tracks quarantined physical positions of the quantized file:
 	// pages whose blocks failed checksum verification and are being
@@ -263,7 +254,6 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 		DataSpace:     sn.dataSpace,
 		DirEntryBytes: page.DirEntrySize(dim),
 		ExactBlocks:   1,
-		RefineFactor:  opt.RefineCostFactor,
 		K:             opt.KNNTarget,
 	}
 

@@ -47,9 +47,7 @@ func TestOptimizerMatchesExhaustiveSearch(t *testing.T) {
 		pts := randPoints(r, 300+r.Intn(200), 4)
 
 		sto := store.NewSim(smallConfig())
-		opt := DefaultOptions()
-		opt.RefineCostFactor = 1 // keep the model deterministic (no calibration)
-		tr, err := Build(sto, pts, opt)
+		tr, err := Build(sto, pts, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,8 +119,8 @@ func (f *windowFilter) exactHit(p vec.Point) (float64, bool) { return 0, f.w.Con
 // the known-set schedule; deliveries arrive in ascending position order
 // within a round (the plan's spans are disjoint and ascending), and an
 // unreadable page is answered from its exact shadow in its place, so a
-// scan produces results in the same order alone or shared, damaged or
-// clean. Range results are sorted by distance on completion.
+// scan produces results in the same order damaged or clean. Range
+// results are sorted by distance on completion.
 type scanCursor struct {
 	cursorBase
 	t          *Tree
@@ -155,7 +155,7 @@ func (t *Tree) beginWindow(s *store.Session, sc *queryScratch, w vec.MBR) *scanC
 func (t *Tree) beginScan(s *store.Session, sc *queryScratch, tr *Trace, f scanFilter, sortByDist bool) *scanCursor {
 	c := &sc.scan
 	*c = scanCursor{
-		cursorBase: cursorBase{s: s, tr: tr, sn: t.load(), gen: t.reoptGen.Load()},
+		cursorBase: cursorBase{s: s, tr: tr, sn: t.load()},
 		t:          t, sc: sc, f: f, sortByDist: sortByDist,
 	}
 	clear(sc.delivered)
@@ -203,47 +203,30 @@ func (c *scanCursor) accessProb(pos int) float64 {
 	return 0
 }
 
-func (c *scanCursor) deliver(pg *sharedPage, shared bool) bool {
-	wanted := c.needs(pg.pos)
-	if !shared {
-		c.tr.AddPages(1)
-		if !wanted {
-			c.tr.AddPruned(1) // over-read gap page (cheaper than a seek)
-			return false
-		}
-	} else if !wanted {
-		return false
+func (c *scanCursor) deliver(pg *fetchedPage) {
+	c.tr.AddPages(1)
+	if !c.needs(pg.pos) {
+		c.tr.AddPruned(1) // over-read gap page (cheaper than a seek)
+		return
 	}
 	c.sc.delivered[pg.pos] = struct{}{}
-	if shared {
-		c.tr.AddShared(1)
-	}
 	if pg.bits == quantize.ExactBits {
 		c.exactPage(pg.payload, pg.count)
 	} else if err := c.codesPage(c.sc.posEntry[pg.pos], pg.count, pg.codes()); err != nil {
 		c.finish(err)
 	}
-	return true
 }
 
 // deliverDegraded serves an unreadable candidate page from its exact
 // shadow right away, in position order with the pages read around it.
-func (c *scanCursor) deliverDegraded(pos int) bool {
+func (c *scanCursor) deliverDegraded(pos int) {
 	if !c.needs(pos) {
-		return false
+		return
 	}
 	c.sc.delivered[pos] = struct{}{}
 	if err := c.shadowPage(c.sc.posEntry[pos]); err != nil {
 		c.finish(err)
 	}
-	return true
-}
-
-func (c *scanCursor) Results() ([]vec.Neighbor, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.out, nil
 }
 
 // scanDirectory runs the level-1 directory scan against the pinned

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -459,10 +458,10 @@ func TestKillAndRecoverUnderAutoReoptimize(t *testing.T) {
 	var present []write // inserted and not yet deleted
 	nextID, nextBase := uint32(100000), 0
 	inRun := 0 // writes acknowledged since the in-flight run began
-	for step := 0; live.reoptGen.Load() < 2 || inRun < 3; step++ {
+	for step := 0; live.gen < 2 || inRun < 3; step++ {
 		if step == 2000 {
 			t.Fatalf("no crash point after %d writes: %d swaps, running %v",
-				step, live.reoptGen.Load(), live.ReoptimizeRunning())
+				step, live.gen, live.ReoptimizeRunning())
 		}
 		var ins []write
 		var del write
@@ -501,9 +500,9 @@ func TestKillAndRecoverUnderAutoReoptimize(t *testing.T) {
 			inRun = 0
 		}
 	}
-	if twin.reoptGen.Load() != live.reoptGen.Load() || !twin.ReoptimizeRunning() {
+	if twin.gen != live.gen || !twin.ReoptimizeRunning() {
 		t.Fatalf("twin diverged: %d swaps (live %d), running %v",
-			twin.reoptGen.Load(), live.reoptGen.Load(), twin.ReoptimizeRunning())
+			twin.gen, live.gen, twin.ReoptimizeRunning())
 	}
 	rec := crashRecover(t, live)
 	if rec.gen != twin.gen {
@@ -656,78 +655,6 @@ func TestIncrementalReoptimizeWithConcurrentWrites(t *testing.T) {
 	}
 	check(live)
 	check(crashRecover(t, live))
-}
-
-// TestSharedScanStraddlesReoptimizeStep: a scan-sharing round in flight
-// across the reoptimizer's swap step must surface index.ErrStaleScan and
-// finish correctly after a bounded restart — never return a wrong
-// answer. (Regression test for the generation guard under the
-// incremental stepper.)
-func TestSharedScanStraddlesReoptimizeStep(t *testing.T) {
-	r := rand.New(rand.NewSource(69))
-	pts := randPoints(r, 1600, 4)
-	tr := buildWALTree(t, pts, walTestOptions())
-
-	// Deterministic straddle: step a cursor mid-flight, run the stepper to
-	// completion, and check the stale signal on the next step.
-	scan := tr.NewSharedScan()
-	cur := scan.KNN(tr.sto.NewSession(), pts[3], 3, 0)
-	if scan.Round([]index.Cursor{cur}); cur.Done() {
-		_, err := cur.Results()
-		t.Fatalf("first round ended the query: %v", err)
-	}
-	s := tr.sto.NewSession()
-	for {
-		fin, err := tr.ReoptimizeStep(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fin {
-			break
-		}
-	}
-	scan.Round([]index.Cursor{cur})
-	if _, err := cur.Results(); !cur.Done() || !errors.Is(err, index.ErrStaleScan) {
-		t.Fatalf("round after swap: done=%v err=%v, want ErrStaleScan", cur.Done(), err)
-	}
-
-	// Probabilistic straddle under race coverage: a full coordinator run
-	// (driveShared restarts stale cursors, bounded at 100) races a second
-	// incremental reoptimization.
-	stepErr := make(chan error, 1)
-	go func() {
-		s := tr.sto.NewSession()
-		for {
-			fin, err := tr.ReoptimizeStep(s)
-			if err != nil || fin {
-				stepErr <- err
-				return
-			}
-		}
-	}()
-	queries := randPoints(r, 6, 4)
-	sessions := make([]*store.Session, len(queries))
-	for i := range sessions {
-		sessions[i] = tr.sto.NewSession()
-	}
-	results, errs := driveShared(t, tr, sessions,
-		func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-			return scan.KNN(s, queries[i], 3, 0)
-		})
-	if err := <-stepErr; err != nil {
-		t.Fatalf("reoptimize during shared scan: %v", err)
-	}
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatalf("shared query %d: %v", i, errs[i])
-		}
-		want := bruteKNN(pts, queries[i], 3, vec.Euclidean)
-		for j := range results[i] {
-			if diff := results[i][j].Dist - want[j]; diff > 1e-5 || diff < -1e-5 {
-				t.Fatalf("shared query %d result %d: %f vs %f", i, j, results[i][j].Dist, want[j])
-			}
-		}
-	}
 }
 
 // TestReplayLegacyInsertRecord: the one-point insert record (kind 1) is

@@ -32,9 +32,7 @@ import (
 //
 // Snapshot correctness: queries pin epochs of the old generation and
 // hold world.RLock for their whole duration, so the final swap cannot
-// run under them; once it has run, reoptGen invalidates outstanding
-// shared-scan cursors (index.ErrStaleScan) instead of letting them read
-// repositioned pages.
+// run under them and no query reads a repositioned page.
 
 var (
 	metricReoptSteps = obs.Default().Counter("reopt.steps")
@@ -343,7 +341,6 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 	// Quarantined positions referred to the old generation's file.
 	t.clearQuarantine()
 	t.publish(sn)
-	t.reoptGen.Add(1)
 	// The old generation is garbage now. In WAL mode the new checkpoint
 	// is durable, so recovery no longer needs these files.
 	t.sto.Remove(oldQ.Name())

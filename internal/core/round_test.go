@@ -7,100 +7,155 @@ import (
 	"testing"
 
 	"repro/internal/index"
-	"repro/internal/pagesched"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
 
-// TestSpanLeaderSkipsCanceled is the regression test for leader
-// election: a query whose context is already done must never lead a
-// span read (its session would fail the read at the next cancellation
-// check, aborting the span for every co-attached query and charging the
-// doomed query the transfer). Ended and canceled owners are skipped; the
-// first live owner leads.
-func TestSpanLeaderSkipsCanceled(t *testing.T) {
-	r := rand.New(rand.NewSource(37))
-	pts := randPoints(r, 1200, 4)
-	tr := buildTree(t, pts, DefaultOptions())
-	scan := tr.NewSharedScan().(*sharedScan)
-	begin := func(ctx context.Context) cursor {
-		s := tr.sto.NewSession()
-		s.SetContext(ctx)
-		return scan.KNN(s, pts[0], 3, 0).(cursor)
-	}
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	canceled, ended, live := begin(done), begin(nil), begin(nil)
-	ended.base().finish(nil)
+// queryCase is one query of a mixed batch: k-NN, range or window.
+type queryCase struct {
+	kind string
+	q    vec.Point
+	k    int
+	eps  float64
+	w    vec.MBR
+}
 
-	rs := &scan.rs
-	rs.live = []cursor{canceled, ended, live}
-	rs.union = []want{{pos: 3, owner: 0}, {pos: 5, owner: 1}, {pos: 9, owner: 2}}
-	rs.wants = []int{3, 5, 9}
-	if got := rs.leaderOf(pagesched.PageSpan{First: 0, Last: 10}); got != live {
-		t.Fatalf("leader = %v, want the live owner (canceled and ended owners must be skipped)", got)
+func mixedCases(r *rand.Rand, n, dim int) []queryCase {
+	cases := make([]queryCase, 0, n)
+	for i := 0; i < n; i++ {
+		q := make(vec.Point, dim)
+		for j := range q {
+			q[j] = r.Float32()
+		}
+		switch i % 3 {
+		case 0:
+			cases = append(cases, queryCase{kind: "knn", q: q, k: 1 + r.Intn(8)})
+		case 1:
+			cases = append(cases, queryCase{kind: "range", q: q, eps: 0.2 + r.Float64()*0.3})
+		default:
+			lo := make(vec.Point, dim)
+			hi := make(vec.Point, dim)
+			for j := range lo {
+				a := r.Float32() * 0.6
+				lo[j], hi[j] = a, a+0.3+r.Float32()*0.3
+			}
+			cases = append(cases, queryCase{kind: "window", w: vec.MBR{Lo: lo, Hi: hi}})
+		}
 	}
-	if got := rs.leaderOf(pagesched.PageSpan{First: 0, Last: 5}); got != nil {
-		t.Fatalf("span with only canceled/ended owners elected leader %v, want nil", got)
-	}
-	if got := rs.leaderOf(pagesched.PageSpan{First: 9, Last: 9}); got != live {
-		t.Fatalf("single-want span: leader = %v, want the live owner", got)
-	}
-	// An owner with a live (not-yet-done) context leads normally.
-	liveCtx := begin(context.Background())
-	rs.live[0] = liveCtx
-	if got := rs.leaderOf(pagesched.PageSpan{First: 0, Last: 10}); got != liveCtx {
-		t.Fatalf("owner with live context skipped: leader = %v", got)
+	return cases
+}
+
+// run answers the case on tr, charged to s.
+func (c queryCase) run(tr *Tree, s *store.Session) ([]Neighbor, error) {
+	switch c.kind {
+	case "knn":
+		return tr.KNN(s, c.q, c.k)
+	case "range":
+		return tr.RangeSearch(s, c.q, c.eps)
+	default:
+		return tr.WindowQuery(s, c.w)
 	}
 }
 
-// TestRoundContainsCursorPanic puts a cursor that panics — a query of the
-// wrong dimensionality, begun directly on the scan — into rounds with
-// valid ones: the bad query alone fails, typed index.ErrPanicked, and
-// every other query answers exactly as it does alone.
+// TestRoundContainsCursorPanic: a query whose cursor panics — one of the
+// wrong dimensionality, which the engine rejects at submission but the
+// tree does not — fails typed with index.ErrPanicked instead of
+// unwinding through the tree's locks, and every query after it, on a
+// fresh session or on the one that panicked, answers exactly as before.
 func TestRoundContainsCursorPanic(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
 	pts := randPoints(r, 2500, 6)
 	tr := buildTree(t, pts, DefaultOptions())
 	cases := mixedCases(r, 9, 6)
-	const bad = 4
-	short := vec.Point{0.5, 0.5, 0.5}
-	sessions := make([]*store.Session, len(cases))
-	for i := range sessions {
-		sessions[i] = tr.sto.NewSession()
+	answer := func(c queryCase, s *store.Session) []Neighbor {
+		t.Helper()
+		res, err := c.run(tr, s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		return res
 	}
-	results, errs := driveShared(t, tr, sessions,
-		func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-			if i == bad {
-				return scan.KNN(s, short, 3, 0)
-			}
-			return newSharedCursor(scan, cases[i], s)
-		})
-	if !errors.Is(errs[bad], index.ErrPanicked) {
-		t.Fatalf("wrong-dimension cursor: err %v, want index.ErrPanicked", errs[bad])
-	}
+	before := make([][]Neighbor, len(cases))
 	for i, c := range cases {
-		if i == bad {
-			continue
+		before[i] = answer(c, tr.sto.NewSession())
+	}
+	short := vec.Point{0.5, 0.5, 0.5}
+	for _, bad := range []queryCase{
+		{kind: "knn", q: short, k: 3},
+		{kind: "range", q: short, eps: 0.3},
+		{kind: "window", w: vec.MBR{Lo: short, Hi: short}},
+	} {
+		s := tr.sto.NewSession()
+		if _, err := bad.run(tr, s); !errors.Is(err, index.ErrPanicked) {
+			t.Fatalf("wrong-dimension %s: err %v, want index.ErrPanicked", bad.kind, err)
 		}
-		if errs[i] != nil {
-			t.Fatalf("%s %d failed beside the panicking cursor: %v", c.kind, i, errs[i])
+		for i, c := range cases {
+			sameNeighbors(t, c.kind, answer(c, tr.sto.NewSession()), before[i])
+			sameNeighbors(t, c.kind+" on the session that panicked", answer(c, s), before[i])
 		}
-		sameNeighbors(t, c.kind, results[i], directCase(t, tr, c, tr.sto.NewSession()))
+	}
+}
+
+// countdownCtx is a context whose Err turns context.Canceled after its
+// first after calls, so a test can cancel a query at any one of its
+// cancellation checks.
+type countdownCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls++; c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCanceledQueryFailsTyped: a query whose context turns done at any of
+// its cancellation checks — a round's, a span read's or the session's —
+// fails with store.ErrCanceled wrapping context.Canceled instead of
+// answering, and one whose context is done from the start reads no block.
+func TestCanceledQueryFailsTyped(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	tr := buildTree(t, randPoints(r, 2500, 6), DefaultOptions())
+	for _, c := range mixedCases(r, 6, 6) {
+		clean, err := c.run(tr, tr.sto.NewSession())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for after := 0; ; after++ {
+			ctx := &countdownCtx{Context: context.Background(), after: after}
+			s := tr.sto.NewSession()
+			s.SetContext(ctx)
+			res, err := c.run(tr, s)
+			if ctx.calls <= after {
+				if err != nil {
+					t.Fatalf("%s with a live context: %v", c.kind, err)
+				}
+				sameNeighbors(t, c.kind, res, clean)
+				break
+			}
+			if !errors.Is(err, store.ErrCanceled) || !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("%s canceled at check %d: %d results, err %v, want ErrCanceled", c.kind, after+1, len(res), err)
+			}
+			if after == 0 && s.Stats.Reads != 0 {
+				t.Fatalf("%s canceled before it began: %d reads, want 0", c.kind, s.Stats.Reads)
+			}
+		}
 	}
 }
 
 // TestDegradedReadsAgreeAcrossDrivers pins the damaged-page rule. With
 // every page stored exact (no level-3 shadow), a page corrupted beneath
 // the checksum layer is unrecoverable — but only for a query that must
-// read it as its pivot. Serving every wanted page of a damaged span
-// instead would fail a direct query with ErrUnrecoverable on pages it
-// would later prune, where the same query under scan sharing answers.
-// For every (corrupt page, query) pair a direct and a shared query must
-// either both fail typed or both answer as on the clean tree.
+// read it as its pivot. A damaged page that a query's batch merely
+// over-reads, and that the query later prunes, must not fail it. For
+// every (corrupt page, query) pair the query must either fail typed or
+// answer as on the clean tree, and both outcomes must occur.
 func TestDegradedReadsAgreeAcrossDrivers(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Quantize = false
+	answered, failed := 0, 0
 	for seed := int64(1); seed <= 4; seed++ {
 		sto, tr, _ := buildCheckedTree(t, seed, 3000, 6, opt)
 		r := rand.New(rand.NewSource(seed + 100))
@@ -111,31 +166,23 @@ func TestDegradedReadsAgreeAcrossDrivers(t *testing.T) {
 		}
 		for _, row := range tr.DescribePages() {
 			flipQPageBit(t, sto, row.QPos)
-			sessions := make([]*store.Session, len(queries))
-			for i := range sessions {
-				sessions[i] = sto.NewSession()
-			}
-			shared, sharedErrs := driveShared(t, tr, sessions,
-				func(scan index.SharedScan, i int, s *store.Session) index.Cursor {
-					return scan.KNN(s, queries[i], 5, 0)
-				})
 			for i, q := range queries {
-				direct, err := tr.KNN(sto.NewSession(), q, 5)
-				if (err == nil) != (sharedErrs[i] == nil) {
-					t.Fatalf("seed %d page %d query %d: direct err %v, shared err %v",
-						seed, row.QPos, i, err, sharedErrs[i])
-				}
+				res, err := tr.KNN(sto.NewSession(), q, 5)
 				if err != nil {
 					if !errors.Is(err, ErrUnrecoverable) {
 						t.Fatalf("seed %d page %d query %d: untyped failure %v", seed, row.QPos, i, err)
 					}
+					failed++
 					continue
 				}
-				sameNeighbors(t, "direct", direct, clean[i])
-				sameNeighbors(t, "shared", shared[i], clean[i])
+				sameNeighbors(t, "direct", res, clean[i])
+				answered++
 			}
 			flipQPageBit(t, sto, row.QPos) // restore
 		}
+	}
+	if answered == 0 || failed == 0 {
+		t.Fatalf("%d answered and %d failed typed; the damage must both spare and hit some queries", answered, failed)
 	}
 }
 

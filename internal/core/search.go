@@ -95,17 +95,15 @@ func (t *Tree) traceOf(s *store.Session) *Trace {
 // start, then repeatedly advance to the next unpruned pending page and
 // want it. A round reads that want with the Sec. 2.1 batch around it as
 // the pivot (or the page alone when OptimizedIO is off). Pages delivered
-// early (over-read for the batch or fetched for another query) only
-// tighten the search's bounds sooner; processing a page is
-// order-independent for the final result set (candidates enter the same
-// priority list, prune radii only shrink), so the returned neighbors are
-// identical either way.
+// early (over-read for the batch) only tighten the search's bounds
+// sooner; processing a page is order-independent for the final result
+// set (candidates enter the same priority list, prune radii only shrink),
+// so the returned neighbors are identical either way.
 type knnCursor struct {
 	cursorBase
 	st      *nnSearch // nil for the empty query
 	pending int32     // entry awaiting its page; -1 = none
 	started bool
-	res     []Neighbor
 }
 
 // beginKNN resets the scratch's k-NN cursor for one query over the
@@ -117,7 +115,7 @@ func (t *Tree) beginKNN(s *store.Session, sc *queryScratch, q vec.Point, k int, 
 	}
 	sn := t.load()
 	c := &sc.knn
-	*c = knnCursor{cursorBase: cursorBase{s: s, tr: tr, sn: sn, gen: t.reoptGen.Load()}, pending: -1}
+	*c = knnCursor{cursorBase: cursorBase{s: s, tr: tr, sn: sn}, pending: -1}
 	c.st = sc.beginSearch(t, sn, s, q, k, tr, minRecall)
 	if k <= 0 || sn.n == 0 {
 		c.st, c.done = nil, true
@@ -138,8 +136,7 @@ func (c *knnCursor) step(buf []int) []int {
 			return buf
 		}
 	}
-	// A pending page that last round's read did not reach (its leader
-	// failed) stays wanted.
+	// The pivot stays wanted until a round delivers it.
 	if c.pending < 0 || st.processed[c.pending] {
 		entry, ok := st.advance()
 		if !ok {
@@ -169,66 +166,39 @@ func (c *knnCursor) accessProb(pos int) float64 {
 	return c.st.accessProb(pos)
 }
 
-func (c *knnCursor) deliver(pg *sharedPage, shared bool) bool {
+// deliver accounts every transferred page, irrelevant ones as pruned,
+// and filters a relevant one.
+func (c *knnCursor) deliver(pg *fetchedPage) {
 	st := c.st
 	if st.err != nil {
-		return false
+		return
 	}
-	relevant := c.needs(pg.pos)
-	if !shared {
-		// The leader accounts every transferred page, irrelevant ones as
-		// pruned.
-		st.tr.AddPages(1)
-	}
-	if !relevant {
-		if !shared {
-			st.tr.AddPruned(1)
-		}
-		return false
+	st.tr.AddPages(1)
+	if !c.needs(pg.pos) {
+		st.tr.AddPruned(1)
+		return
 	}
 	e := st.sn.entryIndex(pg.pos)
 	st.processed[e] = true
 	if st.minD[e] >= st.prune() {
-		if !shared {
-			st.tr.AddPruned(1) // transferred but certainly irrelevant
-		}
-		return false
-	}
-	if shared {
-		// Another query's session paid the transfer: a zero-cost shared
-		// page here, outside the trace totals.
-		st.tr.AddShared(1)
+		st.tr.AddPruned(1) // transferred but certainly irrelevant
+		return
 	}
 	if pg.bits == quantize.ExactBits {
 		st.processExact(pg.payload, pg.count)
-		return true
+		return
 	}
 	st.processCodes(e, pg.count, pg.codes())
-	return true
 }
 
 // deliverDegraded serves only the pivot page from its exact shadow: the
 // search must not touch the exact shadow of pages it still might prune,
 // and an exact-mode page it would never fetch must not fail the query.
-func (c *knnCursor) deliverDegraded(pos int) bool {
+func (c *knnCursor) deliverDegraded(pos int) {
 	if c.pending < 0 || c.st.sn.entryIndex(pos) != int(c.pending) || !c.needs(pos) {
-		return false
+		return
 	}
 	c.st.degradedExact(int(c.pending))
-	return true
-}
-
-func (c *knnCursor) Results() ([]vec.Neighbor, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.st == nil {
-		return nil, nil
-	}
-	if c.res == nil {
-		c.res = c.st.resultsInto(nil)
-	}
-	return c.res, nil
 }
 
 // pqItem is an entry of the search priority list (paper Sec. 3.2): either

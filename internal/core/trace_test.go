@@ -242,9 +242,9 @@ func TestPoolKeepsUpperLevels(t *testing.T) {
 	}
 
 	forgotten, peak, step := 0, 0, 0
-	for ; tree.reoptGen.Load() < 2; step++ {
+	for ; tree.gen < 2; step++ {
 		if step == 400 {
-			t.Fatalf("%d swaps in %d steps, want 2", tree.reoptGen.Load(), step)
+			t.Fatalf("%d swaps in %d steps, want 2", tree.gen, step)
 		}
 		before, eFile, running := tree.load(), tree.eFile, tree.ReoptimizeRunning()
 		s := sto.NewSession()
@@ -302,7 +302,7 @@ func TestPoolKeepsUpperLevels(t *testing.T) {
 			hits += l.CachedBlocks
 			if l.Seeks != 0 || l.Blocks != 0 {
 				t.Fatalf("step %d (%d swaps): the KNN read %s from the backend: %d seeks, %d blocks\n%s",
-					step, tree.reoptGen.Load(), l.File, l.Seeks, l.Blocks, tr.Format())
+					step, tree.gen, l.File, l.Seeks, l.Blocks, tr.Format())
 			}
 		}
 		if hits == 0 {

@@ -10,8 +10,8 @@ import (
 
 // TestEngineRejectsWrongDimensionQueries: a query whose point or window
 // has another dimensionality than the index fails at submission with
-// ErrInvalidQuery in both engine modes; it never reaches the index,
-// where it would fail as a contained panic that routing layers retry.
+// ErrInvalidQuery; it never reaches the index, where it would fail as a
+// contained panic that routing layers retry.
 func TestEngineRejectsWrongDimensionQueries(t *testing.T) {
 	sto, tr, _ := buildTree(t, 91, 1500, 6)
 	short := vec.Point{0.5, 0.5, 0.5}
@@ -20,17 +20,15 @@ func TestEngineRejectsWrongDimensionQueries(t *testing.T) {
 		{Kind: Range, Point: short, Eps: 0.2},
 		{Kind: Window, Window: vec.MBR{Lo: vec.Point{0, 0, 0}, Hi: vec.Point{1, 1, 1}}},
 	}
-	for _, opts := range [][]Option{nil, {WithScanSharing()}} {
-		e := New(sto, tr, 2, opts...)
-		for i, q := range bad {
-			if res := e.Submit(q); !errors.Is(res.Err, ErrInvalidQuery) {
-				t.Fatalf("sharing=%v query %d (%s): err %v, want ErrInvalidQuery", e.Sharing(), i, q.Kind, res.Err)
-			}
+	e := New(sto, tr, 2)
+	defer e.Close()
+	for i, q := range bad {
+		if res := e.Submit(q); !errors.Is(res.Err, ErrInvalidQuery) {
+			t.Fatalf("query %d (%s): err %v, want ErrInvalidQuery", i, q.Kind, res.Err)
 		}
-		if got := e.Health().Panics; got != 0 {
-			t.Fatalf("sharing=%v: %d panics, want 0", e.Sharing(), got)
-		}
-		e.Close()
+	}
+	if got := e.Health().Panics; got != 0 {
+		t.Fatalf("%d panics, want 0", got)
 	}
 }
 

@@ -6,11 +6,8 @@
 // Concurrency contract: the access methods publish copy-on-write
 // snapshots (see internal/core), so workers never block updaters and
 // every query observes one consistent snapshot. The engine measures both
-// wall-clock and simulated time per query; on the simulated disk the
-// interesting throughput number is simulated QPS — queries divided by
-// the makespan, the largest per-lane sum of simulated busy seconds over
-// workers lanes dealt round-robin at admission — which models N
-// independent disks serving the shared queue.
+// wall-clock and simulated time per query; callers that model one disk
+// per worker derive a makespan from the results (cmd/iqbench).
 package engine
 
 import (
@@ -48,19 +45,12 @@ var ErrCanceled = store.ErrCanceled
 var ErrInvalidQuery = errors.New("engine: invalid query")
 
 // ErrPanicked marks a query whose index execution panicked. The panic is
-// contained — neither a worker nor the sharing coordinator dies — and
-// surfaces typed so routing layers (internal/shard) can classify it as a
-// replica-local fault and retry a sibling replica. It aliases
-// index.ErrPanicked, which a fetch round reports for a contained cursor
-// panic, so errors.Is works across the layers.
+// contained — the worker does not die — and surfaces typed so routing
+// layers (internal/shard) can classify it as a replica-local fault and
+// retry a sibling replica. It aliases index.ErrPanicked, which a fetch
+// round reports for a contained cursor panic, so errors.Is works across
+// the layers.
 var ErrPanicked = index.ErrPanicked
-
-// ErrTooManyRestarts marks a shared-scan query abandoned because index
-// reorganizations invalidated its cursor more than maxSharedRestarts
-// times — progress insurance against a writer that reorganizes faster
-// than queries complete. It wraps index.ErrStaleScan in the returned
-// error chain, so both errors.Is checks hold.
-var ErrTooManyRestarts = errors.New("engine: shared scan restarted too many times")
 
 // Kind selects the query type of a Query.
 type Kind int
@@ -187,22 +177,6 @@ type Engine struct {
 	// writer.
 	closing atomic.Bool
 
-	// busy is the simulated-disk ledger: workers lanes, each the summed
-	// simulated busy seconds of the queries dealt to it. Lanes are dealt
-	// at admission in both modes — query i of a SubmitBatch gets lane
-	// i mod workers, a Submit the next lane round-robin (submits) — so
-	// Makespan does not depend on which goroutine ran which query.
-	busyMu  sync.Mutex
-	busy    []float64
-	submits atomic.Uint64
-
-	// Scan-sharing mode (see shared.go): one coordinator goroutine
-	// replaces the worker pool, multiplexing up to workers in-flight
-	// queries over cross-query batched page fetches.
-	sharing     bool
-	maxRestarts int
-	scan        index.SharedScan
-
 	// Write path (see write.go): one writer goroutine drains a dedicated
 	// queue, coalescing insert bursts into batch applications.
 	writesOn   bool
@@ -220,12 +194,6 @@ type Engine struct {
 	simLat     *obs.Histogram
 	wallLat    *obs.Histogram
 
-	sharedRounds    *obs.Counter
-	sharedFetched   *obs.Counter
-	sharedServes    *obs.Counter
-	sharedRestarts  *obs.Counter
-	sharedExhausted *obs.Counter
-
 	writeQueueDepth *obs.Gauge
 	writeCount      *obs.Counter
 	writeBatches    *obs.Counter
@@ -234,7 +202,6 @@ type Engine struct {
 
 type job struct {
 	q    Query
-	lane int // busy-ledger lane, dealt at admission
 	res  *Result
 	done *sync.WaitGroup
 }
@@ -259,18 +226,6 @@ func WithQueueWait(d time.Duration) Option {
 	return func(e *Engine) { e.queueWait = d }
 }
 
-// WithScanSharing switches the engine to the shared multi-query
-// pipeline: a coordinator keeps up to the worker count of queries in
-// flight, steps each to its page-fetch boundary, merges the wanted pages
-// across queries into one deduplicated read plan per round, and fans
-// each fetched page out to all queries that need it. Requires the index
-// to implement index.SharedScanner; other indexes are served
-// share-nothing regardless of this option. Results are identical to
-// share-nothing execution.
-func WithScanSharing() Option {
-	return func(e *Engine) { e.sharing = true }
-}
-
 // New starts an engine with the given number of workers serving queries
 // against idx, charging simulated costs to sessions of sto.
 func New(sto *store.Store, idx index.Index, workers int, opts ...Option) *Engine {
@@ -278,13 +233,11 @@ func New(sto *store.Store, idx index.Index, workers int, opts ...Option) *Engine
 		panic(fmt.Sprintf("engine: workers must be positive, got %d", workers))
 	}
 	e := &Engine{
-		sto:         sto,
-		idx:         idx,
-		workers:     workers,
-		queueWait:   time.Second,
-		queue:       make(chan job, 4*workers),
-		busy:        make([]float64, workers),
-		maxRestarts: maxSharedRestarts,
+		sto:       sto,
+		idx:       idx,
+		workers:   workers,
+		queueWait: time.Second,
+		queue:     make(chan job, 4*workers),
 	}
 	for _, o := range opts {
 		o(e)
@@ -316,31 +269,12 @@ func New(sto *store.Store, idx index.Index, workers int, opts ...Option) *Engine
 		e.wg.Add(1)
 		go e.writer()
 	}
-	if e.sharing {
-		if ss, ok := idx.(index.SharedScanner); ok {
-			e.scan = ss.NewSharedScan()
-		}
-	}
-	if e.scan != nil {
-		e.sharedRounds = e.reg.Counter("engine.shared.rounds")
-		e.sharedFetched = e.reg.Counter("engine.shared.pages_fetched")
-		e.sharedServes = e.reg.Counter("engine.shared.page_serves")
-		e.sharedRestarts = e.reg.Counter("engine.shared.restarts")
-		e.sharedExhausted = e.reg.Counter("engine.shared.restarts_exhausted")
-		e.wg.Add(1)
-		go e.coordinator()
-		return e
-	}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
 	}
 	return e
 }
-
-// Sharing reports whether the engine actually runs the scan-sharing
-// pipeline (the option was set and the index supports it).
-func (e *Engine) Sharing() bool { return e.scan != nil }
 
 // Health is a point-in-time readiness snapshot of one engine, cheap
 // enough for a routing layer (internal/shard) to poll per decision: a
@@ -350,8 +284,7 @@ func (e *Engine) Sharing() bool { return e.scan != nil }
 type Health struct {
 	Closed     bool  // Close was called; every submission fails ErrClosed
 	Closing    bool  // Close has started (set before the drain begins)
-	Sharing    bool  // scan-sharing coordinator instead of the worker pool
-	Workers    int   // pool size (parallel lanes in sharing mode)
+	Workers    int   // pool size
 	QueueDepth int64 // jobs currently queued or waiting for queue space
 	Queries    int64 // completed queries
 	Failures   int64 // completed queries that carried an error
@@ -375,7 +308,6 @@ func (e *Engine) Health() Health {
 	return Health{
 		Closed:     e.closed.Load(),
 		Closing:    e.closing.Load(),
-		Sharing:    e.Sharing(),
 		Workers:    e.workers,
 		QueueDepth: e.queueDepth.Value(),
 		Queries:    e.queries.Value(),
@@ -385,9 +317,6 @@ func (e *Engine) Health() Health {
 		Cancels:    e.cancels.Value(),
 	}
 }
-
-// Workers returns the size of the worker pool.
-func (e *Engine) Workers() int { return e.workers }
 
 // Registry returns the registry carrying the engine's metrics.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
@@ -399,8 +328,7 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 func (e *Engine) Submit(q Query) Result {
 	var res Result
 	var done sync.WaitGroup
-	lane := int((e.submits.Add(1) - 1) % uint64(e.workers))
-	if err := e.enqueue(job{q: q, lane: lane, res: &res, done: &done}); err != nil {
+	if err := e.enqueue(job{q: q, res: &res, done: &done}); err != nil {
 		return Result{Err: err}
 	}
 	done.Wait()
@@ -409,15 +337,14 @@ func (e *Engine) Submit(q Query) Result {
 
 // SubmitBatch executes all queries on the worker pool and blocks until
 // every result is ready. Results are returned in query order regardless
-// of completion order, and query i charges busy lane i mod workers, so
-// downstream aggregation and Makespan are deterministic.
+// of completion order, so downstream aggregation is deterministic.
 // Individual queries that cannot be enqueued carry their typed error
 // (ErrClosed, ErrOverloaded, ErrCanceled) in their Result slot.
 func (e *Engine) SubmitBatch(qs []Query) []Result {
 	results := make([]Result, len(qs))
 	var done sync.WaitGroup
 	for i := range qs {
-		if err := e.enqueue(job{q: qs[i], lane: i % e.workers, res: &results[i], done: &done}); err != nil {
+		if err := e.enqueue(job{q: qs[i], res: &results[i], done: &done}); err != nil {
 			results[i].Err = err
 		}
 	}
@@ -510,9 +437,7 @@ func (e *Engine) worker() {
 	defer e.wg.Done()
 	for j := range e.queue {
 		e.queueDepth.Add(-1)
-		f := e.open(j)
-		e.execute(f.s, j.q, j.res)
-		e.finish(f)
+		e.serve(j)
 		// Yield between queries: a warmed query runs in microseconds with
 		// no allocation (no preemption points), so on a host with fewer
 		// cores than workers one goroutine could otherwise drain the whole
@@ -521,47 +446,36 @@ func (e *Engine) worker() {
 	}
 }
 
-// flight is one query between open and finish, in either execution
-// mode: its job, its pooled session and when it started.
-type flight struct {
-	job
-	s     *store.Session
-	start time.Time
-}
-
-// open starts one dequeued query: a pooled session, freshly reset, with
-// the query's trace and context attached.
-func (e *Engine) open(j job) flight {
+// serve runs one dequeued query on a pooled session, freshly reset, with
+// the query's trace and context attached, and settles it: the session's
+// sticky error, the wall time and the charges — those accumulated before
+// a failure or a panic included — go into the result and the metrics;
+// the session returns to the pool unless the query panicked; and the
+// submitter is acknowledged.
+func (e *Engine) serve(j job) {
 	s := e.sessions.Get().(*store.Session)
 	s.Reset()
+	res := j.res
 	if j.q.Trace {
-		j.res.Trace = obs.NewQueryTrace(j.q.Kind.String())
+		res.Trace = obs.NewQueryTrace(j.q.Kind.String())
 		cfg := e.sto.Config()
-		j.res.Trace.SetCosts(cfg.Seek, cfg.Xfer)
-		s.SetTrace(j.res.Trace)
+		res.Trace.SetCosts(cfg.Seek, cfg.Xfer)
+		s.SetTrace(res.Trace)
 	}
 	if j.q.Ctx != nil {
 		s.SetContext(j.q.Ctx)
 	}
-	return flight{job: j, s: s, start: time.Now()}
-}
-
-// finish settles one query in either mode: the session's sticky error,
-// the wall time and the charges — those accumulated before a failure or
-// a panic included — go into the result, the metrics and the busy
-// ledger; the session returns to the pool unless the query panicked; and
-// the submitter is acknowledged.
-func (e *Engine) finish(f flight) {
-	res := f.res
+	start := time.Now()
+	e.execute(s, j.q, res)
 	if res.Err == nil {
 		// A query can swallow individual read errors; the sticky session
 		// error is the boundary check that keeps a poisoned result from
 		// looking successful.
-		res.Err = f.s.Err()
+		res.Err = s.Err()
 	}
-	res.Wall = time.Since(f.start)
-	res.Stats = f.s.Stats
-	res.SimTime = f.s.Time()
+	res.Wall = time.Since(start)
+	res.Stats = s.Stats
+	res.SimTime = s.Time()
 	e.queries.Inc()
 	if res.Err != nil {
 		e.failures.Inc()
@@ -571,18 +485,15 @@ func (e *Engine) finish(f flight) {
 	}
 	e.simLat.Observe(res.SimTime)
 	e.wallLat.Observe(res.Wall.Seconds())
-	e.busyMu.Lock()
-	e.busy[f.lane] += res.SimTime
-	e.busyMu.Unlock()
 	if errors.Is(res.Err, ErrPanicked) {
 		// A session that lived through a panic is in an unknown state;
 		// drop it and let the pool mint a fresh one.
 		res.Neighbors = nil
 		e.panics.Inc()
 	} else {
-		e.sessions.Put(f.s)
+		e.sessions.Put(s)
 	}
-	f.done.Done()
+	j.done.Done()
 }
 
 // execute dispatches the query to the index, converting a panic into
@@ -614,35 +525,6 @@ func (e *Engine) execute(s *store.Session, q Query, res *Result) {
 	default:
 		res.Err = fmt.Errorf("engine: unknown query kind %d", q.Kind)
 	}
-}
-
-// WorkerBusy returns each lane's summed simulated busy seconds. The
-// slice is one consistent snapshot taken under the ledger lock — a
-// concurrent query finishing during the call is either fully included or
-// not at all, never half-applied.
-func (e *Engine) WorkerBusy() []float64 {
-	e.busyMu.Lock()
-	defer e.busyMu.Unlock()
-	return append([]float64(nil), e.busy...)
-}
-
-// Makespan returns the simulated wall-clock of the run so far under the
-// model of one disk per worker: the largest per-lane busy sum. Lanes are
-// dealt round-robin, so with balanced work it approaches total busy /
-// workers, which is what makes simulated QPS scale with the pool. Like
-// WorkerBusy, the maximum is computed under the ledger lock in one
-// critical section, so it is monotonically non-decreasing across calls
-// even under concurrent accounting.
-func (e *Engine) Makespan() float64 {
-	e.busyMu.Lock()
-	defer e.busyMu.Unlock()
-	var m float64
-	for _, b := range e.busy {
-		if b > m {
-			m = b
-		}
-	}
-	return m
 }
 
 // String names a query kind.

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -144,41 +148,6 @@ func TestEngineTraceAndMetrics(t *testing.T) {
 	}
 }
 
-// TestEngineMakespanAccounting checks the per-worker busy ledger: total
-// busy equals the summed per-query sim time, and the makespan lies
-// between total/workers and total.
-func TestEngineMakespanAccounting(t *testing.T) {
-	sto, tr, _ := buildTree(t, 5, 2500, 8)
-	e := New(sto, tr, 4)
-	defer e.Close()
-
-	r := rand.New(rand.NewSource(6))
-	queries := randPoints(r, 64, 8)
-	batch := make([]Query, len(queries))
-	for i, q := range queries {
-		batch[i] = Query{Kind: KNN, Point: q, K: 3}
-	}
-	results := e.SubmitBatch(batch)
-	var total float64
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		total += res.SimTime
-	}
-	var ledger float64
-	for _, b := range e.WorkerBusy() {
-		ledger += b
-	}
-	if diff := ledger - total; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("busy ledger %v != summed sim time %v", ledger, total)
-	}
-	m := e.Makespan()
-	if m < total/4-1e-9 || m > total+1e-9 {
-		t.Fatalf("makespan %v outside [total/4=%v, total=%v]", m, total/4, total)
-	}
-}
-
 // TestEngineOverXTree drives the X-tree's read path from many workers
 // at once (its RWMutex audit under -race) and checks the results against
 // direct single-session queries.
@@ -242,5 +211,153 @@ func TestEngineCloseSemantics(t *testing.T) {
 	}
 	if res := e.SubmitBatch([]Query{{Kind: KNN, Point: vec.Point{0.1, 0.1, 0.1, 0.1}, K: 1}}); res[0].Err != ErrClosed {
 		t.Fatalf("post-close batch: %v, want ErrClosed", res[0].Err)
+	}
+}
+
+// mixedBatch draws n queries of the three kinds in turn.
+func mixedBatch(r *rand.Rand, n, dim int) []Query {
+	batch := make([]Query, 0, n)
+	for i := 0; i < n; i++ {
+		q := make(vec.Point, dim)
+		for j := range q {
+			q[j] = r.Float32()
+		}
+		switch i % 3 {
+		case 0:
+			batch = append(batch, Query{Kind: KNN, Point: q, K: 1 + r.Intn(8)})
+		case 1:
+			batch = append(batch, Query{Kind: Range, Point: q, Eps: 0.2 + r.Float64()*0.3})
+		default:
+			lo := make(vec.Point, dim)
+			hi := make(vec.Point, dim)
+			for j := range lo {
+				a := r.Float32() * 0.6
+				lo[j], hi[j] = a, a+0.3+r.Float32()*0.3
+			}
+			batch = append(batch, Query{Kind: Window, Window: vec.MBR{Lo: lo, Hi: hi}})
+		}
+	}
+	return batch
+}
+
+// TestEngineQueryValidation checks that malformed queries are rejected
+// at submission with the typed ErrInvalidQuery, never reaching the
+// execution pipeline.
+func TestEngineQueryValidation(t *testing.T) {
+	sto, tr, _ := buildTree(t, 48, 500, 4)
+	e := New(sto, tr, 2)
+	defer e.Close()
+
+	p := vec.Point{0.5, 0.5, 0.5, 0.5}
+	bad := []Query{
+		{Kind: KNN, K: 3},                // nil point
+		{Kind: KNN, Point: p, K: 0},      // k <= 0
+		{Kind: KNN, Point: p, K: -2},     // k <= 0
+		{Kind: Range, Eps: 0.1},          // nil point
+		{Kind: Range, Point: p, Eps: -1}, // negative eps
+		{Kind: Range, Point: p, Eps: math.NaN()},
+		{Kind: Window}, // empty window
+		{Kind: Window, Window: vec.MBR{Lo: vec.Point{0, 0}, Hi: vec.Point{1}}},    // mismatched dims
+		{Kind: Window, Window: vec.MBR{Lo: vec.Point{1, 1}, Hi: vec.Point{0, 0}}}, // inverted
+		{Kind: Kind(99), Point: p, K: 1},                                          // unknown kind
+		{Kind: KNN, Point: p, K: 3, MinRecall: -0.1},                              // recall below [0, 1]
+		{Kind: KNN, Point: p, K: 3, MinRecall: 1.5},                               // recall above [0, 1]
+		{Kind: KNN, Point: p, K: 3, MinRecall: math.NaN()},                        // recall NaN
+		{Kind: Range, Point: p, Eps: 0.1, MinRecall: 0.9},                         // recall target on non-KNN
+		{Kind: Window, Window: vec.MBR{Lo: p, Hi: p}, MinRecall: 0.9},             // recall target on non-KNN
+	}
+	for i, q := range bad {
+		res := e.Submit(q)
+		if !errors.Is(res.Err, ErrInvalidQuery) {
+			t.Fatalf("bad query %d: err %v, want ErrInvalidQuery", i, res.Err)
+		}
+	}
+	good := []Query{
+		{Kind: KNN, Point: p, K: 3},
+		{Kind: KNN, Point: p, K: 3, MinRecall: 0.9}, // recall target
+		{Kind: KNN, Point: p, K: 3, MinRecall: 1},   // exact-degenerate knob
+	}
+	for i, q := range good {
+		if res := e.Submit(q); res.Err != nil {
+			t.Fatalf("valid query %d rejected: %v", i, res.Err)
+		}
+	}
+}
+
+// TestEngineAnswersDuringReoptimize runs reorganizations concurrently
+// with a mixed batch: a query holds its epoch for its whole run, so
+// every query must answer exactly against one generation or another.
+func TestEngineAnswersDuringReoptimize(t *testing.T) {
+	sto, tr, _ := buildTree(t, 51, 3000, 6)
+	e := New(sto, tr, 4)
+	defer e.Close()
+
+	stop := make(chan struct{})
+	var reopt sync.WaitGroup
+	reopt.Add(1)
+	go func() {
+		defer reopt.Done()
+		for i := 0; i < 4; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			if err := tr.Reoptimize(); err != nil {
+				t.Errorf("reoptimize: %v", err)
+				return
+			}
+		}
+	}()
+
+	r := rand.New(rand.NewSource(52))
+	batch := mixedBatch(r, 40, 6)
+	results := e.SubmitBatch(batch)
+	close(stop)
+	reopt.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("query %d under reoptimize: %v", i, res.Err)
+		}
+		s := sto.NewSession()
+		var want []vec.Neighbor
+		var err error
+		switch batch[i].Kind {
+		case KNN:
+			want, err = tr.KNN(s, batch[i].Point, batch[i].K)
+		case Range:
+			want, err = tr.RangeSearch(s, batch[i].Point, batch[i].Eps)
+		default:
+			want, err = tr.WindowQuery(s, batch[i].Window)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Neighbors) != len(want) {
+			t.Fatalf("query %d: %d results, want %d", i, len(res.Neighbors), len(want))
+		}
+		// The query may have run against any generation; page order (and
+		// with it tie/window ordering) differs across layouts, so compare
+		// the result sets, not the sequences.
+		got := append([]vec.Neighbor(nil), res.Neighbors...)
+		byDistID := func(nbs []vec.Neighbor) func(a, b int) bool {
+			return func(a, b int) bool {
+				if nbs[a].Dist != nbs[b].Dist {
+					return nbs[a].Dist < nbs[b].Dist
+				}
+				return nbs[a].ID < nbs[b].ID
+			}
+		}
+		sort.Slice(got, byDistID(got))
+		sort.Slice(want, byDistID(want))
+		for j := range want {
+			if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
+				t.Fatalf("query %d result %d diverged after reoptimize", i, j)
+			}
+		}
 	}
 }

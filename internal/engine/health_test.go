@@ -23,7 +23,7 @@ func TestEngineHealthSnapshot(t *testing.T) {
 	e := New(sto, idx, 3)
 
 	h := e.Health()
-	if !h.Ready() || h.Closed || h.Sharing {
+	if !h.Ready() || h.Closed {
 		t.Fatalf("fresh engine health %+v", h)
 	}
 	if h.Workers != 3 {

@@ -12,9 +12,16 @@
 package index
 
 import (
+	"errors"
+
 	"repro/internal/store"
 	"repro/internal/vec"
 )
+
+// ErrPanicked marks a query whose execution panicked. The index contains
+// the panic to the one query that raised it and reports it typed, so a
+// serving layer can fail that query alone.
+var ErrPanicked = errors.New("index: query panicked")
 
 // Index is an exact similarity-search access method over a block store.
 // All query methods charge their simulated I/O and CPU to the given

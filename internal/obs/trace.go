@@ -81,12 +81,6 @@ type QueryTrace struct {
 	// shadow because the quantized page was quarantined after a checksum
 	// failure. Results stay exact; only the cost degrades.
 	DegradedReads int
-	// SharedPages counts quantized pages this query consumed from another
-	// query's fetch under scan sharing. The leader query's trace carries
-	// the transfer (PagesRead); shared pages charge nothing here, so they
-	// are excluded from Totals — keeping trace totals equal to the
-	// session's Stats in shared mode too.
-	SharedPages int
 	// SkippedPages counts pending pages the approximate execution mode
 	// left unfetched after its stopping rule fired (0 for exact queries).
 	// Skipped pages charge nothing — they are exactly the reads that were
@@ -239,15 +233,6 @@ func (t *QueryTrace) AddDegraded(n int) {
 	t.DegradedReads += n
 }
 
-// AddShared counts n quantized pages consumed from another query's
-// fetch (scan sharing; zero cost for this query). Nil-safe.
-func (t *QueryTrace) AddShared(n int) {
-	if t == nil {
-		return
-	}
-	t.SharedPages += n
-}
-
 // AddSkipped counts n pending pages left unfetched by the approximate
 // stopping rule. Nil-safe.
 func (t *QueryTrace) AddSkipped(n int) {
@@ -372,9 +357,6 @@ func (t *QueryTrace) Format() string {
 	}
 	if tc > 0 {
 		fmt.Fprintf(&b, "  buffer pool: %d blocks served from cache (zero simulated cost)\n", tc)
-	}
-	if t.SharedPages > 0 {
-		fmt.Fprintf(&b, "  scan sharing: %d pages delivered by other queries' fetches (zero cost here)\n", t.SharedPages)
 	}
 	if t.Terminated {
 		fmt.Fprintf(&b, "  APPROX: terminated early, %d pages skipped, remaining improvement probability %.2e\n",

@@ -77,11 +77,10 @@ func TestBatchAllProperties(t *testing.T) {
 	}
 }
 
-// TestBatchAllSingleWantDegeneratesToBatch pins the share-nothing
-// degeneracy: with exactly one query in flight (one want), the round
-// plan is exactly the single-pivot batch of the time-optimized
-// nearest-neighbor algorithm — scan sharing never changes a lone
-// query's schedule.
+// TestBatchAllSingleWantDegeneratesToBatch pins the single-want
+// degeneracy: with exactly one want (a nearest-neighbor query's pivot),
+// the round plan is exactly the single-pivot batch of the
+// time-optimized nearest-neighbor algorithm.
 func TestBatchAllSingleWantDegeneratesToBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {

@@ -277,12 +277,11 @@ type PageSpan struct {
 
 // BatchAll plans one fetch round and appends its spans to dst: wants
 // holds, in ascending order (duplicates allowed), every page position
-// some query of the round needs next, and the scheduler's Prob must
-// already combine the access probabilities of all those queries
-// (1 − Π(1 − p_q)), with 1 for the wants themselves. Each uncovered want
-// anchors one cumulated-cost-balance extension — the Batch logic that
-// plans one query's pivot, stretched across queries — and overlapping or
-// adjacent extents are merged, so the returned spans are disjoint,
+// the query needs next, and the scheduler's Prob must give 1 for the
+// wants themselves. Each uncovered want anchors one
+// cumulated-cost-balance extension — the Batch logic that plans a
+// nearest-neighbor query's pivot — and overlapping or adjacent extents
+// are merged, so the returned spans are disjoint,
 // ascending, and cover every want: no block is fetched twice within a
 // round. With a single want the plan is exactly [Batch(want)]; with
 // probabilities 0 and 1 it is the known-set schedule of paper Fig. 1.

@@ -392,8 +392,7 @@ func retryable(err error) bool {
 		return false
 	}
 	// *store.CorruptBlockError, engine.ErrOverloaded, engine.ErrPanicked,
-	// engine.ErrClosed, engine.ErrTooManyRestarts and hard read errors
-	// are all replica-local.
+	// engine.ErrClosed and hard read errors are all replica-local.
 	return true
 }
 

@@ -31,8 +31,8 @@ echo "== bench module =="
 (cd bench && go vet ./... && go test ./...)
 
 echo "== read planning stays in core =="
-# The engine advances queries through index.SharedScan rounds; planning
-# reads (internal/pagesched) is the index's job, in one place.
+# The engine calls the index's query methods; planning reads
+# (internal/pagesched) is the index's job, in one place.
 if go list -f '{{join .Imports " "}}' ./internal/engine | grep -q 'internal/pagesched'; then
 	echo "internal/engine imports internal/pagesched" >&2
 	exit 1
@@ -79,14 +79,6 @@ go test -run 'FuzzBitFlipKNN' ./internal/core/
 
 echo "== engine scaling gate =="
 go run ./cmd/iqbench -fig scaling -scale 0.05 -queries 40 -gate
-
-echo "== scan sharing gate =="
-# Cross-query scan sharing must earn its keep on the hot workload:
-# >= 1.3x aggregate simulated QPS at 32 concurrent clients, each fetched
-# page feeding > 1 query on average, and no single-client p99 regression
-# beyond 10% (with one query in flight the shared plan degenerates to
-# the share-nothing batch schedule exactly).
-go run ./cmd/iqbench -fig sharing -scale 0.2 -queries 128 -gate
 
 echo "== shard scale-out + self-healing gate =="
 # Sharded scatter-gather must scale out, stay exact, and heal itself:
