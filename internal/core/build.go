@@ -2,6 +2,9 @@ package core
 
 import (
 	"container/heap"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/page"
 	"repro/internal/quantize"
@@ -14,11 +17,16 @@ import (
 // bulk-load strategy of [4]) followed by the optimal-quantization
 // refinement of Section 3.5. It fills the snapshot sn, which the caller
 // publishes once the build succeeded.
+// Planning (frontier) reads a row-major copy of the points and uses up
+// to GOMAXPROCS goroutines.
 type builder struct {
 	t    *Tree
 	sn   *snapshot
 	pts  []vec.Point // pts[i] has id i
 	perm []int32     // permutation of point indices; nodes own ranges of it
+	// rows is the planning copy: point perm[i] at rows[i*dim:(i+1)*dim],
+	// moved together with perm. frontier drops it once the plan exists.
+	rows []float32
 }
 
 // bnode is a node of the split tree (paper Fig. 5). Leaves of the final
@@ -38,10 +46,12 @@ func (n *bnode) count() int { return n.hi - n.lo }
 
 func newBuilder(t *Tree, sn *snapshot, pts []vec.Point) *builder {
 	perm := make([]int32, len(pts))
-	for i := range perm {
+	rows := make([]float32, len(pts)*t.dim)
+	for i, p := range pts {
 		perm[i] = int32(i)
+		copy(rows[i*t.dim:], p)
 	}
-	return &builder{t: t, sn: sn, pts: pts, perm: perm}
+	return &builder{t: t, sn: sn, pts: pts, perm: perm, rows: rows}
 }
 
 func (b *builder) run() {
@@ -52,15 +62,22 @@ func (b *builder) run() {
 // quantization) without touching the store: the planning half of the
 // build, shared with the incremental reoptimizer, which wants the plan
 // up front and the page writes spread over many steps.
+//
+// The initial splits, the split tree of each initial range and the
+// calibration's per-query radii and per-range counts run in parallel.
+// None of them can depend on the schedule: every quickselect makes the
+// comparisons and swaps a single goroutine makes, on a perm range no
+// other goroutine touches, and the calibration sums integer counts.
+// The optimizer's heap walk stays serial.
 func (b *builder) frontier() []*bnode {
 	ranges := b.initialRanges()
 	if b.t.opt.Quantize && b.t.opt.FixedBits == 0 {
 		b.sn.model.RefineFactor = b.calibrateRefinement(ranges)
 	}
 	roots := make([]*bnode, len(ranges))
-	for i, r := range ranges {
-		roots[i] = b.newNode(r.lo, r.hi, r.mbr)
-	}
+	parallel(len(ranges), func() func(int) {
+		return func(i int) { roots[i] = b.newNode(ranges[i].lo, ranges[i].hi, ranges[i].mbr) }
+	})
 	var frontier []*bnode
 	switch {
 	case b.t.opt.FixedBits > 0:
@@ -77,7 +94,29 @@ func (b *builder) frontier() []*bnode {
 			frontier = append(frontier, b.splitToExact(r)...)
 		}
 	}
+	b.rows = nil
 	return frontier
+}
+
+// parallel calls work(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, which take the indices in turn; newWorker makes one
+// goroutine's work function, so it can reuse its own buffers.
+// Calls for different i must write disjoint data.
+func parallel(n int, newWorker func() func(i int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work := newWorker()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				work(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // plan lists the frontier's pages in disk layout order. A planned page
@@ -110,9 +149,10 @@ type partRange struct {
 
 // mbrOf computes the MBR of the perm range [lo, hi).
 func (b *builder) mbrOf(lo, hi int) vec.MBR {
-	m := vec.NewMBR(b.t.dim)
-	for _, idx := range b.perm[lo:hi] {
-		m.Extend(b.pts[idx])
+	d := b.t.dim
+	m := vec.NewMBR(d)
+	for off := lo * d; off < hi*d; off += d {
+		m.Extend(b.rows[off : off+d])
 	}
 	return m
 }
@@ -124,20 +164,29 @@ func (b *builder) mbrOf(lo, hi int) vec.MBR {
 // of the page capacity so that pages come out (nearly) full — a packed
 // layout, not a 50% median split.
 func (b *builder) initialRanges() []partRange {
-	cap1 := b.t.pageCapacity(1)
-	var out []partRange
-	var rec func(lo, hi int, mbr vec.MBR)
-	rec = func(lo, hi int, mbr vec.MBR) {
-		if hi-lo <= cap1 {
-			out = append(out, partRange{lo: lo, hi: hi, mbr: mbr})
-			return
-		}
-		mid := b.packedSplit(lo, hi, mbr, cap1)
-		rec(lo, mid, b.mbrOf(lo, mid))
-		rec(mid, hi, b.mbrOf(mid, hi))
+	return b.splitRanges(0, len(b.perm), b.mbrOf(0, len(b.perm)), runtime.GOMAXPROCS(0))
+}
+
+// splitRanges partitions the perm range [lo, hi) for initialRanges.
+// While workers > 1 the left half runs on its own goroutine with half of
+// them; the halves own disjoint ranges and are concatenated in order.
+func (b *builder) splitRanges(lo, hi int, mbr vec.MBR, workers int) []partRange {
+	if hi-lo <= b.t.pageCapacity(1) {
+		return []partRange{{lo: lo, hi: hi, mbr: mbr}}
 	}
-	rec(0, len(b.perm), b.mbrOf(0, len(b.perm)))
-	return out
+	mid := b.packedSplit(lo, hi, mbr, b.t.pageCapacity(1))
+	var left []partRange
+	var wg sync.WaitGroup
+	wg.Add(1)
+	splitLeft := func() { defer wg.Done(); left = b.splitRanges(lo, mid, b.mbrOf(lo, mid), workers/2) }
+	if workers > 1 {
+		go splitLeft()
+	} else {
+		splitLeft()
+	}
+	right := b.splitRanges(mid, hi, b.mbrOf(mid, hi), workers-workers/2)
+	wg.Wait()
+	return append(left, right...)
 }
 
 // packedSplit reorders perm[lo:hi] along the MBR's longest dimension and
@@ -209,8 +258,17 @@ func (b *builder) medianSplit(lo, hi int, mbr vec.MBR) int {
 // selectNth partially sorts perm[lo:hi] by coordinate `dim` such that the
 // element at position nth is in its sorted place and everything before it
 // compares ≤ (quickselect with median-of-three pivoting; deterministic).
+// Each row moves with its perm entry.
 func (b *builder) selectNth(lo, hi, nth, dim int) {
-	coord := func(i int) float32 { return b.pts[b.perm[i]][dim] }
+	d := b.t.dim
+	coord := func(i int) float32 { return b.rows[i*d+dim] }
+	swap := func(i, j int) {
+		b.perm[i], b.perm[j] = b.perm[j], b.perm[i]
+		ri, rj := b.rows[i*d:(i+1)*d], b.rows[j*d:(j+1)*d]
+		for k := range ri {
+			ri[k], rj[k] = rj[k], ri[k]
+		}
+	}
 	for hi-lo > 1 {
 		// Median-of-three pivot.
 		mid := lo + (hi-lo)/2
@@ -228,12 +286,14 @@ func (b *builder) selectNth(lo, hi, nth, dim int) {
 			v := coord(i)
 			switch {
 			case v < pivot:
-				b.perm[lt], b.perm[i] = b.perm[i], b.perm[lt]
+				if lt != i {
+					swap(lt, i)
+				}
 				lt++
 				i++
 			case v > pivot:
 				gt--
-				b.perm[gt], b.perm[i] = b.perm[i], b.perm[gt]
+				swap(gt, i)
 			default:
 				i++
 			}

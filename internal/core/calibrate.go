@@ -47,48 +47,64 @@ func (b *builder) calibrateRefinement(ranges []partRange) float64 {
 	predicted *= float64(len(queries))
 
 	// Each range's points are encoded once, on the first query that
-	// reaches the range, and shared by every later one; observed is a
-	// count, so the loop order cannot change the factor.
+	// reaches the range, and shared by every later one. Ranges are
+	// counted in parallel; the counts are integers, so neither the loop
+	// order nor the schedule can change the factor.
 	maxCount := 0
 	for _, r := range ranges {
 		maxCount = max(maxCount, r.hi-r.lo)
 	}
-	buf := make([]uint32, maxCount*t.dim)
+	counts := make([]int, len(ranges))
+	parallel(len(ranges), func() func(int) {
+		buf := make([]uint32, maxCount*t.dim)
+		var arena kernel.Arena
+		return func(ri int) { counts[ri] = b.refinements(ranges[ri], queries, radii, buf, &arena) }
+	})
 	var observed float64
-	var arena kernel.Arena
-	for _, r := range ranges {
-		bits := t.fitBits(r.hi - r.lo)
-		if bits >= quantize.ExactBits {
-			continue
-		}
-		var grid quantize.Grid
-		var codes []uint32 // nil until a query reaches the range
-		for qi, q := range queries {
-			rq := radii[qi]
-			if r.mbr.MinDist(q, t.opt.Metric) >= rq {
-				continue // no cell of this page can undercut the NN distance
-			}
-			if codes == nil {
-				grid = quantize.NewGrid(r.mbr, bits)
-				codes = buf[:(r.hi-r.lo)*t.dim]
-				for i := r.lo; i < r.hi; i++ {
-					off := (i - r.lo) * t.dim
-					grid.Encode(b.pts[b.perm[i]], codes[off:off+t.dim])
-				}
-			}
-			tb := arena.Tables(grid, q, t.opt.Metric, r.hi-r.lo)
-			lbT := kernel.SqThreshold(t.opt.Metric, rq)
-			for off := 0; off < len(codes); off += t.dim {
-				if lb, pruned := tb.MinDistPruned(codes[off:off+t.dim], lbT); !pruned && lb < rq {
-					observed++
-				}
-			}
-		}
+	for _, c := range counts {
+		observed += float64(c)
 	}
 	if predicted <= 0 || observed <= 0 {
 		return 1
 	}
 	return mathx.Clamp(observed/predicted, 0.25, 32)
+}
+
+// refinements counts the refinements the sampled queries would make on
+// range r stored at the level it fits: the points whose quantized lower
+// bound undercuts a query's true NN radius, summed over the queries.
+// buf holds the range's codes and arena the distance tables.
+func (b *builder) refinements(r partRange, queries []vec.Point, radii []float64, buf []uint32, arena *kernel.Arena) int {
+	t := b.t
+	bits := t.fitBits(r.hi - r.lo)
+	if bits >= quantize.ExactBits {
+		return 0
+	}
+	var grid quantize.Grid
+	var codes []uint32 // nil until a query reaches the range
+	count := 0
+	for qi, q := range queries {
+		rq := radii[qi]
+		if r.mbr.MinDist(q, t.opt.Metric) >= rq {
+			continue // no cell of this page can undercut the NN distance
+		}
+		if codes == nil {
+			grid = quantize.NewGrid(r.mbr, bits)
+			rows := b.rows[r.lo*t.dim : r.hi*t.dim]
+			codes = buf[:len(rows)]
+			for off := 0; off < len(rows); off += t.dim {
+				grid.Encode(rows[off:off+t.dim], codes[off:off+t.dim])
+			}
+		}
+		tb := arena.Tables(grid, q, t.opt.Metric, r.hi-r.lo)
+		lbT := kernel.SqThreshold(t.opt.Metric, rq)
+		for off := 0; off < len(codes); off += t.dim {
+			if lb, pruned := tb.MinDistPruned(codes[off:off+t.dim], lbT); !pruned && lb < rq {
+				count++
+			}
+		}
+	}
+	return count
 }
 
 // sampleQueries picks calibration queries from the data with a fixed
@@ -115,19 +131,22 @@ func (b *builder) sampleQueries() []vec.Point {
 }
 
 // nnRadii computes, by brute force, the nearest-neighbor distance of each
-// query over the whole database, excluding the query point itself.
+// query over the whole database, excluding the query point itself. The
+// queries run in parallel.
 func (b *builder) nnRadii(queries []vec.Point) []float64 {
 	met := b.t.opt.Metric
 	radii := make([]float64, len(queries))
-	for qi, q := range queries {
-		best := math.Inf(1)
-		for _, p := range b.pts {
-			d := met.Dist(q, p)
-			if d > 0 && d < best {
-				best = d
+	parallel(len(queries), func() func(int) {
+		return func(qi int) {
+			best := math.Inf(1)
+			for _, p := range b.pts {
+				d := met.Dist(queries[qi], p)
+				if d > 0 && d < best {
+					best = d
+				}
 			}
+			radii[qi] = best
 		}
-		radii[qi] = best
-	}
+	})
 	return radii
 }

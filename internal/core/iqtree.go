@@ -203,7 +203,9 @@ func (t *Tree) fitBits(count int) int {
 }
 
 // Build constructs an IQ-tree over pts on the given store. Point i is
-// assigned id i. The point slice is not retained.
+// assigned id i. The point slice is not retained. Planning the layout
+// uses up to GOMAXPROCS goroutines; the tree and its files do not
+// depend on how many.
 func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("core: cannot build over an empty point set")

@@ -103,30 +103,44 @@ func TestOptimizerMatchesExhaustiveSearch(t *testing.T) {
 // sparse regions of the same tree.
 func TestOptimizerAdaptsToDensity(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	// Half the points in a tiny dense cluster, half spread uniformly.
-	var pts []vec.Point
-	for i := 0; i < 4000; i++ {
+	// Two regions far enough apart that the top split isolates them:
+	// half the points (odd i) in a dense cube of side 0.02, the other
+	// half in a sparse cube of side 0.5.
+	pts := make([]vec.Point, 20000)
+	for i := range pts {
 		p := make(vec.Point, 8)
-		if i%2 == 0 {
-			for j := range p {
-				p[j] = 0.45 + r.Float32()*0.02 // dense cluster
-			}
-		} else {
-			for j := range p {
-				p[j] = r.Float32()
+		for j := range p {
+			if i%2 == 1 {
+				p[j] = r.Float32() * 0.02
+			} else {
+				p[j] = 0.5 + r.Float32()*0.5
 			}
 		}
-		pts = append(pts, p)
+		pts[i] = p
 	}
 	tr := buildTree(t, pts, DefaultOptions())
-	st := tr.Stats()
-	if len(st.BitsHistogram) < 2 {
-		t.Skipf("optimizer chose a single level (%v); density contrast too weak to assert", st.BitsHistogram)
-	}
 	// There must be at least two distinct levels — the whole point of
 	// per-page (independent) quantization.
-	if st.Pages < 2 {
-		t.Fatalf("too few pages: %+v", st)
+	if st := tr.Stats(); len(st.BitsHistogram) < 2 {
+		t.Fatalf("one quantization level for both regions: %v", st.BitsHistogram)
+	}
+	// A dense page's MBR has no side as long as 0.1.
+	var bits, pages [2]int // [0] sparse, [1] dense
+	for _, pg := range tr.DescribePages() {
+		dense := 0
+		if _, side := pg.MBR.MaxSide(); side < 0.1 {
+			dense = 1
+		}
+		bits[dense] += pg.Bits
+		pages[dense]++
+	}
+	if pages[0] == 0 || pages[1] == 0 {
+		t.Fatalf("%d sparse and %d dense pages: the regions share pages", pages[0], pages[1])
+	}
+	sparse, dense := float64(bits[0])/float64(pages[0]), float64(bits[1])/float64(pages[1])
+	if dense <= sparse {
+		t.Fatalf("mean level %.2f on %d dense pages, %.2f on %d sparse ones: density did not buy finer quantization",
+			dense, pages[1], sparse, pages[0])
 	}
 }
 

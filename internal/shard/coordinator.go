@@ -276,7 +276,8 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 	// Stores come first, in (shard, replica) order on this goroutine (the
 	// Config.NewStore contract). The builds then run concurrently, at most
 	// GOMAXPROCS at a time: each holds its D_F sample's pair distances
-	// while it runs.
+	// while it estimates D_F and a row-major copy of its points while it
+	// plans, on up to GOMAXPROCS goroutines of its own.
 	type build struct {
 		shard, replica int
 		sto            *store.Store

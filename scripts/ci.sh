@@ -60,6 +60,13 @@ echo "== self-healing repeat =="
 # lucky schedule.
 go test -race -count=5 -run 'TestHeal|TestShardChaos|TestStatusLag' ./internal/shard/
 
+echo "== build determinism repeat =="
+# Bulk-load planning runs the halves of its splits and its per-range and
+# per-query loops on up to GOMAXPROCS goroutines; repeat the
+# schedule-independence test under the race detector so an order bug
+# between workers cannot hide in one lucky schedule.
+go test -race -count=5 -run 'TestBuildIndependentOfSchedule' ./internal/core/
+
 echo "== WAL recovery repeat =="
 # Recovery once lost acknowledged records only for some commit layouts;
 # repeat the WAL suite so a layout-dependent regression cannot hide.
