@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/costmodel"
 	"repro/internal/page"
 	"repro/internal/quantize"
 	"repro/internal/store"
@@ -15,15 +16,15 @@ import (
 // builder performs the bulk construction of Section 3.3: top-down
 // partitioning along the dimension of largest MBR extension (the
 // bulk-load strategy of [4]) followed by the optimal-quantization
-// refinement of Section 3.5. It fills the snapshot sn, which the caller
-// publishes once the build succeeded.
-// Planning (frontier) reads a row-major copy of the points and uses up
-// to GOMAXPROCS goroutines.
+// refinement of Section 3.5: it plans a page layout without touching a
+// store. Planning (frontier) reads a row-major copy of the points and
+// uses up to GOMAXPROCS goroutines.
 type builder struct {
-	t    *Tree
-	sn   *snapshot
-	pts  []vec.Point // pts[i] has id i
-	perm []int32     // permutation of point indices; nodes own ranges of it
+	geometry
+	opt   Options
+	model costmodel.Model // calibrateRefinement sets its RefineFactor
+	pts   []vec.Point     // pts[i] has id i
+	perm  []int32         // permutation of point indices; nodes own ranges of it
 	// rows is the planning copy: point perm[i] at rows[i*dim:(i+1)*dim],
 	// moved together with perm. frontier drops it once the plan exists.
 	rows []float32
@@ -44,24 +45,20 @@ type bnode struct {
 
 func (n *bnode) count() int { return n.hi - n.lo }
 
-func newBuilder(t *Tree, sn *snapshot, pts []vec.Point) *builder {
+func newBuilder(g geometry, opt Options, model costmodel.Model, pts []vec.Point) *builder {
 	perm := make([]int32, len(pts))
-	rows := make([]float32, len(pts)*t.dim)
+	rows := make([]float32, len(pts)*g.dim)
 	for i, p := range pts {
 		perm[i] = int32(i)
-		copy(rows[i*t.dim:], p)
+		copy(rows[i*g.dim:], p)
 	}
-	return &builder{t: t, sn: sn, pts: pts, perm: perm, rows: rows}
-}
-
-func (b *builder) run() {
-	b.write(b.frontier())
+	return &builder{geometry: g, opt: opt, model: model, pts: pts, perm: perm, rows: rows}
 }
 
 // frontier computes the final page layout (partitioning + optimal
-// quantization) without touching the store: the planning half of the
-// build, shared with the incremental reoptimizer, which wants the plan
-// up front and the page writes spread over many steps.
+// quantization): the planning half of the build, shared by NewPlan and
+// the incremental reoptimizer, which wants the plan up front and the
+// page writes spread over many steps.
 //
 // The initial splits, the split tree of each initial range and the
 // calibration's per-query radii and per-range counts run in parallel.
@@ -71,8 +68,8 @@ func (b *builder) run() {
 // The optimizer's heap walk stays serial.
 func (b *builder) frontier() []*bnode {
 	ranges := b.initialRanges()
-	if b.t.opt.Quantize && b.t.opt.FixedBits == 0 {
-		b.sn.model.RefineFactor = b.calibrateRefinement(ranges)
+	if b.opt.Quantize && b.opt.FixedBits == 0 {
+		b.model.RefineFactor = b.calibrateRefinement(ranges)
 	}
 	roots := make([]*bnode, len(ranges))
 	parallel(len(ranges), func() func(int) {
@@ -80,13 +77,13 @@ func (b *builder) frontier() []*bnode {
 	})
 	var frontier []*bnode
 	switch {
-	case b.t.opt.FixedBits > 0:
+	case b.opt.FixedBits > 0:
 		// Fixed-level ablation: split until every page fits the fixed
 		// level, then store all pages at it.
 		for _, r := range roots {
-			frontier = append(frontier, b.splitToFixed(r, b.t.opt.FixedBits)...)
+			frontier = append(frontier, b.splitToFixed(r, b.opt.FixedBits)...)
 		}
-	case b.t.opt.Quantize:
+	case b.opt.Quantize:
 		frontier = b.optimize(roots)
 	default:
 		// "No quantization" ablation: split all the way to exact pages.
@@ -120,25 +117,13 @@ func parallel(n int, newWorker func() func(i int)) {
 }
 
 // plan lists the frontier's pages in disk layout order. A planned page
-// names its points by a range of b.perm rather than holding them (see
-// points).
+// names its points by a range of b.perm rather than holding them.
 func (b *builder) plan(frontier []*bnode) []planPage {
 	out := make([]planPage, len(frontier))
 	for i, n := range frontier {
 		out[i] = planPage{lo: n.lo, hi: n.hi, bits: n.bits}
 	}
 	return out
-}
-
-// points returns the points of planned page pp and their ids, in page
-// order. The points alias b.pts.
-func (b *builder) points(pp planPage) ([]vec.Point, []uint32) {
-	pts := make([]vec.Point, pp.hi-pp.lo)
-	ids := make([]uint32, pp.hi-pp.lo)
-	for j, idx := range b.perm[pp.lo:pp.hi] {
-		pts[j], ids[j] = b.pts[idx], uint32(idx)
-	}
-	return pts, ids
 }
 
 // partRange is an initial partition before split-tree nodes exist.
@@ -149,7 +134,7 @@ type partRange struct {
 
 // mbrOf computes the MBR of the perm range [lo, hi).
 func (b *builder) mbrOf(lo, hi int) vec.MBR {
-	d := b.t.dim
+	d := b.dim
 	m := vec.NewMBR(d)
 	for off := lo * d; off < hi*d; off += d {
 		m.Extend(b.rows[off : off+d])
@@ -171,10 +156,10 @@ func (b *builder) initialRanges() []partRange {
 // While workers > 1 the left half runs on its own goroutine with half of
 // them; the halves own disjoint ranges and are concatenated in order.
 func (b *builder) splitRanges(lo, hi int, mbr vec.MBR, workers int) []partRange {
-	if hi-lo <= b.t.pageCapacity(1) {
+	if hi-lo <= b.pageCapacity(1) {
 		return []partRange{{lo: lo, hi: hi, mbr: mbr}}
 	}
-	mid := b.packedSplit(lo, hi, mbr, b.t.pageCapacity(1))
+	mid := b.packedSplit(lo, hi, mbr, b.pageCapacity(1))
 	var left []partRange
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -209,14 +194,14 @@ func (b *builder) packedSplit(lo, hi int, mbr vec.MBR, capacity int) int {
 // split (the optimizer's determine_benefits step).
 func (b *builder) newNode(lo, hi int, mbr vec.MBR) *bnode {
 	n := &bnode{lo: lo, hi: hi, mbr: mbr, splitStep: -1, hidx: -1}
-	n.bits = b.t.fitBits(n.count())
+	n.bits = b.fitBits(n.count())
 	if n.bits == 0 {
 		panic("core: partition does not fit at 1 bit") // initial split guarantees it does
 	}
-	if !b.t.opt.Quantize {
+	if !b.opt.Quantize {
 		return n
 	}
-	n.varCost = b.sn.model.RefinementCost(n.mbr, n.count(), n.bits)
+	n.varCost = b.model.RefinementCost(n.mbr, n.count(), n.bits)
 	if n.bits < quantize.ExactBits && n.count() >= 2 {
 		mid := b.medianSplit(lo, hi, mbr)
 		n.left = b.newNode(lo, mid, b.mbrOf(lo, mid))
@@ -236,11 +221,11 @@ func (b *builder) splitToExact(n *bnode) []*bnode {
 // splitToFixed recursively splits a node until every leaf fits at the
 // given quantization level, which every leaf is then stored at.
 func (b *builder) splitToFixed(n *bnode, bits int) []*bnode {
-	if b.t.pageCapacity(bits) >= n.count() {
+	if b.pageCapacity(bits) >= n.count() {
 		n.bits = bits
 		return []*bnode{n}
 	}
-	mid := b.packedSplit(n.lo, n.hi, n.mbr, b.t.pageCapacity(bits))
+	mid := b.packedSplit(n.lo, n.hi, n.mbr, b.pageCapacity(bits))
 	l := &bnode{lo: n.lo, hi: mid, mbr: b.mbrOf(n.lo, mid), splitStep: -1}
 	r := &bnode{lo: mid, hi: n.hi, mbr: b.mbrOf(mid, n.hi), splitStep: -1}
 	return append(b.splitToFixed(l, bits), b.splitToFixed(r, bits)...)
@@ -260,7 +245,7 @@ func (b *builder) medianSplit(lo, hi int, mbr vec.MBR) int {
 // compares ≤ (quickselect with median-of-three pivoting; deterministic).
 // Each row moves with its perm entry.
 func (b *builder) selectNth(lo, hi, nth, dim int) {
-	d := b.t.dim
+	d := b.dim
 	coord := func(i int) float32 { return b.rows[i*d+dim] }
 	swap := func(i, j int) {
 		b.perm[i], b.perm[j] = b.perm[j], b.perm[i]
@@ -339,7 +324,7 @@ func (b *builder) optimize(roots []*bnode) []*bnode {
 		}
 	}
 	constCost := func(n int) float64 {
-		return b.sn.model.DirectoryCost(n) + b.sn.model.SecondLevelCost(n)
+		return b.model.DirectoryCost(n) + b.model.SecondLevelCost(n)
 	}
 	bestCost := constCost(nPages) + totalVar
 	bestStep := 0
@@ -379,9 +364,9 @@ func (b *builder) optimize(roots []*bnode) []*bnode {
 	return frontier
 }
 
-// planPage is one page of a computed layout — the unit of work of the
-// incremental reoptimizer. Its points are perm[lo:hi] of the builder
-// that planned it.
+// planPage is one page of a computed layout — the unit of work of
+// Plan.Build and of the incremental reoptimizer. Its points are
+// perm[lo:hi] of the builder that planned it.
 type planPage struct {
 	lo, hi int
 	bits   int
@@ -413,19 +398,4 @@ func (t *Tree) writePage(qf, ef *store.File, e *page.DirEntry, pts []vec.Point, 
 	}
 	e.QPos = uint32(bpos)
 	return grid, true
-}
-
-// write lays the frontier out on disk in partition order: quantized pages
-// back to back in the second-level file (so spatially adjacent partitions
-// are adjacent on disk), exact pages in the same order in the third-level
-// file, and one directory entry each. The caller writes the directory.
-func (b *builder) write(frontier []*bnode) {
-	t, sn := b.t, b.sn
-	for _, pp := range b.plan(frontier) {
-		pts, ids := b.points(pp)
-		i := sn.appendEntry()
-		sn.entries[i].Base = uint32(pp.lo)
-		sn.grids[i], _ = t.writePage(t.qFile, t.eFile, &sn.entries[i], pts, ids, pp.bits)
-		sn.setOwner(int(sn.entries[i].QPos), i)
-	}
 }

@@ -29,7 +29,6 @@ const calibrationQueries = 16
 // refinement, and compare with the model's prediction for the same
 // configuration.
 func (b *builder) calibrateRefinement(ranges []partRange) float64 {
-	t := b.t
 	queries := b.sampleQueries()
 	if len(queries) == 0 {
 		return 1
@@ -38,11 +37,11 @@ func (b *builder) calibrateRefinement(ranges []partRange) float64 {
 
 	var predicted float64
 	for _, r := range ranges {
-		bits := t.fitBits(r.hi - r.lo)
+		bits := b.fitBits(r.hi - r.lo)
 		if bits >= quantize.ExactBits {
 			continue
 		}
-		predicted += float64(r.hi-r.lo) * b.sn.model.RefinementProbability(r.mbr, r.hi-r.lo, bits)
+		predicted += float64(r.hi-r.lo) * b.model.RefinementProbability(r.mbr, r.hi-r.lo, bits)
 	}
 	predicted *= float64(len(queries))
 
@@ -56,7 +55,7 @@ func (b *builder) calibrateRefinement(ranges []partRange) float64 {
 	}
 	counts := make([]int, len(ranges))
 	parallel(len(ranges), func() func(int) {
-		buf := make([]uint32, maxCount*t.dim)
+		buf := make([]uint32, maxCount*b.dim)
 		var arena kernel.Arena
 		return func(ri int) { counts[ri] = b.refinements(ranges[ri], queries, radii, buf, &arena) }
 	})
@@ -75,8 +74,7 @@ func (b *builder) calibrateRefinement(ranges []partRange) float64 {
 // bound undercuts a query's true NN radius, summed over the queries.
 // buf holds the range's codes and arena the distance tables.
 func (b *builder) refinements(r partRange, queries []vec.Point, radii []float64, buf []uint32, arena *kernel.Arena) int {
-	t := b.t
-	bits := t.fitBits(r.hi - r.lo)
+	bits := b.fitBits(r.hi - r.lo)
 	if bits >= quantize.ExactBits {
 		return 0
 	}
@@ -85,21 +83,21 @@ func (b *builder) refinements(r partRange, queries []vec.Point, radii []float64,
 	count := 0
 	for qi, q := range queries {
 		rq := radii[qi]
-		if r.mbr.MinDist(q, t.opt.Metric) >= rq {
+		if r.mbr.MinDist(q, b.opt.Metric) >= rq {
 			continue // no cell of this page can undercut the NN distance
 		}
 		if codes == nil {
 			grid = quantize.NewGrid(r.mbr, bits)
-			rows := b.rows[r.lo*t.dim : r.hi*t.dim]
+			rows := b.rows[r.lo*b.dim : r.hi*b.dim]
 			codes = buf[:len(rows)]
-			for off := 0; off < len(rows); off += t.dim {
-				grid.Encode(rows[off:off+t.dim], codes[off:off+t.dim])
+			for off := 0; off < len(rows); off += b.dim {
+				grid.Encode(rows[off:off+b.dim], codes[off:off+b.dim])
 			}
 		}
-		tb := arena.Tables(grid, q, t.opt.Metric, r.hi-r.lo)
-		lbT := kernel.SqThreshold(t.opt.Metric, rq)
-		for off := 0; off < len(codes); off += t.dim {
-			if lb, pruned := tb.MinDistPruned(codes[off:off+t.dim], lbT); !pruned && lb < rq {
+		tb := arena.Tables(grid, q, b.opt.Metric, r.hi-r.lo)
+		lbT := kernel.SqThreshold(b.opt.Metric, rq)
+		for off := 0; off < len(codes); off += b.dim {
+			if lb, pruned := tb.MinDistPruned(codes[off:off+b.dim], lbT); !pruned && lb < rq {
 				count++
 			}
 		}
@@ -134,7 +132,7 @@ func (b *builder) sampleQueries() []vec.Point {
 // query over the whole database, excluding the query point itself. The
 // queries run in parallel.
 func (b *builder) nnRadii(queries []vec.Point) []float64 {
-	met := b.t.opt.Metric
+	met := b.opt.Metric
 	radii := make([]float64, len(queries))
 	parallel(len(queries), func() func(int) {
 		return func(qi int) {

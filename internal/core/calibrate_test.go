@@ -18,7 +18,6 @@ import (
 // query reaches encoded again for that query. It also returns the
 // refinement count, so a test can tell a vacuous comparison.
 func referenceCalibration(b *builder, ranges []partRange) (factor, observed float64) {
-	t := b.t
 	queries := b.sampleQueries()
 	if len(queries) == 0 {
 		return 1, 0
@@ -27,29 +26,29 @@ func referenceCalibration(b *builder, ranges []partRange) (factor, observed floa
 
 	var predicted float64
 	for _, r := range ranges {
-		bits := t.fitBits(r.hi - r.lo)
+		bits := b.fitBits(r.hi - r.lo)
 		if bits >= quantize.ExactBits {
 			continue
 		}
-		predicted += float64(r.hi-r.lo) * b.sn.model.RefinementProbability(r.mbr, r.hi-r.lo, bits)
+		predicted += float64(r.hi-r.lo) * b.model.RefinementProbability(r.mbr, r.hi-r.lo, bits)
 	}
 	predicted *= float64(len(queries))
 
 	var arena kernel.Arena
-	cells := make([]uint32, t.dim)
+	cells := make([]uint32, b.dim)
 	for qi, q := range queries {
 		rq := radii[qi]
-		lbT := kernel.SqThreshold(t.opt.Metric, rq)
+		lbT := kernel.SqThreshold(b.opt.Metric, rq)
 		for _, r := range ranges {
-			bits := t.fitBits(r.hi - r.lo)
+			bits := b.fitBits(r.hi - r.lo)
 			if bits >= quantize.ExactBits {
 				continue
 			}
-			if r.mbr.MinDist(q, t.opt.Metric) >= rq {
+			if r.mbr.MinDist(q, b.opt.Metric) >= rq {
 				continue
 			}
 			grid := quantize.NewGrid(r.mbr, bits)
-			tb := arena.Tables(grid, q, t.opt.Metric, r.hi-r.lo)
+			tb := arena.Tables(grid, q, b.opt.Metric, r.hi-r.lo)
 			for i := r.lo; i < r.hi; i++ {
 				cells = grid.Encode(b.pts[b.perm[i]], cells)
 				if lb, pruned := tb.MinDistPruned(cells, lbT); !pruned && lb < rq {
@@ -77,7 +76,7 @@ func TestCalibrationMatchesPerQueryReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := newBuilder(tr, tr.load(), pts)
+			b := newBuilder(tr.geometry, tr.opt, tr.load().model, pts)
 			ranges := b.initialRanges()
 			want, observed := referenceCalibration(b, ranges)
 			if observed == 0 {

@@ -145,7 +145,7 @@ type Tree struct {
 	reoptMu sync.Mutex
 	reopt   *reoptState
 
-	dim        int
+	geometry
 	fractalDim float64
 }
 
@@ -173,11 +173,18 @@ func (t *Tree) FractalDim() float64 { return t.fractalDim }
 // Model returns a copy of the tree's cost model.
 func (t *Tree) Model() costmodel.Model { return t.load().model }
 
+// geometry is what page capacities depend on: the dimensionality and
+// the block size, which is also the size of one quantized page.
+type geometry struct {
+	dim       int
+	blockSize int
+}
+
 // qPageBytes returns the byte size of one quantized page: one block.
-func (t *Tree) qPageBytes() int { return t.sto.Config().BlockSize }
+func (g geometry) qPageBytes() int { return g.blockSize }
 
 // qPayloadBytes returns the payload capacity of one quantized page.
-func (t *Tree) qPayloadBytes() int { return t.qPageBytes() - page.QHeaderSize }
+func (g geometry) qPayloadBytes() int { return g.qPageBytes() - page.QHeaderSize }
 
 // pageCapacity returns the number of points a quantized page holds at the
 // given level. Capacities follow the exact halving ladder of the split
@@ -185,28 +192,44 @@ func (t *Tree) qPayloadBytes() int { return t.qPageBytes() - page.QHeaderSize }
 // yields two full pages at the doubled level (the physical bit capacity
 // is slightly larger for g < 32; the difference is the id overhead of the
 // exact level, ~d/(d+1)).
-func (t *Tree) pageCapacity(bits int) int {
-	cap32 := page.QPageCapacity(t.qPayloadBytes(), t.dim, quantize.ExactBits)
+func (g geometry) pageCapacity(bits int) int {
+	cap32 := page.QPageCapacity(g.qPayloadBytes(), g.dim, quantize.ExactBits)
 	return cap32 * quantize.ExactBits / bits
 }
 
 // fitBits returns the largest quantization level whose page capacity
 // accommodates count points, or 0 if count does not even fit at 1 bit.
-func (t *Tree) fitBits(count int) int {
+func (g geometry) fitBits(count int) int {
 	best := 0
 	for _, b := range quantize.Levels {
-		if t.pageCapacity(b) >= count {
+		if g.pageCapacity(b) >= count {
 			best = b
 		}
 	}
 	return best
 }
 
-// Build constructs an IQ-tree over pts on the given store. Point i is
-// assigned id i. The point slice is not retained. Planning the layout
-// uses up to GOMAXPROCS goroutines; the tree and its files do not
-// depend on how many.
-func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
+// Plan is the layout of an IQ-tree over a point set: the D_F estimate,
+// the calibrated cost model and the pages of the packed bulk load with
+// their quantization levels (Sections 3.3–3.5). The layout depends only
+// on the points, the options and the store configuration, so one Plan
+// builds any number of byte-identical trees. A Plan is read-only once
+// NewPlan returns: Build may run concurrently on different stores.
+type Plan struct {
+	opt   Options
+	pts   []vec.Point // pts[i] has id i
+	perm  []int32     // page p holds points perm[p.lo:p.hi]
+	pages []planPage  // in disk layout order
+	// model is the calibrated cost model; its Disk is the store
+	// configuration planned for and its FractalDim is D_F.
+	model costmodel.Model
+}
+
+// NewPlan checks pts and plans an IQ-tree over them with options opt,
+// for stores configured as cfg. Point i is assigned id i. The plan
+// keeps pts, which must not change while it is in use. Planning uses
+// up to GOMAXPROCS goroutines; the plan does not depend on how many.
+func NewPlan(pts []vec.Point, opt Options, cfg store.Config) (*Plan, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("core: cannot build over an empty point set")
 	}
@@ -219,10 +242,46 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 			return nil, fmt.Errorf("core: point %d has dimension %d, want %d", i, len(p), dim)
 		}
 	}
+	g := geometry{dim: dim, blockSize: cfg.BlockSize}
+	if g.pageCapacity(quantize.ExactBits) < 1 {
+		return nil, fmt.Errorf("core: quantized page too small for even one %d-dimensional point", dim)
+	}
+	df := opt.FractalDim
+	if opt.UniformModel {
+		df = float64(dim)
+	} else if df <= 0 {
+		df = fractal.Estimate(pts, opt.Metric)
+	}
+	b := newBuilder(g, opt, costmodel.Model{
+		Disk:          cfg,
+		Metric:        opt.Metric,
+		Dim:           dim,
+		N:             len(pts),
+		FractalDim:    df,
+		DataSpace:     vec.MBROf(pts),
+		DirEntryBytes: page.DirEntrySize(dim),
+		ExactBlocks:   1,
+		K:             opt.KNNTarget,
+	}, pts)
+	pages := b.plan(b.frontier())
+	return &Plan{opt: opt, pts: pts, perm: b.perm, pages: pages, model: b.model}, nil
+}
+
+// Build writes the planned tree onto sto: its files; the pages in
+// layout order, quantized pages back to back in the second-level file
+// (spatially adjacent partitions are adjacent on disk) and exact pages
+// in the same order in the third-level file; the directory; and with
+// Options.WAL the logs and the initial checkpoint. A store configured
+// otherwise than the plan is refused before any file is created.
+func (p *Plan) Build(sto *store.Store) (*Tree, error) {
+	if cfg := sto.Config(); cfg != p.model.Disk {
+		return nil, fmt.Errorf("core: store config %+v differs from the plan's %+v", cfg, p.model.Disk)
+	}
 	t := &Tree{
-		opt: opt,
-		sto: sto,
-		dim: dim,
+		opt:        p.opt,
+		sto:        sto,
+		geometry:   geometry{dim: p.model.Dim, blockSize: p.model.Disk.BlockSize},
+		fractalDim: p.model.FractalDim,
 	}
 	var err error
 	if t.metaFile, err = sto.NewFile(MetaFileName); err != nil {
@@ -238,40 +297,26 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 		return nil, err
 	}
 	t.eFile.EvictFirst()
-	sn := &snapshot{n: len(pts), dataSpace: vec.MBROf(pts)}
-
-	df := opt.FractalDim
-	if opt.UniformModel {
-		df = float64(dim)
-	} else if df <= 0 {
-		df = fractal.Estimate(pts, opt.Metric)
+	sn := &snapshot{n: len(p.pts), dataSpace: p.model.DataSpace.Clone(), model: p.model}
+	sn.model.DataSpace = sn.dataSpace
+	for _, pp := range p.pages {
+		pts := make([]vec.Point, pp.hi-pp.lo) // aliasing p.pts
+		ids := make([]uint32, pp.hi-pp.lo)
+		for j, idx := range p.perm[pp.lo:pp.hi] {
+			pts[j], ids[j] = p.pts[idx], uint32(idx)
+		}
+		i := sn.appendEntry()
+		sn.entries[i].Base = uint32(pp.lo)
+		sn.grids[i], _ = t.writePage(t.qFile, t.eFile, &sn.entries[i], pts, ids, pp.bits)
+		sn.setOwner(int(sn.entries[i].QPos), i)
 	}
-	t.fractalDim = df
-	sn.model = costmodel.Model{
-		Disk:          sto.Config(),
-		Metric:        opt.Metric,
-		Dim:           dim,
-		N:             len(pts),
-		FractalDim:    df,
-		DataSpace:     sn.dataSpace,
-		DirEntryBytes: page.DirEntrySize(dim),
-		ExactBlocks:   1,
-		K:             opt.KNNTarget,
-	}
-
-	if page.QPageCapacity(t.qPayloadBytes(), dim, quantize.ExactBits) < 1 {
-		return nil, fmt.Errorf("core: quantized page too small for even one %d-dimensional point", dim)
-	}
-
-	b := newBuilder(t, sn, pts)
-	b.run()
 	if err := t.writeDirectory(sn); err != nil {
 		return nil, err
 	}
 	if err := sto.Err(); err != nil {
 		return nil, fmt.Errorf("core: build: %w", err)
 	}
-	if opt.WAL {
+	if p.opt.WAL {
 		if t.wal, err = store.CreateWAL(sto.Backend(), WALFileName); err != nil {
 			return nil, err
 		}
@@ -286,6 +331,19 @@ func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
 	}
 	t.publish(sn)
 	return t, nil
+}
+
+// Build constructs an IQ-tree over pts on the given store: NewPlan for
+// the store's configuration, then Plan.Build. Point i is assigned id i.
+// The point slice is not retained. Planning the layout uses up to
+// GOMAXPROCS goroutines; the tree and its files do not depend on how
+// many.
+func Build(sto *store.Store, pts []vec.Point, opt Options) (*Tree, error) {
+	p, err := NewPlan(pts, opt, sto.Config())
+	if err != nil {
+		return nil, err
+	}
+	return p.Build(sto)
 }
 
 // Store returns the block store the tree lives on.

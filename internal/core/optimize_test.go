@@ -54,7 +54,7 @@ func TestOptimizerMatchesExhaustiveSearch(t *testing.T) {
 		greedyCost := tr.CostEstimate()
 
 		// Rebuild the split tree exactly as the builder saw it.
-		b := newBuilder(tr, tr.load(), pts)
+		b := newBuilder(tr.geometry, tr.opt, tr.load().model, pts)
 		ranges := b.initialRanges()
 		roots := make([]*bnode, len(ranges))
 		for i, rg := range ranges {

@@ -104,7 +104,7 @@ func Open(sto *store.Store) (*Tree, error) {
 	t := &Tree{
 		sto:      sto,
 		metaFile: meta,
-		dim:      int(le.Uint32(buf[8:])),
+		geometry: geometry{dim: int(le.Uint32(buf[8:])), blockSize: sto.Config().BlockSize},
 	}
 	t.opt = Options{
 		Metric:              vec.Metric(buf[24]),

@@ -1,0 +1,157 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/store"
+	"repro/internal/vec"
+)
+
+// backendFiles returns every file on sto's backend by name, logs and
+// checksum sidecars included.
+func backendFiles(t *testing.T, sto *store.Store) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	for _, name := range sto.Backend().Names() {
+		f := sto.Backend().Lookup(name)
+		var data []byte
+		if f.Blocks() > 0 {
+			raw, err := f.ReadBlocks(0, f.Blocks())
+			if err != nil {
+				t.Fatalf("read %s: %v", name, err)
+			}
+			data = append(data, raw...)
+		}
+		files[name] = data
+	}
+	return files
+}
+
+// assertSameFiles fails unless got and want hold the same files with the
+// same bytes.
+func assertSameFiles(t *testing.T, label string, got, want map[string][]byte) {
+	t.Helper()
+	names := func(m map[string][]byte) []string {
+		var out []string
+		for name := range m {
+			out = append(out, name)
+		}
+		slices.Sort(out)
+		return out
+	}
+	if g, w := names(got), names(want); !slices.Equal(g, w) {
+		t.Fatalf("%s: files %v, want %v", label, g, w)
+	}
+	for name, data := range want {
+		if !bytes.Equal(got[name], data) {
+			t.Errorf("%s: %s differs from a Build on a fresh store", label, name)
+		}
+	}
+}
+
+// TestPlanBuild writes one plan onto several stores: every file must be
+// byte-identical to a Build on a fresh store of the same kind, a store
+// configured otherwise must be refused before it gets a file, and a
+// write fault must fail only the store it hit.
+func TestPlanBuild(t *testing.T) {
+	cfg := store.DefaultConfig()
+	kinds := []struct {
+		name string
+		new  func(t *testing.T) *store.Store
+	}{
+		{"sim", func(*testing.T) *store.Store { return store.NewSim(cfg) }},
+		{"file", func(t *testing.T) *store.Store {
+			sto, err := store.OpenFileStore(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sto.Close() })
+			return sto
+		}},
+		{"checksummed", func(t *testing.T) *store.Store {
+			sto := store.NewSim(cfg)
+			if err := sto.EnableChecksums(); err != nil {
+				t.Fatal(err)
+			}
+			return sto
+		}},
+	}
+	inputs := []struct {
+		name string
+		pts  []vec.Point
+	}{
+		{"uniform", dataset.GenUniform(1, 20000, 16)},
+		{"cad", dataset.GenCAD(2, 20000)},
+	}
+	for _, in := range inputs {
+		for _, wal := range []bool{false, true} {
+			opt := DefaultOptions()
+			opt.WAL = wal
+			t.Run(fmt.Sprintf("%s/wal=%v", in.name, wal), func(t *testing.T) {
+				p, err := NewPlan(in.pts, opt, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range kinds {
+					sto, ref := k.new(t), k.new(t)
+					if _, err := p.Build(sto); err != nil {
+						t.Fatalf("%s: %v", k.name, err)
+					}
+					if _, err := Build(ref, in.pts, opt); err != nil {
+						t.Fatalf("%s: %v", k.name, err)
+					}
+					assertSameFiles(t, k.name, backendFiles(t, sto), backendFiles(t, ref))
+				}
+			})
+		}
+	}
+
+	pts := randPoints(rand.New(rand.NewSource(29)), 3000, 8)
+	opt := DefaultOptions()
+	opt.WAL = true
+	p, err := NewPlan(pts, opt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := store.NewSim(cfg)
+	if _, err := Build(ref, pts, opt); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("other config", func(t *testing.T) {
+		big, slow := cfg, cfg
+		big.BlockSize = 8192
+		slow.Seek = 5e-3
+		for _, c := range []struct {
+			cfg  store.Config
+			want string
+		}{{big, "BlockSize:8192"}, {slow, "Seek:0.005"}} {
+			sto := store.NewSim(c.cfg)
+			_, err := p.Build(sto)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Build onto a store with %+v: err %v, want one naming %s", c.cfg, err, c.want)
+			}
+			if names := sto.Backend().Names(); len(names) > 0 {
+				t.Fatalf("refused store got files %v", names)
+			}
+		}
+	})
+
+	t.Run("write fault", func(t *testing.T) {
+		faulty := store.Wrap(store.NewFaultStore(store.NewSimStore(cfg), store.FaultConfig{WriteErr: 1}))
+		if _, err := p.Build(faulty); err == nil {
+			t.Fatal("Build onto a store whose every write fails succeeded")
+		}
+		clean := store.NewSim(cfg)
+		if _, err := p.Build(clean); err != nil {
+			t.Fatal(err)
+		}
+		assertSameFiles(t, "after a failed Build", backendFiles(t, clean), backendFiles(t, ref))
+	})
+}

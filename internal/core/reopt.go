@@ -154,18 +154,16 @@ func (t *Tree) reoptBegin() error {
 		t.reoptAbort()
 		return ErrEmptyTree
 	}
-	msn := &snapshot{n: len(pts), dataSpace: vec.MBROf(pts), model: pinned.model}
+	dataSpace := vec.MBROf(pts)
 	// The pinned data space may exceed the union of live MBRs (it never
 	// shrinks); keep it so replanned decisions match the live model's.
-	msn.dataSpace.ExtendMBR(pinned.dataSpace)
-	msn.model.N = len(pts)
-	msn.model.DataSpace = msn.dataSpace
-	b := newBuilder(t, msn, pts)
+	dataSpace.ExtendMBR(pinned.dataSpace)
+	model := pinned.model
+	model.N, model.DataSpace = len(pts), dataSpace
+	b := newBuilder(t.geometry, t.opt, model, pts)
 	r.plan = b.plan(b.frontier())
 	r.perm, r.pinned, r.firsts = b.perm, pinned, firsts
-	r.n = len(pts)
-	r.dataSpace = msn.dataSpace
-	r.model = msn.model
+	r.n, r.dataSpace, r.model = len(pts), dataSpace, b.model
 	if r.qFile, err = t.sto.NewFile(genName(QFileName, r.gen)); err != nil {
 		t.reoptAbort()
 		return err

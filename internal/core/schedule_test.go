@@ -43,7 +43,7 @@ func TestBuildIndependentOfSchedule(t *testing.T) {
 	for i := range dups {
 		dups[i] = seven[i%len(seven)]
 	}
-	cap1 := (&Tree{sto: store.NewSim(cfg), dim: 9}).pageCapacity(1) // WEATHER is 9-d
+	cap1 := geometry{dim: 9, blockSize: cfg.BlockSize}.pageCapacity(1) // WEATHER is 9-d
 	fixed, exact := DefaultOptions(), DefaultOptions()
 	fixed.FixedBits = 4
 	exact.Quantize = false

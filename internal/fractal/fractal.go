@@ -10,9 +10,13 @@
 package fractal
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/vec"
 )
@@ -40,7 +44,8 @@ func sample(pts []vec.Point) []vec.Point {
 // the small-radius scaling region of the observed pair distances. The
 // result is clamped to [0.5, d].
 //
-// The fit reads only the smallest 5% of the pair distances, so only those
+// The pair distances are computed on up to GOMAXPROCS goroutines (see
+// pairDists). The fit reads only the smallest 5% of them, so only those
 // are ordered: the 5th percentile is selected in linear time and the
 // prefix at or below it sorted. The estimate is bit-identical to one that
 // sorts every pair distance.
@@ -53,15 +58,16 @@ func CorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 	if len(s) < 8 {
 		return d
 	}
-	// All pairwise distances of the sample.
-	dists := make([]float64, 0, len(s)*(len(s)-1)/2)
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j < len(s); j++ {
-			if dd := met.Dist(s[i], s[j]); dd > 0 {
-				dists = append(dists, dd)
-			}
+	// All nonzero pairwise distances of the sample, in pair order.
+	dists := pairDists(s, met)
+	nz := 0
+	for _, dd := range dists {
+		if dd > 0 {
+			dists[nz] = dd
+			nz++
 		}
 	}
+	dists = dists[:nz]
 	if len(dists) < 16 {
 		// Degenerate data (most points identical): dimension ~0.
 		return 0.5
@@ -98,6 +104,61 @@ func CorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 		return clamp(d, 0.5, d)
 	}
 	return clamp(slope, 0.5, d)
+}
+
+// pairDists returns the distance of every pair i < j of s, pair (i, j)
+// at index i·n − i(i+1)/2 + (j−i−1), computed with Metric.Dist's
+// arithmetic on a float64 row-major copy of s. Rows i are spread over up
+// to GOMAXPROCS goroutines; each writes only its rows' pairs, so the
+// result does not depend on how many.
+func pairDists(s []vec.Point, met vec.Metric) []float64 {
+	n, d := len(s), len(s[0])
+	rows := make([]float64, 0, n*d)
+	for _, p := range s {
+		for _, v := range p {
+			rows = append(rows, float64(v))
+		}
+	}
+	out := make([]float64, n*(n-1)/2)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				p, slot := rows[i*d:(i+1)*d], i*n-i*(i+1)/2
+				for j := i + 1; j < n; j++ {
+					out[slot+j-i-1] = rowDist(met, p, rows[j*d:(j+1)*d])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// rowDist is Metric.Dist on float64 rows: the same operations in the
+// same order, so the same bits.
+func rowDist(met vec.Metric, p, q []float64) float64 {
+	var s float64
+	switch met {
+	case vec.Euclidean:
+		for k, v := range p {
+			v -= q[k]
+			s += v * v
+		}
+		return math.Sqrt(s)
+	case vec.Maximum:
+		for k, v := range p {
+			if v = math.Abs(v - q[k]); v > s {
+				s = v
+			}
+		}
+		return s
+	default:
+		panic(fmt.Sprintf("fractal: unknown metric %d", int(met)))
+	}
 }
 
 // countBelow returns how many of the values in prefix and tail are < r,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -291,12 +292,26 @@ func TestCorrelationDimensionMatchesFullSort(t *testing.T) {
 	})
 	t.Run("full sample", func(t *testing.T) {
 		t.Parallel()
-		for _, name := range allDatasets {
-			for _, n := range []int{MaxSample + 1, 25_000} {
-				assertSameEstimate(t, fmt.Sprintf("%s n=%d", name, n), generate(t, name, 1, n, 16), vec.Euclidean)
-			}
-		}
+		assertFullSamples(t)
 	})
+}
+
+// assertFullSamples checks the estimate on inputs past MaxSample, whose
+// pair distances fill on several goroutines.
+func assertFullSamples(t *testing.T) {
+	for _, name := range allDatasets {
+		for _, n := range []int{MaxSample + 1, 25_000} {
+			assertSameEstimate(t, fmt.Sprintf("%s n=%d", name, n), generate(t, name, 1, n, 16), vec.Euclidean)
+		}
+	}
+}
+
+// TestCorrelationDimensionOneProc runs the full samples on one goroutine:
+// the estimate must not depend on how many fill the pair distances. It
+// sets GOMAXPROCS, so it must not run in parallel.
+func TestCorrelationDimensionOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	assertFullSamples(t)
 }
 
 // TestSelectAndCountMatchFullSort checks the two steps that replace the

@@ -9,15 +9,15 @@
 // merged k-th distance on only the other shards whose box lies within
 // it (see knn).
 //
-// Each shard runs R replicas built independently from the same points:
-// deterministic builds make every replica answer identically, so the
-// coordinator may serve any query from any replica. Replica-local
-// failures — corrupt blocks, overload shedding, contained panics, hard
-// read errors, a closed engine — fail over to a sibling replica with
-// bounded backoff; only query-local failures (cancellation, invalid
-// shape) follow the query. PR 5's fault layer thus becomes
-// availability: losing one replica loses zero queries and never changes
-// an answer.
+// Each shard runs R replicas written from one plan of its points, each
+// through its own store: identical files make every replica answer
+// identically, so the coordinator may serve any query from any replica.
+// Replica-local failures — corrupt blocks, overload shedding, contained
+// panics, hard read errors, a closed engine — fail over to a sibling
+// replica with bounded backoff; only query-local failures
+// (cancellation, invalid shape) follow the query. The store's fault
+// layer thus becomes availability: losing one replica loses zero
+// queries and never changes an answer.
 package shard
 
 import (
@@ -39,16 +39,17 @@ import (
 // Config parameterizes a Coordinator. The zero value of every optional
 // field selects a sensible default (see New).
 //
-// Every replica is core.Build with core.DefaultOptions over its own
-// store, served by an engine without extra options. One shard
+// Each replica is its shard's core.Plan (core.DefaultOptions) written to
+// its own store, served by an engine without extra options. One shard
 // sub-query makes at most 2*Replicas replica attempts before its last
 // error surfaces, sleeping retryBackoff before the first retry.
 type Config struct {
 	// Shards is the number of partitions (>= 1).
 	Shards int
-	// Replicas is the number of independently built copies per shard
-	// (>= 1). One replica means failover has nowhere to go: replica-local
-	// failures then surface to the caller.
+	// Replicas is the number of copies per shard (>= 1), each written
+	// from the shard's one plan through its own store, so a write fault
+	// stays local to its copy. One replica means failover has nowhere to
+	// go: replica-local failures then surface to the caller.
 	Replicas int
 	// Workers is the worker-pool size of every replica engine (default 2).
 	Workers int
@@ -58,12 +59,14 @@ type Config struct {
 	// NewStore, when non-nil, supplies the store for one replica — the
 	// hook chaos tests use to slot a FaultStore under a chosen replica.
 	// Every replica gets an independent store — one disk per replica,
-	// which is what makes shards scale. New calls it once per replica of
-	// each non-empty shard, in (shard, replica) order, on the caller's
-	// goroutine and before any build starts, so a hook may record its
-	// stores without locking; the builds then run concurrently. A rebuild
-	// (SelfHeal) calls it again for its replica and serves from the
-	// returned store as is, pool and retry policy included. Default:
+	// which is what makes shards scale — and the replica stores of one
+	// shard share one store.Config: the shard is planned once, for its
+	// replica 0's, and a rebuild copies a peer's bytes. New calls it once
+	// per replica of each non-empty shard, in (shard, replica) order, on
+	// the caller's goroutine and before any build starts, so a hook may
+	// record its stores without locking; the builds then run concurrently.
+	// A rebuild (SelfHeal) calls it again for its replica and serves from
+	// the returned store as is, pool and retry policy included. Default:
 	// store.NewSim with store.DefaultConfig.
 	NewStore func(shard, replica int) (*store.Store, error)
 	// Registry receives the coordinator's shard.* metrics (default: a
@@ -222,6 +225,11 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("shard: cannot partition an empty point set")
 	}
+	for i, p := range pts {
+		if len(p) != len(pts[0]) {
+			return nil, fmt.Errorf("shard: point %d has dimension %d, want %d", i, len(p), len(pts[0]))
+		}
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -274,10 +282,12 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 	}
 	c.nextGID.Store(uint64(len(pts)))
 	// Stores come first, in (shard, replica) order on this goroutine (the
-	// Config.NewStore contract). The builds then run concurrently, at most
-	// GOMAXPROCS at a time: each holds its D_F sample's pair distances
-	// while it estimates D_F and a row-major copy of its points while it
-	// plans, on up to GOMAXPROCS goroutines of its own.
+	// Config.NewStore contract). Each non-empty shard is then planned once,
+	// for its replica 0's store config, at most GOMAXPROCS plans at a time:
+	// each holds D_F's pair distances and then a row copy of its points,
+	// on up to GOMAXPROCS goroutines of its own. Every replica is then
+	// written from its shard's plan, at most GOMAXPROCS at a time; a
+	// failed plan fails its shard's replica 0.
 	type build struct {
 		shard, replica int
 		sto            *store.Store
@@ -297,18 +307,16 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 			builds = append(builds, build{shard: si, replica: ri, sto: sto})
 		}
 	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range builds {
-		b := &builds[i]
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			b.tree, b.err = core.Build(b.sto, local[b.shard], opt)
-		}()
-	}
-	wg.Wait()
+	plans := make([]*core.Plan, cfg.Shards)
+	forEach(len(builds)/cfg.Replicas, func(i int) {
+		b := &builds[i*cfg.Replicas] // replica 0 of the i-th non-empty shard
+		plans[b.shard], b.err = core.NewPlan(local[b.shard], opt, b.sto.Config())
+	})
+	forEach(len(builds), func(i int) {
+		if b := &builds[i]; plans[b.shard] != nil {
+			b.tree, b.err = plans[b.shard].Build(b.sto)
+		}
+	})
 	for _, b := range builds {
 		if b.err != nil {
 			return nil, fmt.Errorf("shard %d replica %d: build: %w", b.shard, b.replica, b.err)
@@ -336,6 +344,22 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		go c.repairer()
 	}
 	return c, nil
+}
+
+// forEach calls f(i) for every i in [0, n), at most GOMAXPROCS at a
+// time, and returns when every call has.
+func forEach(n int, f func(i int)) {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			f(i)
+		}()
+	}
+	wg.Wait()
 }
 
 // Close stops the repairer, waits out in-flight rebuilds, then shuts

@@ -2,13 +2,47 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/vec"
 )
+
+// TestNewRejectsRaggedBuildSet: a build point of another dimensionality
+// fails New with its global index before the partitioner runs — no
+// panic inside Centroid.Assign, no shard-local index from a replica
+// build — and before any store is made.
+func TestNewRejectsRaggedBuildSet(t *testing.T) {
+	for _, part := range []Partitioner{RoundRobin{}, Centroid{Seed: 95}} {
+		for _, d := range []int{3, 9} {
+			r := rand.New(rand.NewSource(95))
+			pts := randPoints(r, 2000, 6)
+			pts[333] = randPoints(r, 1, d)[0]
+			stores := 0
+			c, err := New(Config{
+				Shards: 4, Replicas: 2, Partitioner: part,
+				NewStore: func(int, int) (*store.Store, error) {
+					stores++
+					return store.NewSim(store.DefaultConfig()), nil
+				},
+			}, pts)
+			if err == nil {
+				c.Close()
+				t.Fatalf("%s, a %d-d point among 6-d ones: New succeeded", part.Name(), d)
+			}
+			if want := fmt.Sprintf("shard: point 333 has dimension %d, want 6", d); err.Error() != want {
+				t.Fatalf("%s: error %q, want %q", part.Name(), err, want)
+			}
+			if stores != 0 {
+				t.Fatalf("%s: NewStore called %d times for a rejected build set", part.Name(), stores)
+			}
+		}
+	}
+}
 
 // TestShardRejectsWrongDimensionQuery: a query of another dimensionality
 // fails typed with ErrInvalidQuery and consumes no failover — it is

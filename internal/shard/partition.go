@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"runtime"
 
 	"repro/internal/vec"
 )
@@ -63,7 +64,9 @@ func (Centroid) Name() string { return "centroid" }
 // Assign clusters pts around shards seeded centroids and returns each
 // point's cluster. Its Placer puts an inserted point on its nearest
 // final centroid, so a copy of a build point lands on that point's
-// shard.
+// shard. The nearest-centroid passes run on up to GOMAXPROCS goroutines
+// over contiguous chunks of pts; the centroid sums stay one pass in
+// point order, so the result does not depend on how many.
 func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 	out := make([]int, len(pts))
 	if shards <= 1 || len(pts) == 0 {
@@ -102,6 +105,15 @@ func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 		return best
 	}
 
+	workers := min(len(pts), runtime.GOMAXPROCS(0))
+	assignAll := func() {
+		forEach(workers, func(w int) {
+			for i := w * len(pts) / workers; i < (w+1)*len(pts)/workers; i++ {
+				out[i] = nearest(pts[i])
+			}
+		})
+	}
+
 	sum := make([][]float64, shards)
 	cnt := make([]int, shards)
 	for i := range sum {
@@ -114,9 +126,9 @@ func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 			}
 			cnt[i] = 0
 		}
+		assignAll()
 		for i, p := range pts {
-			ci := nearest(p)
-			out[i] = ci
+			ci := out[i]
 			for d := 0; d < dim; d++ {
 				sum[ci][d] += float64(p[d])
 			}
@@ -137,8 +149,6 @@ func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 			}
 		}
 	}
-	for i, p := range pts {
-		out[i] = nearest(p)
-	}
+	assignAll()
 	return out, func(p vec.Point, _ uint32) int { return nearest(p) }
 }

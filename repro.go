@@ -138,8 +138,8 @@ func StartDebugServer(addr string) (string, error) { return obs.StartDebugServer
 func DefaultIQTreeOptions() IQTreeOptions { return core.DefaultOptions() }
 
 // BuildIQTree bulk-loads an IQ-tree over pts (point i gets id i) with
-// optimal per-page quantization. The build uses up to GOMAXPROCS
-// goroutines; the tree it writes does not depend on how many.
+// optimal per-page quantization: it plans the layout on up to GOMAXPROCS
+// goroutines, then writes it to sto; the tree does not depend on how many.
 func BuildIQTree(sto *Store, pts []Point, opt IQTreeOptions) (*IQTree, error) {
 	return core.Build(sto, pts, opt)
 }

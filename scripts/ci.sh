@@ -62,10 +62,14 @@ go test -race -count=5 -run 'TestHeal|TestShardChaos|TestStatusLag' ./internal/s
 
 echo "== build determinism repeat =="
 # Bulk-load planning runs the halves of its splits and its per-range and
-# per-query loops on up to GOMAXPROCS goroutines; repeat the
-# schedule-independence test under the race detector so an order bug
-# between workers cannot hide in one lucky schedule.
-go test -race -count=5 -run 'TestBuildIndependentOfSchedule' ./internal/core/
+# per-query loops on up to GOMAXPROCS goroutines, and one plan writes
+# several stores; repeat the schedule-independence and plan tests under
+# the race detector so an order bug between workers cannot hide in one
+# lucky schedule. The shard layer plans each shard once for all its
+# replicas, concurrently, and Centroid assigns on several goroutines:
+# repeat the replica-build and Centroid schedule tests the same way.
+go test -race -count=5 -run 'TestBuildIndependentOfSchedule|TestPlanBuild' ./internal/core/
+go test -race -count=5 -run 'TestNewBuildsReplicasConcurrently|TestCentroidIndependentOfSchedule' ./internal/shard/
 
 echo "== WAL recovery repeat =="
 # Recovery once lost acknowledged records only for some commit layouts;
