@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/index"
 	"repro/internal/scan"
 	"repro/internal/store"
 	"repro/internal/vafile"
@@ -222,25 +223,8 @@ func run() (err error) {
 
 	var others []competitor
 	if *compare {
-		xd := store.NewSim(store.DefaultConfig())
-		vd := store.NewSim(store.DefaultConfig())
-		sd := store.NewSim(store.DefaultConfig())
-		xt, err := xtree.Build(xd, db, xtree.DefaultOptions())
-		if err != nil {
+		if others, err = competitors(db, opt.Metric); err != nil {
 			return err
-		}
-		va, err := vafile.Build(vd, db, vafile.DefaultOptions())
-		if err != nil {
-			return err
-		}
-		sc, err := scan.Build(sd, db, opt.Metric)
-		if err != nil {
-			return err
-		}
-		others = []competitor{
-			{"X-tree", xd, xt},
-			{"VA-file", vd, va},
-			{"Scan", sd, sc},
 		}
 	}
 
@@ -299,9 +283,7 @@ func run() (err error) {
 			cs := c.sto.NewSession()
 			var err error
 			if *rng > 0 {
-				_, err = c.idx.(interface {
-					RangeSearch(*store.Session, vec.Point, float64) ([]vec.Neighbor, error)
-				}).RangeSearch(cs, q, *rng)
+				_, err = c.idx.RangeSearch(cs, q, *rng)
 			} else {
 				_, err = c.idx.KNN(cs, q, *knn)
 			}
@@ -322,14 +304,36 @@ func run() (err error) {
 	return nil
 }
 
-type searcher interface {
-	KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, error)
-}
-
 type competitor struct {
 	name string
 	sto  *store.Store
-	idx  searcher
+	idx  index.Index
+}
+
+// competitors builds the X-tree, VA-file and scan over db, each on its
+// own simulated store and under the IQ-tree's metric met, so the
+// comparison's ratios compare like with like.
+func competitors(db []vec.Point, met vec.Metric) ([]competitor, error) {
+	xd := store.NewSim(store.DefaultConfig())
+	vd := store.NewSim(store.DefaultConfig())
+	sd := store.NewSim(store.DefaultConfig())
+	xopt := xtree.DefaultOptions()
+	xopt.Metric = met
+	xt, err := xtree.Build(xd, db, xopt)
+	if err != nil {
+		return nil, err
+	}
+	vopt := vafile.DefaultOptions()
+	vopt.Metric = met
+	va, err := vafile.Build(vd, db, vopt)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := scan.Build(sd, db, met)
+	if err != nil {
+		return nil, err
+	}
+	return []competitor{{"X-tree", xd, xt}, {"VA-file", vd, va}, {"Scan", sd, sc}}, nil
 }
 
 // levelStats returns the charges the trace recorded against one file,

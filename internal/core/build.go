@@ -4,10 +4,10 @@ import (
 	"container/heap"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/costmodel"
 	"repro/internal/page"
+	"repro/internal/par"
 	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -72,7 +72,7 @@ func (b *builder) frontier() []*bnode {
 		b.model.RefineFactor = b.calibrateRefinement(ranges)
 	}
 	roots := make([]*bnode, len(ranges))
-	parallel(len(ranges), func() func(int) {
+	par.For(len(ranges), func() func(int) {
 		return func(i int) { roots[i] = b.newNode(ranges[i].lo, ranges[i].hi, ranges[i].mbr) }
 	})
 	var frontier []*bnode
@@ -93,27 +93,6 @@ func (b *builder) frontier() []*bnode {
 	}
 	b.rows = nil
 	return frontier
-}
-
-// parallel calls work(i) for every i in [0, n) on up to GOMAXPROCS
-// goroutines, which take the indices in turn; newWorker makes one
-// goroutine's work function, so it can reuse its own buffers.
-// Calls for different i must write disjoint data.
-func parallel(n int, newWorker func() func(i int)) {
-	workers := min(n, runtime.GOMAXPROCS(0))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work := newWorker()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				work(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // plan lists the frontier's pages in disk layout order. A planned page

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/mathx"
+	"repro/internal/par"
 	"repro/internal/quantize"
 	"repro/internal/vec"
 )
@@ -54,7 +55,7 @@ func (b *builder) calibrateRefinement(ranges []partRange) float64 {
 		maxCount = max(maxCount, r.hi-r.lo)
 	}
 	counts := make([]int, len(ranges))
-	parallel(len(ranges), func() func(int) {
+	par.For(len(ranges), func() func(int) {
 		buf := make([]uint32, maxCount*b.dim)
 		var arena kernel.Arena
 		return func(ri int) { counts[ri] = b.refinements(ranges[ri], queries, radii, buf, &arena) }
@@ -109,23 +110,10 @@ func (b *builder) refinements(r partRange, queries []vec.Point, radii []float64,
 // stride (queries are assumed to follow the data distribution, as in the
 // paper's model).
 func (b *builder) sampleQueries() []vec.Point {
-	n := len(b.pts)
-	if n < 2 {
+	if len(b.pts) < 2 {
 		return nil
 	}
-	count := calibrationQueries
-	if count > n {
-		count = n
-	}
-	stride := n / count
-	if stride == 0 {
-		stride = 1
-	}
-	out := make([]vec.Point, 0, count)
-	for i := 0; i < n && len(out) < count; i += stride {
-		out = append(out, b.pts[i])
-	}
-	return out
+	return vec.Strided(b.pts, calibrationQueries)
 }
 
 // nnRadii computes, by brute force, the nearest-neighbor distance of each
@@ -134,7 +122,7 @@ func (b *builder) sampleQueries() []vec.Point {
 func (b *builder) nnRadii(queries []vec.Point) []float64 {
 	met := b.opt.Metric
 	radii := make([]float64, len(queries))
-	parallel(len(queries), func() func(int) {
+	par.For(len(queries), func() func(int) {
 		return func(qi int) {
 			best := math.Inf(1)
 			for _, p := range b.pts {

@@ -13,30 +13,15 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
 // MaxSample bounds the number of points the estimators examine; larger
-// inputs are subsampled deterministically with a fixed stride.
+// inputs are subsampled deterministically with vec.Strided.
 const MaxSample = 2048
-
-// sample returns a deterministic subsample of at most MaxSample points.
-func sample(pts []vec.Point) []vec.Point {
-	if len(pts) <= MaxSample {
-		return pts
-	}
-	stride := len(pts) / MaxSample
-	out := make([]vec.Point, 0, MaxSample)
-	for i := 0; i < len(pts) && len(out) < MaxSample; i += stride {
-		out = append(out, pts[i])
-	}
-	return out
-}
 
 // CorrelationDimension estimates the correlation dimension D2 of the point
 // set: the slope of log C(r) against log r, where C(r) is the fraction of
@@ -54,7 +39,7 @@ func CorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 		return 1
 	}
 	d := float64(len(pts[0]))
-	s := sample(pts)
+	s := vec.Strided(pts, MaxSample)
 	if len(s) < 8 {
 		return d
 	}
@@ -108,9 +93,9 @@ func CorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 
 // pairDists returns the distance of every pair i < j of s, pair (i, j)
 // at index i·n − i(i+1)/2 + (j−i−1), computed with Metric.Dist's
-// arithmetic on a float64 row-major copy of s. Rows i are spread over up
-// to GOMAXPROCS goroutines; each writes only its rows' pairs, so the
-// result does not depend on how many.
+// arithmetic on a float64 row-major copy of s. Rows i are spread over
+// the cores by par.For; each writes only its rows' pairs, so the result
+// does not depend on how many.
 func pairDists(s []vec.Point, met vec.Metric) []float64 {
 	n, d := len(s), len(s[0])
 	rows := make([]float64, 0, n*d)
@@ -120,21 +105,14 @@ func pairDists(s []vec.Point, met vec.Metric) []float64 {
 		}
 	}
 	out := make([]float64, n*(n-1)/2)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				p, slot := rows[i*d:(i+1)*d], i*n-i*(i+1)/2
-				for j := i + 1; j < n; j++ {
-					out[slot+j-i-1] = rowDist(met, p, rows[j*d:(j+1)*d])
-				}
+	par.For(n, func() func(int) {
+		return func(i int) {
+			p, slot := rows[i*d:(i+1)*d], i*n-i*(i+1)/2
+			for j := i + 1; j < n; j++ {
+				out[slot+j-i-1] = rowDist(met, p, rows[j*d:(j+1)*d])
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }
 
@@ -236,7 +214,7 @@ func BoxCountingDimension(pts []vec.Point) float64 {
 		return 1
 	}
 	d := len(pts[0])
-	s := sample(pts)
+	s := vec.Strided(pts, MaxSample)
 	if len(s) < 8 {
 		return float64(d)
 	}

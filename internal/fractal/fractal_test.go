@@ -168,12 +168,12 @@ func TestFitSlope(t *testing.T) {
 func TestSampleBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	big := uniformPoints(r, MaxSample*5, 2)
-	s := sample(big)
+	s := vec.Strided(big, MaxSample)
 	if len(s) > MaxSample {
 		t.Fatalf("sample too large: %d", len(s))
 	}
 	small := uniformPoints(r, 10, 2)
-	if len(sample(small)) != 10 {
+	if len(vec.Strided(small, MaxSample)) != 10 {
 		t.Fatal("small inputs should pass through")
 	}
 }
@@ -186,7 +186,7 @@ func referenceCorrelationDimension(pts []vec.Point, met vec.Metric) float64 {
 		return 1
 	}
 	d := float64(len(pts[0]))
-	s := sample(pts)
+	s := vec.Strided(pts, MaxSample)
 	if len(s) < 8 {
 		return d
 	}

@@ -15,12 +15,14 @@
 //
 // Everything here is bit-identical to the naive quantize.Grid math: the
 // tables store exactly the float64 values Grid.CellBounds +
-// axisDist/axisFar would produce, and the accumulation runs in the same
-// dimension order, so every distance bound — and therefore every query
-// result and every simulated cost figure — is unchanged. Levels g ≤ 8
-// (≤ 256 cells per dimension) get tables; g ∈ {16, 32} fall back to a
-// precomputed-edge path that hoists the per-dimension division out of
-// the point loop (see DESIGN.md §9 for the break-even analysis).
+// vec.AxisDist/AxisFar would produce, and the accumulation runs in the
+// same dimension order, so every distance bound — and therefore every
+// query result and every simulated cost figure — is unchanged. Levels
+// g ≤ 8 (≤ 256 cells per dimension) get tables; g ∈ {16, 32} fall back
+// to a precomputed-edge path that hoists the per-dimension division out
+// of the point loop (see DESIGN.md §9 for the break-even analysis). The
+// VA-file's global grid, whose cells are not evenly spaced, gets its
+// tables from its cell boundaries (BoundaryTables).
 package kernel
 
 import (
@@ -93,11 +95,7 @@ func (t *Tables) build(g quantize.Grid, q vec.Point, met vec.Metric, count int) 
 func (t *Tables) buildTab(g quantize.Grid, q vec.Point, met vec.Metric, cells int) {
 	t.useTab = true
 	d := t.dim
-	need := d * cells * 2
-	if cap(t.tab) < need {
-		t.tab = make([]float64, need)
-	}
-	t.tab = t.tab[:need]
+	t.tab = growF64(t.tab, d*cells*2)
 	cellsF := float64(int64(1) << uint(g.Bits))
 	eucl := met == vec.Euclidean
 	for i := 0; i < d; i++ {
@@ -112,15 +110,35 @@ func (t *Tables) buildTab(g quantize.Grid, q vec.Point, met vec.Metric, cells in
 		for c := 0; c < cells; c++ {
 			lo := l + float64(c)*w
 			hi := lo + w
-			dl := axisDist(qi, lo, hi)
-			du := axisFar(qi, lo, hi)
+			dl, du := vec.AxisDist(qi, lo, hi), vec.AxisFar(qi, lo, hi)
 			if eucl {
 				dl, du = dl*dl, du*du
 			}
-			row[2*c] = dl
-			row[2*c+1] = du
+			row[2*c], row[2*c+1] = dl, du
 		}
 	}
+}
+
+// BoundaryTables returns the lookup tables of query q over a global grid
+// given by its per-dimension cell boundaries: cell c of dimension i
+// spans [bounds[i][c], bounds[i][c+1]], and every dimension has 2^bits
+// cells. Unlike grid tables they are built at every level, as the VA-file
+// scans every point against one grid.
+func BoundaryTables(bounds [][]float64, bits int, q vec.Point, met vec.Metric) *Tables {
+	cells := 1 << uint(bits)
+	t := &Tables{met: met, dim: len(bounds), bits: bits, useTab: true, tab: make([]float64, len(bounds)*cells*2)}
+	eucl := met == vec.Euclidean
+	for i, b := range bounds {
+		qi, row := float64(q[i]), t.tab[i*cells*2:(i+1)*cells*2]
+		for c := 0; c < cells; c++ {
+			dl, du := vec.AxisDist(qi, b[c], b[c+1]), vec.AxisFar(qi, b[c], b[c+1])
+			if eucl {
+				dl, du = dl*dl, du*du
+			}
+			row[2*c], row[2*c+1] = dl, du
+		}
+	}
+	return t
 }
 
 // buildEdges precomputes the per-dimension grid origin and cell width so
@@ -209,7 +227,7 @@ func (t *Tables) MinDistPruned(codes []uint32, lbT float64) (lb float64, pruned 
 	case t.met == vec.Maximum:
 		for i, c := range codes {
 			lo, hi := t.cellSpan(i, c)
-			if v := axisDist(t.q[i], lo, hi); v > sl {
+			if v := vec.AxisDist(t.q[i], lo, hi); v > sl {
 				sl = v
 			}
 			if sl >= lbT {
@@ -219,7 +237,7 @@ func (t *Tables) MinDistPruned(codes []uint32, lbT float64) (lb float64, pruned 
 	default: // vec.Euclidean
 		for i, c := range codes {
 			lo, hi := t.cellSpan(i, c)
-			v := axisDist(t.q[i], lo, hi)
+			v := vec.AxisDist(t.q[i], lo, hi)
 			sl += v * v
 			if sl >= lbT {
 				return 0, true
@@ -265,8 +283,8 @@ func (t *Tables) accumBoth(codes []uint32, lbT, ubT float64) (sl, su float64) {
 	maxm := t.met == vec.Maximum
 	for i, c := range codes {
 		lo, hi := t.cellSpan(i, c)
-		dl := axisDist(t.q[i], lo, hi)
-		du := axisFar(t.q[i], lo, hi)
+		dl := vec.AxisDist(t.q[i], lo, hi)
+		du := vec.AxisFar(t.q[i], lo, hi)
 		if eucl {
 			dl, du = dl*dl, du*du
 		}
@@ -427,25 +445,6 @@ func (wt *WindowTable) Hits(codes []uint32) bool {
 		}
 	}
 	return true
-}
-
-// axisDist is the one-dimensional distance from v to [lo, hi] (0 inside)
-// — identical to the quantize package's helper.
-func axisDist(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo - v
-	case v > hi:
-		return v - hi
-	default:
-		return 0
-	}
-}
-
-// axisFar is the one-dimensional farthest distance from v to [lo, hi] —
-// identical to the quantize package's helper.
-func axisFar(v, lo, hi float64) float64 {
-	return math.Max(math.Abs(v-lo), math.Abs(v-hi))
 }
 
 func growF64(s []float64, n int) []float64 {

@@ -134,7 +134,7 @@ func (g Grid) MinDist(q vec.Point, cells []uint32, met vec.Metric) float64 {
 		var s float64
 		for i, v := range q {
 			lo, hi := g.CellBounds(i, cells[i])
-			dd := axisDist(float64(v), lo, hi)
+			dd := vec.AxisDist(float64(v), lo, hi)
 			s += dd * dd
 		}
 		return math.Sqrt(s)
@@ -142,7 +142,7 @@ func (g Grid) MinDist(q vec.Point, cells []uint32, met vec.Metric) float64 {
 		var s float64
 		for i, v := range q {
 			lo, hi := g.CellBounds(i, cells[i])
-			if dd := axisDist(float64(v), lo, hi); dd > s {
+			if dd := vec.AxisDist(float64(v), lo, hi); dd > s {
 				s = dd
 			}
 		}
@@ -160,7 +160,7 @@ func (g Grid) MaxDist(q vec.Point, cells []uint32, met vec.Metric) float64 {
 		var s float64
 		for i, v := range q {
 			lo, hi := g.CellBounds(i, cells[i])
-			dd := axisFar(float64(v), lo, hi)
+			dd := vec.AxisFar(float64(v), lo, hi)
 			s += dd * dd
 		}
 		return math.Sqrt(s)
@@ -168,7 +168,7 @@ func (g Grid) MaxDist(q vec.Point, cells []uint32, met vec.Metric) float64 {
 		var s float64
 		for i, v := range q {
 			lo, hi := g.CellBounds(i, cells[i])
-			if dd := axisFar(float64(v), lo, hi); dd > s {
+			if dd := vec.AxisFar(float64(v), lo, hi); dd > s {
 				s = dd
 			}
 		}
@@ -176,19 +176,4 @@ func (g Grid) MaxDist(q vec.Point, cells []uint32, met vec.Metric) float64 {
 	default:
 		panic("quantize: unknown metric")
 	}
-}
-
-func axisDist(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo - v
-	case v > hi:
-		return v - hi
-	default:
-		return 0
-	}
-}
-
-func axisFar(v, lo, hi float64) float64 {
-	return math.Max(math.Abs(v-lo), math.Abs(v-hi))
 }

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -283,10 +283,10 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 	c.nextGID.Store(uint64(len(pts)))
 	// Stores come first, in (shard, replica) order on this goroutine (the
 	// Config.NewStore contract). Each non-empty shard is then planned once,
-	// for its replica 0's store config, at most GOMAXPROCS plans at a time:
-	// each holds D_F's pair distances and then a row copy of its points,
-	// on up to GOMAXPROCS goroutines of its own. Every replica is then
-	// written from its shard's plan, at most GOMAXPROCS at a time; a
+	// for its replica 0's store config, by par.For, so at most GOMAXPROCS
+	// plans at a time: each holds D_F's pair distances and then a row copy
+	// of its points, on up to GOMAXPROCS goroutines of its own. Every
+	// replica is then written from its shard's plan by par.For again; a
 	// failed plan fails its shard's replica 0.
 	type build struct {
 		shard, replica int
@@ -308,13 +308,17 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		}
 	}
 	plans := make([]*core.Plan, cfg.Shards)
-	forEach(len(builds)/cfg.Replicas, func(i int) {
-		b := &builds[i*cfg.Replicas] // replica 0 of the i-th non-empty shard
-		plans[b.shard], b.err = core.NewPlan(local[b.shard], opt, b.sto.Config())
+	par.For(len(builds)/cfg.Replicas, func() func(int) {
+		return func(i int) {
+			b := &builds[i*cfg.Replicas] // replica 0 of the i-th non-empty shard
+			plans[b.shard], b.err = core.NewPlan(local[b.shard], opt, b.sto.Config())
+		}
 	})
-	forEach(len(builds), func(i int) {
-		if b := &builds[i]; plans[b.shard] != nil {
-			b.tree, b.err = plans[b.shard].Build(b.sto)
+	par.For(len(builds), func() func(int) {
+		return func(i int) {
+			if b := &builds[i]; plans[b.shard] != nil {
+				b.tree, b.err = plans[b.shard].Build(b.sto)
+			}
 		}
 	})
 	for _, b := range builds {
@@ -344,22 +348,6 @@ func New(cfg Config, pts []vec.Point) (*Coordinator, error) {
 		go c.repairer()
 	}
 	return c, nil
-}
-
-// forEach calls f(i) for every i in [0, n), at most GOMAXPROCS at a
-// time, and returns when every call has.
-func forEach(n int, f func(i int)) {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			f(i)
-		}()
-	}
-	wg.Wait()
 }
 
 // Close stops the repairer, waits out in-flight rebuilds, then shuts

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -54,9 +55,10 @@ type Centroid struct {
 	// Seed makes the routing deterministic; the same seed and point set
 	// always produce the same assignment.
 	Seed int64
-	// Iters is the number of Lloyd iterations (default 8).
-	Iters int
 }
+
+// lloydIters is the number of Lloyd iterations Centroid runs.
+const lloydIters = 8
 
 // Name identifies the strategy.
 func (Centroid) Name() string { return "centroid" }
@@ -71,10 +73,6 @@ func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 	out := make([]int, len(pts))
 	if shards <= 1 || len(pts) == 0 {
 		return out, func(vec.Point, uint32) int { return 0 }
-	}
-	iters := c.Iters
-	if iters <= 0 {
-		iters = 8
 	}
 	dim := len(pts[0])
 	r := rand.New(rand.NewSource(c.Seed))
@@ -107,9 +105,11 @@ func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 
 	workers := min(len(pts), runtime.GOMAXPROCS(0))
 	assignAll := func() {
-		forEach(workers, func(w int) {
-			for i := w * len(pts) / workers; i < (w+1)*len(pts)/workers; i++ {
-				out[i] = nearest(pts[i])
+		par.For(workers, func() func(int) {
+			return func(w int) {
+				for i := w * len(pts) / workers; i < (w+1)*len(pts)/workers; i++ {
+					out[i] = nearest(pts[i])
+				}
 			}
 		})
 	}
@@ -119,7 +119,7 @@ func (c Centroid) Assign(pts []vec.Point, shards int) ([]int, Placer) {
 	for i := range sum {
 		sum[i] = make([]float64, dim)
 	}
-	for it := 0; it < iters; it++ {
+	for it := 0; it < lloydIters; it++ {
 		for i := range sum {
 			for d := range sum[i] {
 				sum[i][d] = 0

@@ -218,7 +218,8 @@ func (s *Store) EnableChecksums() error {
 }
 
 // attachAllSumsLocked gives every data file on the backend its sum
-// table, creating the canonical wrappers it lacks.
+// table, creating the canonical wrappers it lacks; a wrapper is cached
+// only once its sums are attached (see File).
 func (s *Store) attachAllSumsLocked() error {
 	for _, name := range s.backend.Names() {
 		if IsChecksumFile(name) || IsWALFile(name) {
@@ -234,11 +235,11 @@ func (s *Store) attachAllSumsLocked() error {
 				continue
 			}
 			f = &File{st: s, bf: bf}
-			s.files[name] = f
 		}
 		if err := s.attachSumsLocked(f, false); err != nil {
 			return err
 		}
+		s.files[name] = f
 	}
 	return nil
 }

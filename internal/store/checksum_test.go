@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -274,5 +275,55 @@ func TestSessionRecover(t *testing.T) {
 	}
 	if s.Stats.BlocksRead < before.BlocksRead {
 		t.Fatal("Recover must not forget charges")
+	}
+}
+
+// TestChecksumFailedAttachServesNothing: when EnableChecksums cannot
+// load a data file's sidecar, the checked store must not hand that file
+// out without sums. Every lookup retries the attach and fails (nil, the
+// sticky error naming the sidecar), so a damaged block is never read as
+// clean data; once the sidecar is repaired, the next lookup attaches.
+func TestChecksumFailedAttachServesNothing(t *testing.T) {
+	sto := NewSim(testConfig())
+	mustAppend(t, mustFile(t, sto, "data"), bytes.Repeat([]byte{0x5A}, 128))
+	side, err := sto.Backend().Create("data" + ChecksumSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := side.Append([]byte("not a checksum sidecar")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sto.EnableChecksums(); err == nil {
+		t.Fatal("EnableChecksums accepted a sidecar with a bad magic")
+	}
+	if !sto.Checked() {
+		t.Fatal("store not checked after EnableChecksums")
+	}
+	corrupt(t, sto, "data", 1, 3)
+	for i := 0; i < 2; i++ {
+		if f := sto.File("data"); f != nil {
+			_, err := sto.NewSession().Read(f, 0, 2)
+			t.Fatalf("lookup %d: checked store served a file without sums (read error: %v)", i, err)
+		}
+	}
+	if err := sto.Err(); err == nil || !strings.Contains(err.Error(), "data"+ChecksumSuffix) {
+		t.Fatalf("sticky error %v does not name the sidecar", err)
+	}
+
+	// A repaired sidecar: this one is adopted from the current content.
+	if err := sto.Backend().Remove("data" + ChecksumSuffix); err != nil {
+		t.Fatal(err)
+	}
+	f := sto.File("data")
+	if f == nil {
+		t.Fatal("lookup after the sidecar was repaired found no file")
+	}
+	if f != sto.File("data") {
+		t.Fatal("wrapper not canonical once its sums attached")
+	}
+	corrupt(t, sto, "data", 0, 9)
+	var cbe *CorruptBlockError
+	if _, err := sto.NewSession().Read(f, 0, 1); !errors.As(err, &cbe) || cbe.Block != 0 {
+		t.Fatalf("damage after the attach not caught: %v", err)
 	}
 }

@@ -254,34 +254,38 @@ func (s *Store) NewFile(name string) (*File, error) {
 		s.pool.InvalidateFile(name)
 	}
 	f := &File{st: s, bf: bf}
-	s.files[name] = f
 	if s.checked {
 		if err := s.attachSumsLocked(f, true); err != nil {
+			delete(s.files, name)
 			return nil, err
 		}
 	}
+	s.files[name] = f
 	return f, nil
 }
 
 // File returns the named file, or nil if none exists. The wrapper is
-// canonical: repeated calls return the same *File.
+// canonical: repeated calls return the same *File. With checksums on, a
+// wrapper is handed out and cached only once its sums are attached: a
+// file whose sidecar fails to load is nil on every lookup (the store's
+// sticky error names the sidecar), never served unverified.
 func (s *Store) File(name string) *File {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.files[name]; ok {
-		return f
+	f := s.files[name]
+	if f == nil {
+		bf := s.backend.Lookup(name)
+		if bf == nil {
+			return nil
+		}
+		f = &File{st: s, bf: bf}
 	}
-	bf := s.backend.Lookup(name)
-	if bf == nil {
-		return nil
-	}
-	f := &File{st: s, bf: bf}
-	s.files[name] = f
 	if s.checked {
 		if err := s.attachSumsLocked(f, false); err != nil {
 			return nil
 		}
 	}
+	s.files[name] = f
 	return f
 }
 

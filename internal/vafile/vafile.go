@@ -192,8 +192,9 @@ func (v *VAFile) cellBounds(j int, c uint32) (lo, hi float64) {
 }
 
 // lowerUpper returns the lower and upper bound of the distance between q
-// and the point approximated by the cells starting at cell index base in
-// the flat cells array.
+// and the point approximated by cells, computed per dimension without
+// tables: the reference the kernel tables of KNN and RangeSearch are
+// tested against.
 func (v *VAFile) lowerUpper(q vec.Point, cells []uint32) (lb, ub float64) {
 	met := v.opt.Metric
 	switch met {
@@ -201,8 +202,8 @@ func (v *VAFile) lowerUpper(q vec.Point, cells []uint32) (lb, ub float64) {
 		var l, u float64
 		for j := 0; j < v.dim; j++ {
 			clo, chi := v.cellBounds(j, cells[j])
-			dl := axisDist(float64(q[j]), clo, chi)
-			du := axisFar(float64(q[j]), clo, chi)
+			dl := vec.AxisDist(float64(q[j]), clo, chi)
+			du := vec.AxisFar(float64(q[j]), clo, chi)
 			l += dl * dl
 			u += du * du
 		}
@@ -211,84 +212,14 @@ func (v *VAFile) lowerUpper(q vec.Point, cells []uint32) (lb, ub float64) {
 		var l, u float64
 		for j := 0; j < v.dim; j++ {
 			clo, chi := v.cellBounds(j, cells[j])
-			if dl := axisDist(float64(q[j]), clo, chi); dl > l {
+			if dl := vec.AxisDist(float64(q[j]), clo, chi); dl > l {
 				l = dl
 			}
-			if du := axisFar(float64(q[j]), clo, chi); du > u {
+			if du := vec.AxisFar(float64(q[j]), clo, chi); du > u {
 				u = du
 			}
 		}
 		return l, u
-	}
-}
-
-func axisDist(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo - v
-	case v > hi:
-		return v - hi
-	default:
-		return 0
-	}
-}
-
-func axisFar(v, lo, hi float64) float64 {
-	return math.Max(math.Abs(v-lo), math.Abs(v-hi))
-}
-
-// distTables holds, per dimension and cell, the squared (Euclidean) or raw
-// (maximum metric) lower/upper distance contribution of that cell for a
-// fixed query point — the classic VA-file trick that turns the per-point
-// bound computation into d table look-ups.
-type distTables struct {
-	met vec.Metric
-	dl  [][]float64
-	du  [][]float64
-}
-
-func (v *VAFile) buildTables(q vec.Point) *distTables {
-	dt := &distTables{met: v.opt.Metric, dl: make([][]float64, v.dim), du: make([][]float64, v.dim)}
-	for j := 0; j < v.dim; j++ {
-		cells := len(v.bounds[j]) - 1
-		dl := make([]float64, cells)
-		du := make([]float64, cells)
-		for c := 0; c < cells; c++ {
-			clo, chi := v.cellBounds(j, uint32(c))
-			l := axisDist(float64(q[j]), clo, chi)
-			u := axisFar(float64(q[j]), clo, chi)
-			if dt.met == vec.Euclidean {
-				l, u = l*l, u*u
-			}
-			dl[c] = l
-			du[c] = u
-		}
-		dt.dl[j] = dl
-		dt.du[j] = du
-	}
-	return dt
-}
-
-// bounds combines the per-dimension table entries into the lower and upper
-// distance bound of one approximation.
-func (dt *distTables) bounds(cells []uint32) (lb, ub float64) {
-	switch dt.met {
-	case vec.Maximum:
-		for j, c := range cells {
-			if v := dt.dl[j][c]; v > lb {
-				lb = v
-			}
-			if v := dt.du[j][c]; v > ub {
-				ub = v
-			}
-		}
-		return lb, ub
-	default: // vec.Euclidean
-		for j, c := range cells {
-			lb += dt.dl[j][c]
-			ub += dt.du[j][c]
-		}
-		return math.Sqrt(lb), math.Sqrt(ub)
 	}
 }
 
@@ -315,13 +246,13 @@ func (v *VAFile) KNN(s *store.Session, q vec.Point, k int) ([]vec.Neighbor, erro
 		return nil, err
 	}
 	s.ChargeApproxCPU(v.aFile, v.dim, v.n)
-	dt := v.buildTables(q)
+	tb := kernel.BoundaryTables(v.bounds, v.opt.Bits, q, v.opt.Metric)
 
 	var ubs vec.KNearest // the k smallest upper bounds
 	ubs.Reset(k)
 	var cands []candidate
 	v.chunks(buf, func(i int, cells []uint32) {
-		lb, ub := dt.bounds(cells)
+		lb, ub := tb.Bounds(cells)
 		if lb <= ubs.Bound() {
 			cands = append(cands, candidate{idx: i, lb: lb})
 		}
@@ -366,7 +297,7 @@ func (v *VAFile) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.
 	}
 	s.ChargeApproxCPU(v.aFile, v.dim, v.n)
 	tr := s.Trace()
-	dt := v.buildTables(q)
+	tb := kernel.BoundaryTables(v.bounds, v.opt.Bits, q, v.opt.Metric)
 	var out []vec.Neighbor
 	var scanErr error
 	entrySize := page.ExactEntrySize(v.dim)
@@ -374,7 +305,7 @@ func (v *VAFile) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]vec.
 		if scanErr != nil {
 			return
 		}
-		lb, _ := dt.bounds(cells)
+		lb, _ := tb.Bounds(cells)
 		if lb > eps {
 			return
 		}

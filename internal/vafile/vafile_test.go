@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -192,23 +193,29 @@ func TestMoreBitsShrinkCandidateSet(t *testing.T) {
 	}
 }
 
+// TestLowerUpperAgreesWithTables checks the kernel tables KNN and
+// RangeSearch read against the per-dimension reference, at 4 bits and at
+// 10, above kernel.TableMaxBits, where grid tables give way to edges but
+// boundary tables do not.
 func TestLowerUpperAgreesWithTables(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	pts := randPoints(r, 500, 7)
-	for _, met := range []vec.Metric{vec.Euclidean, vec.Maximum} {
-		sto := store.NewSim(store.DefaultConfig())
-		v := mustBuild(t, sto, pts, Options{Metric: met, Bits: 4})
-		q := randPoints(r, 1, 7)[0]
-		dt := v.buildTables(q)
-		cells := make([]uint32, v.dim)
-		for _, p := range pts[:50] {
-			for j := 0; j < v.dim; j++ {
-				cells[j] = v.cellOf(j, p[j])
-			}
-			lb1, ub1 := v.lowerUpper(q, cells)
-			lb2, ub2 := dt.bounds(cells)
-			if math.Abs(lb1-lb2) > 1e-9 || math.Abs(ub1-ub2) > 1e-9 {
-				t.Fatalf("%v: direct (%f,%f) vs tables (%f,%f)", met, lb1, ub1, lb2, ub2)
+	for _, bits := range []int{4, 10} {
+		for _, met := range []vec.Metric{vec.Euclidean, vec.Maximum} {
+			sto := store.NewSim(store.DefaultConfig())
+			v := mustBuild(t, sto, pts, Options{Metric: met, Bits: bits})
+			q := randPoints(r, 1, 7)[0]
+			tb := kernel.BoundaryTables(v.bounds, v.opt.Bits, q, met)
+			cells := make([]uint32, v.dim)
+			for _, p := range pts[:50] {
+				for j := 0; j < v.dim; j++ {
+					cells[j] = v.cellOf(j, p[j])
+				}
+				lb1, ub1 := v.lowerUpper(q, cells)
+				lb2, ub2 := tb.Bounds(cells)
+				if math.Abs(lb1-lb2) > 1e-9 || math.Abs(ub1-ub2) > 1e-9 {
+					t.Fatalf("%d bits %v: direct (%f,%f) vs tables (%f,%f)", bits, met, lb1, ub1, lb2, ub2)
+				}
 			}
 		}
 	}
@@ -221,13 +228,13 @@ func TestBoundsBracketTrueDistances(t *testing.T) {
 	sto := store.NewSim(store.DefaultConfig())
 	v := mustBuild(t, sto, pts, Options{Metric: vec.Euclidean, Bits: 3})
 	q := randPoints(r, 1, 5)[0]
-	dt := v.buildTables(q)
+	tb := kernel.BoundaryTables(v.bounds, v.opt.Bits, q, vec.Euclidean)
 	cells := make([]uint32, v.dim)
 	for _, p := range pts {
 		for j := 0; j < v.dim; j++ {
 			cells[j] = v.cellOf(j, p[j])
 		}
-		lb, ub := dt.bounds(cells)
+		lb, ub := tb.Bounds(cells)
 		truth := vec.Euclidean.Dist(q, p)
 		if truth < lb-1e-5 || truth > ub+1e-5 {
 			t.Fatalf("dist %f outside [%f, %f]", truth, lb, ub)

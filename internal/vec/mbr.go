@@ -152,7 +152,7 @@ func (m MBR) MinDist(q Point, met Metric) float64 {
 	case Maximum:
 		var d float64
 		for i, v := range q {
-			d = math.Max(d, axisDist(v, m.Lo[i], m.Hi[i]))
+			d = math.Max(d, AxisDist(float64(v), float64(m.Lo[i]), float64(m.Hi[i])))
 		}
 		return d
 	default:
@@ -164,7 +164,7 @@ func (m MBR) MinDist(q Point, met Metric) float64 {
 func (m MBR) MinSqDist(q Point) float64 {
 	var s float64
 	for i, v := range q {
-		d := axisDist(v, m.Lo[i], m.Hi[i])
+		d := AxisDist(float64(v), float64(m.Lo[i]), float64(m.Hi[i]))
 		s += d * d
 	}
 	return s
@@ -177,14 +177,14 @@ func (m MBR) MaxDist(q Point, met Metric) float64 {
 	case Euclidean:
 		var s float64
 		for i, v := range q {
-			d := axisFarDist(v, m.Lo[i], m.Hi[i])
+			d := AxisFar(float64(v), float64(m.Lo[i]), float64(m.Hi[i]))
 			s += d * d
 		}
 		return math.Sqrt(s)
 	case Maximum:
 		var d float64
 		for i, v := range q {
-			d = math.Max(d, axisFarDist(v, m.Lo[i], m.Hi[i]))
+			d = math.Max(d, AxisFar(float64(v), float64(m.Lo[i]), float64(m.Hi[i])))
 		}
 		return d
 	default:
@@ -192,21 +192,24 @@ func (m MBR) MaxDist(q Point, met Metric) float64 {
 	}
 }
 
-// axisDist is the 1-D distance from v to the interval [lo, hi].
-func axisDist(v, lo, hi float32) float64 {
+// AxisDist is the one-dimensional distance from v to the interval
+// [lo, hi] (0 inside): one axis's contribution to a MINDIST. MBR,
+// quantize.Grid, the kernel tables and the VA-file all build their
+// lower bounds from it.
+func AxisDist(v, lo, hi float64) float64 {
 	switch {
 	case v < lo:
-		return float64(lo) - float64(v)
+		return lo - v
 	case v > hi:
-		return float64(v) - float64(hi)
+		return v - hi
 	default:
 		return 0
 	}
 }
 
-// axisFarDist is the 1-D distance from v to the farther end of [lo, hi].
-func axisFarDist(v, lo, hi float32) float64 {
-	a := math.Abs(float64(v) - float64(lo))
-	b := math.Abs(float64(v) - float64(hi))
-	return math.Max(a, b)
+// AxisFar is the one-dimensional distance from v to the farther end of
+// [lo, hi]: one axis's contribution to a MAXDIST, the upper-bound
+// counterpart of AxisDist.
+func AxisFar(v, lo, hi float64) float64 {
+	return math.Max(math.Abs(v-lo), math.Abs(v-hi))
 }

@@ -36,6 +36,22 @@ func (p Point) Equal(q Point) bool {
 	return true
 }
 
+// Strided returns a deterministic subsample of at most k points: pts
+// itself when it holds no more than k, otherwise k points at stride
+// len(pts)/k from the first. The stride rounds down, so about the last
+// len(pts) mod k points are never picked.
+func Strided(pts []Point, k int) []Point {
+	if len(pts) <= k {
+		return pts
+	}
+	stride := len(pts) / k
+	out := make([]Point, k)
+	for i := range out {
+		out[i] = pts[i*stride]
+	}
+	return out
+}
+
 // Neighbor is one similarity-search result, shared by every access method
 // in this module (IQ-tree, X-tree, VA-file, sequential scan).
 type Neighbor struct {

@@ -34,7 +34,7 @@ func (t *Tree) Finalize() error {
 	pos := 0
 	for _, n := range order {
 		n.pos = pos
-		n.blocks = n.units * t.opt.NodeBlocks
+		n.blocks = n.units
 		if n.leaf {
 			// A leaf needs enough blocks for its points (it can briefly
 			// exceed one unit between overflow and split at capacity+1).

@@ -71,15 +71,15 @@ func chooseLeafSplit(pts []vec.Point, capacity int) (axis, index int) {
 
 // splitDir splits an overfull directory node following the X-tree
 // algorithm: try the topological (R*) split; if its overlap exceeds
-// MaxOverlap, try an overlap-minimal split derived from the split history;
+// maxOverlap, try an overlap-minimal split derived from the split history;
 // if that would be unbalanced, create a supernode instead (returning nil).
 func (t *Tree) splitDir(n *node) *node {
 	children := n.children
 	m := len(children)
-	minEntries := maxInt(2, int(float64(m)*t.opt.MinFanoutRatio))
+	minEntries := maxInt(2, int(float64(m)*minFanoutRatio))
 
 	axis, idx, overlapRatio := chooseDirSplit(children)
-	if overlapRatio <= t.opt.MaxOverlap {
+	if overlapRatio <= maxOverlap {
 		return t.applyDirSplit(n, axis, idx)
 	}
 

@@ -26,25 +26,27 @@ import (
 	"repro/internal/vec"
 )
 
+// The X-tree paper's split parameters.
+const (
+	// maxOverlap is the overlap ratio above which a topological split is
+	// rejected in favor of an overlap-minimal split or a supernode (the
+	// paper's MAX_OVERLAP).
+	maxOverlap = 0.2
+	// minFanoutRatio is the minimum fraction of entries each side of an
+	// overlap-minimal split must receive; below it the split is considered
+	// unbalanced and a supernode is created.
+	minFanoutRatio = 0.35
+)
+
 // Options configures an X-tree.
 type Options struct {
 	// Metric is the query metric. Default Euclidean.
 	Metric vec.Metric
-	// MaxOverlap is the overlap ratio above which a topological split is
-	// rejected in favor of an overlap-minimal split or a supernode.
-	// Default 0.2 (the X-tree paper's MAX_OVERLAP).
-	MaxOverlap float64
-	// MinFanoutRatio is the minimum fraction of entries each side of an
-	// overlap-minimal split must receive; below it the split is considered
-	// unbalanced and a supernode is created. Default 0.35.
-	MinFanoutRatio float64
-	// NodeBlocks is the base size of a node in blocks. Default 1.
-	NodeBlocks int
 }
 
-// DefaultOptions returns the X-tree paper's parameters.
+// DefaultOptions returns the X-tree paper's configuration.
 func DefaultOptions() Options {
-	return Options{Metric: vec.Euclidean, MaxOverlap: 0.2, MinFanoutRatio: 0.35, NodeBlocks: 1}
+	return Options{Metric: vec.Euclidean}
 }
 
 // node is an X-tree node. Directory nodes hold child references; leaves
@@ -83,16 +85,7 @@ type Tree struct {
 
 // New creates an empty X-tree for points of dimensionality dim.
 func New(sto *store.Store, dim int, opt Options) (*Tree, error) {
-	if opt.NodeBlocks <= 0 {
-		opt.NodeBlocks = 1
-	}
-	if opt.MaxOverlap <= 0 {
-		opt.MaxOverlap = 0.2
-	}
-	if opt.MinFanoutRatio <= 0 {
-		opt.MinFanoutRatio = 0.35
-	}
-	nodeBytes := opt.NodeBlocks * sto.Config().BlockSize
+	nodeBytes := sto.Config().BlockSize // a node unit is one block
 	file, err := sto.NewFile("x.tree")
 	if err != nil {
 		return nil, err

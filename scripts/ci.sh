@@ -65,9 +65,11 @@ echo "== build determinism repeat =="
 # per-query loops on up to GOMAXPROCS goroutines, and one plan writes
 # several stores; repeat the schedule-independence and plan tests under
 # the race detector so an order bug between workers cannot hide in one
-# lucky schedule. The shard layer plans each shard once for all its
+# lucky schedule. Every such loop but the split fork is par.For: repeat
+# its own test too. The shard layer plans each shard once for all its
 # replicas, concurrently, and Centroid assigns on several goroutines:
 # repeat the replica-build and Centroid schedule tests the same way.
+go test -race -count=5 -run 'TestForRunsEachIndexOnce' ./internal/par/
 go test -race -count=5 -run 'TestBuildIndependentOfSchedule|TestPlanBuild' ./internal/core/
 go test -race -count=5 -run 'TestNewBuildsReplicasConcurrently|TestCentroidIndependentOfSchedule' ./internal/shard/
 
