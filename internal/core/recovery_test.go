@@ -291,8 +291,8 @@ func TestKillAndRecoverDeleteHeavy(t *testing.T) {
 	}
 }
 
-// TestKillAndRecoverTornTail simulates a crash mid-group-commit: the
-// final WAL record's flush never completed, so its bytes are damaged on
+// TestKillAndRecoverTornTail simulates a crash mid-commit: the final
+// WAL record's flush never completed, so its bytes are damaged on
 // disk and its writer never got an acknowledgement. Recovery must
 // truncate the torn tail — never replay it — and land on the state of
 // the acknowledged prefix.
@@ -304,9 +304,9 @@ func TestKillAndRecoverTornTail(t *testing.T) {
 	twin := buildWALTree(t, base, walTestOptions())
 	applyInsertDeleteMix(t, []*Tree{live, twin}, base, extra)
 
-	// One more insert on the live tree only; then damage its record. Each
-	// commit batch starts on a fresh block, so the damage is confined to
-	// this record.
+	// One more insert on the live tree only; then damage its record. Every
+	// record starts on a fresh block, so the damage is confined to this
+	// record.
 	torn := randPoints(r, 1, 6)[0]
 	if err := live.Insert(live.sto.NewSession(), torn, 777777); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ import (
 //
 // The writer coalesces adjacent queued inserts into one InsertBatch call
 // (up to writeCoalesceMax points). On a WAL-mode tree that turns a burst
-// of single-point submissions into one logical record and one group
-// commit, which is where ingest throughput comes from; every submitter
+// of single-point submissions into one logical record and one commit,
+// which is where ingest throughput comes from; every submitter
 // still gets its own acknowledgement, and an acknowledgement still means
 // applied (and durable when the index logs).
 

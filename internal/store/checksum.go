@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -213,19 +212,19 @@ func (t *sumTable) recorded() int {
 func (s *Store) EnableChecksums() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.checked = true
+	s.checked.Store(true)
 	return s.attachAllSumsLocked()
 }
 
 // attachAllSumsLocked gives every data file on the backend its sum
 // table, creating the canonical wrappers it lacks; a wrapper is cached
-// only once its sums are attached (see File).
+// only once its sums are attached (see File). A sidecar that fails to
+// load does not stop the others: every file that can be verified is,
+// and the first failure is returned.
 func (s *Store) attachAllSumsLocked() error {
+	var first error
 	for _, name := range s.backend.Names() {
-		if IsChecksumFile(name) || IsWALFile(name) {
-			// WAL records carry their own per-record CRC32C, and the log is
-			// appended beneath the File wrapper (group commit must not pay a
-			// sidecar rewrite per batch), so it keeps no sidecar.
+		if keepsNoSums(name) {
 			continue
 		}
 		f := s.files[name]
@@ -237,25 +236,29 @@ func (s *Store) attachAllSumsLocked() error {
 			f = &File{st: s, bf: bf}
 		}
 		if err := s.attachSumsLocked(f, false); err != nil {
-			return err
+			if first == nil {
+				first = err
+			}
+			continue
 		}
 		s.files[name] = f
 	}
-	return nil
+	return first
 }
 
 // Checked reports whether checksums are enabled on the store.
-func (s *Store) Checked() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checked
-}
+func (s *Store) Checked() bool { return s.checked.Load() }
+
+// keepsNoSums reports whether the named file is exempt from checksum
+// sidecars: a sidecar itself, or a log, whose records carry their own
+// CRC32C and which is appended beneath the File wrapper.
+func keepsNoSums(name string) bool { return IsChecksumFile(name) || IsWALFile(name) }
 
 // attachSumsLocked gives f a sum table: loading its sidecar if one
 // exists, computing sums from current content otherwise. truncate
 // forces a fresh empty table (used by NewFile, which truncates data).
 func (s *Store) attachSumsLocked(f *File, truncate bool) error {
-	if f.sums != nil || IsChecksumFile(f.Name()) || IsWALFile(f.Name()) {
+	if f.sums != nil || keepsNoSums(f.Name()) {
 		return nil
 	}
 	side := f.Name() + ChecksumSuffix
@@ -302,27 +305,37 @@ type ScrubReport struct {
 	Corrupt       []CorruptBlock `json:"corrupt,omitempty"`
 }
 
-// Scrub verifies every block of every checksummed data file against its
-// recorded sums and returns the damaged blocks (mismatching content,
+// Scrub verifies every block of every data file on the backend against
+// its recorded sums and returns the damaged blocks (mismatching content,
 // missing sums, or blocks recorded but missing from the file). It reads
 // the backend directly — no cache, no cost accounting — so it sees what
-// is actually at rest. The error return reports scrub infrastructure
-// failures only; corruption is reported in the ScrubReport.
+// is actually at rest. A data file without attached sums (its sidecar
+// failed to load) fails the scrub with an error naming it, because
+// nothing it holds can be verified; otherwise the error return reports
+// scrub infrastructure failures only, and corruption is reported in the
+// ScrubReport.
 func (s *Store) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
-	s.mu.Lock()
-	if !s.checked {
-		s.mu.Unlock()
+	if !s.checked.Load() {
 		return rep, fmt.Errorf("store: scrub requires checksums (EnableChecksums)")
 	}
-	files := make([]*File, 0, len(s.files))
-	for _, f := range s.files {
-		if f.sums != nil {
+	var files []*File
+	var unsummed []string
+	s.mu.Lock()
+	for _, name := range s.backend.Names() {
+		if keepsNoSums(name) {
+			continue
+		}
+		if f := s.files[name]; f != nil && f.sums != nil {
 			files = append(files, f)
+		} else {
+			unsummed = append(unsummed, name)
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(files, func(i, j int) bool { return files[i].Name() < files[j].Name() })
+	if len(unsummed) > 0 {
+		return rep, fmt.Errorf("store: scrub: data files without attached checksums (sidecar missing or unreadable): %q", unsummed)
+	}
 
 	for _, f := range files {
 		blocks := f.Blocks()

@@ -327,3 +327,52 @@ func TestChecksumFailedAttachServesNothing(t *testing.T) {
 		t.Fatalf("damage after the attach not caught: %v", err)
 	}
 }
+
+// TestChecksumHeldWrapperFailsUnverified: a wrapper taken before
+// EnableChecksums, whose sidecar then fails to load, must not serve its
+// bytes unverified. A session read and ReadRaw fail with an error that
+// names the sidecar, and the scrub, which vouches for the whole store,
+// fails naming the file instead of reporting it clean. The failure does
+// not stop the other files' attach: a held wrapper of a sound file
+// after it verifies its reads.
+func TestChecksumHeldWrapperFailsUnverified(t *testing.T) {
+	sto := NewSim(testConfig())
+	f := mustFile(t, sto, "data")
+	mustAppend(t, f, bytes.Repeat([]byte{0x5A}, 128))
+	sound := mustFile(t, sto, "sound")
+	mustAppend(t, sound, bytes.Repeat([]byte{0x5A}, 128))
+	sidecar := "data" + ChecksumSuffix
+	side, err := sto.Backend().Create(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := side.Append([]byte("not a checksum sidecar")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sto.EnableChecksums(); err == nil {
+		t.Fatal("EnableChecksums accepted a sidecar with a bad magic")
+	}
+	corrupt(t, sto, "data", 1, 3) // 0x5a reads back as 0x52
+	corrupt(t, sto, "sound", 1, 3)
+	var cbe *CorruptBlockError
+	if _, err := sto.NewSession().Read(sound, 1, 1); !errors.As(err, &cbe) || cbe.File != "sound" || cbe.Block != 1 {
+		t.Fatalf("held wrapper of a sound file after the failed attach: %v", err)
+	}
+
+	if got, err := sto.NewSession().Read(f, 1, 1); err == nil {
+		t.Fatalf("session read served unverified bytes (byte 0 = %#x)", got[0])
+	} else if !strings.Contains(err.Error(), sidecar) {
+		t.Fatalf("session read error %q does not name the sidecar %s", err, sidecar)
+	}
+	if got, err := f.ReadRaw(1, 1); err == nil {
+		t.Fatalf("ReadRaw served unverified bytes (byte 0 = %#x)", got[0])
+	} else if !strings.Contains(err.Error(), sidecar) {
+		t.Fatalf("ReadRaw error %q does not name the sidecar %s", err, sidecar)
+	}
+
+	rep, err := sto.Scrub()
+	if err == nil || !strings.Contains(err.Error(), `["data"]`) {
+		t.Fatalf("scrub with an unverifiable data file: %d blocks checked, corrupt %+v, error %v",
+			rep.BlocksChecked, rep.Corrupt, err)
+	}
+}

@@ -74,7 +74,7 @@ func (s *Store) CopyFrom(src BlockStore) error {
 	if err != nil {
 		return s.failLocked(err)
 	}
-	if s.checked {
+	if s.checked.Load() {
 		return s.attachAllSumsLocked()
 	}
 	return nil

@@ -47,8 +47,8 @@ func (s *Session) Scratch() any { return s.scratch }
 func (s *Session) SetScratch(v any) { s.scratch = v }
 
 // SetTrace attaches a trace that records every cost event the session
-// charges (and the zero-cost buffer-pool hits and shared reads), per
-// file: it is the session's per-level ledger, and its totals equal
+// charges (and the zero-cost buffer-pool hits), per file: it is the
+// session's per-level ledger, and its totals equal
 // Stats. Pass nil to detach; with none attached the charge paths pay a
 // nil check.
 func (s *Session) SetTrace(t *obs.QueryTrace) { s.tr = t }

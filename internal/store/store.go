@@ -181,11 +181,12 @@ type Store struct {
 	backend BlockStore
 	pool    *BufferPool
 
-	mu      sync.Mutex
-	files   map[string]*File
-	err     error
-	checked bool        // checksums enabled (see checksum.go)
-	retry   RetryPolicy // bounded backoff for transient backend failures
+	checked atomic.Bool // checksums enabled (see checksum.go)
+
+	mu    sync.Mutex
+	files map[string]*File
+	err   error
+	retry RetryPolicy // bounded backoff for transient backend failures
 }
 
 // Wrap layers Store/Session mediation over any backend.
@@ -254,7 +255,7 @@ func (s *Store) NewFile(name string) (*File, error) {
 		s.pool.InvalidateFile(name)
 	}
 	f := &File{st: s, bf: bf}
-	if s.checked {
+	if s.checked.Load() {
 		if err := s.attachSumsLocked(f, true); err != nil {
 			delete(s.files, name)
 			return nil, err
@@ -280,7 +281,7 @@ func (s *Store) File(name string) *File {
 		}
 		f = &File{st: s, bf: bf}
 	}
-	if s.checked {
+	if s.checked.Load() {
 		if err := s.attachSumsLocked(f, false); err != nil {
 			return nil
 		}
@@ -440,12 +441,18 @@ func (f *File) mutate(op func() error) error {
 }
 
 // verifyBlocks checks data read from [pos, pos+nblocks) against the
-// file's checksum sidecar; a no-op when checksums are off.
+// file's checksum sidecar; a no-op when checksums are off. On a checked
+// store a data file whose sums are not attached (its sidecar failed to
+// load) serves nothing, so a wrapper held from before EnableChecksums
+// never reads unverified bytes.
 func (f *File) verifyBlocks(pos int, data []byte, nblocks int) error {
-	if f.sums == nil {
-		return nil
+	if f.sums != nil {
+		return f.sums.verify(f.Name(), pos, data, nblocks)
 	}
-	return f.sums.verify(f.Name(), pos, data, nblocks)
+	if f.st.checked.Load() && !keepsNoSums(f.Name()) {
+		return fmt.Errorf("store: %s is unverified: its checksum sidecar %s is not attached", f.Name(), f.Name()+ChecksumSuffix)
+	}
+	return nil
 }
 
 // Name returns the file name.

@@ -398,8 +398,8 @@ func TestWALExemptFromChecksumSidecars(t *testing.T) {
 			t.Fatal("WAL grew a checksum sidecar")
 		}
 	}
-	// More group commits after enabling; a scrub must stay clean even
-	// though the WAL is appended beneath the File wrapper.
+	// More commits after enabling; a scrub must stay clean even though
+	// the WAL is appended beneath the File wrapper.
 	w.Commit(w.Append(1, []byte("y")))
 	rep, err := sto.Scrub()
 	if err != nil {
@@ -434,11 +434,10 @@ func TestWALCommitAfterFailureStaysFailed(t *testing.T) {
 	}
 }
 
-// TestWALShortBlockRemainderIsPadding: a commit batch that ends one to
-// three bytes before a block boundary leaves a zero remainder too short
-// to hold a length field. Recovery must skip it as padding and read the
-// next batch, not take the straddling bytes as a torn frame and truncate
-// every later acknowledged record.
+// TestWALShortBlockRemainderIsPadding: three records in one commit plus
+// one after it recover as four. Each 21-byte frame takes a 64-byte block
+// of its own, so the scan steps over the zero padding after every frame,
+// within a commit and between commits.
 func TestWALShortBlockRemainderIsPadding(t *testing.T) {
 	backend := NewSimStore(testConfig()) // 64-byte blocks
 	w, err := CreateWAL(backend, "t.wal")
@@ -450,7 +449,7 @@ func TestWALShortBlockRemainderIsPadding(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		lsn = w.Append(1, payload)
 	}
-	if err := w.Commit(lsn); err != nil { // 63 bytes: one byte of padding
+	if err := w.Commit(lsn); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(w.Append(1, payload)); err != nil {
@@ -467,10 +466,12 @@ func TestWALShortBlockRemainderIsPadding(t *testing.T) {
 
 // TestWALCommittedRecordsSurvive is the durability property over the
 // inputs hand-picked cases miss: random block sizes, record sizes and
-// commit splits. Every committed LSN must survive recovery (OpenWAL),
-// inspection, and a copy onto another backend (Copy, then recovery
-// there); a clean log is never reported torn, and a real tear in the
-// last batch is reported and loses nothing committed before it.
+// commit splits. The log has one layout whatever the split: each
+// record's frame, in LSN order, zero-padded to whole blocks. Every
+// committed LSN must survive recovery (OpenWAL), inspection, and a copy
+// onto another backend (Copy, then recovery there); a clean log is never
+// reported torn, and a real tear in the last batch is reported and loses
+// nothing committed before it.
 func TestWALCommittedRecordsSurvive(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 2000; iter++ {
@@ -487,8 +488,8 @@ func TestWALCommittedRecordsSurvive(t *testing.T) {
 			batchStart, beforeLast = src.Lookup("iq.wal").Blocks(), len(want)
 			var lsn uint64
 			for n := 1 + r.Intn(5); n > 0; n-- {
-				// A 256-byte frame has a zero low length byte: started one byte
-				// before a block boundary it would read as padding.
+				// A 256-byte frame has a zero low length byte, so a reader
+				// that took a zero byte for padding would drop it.
 				size := 256 - walHeaderSize
 				if r.Intn(3) > 0 {
 					size = r.Intn(3 * cfg.BlockSize)
@@ -502,6 +503,18 @@ func TestWALCommittedRecordsSurvive(t *testing.T) {
 			if err := w.Commit(lsn); err != nil {
 				t.Fatal(err)
 			}
+		}
+		var layout []byte
+		for _, rec := range want {
+			layout = append(layout, encodeWALFrame(rec.LSN, rec.Kind, rec.Payload)...)
+			if rem := len(layout) % cfg.BlockSize; rem != 0 {
+				layout = append(layout, make([]byte, cfg.BlockSize-rem)...)
+			}
+		}
+		bf := src.Lookup("iq.wal")
+		if raw, err := bf.ReadBlocks(0, bf.Blocks()); err != nil || !bytes.Equal(raw, layout) {
+			t.Fatalf("iter %d (block %d): the log is not its %d frames, each padded to whole blocks (%d bytes, want %d; %v)",
+				iter, cfg.BlockSize, len(want), bf.Bytes(), len(layout), err)
 		}
 		check := func(what string, got []WALRecord, torn bool) {
 			t.Helper()
@@ -540,7 +553,6 @@ func TestWALCommittedRecordsSurvive(t *testing.T) {
 		check("OpenWAL", recs, info.Torn)
 
 		// Tear the last batch: flip a bit in its first frame's header.
-		bf := src.Lookup("iq.wal")
 		blk, err := bf.ReadBlocks(batchStart, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -74,9 +74,12 @@ go test -race -count=5 -run 'TestBuildIndependentOfSchedule|TestPlanBuild' ./int
 go test -race -count=5 -run 'TestNewBuildsReplicasConcurrently|TestCentroidIndependentOfSchedule' ./internal/shard/
 
 echo "== WAL recovery repeat =="
-# Recovery once lost acknowledged records only for some commit layouts;
-# repeat the WAL suite so a layout-dependent regression cannot hide.
+# Every record starts on a block boundary, so a log has one layout
+# whatever its commits; the repeat guards torn tails and LSN order.
+# Concurrent committers are the only traffic that puts several frames
+# in one flush, so their test also runs under the race detector.
 go test -count=20 -run TestWAL ./internal/store/
+go test -race -count=10 -run TestWALGroupCommit ./internal/store/
 
 echo "== figures golden =="
 # The simulated-time figure series are deterministic: any change to
