@@ -15,7 +15,7 @@ import (
 	"repro/internal/vec"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/query_costs.golden")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata")
 
 // TestQueryCostGolden pins the per-query cost and answer of a seeded
 // query mix: session Stats, the trace's label, batch decisions and page

@@ -123,6 +123,28 @@ func (p *BufferPool) Stats() PoolStats {
 	}
 }
 
+// BlockID names one block of a store file.
+type BlockID struct {
+	File string
+	Pos  int
+}
+
+// Resident lists the blocks the pool holds, most recently used first:
+// those on the ordinary list and those on the evict-first list. It
+// changes no recency, so tests and tools can inspect what a sequence of
+// writes and reads left resident.
+func (p *BufferPool) Resident() (ordinary, evictFirst []BlockID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out [2][]BlockID
+	for i := range p.lists {
+		for fr := p.lists[i].head; fr != nil; fr = fr.next {
+			out[i] = append(out[i], BlockID{File: fr.key.name, Pos: fr.key.pos})
+		}
+	}
+	return out[0], out[1]
+}
+
 // missRun is a maximal contiguous run of blocks absent from the pool.
 type missRun struct {
 	pos, n int
