@@ -100,7 +100,7 @@ func (b *builder) frontier() []*bnode {
 func (b *builder) plan(frontier []*bnode) []planPage {
 	out := make([]planPage, len(frontier))
 	for i, n := range frontier {
-		out[i] = planPage{lo: n.lo, hi: n.hi, bits: n.bits}
+		out[i] = planPage{lo: n.lo, hi: n.hi, bits: n.bits, mbr: n.mbr}
 	}
 	return out
 }
@@ -345,10 +345,118 @@ func (b *builder) optimize(roots []*bnode) []*bnode {
 
 // planPage is one page of a computed layout — the unit of work of
 // Plan.Build and of the incremental reoptimizer. Its points are
-// perm[lo:hi] of the builder that planned it.
+// perm[lo:hi] of the builder that planned it, and mbr is their MBR as
+// the split tree computed it.
 type planPage struct {
 	lo, hi int
 	bits   int
+	mbr    vec.MBR
+}
+
+// chunkBytes bounds the page bytes Plan.Build encodes between two
+// appends: a chunk is the next pages in layout order whose quantized and
+// exact pages fit in it together, or one page that alone does not.
+const chunkBytes = 1 << 20
+
+// writePlanned writes p's pages into the tree's empty quantized and
+// exact files and fills sn's directory with them, chunk by chunk. The
+// calling goroutine sets the directory entries from the plan, copying
+// every page's split-tree MBR into one slab for the tree; par.For
+// workers encode a chunk's pages into two block-aligned buffers, reused
+// for every chunk; and each buffer goes to its file in one append, the
+// exact pages first as in writePage. Encoding a page allocates nothing,
+// and what the tree keeps (its entries, grids and MBR slab) is allocated
+// here, once per tree.
+func (t *Tree) writePlanned(p *Plan, sn *snapshot) error {
+	n, d, bs := len(p.pages), t.dim, t.blockSize
+	cfg := t.sto.Config()
+	sn.entries = make([]page.DirEntry, n)
+	sn.grids = make([]quantize.Grid, n)
+	sn.free = make([]bool, n)
+	sn.entryAt = make([]int32, 0, n)
+	slab := make([]float32, 2*d*n)
+	var chunks []int // first page of every chunk, then n
+	var qBytes, eBytes, maxQ, maxE, maxPts int
+	for i, pp := range p.pages {
+		box := slab[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
+		mbr := vec.MBR{Lo: box[:d:d], Hi: box[d:]}
+		copy(mbr.Lo, pp.mbr.Lo)
+		copy(mbr.Hi, pp.mbr.Hi)
+		e := &sn.entries[i]
+		e.Count, e.Bits, e.Base, e.MBR = uint32(pp.hi-pp.lo), uint8(pp.bits), uint32(pp.lo), mbr
+		sn.grids[i] = quantize.NewGrid(e.MBR, pp.bits)
+		if pp.bits < quantize.ExactBits {
+			e.EBlocks = uint32(cfg.Blocks((pp.hi - pp.lo) * page.ExactEntrySize(d)))
+		}
+		eb := int(e.EBlocks) * bs
+		if i == 0 || qBytes+eBytes+bs+eb > chunkBytes {
+			chunks, qBytes, eBytes = append(chunks, i), 0, 0
+		}
+		qBytes, eBytes = qBytes+bs, eBytes+eb
+		maxQ, maxE = max(maxQ, qBytes), max(maxE, eBytes)
+		maxPts = max(maxPts, pp.hi-p.pages[chunks[len(chunks)-1]].lo)
+	}
+	chunks = append(chunks, n)
+
+	qbuf, ebuf := make([]byte, maxQ), make([]byte, maxE)
+	pts, ids := make([]vec.Point, maxPts), make([]uint32, maxPts) // aliasing p.pts
+	for c := 0; c+1 < len(chunks); c++ {
+		a, b := chunks[c], chunks[c+1]
+		// Positions relative to the chunk until its appends return.
+		eblocks := 0
+		for i := a; i < b; i++ {
+			e := &sn.entries[i]
+			e.QPos = uint32(i - a)
+			if e.EBlocks > 0 {
+				e.EPos = uint32(eblocks)
+				eblocks += int(e.EBlocks)
+			}
+		}
+		base := p.pages[a].lo
+		par.For(b-a, func() func(int) {
+			return func(k int) {
+				pp, e := p.pages[a+k], &sn.entries[a+k]
+				pts, ids := pts[pp.lo-base:pp.hi-base], ids[pp.lo-base:pp.hi-base]
+				for j, idx := range p.perm[pp.lo:pp.hi] {
+					pts[j], ids[j] = p.pts[idx], uint32(idx)
+				}
+				encodePage(qbuf[k*bs:(k+1)*bs], ebuf[int(e.EPos)*bs:int(e.EPos+e.EBlocks)*bs], sn.grids[a+k], pts, ids)
+			}
+		})
+		epos := 0
+		if eblocks > 0 {
+			var err error
+			if epos, _, err = t.eFile.Append(ebuf[:eblocks*bs]); err != nil {
+				return err
+			}
+		}
+		qpos, _, err := t.qFile.Append(qbuf[:(b-a)*bs])
+		if err != nil {
+			return err
+		}
+		for i := a; i < b; i++ {
+			e := &sn.entries[i]
+			e.QPos += uint32(qpos)
+			if e.EBlocks > 0 {
+				e.EPos += uint32(epos)
+			}
+			sn.setOwner(int(e.QPos), i)
+		}
+	}
+	return nil
+}
+
+// encodePage encodes one page of pts with their ids under grid: its
+// quantized page into qbuf and, at a compressed level, its exact page
+// into ebuf; a 32-bit page holds its ids itself and has no exact page.
+// It is the one page encoder, shared by writePage and writePlanned.
+func encodePage(qbuf, ebuf []byte, grid quantize.Grid, pts []vec.Point, ids []uint32) {
+	if grid.Exact() {
+		page.EncodeQPage(qbuf, grid, pts, ids)
+		return
+	}
+	page.EncodeExact(ebuf, pts, ids)
+	page.EncodeQPage(qbuf, grid, pts, nil)
 }
 
 // writePage appends one version of a page holding pts with their ids at
@@ -362,16 +470,20 @@ func (t *Tree) writePage(qf, ef *store.File, e *page.DirEntry, pts []vec.Point, 
 	mbr := vec.MBROf(pts)
 	grid := quantize.NewGrid(mbr, bits)
 	e.Count, e.Bits, e.MBR = uint32(len(pts)), uint8(bits), mbr
-	qids := ids // a 32-bit page holds its ids; a compressed one leaves them to its exact page
-	if bits < quantize.ExactBits {
-		qids = nil
-		if epos, eblocks, err := ef.Append(page.MarshalExact(pts, ids)); err == nil {
+	qbuf := make([]byte, t.qPageBytes())
+	var ebuf []byte
+	if !grid.Exact() {
+		ebuf = make([]byte, len(pts)*page.ExactEntrySize(t.dim))
+	}
+	encodePage(qbuf, ebuf, grid, pts, ids)
+	if ebuf != nil {
+		if epos, eblocks, err := ef.Append(ebuf); err == nil {
 			e.EPos, e.EBlocks = uint32(epos), uint32(eblocks)
 		}
 	} else {
 		e.EPos, e.EBlocks = 0, 0
 	}
-	bpos, _, err := qf.Append(page.MarshalQPage(grid, pts, qids, t.qPageBytes()))
+	bpos, _, err := qf.Append(qbuf)
 	if err != nil {
 		return grid, false
 	}

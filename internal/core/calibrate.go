@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/mathx"
@@ -25,7 +27,8 @@ const calibrationQueries = 16
 // volume. A wrong scale shifts the split/quantize trade-off against the
 // constant (per-page) cost, so we pin it empirically: sample a few query
 // points from the data (queries follow the data distribution), find their
-// true nearest-neighbor distances by brute force, count how many point
+// true nearest-neighbor distances (an exact search over the initial
+// ranges, nnRadii), count how many point
 // approximations of the initial 1-bit configuration would need
 // refinement, and compare with the model's prediction for the same
 // configuration.
@@ -34,7 +37,7 @@ func (b *builder) calibrateRefinement(ranges []partRange) float64 {
 	if len(queries) == 0 {
 		return 1
 	}
-	radii := b.nnRadii(queries)
+	radii := b.nnRadii(queries, ranges)
 
 	var predicted float64
 	for _, r := range ranges {
@@ -116,19 +119,42 @@ func (b *builder) sampleQueries() []vec.Point {
 	return vec.Strided(b.pts, calibrationQueries)
 }
 
-// nnRadii computes, by brute force, the nearest-neighbor distance of each
-// query over the whole database, excluding the query point itself. The
-// queries run in parallel.
-func (b *builder) nnRadii(queries []vec.Point) []float64 {
-	met := b.opt.Metric
+// nnRadii computes the nearest-neighbor distance of each query over the
+// whole database, excluding the points at distance 0 (the query point
+// itself and its duplicates; a query all points equal gets +Inf). Each
+// query visits the initial ranges in MINDIST order, scanning their rows,
+// and stops at the first range whose MINDIST is at least the best
+// distance so far: every point of a range lies at least its MINDIST
+// away, in the same float64 arithmetic (each axis gap of MinDist is at
+// most the point's coordinate difference, and both sum or take the
+// maximum in dimension order), so a skipped point never improves the
+// best and every radius equals a scan of all points. The queries run in
+// parallel.
+func (b *builder) nnRadii(queries []vec.Point, ranges []partRange) []float64 {
+	met, d := b.opt.Metric, b.dim
 	radii := make([]float64, len(queries))
+	type rangeDist struct {
+		r    int
+		dist float64
+	}
 	par.For(len(queries), func() func(int) {
+		order := make([]rangeDist, len(ranges))
 		return func(qi int) {
+			q := queries[qi]
+			for i, r := range ranges {
+				order[i] = rangeDist{i, r.mbr.MinDist(q, met)}
+			}
+			slices.SortFunc(order, func(x, y rangeDist) int { return cmp.Compare(x.dist, y.dist) })
 			best := math.Inf(1)
-			for _, p := range b.pts {
-				d := met.Dist(queries[qi], p)
-				if d > 0 && d < best {
-					best = d
+			for _, o := range order {
+				if o.dist >= best {
+					break
+				}
+				r := ranges[o.r]
+				for off := r.lo * d; off < r.hi*d; off += d {
+					if dist := met.Dist(q, b.rows[off:off+d]); dist > 0 && dist < best {
+						best = dist
+					}
 				}
 			}
 			radii[qi] = best

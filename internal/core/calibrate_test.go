@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/dataset"
 	"repro/internal/kernel"
 	"repro/internal/mathx"
@@ -22,7 +23,7 @@ func referenceCalibration(b *builder, ranges []partRange) (factor, observed floa
 	if len(queries) == 0 {
 		return 1, 0
 	}
-	radii := b.nnRadii(queries)
+	radii := fullScanRadii(b, queries)
 
 	var predicted float64
 	for _, r := range ranges {
@@ -61,6 +62,66 @@ func referenceCalibration(b *builder, ranges []partRange) (factor, observed floa
 		return 1, observed
 	}
 	return mathx.Clamp(observed/predicted, 0.25, 32), observed
+}
+
+// fullScanRadii is the reference for nnRadii: each query's distance to
+// its nearest point at a distance above 0, over a scan of all points.
+func fullScanRadii(b *builder, queries []vec.Point) []float64 {
+	radii := make([]float64, len(queries))
+	for qi, q := range queries {
+		radii[qi] = math.Inf(1)
+		for _, p := range b.pts {
+			if d := b.opt.Metric.Dist(q, p); d > 0 && d < radii[qi] {
+				radii[qi] = d
+			}
+		}
+	}
+	return radii
+}
+
+// TestNNRadiiMatchFullScan checks that the calibration radii, found by
+// visiting the initial ranges in MINDIST order and stopping at the first
+// that cannot hold a nearer point, are bit-identical to a scan of all
+// points: on the four generated sets, on 7 points repeated, and on a set
+// whose points all equal one query (radius +Inf), under both metrics.
+func TestNNRadiiMatchFullScan(t *testing.T) {
+	inputs := map[string][]vec.Point{}
+	for _, name := range []dataset.Name{dataset.Uniform, dataset.CAD, dataset.Color, dataset.Weather} {
+		pts, err := dataset.Generate(name, 1, 5000, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[string(name)] = pts
+	}
+	seven := randPoints(rand.New(rand.NewSource(34)), 7, 8)
+	dups, same := make([]vec.Point, 20000), make([]vec.Point, 5000)
+	for i := range dups {
+		dups[i] = seven[i%len(seven)]
+	}
+	for i := range same {
+		same[i] = seven[0]
+	}
+	inputs["duplicates"], inputs["all-equal"] = dups, same
+	cfg := store.DefaultConfig()
+	for name, pts := range inputs {
+		for _, met := range []vec.Metric{vec.Euclidean, vec.Maximum} {
+			opt := DefaultOptions()
+			opt.Metric = met
+			g := geometry{dim: len(pts[0]), blockSize: cfg.BlockSize}
+			b := newBuilder(g, opt, costmodel.Model{Disk: cfg, Metric: met, Dim: g.dim, N: len(pts)}, pts)
+			ranges := b.initialRanges()
+			queries := b.sampleQueries()
+			got, want := b.nnRadii(queries, ranges), fullScanRadii(b, queries)
+			for qi := range want {
+				if math.Float64bits(got[qi]) != math.Float64bits(want[qi]) {
+					t.Errorf("%s %v query %d: radius %v, full scan %v", name, met, qi, got[qi], want[qi])
+				}
+			}
+			if name == "all-equal" && !math.IsInf(want[0], 1) {
+				t.Fatalf("all-equal %v: full-scan radius %v, want +Inf", met, want[0])
+			}
+		}
+	}
 }
 
 func TestCalibrationMatchesPerQueryReference(t *testing.T) {

@@ -105,39 +105,46 @@ func QPageCapacity(payloadBytes, d, bits int) int {
 	return payloadBytes * 8 / (d * bits)
 }
 
-// MarshalQPage encodes a quantized data page of exactly pageBytes bytes.
-// For bits < 32 the points are grid-quantized relative to grid.MBR; for
-// bits = 32 exact coordinates and ids are stored. ids is required only for
-// 32-bit pages.
+// MarshalQPage encodes a quantized data page of exactly pageBytes bytes
+// (EncodeQPage into a fresh buffer).
 func MarshalQPage(grid quantize.Grid, pts []vec.Point, ids []uint32, pageBytes int) []byte {
+	buf := make([]byte, pageBytes)
+	EncodeQPage(buf, grid, pts, ids)
+	return buf
+}
+
+// EncodeQPage encodes a quantized data page into buf, which is the whole
+// page. For bits < 32 the points are grid-quantized relative to
+// grid.MBR; for bits = 32 exact coordinates and ids are stored. ids is
+// required only for 32-bit pages. The bytes past the payload are
+// zeroed, so buf may hold an earlier page.
+func EncodeQPage(buf []byte, grid quantize.Grid, pts []vec.Point, ids []uint32) {
 	d := grid.Dim()
-	if QPageCapacity(pageBytes-QHeaderSize, d, grid.Bits) < len(pts) {
+	if QPageCapacity(len(buf)-QHeaderSize, d, grid.Bits) < len(pts) {
 		panic(fmt.Sprintf("page: %d points exceed quantized page capacity at %d bits", len(pts), grid.Bits))
 	}
-	buf := make([]byte, pageBytes)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], uint32(len(pts)))
-	buf[4] = uint8(grid.Bits)
+	buf[4], buf[5], buf[6], buf[7] = uint8(grid.Bits), 0, 0, 0
+	end := QHeaderSize
 	if grid.Exact() {
 		if len(ids) != len(pts) {
 			panic("page: exact quantized page requires ids")
 		}
-		off := QHeaderSize
 		for _, p := range pts {
 			for _, v := range p {
-				le.PutUint32(buf[off:], math.Float32bits(v))
-				off += 4
+				le.PutUint32(buf[end:], math.Float32bits(v))
+				end += 4
 			}
 		}
 		for _, id := range ids {
-			le.PutUint32(buf[off:], id)
-			off += 4
+			le.PutUint32(buf[end:], id)
+			end += 4
 		}
-		return buf
+	} else {
+		end += quantize.PackInto(buf[QHeaderSize:], grid, pts)
 	}
-	packed := quantize.Pack(grid, pts)
-	copy(buf[QHeaderSize:], packed)
-	return buf
+	clear(buf[end:])
 }
 
 // QPage is a decoded quantized data page header plus raw payload.
@@ -191,7 +198,8 @@ func (p QPage) ExactPoints(d int) ([]vec.Point, []uint32) {
 func ExactEntrySize(d int) int { return 4*d + 4 }
 
 // MarshalExact encodes the third-level exact page: one entry per point,
-// coordinates followed by the point id.
+// coordinates followed by the point id (EncodeExact into a fresh buffer
+// of exactly that size).
 func MarshalExact(pts []vec.Point, ids []uint32) []byte {
 	if len(pts) != len(ids) {
 		panic("page: points/ids length mismatch")
@@ -199,8 +207,20 @@ func MarshalExact(pts []vec.Point, ids []uint32) []byte {
 	if len(pts) == 0 {
 		return nil
 	}
-	d := len(pts[0])
-	buf := make([]byte, len(pts)*ExactEntrySize(d))
+	buf := make([]byte, len(pts)*ExactEntrySize(len(pts[0])))
+	EncodeExact(buf, pts, ids)
+	return buf
+}
+
+// EncodeExact encodes the exact page of pts and their ids into the start
+// of buf and zeroes the rest of it, so buf may hold an earlier page.
+func EncodeExact(buf []byte, pts []vec.Point, ids []uint32) {
+	if len(pts) != len(ids) {
+		panic("page: points/ids length mismatch")
+	}
+	if len(pts) > 0 && len(buf) < len(pts)*ExactEntrySize(len(pts[0])) {
+		panic(fmt.Sprintf("page: %d-byte buffer for %d exact entries", len(buf), len(pts)))
+	}
 	le := binary.LittleEndian
 	off := 0
 	for i, p := range pts {
@@ -211,7 +231,7 @@ func MarshalExact(pts []vec.Point, ids []uint32) []byte {
 		le.PutUint32(buf[off:], ids[i])
 		off += 4
 	}
-	return buf
+	clear(buf[off:])
 }
 
 // UnmarshalExactEntry decodes one exact-point entry of dimensionality d.

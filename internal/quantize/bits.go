@@ -108,15 +108,30 @@ func PackedSize(n, d, bits int) int {
 
 // Pack encodes points into a bit-packed approximation stream using grid g.
 func Pack(g Grid, pts []vec.Point) []byte {
-	w := NewBitWriter(len(pts) * g.Dim() * g.Bits)
-	cells := make([]uint32, g.Dim())
+	buf := make([]byte, PackedSize(len(pts), g.Dim(), g.Bits))
+	PackInto(buf, g, pts)
+	return buf
+}
+
+// PackInto writes the stream Pack returns into the first
+// PackedSize(len(pts), d, g.Bits) bytes of dst and returns that length.
+// It allocates nothing for d ≤ 32, so a caller can encode many pages
+// into one reused buffer.
+func PackInto(dst []byte, g Grid, pts []vec.Point) int {
+	n := PackedSize(len(pts), g.Dim(), g.Bits)
+	if len(dst) < n {
+		panic(fmt.Sprintf("quantize: %d-byte buffer for a %d-byte stream", len(dst), n))
+	}
+	var stack [32]uint32
+	cells := stack[:0]
+	w := BitWriter{buf: dst[:0:n]}
 	for _, p := range pts {
 		cells = g.Encode(p, cells)
 		for _, c := range cells {
 			w.Write(c, g.Bits)
 		}
 	}
-	return w.Bytes()
+	return n
 }
 
 // Unpack decodes n points' cell indices from a stream produced by Pack.

@@ -94,6 +94,45 @@ func TestAppendAlignsToBlocks(t *testing.T) {
 	})
 }
 
+// TestAppendWholeAndPartialBlocks appends a buffer of whole blocks, which
+// a backend may write as is, and one that ends mid-block, which it pads:
+// both must read back with their bytes, zeros after the partial one, at
+// the positions and block counts Append returned, and a later change to
+// the caller's buffer must not reach the file.
+func TestAppendWholeAndPartialBlocks(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, sto *Store) {
+		bs := sto.Config().BlockSize
+		fill := func(n int, seed byte) []byte {
+			p := make([]byte, n)
+			for i := range p {
+				p[i] = seed + byte(i%251)
+			}
+			return p
+		}
+		f := mustFile(t, sto, "t")
+		whole, partial := fill(3*bs, 1), fill(bs+bs/2, 7)
+		if pos, n := mustAppend(t, f, whole); pos != 0 || n != 3 {
+			t.Fatalf("whole-block append pos=%d n=%d, want 0 3", pos, n)
+		}
+		if pos, n := mustAppend(t, f, partial); pos != 3 || n != 2 {
+			t.Fatalf("partial-block append pos=%d n=%d, want 3 2", pos, n)
+		}
+		want := append(append(append([]byte(nil), whole...), partial...), make([]byte, bs/2)...)
+		clear(whole)
+		clear(partial)
+		if f.Blocks() != 5 || f.Bytes() != 5*bs {
+			t.Fatalf("blocks=%d bytes=%d, want 5 blocks", f.Blocks(), f.Bytes())
+		}
+		got, err := f.ReadRaw(0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("appended blocks read back wrong")
+		}
+	})
+}
+
 func TestReadRoundtripAndCost(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, sto *Store) {
 		f := mustFile(t, sto, "t")

@@ -276,6 +276,8 @@ func (f *osFile) ReadBlocks(pos, nblocks int) ([]byte, error) {
 }
 
 // Append writes p at the end of the file, padded to a block boundary.
+// A p of whole blocks is written as is; any other is copied into a
+// zero-padded buffer first.
 func (f *osFile) Append(p []byte) (pos, nblocks int, err error) {
 	bs := f.d.cfg.BlockSize
 	f.mu.Lock()
@@ -285,8 +287,11 @@ func (f *osFile) Append(p []byte) (pos, nblocks int, err error) {
 	if nblocks == 0 {
 		nblocks = 1 // even an empty page occupies one block
 	}
-	buf := make([]byte, nblocks*bs)
-	copy(buf, p)
+	buf := p
+	if len(p) != nblocks*bs {
+		buf = make([]byte, nblocks*bs)
+		copy(buf, p)
+	}
 	if _, err := f.h.WriteAt(buf, f.size); err != nil {
 		return 0, 0, fmt.Errorf("file: append to %s: %w", f.name, err)
 	}
