@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/page"
+	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -154,4 +156,26 @@ func TestPlanBuild(t *testing.T) {
 		}
 		assertSameFiles(t, "after a failed Build", backendFiles(t, clean), backendFiles(t, ref))
 	})
+}
+
+// TestEncodePageAllocatesNothing holds the page encoder that Plan.Build's
+// workers run to the buffers it is given: a compressed page with its
+// exact page, and a 32-bit page, encode without an allocation.
+func TestEncodePageAllocatesNothing(t *testing.T) {
+	cfg := store.DefaultConfig()
+	g := geometry{dim: 16, blockSize: cfg.BlockSize}
+	pts := dataset.GenCAD(5, g.pageCapacity(8))
+	ids := make([]uint32, len(pts))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	qbuf := make([]byte, g.qPageBytes())
+	ebuf := make([]byte, cfg.Blocks(len(pts)*page.ExactEntrySize(g.dim))*cfg.BlockSize)
+	for _, bits := range []int{8, quantize.ExactBits} {
+		n := g.pageCapacity(bits)
+		grid := quantize.NewGrid(vec.MBROf(pts[:n]), bits)
+		if allocs := testing.AllocsPerRun(20, func() { encodePage(qbuf, ebuf, grid, pts[:n], ids[:n]) }); allocs != 0 {
+			t.Errorf("%d-bit page: %v allocations per encoding, want 0", bits, allocs)
+		}
+	}
 }

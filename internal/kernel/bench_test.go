@@ -3,8 +3,10 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/quantize"
 	"repro/internal/vec"
@@ -25,19 +27,27 @@ func benchPage(bits, n, dim int) (quantize.Grid, []byte, vec.Point, [][]uint32) 
 	return g, payload, q, cells
 }
 
+// filterPairs is the number of interleaved naive/kernel samples
+// BenchmarkQuantizedFilter takes; odd, so the median is one pair's.
+const filterPairs = 21
+
 // BenchmarkQuantizedFilter compares the naive filter inner loop
 // (BitReader decode + Grid.MinDist/MaxDist per point — the pre-kernel
 // code path, kept here as the reference for the ci.sh speedup gate)
-// against the kernel path (bulk unpack + table lookups).
+// against the kernel path (bulk unpack + table lookups). It times b.N
+// pages of each in filterPairs interleaved pairs, alternating which
+// runs first, and reports the kernel's ns/op and the median of the
+// per-pair naive/kernel ratios, so host drift lands on both sides of a
+// pair instead of on one side's samples.
 func BenchmarkQuantizedFilter(b *testing.B) {
 	const n, dim, bits = 256, 16, 8
 	g, payload, q, _ := benchPage(bits, n, dim)
 	met := vec.Euclidean
-
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		cells := make([]uint32, dim)
-		var sink float64
+	cells := make([]uint32, dim)
+	var a Arena
+	var sink float64
+	naive := func() time.Duration {
+		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			r := quantize.NewBitReader(payload)
 			for p := 0; p < n; p++ {
@@ -48,13 +58,10 @@ func BenchmarkQuantizedFilter(b *testing.B) {
 				sink += g.MaxDist(q, cells, met)
 			}
 		}
-		_ = sink
-	})
-
-	b.Run("kernel", func(b *testing.B) {
-		b.ReportAllocs()
-		var a Arena
-		var sink float64
+		return time.Since(start)
+	}
+	kernel := func() time.Duration {
+		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			codes := a.Unpack(payload, n*dim, bits)
 			tb := a.Tables(g, q, met, n)
@@ -63,8 +70,25 @@ func BenchmarkQuantizedFilter(b *testing.B) {
 				sink += lb + ub
 			}
 		}
-		_ = sink
-	})
+		return time.Since(start)
+	}
+	ratios := make([]float64, filterPairs)
+	var total time.Duration
+	b.ResetTimer()
+	for p := range ratios {
+		var tn, tk time.Duration
+		if p%2 == 0 {
+			tn, tk = naive(), kernel()
+		} else {
+			tk, tn = kernel(), naive()
+		}
+		ratios[p] = float64(tn) / float64(tk)
+		total += tk
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(float64(total.Nanoseconds())/float64(filterPairs*b.N), "ns/op")
+	b.ReportMetric(ratios[filterPairs/2], "naive/kernel")
+	_ = sink
 }
 
 // BenchmarkKernelMinDist measures the per-point lower-bound cost alone,

@@ -1,6 +1,7 @@
 package page
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,46 @@ func TestQPageRoundtripExact(t *testing.T) {
 	for i := range pts {
 		if !gotPts[i].Equal(pts[i]) || gotIDs[i] != ids[i] {
 			t.Fatalf("exact roundtrip mismatch at %d", i)
+		}
+	}
+}
+
+// TestEncodeOverwritesReusedBuffer encodes pages into buffers that hold
+// other bytes, as a reused chunk buffer does: the result must equal a
+// fresh encoding, zeros after the payload included, at every level and
+// for a page that does not fill its buffer.
+func TestEncodeOverwritesReusedBuffer(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	const d, pageBytes = 16, 4096
+	for _, bits := range quantize.Levels {
+		n := QPageCapacity(pageBytes-QHeaderSize, d, bits) / 3
+		pts := randPoints(r, n, d)
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = r.Uint32()
+		}
+		grid := quantize.NewGrid(vec.MBROf(pts), bits)
+		qids := ids
+		if !grid.Exact() {
+			qids = nil
+		}
+		dirty := func(n int) []byte {
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = 0xa5
+			}
+			return buf
+		}
+		qbuf := dirty(pageBytes)
+		EncodeQPage(qbuf, grid, pts, qids)
+		if want := MarshalQPage(grid, pts, qids, pageBytes); !bytes.Equal(qbuf, want) {
+			t.Errorf("%d-bit page encoded into a used buffer differs from a fresh one", bits)
+		}
+		want := MarshalExact(pts, ids)
+		ebuf := dirty(len(want) + 100)
+		EncodeExact(ebuf, pts, ids)
+		if !bytes.Equal(ebuf[:len(want)], want) || !bytes.Equal(ebuf[len(want):], make([]byte, 100)) {
+			t.Errorf("%d-bit exact page encoded into a used buffer differs from a fresh one", bits)
 		}
 	}
 }
