@@ -47,7 +47,8 @@ var (
 // its points by their index in the pinned snapshot's page order, and
 // the step that writes the page reads them back from the pinned pages,
 // which copy-on-write leaves in place until the swap. A run in flight
-// thus holds about four bytes per point, not the points.
+// thus holds about four bytes per point and one MBR per planned page,
+// not the points.
 type reoptState struct {
 	plan    []planPage
 	perm    []int32         // plan page p holds points perm[p.lo:p.hi]
