@@ -80,12 +80,19 @@ func TestQueryCostGolden(t *testing.T) {
 			func(s *store.Session) ([]Neighbor, error) { return tr.RangeSearch(s, q, 0.5) })
 	}
 
-	path := filepath.Join("testdata", "query_costs.golden")
+	checkGolden(t, "query_costs.golden", b.String())
+}
+
+// checkGolden compares got with the file of that name under testdata,
+// line by line, or with -update-golden writes got there.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -94,8 +101,7 @@ func TestQueryCostGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines := strings.Split(b.String(), "\n")
-	wantLines := strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 		var g, w string
 		if i < len(gotLines) {
@@ -105,7 +111,7 @@ func TestQueryCostGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("golden line %d differs:\n got: %s\nwant: %s", i+1, g, w)
+			t.Errorf("%s line %d differs:\n got: %s\nwant: %s", name, i+1, g, w)
 		}
 	}
 }

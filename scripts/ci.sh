@@ -70,9 +70,11 @@ echo "== build determinism repeat =="
 # replicas, concurrently, and Centroid assigns on several goroutines:
 # repeat the replica-build and Centroid schedule tests the same way.
 # The build-files golden pins every byte a build writes and the frames
-# a pool attached before the build keeps; repeat it with them.
+# a pool attached before the build keeps, and the reoptimize-files
+# golden the same after streams of rewrites under auto-reoptimization;
+# repeat both with them.
 go test -race -count=5 -run 'TestForRunsEachIndexOnce' ./internal/par/
-go test -race -count=5 -run 'TestBuildIndependentOfSchedule|TestPlanBuild|TestBuildFilesGolden' ./internal/core/
+go test -race -count=5 -run 'TestBuildIndependentOfSchedule|TestPlanBuild|TestBuildFilesGolden|TestReoptimizeFilesGolden' ./internal/core/
 go test -race -count=5 -run 'TestNewBuildsReplicasConcurrently|TestCentroidIndependentOfSchedule' ./internal/shard/
 
 echo "== WAL recovery repeat =="
