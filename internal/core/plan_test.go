@@ -179,3 +179,72 @@ func TestEncodePageAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePagesKeepsPositionsOnFailedAppend: the one page writer sets
+// the entries' positions and the position index only once both of its
+// appends have succeeded. A write on a healthy store places the pages
+// at the ends of the files; from there, a torn exact append and a torn
+// quantized append each return the error and leave every entry's QPos
+// and EPos and the position index as they were.
+func TestWritePagesKeepsPositionsOnFailedAppend(t *testing.T) {
+	faults := store.NewFaultStore(store.NewSimStore(store.DefaultConfig()), store.FaultConfig{})
+	tr, err := Build(store.Wrap(faults), randPoints(rand.New(rand.NewSource(35)), 1500, 6), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := tr.load()
+	n := len(built.entries)
+	if n < 2 || len(compressedPages(tr)) < 2 {
+		t.Fatalf("%d pages, %d with exact pages; want two of each", n, len(compressedPages(tr)))
+	}
+	var pts []vec.Point
+	var ids []uint32
+	var eblocks int
+	for i := range built.entries {
+		p, id, err := tr.readPagePoints(tr.sto.NewSession(), built, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, ids = append(pts, p...), append(ids, id...)
+		eblocks += int(built.entries[i].EBlocks)
+	}
+	// rewrite writes every page of from again, as one chunk, with the
+	// given faults scheduled.
+	rewrite := func(from *snapshot, fail map[int]store.FaultKind) (*snapshot, error) {
+		sn := from.clone()
+		for i, e := range sn.entries {
+			tr.setPage(sn, i, int(e.Count), int(e.Bits), e.MBR)
+		}
+		faults.SetConfig(store.FaultConfig{Schedule: fail})
+		defer faults.SetConfig(store.FaultConfig{})
+		qbuf, ebuf := make([]byte, n*tr.blockSize), make([]byte, eblocks*tr.blockSize)
+		return sn, tr.writePages(tr.qFile, tr.eFile, sn, 0, n, pts, ids, qbuf, ebuf)
+	}
+
+	qEnd, eEnd := tr.qFile.Blocks(), tr.eFile.Blocks()
+	live, err := rewrite(built, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epos := eEnd
+	for i, e := range live.entries {
+		if int(e.QPos) != qEnd+i || live.entryIndex(qEnd+i) != i || (e.EBlocks > 0 && int(e.EPos) != epos) {
+			t.Fatalf("entry %d written at QPos %d EPos %d, want %d %d", i, e.QPos, e.EPos, qEnd+i, epos)
+		}
+		epos += int(e.EBlocks)
+	}
+	for k, file := range []string{"exact", "quantized"} {
+		sn, err := rewrite(live, map[int]store.FaultKind{faults.Ops() + k: store.FaultTorn})
+		if err == nil || !strings.Contains(err.Error(), "torn append") {
+			t.Fatalf("torn %s append: err %v", file, err)
+		}
+		for i, e := range sn.entries {
+			if w := live.entries[i]; e.QPos != w.QPos || e.EPos != w.EPos {
+				t.Fatalf("torn %s append moved entry %d to QPos %d EPos %d, was %d %d", file, i, e.QPos, e.EPos, w.QPos, w.EPos)
+			}
+		}
+		if !slices.Equal(sn.entryAt, live.entryAt) {
+			t.Fatalf("torn %s append changed the position index", file)
+		}
+	}
+}

@@ -85,7 +85,8 @@ func (sn *snapshot) livePages() int {
 }
 
 // appendEntry reserves a new directory entry with no physical page yet;
-// the caller's writePage assigns its first quantized page position.
+// the caller's rewritePage sets it and writePages gives it its first
+// quantized page position.
 func (sn *snapshot) appendEntry() int {
 	sn.entries = append(sn.entries, page.DirEntry{})
 	sn.grids = append(sn.grids, quantize.Grid{})
