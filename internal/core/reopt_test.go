@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -213,5 +214,73 @@ func TestReoptimizeAbortsOnUnreadablePinnedPage(t *testing.T) {
 		if sto.File(genName(name, gen+1)) != nil {
 			t.Fatalf("the aborted run left %s", genName(name, gen+1))
 		}
+	}
+}
+
+// TestFailedWritesLeaveDirectoryAsItWas: nothing of a failed write
+// reaches iq.dir or iq.meta. On a tree without a WAL, a reoptimize run
+// writes all its pages and captures one insert; then the swap's writes
+// are torn, and the swap fails and rolls back. The next insert fails on
+// the poisoned store too. Neither touches the directory or the meta
+// file, so the backend reopens at the live generation, with the
+// captured insert and without the failed one.
+func TestFailedWritesLeaveDirectoryAsItWas(t *testing.T) {
+	faults := store.NewFaultStore(store.NewSimStore(store.DefaultConfig()), store.FaultConfig{})
+	sto := store.Wrap(faults)
+	r := rand.New(rand.NewSource(37))
+	pts := randPoints(r, 1500, 6)
+	tr, err := Build(sto, pts, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sto.NewSession()
+	for tr.reopt == nil || tr.reopt.next < len(tr.reopt.sn.entries) {
+		if _, err := tr.ReoptimizeStep(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins := randPoints(r, 2, 6)
+	if err := tr.Insert(s, ins[0], 90000); err != nil {
+		t.Fatal(err)
+	}
+	before := backendFiles(t, sto)
+	unchanged := func(when string) {
+		t.Helper()
+		after := backendFiles(t, sto)
+		for _, name := range []string{DirFileName, MetaFileName} {
+			if !bytes.Equal(after[name], before[name]) {
+				t.Fatalf("%s: %s changed", when, name)
+			}
+		}
+	}
+
+	sched := map[int]store.FaultKind{}
+	for op := faults.Ops(); op < faults.Ops()+64; op++ {
+		sched[op] = store.FaultTorn
+	}
+	faults.SetConfig(store.FaultConfig{Schedule: sched})
+	if done, err := tr.ReoptimizeStep(s); err == nil || done {
+		t.Fatalf("swap under torn writes: done=%v err=%v", done, err)
+	}
+	faults.SetConfig(store.FaultConfig{})
+	unchanged("after the failed swap")
+	if err := tr.Insert(s, ins[1], 90001); err == nil {
+		t.Fatal("an insert into a poisoned store succeeded")
+	}
+	unchanged("after the failed insert")
+
+	reopened, err := Open(store.Wrap(faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.gen != 0 || reopened.Len() != len(pts)+1 {
+		t.Fatalf("reopened at generation %d with %d points, want 0 and %d", reopened.gen, reopened.Len(), len(pts)+1)
+	}
+	if err := reopened.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := reopened.KNN(reopened.sto.NewSession(), ins[0], 1)
+	if err != nil || len(res) != 1 || res[0].ID != 90000 {
+		t.Fatalf("nearest to the captured insert: %v, %v", res, err)
 	}
 }
