@@ -237,7 +237,9 @@ func BenchmarkAblationCostModel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			sto := store.NewSim(store.DefaultConfig())
 			opt := core.DefaultOptions()
-			opt.UniformModel = uniform
+			if uniform {
+				opt.FractalDim = float64(len(db[0])) // D_F = d
+			}
 			tr, err := core.Build(sto, db, opt)
 			if err != nil {
 				b.Fatal(err)

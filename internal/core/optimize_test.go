@@ -290,7 +290,7 @@ func TestUniformModelAblation(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pts := randPoints(r, 2000, 8)
 	opt := DefaultOptions()
-	opt.UniformModel = true
+	opt.FractalDim = 8 // D_F = d
 	tr := buildTree(t, pts, opt)
 	if tr.FractalDim() != 8 {
 		t.Fatalf("uniform model D_F = %f, want 8", tr.FractalDim())

@@ -60,7 +60,7 @@ func TestQuickVariantEquivalence(t *testing.T) {
 			{Metric: vec.Euclidean, Quantize: true, OptimizedIO: false},
 			{Metric: vec.Euclidean, Quantize: false, OptimizedIO: true},
 			{Metric: vec.Euclidean, Quantize: true, OptimizedIO: true, FixedBits: 4},
-			{Metric: vec.Euclidean, Quantize: true, OptimizedIO: true, UniformModel: true},
+			{Metric: vec.Euclidean, Quantize: true, OptimizedIO: true, FractalDim: float64(d)},
 		}
 		var ref [][]float64
 		for vi, opt := range variants {

@@ -99,7 +99,9 @@ func AblationCostModel(o RunOpts) (Figure, error) {
 		for _, unif := range []bool{false, true} {
 			sto := store.NewSim(cfg.Disk)
 			opt := core.DefaultOptions()
-			opt.UniformModel = unif
+			if unif {
+				opt.FractalDim = float64(len(db[0])) // D_F = d
+			}
 			tr, err := core.Build(sto, db, opt)
 			if err != nil {
 				return Figure{}, err

@@ -126,7 +126,7 @@ func runMethod(cfg Config, m Method, db, queries []vec.Point) (Result, error) {
 			opt.Quantize = false
 			opt.OptimizedIO = false
 		case IQUniform:
-			opt.UniformModel = true
+			opt.FractalDim = float64(len(db[0])) // D_F = d
 		}
 		t, err := core.Build(sto, db, opt)
 		if err != nil {

@@ -68,7 +68,7 @@ func TestAllMethodsAgreeOnNearestNeighbor(t *testing.T) {
 			{"iq", core.DefaultOptions()},
 			{"iq-noquant", func() core.Options { o := core.DefaultOptions(); o.Quantize = false; return o }()},
 			{"iq-noopt", func() core.Options { o := core.DefaultOptions(); o.OptimizedIO = false; return o }()},
-			{"iq-maxmetric-model", func() core.Options { o := core.DefaultOptions(); o.UniformModel = true; return o }()},
+			{"iq-maxmetric-model", func() core.Options { o := core.DefaultOptions(); o.FractalDim = float64(len(db[0])); return o }()},
 		} {
 			sto := store.NewSim(cfg.Disk)
 			tr, err := core.Build(sto, db, variant.opt)
