@@ -34,23 +34,16 @@ var metricAutoReoptTriggers = obs.Default().Counter("reopt.auto_triggers")
 
 // GarbageRatio returns the fraction of the quantized file occupied by
 // dead page versions: blocks beyond the live pages' footprint,
-// accumulated by out-of-place rewrites since the last compaction.
+// accumulated by out-of-place rewrites since the last compaction. Live
+// pages sit on distinct blocks of their generation's file, which only
+// grows, so the ratio lies in [0, 1].
 func (t *Tree) GarbageRatio() float64 {
-	t.world.RLock()
-	defer t.world.RUnlock()
-	total := t.qFile.Blocks()
+	sn := t.load()
+	total := sn.gen.q.Blocks()
 	if total <= 0 {
 		return 0
 	}
-	live := t.load().livePages()
-	g := float64(total-live) / float64(total)
-	if g < 0 {
-		return 0
-	}
-	if g > 1 {
-		return 1
-	}
-	return g
+	return float64(total-sn.livePages()) / float64(total)
 }
 
 // autoReoptimize runs the Options.AutoReoptimize policy after an

@@ -9,7 +9,6 @@ import (
 	"repro/internal/page"
 	"repro/internal/par"
 	"repro/internal/quantize"
-	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -390,8 +389,8 @@ func (g geometry) setPage(sn *snapshot, i, count, bits int, mbr vec.MBR) {
 const chunkBytes = 1 << 20
 
 // writePlanned writes the pages of p, set in sn by setPlanned, into the
-// tree's empty quantized and exact files, a chunk at a time through
-// writePages. A chunk's points are gathered into one slab of pointers
+// empty quantized and exact files of sn's generation, a chunk at a time
+// through writePages. A chunk's points are gathered into one slab of pointers
 // into p.pts, and its pages are encoded into two block-aligned buffers
 // reused for every chunk, so encoding allocates nothing per page.
 func (t *Tree) writePlanned(p *Plan, sn *snapshot) error {
@@ -417,7 +416,7 @@ func (t *Tree) writePlanned(p *Plan, sn *snapshot) error {
 		for j, idx := range p.perm[lo:hi] {
 			pts[j], ids[j] = p.pts[idx], uint32(idx)
 		}
-		if err := t.writePages(t.qFile, t.eFile, sn, a, b, pts[:hi-lo], ids[:hi-lo], qbuf, ebuf); err != nil {
+		if err := t.writePages(sn, a, b, pts[:hi-lo], ids[:hi-lo], qbuf, ebuf); err != nil {
 			return err
 		}
 	}
@@ -429,12 +428,13 @@ func (t *Tree) writePlanned(p *Plan, sn *snapshot) error {
 // of sn's entries [a, b), whose points and ids are pts and ids in entry
 // order, each entry set by setPage. par.For workers encode the pages
 // into qbuf and ebuf, which must hold them block-aligned; then the
-// exact pages go to the end of ef in one append and the quantized pages
-// to the end of qf in another. Only once both appends have succeeded
+// exact pages go to the end of sn's exact file in one append and the
+// quantized pages to the end of its quantized file in another. Only
+// once both appends have succeeded
 // does it set the entries' positions and make each entry the owner of
 // its quantized page: a failed append, which is also the store's sticky
 // error, leaves the positions as they were and is returned.
-func (t *Tree) writePages(qf, ef *store.File, sn *snapshot, a, b int, pts []vec.Point, ids []uint32, qbuf, ebuf []byte) error {
+func (t *Tree) writePages(sn *snapshot, a, b int, pts []vec.Point, ids []uint32, qbuf, ebuf []byte) error {
 	bs := t.blockSize
 	// Page a+k holds pts[first[k]:first[k+1]] and ebuf's blocks
 	// [eoff[k], eoff[k+1]).
@@ -452,11 +452,11 @@ func (t *Tree) writePages(qf, ef *store.File, sn *snapshot, a, b int, pts []vec.
 	epos := 0
 	if eblocks := eoff[b-a]; eblocks > 0 {
 		var err error
-		if epos, _, err = ef.Append(ebuf[:eblocks*bs]); err != nil {
+		if epos, _, err = sn.gen.e.Append(ebuf[:eblocks*bs]); err != nil {
 			return err
 		}
 	}
-	qpos, _, err := qf.Append(qbuf[:(b-a)*bs])
+	qpos, _, err := sn.gen.q.Append(qbuf[:(b-a)*bs])
 	if err != nil {
 		return err
 	}

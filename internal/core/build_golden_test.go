@@ -161,7 +161,7 @@ func TestReoptimizeFilesGolden(t *testing.T) {
 		record := func(label string) {
 			writeFileDigests(t, &b, label, sto)
 			ordinary, first := sto.Pool().Resident()
-			fmt.Fprintf(&b, "%s generation %d, %d pages, run in flight %v\n", label, tr.gen, tr.NumPages(), tr.ReoptimizeRunning())
+			fmt.Fprintf(&b, "%s generation %d, %d pages, run in flight %v\n", label, tr.load().gen.n, tr.NumPages(), tr.ReoptimizeRunning())
 			fmt.Fprintf(&b, "%s ordinary %s\n", label, blockRuns(ordinary))
 			fmt.Fprintf(&b, "%s evict-first %s\n", label, blockRuns(first))
 		}

@@ -86,8 +86,8 @@ func (rs *roundScratch) init() {
 }
 
 // execute runs one query: rounds over its cursor until it ends. The
-// caller holds world.RLock for the whole query, so the query sees one
-// epoch.
+// cursor's snapshot is pinned for the whole query, so the query sees one
+// epoch and its generation's files.
 func (t *Tree) execute(sc *queryScratch, c cursor) error {
 	rs := &sc.round
 	rs.c = c
@@ -97,8 +97,7 @@ func (t *Tree) execute(sc *queryScratch, c cursor) error {
 	return c.base().err
 }
 
-// round advances the query's cursor by one fetch round. The caller holds
-// world.RLock.
+// round advances the query's cursor by one fetch round.
 //
 //  1. The cursor steps to its fetch boundary; a query whose context is
 //     done ends with store.ErrCanceled instead.
@@ -230,20 +229,22 @@ func deliverDegraded(c cursor, pos int) {
 // a checksum failure of the read, downgrades it to page-granular reads of
 // the round's wanted pages only: quarantined and freshly corrupt pages
 // are reported through offerDegraded (freshly corrupt compressed pages
-// are quarantined first). pagewise reports that downgrade. The caller
-// holds world.RLock.
+// are quarantined first). pagewise reports that downgrade. The pages
+// are read from the generation of the cursor's pinned snapshot.
 func (t *Tree) fetchRun(rs *roundScratch, s *store.Session, span pagesched.PageSpan) (pagewise bool, err error) {
 	pageBytes := t.qPageBytes()
 	first, last := span.First, span.Last
-	if !t.anyQuarantinedIn(first, last) {
-		buf, err := s.Read(t.qFile, first, last-first+1)
+	sn := rs.c.base().sn
+	g := sn.gen
+	if !g.anyQuarantinedIn(first, last) {
+		buf, err := s.Read(g.q, first, last-first+1)
 		if err == nil {
 			for pos := first; pos <= last; pos++ {
 				rs.offer(rs.page.load(pos, buf[(pos-first)*pageBytes:(pos-first+1)*pageBytes], t.dim))
 			}
 			return false, nil
 		}
-		if !t.corruptQPage(err) {
+		if !g.corruptQPage(err) {
 			return false, err
 		}
 		// Fresh corruption somewhere in the run: localize it by retrying
@@ -254,19 +255,18 @@ func (t *Tree) fetchRun(rs *roundScratch, s *store.Session, span pagesched.PageS
 		if !rs.isWant(pos) {
 			continue
 		}
-		if t.isQuarantined(pos) {
+		if g.isQuarantined(pos) {
 			rs.offerDegraded(pos)
 			continue
 		}
-		buf, err := s.Read(t.qFile, pos, 1)
+		buf, err := s.Read(g.q, pos, 1)
 		if err != nil {
-			if !t.corruptQPage(err) {
+			if !g.corruptQPage(err) {
 				return true, err
 			}
 			s.Recover()
-			sn := t.load()
 			if e := sn.entryIndex(pos); e >= 0 && int(sn.entries[e].Bits) != quantize.ExactBits {
-				t.quarantinePage(pos)
+				g.quarantinePage(pos)
 			}
 			rs.offerDegraded(pos)
 			continue

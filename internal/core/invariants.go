@@ -26,9 +26,8 @@ import (
 //
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
-	t.world.RLock()
-	defer t.world.RUnlock()
-	sn := t.load()
+	sn := t.pin()
+	defer sn.unpin()
 
 	// (3) directory bytes round-trip.
 	entrySize := page.DirEntrySize(t.dim)
@@ -36,9 +35,9 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("directory file holds %d bytes, need %d", t.dirFile.Bytes(), len(sn.entries)*entrySize)
 	}
 	var raw []byte
-	if t.dirFile.Blocks() > 0 {
+	if sn.dirBlocks > 0 {
 		var err error
-		if raw, err = t.dirFile.ReadRaw(0, t.dirFile.Blocks()); err != nil {
+		if raw, err = t.dirFile.ReadRaw(0, sn.dirBlocks); err != nil {
 			return err
 		}
 	}
@@ -60,7 +59,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		// (8) position-index consistency: the entry's page version exists
 		// and is owned by exactly this entry.
-		if int(e.QPos) >= t.qFile.Blocks() {
+		if int(e.QPos) >= sn.gen.q.Blocks() {
 			return fmt.Errorf("entry %d: QPos %d past the quantized file", i, e.QPos)
 		}
 		if owner := sn.entryIndex(int(e.QPos)); owner != i {
@@ -77,7 +76,7 @@ func (t *Tree) CheckInvariants() error {
 		total += int(e.Count)
 
 		// (4) page header.
-		full, err := t.qFile.ReadRaw(int(e.QPos), 1)
+		full, err := sn.gen.q.ReadRaw(int(e.QPos), 1)
 		if err != nil {
 			return err
 		}

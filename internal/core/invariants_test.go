@@ -85,7 +85,7 @@ func TestReoptimizeCompactsAndPreservesContents(t *testing.T) {
 		}
 		all[id] = p
 	}
-	exactBefore := tr.eFile.Bytes()
+	exactBefore := tr.load().gen.e.Bytes()
 	costBefore := tr.CostEstimate()
 
 	if err := tr.Reoptimize(); err != nil {
@@ -97,8 +97,8 @@ func TestReoptimizeCompactsAndPreservesContents(t *testing.T) {
 	if tr.Len() != len(all) {
 		t.Fatalf("Len %d, want %d", tr.Len(), len(all))
 	}
-	if tr.eFile.Bytes() > exactBefore {
-		t.Fatalf("reoptimize did not compact: %d -> %d bytes", exactBefore, tr.eFile.Bytes())
+	if tr.load().gen.e.Bytes() > exactBefore {
+		t.Fatalf("reoptimize did not compact: %d -> %d bytes", exactBefore, tr.load().gen.e.Bytes())
 	}
 	if cost := tr.CostEstimate(); cost > costBefore*1.05 {
 		t.Fatalf("reoptimize increased predicted cost: %f -> %f", costBefore, cost)
@@ -189,14 +189,14 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 	tr := buildTree(t, randPoints(r, 1000, 4), DefaultOptions())
 	// Corrupt one quantized page header in place.
 	bs := tr.sto.Config().BlockSize
-	raw, err := tr.qFile.ReadRaw(0, 1)
+	raw, err := tr.load().gen.q.ReadRaw(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blk := make([]byte, bs)
 	copy(blk, raw)
 	blk[0] ^= 0xff // clobber the count
-	if err := tr.sto.Backend().Lookup(tr.qFile.Name()).WriteBlocks(0, blk); err != nil {
+	if err := tr.sto.Backend().Lookup(tr.load().gen.q.Name()).WriteBlocks(0, blk); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err == nil {

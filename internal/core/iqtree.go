@@ -16,14 +16,12 @@
 // directory and can be reopened by another process.
 //
 // Concurrency: the tree is multi-version. Every query pins an immutable
-// directory snapshot with one atomic load and runs lock-free against it;
-// Insert, InsertBatch and Delete serialize on a writer mutex, write new
-// page versions out of place and publish the next snapshot atomically,
-// so readers and writers overlap freely (see DESIGN.md §8). Reoptimize
-// builds the next generation of the data files beside the live ones
-// while queries and updates run; only its final swap to that generation
-// excludes them, via a readers-writer lock that every entry point takes
-// in read mode.
+// snapshot, which names its generation of the data files, and runs
+// against it; Insert, InsertBatch and Delete serialize on a writer
+// mutex, write new page versions out of place and publish the next
+// snapshot atomically, so readers and writers overlap freely (see
+// DESIGN.md §8). Reoptimize builds the next generation beside the live
+// one and publishes it like a writer: no query waits for it.
 package core
 
 import (
@@ -97,46 +95,25 @@ func DefaultOptions() Options {
 	}
 }
 
-// Tree is a multi-version IQ-tree: searches pin an immutable snapshot
-// and run lock-free; Insert and Delete serialize on the writer mutex and
-// publish copy-on-write snapshots, so concurrent searches and updates
-// are safe. The final swap step of Reoptimize is the only
-// stop-the-world operation.
+// Tree is a multi-version IQ-tree: searches pin an immutable snapshot,
+// which names the generation of data files they read; Insert and Delete
+// serialize on the writer mutex and publish copy-on-write snapshots, so
+// concurrent searches and updates are safe. No operation stops the
+// world: a reoptimization swap is a writer like any other.
 type Tree struct {
-	// world excludes the final reoptimize swap (write side) from
-	// everything else (read side): queries and incremental updates hold
-	// it shared, so they overlap freely; the swap repoints the data files
-	// to the next generation and must drain them first.
-	world sync.RWMutex
-	mu    sync.Mutex // serializes writers (Insert/InsertBatch/Delete)
-	snap  atomic.Pointer[snapshot]
-
-	// quar tracks quarantined physical positions of the quantized file:
-	// pages whose blocks failed checksum verification and are being
-	// answered from their exact (level-3) shadow (see quarantine.go).
-	quarMu sync.Mutex
-	quar   map[int]struct{}
+	mu   sync.Mutex // serializes writers (Insert/InsertBatch/Delete, repairs, checkpoints, the swap)
+	snap atomic.Pointer[snapshot]
 
 	opt Options
 	sto *store.Store
 
 	metaFile *store.File // superblock (see persist.go)
-	dirFile  *store.File // level 1: directory entries
-	qFile    *store.File // level 2: fixed-size quantized pages
-	eFile    *store.File // level 3: exact pages (variable size)
+	dirFile  *store.File // level 1: directory entries, shared by every generation
 
-	// gen numbers the live data-file generation: qFile/eFile are the
-	// genName-suffixed files of this generation, and incremental
-	// reoptimization builds generation gen+1 beside them. Only the final
-	// reoptimize step (under world.Lock) changes gen or the file
-	// pointers, so holders of world.RLock read them race-free.
-	gen uint32
-
-	// wal is the mutation log and ckptLog the checkpoint log; both nil
-	// unless Options.WAL. Appends happen under t.mu (so LSN order equals
-	// apply order); commits happen after t.mu is released.
-	wal     *store.WAL
-	ckptLog *store.WAL
+	// wal is the mutation log; nil unless Options.WAL. Appends happen
+	// under t.mu (so LSN order equals apply order); commits happen after
+	// t.mu is released.
+	wal *store.WAL
 
 	// reoptMu serializes incremental reoptimization steps; reopt holds
 	// the in-flight run's state (guarded by t.mu for the fields writers
@@ -148,7 +125,8 @@ type Tree struct {
 	fractalDim float64
 }
 
-// load pins the current snapshot (one atomic load).
+// load returns the current snapshot (one atomic load). A query that
+// reads the data files pins it instead (see pin).
 func (t *Tree) load() *snapshot { return t.snap.Load() }
 
 // publish installs sn as the current snapshot.
@@ -181,6 +159,11 @@ type geometry struct {
 
 // qPageBytes returns the byte size of one quantized page: one block.
 func (g geometry) qPageBytes() int { return g.blockSize }
+
+// dirExtent returns the blocks a directory of n entries takes.
+func (g geometry) dirExtent(n int) int {
+	return (n*page.DirEntrySize(g.dim) + g.blockSize - 1) / g.blockSize
+}
 
 // qPayloadBytes returns the payload capacity of one quantized page.
 func (g geometry) qPayloadBytes() int { return g.qPageBytes() - page.QHeaderSize }
@@ -295,14 +278,10 @@ func (p *Plan) Build(sto *store.Store) (*Tree, error) {
 	if t.dirFile, err = sto.NewFile(DirFileName); err != nil {
 		return nil, err
 	}
-	if t.qFile, err = sto.NewFile(QFileName); err != nil {
-		return nil, err
-	}
-	if t.eFile, err = sto.NewFile(EFileName); err != nil {
-		return nil, err
-	}
-	t.eFile.EvictFirst()
 	sn := p.setPlanned()
+	if sn.gen, err = t.generationFiles(0, true); err != nil {
+		return nil, err
+	}
 	if err := t.writePlanned(p, sn); err != nil {
 		return nil, err
 	}
@@ -316,7 +295,7 @@ func (p *Plan) Build(sto *store.Store) (*Tree, error) {
 		if t.wal, err = store.CreateWAL(sto.Backend(), WALFileName); err != nil {
 			return nil, err
 		}
-		if t.ckptLog, err = store.CreateWAL(sto.Backend(), ckptLogName(0)); err != nil {
+		if sn.gen.ckpt, err = store.CreateWAL(sto.Backend(), ckptLogName(0)); err != nil {
 			return nil, err
 		}
 		// The initial checkpoint makes the fresh build durable and gives
@@ -370,9 +349,9 @@ func (t *Tree) Stats() Stats {
 	st := Stats{
 		Points:         sn.n,
 		BitsHistogram:  make(map[int]int),
-		DirectoryBytes: t.dirFile.Bytes(),
-		QuantizedBytes: t.qFile.Bytes(),
-		ExactBytes:     t.eFile.Bytes(),
+		DirectoryBytes: sn.dirBlocks * t.blockSize,
+		QuantizedBytes: sn.gen.q.Bytes(),
+		ExactBytes:     sn.gen.e.Bytes(),
 		FractalDim:     t.fractalDim,
 	}
 	for i, e := range sn.entries {

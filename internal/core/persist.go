@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/page"
 	"repro/internal/quantize"
@@ -60,7 +61,7 @@ func (t *Tree) writeMeta(sn *snapshot) error {
 	buf[27] = b2u(t.opt.WAL)
 	le.PutUint64(buf[28:], math.Float64bits(t.fractalDim))
 	le.PutUint64(buf[36:], math.Float64bits(sn.model.RefineFactor))
-	le.PutUint32(buf[44:], t.gen)
+	le.PutUint32(buf[44:], sn.gen.n)
 	le.PutUint32(buf[48:], uint32(t.opt.WALCheckpointBlocks))
 	le.PutUint32(buf[52:], uint32(t.opt.KNNTarget))
 	buf[56] = uint8(t.opt.FixedBits)
@@ -124,21 +125,36 @@ func Open(sto *store.Store) (*Tree, error) {
 	if t.dirFile = sto.File(DirFileName); t.dirFile == nil {
 		return nil, errors.New("core: missing directory file")
 	}
+	var sn *snapshot
 	if t.opt.WAL {
-		return t.recover(refineFactor)
+		sn, err = t.recover(refineFactor)
+	} else {
+		sn, err = t.loadDirectory(le.Uint32(buf[44:]), int(le.Uint32(buf[12:])), int(le.Uint64(buf[16:])), refineFactor)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// Other generations' files are a crashed or unfinished run's, or a
+	// retired one's that a close kept while its queries finished.
+	if err := t.sweep(sn.gen.n); err != nil {
+		return nil, err
+	}
+	if t.dirFile.Blocks() > sn.dirBlocks {
+		if err := t.dirFile.Truncate(sn.dirBlocks); err != nil {
+			return nil, err
+		}
+	}
+	t.publish(sn)
+	return t, nil
+}
 
-	t.gen = le.Uint32(buf[44:])
-	if t.qFile = sto.File(genName(QFileName, t.gen)); t.qFile == nil {
-		return nil, fmt.Errorf("core: missing quantized file (generation %d)", t.gen)
+// loadDirectory rebuilds the epoch of a tree without a WAL from
+// level 1: n live points in nEntries entries of generation gen.
+func (t *Tree) loadDirectory(gen uint32, nEntries, n int, refineFactor float64) (*snapshot, error) {
+	g, err := t.generationFiles(gen, false)
+	if err != nil {
+		return nil, err
 	}
-	if t.eFile = sto.File(genName(EFileName, t.gen)); t.eFile == nil {
-		return nil, fmt.Errorf("core: missing exact file (generation %d)", t.gen)
-	}
-	t.eFile.EvictFirst()
-	nEntries := int(le.Uint32(buf[12:]))
-
-	// Rebuild the in-memory directory from level 1.
 	entrySize := page.DirEntrySize(t.dim)
 	if t.dirFile.Bytes() < nEntries*entrySize {
 		return nil, fmt.Errorf("core: directory file too small for %d entries", nEntries)
@@ -153,12 +169,49 @@ func Open(sto *store.Store) (*Tree, error) {
 	for i := 0; i < nEntries; i++ {
 		entries[i] = page.UnmarshalDirEntry(raw[i*entrySize:], t.dim)
 	}
-	sn, err := t.rebuildSnapshot(entries, int(le.Uint64(buf[16:])), nil, refineFactor)
-	if err != nil {
-		return nil, err
+	return t.rebuildSnapshot(g, entries, n, nil, refineFactor)
+}
+
+// generationFiles returns generation n over its data files, created
+// empty when create is set and looked up otherwise.
+func (t *Tree) generationFiles(n uint32, create bool) (*generation, error) {
+	g := &generation{n: n}
+	for _, f := range []struct {
+		file **store.File
+		name string
+	}{{&g.q, genName(QFileName, n)}, {&g.e, genName(EFileName, n)}} {
+		if create {
+			var err error
+			if *f.file, err = t.sto.NewFile(f.name); err != nil {
+				return nil, err
+			}
+		} else if *f.file = t.sto.File(f.name); *f.file == nil {
+			return nil, fmt.Errorf("core: missing data file %s (generation %d)", f.name, n)
+		}
 	}
-	t.publish(sn)
-	return t, nil
+	g.e.EvictFirst()
+	return g, nil
+}
+
+// sweep removes every file of every generation but live: data files
+// and checkpoint logs. Only the write path calls it, when no query can
+// read them: Open, and a swap once it has published or failed.
+func (t *Tree) sweep(live uint32) error {
+	for _, name := range t.sto.Backend().Names() {
+		g, ok := genOfName(QFileName, name)
+		if !ok {
+			g, ok = genOfName(EFileName, name)
+		}
+		if !ok && store.IsWALFile(name) {
+			g, ok = genOfName(CkptBaseName, strings.TrimSuffix(name, store.WALSuffix))
+		}
+		if ok && g != live {
+			if err := t.sto.Remove(name); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SharedPageError reports a directory Open refuses: two live entries
@@ -178,16 +231,17 @@ func (e *SharedPageError) Error() string {
 // "union of the live MBRs" (the legacy reconstruction); checkpoints
 // supply the exact live value. Two live entries that claim one
 // quantized page fail it with a *SharedPageError.
-func (t *Tree) rebuildSnapshot(entries []page.DirEntry, n int, dataSpace *vec.MBR, refineFactor float64) (*snapshot, error) {
+func (t *Tree) rebuildSnapshot(g *generation, entries []page.DirEntry, n int, dataSpace *vec.MBR, refineFactor float64) (*snapshot, error) {
 	sn := &snapshot{
 		n:         n,
-		dirBlocks: t.dirFile.Blocks(),
+		dirBlocks: t.dirExtent(len(entries)),
+		gen:       g,
 	}
 	sn.dataSpace = vec.NewMBR(t.dim)
 	// The quantized file may extend past the last live page (stale
 	// versions from out-of-place updates); size the position index by the
 	// file so batch scans can classify every position.
-	if qpages := t.qFile.Blocks(); qpages > 0 {
+	if qpages := g.q.Blocks(); qpages > 0 {
 		sn.entryAt = make([]int32, qpages)
 		for i := range sn.entryAt {
 			sn.entryAt[i] = -1
@@ -218,8 +272,9 @@ func (t *Tree) rebuildSnapshot(entries []page.DirEntry, n int, dataSpace *vec.MB
 	return sn, nil
 }
 
-// recover rebuilds a WAL-mode tree: newest checkpoint + log replay.
-func (t *Tree) recover(refineFactor float64) (*Tree, error) {
+// recover rebuilds the epoch of a WAL-mode tree: newest checkpoint +
+// log replay.
+func (t *Tree) recover(refineFactor float64) (*snapshot, error) {
 	backend := t.sto.Backend()
 	// Find the newest generation with a valid checkpoint record. A crash
 	// mid-swap can leave two checkpoint logs; the newer one is only
@@ -233,7 +288,7 @@ func (t *Tree) recover(refineFactor float64) (*Tree, error) {
 		if !store.IsWALFile(name) {
 			continue
 		}
-		gen, ok := genOfName(CkptBaseName, name[:len(name)-len(store.WALSuffix)])
+		gen, ok := genOfName(CkptBaseName, strings.TrimSuffix(name, store.WALSuffix))
 		if !ok {
 			continue
 		}
@@ -258,33 +313,27 @@ func (t *Tree) recover(refineFactor float64) (*Tree, error) {
 	if !found {
 		return nil, errors.New("core: WAL-mode tree has no valid checkpoint")
 	}
-	t.gen = best.gen
-	if t.qFile = t.sto.File(genName(QFileName, t.gen)); t.qFile == nil {
-		return nil, fmt.Errorf("core: missing quantized file (generation %d)", t.gen)
+	g, err := t.generationFiles(best.gen, false)
+	if err != nil {
+		return nil, err
 	}
-	if t.eFile = t.sto.File(genName(EFileName, t.gen)); t.eFile == nil {
-		return nil, fmt.Errorf("core: missing exact file (generation %d)", t.gen)
-	}
-	t.eFile.EvictFirst()
 	// Trim physical writes past the checkpoint: they belong to mutations
 	// that replay re-applies (identically, LSN order = apply order) or
 	// that never got acknowledged.
-	if err := t.qFile.Truncate(best.qBlocks); err != nil {
+	if err := g.q.Truncate(best.qBlocks); err != nil {
 		return nil, err
 	}
-	if err := t.eFile.Truncate(best.eBlocks); err != nil {
+	if err := g.e.Truncate(best.eBlocks); err != nil {
 		return nil, err
 	}
-	sn, err := t.rebuildSnapshot(best.entries, best.n, &best.dataSpace, refineFactor)
+	sn, err := t.rebuildSnapshot(g, best.entries, best.n, &best.dataSpace, refineFactor)
 	if err != nil {
 		return nil, err
 	}
 
-	ckptLog, _, _, err := store.OpenWAL(backend, bestLog)
-	if err != nil {
+	if g.ckpt, _, _, err = store.OpenWAL(backend, bestLog); err != nil {
 		return nil, err
 	}
-	t.ckptLog = ckptLog
 	wal, recs, _, err := store.OpenWAL(backend, WALFileName)
 	if err != nil {
 		return nil, err
@@ -313,30 +362,5 @@ func (t *Tree) recover(refineFactor float64) (*Tree, error) {
 	}
 	// The recovered state becomes the new durable base; the WAL restarts
 	// empty so a second recovery does not replay twice.
-	if err := t.checkpoint(sn); err != nil {
-		return nil, err
-	}
-	// Drop files of other generations: leftovers of a crashed swap (never
-	// committed) or of a committed swap whose cleanup was interrupted.
-	for _, name := range backend.Names() {
-		stale := false
-		if g, ok := genOfName(QFileName, name); ok && g != t.gen {
-			stale = true
-		}
-		if g, ok := genOfName(EFileName, name); ok && g != t.gen {
-			stale = true
-		}
-		if store.IsWALFile(name) {
-			if g, ok := genOfName(CkptBaseName, name[:len(name)-len(store.WALSuffix)]); ok && g != t.gen {
-				stale = true
-			}
-		}
-		if stale {
-			if err := t.sto.Remove(name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	t.publish(sn)
-	return t, nil
+	return sn, t.checkpoint(sn)
 }

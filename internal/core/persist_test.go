@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/page"
@@ -320,5 +321,58 @@ func TestOpenKeepsModelOptions(t *testing.T) {
 				t.Fatalf("reopened and reoptimized: %v; twin: %v", reopened.Stats().BitsHistogram, twin.Stats().BitsHistogram)
 			}
 		})
+	}
+}
+
+// TestOpenRemovesOtherGenerations: both Open paths remove the files of
+// every generation but the one they open. A tree closed with a
+// reoptimization run in flight (its plan and two pages written) leaves
+// generation 1's files; reopening removes them, without and with the
+// WAL, and the reopened tree holds the points it held.
+func TestOpenRemovesOtherGenerations(t *testing.T) {
+	pts := randPoints(rand.New(rand.NewSource(84)), 4000, 6)
+	for _, wal := range []bool{false, true} {
+		opt := DefaultOptions()
+		opt.WAL = wal
+		dir := t.TempDir()
+		sto, err := store.OpenFileStore(dir, store.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Build(sto, pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := tr.ReoptimizeStep(sto.NewSession()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sto.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sto, err = store.OpenFileStore(dir, store.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sto.Backend().Lookup(genName(QFileName, 1)) == nil {
+			t.Fatalf("WAL %v: the run left no generation 1 to remove", wal)
+		}
+		tr, err = Open(sto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range sto.Backend().Names() {
+			if strings.Contains(name, ".g1") {
+				t.Fatalf("WAL %v: reopening kept %s", wal, name)
+			}
+		}
+		if tr.Len() != len(pts) {
+			t.Fatalf("WAL %v: reopened Len %d, want %d", wal, tr.Len(), len(pts))
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		sto.Close()
 	}
 }

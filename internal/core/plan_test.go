@@ -218,10 +218,10 @@ func TestWritePagesKeepsPositionsOnFailedAppend(t *testing.T) {
 		faults.SetConfig(store.FaultConfig{Schedule: fail})
 		defer faults.SetConfig(store.FaultConfig{})
 		qbuf, ebuf := make([]byte, n*tr.blockSize), make([]byte, eblocks*tr.blockSize)
-		return sn, tr.writePages(tr.qFile, tr.eFile, sn, 0, n, pts, ids, qbuf, ebuf)
+		return sn, tr.writePages(sn, 0, n, pts, ids, qbuf, ebuf)
 	}
 
-	qEnd, eEnd := tr.qFile.Blocks(), tr.eFile.Blocks()
+	qEnd, eEnd := tr.load().gen.q.Blocks(), tr.load().gen.e.Blocks()
 	live, err := rewrite(built, nil)
 	if err != nil {
 		t.Fatal(err)

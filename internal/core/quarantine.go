@@ -11,19 +11,20 @@ import (
 
 // Quarantine: when a read of the quantized file fails checksum
 // verification (*store.CorruptBlockError), the damaged physical page
-// position is quarantined on the tree. Searches skip quarantined pages'
-// quantized representation and answer from the corresponding exact
-// (level-3) page instead — the IQ-tree's own structure makes the
-// degradation exact, because every compressed page's exact page holds
-// strictly more information than its quantized approximation. Results
-// stay bit-identical to a clean run; only the cost degrades (an exact
-// page read replaces the filter step).
+// position is quarantined on the query's generation. Searches skip
+// quarantined pages' quantized representation and answer from the
+// corresponding exact (level-3) page instead — the IQ-tree's own
+// structure makes the degradation exact, because every compressed
+// page's exact page holds strictly more information than its quantized
+// approximation. Results stay bit-identical to a clean run; only the
+// cost degrades (an exact page read replaces the filter step).
 //
-// The quarantine is keyed by physical page position, so an update that
-// rewrites the page out of place (new position) heals the entry
-// automatically; Repair does exactly that for every quarantined live
-// page, and Reoptimize — which truncates the data files — clears the
-// set wholesale.
+// The quarantine is keyed by physical page position within one
+// generation's quantized file, so an update that rewrites the page out
+// of place (new position) heals the entry automatically; Repair does
+// exactly that for every quarantined live page, and a reoptimization
+// swap leaves the set behind with the generation it retires — the next
+// generation starts with an empty one.
 //
 // 32-bit (exact-mode) level-2 pages store the only copy of their points
 // and have no level-3 shadow: corruption there is unrecoverable and
@@ -40,12 +41,11 @@ var (
 	metricRepairedPages = obs.Default().Counter("core.repaired_pages")
 )
 
-// corruptQPage reports whether err is a checksum failure in the current
-// generation's quantized file — the only file with a level-3 fallback.
-// Callers hold world.RLock, under which the file pointer is stable.
-func (t *Tree) corruptQPage(err error) bool {
+// corruptQPage reports whether err is a checksum failure in g's
+// quantized file — the only file with a level-3 fallback.
+func (g *generation) corruptQPage(err error) bool {
 	var cbe *store.CorruptBlockError
-	return errors.As(err, &cbe) && cbe.File == t.qFile.Name()
+	return errors.As(err, &cbe) && cbe.File == g.q.Name()
 }
 
 // unrecoverablePage builds the typed error for a corrupt exact-mode page.
@@ -55,68 +55,51 @@ func unrecoverablePage(pos, entry int) error {
 }
 
 // quarantinePage marks the physical page position as damaged.
-func (t *Tree) quarantinePage(pos int) {
-	t.quarMu.Lock()
-	defer t.quarMu.Unlock()
-	if t.quar == nil {
-		t.quar = make(map[int]struct{})
+func (g *generation) quarantinePage(pos int) {
+	g.quarMu.Lock()
+	defer g.quarMu.Unlock()
+	if g.quar == nil {
+		g.quar = make(map[int]struct{})
 	}
-	if _, ok := t.quar[pos]; ok {
+	if _, ok := g.quar[pos]; ok {
 		return
 	}
-	t.quar[pos] = struct{}{}
+	g.quar[pos] = struct{}{}
 	metricQuarantines.Inc()
 }
 
 // isQuarantined reports whether the physical page position is damaged.
-func (t *Tree) isQuarantined(pos int) bool {
-	t.quarMu.Lock()
-	defer t.quarMu.Unlock()
-	_, ok := t.quar[pos]
+func (g *generation) isQuarantined(pos int) bool {
+	g.quarMu.Lock()
+	defer g.quarMu.Unlock()
+	_, ok := g.quar[pos]
 	return ok
 }
 
 // anyQuarantinedIn reports whether any position in [first, last] is
 // quarantined (used to keep batch reads from spanning known damage).
-func (t *Tree) anyQuarantinedIn(first, last int) bool {
-	t.quarMu.Lock()
-	defer t.quarMu.Unlock()
-	if len(t.quar) == 0 {
-		return false
-	}
-	if len(t.quar) < last-first+1 {
-		for pos := range t.quar {
-			if pos >= first && pos <= last {
-				return true
-			}
-		}
-		return false
-	}
-	for pos := first; pos <= last; pos++ {
-		if _, ok := t.quar[pos]; ok {
+func (g *generation) anyQuarantinedIn(first, last int) bool {
+	g.quarMu.Lock()
+	defer g.quarMu.Unlock()
+	for pos := range g.quar {
+		if pos >= first && pos <= last {
 			return true
 		}
 	}
 	return false
 }
 
-// clearQuarantine empties the quarantine set (Reoptimize rebuilt and
-// compacted the data files, so old positions are meaningless).
-func (t *Tree) clearQuarantine() {
-	t.quarMu.Lock()
-	defer t.quarMu.Unlock()
-	t.quar = nil
-}
-
-// QuarantinedPages returns the quarantined physical page positions in
-// sorted order. Positions may outlive the entries that were damaged
-// (a rewrite moves the entry to a fresh position but the old blocks
-// stay damaged at rest until Reoptimize compacts them away).
+// QuarantinedPages returns the quarantined physical page positions of
+// the live generation in sorted order. Positions may outlive the entries
+// that were damaged (a rewrite moves the entry to a fresh position but
+// the old blocks stay damaged at rest until Reoptimize compacts them
+// away).
 func (t *Tree) QuarantinedPages() []int {
-	t.quarMu.Lock()
-	defer t.quarMu.Unlock()
-	out := make([]int, 0, len(t.quar))
-	for pos := range t.quar {
+	g := t.load().gen
+	g.quarMu.Lock()
+	defer g.quarMu.Unlock()
+	out := make([]int, 0, len(g.quar))
+	for pos := range g.quar {
 		out = append(out, pos)
 	}
 	sort.Ints(out)
@@ -133,7 +116,7 @@ func (t *Tree) DegradedEntries() []int {
 		if sn.free[i] {
 			continue
 		}
-		if t.isQuarantined(int(e.QPos)) {
+		if sn.gen.isQuarantined(int(e.QPos)) {
 			out = append(out, i)
 		}
 	}

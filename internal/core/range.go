@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/kernel"
-	"repro/internal/page"
 	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -18,19 +17,19 @@ import (
 // fetched with the optimal known-set schedule of paper Section 2 (Fig. 1):
 // the round's cost-balance planner with access probabilities 0 and 1.
 func (t *Tree) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]Neighbor, error) {
-	t.world.RLock()
-	defer t.world.RUnlock()
+	sn := t.pin()
+	defer sn.unpin()
 	sc := scratchFor(s)
-	return t.scan(s, sc, t.beginRange(s, sc, q, eps))
+	return t.scan(s, sc, t.beginRange(s, sc, sn, q, eps))
 }
 
 // WindowQuery returns all points inside the query window w. Dist fields of
 // the results are 0.
 func (t *Tree) WindowQuery(s *store.Session, w vec.MBR) ([]Neighbor, error) {
-	t.world.RLock()
-	defer t.world.RUnlock()
+	sn := t.pin()
+	defer sn.unpin()
 	sc := scratchFor(s)
-	return t.scan(s, sc, t.beginWindow(s, sc, w))
+	return t.scan(s, sc, t.beginWindow(s, sc, sn, w))
 }
 
 // scan runs one range-style cursor to completion.
@@ -134,28 +133,28 @@ type scanCursor struct {
 }
 
 // beginRange resets the scratch's scan cursor for one range query over
-// the current epoch. The caller holds world.RLock.
-func (t *Tree) beginRange(s *store.Session, sc *queryScratch, q vec.Point, eps float64) *scanCursor {
+// the pinned epoch sn.
+func (t *Tree) beginRange(s *store.Session, sc *queryScratch, sn *snapshot, q vec.Point, eps float64) *scanCursor {
 	sc.eps = epsFilter{q: q, eps: eps, met: t.opt.Metric}
 	tr := t.traceOf(s)
 	if tr != nil {
 		tr.SetLabel(fmt.Sprintf("range eps=%g", eps))
 	}
-	return t.beginScan(s, sc, tr, &sc.eps, true)
+	return t.beginScan(s, sc, sn, tr, &sc.eps, true)
 }
 
 // beginWindow is beginRange for a window query.
-func (t *Tree) beginWindow(s *store.Session, sc *queryScratch, w vec.MBR) *scanCursor {
+func (t *Tree) beginWindow(s *store.Session, sc *queryScratch, sn *snapshot, w vec.MBR) *scanCursor {
 	sc.win = windowFilter{w: w}
 	tr := t.traceOf(s)
 	tr.SetLabel("window")
-	return t.beginScan(s, sc, tr, &sc.win, false)
+	return t.beginScan(s, sc, sn, tr, &sc.win, false)
 }
 
-func (t *Tree) beginScan(s *store.Session, sc *queryScratch, tr *Trace, f scanFilter, sortByDist bool) *scanCursor {
+func (t *Tree) beginScan(s *store.Session, sc *queryScratch, sn *snapshot, tr *Trace, f scanFilter, sortByDist bool) *scanCursor {
 	c := &sc.scan
 	*c = scanCursor{
-		cursorBase: cursorBase{s: s, tr: tr, sn: t.load()},
+		cursorBase: cursorBase{s: s, tr: tr, sn: sn},
 		t:          t, sc: sc, f: f, sortByDist: sortByDist,
 	}
 	clear(sc.delivered)
@@ -261,16 +260,15 @@ func (c *scanCursor) shadowPage(entry int) error {
 	if int(e.Bits) == quantize.ExactBits {
 		return unrecoverablePage(int(e.QPos), entry)
 	}
-	entrySize := page.ExactEntrySize(t.dim)
-	raw, rel, err := c.s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*entrySize)
+	raw, err := t.readExact(c.s, c.sn, entry, 0, int(e.Count))
 	if err != nil {
 		return err
 	}
 	metricDegradedReads.Inc()
 	c.tr.AddDegraded(1)
 	c.tr.AddRefinement(int(e.Count))
-	c.s.ChargeDistCPU(t.eFile, t.dim, int(e.Count))
-	c.appendHits(c.sc.pts.DecodeExact(raw[rel:], int(e.Count), t.dim))
+	c.s.ChargeDistCPU(c.sn.gen.e, t.dim, int(e.Count))
+	c.appendHits(c.sc.pts.DecodeExact(raw, int(e.Count), t.dim))
 	return nil
 }
 
@@ -279,7 +277,7 @@ func (c *scanCursor) shadowPage(entry int) error {
 // directly.
 func (c *scanCursor) exactPage(payload []byte, count int) {
 	pts, ids := c.sc.pts.DecodeQPage(payload, count, c.t.dim)
-	c.s.ChargeDistCPU(c.t.qFile, c.t.dim, len(pts))
+	c.s.ChargeDistCPU(c.sn.gen.q, c.t.dim, len(pts))
 	c.appendHits(pts, ids)
 }
 
@@ -298,7 +296,7 @@ func (c *scanCursor) appendHits(pts []vec.Point, ids []uint32) {
 func (c *scanCursor) codesPage(entry, count int, codes []uint32) error {
 	t, sc, f := c.t, c.sc, c.f
 	f.preparePage(sc, c.sn.grids[entry], count)
-	c.s.ChargeApproxCPU(t.qFile, t.dim, count)
+	c.s.ChargeApproxCPU(c.sn.gen.q, t.dim, count)
 	hits := f.pageHits(sc, codes, t.dim, count)
 	need := sc.need[:0]
 	for i := 0; i < count; i++ {
@@ -314,18 +312,14 @@ func (c *scanCursor) codesPage(entry, count int, codes []uint32) error {
 	// Level 3: candidates of one page are contiguous in the exact file;
 	// read the covering range in a single operation and bulk-decode the
 	// covered span into the point arena.
-	e := c.sn.entries[entry]
-	entrySize := page.ExactEntrySize(t.dim)
-	base := int(e.EPos) * t.sto.Config().BlockSize
-	lo := base + need[0]*entrySize
-	hi := base + (need[len(need)-1]+1)*entrySize
-	raw, rel, err := c.s.ReadRange(t.eFile, lo, hi-lo)
+	lo, hi := need[0], need[len(need)-1]+1
+	raw, err := t.readExact(c.s, c.sn, entry, lo, hi)
 	if err != nil {
 		return err
 	}
 	c.tr.AddRefinement(len(need))
-	c.s.ChargeDistCPU(t.eFile, t.dim, len(need))
-	pts, ids := sc.pts.DecodeExact(raw[rel:], need[len(need)-1]-need[0]+1, t.dim)
+	c.s.ChargeDistCPU(c.sn.gen.e, t.dim, len(need))
+	pts, ids := sc.pts.DecodeExact(raw, hi-lo, t.dim)
 	for _, i := range need {
 		j := i - need[0]
 		if d, ok := f.exactHit(pts[j]); ok {

@@ -111,8 +111,8 @@ func assertTreesEqual(t *testing.T, got, want *Tree, queries []vec.Point) {
 	}
 	assertSamePoints(t, got, want)
 	for _, base := range []string{QFileName, EFileName} {
-		a := rawFileBytes(t, got, genName(base, got.gen))
-		b := rawFileBytes(t, want, genName(base, want.gen))
+		a := rawFileBytes(t, got, genName(base, got.load().gen.n))
+		b := rawFileBytes(t, want, genName(base, want.load().gen.n))
 		if len(a) != len(b) {
 			t.Fatalf("%s: %d bytes, want %d", base, len(a), len(b))
 		}
@@ -389,8 +389,8 @@ func TestKillAndRecoverDuringIncrementalReoptimize(t *testing.T) {
 	}
 	rec := crashRecover(t, live)
 	assertTreesEqual(t, rec, twin, randPoints(r, 8, 6))
-	if rec.gen != 0 {
-		t.Fatalf("recovered generation %d, want 0", rec.gen)
+	if rec.load().gen.n != 0 {
+		t.Fatalf("recovered generation %d, want 0", rec.load().gen.n)
 	}
 	for _, name := range rec.sto.Backend().Names() {
 		if strings.Contains(name, ".g1") {
@@ -426,8 +426,8 @@ func TestKillAndRecoverAfterIncrementalReoptimize(t *testing.T) {
 		}
 	}
 	rec := crashRecover(t, live)
-	if rec.gen != 1 {
-		t.Fatalf("recovered generation %d, want 1", rec.gen)
+	if rec.load().gen.n != 1 {
+		t.Fatalf("recovered generation %d, want 1", rec.load().gen.n)
 	}
 	assertTreesEqual(t, rec, twin, randPoints(r, 8, 6))
 	for _, name := range rec.sto.Backend().Names() {
@@ -458,10 +458,10 @@ func TestKillAndRecoverUnderAutoReoptimize(t *testing.T) {
 	var present []write // inserted and not yet deleted
 	nextID, nextBase := uint32(100000), 0
 	inRun := 0 // writes acknowledged since the in-flight run began
-	for step := 0; live.gen < 2 || inRun < 3; step++ {
+	for step := 0; live.load().gen.n < 2 || inRun < 3; step++ {
 		if step == 2000 {
 			t.Fatalf("no crash point after %d writes: %d swaps, running %v",
-				step, live.gen, live.ReoptimizeRunning())
+				step, live.load().gen.n, live.ReoptimizeRunning())
 		}
 		var ins []write
 		var del write
@@ -500,17 +500,17 @@ func TestKillAndRecoverUnderAutoReoptimize(t *testing.T) {
 			inRun = 0
 		}
 	}
-	if twin.gen != live.gen || !twin.ReoptimizeRunning() {
+	if twin.load().gen.n != live.load().gen.n || !twin.ReoptimizeRunning() {
 		t.Fatalf("twin diverged: %d swaps (live %d), running %v",
-			twin.gen, live.gen, twin.ReoptimizeRunning())
+			twin.load().gen.n, live.load().gen.n, twin.ReoptimizeRunning())
 	}
 	rec := crashRecover(t, live)
-	if rec.gen != twin.gen {
-		t.Fatalf("recovered generation %d, want %d", rec.gen, twin.gen)
+	if rec.load().gen.n != twin.load().gen.n {
+		t.Fatalf("recovered generation %d, want %d", rec.load().gen.n, twin.load().gen.n)
 	}
 	assertTreesEqual(t, rec, twin, randPoints(r, 4, 6))
 	for _, name := range rec.sto.Backend().Names() {
-		if strings.HasSuffix(name, fmt.Sprintf(".g%d", rec.gen+1)) {
+		if strings.HasSuffix(name, fmt.Sprintf(".g%d", rec.load().gen.n+1)) {
 			t.Fatalf("unfinished generation's file survived recovery: %s", name)
 		}
 	}

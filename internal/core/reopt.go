@@ -11,27 +11,28 @@ import (
 	"repro/internal/vec"
 )
 
-// Incremental reoptimization (DESIGN.md §13). The stop-the-world rebuild
-// is decomposed into steps that overlap with queries and updates:
+// Incremental reoptimization (DESIGN.md §13). The rebuild is decomposed
+// into steps that overlap with queries and updates:
 //
 //	begin:  pin the current snapshot and start capturing logical deltas
 //	        (under t.mu, so the pin and the capture marker are atomic
 //	        with respect to writers), then plan the new layout lock-free
-//	        from the pinned snapshot and create generation gen+1 files.
+//	        from the pinned snapshot and create generation N+1's files.
 //	middle: write one planned page into the new generation's files —
-//	        invisible to queries, which keep serving the old generation —
+//	        invisible to queries, which keep serving generation N —
 //	        reading its points back from the pinned pages, and repair at
 //	        most one quarantined live page.
-//	final:  under world.Lock (the only excluding step), swap the file
-//	        pointers to the new generation, apply the captured deltas
+//	final:  under t.mu, like any writer, apply the captured deltas
 //	        through the normal apply path (the inserts as one batch,
-//	        then the deletes), publish, and (in WAL mode) checkpoint so
-//	        the swap is the durable commit point. Old generation files
-//	        are removed afterwards.
+//	        then the deletes), write the directory, (in WAL mode)
+//	        checkpoint so the swap is the durable commit point, and
+//	        publish the new generation's first epoch; then, without
+//	        t.mu, retire generation N (see retire).
 //
-// Snapshot correctness: queries pin epochs of the old generation and
-// hold world.RLock for their whole duration, so the final swap cannot
-// run under them and no query reads a repositioned page.
+// Snapshot correctness: every epoch names its generation, which a query
+// holds for read while it runs, so a query reads the generation it
+// pinned to the end, never waits for the swap, and is waited for by
+// the retirement that removes those files.
 
 var (
 	metricReoptSteps = obs.Default().Counter("reopt.steps")
@@ -52,16 +53,13 @@ var (
 // the swap. A run in flight thus holds about four bytes per point and
 // one directory entry per planned page, not the points.
 type reoptState struct {
-	sn     *snapshot // the next epoch; its pages [0, next) are written
+	sn     *snapshot // the next epoch, on the new generation; its pages [0, next) are written
 	perm   []int32   // next-epoch entry i holds points perm[Base:Base+Count]
 	pinned *snapshot // the snapshot the plan was made from
 	firsts []int     // firsts[i]: index of pinned entry i's first point
 	next   int       // next entry of sn to write
 	deltas []mutOp   // mutations since the pin; guarded by t.mu
-
-	gen          uint32 // the generation being built
-	qFile, eFile *store.File
-	qStart       int // blocks of the live quantized file at the pin
+	qStart int       // blocks of the live quantized file at the pin
 }
 
 // ReoptimizeRunning reports whether an incremental reoptimization is in
@@ -98,7 +96,7 @@ func (t *Tree) reoptStep(s *store.Session) (done bool, err error) {
 	if i := r.next; i < len(r.sn.entries) {
 		pts, ids, err := t.pinnedPoints(r, i)
 		if err == nil {
-			err = t.writePages(r.qFile, r.eFile, r.sn, i, i+1, pts, ids,
+			err = t.writePages(r.sn, i, i+1, pts, ids,
 				make([]byte, t.blockSize), make([]byte, int(r.sn.entries[i].EBlocks)*t.blockSize))
 		}
 		if err != nil {
@@ -117,26 +115,24 @@ func (t *Tree) reoptStep(s *store.Session) (done bool, err error) {
 
 // reoptBehind reports whether the in-flight run has written fewer pages
 // into the next generation than the live quantized file has grown since
-// the pin. Caller holds t.reoptMu, which also keeps t.qFile in place.
+// the pin. Caller holds t.reoptMu, which keeps the pinned generation live.
 func (t *Tree) reoptBehind() bool {
 	r := t.reopt
-	return r != nil && r.next < t.qFile.Blocks()-r.qStart
+	return r != nil && r.next < r.pinned.gen.q.Blocks()-r.qStart
 }
 
 // reoptBegin pins the current state and computes the new layout. Caller
 // holds t.reoptMu.
 func (t *Tree) reoptBegin() error {
-	t.world.RLock()
-	defer t.world.RUnlock()
 	// Pin and arm delta capture atomically with respect to writers.
 	t.mu.Lock()
 	pinned := t.load()
-	r := &reoptState{gen: t.gen + 1, qStart: t.qFile.Blocks()}
+	r := &reoptState{qStart: pinned.gen.q.Blocks()}
 	t.reopt = r
 	t.mu.Unlock()
 	// Plan lock-free against the pinned snapshot: copy-on-write keeps
 	// its pages readable while writers publish newer epochs (those
-	// mutations arrive as deltas).
+	// mutations arrive as deltas), and only this run's swap retires it.
 	pts, _, firsts, err := t.allPoints(pinned)
 	if err != nil {
 		t.reoptAbort()
@@ -153,16 +149,13 @@ func (t *Tree) reoptBegin() error {
 	model := pinned.model
 	model.N, model.DataSpace = len(pts), dataSpace
 	p := newPlan(t.geometry, t.opt, model, pts)
+	g, err := t.generationFiles(pinned.gen.n+1, true)
+	if err != nil {
+		t.reoptAbort()
+		return err
+	}
 	r.sn, r.perm, r.pinned, r.firsts = p.setPlanned(), p.perm, pinned, firsts
-	if r.qFile, err = t.sto.NewFile(genName(QFileName, r.gen)); err != nil {
-		t.reoptAbort()
-		return err
-	}
-	if r.eFile, err = t.sto.NewFile(genName(EFileName, r.gen)); err != nil {
-		t.reoptAbort()
-		return err
-	}
-	r.eFile.EvictFirst()
+	r.sn.gen = g
 	return nil
 }
 
@@ -196,9 +189,7 @@ func (t *Tree) pinnedPoints(r *reoptState, i int) ([]vec.Point, []uint32, error)
 			if e.Bits == quantize.ExactBits {
 				pg.pts, pg.ids, err = t.readPagePoints(s, r.pinned, src)
 			} else {
-				var rel int
-				pg.raw, rel, err = s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*size)
-				pg.raw = pg.raw[rel:]
+				pg.raw, err = t.readExact(s, r.pinned, src, 0, int(e.Count))
 			}
 			if err != nil {
 				return nil, nil, err
@@ -218,47 +209,35 @@ func (t *Tree) pinnedPoints(r *reoptState, i int) ([]vec.Point, []uint32, error)
 // written next-generation files are removed. Caller holds t.reoptMu.
 func (t *Tree) reoptAbort() {
 	t.mu.Lock()
-	r := t.reopt
 	t.reopt = nil
 	t.mu.Unlock()
-	if r == nil {
-		return
-	}
-	if r.qFile != nil {
-		t.sto.Remove(r.qFile.Name())
-	}
-	if r.eFile != nil {
-		t.sto.Remove(r.eFile.Name())
-	}
+	_ = t.sweep(t.load().gen.n) // a failed removal is the store's sticky error
 }
 
-// reoptFinish swaps the tree to the freshly built generation. The only
-// step that excludes queries and writers; in WAL mode the generation's
-// first checkpoint record is the durable commit point of the swap (a
-// crash before it recovers the old generation plus the WAL, a crash
-// after it the new one).
+// reoptFinish swaps the tree to the freshly built generation, then
+// retires the old one. In WAL mode the new generation's first checkpoint
+// record is the durable commit point of the swap (a crash before it
+// recovers the old generation plus the WAL, a crash after it the new
+// one). A swap that fails before its publish has nothing on the tree to
+// undo: only the new generation's files go.
 func (t *Tree) reoptFinish(s *store.Session) error {
-	t.world.Lock()
-	defer t.world.Unlock()
-	r := t.reopt
-	sn := r.sn
-
-	// Swap the file pointers first: delta re-application and every later
-	// write lands in the new generation. Writers are excluded (they need
-	// world.RLock), so the swap is race-free.
-	oldQ, oldE, oldGen := t.qFile, t.eFile, t.gen
-	oldCkpt := t.ckptLog
-	t.qFile, t.eFile, t.gen = r.qFile, r.eFile, r.gen
 	t.mu.Lock()
+	r, old := t.reopt, t.load().gen
 	t.reopt = nil // stop delta capture; r.deltas is complete
+	err := t.swap(s, r)
+	published := t.load().gen != old
 	t.mu.Unlock()
-	rollback := func() {
-		t.qFile, t.eFile, t.gen = oldQ, oldE, oldGen
-		t.ckptLog = oldCkpt
-		t.sto.Remove(r.qFile.Name())
-		t.sto.Remove(r.eFile.Name())
+	if !published {
+		_ = t.sweep(old.n) // a failed removal is the store's sticky error
+		return err
 	}
+	t.retire(old)
+	return err
+}
 
+// swap applies the run's deltas to its next epoch, writes the directory,
+// checkpoints in WAL mode and publishes the epoch. Caller holds t.mu.
+func (t *Tree) swap(s *store.Session, r *reoptState) error {
 	// The new generation holds every pinned point already. The captured
 	// inserts go in as one batch, which rewrites each page it touches
 	// once, then the captured deletes in log order. Each delete then sees
@@ -266,6 +245,7 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 	// logged, so it finds its point, and the contents and data space equal
 	// a one-by-one replay's. Only the layout differs, which is free: the
 	// checkpoint below, not the WAL, is the new generation's recovery base.
+	sn := r.sn
 	var pts []vec.Point
 	var ids []uint32
 	var dels []mutOp
@@ -279,7 +259,6 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 	}
 	if len(pts) > 0 {
 		if err := t.applyInsertBatch(s, sn, pts, ids); err != nil {
-			rollback()
 			return fmt.Errorf("core: reoptimize delta replay: %w", err)
 		}
 	}
@@ -289,51 +268,48 @@ func (t *Tree) reoptFinish(s *store.Session) error {
 			err = fmt.Errorf("deleted point %d not found", op.ids[0])
 		}
 		if err != nil {
-			rollback()
 			return fmt.Errorf("core: reoptimize delta replay: %w", err)
 		}
 	}
 	if err := t.sto.Err(); err != nil {
-		rollback()
 		return err
 	}
 	if err := t.writeDirectory(sn); err != nil {
-		rollback()
 		return err
 	}
 	if t.wal != nil {
-		nl, err := store.CreateWAL(t.sto.Backend(), ckptLogName(t.gen))
-		if err != nil {
-			rollback()
+		var err error
+		if sn.gen.ckpt, err = store.CreateWAL(t.sto.Backend(), ckptLogName(sn.gen.n)); err != nil {
 			return err
 		}
-		t.ckptLog = nl
 		if err := t.checkpointCommit(sn); err != nil {
-			// The new checkpoint log never became authoritative; removing
-			// it makes the old generation's log the newest again.
-			t.sto.Remove(nl.Name())
-			rollback()
 			return err
 		}
 	}
-	// Quarantined positions referred to the old generation's file.
-	t.clearQuarantine()
 	t.publish(sn)
-	// The old generation is garbage now. In WAL mode the new checkpoint
-	// is durable, so recovery no longer needs these files.
-	t.sto.Remove(oldQ.Name())
-	t.sto.Remove(oldE.Name())
-	if oldCkpt != nil && t.wal != nil {
-		t.sto.Remove(oldCkpt.Name())
-	}
 	if t.wal != nil {
-		// Best-effort: reset the mutation log tail (checkpointCommit
-		// already covered every buffered record).
-		if err := t.wal.Reset(); err != nil {
-			return err
-		}
+		// The checkpoint covered every buffered record.
+		return t.wal.Reset()
 	}
 	return nil
+}
+
+// retire removes the generation g a swap replaced, on the swap's own
+// goroutine, so every file mutation stays on the write path (a shard
+// replica rebuild relies on that). g's write side waits only for the
+// queries pinned to g; then g's files go, and under t.mu the directory,
+// which the swap did not shrink under g's queries, is trimmed.
+// A failed removal or trim is the store's sticky error, which the next
+// write reports.
+func (t *Tree) retire(g *generation) {
+	g.readers.Lock()
+	_ = t.sweep(t.load().gen.n)
+	g.readers.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if live := t.load().dirBlocks; t.dirFile.Blocks() > live {
+		_ = t.dirFile.Truncate(live)
+	}
 }
 
 // repairOne rewrites one quarantined live page from its exact shadow
@@ -344,13 +320,11 @@ func (t *Tree) repairOne(s *store.Session) (bool, error) {
 	if len(t.QuarantinedPages()) == 0 {
 		return false, nil
 	}
-	t.world.RLock()
-	defer t.world.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sn := t.load().clone()
 	for i := range sn.entries {
-		if sn.free[i] || !t.isQuarantined(int(sn.entries[i].QPos)) {
+		if sn.free[i] || !sn.gen.isQuarantined(int(sn.entries[i].QPos)) {
 			continue
 		}
 		e := sn.entries[i]
@@ -383,8 +357,6 @@ func (t *Tree) Checkpoint() error {
 	if t.wal == nil {
 		return nil
 	}
-	t.world.RLock()
-	defer t.world.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.checkpoint(t.load())
@@ -411,16 +383,16 @@ func (t *Tree) checkpointCommit(sn *snapshot) error {
 		return fmt.Errorf("core: checkpoint sync: %w", err)
 	}
 	rec := checkpointRecord{
-		gen:       t.gen,
+		gen:       sn.gen.n,
 		lsn:       t.wal.AppendedLSN(),
 		n:         sn.n,
-		qBlocks:   t.qFile.Blocks(),
-		eBlocks:   t.eFile.Blocks(),
+		qBlocks:   sn.gen.q.Blocks(),
+		eBlocks:   sn.gen.e.Blocks(),
 		dataSpace: sn.dataSpace,
 		entries:   sn.entries,
 	}
-	lsn := t.ckptLog.Append(0, encodeCheckpoint(rec, t.dim))
-	if err := t.ckptLog.Commit(lsn); err != nil {
+	lsn := sn.gen.ckpt.Append(0, encodeCheckpoint(rec, t.dim))
+	if err := sn.gen.ckpt.Commit(lsn); err != nil {
 		return fmt.Errorf("core: checkpoint commit: %w", err)
 	}
 	return nil

@@ -74,7 +74,7 @@ func TestReoptimizeSwapFoldsDeltas(t *testing.T) {
 		insert(p, uint32(500000+i))
 	}
 	finishReopt(t, tr)
-	if stale := tr.qFile.Blocks() - tr.NumPages(); stale > 2 {
+	if stale := tr.load().gen.q.Blocks() - tr.NumPages(); stale > 2 {
 		t.Fatalf("new generation holds %d blocks beyond its %d live pages, want ≤ 2", stale, tr.NumPages())
 	}
 	assertSamePoints(t, tr, twin)
@@ -106,7 +106,7 @@ func TestReoptimizeSwapFoldsDeltas(t *testing.T) {
 	// inserts hold fails the swap, which rolls back to the live
 	// generation.
 	begin()
-	gen := tr.gen
+	gen := tr.load().gen.n
 	tr.mu.Lock()
 	tr.reopt.deltas = append(tr.reopt.deltas, mutOp{kind: walKindDelete, pts: []vec.Point{gone}, ids: []uint32{600000}})
 	tr.mu.Unlock()
@@ -123,8 +123,8 @@ func TestReoptimizeSwapFoldsDeltas(t *testing.T) {
 			t.Fatal("swap succeeded with a missing point")
 		}
 	}
-	if tr.gen != gen || tr.ReoptimizeRunning() {
-		t.Fatalf("after a failed swap: generation %d (want %d), running %v", tr.gen, gen, tr.ReoptimizeRunning())
+	if tr.load().gen.n != gen || tr.ReoptimizeRunning() {
+		t.Fatalf("after a failed swap: generation %d (want %d), running %v", tr.load().gen.n, gen, tr.ReoptimizeRunning())
 	}
 	if tr.sto.File(genName(QFileName, gen+1)) != nil {
 		t.Fatal("failed swap left the next generation's quantized file")
@@ -186,7 +186,7 @@ func TestReoptimizeAbortsOnUnreadablePinnedPage(t *testing.T) {
 	if len(compressedPages(tr)) == 0 {
 		t.Fatal("no page has an exact shadow")
 	}
-	gen := tr.gen
+	gen := tr.load().gen.n
 	if _, err := tr.ReoptimizeStep(sto.NewSession()); err != nil || !tr.ReoptimizeRunning() {
 		t.Fatalf("begin: running=%v err=%v", tr.ReoptimizeRunning(), err)
 	}
@@ -207,8 +207,8 @@ func TestReoptimizeAbortsOnUnreadablePinnedPage(t *testing.T) {
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("step over damaged pinned pages: %v, want a CorruptBlockError", err)
 	}
-	if tr.ReoptimizeRunning() || tr.gen != gen {
-		t.Fatalf("after the failed step: running %v, generation %d (want %d)", tr.ReoptimizeRunning(), tr.gen, gen)
+	if tr.ReoptimizeRunning() || tr.load().gen.n != gen {
+		t.Fatalf("after the failed step: running %v, generation %d (want %d)", tr.ReoptimizeRunning(), tr.load().gen.n, gen)
 	}
 	for _, name := range []string{QFileName, EFileName} {
 		if sto.File(genName(name, gen+1)) != nil {
@@ -273,8 +273,8 @@ func TestFailedWritesLeaveDirectoryAsItWas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reopened.gen != 0 || reopened.Len() != len(pts)+1 {
-		t.Fatalf("reopened at generation %d with %d points, want 0 and %d", reopened.gen, reopened.Len(), len(pts)+1)
+	if reopened.load().gen.n != 0 || reopened.Len() != len(pts)+1 {
+		t.Fatalf("reopened at generation %d with %d points, want 0 and %d", reopened.load().gen.n, reopened.Len(), len(pts)+1)
 	}
 	if err := reopened.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func filesBuiltAt(t *testing.T, procs int, cfg store.Config, pts []vec.Point, op
 		mutate(tr)
 	}
 	files := map[string][]byte{}
-	for _, name := range []string{MetaFileName, DirFileName, genName(QFileName, tr.gen), genName(EFileName, tr.gen)} {
+	for _, name := range []string{MetaFileName, DirFileName, genName(QFileName, tr.load().gen.n), genName(EFileName, tr.load().gen.n)} {
 		files[name] = rawFileBytes(t, tr, name)
 	}
 	return files
@@ -54,7 +54,7 @@ func TestBuildIndependentOfSchedule(t *testing.T) {
 		if err := tr.Reoptimize(); err != nil {
 			t.Fatal(err)
 		}
-		if tr.gen == 0 {
+		if tr.load().gen.n == 0 {
 			t.Fatal("Reoptimize did not start a new generation")
 		}
 	}

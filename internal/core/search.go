@@ -8,7 +8,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/page"
 	"repro/internal/pagesched"
 	"repro/internal/quantize"
 	"repro/internal/store"
@@ -67,10 +66,10 @@ func (t *Tree) KNNInto(s *store.Session, q vec.Point, k int, dst []Neighbor) ([]
 // knn runs the session's k-NN cursor to completion under one pinned
 // epoch and pops its result into dst (see resultsInto).
 func (t *Tree) knn(s *store.Session, q vec.Point, k int, minRecall float64, dst []Neighbor) ([]Neighbor, error) {
-	t.world.RLock()
-	defer t.world.RUnlock()
+	sn := t.pin()
+	defer sn.unpin()
 	sc := scratchFor(s)
-	c := t.beginKNN(s, sc, q, k, minRecall)
+	c := t.beginKNN(s, sc, sn, q, k, minRecall)
 	if err := t.execute(sc, c); err != nil {
 		return nil, err
 	}
@@ -107,13 +106,12 @@ type knnCursor struct {
 }
 
 // beginKNN resets the scratch's k-NN cursor for one query over the
-// current epoch. The caller holds world.RLock.
-func (t *Tree) beginKNN(s *store.Session, sc *queryScratch, q vec.Point, k int, minRecall float64) *knnCursor {
+// pinned epoch sn.
+func (t *Tree) beginKNN(s *store.Session, sc *queryScratch, sn *snapshot, q vec.Point, k int, minRecall float64) *knnCursor {
 	tr := t.traceOf(s)
 	if tr != nil {
 		tr.SetLabel(fmt.Sprintf("knn k=%d", k))
 	}
-	sn := t.load()
 	c := &sc.knn
 	*c = knnCursor{cursorBase: cursorBase{s: s, tr: tr, sn: sn}, pending: -1}
 	c.st = sc.beginSearch(t, sn, s, q, k, tr, minRecall)
@@ -515,7 +513,7 @@ func (st *nnSearch) degradedExact(entry int) {
 	}
 	metricDegradedReads.Inc()
 	st.tr.AddDegraded(1)
-	st.s.ChargeDistCPU(t.eFile, t.dim, len(ep.pts))
+	st.s.ChargeDistCPU(st.sn.gen.e, t.dim, len(ep.pts))
 	met := t.opt.Metric
 	for i, p := range ep.pts {
 		d := met.Dist(st.q, p)
@@ -560,7 +558,7 @@ func (st *nnSearch) processExact(payload []byte, count int) {
 	t := st.t
 	met := t.opt.Metric
 	pts, ids := st.sc.pts.DecodeQPage(payload, count, t.dim)
-	st.s.ChargeDistCPU(t.qFile, t.dim, len(pts))
+	st.s.ChargeDistCPU(st.sn.gen.q, t.dim, len(pts))
 	for i, p := range pts {
 		d := met.Dist(st.q, p)
 		st.ub.Offer(Neighbor{Dist: d})
@@ -580,7 +578,7 @@ func (st *nnSearch) processCodes(entry, count int, codes []uint32) {
 	t := st.t
 	met := t.opt.Metric
 	tb := st.sc.arena.Tables(st.sn.grids[entry], st.q, met, count)
-	st.s.ChargeApproxCPU(t.qFile, t.dim, count)
+	st.s.ChargeApproxCPU(st.sn.gen.q, t.dim, count)
 	cand := 0
 	// prune/bound only shrink while scanning the page, so thresholds
 	// cached here stay safe: a point abandoned against a stale (larger)
@@ -625,7 +623,7 @@ func (st *nnSearch) refine(it pqItem) {
 		return
 	}
 	p, id := ep.pts[it.pt], ep.ids[it.pt]
-	st.s.ChargeDistCPU(t.eFile, t.dim, 1)
+	st.s.ChargeDistCPU(st.sn.gen.e, t.dim, 1)
 	st.res.Offer(Neighbor{ID: id, Dist: t.opt.Metric.Dist(st.q, p), Point: p})
 }
 
@@ -636,14 +634,13 @@ func (st *nnSearch) loadExact(entry int32) (exactPage, error) {
 		return ep, nil
 	}
 	t := st.t
-	e := st.sn.entries[entry]
-	entrySize := page.ExactEntrySize(t.dim)
-	raw, rel, err := st.s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*entrySize)
+	count := int(st.sn.entries[entry].Count)
+	raw, err := t.readExact(st.s, st.sn, int(entry), 0, count)
 	if err != nil {
 		return exactPage{}, err
 	}
-	st.tr.AddRefinement(int(e.Count))
-	pts, ids := st.sc.pts.DecodeExact(raw[rel:], int(e.Count), t.dim)
+	st.tr.AddRefinement(count)
+	pts, ids := st.sc.pts.DecodeExact(raw, count, t.dim)
 	ep := exactPage{pts: pts, ids: ids}
 	if st.exactCache == nil {
 		st.exactCache = make(map[int32]exactPage)

@@ -91,8 +91,8 @@ func TestShipAcrossGenerationSwap(t *testing.T) {
 	if err := live.Reoptimize(); err != nil {
 		t.Fatal(err)
 	}
-	if live.gen != 1 {
-		t.Fatalf("expected generation 1 after reoptimize, got %d", live.gen)
+	if live.load().gen.n != 1 {
+		t.Fatalf("expected generation 1 after reoptimize, got %d", live.load().gen.n)
 	}
 	// Post-swap mutations land in the reset mutation log.
 	s := live.sto.NewSession()
@@ -103,8 +103,8 @@ func TestShipAcrossGenerationSwap(t *testing.T) {
 	}
 
 	rec := shipAndOpen(t, live)
-	if rec.gen != 1 {
-		t.Fatalf("copy recovered generation %d, want 1", rec.gen)
+	if rec.load().gen.n != 1 {
+		t.Fatalf("copy recovered generation %d, want 1", rec.load().gen.n)
 	}
 	assertTreesEqual(t, rec, live, randPoints(r, 10, 8))
 }

@@ -1,16 +1,20 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/costmodel"
 	"repro/internal/page"
 	"repro/internal/quantize"
+	"repro/internal/store"
 	"repro/internal/vec"
 )
 
-// snapshot is one immutable epoch of the tree's directory: the decoded
-// level-1 entries, their quantization grids, the free map, and the
-// position→entry index of the quantized file. Queries pin a snapshot at
-// entry (an atomic pointer load) and run entirely against it, so they
+// snapshot is one immutable epoch of the tree: the decoded level-1
+// entries, their quantization grids, the free map, the position→entry
+// index of the quantized file, and the generation whose files hold its
+// pages. Queries pin a snapshot at entry (an atomic pointer load and a
+// read hold on its generation) and run entirely against it, so they
 // never observe a half-applied update; writers clone the current
 // snapshot, mutate the clone, write new page versions out of place
 // (every page rewrite appends — old positions are never overwritten, so
@@ -22,10 +26,41 @@ type snapshot struct {
 	grids     []quantize.Grid // per-entry quantization grid
 	free      []bool          // entries logically deleted
 	entryAt   []int32         // quantized page position → owning entry (-1 = stale)
-	dirBlocks int             // directory extent in blocks at publish time
+	dirBlocks int             // directory extent in blocks: what the entries take
 	dataSpace vec.MBR
 	model     costmodel.Model
+	gen       *generation // the data files the entries point into
 }
+
+// generation is the data files every epoch between two reoptimization
+// swaps shares: number n's quantized and exact files, its checkpoint log
+// (nil without Options.WAL) and its quarantine set. Queries hold readers
+// for read; retire takes the write side before it removes the files.
+type generation struct {
+	n       uint32
+	q, e    *store.File
+	ckpt    *store.WAL
+	readers sync.RWMutex
+	quarMu  sync.Mutex
+	quar    map[int]struct{}
+}
+
+// pin returns the current snapshot with its generation held for read
+// until unpin. A snapshot whose generation is no longer live once held
+// is given up for the current one: its files may be gone.
+func (t *Tree) pin() *snapshot {
+	for {
+		sn := t.load()
+		sn.gen.readers.RLock()
+		if t.load().gen == sn.gen {
+			return sn
+		}
+		sn.gen.readers.RUnlock()
+	}
+}
+
+// unpin releases a snapshot returned by pin.
+func (sn *snapshot) unpin() { sn.gen.readers.RUnlock() }
 
 // clone returns a deep copy of the snapshot at the next epoch. Slices
 // and the data-space MBR are copied so the writer can mutate freely;
@@ -41,6 +76,7 @@ func (sn *snapshot) clone() *snapshot {
 		dirBlocks: sn.dirBlocks,
 		dataSpace: sn.dataSpace.Clone(),
 		model:     sn.model,
+		gen:       sn.gen,
 	}
 	c.model.DataSpace = c.dataSpace
 	return c

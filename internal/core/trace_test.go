@@ -227,7 +227,7 @@ func TestPoolKeepsUpperLevels(t *testing.T) {
 	opt.AutoReoptimize = AutoReoptPolicy{GarbageRatio: 0.3}
 	tree := buildWALTree(t, pts, opt)
 	sto := tree.sto
-	if ex := tree.eFile.Blocks(); 4*budget >= ex {
+	if ex := tree.load().gen.e.Blocks(); 4*budget >= ex {
 		t.Fatalf("a pool of %d blocks is not under a quarter of the %d exact blocks", budget, ex)
 	}
 	sto.SetCache(budget * int64(sto.Config().BlockSize))
@@ -235,18 +235,18 @@ func TestPoolKeepsUpperLevels(t *testing.T) {
 		return strings.HasPrefix(name, DirFileName) || strings.HasPrefix(name, QFileName)
 	}
 	warm := sto.NewSession()
-	for _, f := range []*store.File{tree.dirFile, tree.qFile} {
+	for _, f := range []*store.File{tree.dirFile, tree.load().gen.q} {
 		if _, err := warm.Read(f, 0, f.Blocks()); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	forgotten, peak, step := 0, 0, 0
-	for ; tree.gen < 2; step++ {
+	for ; tree.load().gen.n < 2; step++ {
 		if step == 400 {
-			t.Fatalf("%d swaps in %d steps, want 2", tree.gen, step)
+			t.Fatalf("%d swaps in %d steps, want 2", tree.load().gen.n, step)
 		}
-		before, eFile, running := tree.load(), tree.eFile, tree.ReoptimizeRunning()
+		before, eFile, running := tree.load(), tree.load().gen.e, tree.ReoptimizeRunning()
 		s := sto.NewSession()
 		inserted := step%3 != 2
 		if inserted {
@@ -270,7 +270,7 @@ func TestPoolKeepsUpperLevels(t *testing.T) {
 		// A run in flight reads its pinned page versions, superseded
 		// ones included, and a swap removes the old generation, so the
 		// superseded version is checked only with neither.
-		if inserted && !running && tree.eFile == eFile {
+		if inserted && !running && tree.load().gen.e == eFile {
 			after := tree.load()
 			for i, e := range before.entries {
 				if e.EBlocks == 0 || after.entries[i].EPos == e.EPos {
@@ -302,7 +302,7 @@ func TestPoolKeepsUpperLevels(t *testing.T) {
 			hits += l.CachedBlocks
 			if l.Seeks != 0 || l.Blocks != 0 {
 				t.Fatalf("step %d (%d swaps): the KNN read %s from the backend: %d seeks, %d blocks\n%s",
-					step, tree.gen, l.File, l.Seeks, l.Blocks, tr.Format())
+					step, tree.load().gen.n, l.File, l.Seeks, l.Blocks, tr.Format())
 			}
 		}
 		if hits == 0 {

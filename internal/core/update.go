@@ -71,8 +71,6 @@ func (t *Tree) InsertBatch(s *store.Session, pts []vec.Point, ids []uint32) erro
 // changed). The caller must not acknowledge the mutation before
 // commitDurable(lsn) returns.
 func (t *Tree) runMutation(s *store.Session, op mutOp) (uint64, error) {
-	t.world.RLock()
-	defer t.world.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sn := t.load().clone()
@@ -83,7 +81,7 @@ func (t *Tree) runMutation(s *store.Session, op mutOp) (uint64, error) {
 }
 
 // applyInsertBatch mutates sn in place: many points, grouped by target
-// page. Caller holds t.mu (and world.RLock) and owns pts.
+// page. Caller holds t.mu and owns pts.
 func (t *Tree) applyInsertBatch(s *store.Session, sn *snapshot, pts []vec.Point, ids []uint32) error {
 	groups := make(map[int][]int)
 	for i, p := range pts {
@@ -212,8 +210,6 @@ func (t *Tree) Delete(s *store.Session, p vec.Point, id uint32) (found bool, err
 	op := mutOp{kind: walKindDelete, pts: []vec.Point{p.Clone()}, ids: []uint32{id}}
 	var lsn uint64
 	found, lsn, err = func() (bool, uint64, error) {
-		t.world.RLock()
-		defer t.world.RUnlock()
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		sn := t.load().clone()
@@ -234,8 +230,7 @@ func (t *Tree) Delete(s *store.Session, p vec.Point, id uint32) (found bool, err
 }
 
 // applyDelete mutates sn in place: remove the first (id, coordinates)
-// match, shrinking/merging/freeing its page. Caller holds t.mu (and
-// world.RLock).
+// match, shrinking/merging/freeing its page. Caller holds t.mu.
 func (t *Tree) applyDelete(s *store.Session, sn *snapshot, p vec.Point, id uint32) (bool, error) {
 	for i, e := range sn.entries {
 		if sn.free[i] || !e.MBR.Contains(p) {
@@ -252,7 +247,7 @@ func (t *Tree) applyDelete(s *store.Session, sn *snapshot, p vec.Point, id uint3
 				sn.n--
 				sn.model.N = sn.n
 				if len(pts) == 0 {
-					t.forgetExact(e)
+					sn.gen.forgetExact(e)
 					sn.free[i] = true
 					sn.entries[i].Count = 0
 					sn.clearOwner(int(sn.entries[i].QPos), i)
@@ -271,7 +266,7 @@ func (t *Tree) applyDelete(s *store.Session, sn *snapshot, p vec.Point, id uint3
 
 // applyMutOp dispatches a decoded WAL record through the same apply path
 // the live mutation took, keeping replay bit-identical. Caller holds t.mu
-// (and the world lock in some mode).
+// or owns the tree (recovery).
 func (t *Tree) applyMutOp(s *store.Session, sn *snapshot, op mutOp) error {
 	switch op.kind {
 	case walKindInsertBatch:
@@ -338,7 +333,7 @@ func (t *Tree) tryMerge(s *store.Session, sn *snapshot, entry int) error {
 	pts = append(pts, pts2...)
 	ids = append(ids, ids2...)
 	t.rewritePage(s, sn, entry, pts, ids, mergedBits)
-	t.forgetExact(o)
+	sn.gen.forgetExact(o)
 	sn.free[best] = true
 	sn.entries[best].Count = 0
 	sn.clearOwner(int(sn.entries[best].QPos), best)
@@ -389,7 +384,7 @@ func (t *Tree) readPagePoints(s *store.Session, sn *snapshot, entry int) ([]vec.
 		return nil, nil, nil // empty (e.g. just-revived or appended) page: nothing to read
 	}
 	if e.Bits == quantize.ExactBits {
-		buf, err := s.Read(t.qFile, int(e.QPos), 1)
+		buf, err := s.Read(sn.gen.q, int(e.QPos), 1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -397,17 +392,28 @@ func (t *Tree) readPagePoints(s *store.Session, sn *snapshot, entry int) ([]vec.
 		pts, ids := qp.ExactPoints(t.dim)
 		return pts, ids, nil
 	}
-	entrySize := page.ExactEntrySize(t.dim)
-	raw, rel, err := s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*entrySize)
+	raw, err := t.readExact(s, sn, entry, 0, int(e.Count))
 	if err != nil {
 		return nil, nil, err
 	}
+	entrySize := page.ExactEntrySize(t.dim)
 	pts := make([]vec.Point, e.Count)
 	ids := make([]uint32, e.Count)
 	for i := 0; i < int(e.Count); i++ {
-		pts[i], ids[i] = page.UnmarshalExactEntry(raw[rel+i*entrySize:], t.dim)
+		pts[i], ids[i] = page.UnmarshalExactEntry(raw[i*entrySize:], t.dim)
 	}
 	return pts, ids, nil
+}
+
+// readExact reads slots [lo, hi) of the exact (level-3) page of sn's
+// entry through s: the one read of an exact page.
+func (t *Tree) readExact(s *store.Session, sn *snapshot, entry, lo, hi int) ([]byte, error) {
+	size := page.ExactEntrySize(t.dim)
+	raw, rel, err := s.ReadRange(sn.gen.e, int(sn.entries[entry].EPos)*t.blockSize+lo*size, (hi-lo)*size)
+	if err != nil {
+		return nil, err
+	}
+	return raw[rel:], nil
 }
 
 // splitIsCheaper compares, under the cost model, coarsening the page to
@@ -472,37 +478,36 @@ func (t *Tree) rewritePage(s *store.Session, sn *snapshot, entry int, pts []vec.
 	t.setPage(sn, entry, len(pts), bits, vec.MBROf(pts))
 	// A failed write is also the store's sticky error, which the update
 	// entry points check before they write the directory or publish.
-	_ = t.writePages(t.qFile, t.eFile, sn, entry, entry+1, pts, ids,
+	_ = t.writePages(sn, entry, entry+1, pts, ids,
 		make([]byte, t.blockSize), make([]byte, int(sn.entries[entry].EBlocks)*t.blockSize))
-	t.forgetExact(old)
+	sn.gen.forgetExact(old)
 	// Write cost: one seek plus the page transfer, attributed to the
 	// quantized file (the exact-page rewrite rides on the same pass).
-	s.ChargeWrite(t.qFile, 1, 1)
+	s.ChargeWrite(sn.gen.q, 1, 1)
 }
 
 // forgetExact drops the pooled frames of a superseded exact page
 // version. Copy-on-write leaves its bytes in place, so a reader pinned to
 // an older epoch just misses; a superseded quantized version stays
 // pooled, because a batch read spans the dead versions between live ones.
-func (t *Tree) forgetExact(e page.DirEntry) {
-	t.eFile.Forget(int(e.EPos), int(e.EBlocks))
+func (g *generation) forgetExact(e page.DirEntry) {
+	g.e.Forget(int(e.EPos), int(e.EBlocks))
 }
 
 // writeDirectory serializes the whole first-level directory (it is
-// small and scanned linearly anyway), then the superblock. The directory
-// file only grows between compactions, so snapshots pinned with a
-// shorter extent keep reading valid blocks.
+// small and scanned linearly anyway), then the superblock. The file
+// never shrinks here, so a query pinned to an older epoch, of a retired
+// generation too, reads its whole extent; retire trims it.
 func (t *Tree) writeDirectory(sn *snapshot) error {
-	dirBuf := make([]byte, 0, len(sn.entries)*page.DirEntrySize(t.dim))
-	entryBuf := make([]byte, page.DirEntrySize(t.dim))
+	size := page.DirEntrySize(t.dim)
+	dirBuf := make([]byte, max(len(sn.entries)*size, t.dirFile.Bytes()))
 	for i := range sn.entries {
-		sn.entries[i].Marshal(entryBuf, t.dim)
-		dirBuf = append(dirBuf, entryBuf...)
+		sn.entries[i].Marshal(dirBuf[i*size:], t.dim)
 	}
 	if err := t.dirFile.SetContents(dirBuf); err != nil {
 		return err
 	}
-	sn.dirBlocks = t.dirFile.Blocks()
+	sn.dirBlocks = t.dirExtent(len(sn.entries))
 	return t.writeMeta(sn)
 }
 
@@ -517,8 +522,8 @@ var ErrEmptyTree = errors.New("core: cannot reoptimize an empty tree")
 // dropped). The paper notes that updates require "careful book-keeping"
 // to maintain optimality; this batch variant simply drives the
 // incremental stepper (reopt.go) to completion, so queries and updates
-// keep running throughout — only the final swap step briefly excludes
-// them.
+// keep running throughout: the final swap makes writers wait like any
+// other write, and queries never wait for it.
 func (t *Tree) Reoptimize() error {
 	for {
 		done, err := t.ReoptimizeStep(t.sto.NewSession())
@@ -531,9 +536,9 @@ func (t *Tree) Reoptimize() error {
 // AllPoints returns every live (point, id) pair by reading the data files
 // without charging any session (a maintenance/verification helper).
 func (t *Tree) AllPoints() ([]vec.Point, []uint32, error) {
-	t.world.RLock()
-	defer t.world.RUnlock()
-	pts, ids, _, err := t.allPoints(t.load())
+	sn := t.pin()
+	defer sn.unpin()
+	pts, ids, _, err := t.allPoints(sn)
 	return pts, ids, err
 }
 

@@ -187,11 +187,8 @@ func (s *Session) Read(f *File, pos, nblocks int) ([]byte, error) {
 // damaged block would only mask a latent error as a flaky one.
 func (s *Session) backendRead(f *File, pos, nblocks int) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		data, err := f.bf.ReadBlocks(pos, nblocks)
+		data, err := f.ReadRaw(pos, nblocks)
 		if err == nil {
-			if verr := f.verifyBlocks(pos, data, nblocks); verr != nil {
-				return nil, verr
-			}
 			return data, nil
 		}
 		if !IsTransient(err) || attempt >= s.retry.MaxRetries {

@@ -398,6 +398,11 @@ type File struct {
 	bf    BlockFile
 	sums  *sumTable   // per-block CRC32C mirror; nil when checksums are off
 	first atomic.Bool // the file's frames go on the pool's evict-first list
+
+	// rw is held by SetContents and Truncate across the change and the
+	// sum update, by ReadRaw across the read and the check, so no read
+	// checks one version's bytes against the other's sums.
+	rw sync.RWMutex
 }
 
 // EvictFirst sends the blocks this file brings into the buffer pool from
@@ -505,6 +510,8 @@ func (f *File) Append(p []byte) (pos, nblocks int, err error) {
 // the new sums, the buffer pool holds every new block (overwriting the
 // frames of the old contents) and no frame past the new end.
 func (f *File) SetContents(p []byte) error {
+	f.rw.Lock()
+	defer f.rw.Unlock()
 	old := f.Blocks()
 	if err := f.mutate(func() error { return f.bf.SetContents(p) }); err != nil {
 		return f.failMutation(fmt.Errorf("store: rewrite of %s: %w", f.Name(), err))
@@ -526,6 +533,8 @@ func (f *File) SetContents(p []byte) error {
 // and WAL tail recovery; truncating at or past the current length is a
 // no-op.
 func (f *File) Truncate(nblocks int) error {
+	f.rw.Lock()
+	defer f.rw.Unlock()
 	old := f.Blocks()
 	if err := f.mutate(func() error { return f.bf.Truncate(nblocks) }); err != nil {
 		return f.failMutation(fmt.Errorf("store: truncate %s: %w", f.Name(), err))
@@ -543,10 +552,12 @@ func (f *File) Truncate(nblocks int) error {
 
 // ReadRaw returns the raw content of nblocks blocks at pos without
 // charging any cost and without touching the cache, verified against
-// the checksum sidecar when checksums are enabled. It is intended for
-// superblock reads, invariant checks, tests and debugging; query code
-// must go through a Session.
+// the checksum sidecar when checksums are enabled. It is a session's
+// backend read, and serves superblock reads, invariant checks, tests
+// and debugging; query code must go through a Session.
 func (f *File) ReadRaw(pos, nblocks int) ([]byte, error) {
+	f.rw.RLock()
+	defer f.rw.RUnlock()
 	if pos < 0 || nblocks <= 0 || pos+nblocks > f.Blocks() {
 		return nil, fmt.Errorf("store: raw read past end of %s: pos=%d n=%d blocks=%d",
 			f.Name(), pos, nblocks, f.Blocks())

@@ -77,6 +77,15 @@ go test -race -count=5 -run 'TestForRunsEachIndexOnce' ./internal/par/
 go test -race -count=5 -run 'TestBuildIndependentOfSchedule|TestPlanBuild|TestBuildFilesGolden|TestReoptimizeFilesGolden' ./internal/core/
 go test -race -count=5 -run 'TestNewBuildsReplicasConcurrently|TestCentroidIndependentOfSchedule' ./internal/shard/
 
+echo "== snapshot isolation repeat =="
+# A query holds its snapshot's generation while a reoptimization swap
+# publishes the next one beside it and then removes the old files, and
+# directory rewrites run beside queries' checked reads; repeat the swap
+# tests, the checked-store reads beside writes and the stress test under
+# the race detector, so an ordering bug between a query and a swap, a
+# retirement or a rewrite cannot hide in one lucky schedule.
+go test -race -count=10 -run 'TestSwap|TestCheckedReadsBesideWrites|TestConcurrentQueriesAndUpdates' ./internal/core/
+
 echo "== WAL recovery repeat =="
 # Every record starts on a block boundary, so a log has one layout
 # whatever its commits; the repeat guards torn tails and LSN order.
