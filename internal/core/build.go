@@ -390,9 +390,10 @@ const chunkBytes = 1 << 20
 
 // writePlanned writes the pages of p, set in sn by setPlanned, into the
 // empty quantized and exact files of sn's generation, a chunk at a time
-// through writePages. A chunk's points are gathered into one slab of pointers
-// into p.pts, and its pages are encoded into two block-aligned buffers
-// reused for every chunk, so encoding allocates nothing per page.
+// through writePages. A chunk's points are gathered into one slab of
+// pointers into p.pts, and its pages are encoded into two block-aligned
+// buffers reused for every chunk, so encoding allocates nothing per
+// page.
 func (t *Tree) writePlanned(p *Plan, sn *snapshot) error {
 	bs := t.blockSize
 	var chunks []int // first page of every chunk, then the page count
@@ -430,10 +431,10 @@ func (t *Tree) writePlanned(p *Plan, sn *snapshot) error {
 // into qbuf and ebuf, which must hold them block-aligned; then the
 // exact pages go to the end of sn's exact file in one append and the
 // quantized pages to the end of its quantized file in another. Only
-// once both appends have succeeded
-// does it set the entries' positions and make each entry the owner of
-// its quantized page: a failed append, which is also the store's sticky
-// error, leaves the positions as they were and is returned.
+// once both appends have succeeded does it set the entries' positions
+// and make each entry the owner of its quantized page: a failed append,
+// which is also the store's sticky error, leaves the positions as they
+// were and is returned.
 func (t *Tree) writePages(sn *snapshot, a, b int, pts []vec.Point, ids []uint32, qbuf, ebuf []byte) error {
 	bs := t.blockSize
 	// Page a+k holds pts[first[k]:first[k+1]] and ebuf's blocks

@@ -101,7 +101,7 @@ func DefaultOptions() Options {
 // concurrent searches and updates are safe. No operation stops the
 // world: a reoptimization swap is a writer like any other.
 type Tree struct {
-	mu   sync.Mutex // serializes writers (Insert/InsertBatch/Delete, repairs, checkpoints, the swap)
+	mu   sync.Mutex // serializes writers: updates, repairs, checkpoints, the swap
 	snap atomic.Pointer[snapshot]
 
 	opt Options

@@ -176,18 +176,17 @@ func (t *Tree) loadDirectory(gen uint32, nEntries, n int, refineFactor float64) 
 // empty when create is set and looked up otherwise.
 func (t *Tree) generationFiles(n uint32, create bool) (*generation, error) {
 	g := &generation{n: n}
-	for _, f := range []struct {
-		file **store.File
-		name string
-	}{{&g.q, genName(QFileName, n)}, {&g.e, genName(EFileName, n)}} {
-		if create {
-			var err error
-			if *f.file, err = t.sto.NewFile(f.name); err != nil {
-				return nil, err
-			}
-		} else if *f.file = t.sto.File(f.name); *f.file == nil {
-			return nil, fmt.Errorf("core: missing data file %s (generation %d)", f.name, n)
+	qName, eName := genName(QFileName, n), genName(EFileName, n)
+	var err error
+	if create {
+		if g.q, err = t.sto.NewFile(qName); err == nil {
+			g.e, err = t.sto.NewFile(eName)
 		}
+	} else if g.q, g.e = t.sto.File(qName), t.sto.File(eName); g.q == nil || g.e == nil {
+		err = fmt.Errorf("core: missing data file %s or %s (generation %d)", qName, eName, n)
+	}
+	if err != nil {
+		return nil, err
 	}
 	g.e.EvictFirst()
 	return g, nil

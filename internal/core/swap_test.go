@@ -321,9 +321,10 @@ func linearRange(pts []vec.Point, q vec.Point, eps float64) []Neighbor {
 
 // TestCheckedReadsBesideWrites: on a checksummed file store, queries
 // that read the directory while single inserts rewrite it never fail.
-// A rewrite used to write the bytes before it recorded their sums, so a
-// read between the two checked one against the other's old version and
-// failed with a false *store.CorruptBlockError.
+// A rewrite that wrote the bytes before it recorded their sums, with no
+// order against reads, would let a read between the two check one
+// version's bytes against the other's sums and fail with a false
+// *store.CorruptBlockError.
 func TestCheckedReadsBesideWrites(t *testing.T) {
 	pts := dataset.GenCAD(83, 7000)
 	base, extra := pts[:6000], pts[6000:]
